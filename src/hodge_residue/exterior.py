@@ -2,30 +2,47 @@
 
 The exterior algebra ``Lambda^*(R^n)`` has dimension ``2^n``; the wedge
 monomial ``e_{i_1} ^ ... ^ e_{i_k}`` (indices increasing, 1-based) is encoded
-as the bitmask with bits ``i_1 - 1, ..., i_k - 1`` set.  Operators are stored
-column-sparse: ``cols[m]`` maps target masks to exact coefficients and
-describes the image of basis monomial ``m``.
+as the bitmask with bits ``i_1 - 1, ..., i_k - 1`` set.
 
 Two families of Clifford actions are provided for each direction ``j``:
 
 * ``c_j = wedge_raise(j) - contract_lower(j)`` squaring to ``-1``,
 * ``chat_j = wedge_raise(j) + contract_lower(j)`` squaring to ``+1``,
 
-with all mixed pairs anticommuting.  Both are signed permutations of the
-monomial basis, which keeps products of generators cheap to compose exactly.
+with all mixed pairs anticommuting.  They generate the Clifford algebra
+``Cl(n,n)``, which is all of ``End(Lambda^*(R^n))``, so every operator is a
+unique combination of the ``4^n`` blades.  A blade is a ``2n``-bit key: bit
+``j - 1`` stands for ``c_j`` and bit ``n + j - 1`` for ``chat_j``; the blade
+``e_X`` is the product of its generators in increasing bit order, so
+``e_X = c_A chat_B`` with ``A`` the low and ``B`` the high half of ``X``.
+Operators are stored as sparse ``{blade: coefficient}`` dicts, and three
+rules do all the work:
+
+* *Product.*  ``e_X e_Y = (-1)^(r + s) e_{X xor Y}``, where ``r`` counts the
+  pairs ``x in X``, ``y in Y`` with ``x > y`` (the canonical reordering
+  sign) and ``s = |X & Y & c-bits|`` (each shared ``c_j`` squares to ``-1``,
+  each shared ``chat_j`` to ``+1``).
+* *Trace.*  ``tr(e_X) = 2^n`` for the empty blade and ``0`` otherwise, so
+  ``tr(e_X e_Y) = 2^n delta_XY sq(X)`` with ``sq(X) = +-1`` the sign of
+  ``e_X^2``; a trace of a product only touches the blades both sides share.
+* *Action on Lambda.*  ``c_j`` and ``chat_j`` both flip bit ``j - 1`` of a
+  monomial, so ``c_A chat_B`` is the signed permutation
+  ``m -> +-(m xor A xor B)`` of the monomial basis.  Matrices convert to
+  blades through the same action (:meth:`LinearOp.from_entries`).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .scalars import GaussianRational, as_gaussian
 
 FLAVORS = ("c", "chat")
 
 MAX_DIMENSION = 14
+
+_HALF = Fraction(1, 2)
 
 
 def _check_n(n: int) -> None:
@@ -51,6 +68,57 @@ def _wedge_sign_and_mask(mask_a: int, mask_b: int) -> Tuple[int, int]:
         acc |= low
         b ^= low
     return sign, acc
+
+
+# ---------------------------------------------------------------------------
+# Blade sign rules (bit tricks valid for keys below 2^32, i.e. n <= 16)
+# ---------------------------------------------------------------------------
+
+
+def _parity_above(x: int) -> int:
+    """Bit ``k`` is the parity of the set bits of ``x`` strictly above ``k``."""
+    x >>= 1
+    x ^= x >> 1
+    x ^= x >> 2
+    x ^= x >> 4
+    x ^= x >> 8
+    x ^= x >> 16
+    return x
+
+
+def _parity_below(x: int) -> int:
+    """Bit ``k`` (``k <= 16``) is the parity of the set bits of ``x`` below ``k``."""
+    x <<= 1
+    x ^= x << 1
+    x ^= x << 2
+    x ^= x << 4
+    x ^= x << 8
+    return x
+
+
+def _product_signs(n: int, x: int) -> int:
+    """Mask ``t`` with ``e_x e_y = (-1)^popcount(t & y) e_{x xor y}``."""
+    return _parity_above(x) ^ (x & ((1 << n) - 1))
+
+
+def _square_is_negative(n: int, x: int) -> bool:
+    """Whether ``e_x^2 = -1`` (it is ``+1`` otherwise)."""
+    k = x.bit_count()
+    return bool(((k * (k - 1) >> 1) + (x & ((1 << n) - 1)).bit_count()) & 1)
+
+
+def _blade_action(n: int, key: int, mask: int) -> Tuple[int, int]:
+    """``(sign, image)`` with ``e_key |mask> = sign |image>``.
+
+    The ``chat_B`` factors act first, highest index first; each generator
+    picks up the parity of the monomial's bits below its own, and each
+    ``c_j`` a further ``-1`` when bit ``j - 1`` is set.
+    """
+    a = key & ((1 << n) - 1)
+    b = key >> n
+    mid = mask ^ b
+    odd = ((_parity_below(mask) & b) ^ ((_parity_below(mid) ^ mid) & a)).bit_count() & 1
+    return (-1 if odd else 1), mid ^ a
 
 
 class Multivector:
@@ -136,36 +204,55 @@ class Multivector:
         return f"Multivector(n={self.n}, components={self.components!r})"
 
 
-class LinearOp:
-    """A linear operator on ``Lambda^*(R^n)``, stored column-sparse.
+def _accumulate(target: Dict[int, object], key: int, value) -> None:
+    """``target[key] += value``, dropping the key when the sum vanishes."""
+    cur = target.get(key)
+    if cur is None:
+        target[key] = value
+    else:
+        total = cur + value
+        if total:
+            target[key] = total
+        else:
+            del target[key]
 
-    ``cols[m]`` is a dict ``{target_mask: coefficient}`` giving the image of
-    the basis monomial ``m``.  Coefficients may be ``int``, ``Fraction`` or
-    :class:`~hodge_residue.scalars.GaussianRational`; zeros are never stored.
+
+class LinearOp:
+    """A linear operator on ``Lambda^*(R^n)``, stored as sparse blades.
+
+    ``blades`` is a dict ``{key: coefficient}`` over the ``Cl(n,n)`` blade
+    keys described in the module docstring.  Coefficients may be ``int``,
+    ``Fraction`` or :class:`~hodge_residue.scalars.GaussianRational`; zeros
+    are never stored, so equal operators have equal dicts.
     """
 
-    __slots__ = ("n", "dim", "cols", "_sperm")
+    __slots__ = ("n", "blades")
 
-    def __init__(self, n: int, cols: List[Dict[int, object]] | None = None):
+    def __init__(self, n: int, blades: Dict[int, object] | None = None):
         _check_n(n)
-        dim = 1 << n
-        if cols is None:
-            cols = [dict() for _ in range(dim)]
-        elif len(cols) != dim:
-            raise ValueError(f"expected {dim} columns, got {len(cols)}")
-        else:
-            cols = [
-                {r: c for r, c in col.items() if c} for col in cols
-            ]
+        limit = 1 << (2 * n)
+        clean: Dict[int, object] = {}
+        for key, coeff in (blades or {}).items():
+            if not 0 <= key < limit:
+                raise ValueError(f"blade key {key} out of range for n={n}")
+            if coeff:
+                clean[key] = coeff
         self.n = n
-        self.dim = dim
-        self.cols = cols
+        self.blades = clean
+
+    @classmethod
+    def _of(cls, n: int, blades: Dict[int, object]) -> "LinearOp":
+        """Wrap a dict already known to hold valid keys and no zeros."""
+        op = cls.__new__(cls)
+        op.n = n
+        op.blades = blades
+        return op
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "LinearOp":
-        dim = 1 << n
-        return cls(n, [{m: 1} for m in range(dim)])
+        _check_n(n)
+        return cls._of(n, {0: 1})
 
     @classmethod
     def zero(cls, n: int) -> "LinearOp":
@@ -173,104 +260,87 @@ class LinearOp:
 
     @classmethod
     def from_entries(cls, n: int, entries: Iterable[Tuple[int, int, object]]) -> "LinearOp":
-        op = cls(n)
+        """The operator with matrix entries ``(row, col, coeff)``; repeats add.
+
+        The coefficient of ``e_X`` is ``sq(X) tr(e_X M) / 2^n``, and ``e_X``
+        carries ``|row>`` to ``|col>`` only for the ``2^n`` blades whose
+        flips give ``row xor col``, so each entry touches ``2^n`` blades.
+        """
+        _check_n(n)
+        dim = 1 << n
+        sums: Dict[int, object] = {}
         for row, col, coeff in entries:
-            if coeff:
-                total = op.cols[col].get(row, 0) + coeff
-                if total:
-                    op.cols[col][row] = total
-                else:
-                    op.cols[col].pop(row, None)
-        return op
+            if not (0 <= row < dim and 0 <= col < dim):
+                raise ValueError(f"entry ({row}, {col}) out of range for n={n}")
+            if not coeff:
+                continue
+            flip = row ^ col
+            for a in range(dim):
+                key = a | ((a ^ flip) << n)
+                sign, _ = _blade_action(n, key, row)
+                _accumulate(sums, key, coeff if sign > 0 else -coeff)
+        scale = Fraction(1, dim)
+        return cls._of(n, {
+            key: (-total if _square_is_negative(n, key) else total) * scale
+            for key, total in sums.items()
+        })
 
     # -- structure ----------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return all(not col for col in self.cols)
+        return not self.blades
+
+    def column(self, mask: int) -> Dict[int, object]:
+        """``{row: coefficient}``: the image of the basis monomial ``mask``.
+
+        Whole ``Fraction`` values come back as ``int``: the entries of
+        ``wedge_raise`` and ``contract_lower`` are sums of halves.
+        """
+        col: Dict[int, object] = {}
+        n = self.n
+        for key, coeff in self.blades.items():
+            sign, row = _blade_action(n, key, mask)
+            _accumulate(col, row, coeff if sign > 0 else -coeff)
+        for row, coeff in col.items():
+            if type(coeff) is Fraction and coeff.denominator == 1:
+                col[row] = coeff.numerator
+        return col
 
     def entry(self, row: int, col: int):
-        return self.cols[col].get(row, 0)
+        return self.column(col).get(row, 0)
 
     def apply(self, vec: Multivector) -> Multivector:
         if vec.n != self.n:
             raise ValueError("operator/vector dimension mismatch")
         comps: Dict[int, object] = {}
         for mask, coeff in vec.components.items():
-            for row, c in self.cols[mask].items():
-                total = comps.get(row, 0) + c * coeff
-                if total:
-                    comps[row] = total
-                else:
-                    comps.pop(row, None)
+            for row, c in self.column(mask).items():
+                _accumulate(comps, row, c * coeff)
         return Multivector(self.n, comps)
-
-    def _signed_permutation(self):
-        """``(rows, signs)`` when every column is ``±1`` times one basis
-        monomial and the rows are distinct, else ``None`` (memoized)."""
-        try:
-            return self._sperm
-        except AttributeError:
-            pass
-        rows: List[int] = []
-        signs: List[int] = []
-        seen = set()
-        result = None
-        for col in self.cols:
-            if len(col) != 1:
-                break
-            ((r, s),) = col.items()
-            if r in seen or s * s != 1:
-                break
-            seen.add(r)
-            rows.append(r)
-            signs.append(s)
-        else:
-            result = (rows, signs)
-        self._sperm = result
-        return result
 
     # -- algebra --------------------------------------------------------------
     def compose(self, other: "LinearOp") -> "LinearOp":
         """``self o other`` (``other`` is applied first)."""
         if other.n != self.n:
             raise ValueError("operator dimension mismatch")
-        scols = self.cols
-        sperm: object = False
-        out: List[Dict[int, object]] = []
-        for col in other.cols:
-            if not col:
-                out.append({})
+        n = self.n
+        out: Dict[int, object] = {}
+        right = other.blades.items()
+        for x, a in self.blades.items():
+            signs = _product_signs(n, x)
+            # generators and their words carry unit coefficients: where one
+            # side is +-1 the product is only a sign
+            if a == 1 or a == -1:
+                flip = a == -1
+                for y, b in right:
+                    odd = (signs & y).bit_count() & 1
+                    _accumulate(out, x ^ y, -b if odd ^ flip else b)
                 continue
-            if len(col) == 1:
-                ((k, v),) = col.items()
-                if v == 1:
-                    out.append(dict(scols[k]))
-                elif v == -1:
-                    out.append({r: -c for r, c in scols[k].items()})
-                else:
-                    out.append({r: c * v for r, c in scols[k].items()})
-                continue
-            if sperm is False:
-                sperm = self._signed_permutation()
-            if sperm is not None:
-                rows, signs = sperm
-                out.append({rows[k]: v if signs[k] > 0 else -v for k, v in col.items()})
-                continue
-            acc: Dict[int, object] = {}
-            for k, v in col.items():
-                for r, c in scols[k].items():
-                    cur = acc.get(r)
-                    total = c * v if cur is None else cur + c * v
-                    if total:
-                        acc[r] = total
-                    else:
-                        acc.pop(r, None)
-            out.append(acc)
-        result = LinearOp.__new__(LinearOp)
-        result.n = self.n
-        result.dim = self.dim
-        result.cols = out
-        return result
+            minus_a = -a
+            for y, b in right:
+                v = minus_a if (signs & y).bit_count() & 1 else a
+                _accumulate(out, x ^ y, v if b == 1 else -v if b == -1 else v * b)
+        return LinearOp._of(n, out)
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
         return self.compose(other)
@@ -278,22 +348,10 @@ class LinearOp:
     def __add__(self, other: "LinearOp") -> "LinearOp":
         if not isinstance(other, LinearOp) or other.n != self.n:
             return NotImplemented
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            col = dict(a)
-            for r, c in b.items():
-                cur = col.get(r)
-                total = c if cur is None else cur + c
-                if total:
-                    col[r] = total
-                else:
-                    col.pop(r, None)
-            cols.append(col)
-        result = LinearOp.__new__(LinearOp)
-        result.n = self.n
-        result.dim = self.dim
-        result.cols = cols
-        return result
+        blades = dict(self.blades)
+        for key, coeff in other.blades.items():
+            _accumulate(blades, key, coeff)
+        return LinearOp._of(self.n, blades)
 
     def __sub__(self, other: "LinearOp") -> "LinearOp":
         return self + (-other)
@@ -304,12 +362,7 @@ class LinearOp:
     def scale(self, scalar) -> "LinearOp":
         if not scalar:
             return LinearOp.zero(self.n)
-        cols = [{r: scalar * c for r, c in col.items()} for col in self.cols]
-        result = LinearOp.__new__(LinearOp)
-        result.n = self.n
-        result.dim = self.dim
-        result.cols = cols
-        return result
+        return LinearOp._of(self.n, {k: scalar * c for k, c in self.blades.items()})
 
     def __rmul__(self, scalar) -> "LinearOp":
         if isinstance(scalar, (int, Fraction, GaussianRational)):
@@ -317,39 +370,26 @@ class LinearOp:
         return NotImplemented
 
     def trace(self) -> GaussianRational:
-        total = 0
-        for m, col in enumerate(self.cols):
-            c = col.get(m)
-            if c:
-                total = total + c
-        return as_gaussian(total)
+        return as_gaussian(self.blades.get(0, 0) * (1 << self.n))
 
     def __eq__(self, other):
         if not isinstance(other, LinearOp):
             return NotImplemented
-        return self.n == other.n and self.cols == other.cols
+        return self.n == other.n and self.blades == other.blades
 
     __hash__ = None  # mutable container semantics
 
-    def to_dense(self) -> List[List[object]]:
+    def to_dense(self) -> list:
         """Row-major nested lists (exact coefficients)."""
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for col_index, col in enumerate(self.cols):
-            for row_index, coeff in col.items():
+        dim = 1 << self.n
+        rows = [[0] * dim for _ in range(dim)]
+        for col_index in range(dim):
+            for row_index, coeff in self.column(col_index).items():
                 rows[row_index][col_index] = coeff
         return rows
 
     def __repr__(self) -> str:
-        nnz = sum(len(col) for col in self.cols)
-        return f"LinearOp(n={self.n}, nnz={nnz})"
-
-
-def op_add(a: LinearOp, b: LinearOp) -> LinearOp:
-    return a + b
-
-
-def op_scale(scalar, a: LinearOp) -> LinearOp:
-    return a.scale(scalar)
+        return f"LinearOp(n={self.n}, blades={len(self.blades)})"
 
 
 def commutator(a: LinearOp, b: LinearOp) -> LinearOp:
@@ -357,111 +397,54 @@ def commutator(a: LinearOp, b: LinearOp) -> LinearOp:
 
 
 def trace_product(a: LinearOp, b: LinearOp) -> GaussianRational:
-    """``tr(a o b)`` computed without materializing the product."""
+    """``tr(a o b)`` from the blades the two operators share."""
     if a.n != b.n:
         raise ValueError("operator dimension mismatch")
-    rational = _rational_views(a, b)
-    if rational is not None:
-        (acols, aden), (bcols, bden) = rational
-        total = 0
-        for col_index, col in enumerate(bcols):
-            for k, v in col.items():
-                c = acols[k].get(col_index)
-                if c:
-                    total += c * v
-        return as_gaussian(Fraction(total, aden * bden))
+    n = a.n
+    if len(a.blades) > len(b.blades):
+        a, b = b, a
+    other = b.blades
     total = 0
-    acols = a.cols
-    for col_index, col in enumerate(b.cols):
-        for k, v in col.items():
-            c = acols[k].get(col_index)
-            if c:
-                total = total + c * v
-    return as_gaussian(total)
-
-
-def _rational_views(a: LinearOp, b: LinearOp):
-    """Integer-scaled copies of both operators, or ``None`` if any entry is
-    not a plain rational.  Scaling both sides once lets the trace loop run in
-    machine-integer arithmetic."""
-    views = []
-    for op in (a, b):
-        den = 1
-        all_int = True
-        for col in op.cols:
-            for v in col.values():
-                if type(v) is int:
-                    continue
-                if type(v) is Fraction:
-                    all_int = False
-                    den = math.lcm(den, v.denominator)
-                else:
-                    return None
-        if all_int:
-            views.append((op.cols, 1))
-        else:
-            views.append((
-                [
-                    {r: v.numerator * (den // v.denominator) for r, v in col.items()}
-                    for col in op.cols
-                ],
-                den,
-            ))
-    return views[0], views[1]
+    for key, u in a.blades.items():
+        v = other.get(key)
+        if v is not None:
+            if _square_is_negative(n, key):
+                total = total - u * v
+            else:
+                total = total + u * v
+    return as_gaussian(total * (1 << n))
 
 
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
 
-_GENERATOR_CACHE: Dict[Tuple[str, int, int], LinearOp] = {}
 
-
-def _interior_sign(mask: int, bit: int) -> int:
-    """Parity sign from anticommuting past the indices below ``bit``."""
-    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+def _generator_key(flavor: str, n: int, j: int) -> int:
+    return 1 << (j - 1 if flavor == "c" else n + j - 1)
 
 
 def wedge_raise(n: int, j: int) -> LinearOp:
-    """Exterior multiplication ``e_j ^ .`` (1-based ``j``)."""
-    return _generator("eps", n, j)
+    """Exterior multiplication ``e_j ^ .`` (1-based ``j``): ``(c_j + chat_j) / 2``."""
+    _check_n(n)
+    _check_index(n, j)
+    return LinearOp._of(n, {_generator_key("c", n, j): _HALF, _generator_key("chat", n, j): _HALF})
 
 
 def contract_lower(n: int, j: int) -> LinearOp:
-    """Interior contraction with ``e_j`` (1-based ``j``)."""
-    return _generator("iota", n, j)
+    """Interior contraction with ``e_j`` (1-based ``j``): ``(chat_j - c_j) / 2``."""
+    _check_n(n)
+    _check_index(n, j)
+    return LinearOp._of(n, {_generator_key("c", n, j): -_HALF, _generator_key("chat", n, j): _HALF})
 
 
 def clifford_generator(flavor: str, n: int, j: int) -> LinearOp:
     """The generator ``c_j`` (flavor ``"c"``) or ``chat_j`` (flavor ``"chat"``)."""
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-    return _generator(flavor, n, j)
-
-
-def _generator(kind: str, n: int, j: int) -> LinearOp:
     _check_n(n)
     _check_index(n, j)
-    key = (kind, n, j)
-    cached = _GENERATOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    bit = 1 << (j - 1)
-    cols: List[Dict[int, object]] = []
-    for mask in range(1 << n):
-        sign = _interior_sign(mask, bit)
-        if kind == "eps":
-            col = {} if mask & bit else {mask | bit: sign}
-        elif kind == "iota":
-            col = {mask ^ bit: sign} if mask & bit else {}
-        elif kind == "c":
-            col = {mask ^ bit: -sign} if mask & bit else {mask | bit: sign}
-        else:  # chat
-            col = {mask ^ bit: sign} if mask & bit else {mask | bit: sign}
-        cols.append(col)
-    op = LinearOp(n, cols)
-    _GENERATOR_CACHE[key] = op
-    return op
+    return LinearOp._of(n, {_generator_key(flavor, n, j): 1})
 
 
 def clifford(flavor: str, u: Sequence) -> LinearOp:
@@ -475,44 +458,11 @@ def clifford(flavor: str, u: Sequence) -> LinearOp:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     n = len(u)
     _check_n(n)
-    scaled = _integer_scaled(u)
-    if scaled is None:
-        op = LinearOp.zero(n)
-        for j, coeff in enumerate(u, start=1):
-            if coeff:
-                op = op + clifford_generator(flavor, n, j).scale(coeff)
-        return op
-    ints, den = scaled
-    cols: List[Dict[int, object]] = [{} for _ in range(1 << n)]
-    for j, k in enumerate(ints, start=1):
-        if not k:
-            continue
-        gcols = clifford_generator(flavor, n, j).cols
-        for cidx, gcol in enumerate(gcols):
-            target = cols[cidx]
-            for r, s in gcol.items():
-                total = target.get(r, 0) + s * k
-                if total:
-                    target[r] = total
-                else:
-                    target.pop(r, None)
-    op = LinearOp.__new__(LinearOp)
-    op.n = n
-    op.dim = 1 << n
-    op.cols = cols
-    if den != 1:
-        op = op.scale(Fraction(1, den))
-    return op
-
-
-def _integer_scaled(u: Sequence) -> Tuple[List[int], int] | None:
-    """``(den * u, den)`` with integer entries when ``u`` is rational."""
-    den = 1
-    for coeff in u:
-        if not isinstance(coeff, (int, Fraction)):
-            return None
-        den = math.lcm(den, coeff.denominator)
-    return [int(coeff * den) for coeff in u], den
+    return LinearOp._of(n, {
+        _generator_key(flavor, n, j): coeff
+        for j, coeff in enumerate(u, start=1)
+        if coeff
+    })
 
 
 def clifford_word(n: int, letters: Sequence[Tuple[str, Sequence]]) -> LinearOp:
@@ -522,28 +472,27 @@ def clifford_word(n: int, letters: Sequence[Tuple[str, Sequence]]) -> LinearOp:
     operator is ``clifford(f_1, u_1) o ... o clifford(f_k, u_k)``.
     """
     op = LinearOp.identity(n)
-    den_total = 1
     for flavor, u in letters:
         if len(u) != n:
             raise ValueError("vector length must equal n")
-        scaled = _integer_scaled(u)
-        if scaled is None:
-            op = op.compose(clifford(flavor, u))
-        else:
-            ints, den = scaled
-            den_total *= den
-            op = op.compose(clifford(flavor, ints))
-    if den_total != 1:
-        op = op.scale(Fraction(1, den_total))
+        op = op.compose(clifford(flavor, u))
     return op
 
 
 def generator_word(n: int, letters: Sequence[Tuple[str, int]]) -> LinearOp:
-    """Product of single-direction generators ``[(flavor, j), ...]``."""
-    op = LinearOp.identity(n)
+    """Product of single-direction generators ``[(flavor, j), ...]``: one
+    signed blade, multiplied out by the product rule."""
+    _check_n(n)
+    key, sign = 0, 1
     for flavor, j in letters:
-        op = op.compose(clifford_generator(flavor, n, j))
-    return op
+        if flavor not in FLAVORS:
+            raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+        _check_index(n, j)
+        g = _generator_key(flavor, n, j)
+        if (_product_signs(n, key) & g).bit_count() & 1:
+            sign = -sign
+        key ^= g
+    return LinearOp._of(n, {key: sign})
 
 
 def exterior_signed_permutation(n: int, perm: Sequence[int], signs: Sequence[int]) -> LinearOp:
@@ -557,7 +506,7 @@ def exterior_signed_permutation(n: int, perm: Sequence[int], signs: Sequence[int
         raise ValueError("perm must be a permutation of 1..n")
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
-    cols: List[Dict[int, object]] = []
+    entries = []
     for mask in range(1 << n):
         sign = 1
         images = []
@@ -575,5 +524,5 @@ def exterior_signed_permutation(n: int, perm: Sequence[int], signs: Sequence[int
             if inversions & 1:
                 sign = -sign
             out_mask |= 1 << (img - 1)
-        cols.append({out_mask: sign})
-    return LinearOp(n, cols)
+        entries.append((out_mask, mask, sign))
+    return LinearOp.from_entries(n, entries)

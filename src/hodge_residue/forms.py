@@ -105,7 +105,9 @@ class AntiSymForm:
 def form_contract(form: AntiSymForm, vectors: Sequence[Sequence]) -> object:
     """Evaluate the form on ``degree`` many vectors (exact).
 
-    Computed as ``sum_I form(I) * det(vectors restricted to I)``.
+    Computed as ``sum_I form(I) * det(vectors restricted to I)``; the minors
+    are expanded along their first row, and index sets share their
+    sub-minors.
     """
     if len(vectors) != form.degree:
         raise ValueError("number of vectors must equal the form degree")
@@ -113,37 +115,28 @@ def form_contract(form: AntiSymForm, vectors: Sequence[Sequence]) -> object:
         if len(u) != form.n:
             raise ValueError("vector length must equal n")
     total = Fraction(0)
-    k = form.degree
+    minors: Dict[Tuple[int, ...], object] = {(): 1}
     for idx, coeff in form.entries.items():
-        minor = 0
-        for perm in itertools.permutations(range(k)):
-            sign = _permutation_sign(perm)
-            prod = sign
-            for row, col in enumerate(perm):
-                prod = prod * vectors[row][idx[col] - 1]
-                if not prod:
-                    break
-            minor = minor + prod
+        minor = _minor(vectors, idx, minors)
         if minor:
             total = total + coeff * minor
     return total
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        node = start
-        while not seen[node]:
-            seen[node] = True
-            node = perm[node]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _minor(vectors: Sequence[Sequence], cols: Tuple[int, ...], memo: Dict) -> object:
+    """Determinant of the last ``len(cols)`` vectors restricted to the
+    (1-based, increasing) columns ``cols``, memoized in ``memo``."""
+    value = memo.get(cols)
+    if value is None:
+        row = vectors[len(vectors) - len(cols)]
+        value = 0
+        for pos, col in enumerate(cols):
+            entry = row[col - 1]
+            if entry:
+                term = entry * _minor(vectors, cols[:pos] + cols[pos + 1:], memo)
+                value = value - term if pos & 1 else value + term
+        memo[cols] = value
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -17,30 +17,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import integrate
 
-from .exterior import LinearOp
 from .forms import AntiSymForm
 from .scalars import sphere_volume_float
 
 MAX_ORACLE_DIMENSION = 10
-
-
-class DenseOp:
-    """Dense complex-matrix image of an exact operator."""
-
-    __slots__ = ("n", "matrix")
-
-    def __init__(self, n: int, matrix: np.ndarray):
-        self.n = n
-        self.matrix = np.asarray(matrix, dtype=np.complex128)
-
-    @classmethod
-    def from_exact(cls, op: LinearOp) -> "DenseOp":
-        _check_oracle_n(op.n)
-        matrix = np.zeros((op.dim, op.dim), dtype=np.complex128)
-        for col, entries in enumerate(op.cols):
-            for row, coeff in entries.items():
-                matrix[row, col] = complex(coeff)
-        return cls(op.n, matrix)
 
 
 def _check_oracle_n(n: int) -> None:

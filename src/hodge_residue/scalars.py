@@ -4,8 +4,8 @@ Three layers of scalars appear in the computations:
 
 * ``Rational`` -- exact rational numbers (``fractions.Fraction``).
 * ``GaussianRational`` -- complex numbers with rational real and imaginary
-  parts, closed under field operations.  These are the entries of every
-  operator matrix and the coefficients of every symbolic quantity.
+  parts, closed under field operations.  These are the coefficients of
+  every operator and of every symbolic quantity.
 * ``SymbolicScalar`` -- finite linear combinations of unit monomials
   ``pi^a * V(S^{d1})^{e1} * ...`` with ``GaussianRational`` coefficients,
   where ``V(S^d)`` denotes the volume of the round unit ``d``-sphere.

@@ -223,3 +223,87 @@ class TestOperatorAlgebra:
         rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
         a, b, c = (_random_op(n, rng) for _ in range(3))
         assert (a @ b) @ c == a @ (b @ c)
+
+
+def _sparse_matrix(n: int, rng: random.Random) -> dict:
+    dim = 1 << n
+    matrix = {}
+    for _ in range(rng.randint(1, 2 * dim)):
+        value = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+        if value:
+            matrix[(rng.randrange(dim), rng.randrange(dim))] = value
+    return matrix
+
+
+def _blade(n: int, c_indices, chat_indices) -> LinearOp:
+    """``c_A chat_B`` in increasing generator order, i.e. one unit blade."""
+    return generator_word(
+        n, [("c", j) for j in c_indices] + [("chat", j) for j in chat_indices]
+    )
+
+
+class TestBladeRepresentation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matrix_round_trip(self, n):
+        rng = random.Random(f"round-trip:{n}")
+        dim = 1 << n
+        for _ in range(10):
+            matrix = _sparse_matrix(n, rng)
+            op = LinearOp.from_entries(n, [(r, c, v) for (r, c), v in matrix.items()])
+            dense = op.to_dense()
+            for row in range(dim):
+                for col in range(dim):
+                    expected = matrix.get((row, col), 0)
+                    assert dense[row][col] == expected
+                    assert op.entry(row, col) == expected
+
+    def test_compose_and_trace_match_matrix_arithmetic(self):
+        rng = random.Random(11)
+        n = 3
+        dim = 1 << n
+        for _ in range(10):
+            a = _random_op(n, rng)
+            b = _random_op(n, rng)
+            da, db, dab = a.to_dense(), b.to_dense(), (a @ b).to_dense()
+            for row in range(dim):
+                for col in range(dim):
+                    assert dab[row][col] == sum(da[row][k] * db[k][col] for k in range(dim))
+            assert a.trace() == sum(da[k][k] for k in range(dim))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_wedge_and_contraction_follow_the_bitmask_sign_rule(self, n):
+        for j in range(1, n + 1):
+            bit = 1 << (j - 1)
+            eps = wedge_raise(n, j)
+            iota = contract_lower(n, j)
+            for mask in range(1 << n):
+                sign = -1 if (mask & (bit - 1)).bit_count() % 2 else 1
+                if mask & bit:
+                    assert eps.column(mask) == {}
+                    assert iota.column(mask) == {mask ^ bit: sign}
+                else:
+                    assert eps.column(mask) == {mask | bit: sign}
+                    assert iota.column(mask) == {}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sandwich_law_per_blade(self, n):
+        """``sum_i c_i X c_i = -(-1)^(|A|+|B|) (n - 2|A|) X`` for ``X = c_A chat_B``."""
+        directions = range(1, n + 1)
+        gens = [clifford_generator("c", n, i) for i in directions]
+        for a_mask in range(1 << n):
+            for b_mask in range(1 << n):
+                A = [j for j in directions if a_mask >> (j - 1) & 1]
+                B = [j for j in directions if b_mask >> (j - 1) & 1]
+                X = _blade(n, A, B)
+                total = LinearOp.zero(n)
+                for ci in gens:
+                    total = total + ci @ X @ ci
+                weight = -((-1) ** (len(A) + len(B))) * (n - 2 * len(A))
+                assert total == X.scale(weight)
+
+    def test_largest_dimension_is_cheap(self):
+        n = 14
+        c = clifford_generator("c", n, n)
+        assert c @ c == -LinearOp.identity(n)
+        assert c.trace() == 0
+        assert (c @ c).trace() == -(1 << n)

@@ -1,5 +1,6 @@
 """Unit tests for antisymmetric forms, contractions, operator lifts, JSON IO."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -72,6 +73,21 @@ class TestFormContract:
                 for c in range(1, n + 1):
                     total += form.value((a, b, c)) * u[a - 1] * v[b - 1] * w[c - 1]
         assert direct == total
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 4, 5])
+    def test_contract_is_full_index_sum_in_every_degree(self, degree):
+        rng = random.Random(f"contract:{degree}")
+        n = 5
+        for _ in range(5):
+            form = random_form(n, degree, rng)
+            vectors = [random_vector(n, rng) for _ in range(degree)]
+            total = Fraction(0)
+            for idx in itertools.product(range(1, n + 1), repeat=degree):
+                term = form.value(idx)
+                for vec, j in zip(vectors, idx):
+                    term *= vec[j - 1]
+                total += term
+            assert form_contract(form, vectors) == total
 
     def test_contract_alternates_in_arguments(self):
         rng = random.Random(7)
