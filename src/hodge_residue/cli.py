@@ -9,9 +9,7 @@ and ``boundary`` evaluate single functionals on user-supplied inputs.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -41,19 +39,6 @@ SUITES = ("lemmas", "theorems", "boundary", "commutators", "all")
 DEFAULT_LEMMA_DIMENSIONS = (4, 6)
 DEFAULT_SYMBOL_ORDERS = (2, 3)
 DEFAULT_COMMUTATOR_DIMENSIONS = (2, 4)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("HODGE_RESIDUE_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise click.UsageError("HODGE_RESIDUE_THREADS must be an integer")
-        if workers < 1:
-            raise click.UsageError("HODGE_RESIDUE_THREADS must be >= 1")
-        return workers
-    return min(8, os.cpu_count() or 1)
 
 
 def _commutator_report(identity: str, n: int) -> CheckReport:
@@ -138,9 +123,7 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
     commutator_ns = (n_value,) if n_value is not None else DEFAULT_COMMUTATOR_DIMENSIONS
 
     tasks = _build_tasks(suite, n_values, m_values, commutator_ns, trials, seed)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        reports = list(pool.map(lambda task: task(), tasks))
-    reports.sort(key=lambda r: (r.check_id, r.n))
+    reports = sorted((task() for task in tasks), key=lambda r: (r.check_id, r.n))
 
     passed = sum(1 for r in reports if r.passed)
     failed = len(reports) - passed

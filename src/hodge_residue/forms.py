@@ -249,25 +249,49 @@ def form_from_json(data: Union[dict, str, Path]) -> AntiSymForm:
 
     Schema: ``{"n": 4, "degree": 3, "entries": [{"idx": [1,2,3], "value": "3/2"}]}``
     with 1-based indices and rational values given as strings or integers.
+    Raises ``ValueError`` on any other shape.
     """
     data = _load_json(data)
+    items = data.get("entries", [])
+    if not isinstance(items, list):
+        raise ValueError(f'"entries" must be a list, got {items!r}')
     entries: Dict[Tuple[int, ...], object] = {}
-    for item in data.get("entries", []):
-        idx = tuple(int(j) for j in item["idx"])
+    for item in items:
+        if not (isinstance(item, dict) and isinstance(item.get("idx"), list) and "value" in item):
+            raise ValueError(f'each entry must be {{"idx": [...], "value": ...}}, got {item!r}')
+        idx = tuple(_as_int(j, "an index") for j in item["idx"])
         entries[idx] = Fraction(str(item["value"]))
-    return AntiSymForm(int(data["n"]), int(data["degree"]), entries)
+    return AntiSymForm(_as_int(data.get("n"), '"n"'), _as_int(data.get("degree"), '"degree"'), entries)
 
 
 def vectors_from_json(data: Union[dict, str, Path]) -> List[List[Fraction]]:
-    """Load vectors from ``{"vectors": [["1", "0", "-1/2", "0"], ...]}``."""
-    data = _load_json(data)
-    return [[Fraction(str(x)) for x in vec] for vec in data["vectors"]]
+    """Load vectors from ``{"vectors": [["1", "0", "-1/2", "0"], ...]}``.
+
+    Raises ``ValueError`` on any other shape.
+    """
+    vectors = _load_json(data).get("vectors")
+    if not isinstance(vectors, list) or not all(isinstance(vec, list) for vec in vectors):
+        raise ValueError(f'"vectors" must be a list of lists, got {vectors!r}')
+    return [[Fraction(str(x)) for x in vec] for vec in vectors]
+
+
+def _as_int(value: object, what: str) -> int:
+    """An integer given as a JSON integer or a decimal string; never a
+    truncated float."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _load_json(data: Union[dict, str, Path]) -> dict:
-    if isinstance(data, dict):
-        return data
     if isinstance(data, Path) or (isinstance(data, str) and "\n" not in data and data.strip().endswith(".json")):
         with open(data, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    return json.loads(data)
+            data = json.load(handle)
+    elif isinstance(data, str):
+        data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object at the top level, got {type(data).__name__}")
+    return data

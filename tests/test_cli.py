@@ -3,15 +3,23 @@
 The verify command must emit byte-identical reports for a fixed seed and use
 exit codes as a signal: 0 all checks pass, 1 at least one discrepancy
 (several tabulated identities genuinely disagree with the engine, so the
-lemma and theorem suites exit 1 by design), 2 configuration errors.
+lemma and theorem suites exit 1 by design), 2 configuration errors and
+malformed input.  Importing the package or the CLI must not load the
+numpy/scipy float oracle.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import hodge_residue
 from hodge_residue.cli import main
+from hodge_residue.residue import lemma_ids
 
 FORM3_JSON = json.dumps(
     {
@@ -140,6 +148,14 @@ class TestReportSchema:
         keys = [(c["id"], c["n"]) for c in report["checks"]]
         assert keys == sorted(keys)
 
+    def test_lemma_checks_come_out_sorted_by_id_and_n(self, runner):
+        result = runner.invoke(
+            main, ["verify", "--suite", "lemmas", "--n", "4", "--trials", "1"]
+        )
+        assert result.exit_code == 1
+        keys = [(c["id"], c["n"]) for c in json.loads(result.output)["checks"]]
+        assert keys == sorted((lemma_id, 4) for lemma_id in lemma_ids())
+
     def test_markdown_format(self, runner):
         result = runner.invoke(
             main,
@@ -166,21 +182,63 @@ class TestConfigurationErrors:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
 
-    def test_bad_thread_env_var_exits_2(self, runner):
-        result = runner.invoke(
-            main,
-            ["verify", "--suite", "boundary", "--m", "2", "--trials", "2"],
-            env={"HODGE_RESIDUE_THREADS": "many"},
-        )
-        assert result.exit_code == 2
 
-    def test_thread_env_var_respected(self, runner):
-        result = runner.invoke(
-            main,
-            ["verify", "--suite", "boundary", "--m", "2", "--trials", "2"],
-            env={"HODGE_RESIDUE_THREADS": "1"},
+MALFORMED_INPUTS = [
+    ("density", "form", {"entries": 5}),
+    ("density", "form", [1, 2]),
+    ("density", "form", {"n": 4, "degree": 3, "entries": [[1, 2, 3]]}),
+    ("density", "form", {"n": 4, "degree": 3, "entries": [{"idx": 1, "value": "1"}]}),
+    ("density", "form", {"n": 4, "degree": 3, "entries": [{"idx": [1.5, 2, 3], "value": "1"}]}),
+    ("density", "vectors", {"vectors": 3}),
+    ("density", "vectors", [1, 2]),
+    ("boundary", "vectors", {"vectors": 3}),
+    ("boundary", "vectors", [1, 2]),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command,bad_file,payload", MALFORMED_INPUTS)
+    def test_exits_2_with_a_message(self, runner, tmp_path, command, bad_file, payload):
+        if command == "density":
+            args = ["density", "T2", "--m", "2"]
+            texts = {"form": FORM3_JSON, "vectors": VECTORS3_JSON}
+        else:
+            args = ["boundary", "psi1", "--m", "2"]
+            texts = {"vectors": BOUNDARY_VECTORS_JSON}
+        texts[bad_file] = json.dumps(payload)
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text, encoding="utf-8")
+            args += [f"--{name}", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "invalid input" in result.output
+
+
+def _python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this package."""
+    src = str(Path(hodge_residue.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+
+
+class TestImportFootprint:
+    def test_package_and_cli_do_not_load_numpy_or_scipy(self):
+        loaded = _python(
+            "import sys, hodge_residue, hodge_residue.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
         )
-        assert result.exit_code == 0
+        assert loaded.strip() == "[]"
+
+    def test_oracle_still_imports_and_loads_numpy(self):
+        loaded = _python("import sys, hodge_residue.oracle\nprint('numpy' in sys.modules)")
+        assert loaded.strip() == "True"
 
 
 class TestDensityCommand:
