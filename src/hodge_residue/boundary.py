@@ -14,6 +14,16 @@ form (:class:`RationalXnOp`).  The three analytic ingredients are
   integrated over ``xi_n`` by residues and over ``xi'`` by sphere moments
   (odd tangential terms vanish by computed moments, not by assumption).
 
+Only the argument word ``W`` depends on the density's vectors.  The trace
+against ``W`` and the line integral are both Q[i]-linear, so each
+upper-half-plane term ``op_t/(xi_n - pole_t)^order_t`` of a projected
+channel ``alpha`` contributes ``tr(W op_t) * K_t`` with the word-independent
+weight ``K_t = moment(alpha) * line_integral(d/(xi_n - pole_t)^order_t)``
+(``d`` the normal derivative symbol).  The pairs ``(op_t, K_t)`` form the
+residue kernel of symbol order ``m``; it is built once per ``m`` from the same
+channels, projection and residues, with every pole and decay check, and
+channels whose computed sphere moment is zero are left out of it.
+
 :func:`verify_boundary` asserts exact proportionality of each density to its
 stated vector contraction and compares the engine's absolute constant with
 the tabulated closed form, reporting both.
@@ -21,6 +31,7 @@ the tabulated closed form, reporting both.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -510,25 +521,39 @@ def normal_derivative_symbol(m: int) -> ScalarRational:
     return ScalarRational([0, 2 * (1 - m)], {I: m, -I: m})
 
 
+@functools.lru_cache(maxsize=None)
+def _residue_kernel(m: int) -> Tuple[Tuple[LinearOp, SymbolicScalar], ...]:
+    """Word-independent pairs ``(op_t, K_t)`` of the boundary density at order ``m``.
+
+    ``K_t = moment(alpha) * line_integral(d/(xi_n - pole_t)^order_t)`` for
+    each term ``op_t/(xi_n - pole_t)^order_t`` of ``pi_plus`` of the channel
+    ``alpha``; channels whose computed moment is zero contribute no pair.
+    """
+    n = 2 * m
+    derivative = normal_derivative_symbol(m)
+    kernel = []
+    for alpha, channel in resolvent_symbol_channels(n).items():
+        moment = sphere_moment(alpha, n - 1)
+        if moment.is_zero:
+            continue
+        for pole, order, op in pi_plus(channel).terms:
+            integral = (ScalarRational([1], {pole: order}) * derivative).line_integral()
+            kernel.append((op, moment * integral))
+    return tuple(kernel)
+
+
 def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
     """Exact boundary density in units ``pi * V(S^{n-2})``.
 
-    Assembles the projected inverse symbol, multiplies by the normal
-    derivative of the next symbol order, traces against the argument word,
-    integrates over ``xi_n`` by residues and over the tangential sphere by
-    exact moments (odd moments vanish as computed outputs).
+    The projected inverse symbol times the normal derivative of the next
+    symbol order, traced against the argument word, integrated over ``xi_n``
+    by residues and over the tangential sphere by exact moments; assembled
+    as ``sum_t tr(word op_t) * K_t`` over the residue kernel of order ``m``.
     """
-    m = args.m
-    n = 2 * m
-    word = clifford_word(n, list(zip(_FLAVOR_WORDS[args.flavor], (args.u, args.v, args.w))))
-    derivative = normal_derivative_symbol(m)
+    word = clifford_word(2 * args.m, list(zip(_FLAVOR_WORDS[args.flavor], (args.u, args.v, args.w))))
     total = SymbolicScalar()
-    for alpha, channel in resolvent_symbol_channels(n).items():
-        projected = pi_plus(channel)
-        scalar = projected.trace_against(word) * derivative
-        integral = scalar.line_integral()
-        moment = sphere_moment(alpha, n - 1)
-        total = total + moment * integral
+    for op, weight in _residue_kernel(args.m):
+        total = total + weight * trace_product(word, op)
     return total
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import click
 
@@ -22,6 +22,7 @@ from .boundary import (
     closed_form_boundary_coefficient,
     verify_boundary,
 )
+from .exterior import MAX_DIMENSION
 from .forms import form_from_json, vectors_from_json
 from .residue import (
     FUNCTIONALS,
@@ -39,42 +40,45 @@ SUITES = ("lemmas", "theorems", "boundary", "commutators", "all")
 DEFAULT_LEMMA_DIMENSIONS = (4, 6)
 DEFAULT_SYMBOL_ORDERS = (2, 3)
 DEFAULT_COMMUTATOR_DIMENSIONS = (2, 4)
+# symbol orders m whose dimension n = 2m the engine supports
+SYMBOL_ORDER = click.IntRange(2, MAX_DIMENSION // 2)
 
 
-def _commutator_report(identity: str, n: int) -> CheckReport:
-    records = [r for r in check_flat_commutators(n) if r["identity"] == identity]
-    mismatches = sum(0 if r["ok"] else 1 for r in records)
-    monomials = sum(r["monomials"] for r in records)
-    return CheckReport(
-        check_id=f"commutator.{identity}",
-        n=n,
-        trials=monomials,
-        status="pass" if mismatches == 0 else "fail",
-        computed=f"{mismatches} mismatching monomials",
-        expected="0 mismatching monomials",
-    )
+def _commutator_reports(n: int) -> List[CheckReport]:
+    """One report per identity, from a single run of the commutator check."""
+    records = check_flat_commutators(n)
+    reports = []
+    for identity in ("c", "chat"):
+        mine = [r for r in records if r["identity"] == identity]
+        mismatches = sum(0 if r["ok"] else 1 for r in mine)
+        reports.append(CheckReport(
+            check_id=f"commutator.{identity}",
+            n=n,
+            trials=sum(r["monomials"] for r in mine),
+            status="pass" if mismatches == 0 else "fail",
+            computed=f"{mismatches} mismatching monomials",
+            expected="0 mismatching monomials",
+        ))
+    return reports
 
 
-def _build_tasks(suite: str, n_values: Sequence[int], m_values: Sequence[int],
-                 commutator_ns: Sequence[int], trials: int, seed: int) -> List:
-    tasks = []
+def _run_checks(suite: str, n_values: Sequence[int], m_values: Sequence[int],
+                commutator_ns: Sequence[int], trials: int, seed: int) -> Iterator[CheckReport]:
     if suite in ("lemmas", "all"):
         for lemma_id in lemma_ids():
             for n in n_values:
-                tasks.append(lambda lid=lemma_id, nn=n: lemma_check(lid, nn, trials, seed))
+                yield lemma_check(lemma_id, n, trials, seed)
     if suite in ("theorems", "all"):
         for functional_id in sorted(FUNCTIONALS):
             for m in m_values:
-                tasks.append(lambda fid=functional_id, mm=m: verify_theorem(fid, mm, trials, seed))
+                yield verify_theorem(functional_id, m, trials, seed)
     if suite in ("boundary", "all"):
         for flavor in ("psi1", "psi2"):
             for m in m_values:
-                tasks.append(lambda fl=flavor, mm=m: verify_boundary(fl, mm, trials, seed))
+                yield verify_boundary(flavor, m, trials, seed)
     if suite in ("commutators", "all"):
-        for identity in ("c", "chat"):
-            for n in commutator_ns:
-                tasks.append(lambda ident=identity, nn=n: _commutator_report(ident, nn))
-    return tasks
+        for n in commutator_ns:
+            yield from _commutator_reports(n)
 
 
 def _render_markdown(report: Dict) -> str:
@@ -104,7 +108,7 @@ def main() -> None:
 @main.command("verify")
 @click.option("--suite", type=click.Choice(SUITES), default="all", show_default=True)
 @click.option("--n", "n_value", type=int, default=None, help="Single dimension override (lemma/commutator suites).")
-@click.option("--m", "m_value", type=int, default=None, help="Single symbol-order override (theorem/boundary suites).")
+@click.option("--m", "m_value", type=SYMBOL_ORDER, default=None, help="Single symbol-order override (theorem/boundary suites).")
 @click.option("--trials", type=int, default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True, path_type=Path), default=None)
@@ -116,14 +120,14 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
         raise click.UsageError("--trials must be >= 1")
     if n_value is not None and (n_value % 2 or not 4 <= n_value <= 14):
         raise click.UsageError("--n must be even with 4 <= n <= 14")
-    if m_value is not None and m_value < 2:
-        raise click.UsageError("--m must be >= 2")
     n_values = (n_value,) if n_value is not None else DEFAULT_LEMMA_DIMENSIONS
     m_values = (m_value,) if m_value is not None else DEFAULT_SYMBOL_ORDERS
     commutator_ns = (n_value,) if n_value is not None else DEFAULT_COMMUTATOR_DIMENSIONS
 
-    tasks = _build_tasks(suite, n_values, m_values, commutator_ns, trials, seed)
-    reports = sorted((task() for task in tasks), key=lambda r: (r.check_id, r.n))
+    reports = sorted(
+        _run_checks(suite, n_values, m_values, commutator_ns, trials, seed),
+        key=lambda r: (r.check_id, r.n),
+    )
 
     passed = sum(1 for r in reports if r.passed)
     failed = len(reports) - passed
@@ -155,7 +159,7 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
 
 @main.command("density")
 @click.argument("functional_id", type=click.Choice(sorted(FUNCTIONALS)))
-@click.option("--m", type=int, required=True)
+@click.option("--m", type=SYMBOL_ORDER, required=True)
 @click.option("--form", "form_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True)
 @click.option("--vectors", "vectors_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True)
 def cmd_density(functional_id: str, m: int, form_path: Path, vectors_path: Path) -> None:
@@ -172,7 +176,7 @@ def cmd_density(functional_id: str, m: int, form_path: Path, vectors_path: Path)
 
 @main.command("boundary")
 @click.argument("flavor", type=click.Choice(("psi1", "psi2")))
-@click.option("--m", type=int, required=True)
+@click.option("--m", type=SYMBOL_ORDER, required=True)
 @click.option("--vectors", "vectors_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True)
 def cmd_boundary(flavor: str, m: int, vectors_path: Path) -> None:
     """Evaluate one boundary density and compare with its closed form."""

@@ -245,7 +245,7 @@ def form_to_json(form: AntiSymForm) -> dict:
 
 
 def form_from_json(data: Union[dict, str, Path]) -> AntiSymForm:
-    """Load a form from a dict, a JSON string, or a path to a JSON file.
+    """Load a form from a dict, JSON text (``str``), or a JSON file (``Path``).
 
     Schema: ``{"n": 4, "degree": 3, "entries": [{"idx": [1,2,3], "value": "3/2"}]}``
     with 1-based indices and rational values given as strings or integers.
@@ -260,7 +260,7 @@ def form_from_json(data: Union[dict, str, Path]) -> AntiSymForm:
         if not (isinstance(item, dict) and isinstance(item.get("idx"), list) and "value" in item):
             raise ValueError(f'each entry must be {{"idx": [...], "value": ...}}, got {item!r}')
         idx = tuple(_as_int(j, "an index") for j in item["idx"])
-        entries[idx] = Fraction(str(item["value"]))
+        entries[idx] = _as_fraction(item["value"], "a value")
     return AntiSymForm(_as_int(data.get("n"), '"n"'), _as_int(data.get("degree"), '"degree"'), entries)
 
 
@@ -272,7 +272,7 @@ def vectors_from_json(data: Union[dict, str, Path]) -> List[List[Fraction]]:
     vectors = _load_json(data).get("vectors")
     if not isinstance(vectors, list) or not all(isinstance(vec, list) for vec in vectors):
         raise ValueError(f'"vectors" must be a list of lists, got {vectors!r}')
-    return [[Fraction(str(x)) for x in vec] for vec in vectors]
+    return [[_as_fraction(x, "a vector entry") for x in vec] for vec in vectors]
 
 
 def _as_int(value: object, what: str) -> int:
@@ -286,8 +286,17 @@ def _as_int(value: object, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_fraction(value: object, what: str) -> Fraction:
+    """An exact rational given as a JSON number or a string such as ``"-3/2"``."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} must be a rational number, got {value!r}") from None
+
+
 def _load_json(data: Union[dict, str, Path]) -> dict:
-    if isinstance(data, Path) or (isinstance(data, str) and "\n" not in data and data.strip().endswith(".json")):
+    """A ``Path`` names a JSON file and a ``str`` is JSON text."""
+    if isinstance(data, Path):
         with open(data, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     elif isinstance(data, str):

@@ -25,9 +25,10 @@ from hodge_residue.boundary import (
     resolvent_symbol_channels,
     verify_boundary,
 )
-from hodge_residue.exterior import LinearOp, clifford_generator
+from hodge_residue.exterior import LinearOp, clifford_generator, clifford_word
 from hodge_residue.forms import random_vector
 from hodge_residue.scalars import GaussianRational, I, SymbolicScalar, sphere_volume
+from hodge_residue.symbols import sphere_moment
 
 HALF = GaussianRational(Fraction(1, 2))
 HALF_I = GaussianRational(0, Fraction(1, 2))
@@ -217,6 +218,28 @@ class TestBoundaryDensity:
             density = boundary_density(BoundaryArgs(flavor, u, v, w, m))
             contraction = boundary_contraction(flavor, u, v, w)
             assert density == per_unit * (contraction * Fraction(1 << n))
+
+    @pytest.mark.parametrize(
+        "flavor,letters", [("psi1", "c c c"), ("psi2", "c chat chat")], ids=["psi1", "psi2"]
+    )
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_density_equals_channel_by_channel_composition(self, flavor, letters, m):
+        # the per-channel route: every channel projected, traced against the
+        # word, times the normal derivative, line-integrated, times its moment
+        n = 2 * m
+        rng = random.Random(f"compose:{flavor}:{m}")
+        derivative = normal_derivative_symbol(m)
+        nonzero = 0
+        for _ in range(3):
+            u, v, w = (tuple(random_vector(n, rng)) for _ in range(3))
+            word = clifford_word(n, list(zip(letters.split(), (u, v, w))))
+            composed = SymbolicScalar()
+            for alpha, channel in resolvent_symbol_channels(n).items():
+                scalar = pi_plus(channel).trace_against(word) * derivative
+                composed = composed + sphere_moment(alpha, n - 1) * scalar.line_integral()
+            assert boundary_density(BoundaryArgs(flavor, u, v, w, m)) == composed
+            nonzero += not composed.is_zero
+        assert nonzero
 
     def test_contraction_formulas(self):
         u, v, w = (Fraction(1), Fraction(2), Fraction(0), Fraction(3)), (

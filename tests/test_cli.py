@@ -12,14 +12,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodge_residue
 from hodge_residue.cli import main
+from hodge_residue.exterior import MAX_DIMENSION
 from hodge_residue.residue import lemma_ids
+from json_fuzz import JSON_PAYLOADS
 
 FORM3_JSON = json.dumps(
     {
@@ -196,23 +201,71 @@ MALFORMED_INPUTS = [
 ]
 
 
+def _invoke_with_payload(runner, directory, command, bad_file, payload):
+    """Run ``density T2 --m 2`` or ``boundary psi1 --m 2`` with valid input
+    files except ``bad_file``, which holds ``payload``."""
+    if command == "density":
+        args = ["density", "T2", "--m", "2"]
+        texts = {"form": FORM3_JSON, "vectors": VECTORS3_JSON}
+    else:
+        args = ["boundary", "psi1", "--m", "2"]
+        texts = {"vectors": BOUNDARY_VECTORS_JSON}
+    texts[bad_file] = json.dumps(payload)
+    for name, text in texts.items():
+        path = Path(directory) / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        args += [f"--{name}", str(path)]
+    return runner.invoke(main, args)
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("command,bad_file,payload", MALFORMED_INPUTS)
     def test_exits_2_with_a_message(self, runner, tmp_path, command, bad_file, payload):
-        if command == "density":
-            args = ["density", "T2", "--m", "2"]
-            texts = {"form": FORM3_JSON, "vectors": VECTORS3_JSON}
-        else:
-            args = ["boundary", "psi1", "--m", "2"]
-            texts = {"vectors": BOUNDARY_VECTORS_JSON}
-        texts[bad_file] = json.dumps(payload)
-        for name, text in texts.items():
-            path = tmp_path / f"{name}.json"
-            path.write_text(text, encoding="utf-8")
-            args += [f"--{name}", str(path)]
-        result = runner.invoke(main, args)
+        result = _invoke_with_payload(runner, tmp_path, command, bad_file, payload)
         assert result.exit_code == 2, result.output
         assert "invalid input" in result.output
+
+    @given(
+        st.sampled_from([("density", "form"), ("density", "vectors"), ("boundary", "vectors")]),
+        JSON_PAYLOADS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_input_files_never_exit_1(self, target, payload):
+        # a payload that happens to be valid input may exit 0; nothing may
+        # raise (exit 1 in CliRunner) or be reported as a discrepancy
+        command, bad_file = target
+        with tempfile.TemporaryDirectory() as directory:
+            result = _invoke_with_payload(CliRunner(), directory, command, bad_file, payload)
+        assert result.exit_code in (0, 2), result.output
+        if result.exit_code == 2:
+            assert "invalid input" in result.output
+
+
+class TestSymbolOrderRange:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--suite", "theorems", "--m", "8"],
+            ["verify", "--suite", "boundary", "--m", "8"],
+            ["verify", "--m", "1"],
+            ["density", "T2", "--m", "8"],
+            ["boundary", "psi1", "--m", "1"],
+        ],
+    )
+    def test_out_of_range_m_exits_2_naming_the_bound(self, runner, tmp_path, args):
+        if args[0] == "density":
+            files = {"form": FORM3_JSON, "vectors": VECTORS3_JSON}
+        elif args[0] == "boundary":
+            files = {"vectors": json.dumps({"vectors": [["1", "0"], ["0", "1"], ["1", "1"]]})}
+        else:
+            files = {}
+        for name, text in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text, encoding="utf-8")
+            args = args + [f"--{name}", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"2<=x<={MAX_DIMENSION // 2}" in result.output
 
 
 def _python(code: str) -> str:

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from hodge_residue.exterior import LinearOp, generator_word
 from hodge_residue.forms import (
@@ -25,6 +26,7 @@ from hodge_residue.forms import (
     random_vector,
     vectors_from_json,
 )
+from json_fuzz import JSON_PAYLOADS
 
 
 class TestAntiSymForm:
@@ -216,3 +218,22 @@ class TestJsonRoundTrip:
             form_from_json({"n": 4, "degree": 2, "entries": [{"idx": [1], "value": "1"}]})
         with pytest.raises((ValueError, KeyError)):
             vectors_from_json({"vectors": "nope"})
+
+    def test_str_is_json_text_never_a_path(self, tmp_path, monkeypatch):
+        form = AntiSymForm(4, 2, {(1, 4): Fraction(-1, 2)})
+        (tmp_path / "form.json").write_text(json.dumps(form_to_json(form)), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError):
+            form_from_json("form.json")
+        with pytest.raises(ValueError):
+            vectors_from_json("vectors.json")
+
+    @given(JSON_PAYLOADS)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_loads_or_raises_value_error(self, payload):
+        for load in (form_from_json, vectors_from_json):
+            for data in (payload, json.dumps(payload)):
+                try:
+                    load(data)
+                except ValueError:
+                    pass
