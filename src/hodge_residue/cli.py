@@ -118,8 +118,8 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
     """Run verification suites and emit a deterministic report."""
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
-    if n_value is not None and (n_value % 2 or not 4 <= n_value <= 14):
-        raise click.UsageError("--n must be even with 4 <= n <= 14")
+    if n_value is not None and (n_value % 2 or not 4 <= n_value <= MAX_DIMENSION):
+        raise click.UsageError(f"--n must be even with 4 <= n <= {MAX_DIMENSION}")
     n_values = (n_value,) if n_value is not None else DEFAULT_LEMMA_DIMENSIONS
     m_values = (m_value,) if m_value is not None else DEFAULT_SYMBOL_ORDERS
     commutator_ns = (n_value,) if n_value is not None else DEFAULT_COMMUTATOR_DIMENSIONS

@@ -24,8 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .exterior import LinearOp, clifford_generator, generator_word
-from .scalars import GaussianRational
+from .exterior import LinearOp, generator_word
 
 
 def _sort_with_sign(indices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:

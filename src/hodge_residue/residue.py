@@ -6,9 +6,13 @@ The five interior functionals are pointwise residue densities of the form
 (c_i lift(T) + lift(T) c_i) c_j xi_i xi_j ] ) dS``
 
 where ``W(args)`` is a word of Clifford actions of the argument vectors and
-``lift(T)`` the operator lift of the torsion form.  Each functional carries a
-closed-form coefficient table entry; :func:`verify_theorem` compares the
-engine's exact density against ``coefficient * T(args)`` on random trials.
+``lift(T)`` the operator lift of the torsion form.  The cosphere integral is
+``V(S^{2m-1})`` times one trace of ``W(args)`` against
+:func:`~hodge_residue.symbols.cosphere_average` of the lift, which scales each
+blade by a weight read from its grade; the sandwiched trace identities are
+evaluated the same way.  Each functional carries a closed-form coefficient
+table entry; :func:`verify_theorem` compares the engine's exact density
+against ``coefficient * T(args)`` on random trials.
 
 :func:`lemma_check` verifies the individual trace identities feeding those
 densities.  Every check is an exact comparison: when the engine's exact value
@@ -42,7 +46,7 @@ from .forms import (
     random_vector,
 )
 from .scalars import GaussianRational, I, ONE, SymbolicScalar, sphere_volume
-from .symbols import XiPolynomialOp, interior_integrand, trace_integrate
+from .symbols import cosphere_average
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +112,8 @@ def _resolve_functional(spec) -> FunctionalSpec:
     raise TypeError("spec must be a FunctionalSpec or functional id string")
 
 
-def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> SymbolicScalar:
-    """Exact pointwise density of the functional on the given arguments.
-
-    Returns a GaussianRational multiple of ``V(S^{2m-1})``.
-    """
+def _density_word(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> Tuple[FunctionalSpec, LinearOp]:
+    """The functional's spec and the Clifford word of its validated arguments."""
     fspec = _resolve_functional(spec)
     n = T.n
     if n != 2 * m or n < 4:
@@ -128,9 +129,17 @@ def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) 
     for u in vectors:
         if len(u) != n:
             raise ValueError("argument vector length must equal n")
-    word = clifford_word(n, list(zip(fspec.arg_flavors, vectors)))
-    integrand = interior_integrand(fspec.lift(T), m, fspec.prefactor)
-    return trace_integrate(word, integrand)
+    return fspec, clifford_word(n, list(zip(fspec.arg_flavors, vectors)))
+
+
+def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> SymbolicScalar:
+    """Exact pointwise density of the functional on the given arguments.
+
+    Returns a GaussianRational multiple of ``V(S^{2m-1})``.
+    """
+    fspec, word = _density_word(spec, T, vectors, m)
+    value = trace_product(word, cosphere_average(fspec.lift(T), "interior", m))
+    return sphere_volume(T.n - 1) * (fspec.prefactor * value)
 
 
 def closed_form_coefficient(functional_id: str, m: int) -> SymbolicScalar:
@@ -165,17 +174,14 @@ def density_decomposition(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: 
     Returns ``{"zero_order", "sandwich_per_m", "total"}`` with
     ``total = zero_order + m * sandwich_per_m`` (prefactor applied to all).
     """
-    fspec = _resolve_functional(spec)
-    n = T.n
-    word = clifford_word(n, list(zip(fspec.arg_flavors, vectors)))
-    poly = interior_integrand(fspec.lift(T), 1, 1)
-    zero_alpha = (0,) * n
-    zero_poly = XiPolynomialOp(n, {zero_alpha: poly.term(zero_alpha)})
-    quad_poly = XiPolynomialOp(
-        n, {alpha: op for alpha, op in poly.terms.items() if any(alpha)}
+    fspec, word = _density_word(spec, T, vectors, m)
+    lift = fspec.lift(T)
+    unit = sphere_volume(T.n - 1) * fspec.prefactor
+    zero = unit * trace_product(word, lift)
+    sandwich = unit * (
+        trace_product(word, cosphere_average(lift, "before"))
+        + trace_product(word, cosphere_average(lift, "after"))
     )
-    zero = trace_integrate(word, zero_poly) * fspec.prefactor
-    sandwich = trace_integrate(word, quad_poly) * fspec.prefactor
     return {
         "zero_order": zero,
         "sandwich_per_m": sandwich,
@@ -325,41 +331,11 @@ def _lemma_lift(spec: LemmaSpec, form: Optional[AntiSymForm], n: int) -> LinearO
     return _LIFTS[spec.lift](form)
 
 
-def sandwich_integrand(lift: LinearOp, placement: str) -> XiPolynomialOp:
-    """Cosphere integrand of the sandwiched trace of ``lift``.
-
-    ``before``: ``sum_{i,j} xi_i xi_j c_i lift c_j``;
-    ``after``: ``sum_{i,j} xi_i xi_j lift c_i c_j``.
-    """
-    n = lift.n
-    poly = XiPolynomialOp(n)
-    left_cache: Dict[int, LinearOp] = {}
-
-    def left(i: int) -> LinearOp:
-        op = left_cache.get(i)
-        if op is None:
-            ci = clifford_generator("c", n, i)
-            op = ci.compose(lift) if placement == "before" else lift.compose(ci)
-            left_cache[i] = op
-        return op
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            alpha = [0] * n
-            alpha[i - 1] += 1
-            alpha[j - 1] += 1
-            poly.add_deferred(
-                tuple(alpha),
-                lambda ii=i, jj=j: left(ii).compose(clifford_generator("c", n, jj)),
-            )
-    return poly
-
-
 def _lemma_lhs(word: LinearOp, lift: LinearOp, placement: str) -> SymbolicScalar:
     if placement == "plain":
         return SymbolicScalar.number(trace_product(word, lift))
     if placement in ("before", "after"):
-        return trace_integrate(word, sandwich_integrand(lift, placement))
+        return sphere_volume(lift.n - 1) * trace_product(word, cosphere_average(lift, placement))
     raise ValueError(f"unknown placement {placement!r}")
 
 

@@ -1,17 +1,15 @@
-"""Operator-valued cotangent polynomials, sphere moments, and flat-space checks.
+"""Sphere moments, cosphere averages by blade grade, and flat-space checks.
 
 The interior residue densities reduce to integrals over the unit cosphere of
-polynomials in ``xi`` with operator coefficients.  This module provides:
+operators quadratic in ``xi``.  This module provides:
 
 * :func:`sphere_moment` -- the exact monomial moment
   ``integral_{S^{n-1}} xi^alpha dS`` as a :class:`SymbolicScalar` (a rational
   multiple of ``V(S^{n-1})``),
-* :class:`XiPolynomialOp` -- a polynomial ``sum_alpha xi^alpha A_alpha`` with
-  :class:`LinearOp` coefficients,
-* :func:`interior_integrand` -- the quadratic-in-``xi`` integrand produced by
-  expanding the resolvent symbol around a zero-order perturbation,
-* :func:`trace_integrate` -- moment-gated exact evaluation of
-  ``integral tr(W . P(xi)) dS``,
+* :func:`cosphere_average` -- the cosphere average of the ``before``,
+  ``after`` and ``interior`` integrands of an operator, as that operator with
+  each blade scaled by a weight read from its grade, so that
+  ``integral tr(W . P(xi)) dS`` is one trace against it times ``V(S^{n-1})``,
 * :class:`PolyForm` and :func:`check_flat_commutators` -- differential forms
   with polynomial coefficients on flat ``R^n`` and the commutator identities
   ``[d + d*, x_k] = c(e_k)`` and ``[i(d - d*), x_k] = i chat(e_k)``.
@@ -19,7 +17,6 @@ polynomials in ``xi`` with operator coefficients.  This module provides:
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -29,7 +26,7 @@ from .exterior import (
     contract_lower,
     wedge_raise,
 )
-from .scalars import GaussianRational, I, SymbolicScalar, sphere_volume
+from .scalars import I, SymbolicScalar
 
 
 def _double_factorial(k: int) -> int:
@@ -61,127 +58,48 @@ def sphere_moment(alpha: Sequence[int], n: int) -> SymbolicScalar:
     return SymbolicScalar.unit(Fraction(numerator, denominator), spheres=(n - 1,))
 
 
-class XiPolynomialOp:
-    """``sum_alpha xi^alpha A_alpha`` with operator coefficients.
+_PLACEMENTS = ("before", "after", "interior")
 
-    ``alpha`` is a length-``n`` exponent tuple; coefficients are
-    :class:`LinearOp` on the same ``Lambda^*(R^n)``.  Coefficient operators
-    may be registered as deferred factories (:meth:`add_deferred`) so that
-    exponents whose sphere moment vanishes are never materialized by the
-    exact integration path; accessing :attr:`terms` or :meth:`term` builds
-    whatever is still pending, so the polynomial always behaves like the
-    full sum.
+
+def cosphere_average(op: LinearOp, placement: str, m: int = 1) -> LinearOp:
+    """``(1 / V(S^{n-1})) integral_{S^{n-1}}`` of a placement's integrand.
+
+    The integrands are quadratic in the unit covector ``xi``:
+
+    * ``"before"``: ``sum_{i,j} xi_i xi_j c_i op c_j``,
+    * ``"after"``: ``sum_{i,j} xi_i xi_j op c_i c_j``,
+    * ``"interior"``: ``op + m sum_{i,j} (c_i op + op c_i) c_j xi_i xi_j``.
+
+    Only the moments ``integral xi_i^2 dS = q V`` survive, with ``q = 1/n``
+    read from :func:`sphere_moment`.  Every blade ``X = c_A chat_B`` of grade
+    ``g = |A| + |B|`` is an eigenvector of both sandwiches,
+    ``sum_i c_i X c_i = -(-1)^g (n - 2|A|) X`` and ``sum_i X c_i c_i = -n X``,
+    so the average scales each blade of ``op`` by its weight: ``before`` =
+    ``-(-1)^g (n - 2|A|) q``, ``after`` = ``-n q``, and ``interior`` =
+    ``1 + m (before + after)``.
     """
+    if placement not in _PLACEMENTS:
+        raise ValueError(f"placement must be one of {_PLACEMENTS}, got {placement!r}")
+    n = op.n
+    q = sphere_moment((2,) + (0,) * (n - 1), n).coefficient(spheres=(n - 1,)).re
 
-    __slots__ = ("n", "_terms", "_thunks")
+    def weight(a: int, odd: int) -> Fraction:
+        before = (n - 2 * a) * q if odd else -(n - 2 * a) * q
+        after = -n * q
+        if placement == "before":
+            return before
+        if placement == "after":
+            return after
+        return 1 + m * (before + after)
 
-    def __init__(self, n: int, terms: Dict[Tuple[int, ...], LinearOp] | None = None):
-        self.n = n
-        self._terms: Dict[Tuple[int, ...], LinearOp] = {}
-        self._thunks: Dict[Tuple[int, ...], list] = {}
-        if terms:
-            for alpha, op in terms.items():
-                self.add_term(alpha, op)
-
-    def _check_alpha(self, alpha: Sequence[int]) -> Tuple[int, ...]:
-        alpha = tuple(alpha)
-        if len(alpha) != self.n:
-            raise ValueError("exponent tuple length must equal n")
-        return alpha
-
-    def alphas(self) -> list:
-        return sorted(set(self._terms) | set(self._thunks))
-
-    def term(self, alpha: Sequence[int]) -> LinearOp:
-        alpha = self._check_alpha(alpha)
-        pending = self._thunks.pop(alpha, None)
-        if pending is not None:
-            op = self._terms.get(alpha)
-            for fn in pending:
-                piece = fn()
-                op = piece if op is None else op + piece
-            self._terms[alpha] = op
-        existing = self._terms.get(alpha)
-        return LinearOp.zero(self.n) if existing is None else existing
-
-    def add_term(self, alpha: Sequence[int], op: LinearOp) -> None:
-        alpha = self._check_alpha(alpha)
-        if op.n != self.n:
-            raise ValueError("operator dimension mismatch")
-        existing = self._terms.get(alpha)
-        self._terms[alpha] = op if existing is None else existing + op
-
-    def add_deferred(self, alpha: Sequence[int], factory) -> None:
-        alpha = self._check_alpha(alpha)
-        self._thunks.setdefault(alpha, []).append(factory)
-
-    @property
-    def terms(self) -> Dict[Tuple[int, ...], LinearOp]:
-        for alpha in list(self._thunks):
-            self.term(alpha)
-        return self._terms
-
-    def __add__(self, other: "XiPolynomialOp") -> "XiPolynomialOp":
-        if not isinstance(other, XiPolynomialOp) or other.n != self.n:
-            return NotImplemented
-        result = XiPolynomialOp(self.n, dict(self.terms))
-        for alpha, op in other.terms.items():
-            result.add_term(alpha, op)
-        return result
-
-    def scale(self, scalar) -> "XiPolynomialOp":
-        return XiPolynomialOp(
-            self.n, {alpha: op.scale(scalar) for alpha, op in self.terms.items()}
-        )
-
-    def __repr__(self) -> str:
-        return f"XiPolynomialOp(n={self.n}, terms={len(self.alphas())})"
-
-
-def interior_integrand(theta: LinearOp, m: int, prefactor=1) -> XiPolynomialOp:
-    """Cosphere integrand of the interior residue density for weight ``theta``.
-
-    Expanding the inverse-symbol power around the zero-order perturbation
-    ``theta`` in normal coordinates leaves a constant term and a quadratic
-    term in ``xi``:
-
-    ``prefactor * [ theta + m * sum_{i,j} (c_i theta + theta c_i) c_j xi_i xi_j ]``.
-    """
-    n = theta.n
-    poly = XiPolynomialOp(n)
-    poly.add_term((0,) * n, theta.scale(prefactor) if prefactor != 1 else theta)
-    for i in range(1, n + 1):
-        ci = clifford_generator("c", n, i)
-        sandwich = ci.compose(theta) + theta.compose(ci)
-        scaled = sandwich.scale(prefactor * m)
-        for j in range(1, n + 1):
-            alpha = [0] * n
-            alpha[i - 1] += 1
-            alpha[j - 1] += 1
-            cj = clifford_generator("c", n, j)
-            poly.add_deferred(tuple(alpha), lambda s=scaled, c=cj: s.compose(c))
-    return poly
-
-
-def trace_integrate(word: LinearOp, poly: XiPolynomialOp) -> SymbolicScalar:
-    """``integral_{S^{n-1}} tr(word . poly(xi)) dS`` evaluated exactly.
-
-    Moments are computed first so traces are only taken for exponent tuples
-    with nonvanishing moment.
-    """
-    from .exterior import trace_product
-
-    if word.n != poly.n:
-        raise ValueError("operator dimension mismatch")
-    total = SymbolicScalar()
-    for alpha in poly.alphas():
-        moment = sphere_moment(alpha, poly.n)
-        if moment.is_zero:
-            continue
-        value = trace_product(word, poly.term(alpha))
-        if value:
-            total = total + moment * value
-    return total
+    weights = {(a, odd): weight(a, odd) for a in range(n + 1) for odd in (0, 1)}
+    low = (1 << n) - 1
+    blades = {}
+    for key, coeff in op.blades.items():
+        w = weights[(key & low).bit_count(), key.bit_count() & 1]
+        if w:
+            blades[key] = coeff * w
+    return LinearOp._of(n, blades)
 
 
 # ---------------------------------------------------------------------------

@@ -57,14 +57,14 @@ from hodge_residue.oracle import (
 from hodge_residue.residue import (
     FUNCTIONALS,
     LEMMA_CHECKS,
+    _lemma_lhs,
     density_decomposition,
     lemma_check,
-    sandwich_integrand,
     spectral_density,
     verify_theorem,
 )
 from hodge_residue.scalars import GaussianRational, I, SymbolicScalar, sphere_volume
-from hodge_residue.symbols import check_flat_commutators, sphere_moment, trace_integrate
+from hodge_residue.symbols import check_flat_commutators, sphere_moment
 
 SEED = 0
 LIFT_KIND = {
@@ -252,7 +252,7 @@ def test_criterion_5_oracle_equivalence():
         if drel > 1e-9:
             problems.append(f"plain trace n={n}: drel={drel:.2e}")
         for placement in ("before", "after"):
-            exact = complex(trace_integrate(word, sandwich_integrand(lift, placement)).numeric())
+            exact = complex(_lemma_lhs(word, lift, placement).numeric())
             oracle = float_sandwich_integral(word_f, lift_f, placement, n)
             drel = _rel(exact, oracle)
             worst = max(worst, drel)

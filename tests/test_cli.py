@@ -187,6 +187,12 @@ class TestConfigurationErrors:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("n", ["5", "16"])
+    def test_bad_dimension_names_the_bound(self, runner, n):
+        result = runner.invoke(main, ["verify", "--n", n])
+        assert result.exit_code == 2
+        assert "--n must be even with 4 <= n <= 14" in result.output
+
 
 MALFORMED_INPUTS = [
     ("density", "form", {"entries": 5}),

@@ -30,14 +30,13 @@ from hodge_residue.residue import (
     LEMMA_CHECKS,
     closed_form_coefficient,
     density_decomposition,
+    _lemma_lhs,
     lemma_check,
     lemma_ids,
-    sandwich_integrand,
     spectral_density,
     verify_theorem,
 )
 from hodge_residue.scalars import GaussianRational, I, SymbolicScalar, sphere_volume
-from hodge_residue.symbols import trace_integrate
 
 
 def basis_vector(n: int, j: int):
@@ -79,8 +78,8 @@ def test_sandwich_multipliers_hold_for_every_lift(n, builder, degree, length, mi
             n, [("chat", random_vector(n, rng)), ("chat", random_vector(n, rng))]
         )
         plain = SymbolicScalar.number(trace_product(word, lift))
-        before = trace_integrate(word, sandwich_integrand(lift, "before"))
-        after = trace_integrate(word, sandwich_integrand(lift, "after"))
+        before = _lemma_lhs(word, lift, "before")
+        after = _lemma_lhs(word, lift, "after")
         multiplier = Fraction((-1) ** length * (2 * minus - n), n)
         assert before == plain * multiplier * volume
         assert after == plain * Fraction(-1) * volume
@@ -356,6 +355,22 @@ class TestInputValidation:
         T = AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)})
         with pytest.raises(ValueError):
             spectral_density("T2", T, [basis_vector(4, 1)], 2)
+
+    @pytest.mark.parametrize(
+        "T,vectors,m",
+        [
+            (AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)}), [basis_vector(4, j) for j in (1, 2, 3)], 3),
+            (AntiSymForm(4, 2, {(1, 2): Fraction(1)}), [basis_vector(4, j) for j in (1, 2, 3)], 2),
+            (AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)}), [basis_vector(4, j) for j in (1, 2)], 2),
+            (AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)}), [basis_vector(4, 1)[:3]] * 3, 2),
+        ],
+        ids=["n_not_2m", "wrong_degree", "two_vectors", "short_vectors"],
+    )
+    def test_decomposition_checks_its_arguments_like_the_density(self, T, vectors, m):
+        with pytest.raises(ValueError):
+            spectral_density("T2", T, vectors, m)
+        with pytest.raises(ValueError):
+            density_decomposition("T2", T, vectors, m)
 
     def test_unknown_ids_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Unit tests for sphere moments, cosphere integrands, flat-space operators."""
+"""Unit tests for sphere moments, cosphere averages, flat-space operators."""
 
 import itertools
 import random
@@ -7,19 +7,19 @@ from fractions import Fraction
 import pytest
 
 from hodge_residue.exterior import LinearOp, clifford_generator, generator_word, trace_product
-from hodge_residue.forms import AntiSymForm, lift_two_chat
+from hodge_residue.forms import AntiSymForm, lift_two_chat, random_form
+from hodge_residue.residue import _LIFTS, LEMMA_CHECKS
 from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import (
     PolyForm,
-    XiPolynomialOp,
     check_flat_commutators,
     codifferential,
     coordinate_multiply,
+    cosphere_average,
     exterior_derivative,
-    interior_integrand,
     sphere_moment,
-    trace_integrate,
 )
+from xi_reference import average, integrand, interior_integrand
 
 
 class TestSphereMoments:
@@ -55,54 +55,16 @@ class TestSphereMoments:
             sphere_moment((2, 0), 4)
 
 
-class TestXiPolynomialOp:
-    def test_add_term_merges_same_exponent(self):
-        n = 2
-        poly = XiPolynomialOp(n)
-        poly.add_term((1, 1), LinearOp.identity(n))
-        poly.add_term((1, 1), LinearOp.identity(n))
-        assert poly.term((1, 1)) == LinearOp.identity(n).scale(Fraction(2))
-
-    def test_deferred_terms_materialize_on_access(self):
-        n = 2
-        calls = []
-        poly = XiPolynomialOp(n)
-        poly.add_deferred((2, 0), lambda: calls.append(1) or LinearOp.identity(n))
-        assert not calls
-        assert poly.term((2, 0)) == LinearOp.identity(n)
-        assert calls == [1]
-        # second access must not rebuild
-        assert poly.term((2, 0)) == LinearOp.identity(n)
-        assert calls == [1]
-
-    def test_deferred_and_eager_terms_combine(self):
-        n = 2
-        poly = XiPolynomialOp(n)
-        poly.add_term((0, 2), LinearOp.identity(n))
-        poly.add_deferred((0, 2), lambda: LinearOp.identity(n).scale(Fraction(3)))
-        assert poly.term((0, 2)) == LinearOp.identity(n).scale(Fraction(4))
-
-    def test_terms_property_materializes_everything(self):
-        n = 2
-        poly = XiPolynomialOp(n)
-        poly.add_deferred((1, 1), lambda: LinearOp.identity(n))
-        poly.add_deferred((2, 0), lambda: LinearOp.zero(n))
-        assert set(poly.terms) == {(1, 1), (2, 0)}
-
-    def test_alpha_validation(self):
-        poly = XiPolynomialOp(2)
-        with pytest.raises(ValueError):
-            poly.add_term((1,), LinearOp.identity(2))
-
-
 class TestInteriorIntegrand:
+    """The explicit reference integrand that :class:`TestCosphereAverage` uses."""
+
     def test_zero_order_term_is_scaled_weight(self):
         n = 4
         theta = lift_two_chat(AntiSymForm(n, 2, {(1, 2): Fraction(1)}))
         poly = interior_integrand(theta, 2)
-        assert poly.term((0,) * n) == theta
+        assert poly[(0,) * n] == theta
         poly_i = interior_integrand(theta, 2, GaussianRational(Fraction(0), Fraction(1)))
-        assert poly_i.term((0,) * n) == theta.scale(
+        assert poly_i[(0,) * n] == theta.scale(
             GaussianRational(Fraction(0), Fraction(1))
         )
 
@@ -116,26 +78,50 @@ class TestInteriorIntegrand:
         # diagonal term alpha = 2 e_1
         alpha = (2, 0, 0, 0)
         expected = ((c1 @ theta + theta @ c1) @ c1).scale(m)
-        assert poly.term(alpha) == expected
+        assert poly[alpha] == expected
         # cross term alpha = e_1 + e_2 collects both orders
         alpha = (1, 1, 0, 0)
         expected = ((c1 @ theta + theta @ c1) @ c2).scale(m) + (
             (c2 @ theta + theta @ c2) @ c1
         ).scale(m)
-        assert poly.term(alpha) == expected
+        assert poly[alpha] == expected
 
     def test_exponent_set_is_constants_plus_quadratics(self):
         n = 4
         theta = LinearOp.identity(n)
         poly = interior_integrand(theta, 3)
-        alphas = set(poly.alphas())
+        alphas = set(poly)
         assert (0,) * n in alphas
         assert all(sum(a) in (0, 2) for a in alphas)
         assert len(alphas) == 1 + n * (n + 1) // 2
 
 
-class TestTraceIntegrate:
-    def test_matches_manual_moment_sum(self):
+def _random_lift(name, n, rng):
+    """A lift the lemma checks use, on a random form where it takes one."""
+    if name == "identity":
+        return LinearOp.identity(n)
+    if name == "normal_c":
+        return clifford_generator("c", n, n)
+    degree = next(spec.form_degree for spec in LEMMA_CHECKS.values() if spec.lift == name)
+    return _LIFTS[name](random_form(n, degree, rng))
+
+
+class TestCosphereAverage:
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("name", sorted(_LIFTS) + ["identity", "normal_c"])
+    def test_equals_explicit_xi_polynomial_route(self, name, n):
+        rng = random.Random(f"cosphere:{name}:{n}")
+        nonzero = 0
+        for _ in range(2):
+            op = _random_lift(name, n, rng)
+            for placement in ("before", "after", "interior"):
+                for m in (1, n // 2, n):
+                    averaged = cosphere_average(op, placement, m)
+                    assert averaged == average(integrand(op, placement, m), n), (placement, m)
+                    nonzero += not averaged.is_zero
+        assert nonzero
+
+    def test_trace_matches_manual_moment_sum(self):
         n = 2
         rng = random.Random(8)
         word = generator_word(n, [("chat", 1), ("chat", 2)])
@@ -146,18 +132,15 @@ class TestTraceIntegrate:
                 for _ in range(6)
             ],
         )
-        poly = interior_integrand(theta, 2)
         manual = SymbolicScalar()
-        for alpha in poly.alphas():
-            moment = sphere_moment(alpha, n)
-            if moment.is_zero:
-                continue
-            manual = manual + moment * trace_product(word, poly.term(alpha))
-        assert trace_integrate(word, poly) == manual
+        for alpha, op in interior_integrand(theta, 2).items():
+            manual = manual + sphere_moment(alpha, n) * trace_product(word, op)
+        averaged = cosphere_average(theta, "interior", 2)
+        assert sphere_volume(n - 1) * trace_product(word, averaged) == manual
 
-    def test_dimension_mismatch_rejected(self):
+    def test_unknown_placement_rejected(self):
         with pytest.raises(ValueError):
-            trace_integrate(LinearOp.identity(2), XiPolynomialOp(3))
+            cosphere_average(LinearOp.identity(4), "plain")
 
 
 class TestFlatOperators:
