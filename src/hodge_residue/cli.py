@@ -40,6 +40,8 @@ SUITES = ("lemmas", "theorems", "boundary", "commutators", "all")
 DEFAULT_LEMMA_DIMENSIONS = (4, 6)
 DEFAULT_SYMBOL_ORDERS = (2, 3)
 DEFAULT_COMMUTATOR_DIMENSIONS = (2, 4)
+# the largest n at which check_flat_commutators finishes (18 s on 2 CPUs)
+MAX_COMMUTATOR_DIMENSION = 8
 # symbol orders m whose dimension n = 2m the engine supports
 SYMBOL_ORDER = click.IntRange(2, MAX_DIMENSION // 2)
 
@@ -120,6 +122,12 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
         raise click.UsageError("--trials must be >= 1")
     if n_value is not None and (n_value % 2 or not 4 <= n_value <= MAX_DIMENSION):
         raise click.UsageError(f"--n must be even with 4 <= n <= {MAX_DIMENSION}")
+    if n_value is not None and n_value > MAX_COMMUTATOR_DIMENSION and suite in ("commutators", "all"):
+        raise click.UsageError(
+            f"--n must be <= {MAX_COMMUTATOR_DIMENSION} for the commutator check "
+            f"(suites commutators and all): it takes about 18 s at n = 8, grows about "
+            f"tenfold per step of 2 in n, and does not finish within 100 s at n = 10"
+        )
     n_values = (n_value,) if n_value is not None else DEFAULT_LEMMA_DIMENSIONS
     m_values = (m_value,) if m_value is not None else DEFAULT_SYMBOL_ORDERS
     commutator_ns = (n_value,) if n_value is not None else DEFAULT_COMMUTATOR_DIMENSIONS

@@ -34,7 +34,8 @@ rules do all the work:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .scalars import GaussianRational, as_gaussian
 
@@ -48,6 +49,11 @@ _HALF = Fraction(1, 2)
 def _check_n(n: int) -> None:
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension n must satisfy 1 <= n <= {MAX_DIMENSION}, got {n}")
+
+
+def _check_flavor(flavor: str) -> None:
+    if flavor not in FLAVORS:
+        raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
 
 
 def _check_index(n: int, j: int) -> None:
@@ -440,8 +446,7 @@ def contract_lower(n: int, j: int) -> LinearOp:
 
 def clifford_generator(flavor: str, n: int, j: int) -> LinearOp:
     """The generator ``c_j`` (flavor ``"c"``) or ``chat_j`` (flavor ``"chat"``)."""
-    if flavor not in FLAVORS:
-        raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+    _check_flavor(flavor)
     _check_n(n)
     _check_index(n, j)
     return LinearOp._of(n, {_generator_key(flavor, n, j): 1})
@@ -454,8 +459,7 @@ def clifford(flavor: str, u: Sequence) -> LinearOp:
     ``-|u|^2``); ``flavor="chat"`` gives ``sum_j u_j (eps_j + iota_j)``
     (squares to ``+|u|^2``).
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+    _check_flavor(flavor)
     n = len(u)
     _check_n(n)
     return LinearOp._of(n, {
@@ -465,33 +469,56 @@ def clifford(flavor: str, u: Sequence) -> LinearOp:
     })
 
 
+def _integer_scaled(values: Iterable) -> Tuple[List[int], int]:
+    """``(q * values, q)`` as integers, with ``q`` the lcm of the denominators
+    of the rational (``int`` or ``Fraction``) ``values``."""
+    values = list(values)
+    q = lcm(*(x.denominator for x in values))
+    return [x.numerator * (q // x.denominator) for x in values], q
+
+
 def clifford_word(n: int, letters: Sequence[Tuple[str, Sequence]]) -> LinearOp:
     """Product of Clifford actions, leftmost letter outermost.
 
-    ``letters`` is a sequence of ``(flavor, vector)`` pairs; the returned
-    operator is ``clifford(f_1, u_1) o ... o clifford(f_k, u_k)``.
+    ``letters`` is a sequence of ``(flavor, vector)`` pairs with rational
+    (``int`` or ``Fraction``) vector entries; the returned operator is
+    ``clifford(f_1, u_1) o ... o clifford(f_k, u_k)``.  The word is
+    multilinear in the vectors, so each vector is scaled to integers by the
+    lcm of its entry denominators, the integer letters are composed, and
+    every blade is divided once by the product of the scales.
     """
     op = LinearOp.identity(n)
+    scale = 1
     for flavor, u in letters:
         if len(u) != n:
             raise ValueError("vector length must equal n")
-        op = op.compose(clifford(flavor, u))
-    return op
+        ints, q = _integer_scaled(u)
+        op = op.compose(clifford(flavor, ints))
+        scale *= q
+    return LinearOp._of(n, {key: Fraction(c, scale) for key, c in op.blades.items()})
+
+
+def _generator_blade(n: int, letters: Iterable[Tuple[str, int]]) -> Tuple[int, int]:
+    """``(key, sign)`` with ``gen(f_1, j_1) o ... o gen(f_k, j_k) = sign e_key``,
+    multiplied out by the product rule (the letters are not validated)."""
+    key, sign = 0, 1
+    for flavor, j in letters:
+        g = _generator_key(flavor, n, j)
+        if (_product_signs(n, key) & g).bit_count() & 1:
+            sign = -sign
+        key ^= g
+    return key, sign
 
 
 def generator_word(n: int, letters: Sequence[Tuple[str, int]]) -> LinearOp:
     """Product of single-direction generators ``[(flavor, j), ...]``: one
     signed blade, multiplied out by the product rule."""
     _check_n(n)
-    key, sign = 0, 1
+    letters = list(letters)
     for flavor, j in letters:
-        if flavor not in FLAVORS:
-            raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+        _check_flavor(flavor)
         _check_index(n, j)
-        g = _generator_key(flavor, n, j)
-        if (_product_signs(n, key) & g).bit_count() & 1:
-            sign = -sign
-        key ^= g
+    key, sign = _generator_blade(n, letters)
     return LinearOp._of(n, {key: sign})
 
 

@@ -6,8 +6,11 @@ permutation sign.  The lifts replace each index slot of the form with a
 Clifford generator of a prescribed flavor, producing the curvature-type
 operators whose traces the residue densities consume:
 
-* ``lift_monotone`` sums over increasing tuples (used when every slot has the
-  same flavor, or when the flavor pattern is constant on blocks),
+* ``lift_monotone`` sums over increasing tuples.  For a single flavor it is
+  ``lift_ordered / k!``; for a mixed pattern it ties each flavor to index
+  order, so the lift is not frame covariant.  ``lift_four_mixed``
+  (``c c chat chat``) is such a lift; README's acceptance table gives the
+  consequence for ``T4`` and ``L4.x``,
 * ``lift_ordered`` sums over all pairwise-distinct ordered tuples with the
   antisymmetrically extended coefficient (needed for mixed-flavor patterns
   that do not factor through increasing tuples),
@@ -24,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .exterior import LinearOp, generator_word
+from .exterior import LinearOp, _accumulate, _check_flavor, _generator_blade, _integer_scaled
 
 
 def _sort_with_sign(indices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
@@ -101,25 +104,34 @@ class AntiSymForm:
         return f"AntiSymForm(n={self.n}, degree={self.degree}, nnz={len(self.entries)})"
 
 
-def form_contract(form: AntiSymForm, vectors: Sequence[Sequence]) -> object:
+def form_contract(form: AntiSymForm, vectors: Sequence[Sequence]) -> Fraction:
     """Evaluate the form on ``degree`` many vectors (exact).
 
     Computed as ``sum_I form(I) * det(vectors restricted to I)``; the minors
     are expanded along their first row, and index sets share their
-    sub-minors.
+    sub-minors.  The value is multilinear, so each vector and the form's
+    entries are scaled to integers by the lcm of their denominators, the
+    minors and the sum stay in integers, and the result is one ``Fraction``.
     """
     if len(vectors) != form.degree:
         raise ValueError("number of vectors must equal the form degree")
+    rows = []
+    denominator = 1
     for u in vectors:
         if len(u) != form.n:
             raise ValueError("vector length must equal n")
-    total = Fraction(0)
-    minors: Dict[Tuple[int, ...], object] = {(): 1}
-    for idx, coeff in form.entries.items():
-        minor = _minor(vectors, idx, minors)
+        ints, q = _integer_scaled(u)
+        rows.append(ints)
+        denominator *= q
+    coeffs, q = _integer_scaled(form.entries.values())
+    denominator *= q
+    total = 0
+    minors: Dict[Tuple[int, ...], int] = {(): 1}
+    for idx, coeff in zip(form.entries, coeffs):
+        minor = _minor(rows, idx, minors)
         if minor:
-            total = total + coeff * minor
-    return total
+            total += coeff * minor
+    return Fraction(total, denominator)
 
 
 def _minor(vectors: Sequence[Sequence], cols: Tuple[int, ...], memo: Dict) -> object:
@@ -145,12 +157,10 @@ def _minor(vectors: Sequence[Sequence], cols: Tuple[int, ...], memo: Dict) -> ob
 
 def lift_monotone(form: AntiSymForm, flavors: Sequence[str]) -> LinearOp:
     """``sum_{i_1 < ... < i_k} form(I) * gen(f_1, i_1) o ... o gen(f_k, i_k)``."""
-    if len(flavors) != form.degree:
-        raise ValueError("one flavor per form slot is required")
-    op = LinearOp.zero(form.n)
+    op = _zero_lift(form, flavors)
     for idx, coeff in form.entries.items():
-        word = generator_word(form.n, list(zip(flavors, idx)))
-        op = op + word.scale(coeff)
+        key, sign = _generator_blade(form.n, zip(flavors, idx))
+        _accumulate(op.blades, key, coeff if sign > 0 else -coeff)
     return op
 
 
@@ -158,18 +168,29 @@ def lift_ordered(form: AntiSymForm, flavors: Sequence[str]) -> LinearOp:
     """Sum over all pairwise-distinct ordered tuples with signed coefficients.
 
     ``sum_{(i_1,...,i_k) distinct} form(i_1,...,i_k) * gen(f_1,i_1) o ...``;
-    the antisymmetric extension supplies the permutation signs.
+    the antisymmetric extension supplies the permutation signs, so only the
+    orderings of each stored (increasing) index tuple contribute.
     """
+    op = _zero_lift(form, flavors)
+    orders = [
+        (perm, _sort_with_sign(perm)[1])
+        for perm in itertools.permutations(range(form.degree))
+    ]
+    for idx, coeff in form.entries.items():
+        minus = -coeff
+        for perm, perm_sign in orders:
+            key, sign = _generator_blade(form.n, zip(flavors, (idx[p] for p in perm)))
+            _accumulate(op.blades, key, coeff if sign == perm_sign else minus)
+    return op
+
+
+def _zero_lift(form: AntiSymForm, flavors: Sequence[str]) -> LinearOp:
+    """A fresh zero operator for a lift, after checking the flavors."""
     if len(flavors) != form.degree:
         raise ValueError("one flavor per form slot is required")
-    op = LinearOp.zero(form.n)
-    for ordered in itertools.permutations(range(1, form.n + 1), form.degree):
-        coeff = form.value(ordered)
-        if not coeff:
-            continue
-        word = generator_word(form.n, list(zip(flavors, ordered)))
-        op = op + word.scale(coeff)
-    return op
+    for flavor in flavors:
+        _check_flavor(flavor)
+    return LinearOp.zero(form.n)
 
 
 def lift_two_chat(form: AntiSymForm) -> LinearOp:
@@ -196,7 +217,13 @@ def lift_torsion_assembly(form: AntiSymForm) -> LinearOp:
     return lift_three_c(form).scale(Fraction(3, 2)) + lift_three_mixed(form).scale(Fraction(-1, 4))
 
 def lift_four_mixed(form: AntiSymForm) -> LinearOp:
-    """Degree-4 lift ``sum_{k<l<a<b} T_{klab} c_k c_l chat_a chat_b``."""
+    """Degree-4 lift ``sum_{k<l<a<b} T_{klab} c_k c_l chat_a chat_b``.
+
+    The flavors follow index order (``c`` on the two lowest indices), so this
+    lift is not frame covariant: it does not commute with signed
+    permutations of the frame.  README's acceptance table names the
+    covariant alternative, ``lift_ordered(form, ("c", "c", "chat", "chat")) / 4``.
+    """
     _require_degree(form, 4)
     return lift_monotone(form, ("c", "c", "chat", "chat"))
 

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodge_residue
+import hodge_residue.cli as cli_module
 from hodge_residue.cli import main
 from hodge_residue.exterior import MAX_DIMENSION
 from hodge_residue.residue import lemma_ids
@@ -192,6 +194,27 @@ class TestConfigurationErrors:
         result = runner.invoke(main, ["verify", "--n", n])
         assert result.exit_code == 2
         assert "--n must be even with 4 <= n <= 14" in result.output
+
+    @pytest.mark.parametrize("suite", ["commutators", "all"])
+    @pytest.mark.parametrize("n", ["10", "14"])
+    def test_commutator_dimension_that_cannot_finish_exits_2(self, runner, monkeypatch, suite, n):
+        # no check may start: the commutator check does not finish at n = 10
+        monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
+        started = time.perf_counter()
+        result = runner.invoke(main, ["verify", "--suite", suite, "--n", n])
+        assert result.exit_code == 2
+        assert "--n must be <= 8 for the commutator check" in result.output
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("args", [["--suite", "lemmas", "--n", "14"], ["--suite", "commutators", "--n", "8"]])
+    def test_commutator_bound_leaves_feasible_runs_alone(self, runner, monkeypatch, args):
+        monkeypatch.setattr(cli_module, "_run_checks", lambda *a: iter(()))
+        result = runner.invoke(main, ["verify", *args])
+        assert result.exit_code == 0, result.output
+
+
+def _no_checks_may_run(*args):
+    raise AssertionError("a check started")
 
 
 MALFORMED_INPUTS = [

@@ -22,6 +22,7 @@ from hodge_residue.exterior import (
     wedge_raise,
 )
 from hodge_residue.scalars import GaussianRational
+from mixed_rationals import mixed_vector
 
 
 def anticommutator(a: LinearOp, b: LinearOp) -> LinearOp:
@@ -216,6 +217,22 @@ class TestOperatorAlgebra:
         for flavor, vec in letters:
             slow = slow @ clifford(flavor, vec)
         assert word == slow
+
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.lists(st.sampled_from(("c", "chat")), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_word_with_mixed_denominators_matches_composed_letters(self, n, flavors, seed):
+        rng = random.Random(seed)
+        letters = [(flavor, mixed_vector(n, rng)) for flavor in flavors]
+        composed = LinearOp.identity(n)
+        for flavor, vec in letters:
+            composed = composed @ clifford(flavor, vec)
+        # a product of nonzero vectors is invertible, so never zero
+        assert not composed.is_zero
+        assert clifford_word(n, letters) == composed
 
     @given(st.integers(min_value=2, max_value=4), st.data())
     @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodge_residue.exterior import LinearOp, generator_word
 from hodge_residue.forms import (
@@ -27,6 +28,7 @@ from hodge_residue.forms import (
     vectors_from_json,
 )
 from json_fuzz import JSON_PAYLOADS
+from mixed_rationals import mixed_form, mixed_vector
 
 
 class TestAntiSymForm:
@@ -80,9 +82,14 @@ class TestFormContract:
     def test_contract_is_full_index_sum_in_every_degree(self, degree):
         rng = random.Random(f"contract:{degree}")
         n = 5
-        for _ in range(5):
-            form = random_form(n, degree, rng)
-            vectors = [random_vector(n, rng) for _ in range(degree)]
+        cases = [
+            (random_form(n, degree, rng), [random_vector(n, rng) for _ in range(degree)])
+            for _ in range(5)
+        ] + [
+            (mixed_form(n, degree, rng), [mixed_vector(n, rng) for _ in range(degree)])
+            for _ in range(5)
+        ]
+        for form, vectors in cases:
             total = Fraction(0)
             for idx in itertools.product(range(1, n + 1), repeat=degree):
                 term = form.value(idx)
@@ -133,6 +140,31 @@ class TestLifts:
             )
             total = total + word.scale(form.value(triple))
         assert lifted == total
+
+    @given(
+        st.lists(st.sampled_from(("c", "chat")), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lifts_are_sums_of_scaled_generator_words(self, flavors, seed):
+        n = 5
+        form = mixed_form(n, len(flavors), random.Random(seed))
+        monotone = LinearOp.zero(n)
+        for idx, coeff in form.entries.items():
+            monotone = monotone + generator_word(n, list(zip(flavors, idx))).scale(coeff)
+        ordered = LinearOp.zero(n)
+        for idx in itertools.permutations(range(1, n + 1), len(flavors)):
+            ordered = ordered + generator_word(n, list(zip(flavors, idx))).scale(form.value(idx))
+        assert lift_monotone(form, flavors) == monotone
+        assert lift_ordered(form, flavors) == ordered
+
+    def test_lifts_reject_unknown_flavors(self):
+        form = AntiSymForm(4, 2, {(1, 2): Fraction(1)})
+        for lift in (lift_monotone, lift_ordered):
+            with pytest.raises(ValueError):
+                lift(form, ("c", "x"))
+            with pytest.raises(ValueError):
+                lift(form, ("c",))
 
     def test_torsion_assembly_combination(self):
         rng = random.Random(4)
