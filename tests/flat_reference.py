@@ -1,0 +1,139 @@
+"""Reference route for the flat commutator identities: operator columns.
+
+Forms are :class:`PolyForm` dicts ``{(beta, mask): coeff}`` with ``Fraction``
+(or Gaussian) coefficients.  ``d`` and ``d*`` apply the columns of the
+``wedge_raise`` and ``contract_lower`` operators (sums of half blades) to the
+partial derivatives of the coefficients, so their signs come from the blade
+action and not from the popcount rule of
+:func:`hodge_residue.symbols.check_flat_commutators`.  The ``chat`` identity
+keeps the paper's factor ``i`` on both sides.  The tests hold the two routes
+to exact equality.
+"""
+
+import itertools
+from typing import Dict, List, Sequence, Tuple
+
+from hodge_residue.exterior import LinearOp, clifford_generator, contract_lower, wedge_raise
+from hodge_residue.scalars import I
+
+
+class PolyForm:
+    """A differential form ``sum x^beta * coeff * e_mask`` on flat ``R^n``."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: Dict[Tuple[Tuple[int, ...], int], object] | None = None):
+        self.n = n
+        clean: Dict[Tuple[Tuple[int, ...], int], object] = {}
+        if terms:
+            for (beta, mask), coeff in terms.items():
+                beta = tuple(beta)
+                if len(beta) != n:
+                    raise ValueError("exponent tuple length must equal n")
+                if coeff:
+                    clean[(beta, mask)] = coeff
+        self.terms = clean
+
+    @classmethod
+    def monomial(cls, n: int, beta: Sequence[int], mask: int, coeff=1) -> "PolyForm":
+        return cls(n, {(tuple(beta), mask): coeff})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: "PolyForm") -> "PolyForm":
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            terms[key] = terms.get(key, 0) + coeff
+        return PolyForm(self.n, terms)
+
+    def __sub__(self, other: "PolyForm") -> "PolyForm":
+        return self + other.scale(-1)
+
+    def scale(self, scalar) -> "PolyForm":
+        return PolyForm(self.n, {key: scalar * c for key, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, PolyForm):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"PolyForm(n={self.n}, terms={self.terms})"
+
+
+def apply_operator(op: LinearOp, form: PolyForm) -> PolyForm:
+    """The operator applied to the exterior part of every term."""
+    terms: Dict[Tuple[Tuple[int, ...], int], object] = {}
+    for (beta, mask), coeff in form.terms.items():
+        for row, c in op.column(mask).items():
+            terms[(beta, row)] = terms.get((beta, row), 0) + c * coeff
+    return PolyForm(form.n, terms)
+
+
+def partial_derivative(form: PolyForm, j: int) -> PolyForm:
+    """``d/dx_j`` of the coefficients (1-based ``j``)."""
+    terms: Dict[Tuple[Tuple[int, ...], int], object] = {}
+    for (beta, mask), coeff in form.terms.items():
+        if beta[j - 1]:
+            dbeta = list(beta)
+            dbeta[j - 1] -= 1
+            key = (tuple(dbeta), mask)
+            terms[key] = terms.get(key, 0) + coeff * beta[j - 1]
+    return PolyForm(form.n, terms)
+
+
+def exterior_derivative(form: PolyForm) -> PolyForm:
+    """``d = sum_j wedge_raise(j) . d/dx_j``."""
+    result = PolyForm(form.n)
+    for j in range(1, form.n + 1):
+        result = result + apply_operator(wedge_raise(form.n, j), partial_derivative(form, j))
+    return result
+
+
+def codifferential(form: PolyForm) -> PolyForm:
+    """``d* = -sum_j contract_lower(j) . d/dx_j``."""
+    result = PolyForm(form.n)
+    for j in range(1, form.n + 1):
+        result = result - apply_operator(contract_lower(form.n, j), partial_derivative(form, j))
+    return result
+
+
+def coordinate_multiply(k: int, form: PolyForm) -> PolyForm:
+    """Multiplication by the coordinate function ``x_k`` (1-based)."""
+    terms = {}
+    for (beta, mask), coeff in form.terms.items():
+        nbeta = list(beta)
+        nbeta[k - 1] += 1
+        terms[(tuple(nbeta), mask)] = coeff
+    return PolyForm(form.n, terms)
+
+
+def monomial_forms(n: int, max_degree: int) -> List[PolyForm]:
+    """Every ``x^beta e_mask`` with ``|beta| < max_degree``."""
+    betas = [beta for beta in itertools.product(range(max_degree), repeat=n) if sum(beta) < max_degree]
+    return [PolyForm.monomial(n, beta, mask) for beta in betas for mask in range(1 << n)]
+
+
+def check_flat_commutators(n: int, max_degree: int = 3) -> List[dict]:
+    """``[d + d*, x_k] = c(e_k)`` and ``[i (d - d*), x_k] = i chat(e_k)``,
+    records in the order and shape of the engine's check."""
+    forms = [(omega, exterior_derivative(omega), codifferential(omega))
+             for omega in monomial_forms(n, max_degree)]
+    results = []
+    for k in range(1, n + 1):
+        ck = clifford_generator("c", n, k)
+        chatk = clifford_generator("chat", n, k)
+        bad_c = bad_chat = 0
+        for omega, d_omega, dstar_omega in forms:
+            xo = coordinate_multiply(k, omega)
+            d_xo, dstar_xo = exterior_derivative(xo), codifferential(xo)
+            lhs_c = d_xo + dstar_xo - coordinate_multiply(k, d_omega + dstar_omega)
+            bad_c += lhs_c != apply_operator(ck, omega)
+            lhs_chat = (d_xo - dstar_xo - coordinate_multiply(k, d_omega - dstar_omega)).scale(I)
+            bad_chat += lhs_chat != apply_operator(chatk, omega).scale(I)
+        for identity, bad in (("c", bad_c), ("chat", bad_chat)):
+            results.append({"identity": identity, "k": k, "ok": not bad,
+                            "monomials": len(forms), "mismatches": bad})
+    return results

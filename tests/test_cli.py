@@ -80,6 +80,22 @@ class TestVerifySuiteExitCodes:
         assert report["summary"]["fail"] == 0
         assert all(c["id"].startswith("commutator.") for c in report["checks"])
 
+    def test_commutator_report_counts_mismatching_monomials(self, runner, monkeypatch):
+        records = [
+            {"identity": identity, "k": k, "ok": not bad, "monomials": 240, "mismatches": bad}
+            for k in (1, 2, 3, 4)
+            for identity, bad in (("c", 0), ("chat", 5 if k == 3 else 0))
+        ]
+        monkeypatch.setattr(cli_module, "check_flat_commutators", lambda n: records)
+        result = runner.invoke(main, ["verify", "--suite", "commutators", "--n", "4"])
+        assert result.exit_code == 1
+        checks = {c["id"]: c for c in json.loads(result.output)["checks"]}
+        assert checks["commutator.chat"]["status"] == "fail"
+        assert checks["commutator.chat"]["computed"] == "5 mismatching monomials"
+        assert checks["commutator.chat"]["trials"] == 960
+        assert checks["commutator.c"]["status"] == "pass"
+        assert checks["commutator.c"]["computed"] == "0 mismatching monomials"
+
     def test_lemma_suite_reports_known_discrepancies(self, runner):
         result = runner.invoke(
             main, ["verify", "--suite", "lemmas", "--n", "4", "--trials", "2"]
@@ -196,17 +212,22 @@ class TestConfigurationErrors:
         assert "--n must be even with 4 <= n <= 14" in result.output
 
     @pytest.mark.parametrize("suite", ["commutators", "all"])
-    @pytest.mark.parametrize("n", ["10", "14"])
+    @pytest.mark.parametrize("n", ["12", "14"])
     def test_commutator_dimension_that_cannot_finish_exits_2(self, runner, monkeypatch, suite, n):
-        # no check may start: the commutator check does not finish at n = 10
+        # no check may start: the commutator check takes minutes at n = 12
         monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
         started = time.perf_counter()
         result = runner.invoke(main, ["verify", "--suite", suite, "--n", n])
         assert result.exit_code == 2
-        assert "--n must be <= 8 for the commutator check" in result.output
+        assert "--n must be <= 10 for the commutator check" in result.output
         assert time.perf_counter() - started < 1.0
 
-    @pytest.mark.parametrize("args", [["--suite", "lemmas", "--n", "14"], ["--suite", "commutators", "--n", "8"]])
+    @pytest.mark.parametrize("args", [
+        ["--suite", "lemmas", "--n", "14"],
+        ["--suite", "commutators", "--n", "8"],
+        ["--suite", "commutators", "--n", "10"],
+        ["--suite", "all", "--n", "10"],
+    ])
     def test_commutator_bound_leaves_feasible_runs_alone(self, runner, monkeypatch, args):
         monkeypatch.setattr(cli_module, "_run_checks", lambda *a: iter(()))
         result = runner.invoke(main, ["verify", *args])

@@ -6,17 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from hodge_residue.exterior import LinearOp, clifford_generator, generator_word, trace_product
+import flat_reference
+from flat_reference import PolyForm, codifferential, coordinate_multiply, exterior_derivative
+from hodge_residue import symbols
+from hodge_residue.exterior import (
+    MAX_DIMENSION,
+    LinearOp,
+    clifford_generator,
+    generator_word,
+    trace_product,
+)
 from hodge_residue.forms import AntiSymForm, lift_two_chat, random_form
 from hodge_residue.residue import _LIFTS, LEMMA_CHECKS
 from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import (
-    PolyForm,
+    _flat_derivative,
     check_flat_commutators,
-    codifferential,
-    coordinate_multiply,
     cosphere_average,
-    exterior_derivative,
     sphere_moment,
 )
 from xi_reference import average, integrand, interior_integrand
@@ -144,6 +150,8 @@ class TestCosphereAverage:
 
 
 class TestFlatOperators:
+    """The reference route of :mod:`flat_reference` (operator columns)."""
+
     def test_exterior_derivative_of_function_monomial(self):
         n = 2
         # d(x_1) = e_1
@@ -174,12 +182,34 @@ class TestFlatOperators:
         assert coordinate_multiply(1, form) == PolyForm.monomial(n, (2, 0), 0b10, Fraction(2))
 
 
+class TestBitmaskFlatOperators:
+    """``d`` and ``d*`` of the engine's check, on integer ``{(beta, mask): int}`` forms."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_agree_term_by_term_with_reference_route(self, n):
+        for omega in flat_reference.monomial_forms(n, 3):
+            terms = dict(omega.terms)
+            assert _flat_derivative(terms) == exterior_derivative(omega).terms, omega
+            assert _flat_derivative(terms, True) == codifferential(omega).terms, omega
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_d_and_codifferential_square_to_zero(self, n):
+        nonzero = 0
+        for omega in flat_reference.monomial_forms(n, 4):
+            for codiff in (False, True):
+                once = _flat_derivative(dict(omega.terms), codiff)
+                nonzero += bool(once)
+                assert _flat_derivative(once, codiff) == {}, (omega, codiff)
+        assert nonzero
+
+
 class TestFlatCommutators:
     @pytest.mark.parametrize("n", [2, 4])
     def test_both_identities_hold_on_low_degree_monomials(self, n):
         records = check_flat_commutators(n)
         assert records, "no commutator records produced"
         assert all(rec["ok"] for rec in records)
+        assert all(rec["mismatches"] == 0 for rec in records)
         identities = {rec["identity"] for rec in records}
         assert identities == {"c", "chat"}
         ks = {rec["k"] for rec in records}
@@ -189,3 +219,23 @@ class TestFlatCommutators:
         records = check_flat_commutators(n)
         # dim Lambda* = 4 masks, exponent tuples with |beta| < 3 in 2 vars = 6
         assert all(rec["monomials"] == 24 for rec in records)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_records_equal_reference_route(self, n):
+        assert check_flat_commutators(n) == flat_reference.check_flat_commutators(n)
+
+    @pytest.mark.parametrize("module", [symbols, flat_reference], ids=["engine", "reference"])
+    def test_counts_the_monomials_that_disagree(self, module, monkeypatch):
+        # hold the chat side to c(e_k): c_k and chat_k agree on the masks
+        # without k and differ on the other half, 12 of the 24 monomials at n = 2
+        generator = module.clifford_generator
+        monkeypatch.setattr(module, "clifford_generator", lambda flavor, n, k: generator("c", n, k))
+        records = module.check_flat_commutators(2)
+        assert [(r["identity"], r["ok"], r["mismatches"]) for r in records] == [
+            ("c", True, 0), ("chat", False, 12), ("c", True, 0), ("chat", False, 12),
+        ]
+
+    @pytest.mark.parametrize("n, max_degree", [(2, 0), (2, -1), (0, 3), (-1, 3), (MAX_DIMENSION + 1, 3)])
+    def test_rejects_empty_or_unsupported_sizes(self, n, max_degree):
+        with pytest.raises(ValueError):
+            check_flat_commutators(n, max_degree)
