@@ -13,7 +13,6 @@ from .boundary import (
     ScalarRational,
     boundary_density,
     closed_form_boundary_coefficient,
-    line_integral,
     normal_derivative_symbol,
     pi_minus,
     pi_plus,
@@ -22,11 +21,9 @@ from .boundary import (
 )
 from .exterior import (
     LinearOp,
-    Multivector,
     clifford,
     clifford_generator,
     clifford_word,
-    commutator,
     contract_lower,
     generator_word,
     trace_product,
@@ -62,7 +59,6 @@ from .scalars import (
     I,
     PI,
     GaussianRational,
-    Rational,
     SymbolicScalar,
     sphere_volume,
     sphere_volume_float,
@@ -80,9 +76,7 @@ __all__ = [
     "I",
     "LEMMA_CHECKS",
     "LinearOp",
-    "Multivector",
     "PI",
-    "Rational",
     "RationalXnOp",
     "ScalarRational",
     "SymbolicScalar",
@@ -93,7 +87,6 @@ __all__ = [
     "clifford_word",
     "closed_form_boundary_coefficient",
     "closed_form_coefficient",
-    "commutator",
     "contract_lower",
     "cosphere_average",
     "density_decomposition",
@@ -109,7 +102,6 @@ __all__ = [
     "lift_three_mixed",
     "lift_torsion_assembly",
     "lift_two_chat",
-    "line_integral",
     "normal_derivative_symbol",
     "pi_minus",
     "pi_plus",

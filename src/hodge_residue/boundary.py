@@ -7,8 +7,9 @@ form (:class:`RationalXnOp`).  The three analytic ingredients are
 
 * :func:`pi_plus` -- the projection keeping partial-fraction terms with poles
   in the upper half-plane (the boundary-calculus symbol projection),
-* :func:`line_integral` -- exact ``integral over R dxi_n`` by residues,
-  ``2 pi i * sum`` of upper-half-plane residues with ``pi`` symbolic,
+* :meth:`ScalarRational.line_integral` -- exact ``integral over R dxi_n``
+  by residues, ``2 pi i * sum`` of upper-half-plane residues with ``pi``
+  symbolic,
 * :func:`boundary_density` -- assembly of the two boundary densities from the
   projected inverse symbol and the normal derivative of the next symbol,
   integrated over ``xi_n`` by residues and over ``xi'`` by sphere moments
@@ -36,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import LinearOp, clifford_generator, clifford_word, trace_product
 from .forms import random_vector
@@ -416,61 +417,6 @@ def pi_minus(r: RationalXnOp) -> RationalXnOp:
     return _half_plane_projection(r, False)
 
 
-@dataclass(frozen=True)
-class SymbolicOperator:
-    """A finite sum ``sum unit_k * op_k`` with symbolic scalar units."""
-
-    n: int
-    terms: Tuple[Tuple[tuple, LinearOp], ...]
-
-    @classmethod
-    def single(cls, unit_scalar: SymbolicScalar, op: LinearOp) -> "SymbolicOperator":
-        terms = []
-        for key, coeff in unit_scalar.terms.items():
-            scaled = op.scale(coeff)
-            if not scaled.is_zero:
-                terms.append((key, scaled))
-        return cls(op.n, tuple(sorted(terms, key=lambda kv: kv[0], reverse=True)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def trace(self) -> SymbolicScalar:
-        total = SymbolicScalar()
-        for key, op in self.terms:
-            total = total + SymbolicScalar({key: 1}) * op.trace()
-        return total
-
-
-def line_integral(r: Union[RationalXnOp, ScalarRational]) -> Union[SymbolicOperator, SymbolicScalar]:
-    """Exact ``integral over R dxi_n`` by residues, ``pi`` kept symbolic.
-
-    Scalar inputs give a :class:`SymbolicScalar`; operator-valued inputs give
-    a :class:`SymbolicOperator`.  Requires at least quadratic decay: no
-    polynomial part and vanishing total order-1 coefficient.
-    """
-    if isinstance(r, ScalarRational):
-        return r.line_integral()
-    if r.poly:
-        raise ValueError("insufficient decay for a line integral (polynomial part)")
-    order_one_total = LinearOp.zero(r.n)
-    for pole, order, op in r.terms:
-        if pole.im == 0:
-            raise ValueError(f"pole on the real axis at {pole}")
-        if order == 1:
-            order_one_total = order_one_total + op
-    if not order_one_total.is_zero:
-        raise ValueError("insufficient decay for a line integral (1/xi tail)")
-    residue_sum = LinearOp.zero(r.n)
-    for pole, order, op in r.terms:
-        if order == 1 and pole.im > 0:
-            residue_sum = residue_sum + op
-    return SymbolicOperator.single(
-        SymbolicScalar.unit(GaussianRational(0, 2), pi=1), residue_sum
-    )
-
-
 # ---------------------------------------------------------------------------
 # Boundary densities
 # ---------------------------------------------------------------------------
@@ -634,7 +580,12 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     if len(ratios) > 1:
         proportional = False
     check_id = "Psi1" if flavor == "psi1" else "Psi2"
-    engine_constant = next(iter(ratios)).render() if len(ratios) == 1 else "nonconstant"
+    if len(ratios) == 1:
+        engine_constant = next(iter(ratios)).render()
+    elif ratios:
+        engine_constant = "nonconstant"
+    else:
+        engine_constant = "undetermined (the contraction is 0 on every trial)"
     detail = (
         f"proportionality to the stated contraction: {'holds' if proportional else 'FAILS'}; "
         f"engine constant per unit contraction*Tr(Id) = {engine_constant}; "

@@ -129,6 +129,8 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
             f"(suites commutators and all): it takes about 16 s at n = 10 and grows about "
             f"ninefold per step of 2 in n, so n = 12 would take minutes"
         )
+    if out is not None and not out.parent.is_dir():
+        raise click.UsageError(f"--out: directory {out.parent} does not exist")
     n_values = (n_value,) if n_value is not None else DEFAULT_LEMMA_DIMENSIONS
     m_values = (m_value,) if m_value is not None else DEFAULT_SYMBOL_ORDERS
     commutator_ns = (n_value,) if n_value is not None else DEFAULT_COMMUTATOR_DIMENSIONS

@@ -27,8 +27,8 @@ rules do all the work:
   ``e_X^2``; a trace of a product only touches the blades both sides share.
 * *Action on Lambda.*  ``c_j`` and ``chat_j`` both flip bit ``j - 1`` of a
   monomial, so ``c_A chat_B`` is the signed permutation
-  ``m -> +-(m xor A xor B)`` of the monomial basis.  Matrices convert to
-  blades through the same action (:meth:`LinearOp.from_entries`).
+  ``m -> +-(m xor A xor B)`` of the monomial basis; :meth:`LinearOp.column`
+  reads an operator's matrix one column at a time through this action.
 """
 
 from __future__ import annotations
@@ -59,21 +59,6 @@ def _check_flavor(flavor: str) -> None:
 def _check_index(n: int, j: int) -> None:
     if not 1 <= j <= n:
         raise ValueError(f"direction index must satisfy 1 <= j <= n, got {j}")
-
-
-def _wedge_sign_and_mask(mask_a: int, mask_b: int) -> Tuple[int, int]:
-    """Sign and mask of ``e_A ^ e_B`` for disjoint increasing monomials."""
-    sign = 1
-    b = mask_b
-    acc = mask_a
-    while b:
-        low = b & -b
-        pos = low.bit_length()  # bits strictly above this position
-        if (acc >> pos).bit_count() & 1:
-            sign = -sign
-        acc |= low
-        b ^= low
-    return sign, acc
 
 
 # ---------------------------------------------------------------------------
@@ -125,89 +110,6 @@ def _blade_action(n: int, key: int, mask: int) -> Tuple[int, int]:
     mid = mask ^ b
     odd = ((_parity_below(mask) & b) ^ ((_parity_below(mid) ^ mid) & a)).bit_count() & 1
     return (-1 if odd else 1), mid ^ a
-
-
-class Multivector:
-    """An element of ``Lambda^*(R^n)`` with exact coefficients."""
-
-    __slots__ = ("n", "components")
-
-    def __init__(self, n: int, components: Dict[int, object] | None = None):
-        _check_n(n)
-        comps: Dict[int, object] = {}
-        if components:
-            for mask, coeff in components.items():
-                if not 0 <= mask < (1 << n):
-                    raise ValueError(f"mask {mask} out of range for n={n}")
-                if coeff:
-                    comps[mask] = coeff
-        self.n = n
-        self.components = comps
-
-    @classmethod
-    def basis(cls, n: int, indices: Sequence[int] = ()) -> "Multivector":
-        """The monomial ``e_{i_1} ^ ... ^ e_{i_k}``; repeated indices give 0."""
-        mask = 0
-        sign = 1
-        for j in indices:
-            _check_index(n, j)
-            bit = 1 << (j - 1)
-            if mask & bit:
-                return cls(n)
-            term_sign, mask = _wedge_sign_and_mask(mask, bit)
-            sign *= term_sign
-        return cls(n, {mask: sign})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        if not isinstance(other, Multivector) or other.n != self.n:
-            return NotImplemented
-        comps = dict(self.components)
-        for mask, coeff in other.components.items():
-            total = comps.get(mask, 0) + coeff
-            if total:
-                comps[mask] = total
-            else:
-                comps.pop(mask, None)
-        return Multivector(self.n, comps)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-other)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.n, {m: -c for m, c in self.components.items()})
-
-    def __rmul__(self, scalar) -> "Multivector":
-        return Multivector(
-            self.n, {m: scalar * c for m, c in self.components.items()}
-        )
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        if other.n != self.n:
-            raise ValueError("wedge requires matching dimensions")
-        comps: Dict[int, object] = {}
-        for ma, ca in self.components.items():
-            for mb, cb in other.components.items():
-                if ma & mb:
-                    continue
-                sign, mask = _wedge_sign_and_mask(ma, mb)
-                total = comps.get(mask, 0) + sign * ca * cb
-                if total:
-                    comps[mask] = total
-                else:
-                    comps.pop(mask, None)
-        return Multivector(self.n, comps)
-
-    def __eq__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.n == other.n and self.components == other.components
-
-    def __repr__(self) -> str:
-        return f"Multivector(n={self.n}, components={self.components!r})"
 
 
 def _accumulate(target: Dict[int, object], key: int, value) -> None:
@@ -264,33 +166,6 @@ class LinearOp:
     def zero(cls, n: int) -> "LinearOp":
         return cls(n)
 
-    @classmethod
-    def from_entries(cls, n: int, entries: Iterable[Tuple[int, int, object]]) -> "LinearOp":
-        """The operator with matrix entries ``(row, col, coeff)``; repeats add.
-
-        The coefficient of ``e_X`` is ``sq(X) tr(e_X M) / 2^n``, and ``e_X``
-        carries ``|row>`` to ``|col>`` only for the ``2^n`` blades whose
-        flips give ``row xor col``, so each entry touches ``2^n`` blades.
-        """
-        _check_n(n)
-        dim = 1 << n
-        sums: Dict[int, object] = {}
-        for row, col, coeff in entries:
-            if not (0 <= row < dim and 0 <= col < dim):
-                raise ValueError(f"entry ({row}, {col}) out of range for n={n}")
-            if not coeff:
-                continue
-            flip = row ^ col
-            for a in range(dim):
-                key = a | ((a ^ flip) << n)
-                sign, _ = _blade_action(n, key, row)
-                _accumulate(sums, key, coeff if sign > 0 else -coeff)
-        scale = Fraction(1, dim)
-        return cls._of(n, {
-            key: (-total if _square_is_negative(n, key) else total) * scale
-            for key, total in sums.items()
-        })
-
     # -- structure ----------------------------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -311,18 +186,6 @@ class LinearOp:
             if type(coeff) is Fraction and coeff.denominator == 1:
                 col[row] = coeff.numerator
         return col
-
-    def entry(self, row: int, col: int):
-        return self.column(col).get(row, 0)
-
-    def apply(self, vec: Multivector) -> Multivector:
-        if vec.n != self.n:
-            raise ValueError("operator/vector dimension mismatch")
-        comps: Dict[int, object] = {}
-        for mask, coeff in vec.components.items():
-            for row, c in self.column(mask).items():
-                _accumulate(comps, row, c * coeff)
-        return Multivector(self.n, comps)
 
     # -- algebra --------------------------------------------------------------
     def compose(self, other: "LinearOp") -> "LinearOp":
@@ -385,21 +248,8 @@ class LinearOp:
 
     __hash__ = None  # mutable container semantics
 
-    def to_dense(self) -> list:
-        """Row-major nested lists (exact coefficients)."""
-        dim = 1 << self.n
-        rows = [[0] * dim for _ in range(dim)]
-        for col_index in range(dim):
-            for row_index, coeff in self.column(col_index).items():
-                rows[row_index][col_index] = coeff
-        return rows
-
     def __repr__(self) -> str:
         return f"LinearOp(n={self.n}, blades={len(self.blades)})"
-
-
-def commutator(a: LinearOp, b: LinearOp) -> LinearOp:
-    return a.compose(b) - b.compose(a)
 
 
 def trace_product(a: LinearOp, b: LinearOp) -> GaussianRational:
@@ -520,36 +370,3 @@ def generator_word(n: int, letters: Sequence[Tuple[str, int]]) -> LinearOp:
         _check_index(n, j)
     key, sign = _generator_blade(n, letters)
     return LinearOp._of(n, {key: sign})
-
-
-def exterior_signed_permutation(n: int, perm: Sequence[int], signs: Sequence[int]) -> LinearOp:
-    """Functorial action on ``Lambda^*`` of ``e_j -> signs[j-1] * e_{perm[j-1]}``.
-
-    ``perm`` must be a permutation of ``1..n`` and each sign ``+1`` or ``-1``;
-    the result is the induced signed permutation of wedge monomials.
-    """
-    _check_n(n)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError("perm must be a permutation of 1..n")
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +1 or -1")
-    entries = []
-    for mask in range(1 << n):
-        sign = 1
-        images = []
-        m = mask
-        while m:
-            low = m & -m
-            j = low.bit_length()
-            images.append(perm[j - 1])
-            sign *= signs[j - 1]
-            m ^= low
-        # sort the image indices, tracking the permutation parity
-        out_mask = 0
-        for pos, img in enumerate(images):
-            inversions = sum(1 for later in images[pos + 1:] if later < img)
-            if inversions & 1:
-                sign = -sign
-            out_mask |= 1 << (img - 1)
-        entries.append((out_mask, mask, sign))
-    return LinearOp.from_entries(n, entries)

@@ -88,9 +88,6 @@ class AntiSymForm:
             return Fraction(0)
         return sign * base if sign == -1 else base
 
-    def increasing_tuples(self):
-        return itertools.combinations(range(1, self.n + 1), self.degree)
-
     @property
     def is_zero(self) -> bool:
         return not self.entries
@@ -322,11 +319,14 @@ def _as_fraction(value: object, what: str) -> Fraction:
 
 def _load_json(data: Union[dict, str, Path]) -> dict:
     """A ``Path`` names a JSON file and a ``str`` is JSON text."""
-    if isinstance(data, Path):
-        with open(data, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    elif isinstance(data, str):
-        data = json.loads(data)
+    try:
+        if isinstance(data, Path):
+            with open(data, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        elif isinstance(data, str):
+            data = json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object at the top level, got {type(data).__name__}")
     return data

@@ -2,7 +2,7 @@
 
 Three layers of scalars appear in the computations:
 
-* ``Rational`` -- exact rational numbers (``fractions.Fraction``).
+* ``Fraction`` -- exact rational numbers (``fractions.Fraction``).
 * ``GaussianRational`` -- complex numbers with rational real and imaginary
   parts, closed under field operations.  These are the coefficients of
   every operator and of every symbolic quantity.
@@ -20,8 +20,6 @@ import math
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 from typing import Iterable, Mapping, Union
-
-Rational = Fraction
 
 _RationalLike = Union[int, Fraction]
 
@@ -58,13 +56,6 @@ class GaussianRational:
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def norm_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -284,14 +275,6 @@ class SymbolicScalar:
     def coefficient(self, *, pi: int = 0, spheres: _SphereSpec = ()) -> GaussianRational:
         """Coefficient of the monomial ``pi^pi * prod V(S^d)``."""
         return self.terms.get((pi, _normalize_spheres(spheres)), ZERO)
-
-    def as_number(self) -> GaussianRational:
-        """Return the value when no symbolic units are present."""
-        if not self.terms:
-            return ZERO
-        if set(self.terms) == {(0, ())}:
-            return self.terms[(0, ())]
-        raise ValueError(f"not a plain number: {self.render()}")
 
     # -- arithmetic ----------------------------------------------------------
     @staticmethod

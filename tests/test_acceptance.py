@@ -39,11 +39,10 @@ from hodge_residue.exterior import (
     LinearOp,
     clifford_generator,
     clifford_word,
-    exterior_signed_permutation,
     generator_word,
     trace_product,
 )
-from hodge_residue.forms import AntiSymForm, form_contract, random_form, random_vector
+from hodge_residue.forms import AntiSymForm, random_form, random_vector
 from hodge_residue.oracle import (
     dense_lift,
     dense_word,
@@ -63,7 +62,7 @@ from hodge_residue.residue import (
     spectral_density,
     verify_theorem,
 )
-from hodge_residue.scalars import GaussianRational, I, SymbolicScalar, sphere_volume
+from hodge_residue.scalars import GaussianRational, I
 from hodge_residue.symbols import check_flat_commutators, sphere_moment
 
 SEED = 0

@@ -18,14 +18,13 @@ from hodge_residue.boundary import (
     boundary_contraction,
     boundary_density,
     closed_form_boundary_coefficient,
-    line_integral,
     normal_derivative_symbol,
     pi_minus,
     pi_plus,
     resolvent_symbol_channels,
     verify_boundary,
 )
-from hodge_residue.exterior import LinearOp, clifford_generator, clifford_word
+from hodge_residue.exterior import clifford_generator, clifford_word
 from hodge_residue.forms import random_vector
 from hodge_residue.scalars import GaussianRational, I, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import sphere_moment
@@ -117,24 +116,13 @@ class TestLineIntegral:
             scalar.line_integral()
 
     def test_operator_valued_integral(self):
+        # the integral of op/(1+xi^2) is pi * op, so traced against op it is
+        # pi * tr(op^2) = -16 pi; the trace comes first, then one scalar
+        # line integral, as in the boundary residue kernel
         n = 4
         op = clifford_generator("c", n, 1)
         r = RationalXnOp.from_scalar(ScalarRational([ONE], cauchy_kernel()), op)
-        integral = line_integral(r)
-        # integral = pi * op; trace against op gives pi * tr(op^2) = pi * (-16)
-        from hodge_residue.exterior import trace_product
-
-        total = SymbolicScalar()
-        for key, coeff_op in integral.terms:
-            total = total + SymbolicScalar({key: 1}) * trace_product(op, coeff_op)
-        assert total == SymbolicScalar.unit(-16, pi=1)
-
-    def test_operator_valued_tail_rejected(self):
-        n = 4
-        op = clifford_generator("c", n, 1)
-        r = RationalXnOp(n, [(I, 1, op)])
-        with pytest.raises(ValueError, match="tail"):
-            line_integral(r)
+        assert r.trace_against(op).line_integral() == SymbolicScalar.unit(-16, pi=1)
 
 
 class TestHalfPlaneProjection:
@@ -288,6 +276,14 @@ class TestVerifyBoundary:
         a = verify_boundary("psi1", 2, trials=3, seed=7).to_dict()
         b = verify_boundary("psi1", 2, trials=3, seed=7).to_dict()
         assert a == b
+
+    def test_constant_is_undetermined_when_every_contraction_is_zero(self):
+        # seed 7 draws a single psi2 trial whose contraction u_n <v, w> is 0
+        report = verify_boundary("psi2", 2, trials=1, seed=7)
+        assert report.status == "pass"
+        assert "holds" in report.detail
+        assert "nonconstant" not in report.detail
+        assert "undetermined (the contraction is 0 on every trial)" in report.detail
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -233,6 +233,16 @@ class TestConfigurationErrors:
         result = runner.invoke(main, ["verify", *args])
         assert result.exit_code == 0, result.output
 
+    def test_out_into_a_missing_directory_exits_2_before_any_check(self, runner, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
+        missing = tmp_path / "no" / "such"
+        result = runner.invoke(main, [
+            "verify", "--suite", "boundary", "--m", "2", "--trials", "1",
+            "--out", str(missing / "r.json"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"directory {missing} does not exist" in result.output
+
 
 def _no_checks_may_run(*args):
     raise AssertionError("a check started")
@@ -252,15 +262,19 @@ MALFORMED_INPUTS = [
 
 
 def _invoke_with_payload(runner, directory, command, bad_file, payload):
+    return _invoke_with_text(runner, directory, command, bad_file, json.dumps(payload))
+
+
+def _invoke_with_text(runner, directory, command, bad_file, text):
     """Run ``density T2 --m 2`` or ``boundary psi1 --m 2`` with valid input
-    files except ``bad_file``, which holds ``payload``."""
+    files except ``bad_file``, which holds ``text``."""
     if command == "density":
         args = ["density", "T2", "--m", "2"]
         texts = {"form": FORM3_JSON, "vectors": VECTORS3_JSON}
     else:
         args = ["boundary", "psi1", "--m", "2"]
         texts = {"vectors": BOUNDARY_VECTORS_JSON}
-    texts[bad_file] = json.dumps(payload)
+    texts[bad_file] = text
     for name, text in texts.items():
         path = Path(directory) / f"{name}.json"
         path.write_text(text, encoding="utf-8")
@@ -272,6 +286,16 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command,bad_file,payload", MALFORMED_INPUTS)
     def test_exits_2_with_a_message(self, runner, tmp_path, command, bad_file, payload):
         result = _invoke_with_payload(runner, tmp_path, command, bad_file, payload)
+        assert result.exit_code == 2, result.output
+        assert "invalid input" in result.output
+
+    @pytest.mark.parametrize("command,bad_file", [
+        ("density", "form"), ("density", "vectors"), ("boundary", "vectors"),
+    ])
+    def test_deeply_nested_json_exits_2(self, runner, tmp_path, command, bad_file):
+        # raw text: json.dumps cannot build a payload nested this deep
+        text = "[" * 100_000 + "]" * 100_000
+        result = _invoke_with_text(runner, tmp_path, command, bad_file, text)
         assert result.exit_code == 2, result.output
         assert "invalid input" in result.output
 

@@ -1,8 +1,8 @@
-"""Every module-level import under ``src/hodge_residue/`` is used.
+"""Every module-level import under ``src/hodge_residue/`` and ``tests/`` is used.
 
 An import counts as used when its bound name appears as a name anywhere in
-the module, including inside quoted annotations.  ``__init__.py`` exists to
-re-export names, so it is exempt.
+the module, including inside quoted annotations.  The package's
+``__init__.py`` exists to re-export names, so it is exempt.
 """
 
 import ast
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hodge_residue"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "hodge_residue"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -48,9 +50,14 @@ def _used_names(tree: ast.Module) -> set:
 
 def test_package_modules_are_found():
     assert {p.name for p in MODULES} >= {"exterior.py", "residue.py", "symbols.py"}
+    assert {p.name for p in TEST_MODULES} >= {"conftest.py", "test_imports.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def _module_id(path: Path) -> str:
+    return path.name if path.parent == PACKAGE else f"tests/{path.name}"
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=_module_id)
 def test_no_unused_module_level_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)

@@ -19,7 +19,7 @@ from hodge_residue.exterior import (
     clifford_word,
     trace_product,
 )
-from hodge_residue.forms import form_contract, random_form, random_vector
+from hodge_residue.forms import random_form, random_vector
 from hodge_residue.oracle import (
     MAX_ORACLE_DIMENSION,
     dense_clifford,
@@ -48,8 +48,13 @@ LIFT_KIND = {
 
 
 def exact_matrix(op) -> np.ndarray:
-    """Complex image of the exact operator's matrix, for entrywise checks."""
-    return np.array(op.to_dense(), dtype=np.complex128)
+    """Complex image of the exact operator's matrix, read column by column."""
+    dim = 1 << op.n
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    for col in range(dim):
+        for row, coeff in op.column(col).items():
+            matrix[row, col] = complex(coeff)
+    return matrix
 
 
 def rel_close(a: complex, b: complex, tol: float = 1e-9) -> bool:

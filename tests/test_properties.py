@@ -16,14 +16,14 @@ from hodge_residue.boundary import RationalXnOp, pi_minus, pi_plus
 from hodge_residue.exterior import (
     LinearOp,
     clifford_generator,
-    exterior_signed_permutation,
     generator_word,
     trace_product,
 )
 from hodge_residue.forms import AntiSymForm, form_contract
-from hodge_residue.residue import FUNCTIONALS, spectral_density
-from hodge_residue.scalars import GaussianRational, I, sphere_volume
+from hodge_residue.residue import spectral_density
+from hodge_residue.scalars import GaussianRational, I
 from hodge_residue.symbols import sphere_moment
+from matrix_reference import from_entries
 
 N = 4
 M = 2
@@ -163,7 +163,7 @@ op_entries = st.lists(
 
 
 def op_from_entries(n: int, triples) -> LinearOp:
-    return LinearOp.from_entries(
+    return from_entries(
         n, [(r, c, GaussianRational(Fraction(v))) for r, c, v in triples]
     )
 

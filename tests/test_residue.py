@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodge_residue.exterior import LinearOp, clifford_word, trace_product
+from hodge_residue.exterior import clifford_word, trace_product
 from hodge_residue.forms import (
     AntiSymForm,
     form_contract,
@@ -20,7 +20,6 @@ from hodge_residue.forms import (
     lift_four_mixed,
     lift_three_c,
     lift_three_mixed,
-    lift_torsion_assembly,
     lift_two_chat,
     random_form,
     random_vector,
@@ -36,7 +35,7 @@ from hodge_residue.residue import (
     spectral_density,
     verify_theorem,
 )
-from hodge_residue.scalars import GaussianRational, I, SymbolicScalar, sphere_volume
+from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volume
 
 
 def basis_vector(n: int, j: int):

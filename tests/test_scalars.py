@@ -84,7 +84,8 @@ class TestGaussianRational:
 class TestSymbolicScalar:
     def test_number_and_unit_construction(self):
         x = SymbolicScalar.number(Fraction(3, 2))
-        assert x.as_number() == GaussianRational(Fraction(3, 2))
+        assert x.coefficient() == GaussianRational(Fraction(3, 2))
+        assert x.terms.keys() == {(0, ())}
         y = SymbolicScalar.unit(Fraction(2), spheres=(3,))
         assert y.coefficient(spheres=(3,)) == GaussianRational(Fraction(2))
 

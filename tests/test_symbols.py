@@ -25,6 +25,7 @@ from hodge_residue.symbols import (
     cosphere_average,
     sphere_moment,
 )
+from matrix_reference import from_entries
 from xi_reference import average, integrand, interior_integrand
 
 
@@ -131,7 +132,7 @@ class TestCosphereAverage:
         n = 2
         rng = random.Random(8)
         word = generator_word(n, [("chat", 1), ("chat", 2)])
-        theta = LinearOp.from_entries(
+        theta = from_entries(
             n,
             [
                 (rng.randrange(4), rng.randrange(4), Fraction(rng.randint(-3, 3)))
