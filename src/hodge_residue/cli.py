@@ -36,6 +36,10 @@ from .scalars import sphere_volume
 from .symbols import check_flat_commutators
 
 SUITES = ("lemmas", "theorems", "boundary", "commutators", "all")
+# the suites each override applies to: lemma and commutator checks run at a
+# dimension n, theorem and boundary checks at a symbol order m (n = 2m)
+N_SUITES = ("lemmas", "commutators", "all")
+M_SUITES = ("theorems", "boundary", "all")
 
 DEFAULT_LEMMA_DIMENSIONS = (4, 6)
 DEFAULT_SYMBOL_ORDERS = (2, 3)
@@ -121,6 +125,14 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
     """Run verification suites and emit a deterministic report."""
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
+    if n_value is not None and suite not in N_SUITES:
+        raise click.UsageError(
+            f"--n does not apply to --suite {suite}: its checks run at n = 2m; use --m"
+        )
+    if m_value is not None and suite not in M_SUITES:
+        raise click.UsageError(
+            f"--m does not apply to --suite {suite}: its checks run at a dimension n; use --n"
+        )
     if n_value is not None and (n_value % 2 or not 4 <= n_value <= MAX_DIMENSION):
         raise click.UsageError(f"--n must be even with 4 <= n <= {MAX_DIMENSION}")
     if n_value is not None and n_value > MAX_COMMUTATOR_DIMENSION and suite in ("commutators", "all"):

@@ -213,6 +213,7 @@ def lift_torsion_assembly(form: AntiSymForm) -> LinearOp:
     _require_degree(form, 3)
     return lift_three_c(form).scale(Fraction(3, 2)) + lift_three_mixed(form).scale(Fraction(-1, 4))
 
+
 def lift_four_mixed(form: AntiSymForm) -> LinearOp:
     """Degree-4 lift ``sum_{k<l<a<b} T_{klab} c_k c_l chat_a chat_b``.
 

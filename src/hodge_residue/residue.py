@@ -10,28 +10,44 @@ where ``W(args)`` is a word of Clifford actions of the argument vectors and
 ``V(S^{2m-1})`` times one trace of ``W(args)`` against
 :func:`~hodge_residue.symbols.cosphere_average` of the lift, which scales each
 blade by a weight read from its grade; the sandwiched trace identities are
-evaluated the same way.  Each functional carries a closed-form coefficient
-table entry; :func:`verify_theorem` compares the engine's exact density
-against ``coefficient * T(args)`` on random trials.
+the same trace with the ``"before"`` or ``"after"`` average, and the plain
+ones with the lift itself.
 
-:func:`lemma_check` verifies the individual trace identities feeding those
-densities.  Every check is an exact comparison: when the engine's exact value
-disagrees with a tabulated closed form, the report carries both values
-verbatim; nothing is softened to a tolerance or auto-corrected.
+Every such trace ``tr(W(u_1 ... u_k) . P(lift(T)))`` is multilinear in the
+form and in each vector.  A :class:`TraceKernel` is compiled once per check
+(or per call of :func:`spectral_density` and :func:`density_decomposition`)
+from basis inputs: the lift of each basis form ``e_I``, its placement ``P``,
+and the letter paths that fold each placed blade to the empty blade.  It is
+the sparse integer tensor ``{(I, j_1, ..., j_k): c}``, and each trial
+contracts it with the integer-scaled form and vectors and divides once.  No
+Clifford word is built on this path.
+
+Each functional carries a closed-form coefficient table entry;
+:func:`verify_theorem` compares the engine's exact density against
+``coefficient * T(args)`` on random trials, and :func:`lemma_check` verifies
+the individual trace identities feeding those densities.  Every check is an
+exact comparison: when the engine's exact value disagrees with a tabulated
+closed form, the report carries both values verbatim; nothing is softened to
+a tolerance or auto-corrected.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exterior import (
+    FLAVORS,
     LinearOp,
+    _accumulate,
+    _integer_scaled,
+    _product_signs,
     clifford_generator,
-    clifford_word,
-    trace_product,
 )
 from .forms import (
     AntiSymForm,
@@ -47,6 +63,110 @@ from .forms import (
 )
 from .scalars import GaussianRational, I, ONE, SymbolicScalar, sphere_volume
 from .symbols import cosphere_average
+
+
+# ---------------------------------------------------------------------------
+# Trace kernels
+# ---------------------------------------------------------------------------
+
+
+def _letter_paths(n: int, flavors: Sequence[str], key: int,
+                  signs: Sequence[int]) -> List[Tuple[Tuple[int, ...], int]]:
+    """``[(js, sign)]`` with ``gen(f_1, j_1) ... gen(f_k, j_k) e_key = sign``
+    (0-based ``js``); every other index tuple leaves no scalar part.
+
+    ``signs[b]`` is :func:`~hodge_residue.exterior._product_signs` of the
+    generator with bit ``b``.  The letters are folded onto ``e_key`` from the
+    right.  A letter flips one bit in its own flavor's half of the key, so a
+    path can still reach the empty blade only while each half has at most as
+    many set bits as letters of that flavor remain, with the same parity;
+    when they are equal, the letter must clear a set bit.
+    """
+    low = (1 << n) - 1
+    left = {flavor: 0 for flavor in FLAVORS}
+    for flavor in flavors:
+        left[flavor] += 1
+    for flavor, offset in (("c", 0), ("chat", n)):
+        bits = ((key >> offset) & low).bit_count()
+        if bits > left[flavor] or (left[flavor] - bits) & 1:
+            return []
+    paths = [(key, 1, ())]
+    for flavor in reversed(flavors):
+        offset = 0 if flavor == "c" else n
+        forced = left[flavor]
+        left[flavor] -= 1
+        extended = []
+        for key, sign, js in paths:
+            half = (key >> offset) & low
+            if half.bit_count() == forced:
+                choices = []
+                while half:
+                    bit = half & -half
+                    choices.append(bit.bit_length() - 1)
+                    half ^= bit
+            else:
+                choices = range(n)
+            for j in choices:
+                odd = (signs[offset + j] & key).bit_count() & 1
+                extended.append((key ^ (1 << (offset + j)), -sign if odd else sign, (j,) + js))
+        paths = extended
+    return [(js, sign) for _, sign, js in paths]
+
+
+class TraceKernel:
+    """The trace ``tr(W(u_1 ... u_k) . P(lift(T)))`` of one check, compiled once.
+
+    ``W`` is the Clifford word of the letters ``flavors`` and ``P`` a
+    placement: ``"plain"`` (the lift itself) or a :func:`cosphere_average`
+    placement.  The trace is multilinear in the form and in each vector, so
+    it is ``2^n / denominator * sum c T_I u_1[j_1] ... u_k[j_k]`` over a
+    sparse integer tensor ``{(I, j_1, ..., j_k): c}``.  The tensor is read
+    off basis inputs: the lift of each basis form ``e_I`` is placed, and for
+    each of its blades :func:`_letter_paths` gives the index tuples whose
+    letters fold it to the empty blade (trace = ``2^n`` times the identity
+    coefficient).  ``lift`` maps a basis form to its operator; with
+    ``degree`` 0 it is called with ``None`` and the trace takes no form.
+    """
+
+    __slots__ = ("n", "basis", "columns", "coeffs", "denominator")
+
+    def __init__(self, n: int, flavors: Sequence[str], lift: Callable[..., LinearOp],
+                 degree: int, placement: str, m: int = 1):
+        self.n = n
+        self.basis = list(itertools.combinations(range(1, n + 1), degree)) if degree else [()]
+        signs = [_product_signs(n, 1 << bit) for bit in range(2 * n)]
+        tensor: Dict[Tuple[int, ...], object] = {}
+        for slot, idx in enumerate(self.basis):
+            op = lift(AntiSymForm(n, degree, {idx: 1}) if degree else None)
+            if placement != "plain":
+                op = cosphere_average(op, placement, m)
+            for key, coeff in op.blades.items():
+                for js, sign in _letter_paths(n, flavors, key, signs):
+                    _accumulate(tensor, (slot,) + js, coeff if sign > 0 else -coeff)
+        self.denominator = lcm(*(c.denominator for c in tensor.values()))
+        self.coeffs = [c.numerator * (self.denominator // c.denominator) for c in tensor.values()]
+        # one list per tensor slot: the form's basis slot, then each letter's index
+        self.columns = list(zip(*tensor))
+
+    def trace(self, form: Optional[AntiSymForm], vectors: Sequence[Sequence]) -> Fraction:
+        """The trace on a form (``None`` for degree 0) and the letters' vectors.
+
+        Each input is scaled to integers by the lcm of its denominators, the
+        tensor is contracted in integers, and the result is one ``Fraction``.
+        """
+        if form is None:
+            rows, scale = [[1]], 1
+        else:
+            values, scale = _integer_scaled([form.entries.get(idx, 0) for idx in self.basis])
+            rows = [values]
+        for u in vectors:
+            ints, q = _integer_scaled(u)
+            rows.append(ints)
+            scale *= q
+        products = self.coeffs
+        for column, row in zip(self.columns, rows):
+            products = list(map(mul, products, map(row.__getitem__, column)))
+        return Fraction(sum(products) << self.n, self.denominator * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +232,8 @@ def _resolve_functional(spec) -> FunctionalSpec:
     raise TypeError("spec must be a FunctionalSpec or functional id string")
 
 
-def _density_word(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> Tuple[FunctionalSpec, LinearOp]:
-    """The functional's spec and the Clifford word of its validated arguments."""
+def _density_spec(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> FunctionalSpec:
+    """The functional's spec, after checking the density's arguments."""
     fspec = _resolve_functional(spec)
     n = T.n
     if n != 2 * m or n < 4:
@@ -129,7 +249,11 @@ def _density_word(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> 
     for u in vectors:
         if len(u) != n:
             raise ValueError("argument vector length must equal n")
-    return fspec, clifford_word(n, list(zip(fspec.arg_flavors, vectors)))
+    return fspec
+
+
+def _density_kernel(fspec: FunctionalSpec, n: int, placement: str, m: int = 1) -> TraceKernel:
+    return TraceKernel(n, fspec.arg_flavors, fspec.lift, fspec.torsion_degree, placement, m)
 
 
 def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> SymbolicScalar:
@@ -137,8 +261,8 @@ def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) 
 
     Returns a GaussianRational multiple of ``V(S^{2m-1})``.
     """
-    fspec, word = _density_word(spec, T, vectors, m)
-    value = trace_product(word, cosphere_average(fspec.lift(T), "interior", m))
+    fspec = _density_spec(spec, T, vectors, m)
+    value = _density_kernel(fspec, T.n, "interior", m).trace(T, vectors)
     return sphere_volume(T.n - 1) * (fspec.prefactor * value)
 
 
@@ -174,14 +298,15 @@ def density_decomposition(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: 
     Returns ``{"zero_order", "sandwich_per_m", "total"}`` with
     ``total = zero_order + m * sandwich_per_m`` (prefactor applied to all).
     """
-    fspec, word = _density_word(spec, T, vectors, m)
-    lift = fspec.lift(T)
-    unit = sphere_volume(T.n - 1) * fspec.prefactor
-    zero = unit * trace_product(word, lift)
-    sandwich = unit * (
-        trace_product(word, cosphere_average(lift, "before"))
-        + trace_product(word, cosphere_average(lift, "after"))
+    fspec = _density_spec(spec, T, vectors, m)
+    n = T.n
+    zero, before, after = (
+        _density_kernel(fspec, n, placement).trace(T, vectors)
+        for placement in ("plain", "before", "after")
     )
+    unit = sphere_volume(n - 1) * fspec.prefactor
+    zero = unit * zero
+    sandwich = unit * (before + after)
     return {
         "zero_order": zero,
         "sandwich_per_m": sandwich,
@@ -194,6 +319,7 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
 
     Draws random small-rational forms and vectors; every trial must satisfy
     ``spectral_density == closed_form_coefficient * form_contract`` exactly.
+    The density's trace kernel is compiled once for all trials.
     """
     fspec = _resolve_functional(functional_id)
     if trials < 1:
@@ -201,13 +327,15 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
     n = 2 * m
     rng = random.Random(f"{seed}:theorem:{fspec.functional_id}:{m}")
     coeff = closed_form_coefficient(fspec.functional_id, m)
+    kernel = _density_kernel(fspec, n, "interior", m)
+    volume = sphere_volume(n - 1)
     failures = 0
     rep_pass: Optional[Tuple[str, str]] = None
     rep_fail: Optional[Tuple[str, str, str]] = None
     for trial in range(trials):
         T = random_form(n, fspec.torsion_degree, rng)
         vectors = [random_vector(n, rng) for _ in fspec.arg_flavors]
-        computed = spectral_density(fspec, T, vectors, m)
+        computed = volume * (fspec.prefactor * kernel.trace(T, vectors))
         expected = coeff * form_contract(T, vectors)
         if computed == expected:
             if rep_pass is None and not expected.is_zero:
@@ -331,12 +459,20 @@ def _lemma_lift(spec: LemmaSpec, form: Optional[AntiSymForm], n: int) -> LinearO
     return _LIFTS[spec.lift](form)
 
 
-def _lemma_lhs(word: LinearOp, lift: LinearOp, placement: str) -> SymbolicScalar:
+def _lemma_kernel(spec: LemmaSpec, n: int, placement: str) -> TraceKernel:
+    """The trace kernel of one placement of a trace identity."""
+    return TraceKernel(
+        n, spec.word_flavors, lambda form: _lemma_lift(spec, form, n),
+        spec.form_degree or 0, placement,
+    )
+
+
+def _lemma_value(kernel: TraceKernel, placement: str, form: Optional[AntiSymForm],
+               vectors: Sequence[Sequence]) -> SymbolicScalar:
+    value = kernel.trace(form, vectors)
     if placement == "plain":
-        return SymbolicScalar.number(trace_product(word, lift))
-    if placement in ("before", "after"):
-        return sphere_volume(lift.n - 1) * trace_product(word, cosphere_average(lift, placement))
-    raise ValueError(f"unknown placement {placement!r}")
+        return SymbolicScalar.number(value)
+    return sphere_volume(kernel.n - 1) * value
 
 
 def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> CheckReport:
@@ -363,6 +499,7 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
+    kernels = {placement: _lemma_kernel(spec, n, placement) for placement in placements}
     rng = random.Random(f"{seed}:lemma:{lemma_id}:{n}")
     tr_id = 1 << n
     vol = sphere_volume(n - 1)
@@ -374,11 +511,9 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     for trial in range(trials):
         vectors = [random_vector(n, rng) for _ in spec.word_flavors]
         form = random_form(n, spec.form_degree, rng) if spec.form_degree else None
-        word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
-        lift = _lemma_lift(spec, form, n)
         unit = _lemma_unit(spec, form, vectors)
         for placement in placements:
-            computed = _lemma_lhs(word, lift, placement)
+            computed = _lemma_value(kernels[placement], placement, form, vectors)
             scale = spec.ratio * unit * tr_id
             expected = SymbolicScalar.number(scale)
             if placement != "plain":

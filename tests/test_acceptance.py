@@ -56,7 +56,6 @@ from hodge_residue.oracle import (
 from hodge_residue.residue import (
     FUNCTIONALS,
     LEMMA_CHECKS,
-    _lemma_lhs,
     density_decomposition,
     lemma_check,
     spectral_density,
@@ -64,6 +63,7 @@ from hodge_residue.residue import (
 )
 from hodge_residue.scalars import GaussianRational, I
 from hodge_residue.symbols import check_flat_commutators, sphere_moment
+from word_reference import lemma_lhs
 
 SEED = 0
 LIFT_KIND = {
@@ -251,7 +251,7 @@ def test_criterion_5_oracle_equivalence():
         if drel > 1e-9:
             problems.append(f"plain trace n={n}: drel={drel:.2e}")
         for placement in ("before", "after"):
-            exact = complex(_lemma_lhs(word, lift, placement).numeric())
+            exact = complex(lemma_lhs(word, lift, placement).numeric())
             oracle = float_sandwich_integral(word_f, lift_f, placement, n)
             drel = _rel(exact, oracle)
             worst = max(worst, drel)

@@ -233,6 +233,35 @@ class TestConfigurationErrors:
         result = runner.invoke(main, ["verify", *args])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("suite,option,value,use", [
+        ("theorems", "--n", "8", "--m"),
+        ("boundary", "--n", "4", "--m"),
+        ("lemmas", "--m", "2", "--n"),
+        ("commutators", "--m", "3", "--n"),
+    ])
+    def test_override_the_suite_does_not_use_exits_2(self, runner, monkeypatch, suite, option, value, use):
+        # the report would record the override while the checks ignore it
+        monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
+        result = runner.invoke(main, ["verify", "--suite", suite, option, value])
+        assert result.exit_code == 2
+        assert f"{option} does not apply to --suite {suite}" in result.output
+        assert f"use {use}" in result.output
+
+    @pytest.mark.parametrize("args,n,m", [
+        (["--suite", "theorems", "--m", "4"], [4, 6], [4]),
+        (["--suite", "boundary", "--m", "2"], [4, 6], [2]),
+        (["--suite", "lemmas", "--n", "8"], [8], [2, 3]),
+        (["--suite", "commutators", "--n", "6"], [6], [2, 3]),
+        (["--suite", "all", "--n", "8", "--m", "4"], [8], [4]),
+        (["--suite", "theorems"], [4, 6], [2, 3]),
+    ])
+    def test_overrides_the_suite_uses_are_recorded(self, runner, monkeypatch, args, n, m):
+        monkeypatch.setattr(cli_module, "_run_checks", lambda *a: iter(()))
+        result = runner.invoke(main, ["verify", *args])
+        assert result.exit_code == 0, result.output
+        config = json.loads(result.output)["config"]
+        assert (config["n"], config["m"]) == (n, m)
+
     def test_out_into_a_missing_directory_exits_2_before_any_check(self, runner, monkeypatch, tmp_path):
         monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
         missing = tmp_path / "no" / "such"

@@ -34,9 +34,10 @@ from hodge_residue.oracle import (
     moment_float,
     sphere_quadrature,
 )
-from hodge_residue.residue import FUNCTIONALS, _lemma_lhs, spectral_density
+from hodge_residue.residue import FUNCTIONALS, spectral_density
 from hodge_residue.scalars import sphere_volume_float
 from hodge_residue.symbols import sphere_moment
+from word_reference import lemma_lhs
 
 LIFT_KIND = {
     "T1": "two_chat",
@@ -135,7 +136,7 @@ class TestFloatTraces:
         form = random_form(n, 3, rng)
         vectors = [random_vector(n, rng) for _ in range(3)]
         word_exact = clifford_word(n, list(zip(spec.arg_flavors, vectors)))
-        exact = complex(_lemma_lhs(word_exact, spec.lift(form), placement).numeric())
+        exact = complex(lemma_lhs(word_exact, spec.lift(form), placement).numeric())
         word_dense = dense_word(n, list(zip(spec.arg_flavors, vectors)))
         lift_dense = dense_lift("torsion_assembly", form, n)
         assert rel_close(float_sandwich_integral(word_dense, lift_dense, placement, n), exact)

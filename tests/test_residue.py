@@ -7,6 +7,7 @@ disagrees with the engine are asserted to FAIL with both values reported —
 those discrepancies are real and must stay visible.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,15 +28,21 @@ from hodge_residue.forms import (
 from hodge_residue.residue import (
     FUNCTIONALS,
     LEMMA_CHECKS,
+    _density_kernel,
+    _lemma_kernel,
+    _lemma_lift,
+    _lemma_value,
     closed_form_coefficient,
     density_decomposition,
-    _lemma_lhs,
     lemma_check,
     lemma_ids,
     spectral_density,
     verify_theorem,
 )
 from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volume
+import word_reference
+from mixed_rationals import mixed_form, mixed_vector
+from word_reference import lemma_lhs
 
 
 def basis_vector(n: int, j: int):
@@ -77,11 +84,86 @@ def test_sandwich_multipliers_hold_for_every_lift(n, builder, degree, length, mi
             n, [("chat", random_vector(n, rng)), ("chat", random_vector(n, rng))]
         )
         plain = SymbolicScalar.number(trace_product(word, lift))
-        before = _lemma_lhs(word, lift, "before")
-        after = _lemma_lhs(word, lift, "after")
+        before = lemma_lhs(word, lift, "before")
+        after = lemma_lhs(word, lift, "after")
         multiplier = Fraction((-1) ** length * (2 * minus - n), n)
         assert before == plain * multiplier * volume
         assert after == plain * Fraction(-1) * volume
+
+
+# ---------------------------------------------------------------------------
+# Trace kernels against the word route (tests/word_reference.py): exact
+# equality on random inputs, drawn both as the suites draw them and with
+# denominators that mix 1, 2, 3, 5 and 7.
+# ---------------------------------------------------------------------------
+
+DRAWS = {
+    "suite": (random_vector, random_form),
+    "mixed": (mixed_vector, mixed_form),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_lemma_kernels_equal_word_route(n, draw):
+    vector, form_of = DRAWS[draw]
+    compared = nonzero = 0
+    for lemma_id, spec in sorted(LEMMA_CHECKS.items()):
+        rng = random.Random(f"kernel:{lemma_id}:{n}:{draw}")
+        for placement in spec.placements:
+            kernel = _lemma_kernel(spec, n, placement)
+            for _ in range(2):
+                vectors = [vector(n, rng) for _ in spec.word_flavors]
+                form = form_of(n, spec.form_degree, rng) if spec.form_degree else None
+                word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
+                expected = lemma_lhs(word, _lemma_lift(spec, form, n), placement)
+                assert _lemma_value(kernel, placement, form, vectors) == expected, (lemma_id, placement)
+                compared += 1
+                nonzero += not expected.is_zero
+    assert compared == 2 * sum(len(spec.placements) for spec in LEMMA_CHECKS.values())
+    assert nonzero > compared // 2
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("functional_id", sorted(FUNCTIONALS))
+def test_density_kernels_equal_word_route(functional_id, m, draw):
+    vector, form_of = DRAWS[draw]
+    spec = FUNCTIONALS[functional_id]
+    n = 2 * m
+    rng = random.Random(f"kernel:{functional_id}:{m}:{draw}")
+    for _ in range(2):
+        T = form_of(n, spec.torsion_degree, rng)
+        vectors = [vector(n, rng) for _ in spec.arg_flavors]
+        density = spectral_density(functional_id, T, vectors, m)
+        assert density == word_reference.spectral_density(spec, T, vectors, m)
+        parts = density_decomposition(functional_id, T, vectors, m)
+        reference = word_reference.density_decomposition(spec, T, vectors, m)
+        assert set(parts) == {"zero_order", "sandwich_per_m", "total"}
+        for part in parts:
+            assert parts[part] == reference[part], part
+        assert not parts["zero_order"].is_zero
+
+
+@pytest.mark.parametrize("functional_id,inputs", [("T1", 96), ("T5", 256)])
+def test_basis_certificate_at_m2(functional_id, inputs):
+    """On every basis input (e_I, e_j1, ..., e_jk) the kernel's density
+    equals the closed form times the contraction: the multilinear identity
+    holds at n = 4, not only on the random trials."""
+    m, n = 2, 4
+    spec = FUNCTIONALS[functional_id]
+    kernel = _density_kernel(spec, n, "interior", m)
+    unit = sphere_volume(n - 1) * spec.prefactor
+    coeff = closed_form_coefficient(functional_id, m)
+    basis = [basis_vector(n, j) for j in range(1, n + 1)]
+    checked = disagreements = 0
+    for idx in itertools.combinations(range(1, n + 1), spec.torsion_degree):
+        T = AntiSymForm(n, spec.torsion_degree, {idx: Fraction(1)})
+        for vectors in itertools.product(basis, repeat=len(spec.arg_flavors)):
+            checked += 1
+            if unit * kernel.trace(T, vectors) != coeff * form_contract(T, vectors):
+                disagreements += 1
+    assert (checked, disagreements) == (inputs, 0)
 
 
 # ---------------------------------------------------------------------------
