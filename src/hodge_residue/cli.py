@@ -133,13 +133,19 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
         raise click.UsageError(
             f"--m does not apply to --suite {suite}: its checks run at a dimension n; use --n"
         )
-    if n_value is not None and (n_value % 2 or not 4 <= n_value <= MAX_DIMENSION):
-        raise click.UsageError(f"--n must be even with 4 <= n <= {MAX_DIMENSION}")
+    if n_value is not None and (
+        n_value < 2 if suite == "commutators" else n_value % 2 or not 4 <= n_value <= MAX_DIMENSION
+    ):
+        raise click.UsageError(
+            f"--n must be even with 4 <= n <= {MAX_DIMENSION} for --suite lemmas, even with "
+            f"4 <= n <= {MAX_COMMUTATOR_DIMENSION} for --suite all, and 2 <= n <= "
+            f"{MAX_COMMUTATOR_DIMENSION} for --suite commutators; got {n_value} for --suite {suite}"
+        )
     if n_value is not None and n_value > MAX_COMMUTATOR_DIMENSION and suite in ("commutators", "all"):
         raise click.UsageError(
             f"--n must be <= {MAX_COMMUTATOR_DIMENSION} for the commutator check "
             f"(suites commutators and all): it takes about 16 s at n = 10 and grows about "
-            f"ninefold per step of 2 in n, so n = 12 would take minutes"
+            f"ninefold per step of 2 in n, so a larger n would take minutes"
         )
     if out is not None and not out.parent.is_dir():
         raise click.UsageError(f"--out: directory {out.parent} does not exist")

@@ -17,6 +17,15 @@ operators whose traces the residue densities consume:
 * ``lift_torsion_assembly`` is the weighted combination
   ``(3/2) * lift(c,c,c) - (1/4) * lift_ordered(c,chat,chat)`` entering the
   degree-3 density computations.
+
+The random trials of the checks run in integers.  :func:`_random_doubled` is
+the one draw: it reads entries ``p/q`` (``p`` in ``[-3, 3]``, ``q`` in
+``{1, 2}``) from the ``random.Random`` stream exactly as ``randint`` then
+``choice`` would, and returns each doubled, as the integer ``2p/q``.
+:func:`random_vector` and :func:`random_form` halve it into ``Fraction``
+values.  :func:`_minor_sum` is the one contraction of a form with vectors,
+``sum_I T_I det(vectors restricted to I)`` over integers;
+:func:`form_contract` is its ``Fraction`` wrapper.
 """
 
 from __future__ import annotations
@@ -24,8 +33,9 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from math import comb
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .exterior import LinearOp, _accumulate, _check_flavor, _generator_blade, _integer_scaled
 
@@ -52,8 +62,7 @@ class AntiSymForm:
     __slots__ = ("n", "degree", "entries")
 
     def __init__(self, n: int, degree: int, entries: Dict[Tuple[int, ...], object] | None = None):
-        if degree < 0 or degree > n:
-            raise ValueError(f"degree must satisfy 0 <= degree <= n, got {degree}")
+        _check_degree(n, degree)
         self.n = n
         self.degree = degree
         clean: Dict[Tuple[int, ...], object] = {}
@@ -75,6 +84,13 @@ class AntiSymForm:
                         raise ValueError(f"conflicting values for index {sorted_idx}")
                     clean[sorted_idx] = value
         self.entries = clean
+
+    @classmethod
+    def _of(cls, n: int, degree: int, entries: Dict[Tuple[int, ...], object]) -> "AntiSymForm":
+        """A form from nonzero values at increasing in-range tuples, unchecked."""
+        form = cls.__new__(cls)
+        form.n, form.degree, form.entries = n, degree, entries
+        return form
 
     def value(self, indices: Sequence[int]):
         """Value at an arbitrary index tuple (antisymmetric extension)."""
@@ -101,14 +117,18 @@ class AntiSymForm:
         return f"AntiSymForm(n={self.n}, degree={self.degree}, nnz={len(self.entries)})"
 
 
+def _check_degree(n: int, degree: int) -> None:
+    if degree < 0 or degree > n:
+        raise ValueError(f"degree must satisfy 0 <= degree <= n, got {degree}")
+
+
 def form_contract(form: AntiSymForm, vectors: Sequence[Sequence]) -> Fraction:
     """Evaluate the form on ``degree`` many vectors (exact).
 
-    Computed as ``sum_I form(I) * det(vectors restricted to I)``; the minors
-    are expanded along their first row, and index sets share their
-    sub-minors.  The value is multilinear, so each vector and the form's
-    entries are scaled to integers by the lcm of their denominators, the
-    minors and the sum stay in integers, and the result is one ``Fraction``.
+    Computed as ``sum_I form(I) * det(vectors restricted to I)`` by
+    :func:`_minor_sum`.  The value is multilinear, so each vector and the
+    form's entries are scaled to integers by the lcm of their denominators,
+    the sum stays in integers, and the result is one ``Fraction``.
     """
     if len(vectors) != form.degree:
         raise ValueError("number of vectors must equal the form degree")
@@ -121,30 +141,55 @@ def form_contract(form: AntiSymForm, vectors: Sequence[Sequence]) -> Fraction:
         rows.append(ints)
         denominator *= q
     coeffs, q = _integer_scaled(form.entries.values())
-    denominator *= q
+    return Fraction(_minor_sum(rows, zip(form.entries, coeffs)), denominator * q)
+
+
+def _minor_sum(rows: Sequence[Sequence[int]], terms: Iterable[Tuple[Tuple[int, ...], int]]) -> int:
+    """``sum coeff * det(rows restricted to idx)`` over the ``(idx, coeff)``
+    terms (increasing, 1-based ``idx``), in integers.
+
+    The minors of the last rows are built bottom-up, keyed by column
+    bitmask, over the columns the terms use: a row put on top of a minor at
+    a new column ``c`` contributes with the sign of the minor's columns below
+    ``c``.  Each term then expands along the first row, so index sets share
+    their sub-minors.
+    """
+    masked = []
+    used = 0
+    for idx, coeff in terms:
+        if coeff:
+            mask = 0
+            for j in idx:
+                mask |= 1 << (j - 1)
+            masked.append((mask, idx, coeff))
+            used |= mask
+    if not rows:
+        return sum(coeff for _, _, coeff in masked)
+    minors = {0: 1}
+    for row in rows[:0:-1]:
+        grown: Dict[int, int] = {}
+        for mask, minor in minors.items():
+            odd = False
+            bit = 1
+            for x in row:
+                if mask & bit:
+                    odd = not odd
+                elif x and used & bit:
+                    key = mask | bit
+                    grown[key] = grown.get(key, 0) + (-x * minor if odd else x * minor)
+                bit <<= 1
+        minors = grown
+    first = rows[0]
     total = 0
-    minors: Dict[Tuple[int, ...], int] = {(): 1}
-    for idx, coeff in zip(form.entries, coeffs):
-        minor = _minor(rows, idx, minors)
-        if minor:
-            total += coeff * minor
-    return Fraction(total, denominator)
-
-
-def _minor(vectors: Sequence[Sequence], cols: Tuple[int, ...], memo: Dict) -> object:
-    """Determinant of the last ``len(cols)`` vectors restricted to the
-    (1-based, increasing) columns ``cols``, memoized in ``memo``."""
-    value = memo.get(cols)
-    if value is None:
-        row = vectors[len(vectors) - len(cols)]
+    for mask, idx, coeff in masked:
         value = 0
-        for pos, col in enumerate(cols):
-            entry = row[col - 1]
-            if entry:
-                term = entry * _minor(vectors, cols[:pos] + cols[pos + 1:], memo)
-                value = value - term if pos & 1 else value + term
-        memo[cols] = value
-    return value
+        for pos, j in enumerate(idx):
+            x = first[j - 1]
+            if x:
+                minor = x * minors.get(mask ^ (1 << (j - 1)), 0)
+                value = value - minor if pos & 1 else value + minor
+        total += coeff * value
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +287,38 @@ def _require_degree(form: AntiSymForm, degree: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _random_doubled(count: int, rng) -> List[int]:
+    """``count`` random entries ``p/q``, ``p`` in ``[-3, 3]`` and ``q`` in
+    ``{1, 2}``, each returned doubled as the integer ``2p/q``.
+
+    The stream is read exactly as ``rng.randint(-3, 3)`` then
+    ``rng.choice((1, 2))`` read it per entry: ``getrandbits(3)`` drawn again
+    while it is 7, then ``getrandbits(2)`` drawn again while it is 2 or 3.
+    """
+    bits = rng.getrandbits
+    doubled = []
+    for _ in range(count):
+        p = bits(3)
+        while p == 7:
+            p = bits(3)
+        q = bits(2)
+        while q > 1:
+            q = bits(2)
+        doubled.append((p - 3) << (1 - q))
+    return doubled
+
+
 def random_form(n: int, degree: int, rng) -> AntiSymForm:
     """Random form with entries ``p/q``, ``p`` in ``[-3, 3]``, ``q`` in ``{1, 2}``."""
-    entries: Dict[Tuple[int, ...], object] = {}
-    for idx in itertools.combinations(range(1, n + 1), degree):
-        value = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-        if value:
-            entries[idx] = value
-    return AntiSymForm(n, degree, entries)
+    _check_degree(n, degree)
+    basis = itertools.combinations(range(1, n + 1), degree)
+    doubled = _random_doubled(comb(n, degree), rng)
+    return AntiSymForm._of(n, degree, {idx: Fraction(x, 2) for idx, x in zip(basis, doubled) if x})
 
 
 def random_vector(n: int, rng) -> List[Fraction]:
     """Random vector with the same entry distribution as :func:`random_form`."""
-    return [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+    return [Fraction(x, 2) for x in _random_doubled(n, rng)]
 
 
 def form_to_json(form: AntiSymForm) -> dict:

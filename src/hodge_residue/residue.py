@@ -18,17 +18,22 @@ form and in each vector.  A :class:`TraceKernel` is compiled once per check
 (or per call of :func:`spectral_density` and :func:`density_decomposition`)
 from basis inputs: the lift of each basis form ``e_I``, its placement ``P``,
 and the letter paths that fold each placed blade to the empty blade.  It is
-the sparse integer tensor ``{(I, j_1, ..., j_k): c}``, and each trial
-contracts it with the integer-scaled form and vectors and divides once.  No
-Clifford word is built on this path.
+the sparse integer tensor ``{(I, j_1, ..., j_k): c}``;
+:meth:`TraceKernel.contract` contracts it with integer rows, and
+:meth:`TraceKernel.trace` scales rational inputs to integers and divides
+once.  No Clifford word is built on this path.
 
 Each functional carries a closed-form coefficient table entry;
 :func:`verify_theorem` compares the engine's exact density against
 ``coefficient * T(args)`` on random trials, and :func:`lemma_check` verifies
-the individual trace identities feeding those densities.  Every check is an
-exact comparison: when the engine's exact value disagrees with a tabulated
-closed form, the report carries both values verbatim; nothing is softened to
-a tolerance or auto-corrected.
+the individual trace identities feeding those densities.  A trial draws its
+inputs doubled, as integers, contracts the kernel and the expected side's
+unit in integers, and decides its verdict by one integer identity; the
+``SymbolicScalar`` values are built only for what a report prints, the first
+nonzero pass and the first failure.  Every check is an exact comparison:
+when the engine's exact value disagrees with a tabulated closed form, the
+report carries both values verbatim; nothing is softened to a tolerance or
+auto-corrected.
 """
 
 from __future__ import annotations
@@ -51,15 +56,14 @@ from .exterior import (
 )
 from .forms import (
     AntiSymForm,
-    form_contract,
+    _minor_sum,
+    _random_doubled,
     lift_four_chat,
     lift_four_mixed,
     lift_three_c,
     lift_three_mixed,
     lift_torsion_assembly,
     lift_two_chat,
-    random_form,
-    random_vector,
 )
 from .scalars import GaussianRational, I, ONE, SymbolicScalar, sphere_volume
 from .symbols import cosphere_average
@@ -148,11 +152,24 @@ class TraceKernel:
         # one list per tensor slot: the form's basis slot, then each letter's index
         self.columns = list(zip(*tensor))
 
+    def contract(self, rows: Sequence[Sequence[int]]) -> int:
+        """``sum c * rows[0][I] * rows[1][j_1] ... rows[k][j_k]`` in integers.
+
+        ``rows[0]`` holds the form's values in :attr:`basis` order (``[1]``
+        for degree 0) and the other rows the letters' vectors; the trace is
+        ``2^n / denominator`` times the result.
+        """
+        products = self.coeffs
+        for column, row in zip(self.columns, rows):
+            products = map(mul, products, map(row.__getitem__, column))
+        return sum(products)
+
     def trace(self, form: Optional[AntiSymForm], vectors: Sequence[Sequence]) -> Fraction:
         """The trace on a form (``None`` for degree 0) and the letters' vectors.
 
         Each input is scaled to integers by the lcm of its denominators, the
-        tensor is contracted in integers, and the result is one ``Fraction``.
+        tensor is contracted by :meth:`contract`, and the result is one
+        ``Fraction``.
         """
         if form is None:
             rows, scale = [[1]], 1
@@ -163,10 +180,7 @@ class TraceKernel:
             ints, q = _integer_scaled(u)
             rows.append(ints)
             scale *= q
-        products = self.coeffs
-        for column, row in zip(self.columns, rows):
-            products = list(map(mul, products, map(row.__getitem__, column)))
-        return Fraction(sum(products) << self.n, self.denominator * scale)
+        return Fraction(self.contract(rows) << self.n, self.denominator * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +333,8 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
 
     Draws random small-rational forms and vectors; every trial must satisfy
     ``spectral_density == closed_form_coefficient * form_contract`` exactly.
-    The density's trace kernel is compiled once for all trials.
+    The density's trace kernel is compiled once for all trials, and each
+    trial draws, contracts and compares in integers (see :func:`lemma_check`).
     """
     fspec = _resolve_functional(functional_id)
     if trials < 1:
@@ -329,21 +344,40 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
     coeff = closed_form_coefficient(fspec.functional_id, m)
     kernel = _density_kernel(fspec, n, "interior", m)
     volume = sphere_volume(n - 1)
+    # the density is V * prefactor * 2^n c / D and the expected side
+    # V * per_volume * unit, so they agree when prefactor * 2^n c / D equals
+    # per_volume * unit in the real and in the imaginary part; each part is
+    # cleared of denominators into one integer identity c * left == unit * right
+    per_volume = coeff.coefficient(spheres=(n - 1,))
+    if coeff != volume * per_volume:
+        raise ValueError(f"{fspec.functional_id} coefficient is not a multiple of V(S^{n - 1})")
+    sides = [
+        (p.numerator * q.denominator << n, q.numerator * p.denominator * kernel.denominator)
+        for p, q in ((fspec.prefactor.re, per_volume.re), (fspec.prefactor.im, per_volume.im))
+    ]
+    # the draws are doubled, and the trace and the unit are both linear in the
+    # form and in each of the k vectors, so both carry the factor 2^(k + 1)
+    inputs = len(fspec.arg_flavors) + 1
+
+    def rendered(c: int, unit: int) -> Tuple[str, str]:
+        computed = volume * (fspec.prefactor * Fraction(c << n, kernel.denominator << inputs))
+        return computed.render(), (coeff * Fraction(unit, 1 << inputs)).render()
+
     failures = 0
     rep_pass: Optional[Tuple[str, str]] = None
     rep_fail: Optional[Tuple[str, str, str]] = None
     for trial in range(trials):
-        T = random_form(n, fspec.torsion_degree, rng)
-        vectors = [random_vector(n, rng) for _ in fspec.arg_flavors]
-        computed = volume * (fspec.prefactor * kernel.trace(T, vectors))
-        expected = coeff * form_contract(T, vectors)
-        if computed == expected:
-            if rep_pass is None and not expected.is_zero:
-                rep_pass = (computed.render(), expected.render())
+        form = _random_doubled(len(kernel.basis), rng)
+        vectors = [_random_doubled(n, rng) for _ in fspec.arg_flavors]
+        c = kernel.contract([form, *vectors])
+        unit = _minor_sum(vectors, zip(kernel.basis, form))
+        if all(c * left == unit * right for left, right in sides):
+            if rep_pass is None and unit and coeff:
+                rep_pass = rendered(c, unit)
         else:
             failures += 1
             if rep_fail is None:
-                rep_fail = (computed.render(), expected.render(), f"first mismatch at trial {trial}")
+                rep_fail = (*rendered(c, unit), f"first mismatch at trial {trial}")
     if failures:
         computed_str, expected_str, note = rep_fail
         return CheckReport(
@@ -434,12 +468,15 @@ _LEMMA_ALIASES: Dict[str, Tuple[str, str]] = {
 
 
 def _dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
-def _lemma_unit(spec: LemmaSpec, form: Optional[AntiSymForm], vectors: List[Sequence]):
+def _lemma_unit(spec: LemmaSpec, basis: Sequence[Tuple[int, ...]], form: Optional[Sequence[int]],
+                vectors: Sequence[Sequence[int]]) -> int:
+    """The identity's unit on integer inputs, the form given by its values
+    in ``basis`` order."""
     if spec.unit == "form":
-        return form_contract(form, vectors)
+        return _minor_sum(vectors, zip(basis, form))
     if spec.unit == "metric":
         return _dot(vectors[0], vectors[1])
     u, v, w = vectors
@@ -467,12 +504,12 @@ def _lemma_kernel(spec: LemmaSpec, n: int, placement: str) -> TraceKernel:
     )
 
 
-def _lemma_value(kernel: TraceKernel, placement: str, form: Optional[AntiSymForm],
-               vectors: Sequence[Sequence]) -> SymbolicScalar:
-    value = kernel.trace(form, vectors)
+def _placed_value(value: Fraction, placement: str, n: int) -> SymbolicScalar:
+    """A trace identity's side: the value itself for the plain placement,
+    ``V(S^{n-1})`` times it for a sandwiched (cosphere-integrated) one."""
     if placement == "plain":
         return SymbolicScalar.number(value)
-    return sphere_volume(kernel.n - 1) * value
+    return sphere_volume(n - 1) * value
 
 
 def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> CheckReport:
@@ -483,6 +520,12 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     closed form ``ratio * unit * Tr(Id)`` (times ``V(S^{n-1})`` for
     integrated variants); any disagreement is reported with both exact
     values.
+
+    Each trial draws its inputs doubled, as integers, and contracts the
+    kernel and the unit in integers.  The trace is ``2^n c / D`` and both
+    sides carry the same ``V(S^{n-1})``, so a comparison holds exactly when
+    ``c * ratio.den == ratio.num * unit * D``; only the values a report
+    prints are built as scalars.
     """
     placements: Optional[Tuple[str, ...]] = None
     if lemma_id in _LEMMA_ALIASES:
@@ -499,45 +542,56 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    kernels = {placement: _lemma_kernel(spec, n, placement) for placement in placements}
+    kernels = [(placement, _lemma_kernel(spec, n, placement)) for placement in placements]
+    basis = kernels[0][1].basis
     rng = random.Random(f"{seed}:lemma:{lemma_id}:{n}")
-    tr_id = 1 << n
-    vol = sphere_volume(n - 1)
+    num, den = spec.ratio.numerator, spec.ratio.denominator
+    magnitude = spec.sign_policy == "magnitude"
+    # the draws are doubled, and the trace and the unit are both linear in
+    # each input (the form, if any, and every vector), so both carry 2^inputs
+    inputs = len(spec.word_flavors) + bool(spec.form_degree)
+
+    def rendered(placement: str, c: int, kernel: TraceKernel, unit: int, sign: int = 1) -> Tuple[str, str]:
+        computed = Fraction(c << n, kernel.denominator << inputs)
+        expected = spec.ratio * Fraction(sign * unit << n, 1 << inputs)
+        return (_placed_value(computed, placement, n).render(),
+                _placed_value(expected, placement, n).render())
+
     failures = 0
     rep_pass: Optional[Tuple[str, str]] = None
     rep_fail: Optional[Tuple[str, str, str]] = None
     observed_signs = set()
 
     for trial in range(trials):
-        vectors = [random_vector(n, rng) for _ in spec.word_flavors]
-        form = random_form(n, spec.form_degree, rng) if spec.form_degree else None
-        unit = _lemma_unit(spec, form, vectors)
-        for placement in placements:
-            computed = _lemma_value(kernels[placement], placement, form, vectors)
-            scale = spec.ratio * unit * tr_id
-            expected = SymbolicScalar.number(scale)
-            if placement != "plain":
-                expected = expected * vol
-            if spec.sign_policy == "magnitude":
-                ok = _magnitude_check(computed, expected, observed_signs)
-                if ok and not expected.is_zero:
-                    # report the sign actually observed alongside the magnitude
-                    sign = next(iter(observed_signs))
-                    expected = expected * sign
+        vectors = [_random_doubled(n, rng) for _ in spec.word_flavors]
+        form = _random_doubled(len(basis), rng) if spec.form_degree else None
+        unit = _lemma_unit(spec, basis, form, vectors)
+        rows = [form if form is not None else [1], *vectors]
+        for placement, kernel in kernels:
+            c = kernel.contract(rows)
+            left, right = c * den, num * unit * kernel.denominator
+            sign = 1
+            if magnitude and right:
+                # pass when left = s * right for a sign s consistent across trials
+                sign = 1 if left == right else -1 if left == -right else 0
+                if sign:
+                    observed_signs.add(sign)
+                ok = bool(sign) and len(observed_signs) == 1
             else:
-                ok = computed == expected
+                ok = left == right
             if ok:
-                if rep_pass is None and not expected.is_zero:
-                    rep_pass = (computed.render(), expected.render())
+                if rep_pass is None and right:
+                    # a magnitude check reports the sign actually observed
+                    rep_pass = rendered(placement, c, kernel, unit, sign)
             else:
                 failures += 1
                 if rep_fail is None:
                     label = placement if len(placements) > 1 else ""
                     where = f"trial {trial}" + (f", {label} placement" if label else "")
-                    rep_fail = (computed.render(), expected.render(), where)
+                    rep_fail = (*rendered(placement, c, kernel, unit), where)
 
     detail = ""
-    if spec.sign_policy == "magnitude" and observed_signs:
+    if magnitude and observed_signs:
         detail = (
             f"observed sign {'+' if 1 in observed_signs else '-'}1 relative to the "
             "tabulated magnitude; proportionality and magnitude asserted, sign recorded"
@@ -550,17 +604,6 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
         return CheckReport(lemma_id, n, trials, "fail", computed_str, expected_str, detail=note)
     computed_str, expected_str = rep_pass if rep_pass else ("0", "0")
     return CheckReport(lemma_id, n, trials, "pass", computed_str, expected_str, detail=detail)
-
-
-def _magnitude_check(computed: SymbolicScalar, expected: SymbolicScalar, observed_signs: set) -> bool:
-    """Pass when computed = s * expected for a sign s consistent across trials."""
-    if expected.is_zero:
-        return computed.is_zero
-    for sign in (1, -1):
-        if computed == expected * sign:
-            observed_signs.add(sign)
-            return len(observed_signs) == 1
-    return False
 
 
 def lemma_ids() -> List[str]:

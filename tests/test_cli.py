@@ -211,6 +211,29 @@ class TestConfigurationErrors:
         assert result.exit_code == 2
         assert "--n must be even with 4 <= n <= 14" in result.output
 
+    @pytest.mark.parametrize("suite,n,message", [
+        ("commutators", "1", "2 <= n <= 10 for --suite commutators; got 1"),
+        ("commutators", "11", "--n must be <= 10 for the commutator check"),
+        ("all", "2", "even with 4 <= n <= 10 for --suite all"),
+        ("all", "3", "even with 4 <= n <= 10 for --suite all"),
+        ("lemmas", "3", "even with 4 <= n <= 14 for --suite lemmas"),
+    ])
+    def test_dimension_outside_the_suite_range_exits_2(self, runner, monkeypatch, suite, n, message):
+        monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
+        result = runner.invoke(main, ["verify", "--suite", suite, "--n", n])
+        assert result.exit_code == 2
+        assert message in " ".join(result.output.split())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_commutator_suite_runs_at_small_and_odd_n(self, runner, n):
+        result = runner.invoke(main, ["verify", "--suite", "commutators", "--n", str(n)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["config"]["n"] == [n]
+        assert [(c["id"], c["n"], c["status"]) for c in report["checks"]] == [
+            ("commutator.c", n, "pass"), ("commutator.chat", n, "pass"),
+        ]
+
     @pytest.mark.parametrize("suite", ["commutators", "all"])
     @pytest.mark.parametrize("n", ["12", "14"])
     def test_commutator_dimension_that_cannot_finish_exits_2(self, runner, monkeypatch, suite, n):

@@ -22,6 +22,7 @@ from hodge_residue.forms import (
     lift_three_c,
     lift_three_mixed,
     lift_torsion_assembly,
+    _random_doubled,
     lift_two_chat,
     random_form,
     random_vector,
@@ -207,6 +208,29 @@ class TestRandomData:
         assert len(vec) == 6
         for x in vec:
             assert x.denominator in (1, 2) and abs(x) <= 3
+
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 1001])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_doubled_draw_reads_the_stream_of_randint_then_choice(self, seed, length):
+        # the draw reads getrandbits directly; a change to how random.Random
+        # draws randint or choice must fail here by name
+        ours, reference = random.Random(seed), random.Random(seed)
+        drawn = _random_doubled(length, ours)
+        expected = [2 * Fraction(reference.randint(-3, 3), reference.choice((1, 2))) for _ in range(length)]
+        assert drawn == expected
+        assert all(type(x) is int for x in drawn)
+        assert ours.getstate() == reference.getstate()
+
+    def test_random_form_and_vector_halve_the_doubled_draw(self):
+        ours, reference = random.Random(3), random.Random(3)
+        form = random_form(6, 3, ours)
+        doubled = _random_doubled(20, reference)
+        basis = itertools.combinations(range(1, 7), 3)
+        assert form == AntiSymForm(6, 3, {idx: Fraction(x, 2) for idx, x in zip(basis, doubled)})
+        assert list(form.entries) == sorted(form.entries)
+        assert random_vector(6, ours) == [Fraction(x, 2) for x in _random_doubled(6, reference)]
+        assert ours.getstate() == reference.getstate()
 
 
 class TestJsonRoundTrip:

@@ -7,8 +7,10 @@ disagrees with the engine are asserted to FAIL with both values reported —
 those discrepancies are real and must stay visible.
 """
 
+import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,13 +27,14 @@ from hodge_residue.forms import (
     random_form,
     random_vector,
 )
+import hodge_residue.residue as residue_module
 from hodge_residue.residue import (
     FUNCTIONALS,
     LEMMA_CHECKS,
     _density_kernel,
     _lemma_kernel,
     _lemma_lift,
-    _lemma_value,
+    _placed_value,
     closed_form_coefficient,
     density_decomposition,
     lemma_check,
@@ -117,7 +120,8 @@ def test_lemma_kernels_equal_word_route(n, draw):
                 form = form_of(n, spec.form_degree, rng) if spec.form_degree else None
                 word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
                 expected = lemma_lhs(word, _lemma_lift(spec, form, n), placement)
-                assert _lemma_value(kernel, placement, form, vectors) == expected, (lemma_id, placement)
+                value = _placed_value(kernel.trace(form, vectors), placement, n)
+                assert value == expected, (lemma_id, placement)
                 compared += 1
                 nonzero += not expected.is_zero
     assert compared == 2 * sum(len(spec.placements) for spec in LEMMA_CHECKS.values())
@@ -484,3 +488,117 @@ class TestReportShape:
         report = lemma_check("M6.2", 4, trials=3, seed=0)
         assert report.status == "pass"
         assert "-1" in report.detail or "minus" in report.detail.lower()
+
+
+# ---------------------------------------------------------------------------
+# Verdict strictness of the integer comparison: a check whose table is moved
+# must fail, and the values it reports must be the ones the word route
+# (tests/word_reference.py) renders for the same trial.
+# ---------------------------------------------------------------------------
+
+
+def _first_failing_trial(report) -> int:
+    assert report.status == "fail", report.to_dict()
+    return int(re.search(r"first (?:mismatch )?at trial (\d+)", report.detail).group(1))
+
+
+def _lemma_inputs(spec, lemma_id, n, seed, trial):
+    """The vectors and form ``lemma_check`` draws at ``trial``."""
+    rng = random.Random(f"{seed}:lemma:{lemma_id}:{n}")
+    for _ in range(trial + 1):
+        vectors = [random_vector(n, rng) for _ in spec.word_flavors]
+        form = random_form(n, spec.form_degree, rng) if spec.form_degree else None
+    return vectors, form
+
+
+def _word_route_lhs(spec, n, vectors, form):
+    word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
+    return lemma_lhs(word, _lemma_lift(spec, form, n), "plain")
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_lemma_ratio_moved_by_one_seventh_fails(monkeypatch, n):
+    spec = dataclasses.replace(LEMMA_CHECKS["L2.4"], ratio=LEMMA_CHECKS["L2.4"].ratio + Fraction(1, 7))
+    monkeypatch.setitem(LEMMA_CHECKS, "L2.4", spec)
+    report = lemma_check("L2.4", n, trials=5, seed=0)
+    trial = _first_failing_trial(report)
+    vectors, form = _lemma_inputs(spec, "L2.4", n, 0, trial)
+    expected = SymbolicScalar.number(spec.ratio * form_contract(form, vectors) * (1 << n))
+    assert report.computed == _word_route_lhs(spec, n, vectors, form).render()
+    assert report.expected == expected.render()
+    assert report.computed != report.expected
+
+
+@pytest.mark.parametrize("shift", [GaussianRational(1), GaussianRational(0, 1)], ids=["real", "imaginary"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_theorem_coefficient_moved_by_one_fails(monkeypatch, m, shift):
+    table = residue_module.closed_form_coefficient
+
+    def moved(functional_id, mm):
+        return table(functional_id, mm) + SymbolicScalar.unit(shift, spheres=(2 * mm - 1,))
+
+    monkeypatch.setattr(residue_module, "closed_form_coefficient", moved)
+    report = verify_theorem("T1", m, trials=5, seed=0)
+    trial = _first_failing_trial(report)
+    spec, n = FUNCTIONALS["T1"], 2 * m
+    rng = random.Random(f"0:theorem:T1:{m}")
+    for _ in range(trial + 1):
+        T = random_form(n, spec.torsion_degree, rng)
+        vectors = [random_vector(n, rng) for _ in spec.arg_flavors]
+    assert report.computed == word_reference.spectral_density(spec, T, vectors, m).render()
+    assert report.expected == (moved("T1", m) * form_contract(T, vectors)).render()
+    assert report.computed != report.expected
+
+
+def test_theorem_coefficient_off_the_sphere_unit_is_rejected(monkeypatch):
+    # the integer verdict compares multiples of V(S^{n-1}); a table entry
+    # with any other unit must not be compared on that unit alone
+    table = residue_module.closed_form_coefficient
+    monkeypatch.setattr(residue_module, "closed_form_coefficient",
+                        lambda functional_id, m: table(functional_id, m) + 1)
+    with pytest.raises(ValueError, match="not a multiple of V"):
+        verify_theorem("T1", 2, trials=1, seed=0)
+
+
+def test_magnitude_sign_that_flips_between_trials_fails(monkeypatch):
+    # the unit's sign alternates from trial to trial, so no single sign
+    # relates the engine's value to the tabulated magnitude
+    unit = residue_module._lemma_unit
+    calls = []
+
+    def flipping(*args):
+        calls.append(None)
+        return unit(*args) * (-1) ** len(calls)
+
+    monkeypatch.setattr(residue_module, "_lemma_unit", flipping)
+    n = 4
+    report = lemma_check("M6.2", n, trials=6, seed=0)
+    trial = _first_failing_trial(report)
+    assert "observed sign +1" in report.detail
+    spec = LEMMA_CHECKS["M6.2"]
+    vectors, form = _lemma_inputs(spec, "M6.2", n, 0, trial)
+    expected = (-1) ** (trial + 1) * spec.ratio * dot(*vectors) * (1 << n)
+    assert report.computed == _word_route_lhs(spec, n, vectors, form).render()
+    assert report.expected == SymbolicScalar.number(expected).render()
+    assert report.computed != report.expected
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_derived_fractional_ratio_passes(monkeypatch, n):
+    # L3.6b's derived ratio (n - 6)/n (README) has denominator n / gcd(n, 6),
+    # so the integer verdict must keep the ratio's denominator
+    spec = dataclasses.replace(LEMMA_CHECKS["L3.6b"], ratio=Fraction(n - 6, n))
+    monkeypatch.setitem(LEMMA_CHECKS, "L3.6b", spec)
+    report = lemma_check("L3.6b", n, trials=3, seed=0)
+    assert report.status == "pass", report.to_dict()
+    rng = random.Random(f"0:lemma:L3.6b:{n}")
+    while True:
+        vectors = [random_vector(n, rng) for _ in spec.word_flavors]
+        form = random_form(n, spec.form_degree, rng)
+        unit = form_contract(form, vectors)
+        if unit:
+            break
+    word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
+    expected = SymbolicScalar.number(spec.ratio * unit * (1 << n)) * sphere_volume(n - 1)
+    assert report.computed == lemma_lhs(word, _lemma_lift(spec, form, n), "before").render()
+    assert report.expected == expected.render() == report.computed
