@@ -14,7 +14,6 @@ from .boundary import (
     boundary_density,
     closed_form_boundary_coefficient,
     normal_derivative_symbol,
-    pi_minus,
     pi_plus,
     resolvent_symbol_channels,
     verify_boundary,
@@ -25,7 +24,6 @@ from .exterior import (
     clifford_generator,
     clifford_word,
     contract_lower,
-    generator_word,
     trace_product,
     wedge_raise,
 )
@@ -33,7 +31,6 @@ from .forms import (
     AntiSymForm,
     form_contract,
     form_from_json,
-    form_to_json,
     lift_four_chat,
     lift_four_mixed,
     lift_three_c,
@@ -92,8 +89,6 @@ __all__ = [
     "density_decomposition",
     "form_contract",
     "form_from_json",
-    "form_to_json",
-    "generator_word",
     "lemma_check",
     "lemma_ids",
     "lift_four_chat",
@@ -103,7 +98,6 @@ __all__ = [
     "lift_torsion_assembly",
     "lift_two_chat",
     "normal_derivative_symbol",
-    "pi_minus",
     "pi_plus",
     "random_form",
     "random_vector",

@@ -25,9 +25,20 @@ residue kernel of symbol order ``m``; it is built once per ``m`` from the same
 channels, projection and residues, with every pole and decay check, and
 channels whose computed sphere moment is zero are left out of it.
 
+At every ``m`` that kernel has one term, ``(i/2) c_n`` (the normal channel),
+so a density is ``weight * tr(W c_n)`` with ``weight`` the term's ``K``
+times its blade coefficient.  ``tr(W(u, v, w) c_n)`` is a degree-0
+:class:`~hodge_residue.residue.TraceKernel`, the same tensor as the B5.8
+(psi1) and B5.10 (psi2) trace identities; the kernel build raises
+``ValueError`` if the residue kernel has another term count or its operator
+is not a single blade.  No Clifford word is built.
+
 :func:`verify_boundary` asserts exact proportionality of each density to its
 stated vector contraction and compares the engine's absolute constant with
-the tabulated closed form, reporting both.
+the tabulated closed form, reporting both.  A trial draws its vectors
+doubled, as integers, contracts the kernel and the stated contraction in
+integers, and decides each comparison by integer identities; the
+``SymbolicScalar`` values are built only for what a report prints.
 """
 
 from __future__ import annotations
@@ -39,9 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exterior import LinearOp, clifford_generator, clifford_word, trace_product
-from .forms import random_vector
-from .residue import CheckReport
+from .exterior import LinearOp, clifford_generator, trace_product
+from .forms import _random_doubled
+from .residue import CheckReport, TraceKernel
 from .scalars import (
     GaussianRational,
     I,
@@ -395,26 +406,17 @@ class RationalXnOp:
         return f"RationalXnOp(n={self.n}, terms={len(self.terms)}, poly={len(self.poly)})"
 
 
-def _half_plane_projection(r: RationalXnOp, keep_upper: bool) -> RationalXnOp:
+def pi_plus(r: RationalXnOp) -> RationalXnOp:
+    """Keep the partial-fraction terms with poles in the upper half-plane."""
     if r.poly:
         raise ValueError("projection requires a decaying symbol (no polynomial part)")
     kept = []
     for pole, order, op in r.terms:
         if pole.im == 0:
             raise ValueError(f"pole on the real axis at {pole}")
-        if (pole.im > 0) == keep_upper:
+        if pole.im > 0:
             kept.append((pole, order, op))
     return RationalXnOp(r.n, kept)
-
-
-def pi_plus(r: RationalXnOp) -> RationalXnOp:
-    """Keep the partial-fraction terms with poles in the upper half-plane."""
-    return _half_plane_projection(r, True)
-
-
-def pi_minus(r: RationalXnOp) -> RationalXnOp:
-    """Keep the partial-fraction terms with poles in the lower half-plane."""
-    return _half_plane_projection(r, False)
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +490,37 @@ def _residue_kernel(m: int) -> Tuple[Tuple[LinearOp, SymbolicScalar], ...]:
     return tuple(kernel)
 
 
+def _boundary_kernel(flavor: str, m: int) -> Tuple[TraceKernel, SymbolicScalar]:
+    """``(kernel, weight)`` with ``boundary_density = weight * 2^n c / D``.
+
+    ``c`` is the kernel's contraction with the three vectors and ``D`` its
+    denominator.  The residue kernel of order ``m`` must have one term
+    ``coeff * e_key``: the kernel is the degree-0 trace against the blade
+    ``e_key`` and the weight is ``K * coeff``.
+    """
+    n = 2 * m
+    terms = _residue_kernel(m)
+    if len(terms) != 1:
+        raise ValueError(f"the residue kernel of order {m} has {len(terms)} terms, not one")
+    op, integral = terms[0]
+    if len(op.blades) != 1:
+        raise ValueError(f"the residue kernel's operator has {len(op.blades)} blades, not one")
+    [(key, coeff)] = op.blades.items()
+    blade = LinearOp._of(n, {key: 1})
+    return TraceKernel(n, _FLAVOR_WORDS[flavor], lambda _: blade, 0, "plain"), integral * coeff
+
+
 def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
     """Exact boundary density in units ``pi * V(S^{n-2})``.
 
     The projected inverse symbol times the normal derivative of the next
     symbol order, traced against the argument word, integrated over ``xi_n``
-    by residues and over the tangential sphere by exact moments; assembled
-    as ``sum_t tr(word op_t) * K_t`` over the residue kernel of order ``m``.
+    by residues and over the tangential sphere by exact moments: the
+    weight of the one residue-kernel term times the trace of the word
+    against its blade, read from a degree-0 trace kernel compiled per call.
     """
-    word = clifford_word(2 * args.m, list(zip(_FLAVOR_WORDS[args.flavor], (args.u, args.v, args.w))))
-    total = SymbolicScalar()
-    for op, weight in _residue_kernel(args.m):
-        total = total + weight * trace_product(word, op)
-    return total
+    kernel, weight = _boundary_kernel(args.flavor, args.m)
+    return weight * kernel.trace(None, (args.u, args.v, args.w))
 
 
 def closed_form_boundary_coefficient(flavor: str, m: int) -> SymbolicScalar:
@@ -549,41 +569,62 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
         raise ValueError("trials must be >= 1")
     n = 2 * m
     rng = random.Random(f"{seed}:boundary:{flavor}:{m}")
-    tr_id = 1 << n
     per_unit_expected = closed_form_boundary_coefficient(flavor, m) * sphere_volume(n - 2)
-    ratios = set()
+    kernel, weight = _boundary_kernel(flavor, m)
+    # the density is weight * 2^n c / D and the expected side
+    # per_unit_expected * 2^n t, t the stated contraction; they agree when
+    # weight * c / D equals per_unit_expected * t in the real and in the
+    # imaginary part of every unit, each cleared into c * left == t * right
+    sides = []
+    for key in weight.terms.keys() | per_unit_expected.terms.keys():
+        a, b = weight.terms.get(key, ZERO), per_unit_expected.terms.get(key, ZERO)
+        for p, q in ((a.re, b.re), (a.im, b.im)):
+            sides.append((p.numerator * q.denominator, q.numerator * p.denominator * kernel.denominator))
+
+    # the draws are doubled, and the trace and the contraction are both
+    # linear in each of the three vectors, so both carry the factor 8
+    def density(c: int) -> SymbolicScalar:
+        return weight * Fraction(c << n, kernel.denominator << 3)
+
+    def rendered(c: int, t: int) -> Tuple[str, str]:
+        return density(c).render(), (per_unit_expected * Fraction(t << n, 8)).render()
+
+    # proportionality: every trial's ratio weight * c / (D t) against the
+    # first trial's with a nonzero contraction, (c0, t0)
+    first: Optional[Tuple[int, int]] = None
     proportional = True
+    nonconstant = False
     failures = 0
     rep_pass: Optional[Tuple[str, str]] = None
     rep_fail: Optional[Tuple[str, str, str]] = None
     for trial in range(trials):
-        u, v, w = (random_vector(n, rng) for _ in range(3))
-        args = BoundaryArgs(flavor, tuple(u), tuple(v), tuple(w), m)
-        computed = boundary_density(args)
-        contraction = boundary_contraction(flavor, u, v, w)
-        if not contraction:
-            if not computed.is_zero:
+        u, v, w = (_random_doubled(n, rng) for _ in range(3))
+        c = kernel.contract([[1], u, v, w])
+        t = boundary_contraction(flavor, u, v, w)
+        if not t:
+            if c and weight:
                 proportional = False
                 failures += 1
                 if rep_fail is None:
-                    rep_fail = (computed.render(), "0", f"trial {trial} (contraction 0)")
+                    rep_fail = (density(c).render(), "0", f"trial {trial} (contraction 0)")
             continue
-        ratios.add(computed / (contraction * tr_id))
-        expected = per_unit_expected * (contraction * tr_id)
-        if computed == expected:
+        if first is None:
+            first = (c, t)
+        elif weight and c * first[1] != first[0] * t:
+            nonconstant = True
+        if all(c * left == t * right for left, right in sides):
             if rep_pass is None:
-                rep_pass = (computed.render(), expected.render())
+                rep_pass = rendered(c, t)
         else:
             failures += 1
             if rep_fail is None:
-                rep_fail = (computed.render(), expected.render(), f"trial {trial}")
-    if len(ratios) > 1:
-        proportional = False
+                rep_fail = (*rendered(c, t), f"trial {trial}")
     check_id = "Psi1" if flavor == "psi1" else "Psi2"
-    if len(ratios) == 1:
-        engine_constant = next(iter(ratios)).render()
-    elif ratios:
+    if nonconstant:
+        proportional = False
         engine_constant = "nonconstant"
+    elif first is not None:
+        engine_constant = (weight * Fraction(first[0], kernel.denominator * first[1])).render()
     else:
         engine_constant = "undetermined (the contraction is 0 on every trial)"
     detail = (

@@ -359,14 +359,3 @@ def _generator_blade(n: int, letters: Iterable[Tuple[str, int]]) -> Tuple[int, i
         key ^= g
     return key, sign
 
-
-def generator_word(n: int, letters: Sequence[Tuple[str, int]]) -> LinearOp:
-    """Product of single-direction generators ``[(flavor, j), ...]``: one
-    signed blade, multiplied out by the product rule."""
-    _check_n(n)
-    letters = list(letters)
-    for flavor, j in letters:
-        _check_flavor(flavor)
-        _check_index(n, j)
-    key, sign = _generator_blade(n, letters)
-    return LinearOp._of(n, {key: sign})

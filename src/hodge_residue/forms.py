@@ -321,17 +321,6 @@ def random_vector(n: int, rng) -> List[Fraction]:
     return [Fraction(x, 2) for x in _random_doubled(n, rng)]
 
 
-def form_to_json(form: AntiSymForm) -> dict:
-    return {
-        "n": form.n,
-        "degree": form.degree,
-        "entries": [
-            {"idx": list(idx), "value": str(value)}
-            for idx, value in sorted(form.entries.items())
-        ],
-    }
-
-
 def form_from_json(data: Union[dict, str, Path]) -> AntiSymForm:
     """Load a form from a dict, JSON text (``str``), or a JSON file (``Path``).
 

@@ -29,7 +29,6 @@ from hodge_residue.boundary import (
     RationalXnOp,
     ScalarRational,
     normal_derivative_symbol,
-    pi_minus,
     pi_plus,
     resolvent_symbol_channels,
     verify_boundary,
@@ -39,7 +38,6 @@ from hodge_residue.exterior import (
     LinearOp,
     clifford_generator,
     clifford_word,
-    generator_word,
     trace_product,
 )
 from hodge_residue.forms import AntiSymForm, random_form, random_vector
@@ -63,7 +61,7 @@ from hodge_residue.residue import (
 )
 from hodge_residue.scalars import GaussianRational, I
 from hodge_residue.symbols import check_flat_commutators, sphere_moment
-from word_reference import lemma_lhs
+from word_reference import generator_word, lemma_lhs, pi_minus
 
 SEED = 0
 LIFT_KIND = {

@@ -11,23 +11,28 @@ from fractions import Fraction
 
 import pytest
 
+import hodge_residue.boundary as boundary_module
+import word_reference
 from hodge_residue.boundary import (
     BoundaryArgs,
+    _boundary_kernel,
     RationalXnOp,
     ScalarRational,
     boundary_contraction,
     boundary_density,
     closed_form_boundary_coefficient,
     normal_derivative_symbol,
-    pi_minus,
     pi_plus,
     resolvent_symbol_channels,
     verify_boundary,
 )
-from hodge_residue.exterior import clifford_generator, clifford_word
+from hodge_residue.exterior import LinearOp, clifford_generator, clifford_word
 from hodge_residue.forms import random_vector
+from hodge_residue.residue import LEMMA_CHECKS, _lemma_kernel
 from hodge_residue.scalars import GaussianRational, I, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import sphere_moment
+from mixed_rationals import mixed_vector
+from word_reference import pi_minus
 
 HALF = GaussianRational(Fraction(1, 2))
 HALF_I = GaussianRational(0, Fraction(1, 2))
@@ -229,6 +234,41 @@ class TestBoundaryDensity:
             nonzero += not composed.is_zero
         assert nonzero
 
+    @pytest.mark.parametrize("flavor", ["psi1", "psi2"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_kernel_route_equals_word_route(self, flavor, m):
+        # the degree-0 kernel times its weight against the Clifford word
+        # traced against every residue-kernel term, on mixed denominators
+        n = 2 * m
+        rng = random.Random(f"kernel-vs-word:{flavor}:{m}")
+        values = []
+        for _ in range(6):
+            args = BoundaryArgs(flavor, *(tuple(mixed_vector(n, rng)) for _ in range(3)), m)
+            values.append(word_reference.boundary_density(args))
+            assert boundary_density(args) == values[-1]
+        assert sum(not value.is_zero for value in values) > len(values) / 2
+
+    @pytest.mark.parametrize("flavor,lemma_id", [("psi1", "B5.8"), ("psi2", "B5.10")])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_kernel_is_the_boundary_trace_identity_kernel(self, flavor, lemma_id, m):
+        kernel, _ = _boundary_kernel(flavor, m)
+        lemma = _lemma_kernel(LEMMA_CHECKS[lemma_id], 2 * m, "plain")
+        assert kernel.columns == lemma.columns
+        assert kernel.coeffs == lemma.coeffs
+        assert kernel.denominator == lemma.denominator
+
+    @pytest.mark.parametrize("shape", ["two terms", "two blades"])
+    def test_kernel_needs_one_single_blade_term(self, monkeypatch, shape):
+        real = boundary_module._residue_kernel(2)
+        op, weight = real[0]
+        fake = real + real if shape == "two terms" else ((op + clifford_generator("c", 4, 1), weight),)
+        monkeypatch.setattr(boundary_module, "_residue_kernel", lambda m: fake)
+        args = BoundaryArgs("psi1", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
+        with pytest.raises(ValueError, match="not one"):
+            boundary_density(args)
+        with pytest.raises(ValueError, match="not one"):
+            verify_boundary("psi1", 2)
+
     def test_contraction_formulas(self):
         u, v, w = (Fraction(1), Fraction(2), Fraction(0), Fraction(3)), (
             Fraction(0),
@@ -284,6 +324,70 @@ class TestVerifyBoundary:
         assert "holds" in report.detail
         assert "nonconstant" not in report.detail
         assert "undetermined (the contraction is 0 on every trial)" in report.detail
+
+    @pytest.mark.parametrize("flavor", ["psi1", "psi2"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_moved_closed_form_fails_with_the_word_route_values(self, monkeypatch, flavor, m):
+        original = boundary_module.closed_form_boundary_coefficient
+        shift = SymbolicScalar.unit(GaussianRational(0, Fraction(1, 7)), pi=1)
+        monkeypatch.setattr(
+            boundary_module, "closed_form_boundary_coefficient", lambda f, order: original(f, order) + shift
+        )
+        report = verify_boundary(flavor, m, trials=20, seed=0)
+        n = 2 * m
+        per_unit = (original(flavor, m) + shift) * sphere_volume(n - 2)
+        rng = random.Random(f"0:boundary:{flavor}:{m}")
+        trials = [[tuple(random_vector(n, rng)) for _ in range(3)] for _ in range(20)]
+        nonzero = [k for k, vectors in enumerate(trials) if boundary_contraction(flavor, *vectors)]
+        first = nonzero[0]
+        u, v, w = trials[first]
+        density = word_reference.boundary_density(BoundaryArgs(flavor, u, v, w, m))
+        assert report.status == "fail"
+        assert report.computed == density.render()
+        assert report.expected == (per_unit * (boundary_contraction(flavor, u, v, w) * (1 << n))).render()
+        assert report.detail.startswith(f"{len(nonzero)} mismatches; first at trial {first}; ")
+        # the density is still proportional, with the unmoved constant
+        assert "proportionality to the stated contraction: holds" in report.detail
+        assert f"= {(original(flavor, m) * sphere_volume(n - 2)).render()}; tabulated" in report.detail
+
+    def test_psi2_against_the_psi1_contraction_is_not_proportional(self, monkeypatch):
+        original = boundary_module.boundary_contraction
+        monkeypatch.setattr(
+            boundary_module, "boundary_contraction", lambda flavor, u, v, w: original("psi1", u, v, w)
+        )
+        report = verify_boundary("psi2", 2, trials=20, seed=0)
+        assert report.status == "fail"
+        assert "proportionality to the stated contraction: FAILS" in report.detail
+        assert "engine constant per unit contraction*Tr(Id) = nonconstant" in report.detail
+
+    def test_zero_contraction_with_a_nonzero_density_fails(self, monkeypatch):
+        monkeypatch.setattr(boundary_module, "boundary_contraction", lambda flavor, u, v, w: 0)
+        report = verify_boundary("psi1", 2, trials=5, seed=0)
+        rng = random.Random("0:boundary:psi1:2")
+        densities = [
+            word_reference.boundary_density(
+                BoundaryArgs("psi1", *(tuple(random_vector(4, rng)) for _ in range(3)), 2)
+            )
+            for _ in range(5)
+        ]
+        nonzero = [k for k, density in enumerate(densities) if not density.is_zero]
+        assert report.status == "fail"
+        assert (report.computed, report.expected) == (densities[nonzero[0]].render(), "0")
+        assert report.detail.startswith(
+            f"{len(nonzero)} mismatches; first at trial {nonzero[0]} (contraction 0); "
+            "proportionality to the stated contraction: FAILS; "
+            "engine constant per unit contraction*Tr(Id) = undetermined"
+        )
+
+    def test_no_operator_is_composed_or_traced(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an operator product or trace on the boundary path")
+
+        monkeypatch.setattr(LinearOp, "compose", refuse)
+        monkeypatch.setattr(boundary_module, "trace_product", refuse)
+        assert verify_boundary("psi1", 4, trials=3, seed=0).status == "pass"
+        args = BoundaryArgs("psi2", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
+        assert not boundary_density(args).is_zero
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ malformed input.  Importing the package or the CLI must not load the
 numpy/scipy float oracle.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -27,6 +28,10 @@ from hodge_residue.cli import main
 from hodge_residue.exterior import MAX_DIMENSION
 from hodge_residue.residue import lemma_ids
 from json_fuzz import JSON_PAYLOADS
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "golden.json").read_text(encoding="utf-8")
+)
 
 FORM3_JSON = json.dumps(
     {
@@ -154,6 +159,19 @@ class TestReportDeterminism:
         assert to_file.exit_code == 0
         assert "pass" in to_file.output and str(out) in to_file.output
         assert out.read_text(encoding="utf-8") == direct.output
+
+
+class TestGoldenReports:
+    """The benchmark's output gate: each suite's report at the recorded seed."""
+
+    @pytest.mark.parametrize("suite", sorted(GOLDEN["suites"]))
+    def test_report_matches_the_recorded_one(self, runner, suite):
+        recorded = GOLDEN["suites"][suite]
+        result = runner.invoke(main, ["verify", "--suite", suite, "--seed", str(GOLDEN["recorded_seed"])])
+        assert result.exit_code == recorded["exit"], result.output
+        checks = json.loads(result.stdout_bytes)["checks"]
+        assert {f"{c['id']}@{c['n']}": c["status"] for c in checks} == recorded["verdicts"]
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == recorded["sha256"]
 
 
 class TestReportSchema:

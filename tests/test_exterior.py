@@ -14,13 +14,13 @@ from hodge_residue.exterior import (
     clifford_generator,
     clifford_word,
     contract_lower,
-    generator_word,
     trace_product,
     wedge_raise,
 )
 from hodge_residue.scalars import GaussianRational
 from matrix_reference import from_entries
 from mixed_rationals import mixed_vector
+from word_reference import generator_word
 
 
 def anticommutator(a: LinearOp, b: LinearOp) -> LinearOp:

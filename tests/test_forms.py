@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodge_residue.exterior import LinearOp, generator_word
+from hodge_residue.exterior import LinearOp
 from hodge_residue.forms import (
     AntiSymForm,
     form_contract,
     form_from_json,
-    form_to_json,
     lift_four_chat,
     lift_four_mixed,
     lift_monotone,
@@ -30,6 +29,7 @@ from hodge_residue.forms import (
 )
 from json_fuzz import JSON_PAYLOADS
 from mixed_rationals import mixed_form, mixed_vector
+from word_reference import generator_word
 
 
 class TestAntiSymForm:
@@ -231,6 +231,18 @@ class TestRandomData:
         assert list(form.entries) == sorted(form.entries)
         assert random_vector(6, ours) == [Fraction(x, 2) for x in _random_doubled(6, reference)]
         assert ours.getstate() == reference.getstate()
+
+
+def form_to_json(form: AntiSymForm) -> dict:
+    """The JSON payload that :func:`form_from_json` reads back as ``form``."""
+    return {
+        "n": form.n,
+        "degree": form.degree,
+        "entries": [
+            {"idx": list(idx), "value": str(value)}
+            for idx, value in sorted(form.entries.items())
+        ],
+    }
 
 
 class TestJsonRoundTrip:

@@ -12,11 +12,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from hodge_residue.boundary import RationalXnOp, pi_minus, pi_plus
+from hodge_residue.boundary import RationalXnOp, pi_plus
 from hodge_residue.exterior import (
     LinearOp,
     clifford_generator,
-    generator_word,
     trace_product,
 )
 from hodge_residue.forms import AntiSymForm, form_contract
@@ -24,6 +23,7 @@ from hodge_residue.residue import spectral_density
 from hodge_residue.scalars import GaussianRational, I
 from hodge_residue.symbols import sphere_moment
 from matrix_reference import from_entries
+from word_reference import generator_word, pi_minus
 
 N = 4
 M = 2

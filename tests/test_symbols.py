@@ -13,7 +13,6 @@ from hodge_residue.exterior import (
     MAX_DIMENSION,
     LinearOp,
     clifford_generator,
-    generator_word,
     trace_product,
 )
 from hodge_residue.forms import AntiSymForm, lift_two_chat, random_form
@@ -26,6 +25,7 @@ from hodge_residue.symbols import (
     sphere_moment,
 )
 from matrix_reference import from_entries
+from word_reference import generator_word
 from xi_reference import average, integrand, interior_integrand
 
 

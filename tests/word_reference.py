@@ -1,14 +1,28 @@
-"""Reference route for the interior densities and trace identities: the word
-traced against the placed lift.
+"""Reference routes that build whole operators: the word traced against the
+placed lift, and the boundary density over the residue kernel.
 
 Each value is built from whole operators: the Clifford word of the vectors
 (:func:`clifford_word`), the lift of the whole form, its cosphere placement
 (:func:`cosphere_average`) and one :func:`trace_product`.  It never reads a
 kernel tensor or a letter path, and the tests hold
 :class:`hodge_residue.residue.TraceKernel` to it exactly.
+
+The boundary density is the word traced against each term of the residue
+kernel, ``sum_t tr(W op_t) K_t``; the tests hold the package's degree-0
+kernel route to it.  :func:`generator_word` and :func:`pi_minus` have no
+caller in the package and serve the tests' structural laws.
 """
 
-from hodge_residue.exterior import LinearOp, clifford_word, trace_product
+from hodge_residue.boundary import _FLAVOR_WORDS, BoundaryArgs, RationalXnOp, _residue_kernel
+from hodge_residue.exterior import (
+    LinearOp,
+    _check_flavor,
+    _check_index,
+    _check_n,
+    _generator_blade,
+    clifford_word,
+    trace_product,
+)
 from hodge_residue.residue import FunctionalSpec
 from hodge_residue.scalars import SymbolicScalar, sphere_volume
 from hodge_residue.symbols import cosphere_average
@@ -45,3 +59,34 @@ def density_decomposition(fspec: FunctionalSpec, T, vectors, m: int) -> dict:
         + trace_product(word, cosphere_average(lift, "after"))
     )
     return {"zero_order": zero, "sandwich_per_m": sandwich, "total": zero + m * sandwich}
+
+
+def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
+    """``sum_t tr(W op_t) * K_t`` over the residue kernel of order ``m``."""
+    word = clifford_word(2 * args.m, list(zip(_FLAVOR_WORDS[args.flavor], (args.u, args.v, args.w))))
+    total = SymbolicScalar()
+    for op, weight in _residue_kernel(args.m):
+        total = total + weight * trace_product(word, op)
+    return total
+
+
+def generator_word(n: int, letters) -> LinearOp:
+    """Product of single-direction generators ``[(flavor, j), ...]``: one
+    signed blade, multiplied out by the product rule."""
+    _check_n(n)
+    letters = list(letters)
+    for flavor, j in letters:
+        _check_flavor(flavor)
+        _check_index(n, j)
+    key, sign = _generator_blade(n, letters)
+    return LinearOp._of(n, {key: sign})
+
+
+def pi_minus(r: RationalXnOp) -> RationalXnOp:
+    """Keep the partial-fraction terms with poles in the lower half-plane,
+    the complement of :func:`hodge_residue.boundary.pi_plus`."""
+    if r.poly:
+        raise ValueError("projection requires a decaying symbol (no polynomial part)")
+    if any(pole.im == 0 for pole, _, _ in r.terms):
+        raise ValueError("pole on the real axis")
+    return RationalXnOp(r.n, [term for term in r.terms if term[0].im < 0])
