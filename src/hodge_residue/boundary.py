@@ -22,8 +22,9 @@ channel ``alpha`` contributes ``tr(W op_t) * K_t`` with the word-independent
 weight ``K_t = moment(alpha) * line_integral(d/(xi_n - pole_t)^order_t)``
 (``d`` the normal derivative symbol).  The pairs ``(op_t, K_t)`` form the
 residue kernel of symbol order ``m``; it is built once per ``m`` from the same
-channels, projection and residues, with every pole and decay check, and
-channels whose computed sphere moment is zero are left out of it.
+channels, projection and residues, with every pole and decay check.  Each
+channel's sphere moment is computed first, and a channel whose moment is
+zero is not built.
 
 At every ``m`` that kernel has one term, ``(i/2) c_n`` (the normal channel),
 so a density is ``weight * tr(W c_n)`` with ``weight`` the term's ``K``
@@ -35,10 +36,8 @@ is not a single blade.  No Clifford word is built.
 
 :func:`verify_boundary` asserts exact proportionality of each density to its
 stated vector contraction and compares the engine's absolute constant with
-the tabulated closed form, reporting both.  A trial draws its vectors
-doubled, as integers, contracts the kernel and the stated contraction in
-integers, and decides each comparison by integer identities; the
-``SymbolicScalar`` values are built only for what a report prints.
+the tabulated closed form, reporting both.  Its trials run in
+:func:`~hodge_residue.residue._trial_loop`.
 """
 
 from __future__ import annotations
@@ -48,11 +47,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exterior import LinearOp, clifford_generator, trace_product
 from .forms import _random_doubled
-from .residue import CheckReport, TraceKernel
+from .residue import CheckReport, TraceKernel, _trial_loop, boundary_contraction
 from .scalars import (
     GaussianRational,
     I,
@@ -443,6 +442,17 @@ class BoundaryArgs:
                 raise ValueError(f"vectors must have length n = 2m = {n}")
 
 
+def _channel_key(n: int, a: int) -> Tuple[int, ...]:
+    """The tangential exponent of channel ``a``: ``e_a``, zero for ``a = n``."""
+    return tuple(int(k == a) for k in range(1, n))
+
+
+def _resolvent_channel(n: int, a: int) -> RationalXnOp:
+    """Channel ``a`` of :func:`resolvent_symbol_channels`; ``a = n`` is the normal one."""
+    numerator = [I] if a < n else [ZERO, I]
+    return RationalXnOp.from_scalar(ScalarRational(numerator, {I: 1, -I: 1}), clifford_generator("c", n, a))
+
+
 def resolvent_symbol_channels(n: int) -> Dict[Tuple[int, ...], RationalXnOp]:
     """Channels of the order ``-1`` inverse symbol ``i c(xi)/|xi|^2`` at ``|xi'| = 1``.
 
@@ -450,18 +460,7 @@ def resolvent_symbol_channels(n: int) -> Dict[Tuple[int, ...], RationalXnOp]:
     carries the implicit scalar ``xi_a`` times ``i c_a/(1+xi_n^2)``; the zero
     key carries ``i xi_n c_n/(1+xi_n^2)``.
     """
-    channels: Dict[Tuple[int, ...], RationalXnOp] = {}
-    den = {I: 1, -I: 1}
-    for a in range(1, n):
-        alpha = [0] * (n - 1)
-        alpha[a - 1] = 1
-        channels[tuple(alpha)] = RationalXnOp.from_scalar(
-            ScalarRational([I], den), clifford_generator("c", n, a)
-        )
-    channels[(0,) * (n - 1)] = RationalXnOp.from_scalar(
-        ScalarRational([ZERO, I], den), clifford_generator("c", n, n)
-    )
-    return channels
+    return {_channel_key(n, a): _resolvent_channel(n, a) for a in range(1, n + 1)}
 
 
 def normal_derivative_symbol(m: int) -> ScalarRational:
@@ -475,16 +474,17 @@ def _residue_kernel(m: int) -> Tuple[Tuple[LinearOp, SymbolicScalar], ...]:
 
     ``K_t = moment(alpha) * line_integral(d/(xi_n - pole_t)^order_t)`` for
     each term ``op_t/(xi_n - pole_t)^order_t`` of ``pi_plus`` of the channel
-    ``alpha``; channels whose computed moment is zero contribute no pair.
+    ``alpha``; a channel whose computed moment is zero contributes no pair
+    and is not built.
     """
     n = 2 * m
     derivative = normal_derivative_symbol(m)
     kernel = []
-    for alpha, channel in resolvent_symbol_channels(n).items():
-        moment = sphere_moment(alpha, n - 1)
+    for a in range(1, n + 1):
+        moment = sphere_moment(_channel_key(n, a), n - 1)
         if moment.is_zero:
             continue
-        for pole, order, op in pi_plus(channel).terms:
+        for pole, order, op in pi_plus(_resolvent_channel(n, a)).terms:
             integral = (ScalarRational([1], {pole: order}) * derivative).line_integral()
             kernel.append((op, moment * integral))
     return tuple(kernel)
@@ -541,25 +541,14 @@ def closed_form_boundary_coefficient(flavor: str, m: int) -> SymbolicScalar:
     return SymbolicScalar.unit(GaussianRational(0, value), pi=1)
 
 
-def boundary_contraction(flavor: str, u: Sequence, v: Sequence, w: Sequence):
-    """The vector contraction each density is proportional to."""
-    n = len(u)
-    guv = sum(a * b for a, b in zip(u, v))
-    guw = sum(a * b for a, b in zip(u, w))
-    gvw = sum(a * b for a, b in zip(v, w))
-    if flavor == "psi1":
-        return u[n - 1] * gvw - v[n - 1] * guw + w[n - 1] * guv
-    if flavor == "psi2":
-        return u[n - 1] * gvw
-    raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
-
-
 def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> CheckReport:
     """Check proportionality and the absolute constant of one boundary density.
 
     Proportionality of the density to the stated contraction is asserted
     unconditionally; the engine's constant is then compared exactly against
-    the tabulated closed form, with both values rendered.
+    the tabulated closed form, with both values rendered.  The kernel is
+    compiled once and the trials run in
+    :func:`~hodge_residue.residue._trial_loop`.
     """
     if flavor not in _FLAVOR_WORDS:
         raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
@@ -571,72 +560,34 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     rng = random.Random(f"{seed}:boundary:{flavor}:{m}")
     per_unit_expected = closed_form_boundary_coefficient(flavor, m) * sphere_volume(n - 2)
     kernel, weight = _boundary_kernel(flavor, m)
-    # the density is weight * 2^n c / D and the expected side
-    # per_unit_expected * 2^n t, t the stated contraction; they agree when
-    # weight * c / D equals per_unit_expected * t in the real and in the
-    # imaginary part of every unit, each cleared into c * left == t * right
-    sides = []
-    for key in weight.terms.keys() | per_unit_expected.terms.keys():
-        a, b = weight.terms.get(key, ZERO), per_unit_expected.terms.get(key, ZERO)
-        for p, q in ((a.re, b.re), (a.im, b.im)):
-            sides.append((p.numerator * q.denominator, q.numerator * p.denominator * kernel.denominator))
 
-    # the draws are doubled, and the trace and the contraction are both
-    # linear in each of the three vectors, so both carry the factor 8
-    def density(c: int) -> SymbolicScalar:
-        return weight * Fraction(c << n, kernel.denominator << 3)
-
-    def rendered(c: int, t: int) -> Tuple[str, str]:
-        return density(c).render(), (per_unit_expected * Fraction(t << n, 8)).render()
-
-    # proportionality: every trial's ratio weight * c / (D t) against the
-    # first trial's with a nonzero contraction, (c0, t0)
-    first: Optional[Tuple[int, int]] = None
-    proportional = True
-    nonconstant = False
-    failures = 0
-    rep_pass: Optional[Tuple[str, str]] = None
-    rep_fail: Optional[Tuple[str, str, str]] = None
-    for trial in range(trials):
+    def draw():
         u, v, w = (_random_doubled(n, rng) for _ in range(3))
-        c = kernel.contract([[1], u, v, w])
-        t = boundary_contraction(flavor, u, v, w)
-        if not t:
-            if c and weight:
-                proportional = False
-                failures += 1
-                if rep_fail is None:
-                    rep_fail = (density(c).render(), "0", f"trial {trial} (contraction 0)")
-            continue
-        if first is None:
-            first = (c, t)
-        elif weight and c * first[1] != first[0] * t:
-            nonconstant = True
-        if all(c * left == t * right for left, right in sides):
-            if rep_pass is None:
-                rep_pass = rendered(c, t)
+        return [[1], u, v, w], boundary_contraction(flavor, u, v, w)
+
+    def proportionality(contracted: List[Tuple[int, int]]) -> str:
+        # the density weight * 2^n c / D is proportional to the contraction t
+        # when c * t0 == c0 * t on every trial, (c0, t0) the first with t0 != 0,
+        # and no trial has t == 0 with c != 0
+        nonzero = [(c, t) for c, t in contracted if t]
+        if not nonzero:
+            constant = "undetermined (the contraction is 0 on every trial)"
         else:
-            failures += 1
-            if rep_fail is None:
-                rep_fail = (*rendered(c, t), f"trial {trial}")
-    check_id = "Psi1" if flavor == "psi1" else "Psi2"
-    if nonconstant:
-        proportional = False
-        engine_constant = "nonconstant"
-    elif first is not None:
-        engine_constant = (weight * Fraction(first[0], kernel.denominator * first[1])).render()
-    else:
-        engine_constant = "undetermined (the contraction is 0 on every trial)"
-    detail = (
-        f"proportionality to the stated contraction: {'holds' if proportional else 'FAILS'}; "
-        f"engine constant per unit contraction*Tr(Id) = {engine_constant}; "
-        f"tabulated closed form = {per_unit_expected.render()}"
-    )
-    if failures or not proportional:
-        computed_str, expected_str, where = rep_fail if rep_fail else ("nonconstant", per_unit_expected.render(), "ratios differ")
-        return CheckReport(
-            check_id, n, trials, "fail", computed_str, expected_str,
-            detail=f"{failures} mismatches; first at {where}; {detail}",
+            c0, t0 = nonzero[0]
+            nonconstant = any(c * t0 != c0 * t for c, t in nonzero)
+            constant = "nonconstant" if nonconstant else (weight * Fraction(c0, kernel.denominator * t0)).render()
+        proportional = constant != "nonconstant" and all(t or not c for c, t in contracted)
+        return (
+            f"proportionality to the stated contraction: {'holds' if proportional else 'FAILS'}; "
+            f"engine constant per unit contraction*Tr(Id) = {constant}; "
+            f"tabulated closed form = {per_unit_expected.render()}"
         )
-    computed_str, expected_str = rep_pass if rep_pass else ("0", "0")
-    return CheckReport(check_id, n, trials, "pass", computed_str, expected_str, detail=detail)
+
+    # the three vectors are drawn doubled; the density is weight * 2^n c / D
+    # and the closed form's side per_unit_expected * 2^n t
+    undoubled = Fraction(1 << n, 8)
+    return _trial_loop(
+        "Psi1" if flavor == "psi1" else "Psi2", n, trials, draw,
+        [("plain", kernel, weight * undoubled, per_unit_expected * undoubled)],
+        describe=proportionality,
+    )

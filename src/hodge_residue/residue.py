@@ -26,11 +26,9 @@ once.  No Clifford word is built on this path.
 Each functional carries a closed-form coefficient table entry;
 :func:`verify_theorem` compares the engine's exact density against
 ``coefficient * T(args)`` on random trials, and :func:`lemma_check` verifies
-the individual trace identities feeding those densities.  A trial draws its
-inputs doubled, as integers, contracts the kernel and the expected side's
-unit in integers, and decides its verdict by one integer identity; the
-``SymbolicScalar`` values are built only for what a report prints, the first
-nonzero pass and the first failure.  Every check is an exact comparison:
+the individual trace identities feeding those densities.  Their trials, and
+those of :func:`~hodge_residue.boundary.verify_boundary`, run in
+:func:`_trial_loop`.  Every check is an exact comparison:
 when the engine's exact value disagrees with a tabulated closed form, the
 report carries both values verbatim; nothing is softened to a tolerance or
 auto-corrected.
@@ -65,7 +63,7 @@ from .forms import (
     lift_torsion_assembly,
     lift_two_chat,
 )
-from .scalars import GaussianRational, I, ONE, SymbolicScalar, sphere_volume
+from .scalars import GaussianRational, I, ONE, SymbolicScalar, ZERO, sphere_volume
 from .symbols import cosphere_average
 
 
@@ -235,6 +233,92 @@ class CheckReport:
         }
 
 
+def _sides(value: SymbolicScalar, expected: SymbolicScalar, denominator: int) -> Tuple[int, int, int, int]:
+    """``(re_left, re_right, im_left, im_right)``: ``value * c / denominator``
+    equals ``expected * unit`` exactly when ``c * re_left == unit * re_right``
+    and ``c * im_left == unit * im_right``.
+
+    ``value`` has one symbolic unit, and ``expected`` must be a multiple of
+    it.  Its real and its imaginary part, ``p * c / D = q * unit``, are each
+    cleared of denominators into ``c * (p.num q.den) = unit * (q.num p.den D)``.
+    """
+    [key] = value.terms
+    if expected.terms.keys() - {key}:
+        unit = " * ".join(SymbolicScalar._render_units(key)) or "1"
+        raise ValueError(f"the closed form is not a multiple of {unit}")
+    p, q = value.terms[key], expected.terms.get(key, ZERO)
+    return tuple(
+        side
+        for a, b in ((p.re, q.re), (p.im, q.im))
+        for side in (a.numerator * b.denominator, b.numerator * a.denominator * denominator)
+    )
+
+
+def _trial_loop(check_id: str, n: int, trials: int,
+                draw: Callable[[], Tuple[List[Sequence[int]], int]],
+                comparisons: Sequence[Tuple[str, TraceKernel, SymbolicScalar, SymbolicScalar]],
+                magnitude: bool = False,
+                describe: Optional[Callable[[List[Tuple[int, int]]], str]] = None) -> CheckReport:
+    """The trials of every randomized check, decided in integers.
+
+    Each trial calls ``draw()`` for its inputs, drawn doubled as integers by
+    :func:`~hodge_residue.forms._random_doubled`: the kernel rows (the form's
+    values in basis order, ``[1]`` for degree 0, then each vector) and the
+    expected side's unit on them.  Each comparison ``(label, kernel, value,
+    expected)`` contracts its kernel with the rows to ``c``; the engine side
+    ``value * c / D`` (``D`` the kernel's denominator) must equal the expected
+    side ``expected * unit``, and :func:`_sides` makes that integer
+    identities.  ``value`` and ``expected`` carry the factor that undoes the
+    doubling, so both sides are the undoubled values.
+
+    With ``magnitude`` a comparison whose expected side is nonzero holds when
+    the engine side is ``s`` times it, for one sign ``s`` on every trial, and
+    the detail records ``s``.  ``describe`` maps the ``(c, unit)`` of every
+    comparison, in order, to one more sentence of detail.
+
+    The report shows the first failure, else the first pass with a nonzero
+    expected side (``"0"`` for both when there is none); only these values
+    are built as ``SymbolicScalar``.
+    """
+    checks = [(label, kernel, value, expected, _sides(value, expected, kernel.denominator))
+              for label, kernel, value, expected in comparisons]
+    failures = 0
+    shown: Optional[Tuple[SymbolicScalar, SymbolicScalar, str]] = None
+    signs = set()
+    contracted = []
+    for trial in range(trials):
+        rows, unit = draw()
+        for label, kernel, value, expected, (re_left, re_right, im_left, im_right) in checks:
+            c = kernel.contract(rows)
+            contracted.append((c, unit))
+            ok = c * re_left == unit * re_right and c * im_left == unit * im_right
+            sign = 1
+            if magnitude and unit and expected:
+                minus = c * re_left == -unit * re_right and c * im_left == -unit * im_right
+                sign = 1 if ok else -1 if minus else 0
+                if sign:
+                    signs.add(sign)
+                ok = bool(sign) and len(signs) == 1
+            if not ok:
+                failures += 1
+                if failures == 1:
+                    where = f"trial {trial}" + (f", {label} placement" if len(checks) > 1 else "")
+                    shown = (value * Fraction(c, kernel.denominator), expected * unit, where)
+            elif shown is None and unit and expected:
+                shown = (value * Fraction(c, kernel.denominator), expected * (sign * unit), "")
+    notes = [f"{failures} of {trials * len(checks)} comparisons disagree; first at {shown[2]}"] if failures else []
+    if signs:
+        notes.append(
+            f"observed sign {'+' if 1 in signs else '-'}1 relative to the tabulated magnitude; "
+            "proportionality and magnitude asserted, sign recorded"
+        )
+    if describe:
+        notes.append(describe(contracted))
+    engine_side, expected_side, _ = shown or (SymbolicScalar(), SymbolicScalar(), "")
+    return CheckReport(check_id, n, trials, "fail" if failures else "pass", engine_side.render(),
+                       expected_side.render(), detail="; ".join(notes))
+
+
 def _resolve_functional(spec) -> FunctionalSpec:
     if isinstance(spec, FunctionalSpec):
         return spec
@@ -333,59 +417,26 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
 
     Draws random small-rational forms and vectors; every trial must satisfy
     ``spectral_density == closed_form_coefficient * form_contract`` exactly.
-    The density's trace kernel is compiled once for all trials, and each
-    trial draws, contracts and compares in integers (see :func:`lemma_check`).
+    The density's trace kernel is compiled once and the trials run in
+    :func:`_trial_loop`.
     """
     fspec = _resolve_functional(functional_id)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = 2 * m
     rng = random.Random(f"{seed}:theorem:{fspec.functional_id}:{m}")
-    coeff = closed_form_coefficient(fspec.functional_id, m)
     kernel = _density_kernel(fspec, n, "interior", m)
-    volume = sphere_volume(n - 1)
-    # the density is V * prefactor * 2^n c / D and the expected side
-    # V * per_volume * unit, so they agree when prefactor * 2^n c / D equals
-    # per_volume * unit in the real and in the imaginary part; each part is
-    # cleared of denominators into one integer identity c * left == unit * right
-    per_volume = coeff.coefficient(spheres=(n - 1,))
-    if coeff != volume * per_volume:
-        raise ValueError(f"{fspec.functional_id} coefficient is not a multiple of V(S^{n - 1})")
-    sides = [
-        (p.numerator * q.denominator << n, q.numerator * p.denominator * kernel.denominator)
-        for p, q in ((fspec.prefactor.re, per_volume.re), (fspec.prefactor.im, per_volume.im))
-    ]
-    # the draws are doubled, and the trace and the unit are both linear in the
-    # form and in each of the k vectors, so both carry the factor 2^(k + 1)
-    inputs = len(fspec.arg_flavors) + 1
 
-    def rendered(c: int, unit: int) -> Tuple[str, str]:
-        computed = volume * (fspec.prefactor * Fraction(c << n, kernel.denominator << inputs))
-        return computed.render(), (coeff * Fraction(unit, 1 << inputs)).render()
-
-    failures = 0
-    rep_pass: Optional[Tuple[str, str]] = None
-    rep_fail: Optional[Tuple[str, str, str]] = None
-    for trial in range(trials):
+    def draw():
         form = _random_doubled(len(kernel.basis), rng)
         vectors = [_random_doubled(n, rng) for _ in fspec.arg_flavors]
-        c = kernel.contract([form, *vectors])
-        unit = _minor_sum(vectors, zip(kernel.basis, form))
-        if all(c * left == unit * right for left, right in sides):
-            if rep_pass is None and unit and coeff:
-                rep_pass = rendered(c, unit)
-        else:
-            failures += 1
-            if rep_fail is None:
-                rep_fail = (*rendered(c, unit), f"first mismatch at trial {trial}")
-    if failures:
-        computed_str, expected_str, note = rep_fail
-        return CheckReport(
-            fspec.functional_id, n, trials, "fail", computed_str, expected_str,
-            detail=f"{failures}/{trials} trials disagree; {note}",
-        )
-    computed_str, expected_str = rep_pass if rep_pass else ("0", "0")
-    return CheckReport(fspec.functional_id, n, trials, "pass", computed_str, expected_str)
+        return [form, *vectors], _minor_sum(vectors, zip(kernel.basis, form))
+
+    # the form and every vector are drawn doubled; the trace is 2^n c / D
+    undoubled = Fraction(1, 1 << (len(fspec.arg_flavors) + 1))
+    value = sphere_volume(n - 1) * (fspec.prefactor * (undoubled * (1 << n)))
+    expected = closed_form_coefficient(fspec.functional_id, m) * undoubled
+    return _trial_loop(fspec.functional_id, n, trials, draw, [("interior", kernel, value, expected)])
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +522,17 @@ def _dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
+def boundary_contraction(flavor: str, u: Sequence, v: Sequence, w: Sequence):
+    """The vector contraction each boundary density is proportional to."""
+    n = len(u)
+    gvw = _dot(v, w)
+    if flavor == "psi1":
+        return u[n - 1] * gvw - v[n - 1] * _dot(u, w) + w[n - 1] * _dot(u, v)
+    if flavor == "psi2":
+        return u[n - 1] * gvw
+    raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
+
+
 def _lemma_unit(spec: LemmaSpec, basis: Sequence[Tuple[int, ...]], form: Optional[Sequence[int]],
                 vectors: Sequence[Sequence[int]]) -> int:
     """The identity's unit on integer inputs, the form given by its values
@@ -479,12 +541,10 @@ def _lemma_unit(spec: LemmaSpec, basis: Sequence[Tuple[int, ...]], form: Optiona
         return _minor_sum(vectors, zip(basis, form))
     if spec.unit == "metric":
         return _dot(vectors[0], vectors[1])
-    u, v, w = vectors
-    n = len(u)
     if spec.unit == "boundary_cyclic":
-        return u[n - 1] * _dot(v, w) - v[n - 1] * _dot(u, w) + w[n - 1] * _dot(u, v)
+        return boundary_contraction("psi1", *vectors)
     if spec.unit == "boundary_first":
-        return -u[n - 1] * _dot(v, w)
+        return -boundary_contraction("psi2", *vectors)
     raise ValueError(f"unknown unit kind {spec.unit!r}")
 
 
@@ -504,14 +564,6 @@ def _lemma_kernel(spec: LemmaSpec, n: int, placement: str) -> TraceKernel:
     )
 
 
-def _placed_value(value: Fraction, placement: str, n: int) -> SymbolicScalar:
-    """A trace identity's side: the value itself for the plain placement,
-    ``V(S^{n-1})`` times it for a sandwiched (cosphere-integrated) one."""
-    if placement == "plain":
-        return SymbolicScalar.number(value)
-    return sphere_volume(n - 1) * value
-
-
 def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> CheckReport:
     """Exact randomized check of one tabulated trace identity.
 
@@ -519,15 +571,9 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     variants are verified each trial.  The expected side is the tabulated
     closed form ``ratio * unit * Tr(Id)`` (times ``V(S^{n-1})`` for
     integrated variants); any disagreement is reported with both exact
-    values.
-
-    Each trial draws its inputs doubled, as integers, and contracts the
-    kernel and the unit in integers.  The trace is ``2^n c / D`` and both
-    sides carry the same ``V(S^{n-1})``, so a comparison holds exactly when
-    ``c * ratio.den == ratio.num * unit * D``; only the values a report
-    prints are built as scalars.
+    values.  The kernels are compiled once and the trials run in
+    :func:`_trial_loop`.
     """
-    placements: Optional[Tuple[str, ...]] = None
     if lemma_id in _LEMMA_ALIASES:
         base_id, placement = _LEMMA_ALIASES[lemma_id]
         spec = LEMMA_CHECKS[base_id]
@@ -542,68 +588,25 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    kernels = [(placement, _lemma_kernel(spec, n, placement)) for placement in placements]
-    basis = kernels[0][1].basis
+    # the form, if any, and every vector are drawn doubled; the trace is
+    # 2^n c / D, times V(S^{n-1}) for a sandwiched (cosphere-integrated) one
+    scale = Fraction(1 << n, 1 << (len(spec.word_flavors) + bool(spec.form_degree)))
+    comparisons = []
+    for placement in placements:
+        spheres = () if placement == "plain" else (n - 1,)
+        comparisons.append((
+            placement, _lemma_kernel(spec, n, placement), SymbolicScalar.unit(scale, spheres=spheres),
+            SymbolicScalar.unit(scale * spec.ratio, spheres=spheres),
+        ))
+    basis = comparisons[0][1].basis
     rng = random.Random(f"{seed}:lemma:{lemma_id}:{n}")
-    num, den = spec.ratio.numerator, spec.ratio.denominator
-    magnitude = spec.sign_policy == "magnitude"
-    # the draws are doubled, and the trace and the unit are both linear in
-    # each input (the form, if any, and every vector), so both carry 2^inputs
-    inputs = len(spec.word_flavors) + bool(spec.form_degree)
 
-    def rendered(placement: str, c: int, kernel: TraceKernel, unit: int, sign: int = 1) -> Tuple[str, str]:
-        computed = Fraction(c << n, kernel.denominator << inputs)
-        expected = spec.ratio * Fraction(sign * unit << n, 1 << inputs)
-        return (_placed_value(computed, placement, n).render(),
-                _placed_value(expected, placement, n).render())
-
-    failures = 0
-    rep_pass: Optional[Tuple[str, str]] = None
-    rep_fail: Optional[Tuple[str, str, str]] = None
-    observed_signs = set()
-
-    for trial in range(trials):
+    def draw():
         vectors = [_random_doubled(n, rng) for _ in spec.word_flavors]
         form = _random_doubled(len(basis), rng) if spec.form_degree else None
-        unit = _lemma_unit(spec, basis, form, vectors)
-        rows = [form if form is not None else [1], *vectors]
-        for placement, kernel in kernels:
-            c = kernel.contract(rows)
-            left, right = c * den, num * unit * kernel.denominator
-            sign = 1
-            if magnitude and right:
-                # pass when left = s * right for a sign s consistent across trials
-                sign = 1 if left == right else -1 if left == -right else 0
-                if sign:
-                    observed_signs.add(sign)
-                ok = bool(sign) and len(observed_signs) == 1
-            else:
-                ok = left == right
-            if ok:
-                if rep_pass is None and right:
-                    # a magnitude check reports the sign actually observed
-                    rep_pass = rendered(placement, c, kernel, unit, sign)
-            else:
-                failures += 1
-                if rep_fail is None:
-                    label = placement if len(placements) > 1 else ""
-                    where = f"trial {trial}" + (f", {label} placement" if label else "")
-                    rep_fail = (*rendered(placement, c, kernel, unit), where)
+        return [[1] if form is None else form, *vectors], _lemma_unit(spec, basis, form, vectors)
 
-    detail = ""
-    if magnitude and observed_signs:
-        detail = (
-            f"observed sign {'+' if 1 in observed_signs else '-'}1 relative to the "
-            "tabulated magnitude; proportionality and magnitude asserted, sign recorded"
-        )
-    if failures:
-        computed_str, expected_str, where = rep_fail
-        note = f"{failures} of {trials * len(placements)} comparisons disagree; first at {where}"
-        if detail:
-            note = f"{note}; {detail}"
-        return CheckReport(lemma_id, n, trials, "fail", computed_str, expected_str, detail=note)
-    computed_str, expected_str = rep_pass if rep_pass else ("0", "0")
-    return CheckReport(lemma_id, n, trials, "pass", computed_str, expected_str, detail=detail)
+    return _trial_loop(lemma_id, n, trials, draw, comparisons, magnitude=spec.sign_policy == "magnitude")
 
 
 def lemma_ids() -> List[str]:

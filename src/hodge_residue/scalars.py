@@ -316,6 +316,9 @@ class SymbolicScalar:
         return SymbolicScalar({key: -coeff for key, coeff in self.terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational factor scales each coefficient and merges no units
+            return SymbolicScalar({key: GaussianRational(c.re * other, c.im * other) for key, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

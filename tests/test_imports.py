@@ -1,8 +1,12 @@
-"""Every module-level import under ``src/hodge_residue/`` and ``tests/`` is used.
+"""Every module-level import under ``src/hodge_residue/`` and ``tests/`` is used,
+and every private module-level name of the package has a caller in it.
 
 An import counts as used when its bound name appears as a name anywhere in
 the module, including inside quoted annotations.  The package's
-``__init__.py`` exists to re-export names, so it is exempt.
+``__init__.py`` exists to re-export names, so it is exempt.  A private
+(``_``-prefixed) function, class or constant counts as called when some
+module of the package reads it by name; a test's use does not count, so a
+helper only tests use lives in the tests.
 """
 
 import ast
@@ -38,14 +42,16 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _used_names(tree: ast.Module) -> set:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _quoted_names(tree: ast.Module):
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 quoted = ast.parse(node.value, mode="eval")
-                used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
-    return used
+                yield from (n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+
+
+def _used_names(tree: ast.Module) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(_quoted_names(tree))
 
 
 def test_package_modules_are_found():
@@ -63,3 +69,38 @@ def test_no_unused_module_level_imports(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {sorted(unused.items(), key=lambda kv: kv[1])}"
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Names the module reads: loaded names, attributes and quoted annotations."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read | set(_quoted_names(tree))
+
+
+PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=_module_id)
+def test_private_names_have_a_package_caller(path):
+    read = set().union(*(_read_names(ast.parse(p.read_text(encoding="utf-8"))) for p in PACKAGE_MODULES))
+    private = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
+    uncalled = [(name, line) for name, line in private if name not in read]
+    assert not uncalled, f"{path.name}: private names no package module reads {uncalled}"

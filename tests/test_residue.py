@@ -27,14 +27,15 @@ from hodge_residue.forms import (
     random_form,
     random_vector,
 )
+import hodge_residue.boundary as boundary_module
 import hodge_residue.residue as residue_module
+from hodge_residue.boundary import verify_boundary
 from hodge_residue.residue import (
     FUNCTIONALS,
     LEMMA_CHECKS,
     _density_kernel,
     _lemma_kernel,
     _lemma_lift,
-    _placed_value,
     closed_form_coefficient,
     density_decomposition,
     lemma_check,
@@ -46,6 +47,14 @@ from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volum
 import word_reference
 from mixed_rationals import mixed_form, mixed_vector
 from word_reference import lemma_lhs
+
+
+def _placed_value(value: Fraction, placement: str, n: int) -> SymbolicScalar:
+    """A trace identity's side: the value itself for the plain placement,
+    ``V(S^{n-1})`` times it for a sandwiched (cosphere-integrated) one."""
+    if placement == "plain":
+        return SymbolicScalar.number(value)
+    return sphere_volume(n - 1) * value
 
 
 def basis_vector(n: int, j: int):
@@ -499,7 +508,7 @@ class TestReportShape:
 
 def _first_failing_trial(report) -> int:
     assert report.status == "fail", report.to_dict()
-    return int(re.search(r"first (?:mismatch )?at trial (\d+)", report.detail).group(1))
+    return int(re.search(r"first at trial (\d+)", report.detail).group(1))
 
 
 def _lemma_inputs(spec, lemma_id, n, seed, trial):
@@ -550,14 +559,18 @@ def test_theorem_coefficient_moved_by_one_fails(monkeypatch, m, shift):
     assert report.computed != report.expected
 
 
-def test_theorem_coefficient_off_the_sphere_unit_is_rejected(monkeypatch):
-    # the integer verdict compares multiples of V(S^{n-1}); a table entry
-    # with any other unit must not be compared on that unit alone
-    table = residue_module.closed_form_coefficient
-    monkeypatch.setattr(residue_module, "closed_form_coefficient",
-                        lambda functional_id, m: table(functional_id, m) + 1)
-    with pytest.raises(ValueError, match="not a multiple of V"):
-        verify_theorem("T1", 2, trials=1, seed=0)
+@pytest.mark.parametrize("module,table,check,unit", [
+    (residue_module, "closed_form_coefficient", lambda: verify_theorem("T1", 2, trials=1, seed=0), "V(S^3)"),
+    (boundary_module, "closed_form_boundary_coefficient", lambda: verify_boundary("psi1", 2, trials=1, seed=0),
+     "pi * V(S^2)"),
+], ids=["theorem", "boundary"])
+def test_theorem_coefficient_off_the_sphere_unit_is_rejected(monkeypatch, module, table, check, unit):
+    # the integer verdict compares multiples of the engine side's one unit;
+    # a table entry with any other unit must not be compared on that unit alone
+    original = getattr(module, table)
+    monkeypatch.setattr(module, table, lambda *args: original(*args) + 1)
+    with pytest.raises(ValueError, match=re.escape(f"not a multiple of {unit}")):
+        check()
 
 
 def test_magnitude_sign_that_flips_between_trials_fails(monkeypatch):

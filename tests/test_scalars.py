@@ -114,6 +114,12 @@ class TestSymbolicScalar:
         sq = sphere_volume(2) * sphere_volume(2)
         assert sq.coefficient(spheres=((2, 2),)) == GaussianRational(Fraction(1))
 
+    @given(gaussians, gaussians, st.one_of(rationals, st.integers(-9, 9)))
+    def test_rational_factor_equals_the_general_product(self, a, b, factor):
+        x = sphere_volume(3) * a + PI * sphere_volume(2) * b
+        general = x * SymbolicScalar.number(factor)
+        assert (x * factor).terms == general.terms == (factor * x).terms
+
     def test_numeric_evaluation(self):
         val = sphere_volume(3) * Fraction(2) + SymbolicScalar.number(Fraction(1))
         expected = 2 * sphere_volume_float(3) + 1.0
