@@ -60,7 +60,7 @@ from .scalars import (
     sphere_volume,
     sphere_volume_float,
 )
-from .symbols import check_flat_commutators, cosphere_average, sphere_moment
+from .symbols import check_flat_commutators, sphere_moment
 
 __version__ = "0.1.0"
 
@@ -85,7 +85,6 @@ __all__ = [
     "closed_form_boundary_coefficient",
     "closed_form_coefficient",
     "contract_lower",
-    "cosphere_average",
     "density_decomposition",
     "form_contract",
     "form_from_json",
@@ -107,6 +106,8 @@ __all__ = [
     "sphere_volume_float",
     "spectral_density",
     "trace_product",
+    "vectors_from_json",
     "verify_boundary",
     "verify_theorem",
+    "wedge_raise",
 ]

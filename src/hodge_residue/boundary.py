@@ -507,7 +507,7 @@ def _boundary_kernel(flavor: str, m: int) -> Tuple[TraceKernel, SymbolicScalar]:
         raise ValueError(f"the residue kernel's operator has {len(op.blades)} blades, not one")
     [(key, coeff)] = op.blades.items()
     blade = LinearOp._of(n, {key: 1})
-    return TraceKernel(n, _FLAVOR_WORDS[flavor], lambda _: blade, 0, "plain"), integral * coeff
+    return TraceKernel(n, _FLAVOR_WORDS[flavor], lambda _: blade, 0), integral * coeff
 
 
 def boundary_density(args: BoundaryArgs) -> SymbolicScalar:

@@ -7,19 +7,21 @@ The five interior functionals are pointwise residue densities of the form
 
 where ``W(args)`` is a word of Clifford actions of the argument vectors and
 ``lift(T)`` the operator lift of the torsion form.  The cosphere integral is
-``V(S^{2m-1})`` times one trace of ``W(args)`` against
-:func:`~hodge_residue.symbols.cosphere_average` of the lift, which scales each
-blade by a weight read from its grade; the sandwiched trace identities are
-the same trace with the ``"before"`` or ``"after"`` average, and the plain
-ones with the lift itself.
+``V(S^{2m-1})`` times one trace of ``W(args)`` against the lift with each
+blade scaled by the ``"interior"`` weight of its grade
+(:func:`~hodge_residue.symbols._grade_weights`); the sandwiched trace
+identities are the same trace with the ``"before"`` or ``"after"`` weights,
+and the plain ones with the lift itself.
 
 Every such trace ``tr(W(u_1 ... u_k) . P(lift(T)))`` is multilinear in the
 form and in each vector.  A :class:`TraceKernel` is compiled once per check
 (or per call of :func:`spectral_density` and :func:`density_decomposition`)
-from basis inputs: the lift of each basis form ``e_I``, its placement ``P``,
-and the letter paths that fold each placed blade to the empty blade.  It is
-the sparse integer tensor ``{(I, j_1, ..., j_k): c}``;
-:meth:`TraceKernel.contract` contracts it with integer rows, and
+from basis inputs: the lift of each basis form ``e_I`` and the letter paths
+that fold each of its blades to the empty blade.  It is the sparse integer
+tensor ``{(I, j_1, ..., j_k): c}`` of the plain trace.  Each entry comes
+from one blade, so :meth:`TraceKernel.placed` gives a placement ``P`` by
+scaling every entry by its blade's weight, with no second compile.
+:meth:`TraceKernel.contract` contracts a kernel with integer rows, and
 :meth:`TraceKernel.trace` scales rational inputs to integers and divides
 once.  No Clifford word is built on this path.
 
@@ -40,14 +42,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exterior import (
     FLAVORS,
     LinearOp,
-    _accumulate,
     _integer_scaled,
     _product_signs,
     clifford_generator,
@@ -64,7 +65,7 @@ from .forms import (
     lift_two_chat,
 )
 from .scalars import GaussianRational, I, ONE, SymbolicScalar, ZERO, sphere_volume
-from .symbols import cosphere_average
+from .symbols import _grade_weights
 
 
 # ---------------------------------------------------------------------------
@@ -116,39 +117,76 @@ def _letter_paths(n: int, flavors: Sequence[str], key: int,
 
 
 class TraceKernel:
-    """The trace ``tr(W(u_1 ... u_k) . P(lift(T)))`` of one check, compiled once.
+    """The trace ``tr(W(u_1 ... u_k) . lift(T))`` of one check, compiled once,
+    and its cosphere placements.
 
-    ``W`` is the Clifford word of the letters ``flavors`` and ``P`` a
-    placement: ``"plain"`` (the lift itself) or a :func:`cosphere_average`
-    placement.  The trace is multilinear in the form and in each vector, so
-    it is ``2^n / denominator * sum c T_I u_1[j_1] ... u_k[j_k]`` over a
-    sparse integer tensor ``{(I, j_1, ..., j_k): c}``.  The tensor is read
-    off basis inputs: the lift of each basis form ``e_I`` is placed, and for
-    each of its blades :func:`_letter_paths` gives the index tuples whose
-    letters fold it to the empty blade (trace = ``2^n`` times the identity
-    coefficient).  ``lift`` maps a basis form to its operator; with
-    ``degree`` 0 it is called with ``None`` and the trace takes no form.
+    ``W`` is the Clifford word of the letters ``flavors``.  The trace is
+    multilinear in the form and in each vector, so it is ``2^n / denominator
+    * sum c T_I u_1[j_1] ... u_k[j_k]`` over a sparse integer tensor
+    ``{(I, j_1, ..., j_k): c}``.  The tensor is read off basis inputs: for
+    each blade of the lift of each basis form ``e_I``, :func:`_letter_paths`
+    gives the index tuples whose letters fold it to the empty blade (trace =
+    ``2^n`` times the identity coefficient).  ``lift`` maps a basis form to
+    its operator; with ``degree`` 0 it is called with ``None`` and the trace
+    takes no form.
+
+    The letters of an entry multiply to one blade, the only one they trace
+    against to a nonzero value, so every entry comes from exactly one blade
+    of the lift and no two blades add into one entry.  The kernel records
+    that blade's grade class ``(|A|, g mod 2)`` per entry; a cosphere
+    placement scales each blade by the weight of its class, so
+    :meth:`placed` scales the entries and compiles nothing.
     """
 
-    __slots__ = ("n", "basis", "columns", "coeffs", "denominator")
+    __slots__ = ("n", "degree", "letters", "basis", "columns", "coeffs", "denominator", "grades")
 
-    def __init__(self, n: int, flavors: Sequence[str], lift: Callable[..., LinearOp],
-                 degree: int, placement: str, m: int = 1):
-        self.n = n
+    def __init__(self, n: int, flavors: Sequence[str], lift: Callable[..., LinearOp], degree: int):
+        self.n, self.degree, self.letters = n, degree, len(flavors)
         self.basis = list(itertools.combinations(range(1, n + 1), degree)) if degree else [()]
         signs = [_product_signs(n, 1 << bit) for bit in range(2 * n)]
-        tensor: Dict[Tuple[int, ...], object] = {}
+        low = (1 << n) - 1
+        entries, values, grades = [], [], []
         for slot, idx in enumerate(self.basis):
             op = lift(AntiSymForm(n, degree, {idx: 1}) if degree else None)
-            if placement != "plain":
-                op = cosphere_average(op, placement, m)
             for key, coeff in op.blades.items():
+                grade = ((key & low).bit_count(), key.bit_count() & 1)
                 for js, sign in _letter_paths(n, flavors, key, signs):
-                    _accumulate(tensor, (slot,) + js, coeff if sign > 0 else -coeff)
-        self.denominator = lcm(*(c.denominator for c in tensor.values()))
-        self.coeffs = [c.numerator * (self.denominator // c.denominator) for c in tensor.values()]
-        # one list per tensor slot: the form's basis slot, then each letter's index
-        self.columns = list(zip(*tensor))
+                    entries.append((slot,) + js)
+                    values.append(coeff if sign > 0 else -coeff)
+                    grades.append(grade)
+        self.grades = grades
+        self.denominator = lcm(*(c.denominator for c in values))
+        self.coeffs = [c.numerator * (self.denominator // c.denominator) for c in values]
+        # one tuple per tensor slot: the form's basis slot, then each letter's index
+        self.columns = list(zip(*entries))
+
+    def placed(self, placement: str, m: int = 1) -> "TraceKernel":
+        """The kernel of ``tr(W . P(lift(T)))`` for a placement ``P``.
+
+        ``"plain"`` is this kernel.  ``"before"``, ``"after"`` and
+        ``"interior"`` (at symbol order ``m``) scale each entry by its grade
+        class's weight, :func:`~hodge_residue.symbols._grade_weights` made
+        integers over one common denominator; entries of weight 0 are
+        dropped and the tensor is reduced to lowest terms, so it equals the
+        compile of the placed lift.  Any other placement raises
+        ``ValueError``.
+        """
+        if placement == "plain":
+            return self
+        weights = _grade_weights(self.n, placement, m)
+        scale = lcm(*(w.denominator for w in weights.values()))
+        factors = {grade: w.numerator * (scale // w.denominator) for grade, w in weights.items()}
+        scaled = [c * factors[grade] for c, grade in zip(self.coeffs, self.grades)]
+        coeffs = list(itertools.compress(scaled, scaled))
+        common = gcd(self.denominator * scale, *coeffs)
+        kernel = object.__new__(TraceKernel)
+        kernel.n, kernel.degree, kernel.letters, kernel.basis = self.n, self.degree, self.letters, self.basis
+        # the kept entries' columns; none at all when no entry is kept, as a compile gives
+        kernel.columns = [tuple(itertools.compress(column, scaled)) for column in self.columns] if coeffs else []
+        kernel.grades = list(itertools.compress(self.grades, scaled))
+        kernel.coeffs = [c // common for c in coeffs]
+        kernel.denominator = self.denominator * scale // common
+        return kernel
 
     def contract(self, rows: Sequence[Sequence[int]]) -> int:
         """``sum c * rows[0][I] * rows[1][j_1] ... rows[k][j_k]`` in integers.
@@ -167,8 +205,18 @@ class TraceKernel:
 
         Each input is scaled to integers by the lcm of its denominators, the
         tensor is contracted by :meth:`contract`, and the result is one
-        ``Fraction``.
+        ``Fraction``.  A form of another ``n`` or degree, another number of
+        vectors or a vector of another length raises ``ValueError``.
         """
+        if self.degree:
+            if form is None or (form.n, form.degree) != (self.n, self.degree):
+                raise ValueError(f"the kernel takes a degree-{self.degree} form with n={self.n}")
+        elif form is not None:
+            raise ValueError("the kernel takes no form")
+        if len(vectors) != self.letters:
+            raise ValueError(f"the kernel takes {self.letters} vectors, got {len(vectors)}")
+        if any(len(u) != self.n for u in vectors):
+            raise ValueError(f"every vector must have length n={self.n}")
         if form is None:
             rows, scale = [[1]], 1
         else:
@@ -350,8 +398,8 @@ def _density_spec(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> 
     return fspec
 
 
-def _density_kernel(fspec: FunctionalSpec, n: int, placement: str, m: int = 1) -> TraceKernel:
-    return TraceKernel(n, fspec.arg_flavors, fspec.lift, fspec.torsion_degree, placement, m)
+def _density_kernel(fspec: FunctionalSpec, n: int) -> TraceKernel:
+    return TraceKernel(n, fspec.arg_flavors, fspec.lift, fspec.torsion_degree)
 
 
 def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> SymbolicScalar:
@@ -360,7 +408,7 @@ def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) 
     Returns a GaussianRational multiple of ``V(S^{2m-1})``.
     """
     fspec = _density_spec(spec, T, vectors, m)
-    value = _density_kernel(fspec, T.n, "interior", m).trace(T, vectors)
+    value = _density_kernel(fspec, T.n).placed("interior", m).trace(T, vectors)
     return sphere_volume(T.n - 1) * (fspec.prefactor * value)
 
 
@@ -397,12 +445,11 @@ def density_decomposition(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: 
     ``total = zero_order + m * sandwich_per_m`` (prefactor applied to all).
     """
     fspec = _density_spec(spec, T, vectors, m)
-    n = T.n
+    kernel = _density_kernel(fspec, T.n)
     zero, before, after = (
-        _density_kernel(fspec, n, placement).trace(T, vectors)
-        for placement in ("plain", "before", "after")
+        kernel.placed(placement).trace(T, vectors) for placement in ("plain", "before", "after")
     )
-    unit = sphere_volume(n - 1) * fspec.prefactor
+    unit = sphere_volume(T.n - 1) * fspec.prefactor
     zero = unit * zero
     sandwich = unit * (before + after)
     return {
@@ -425,7 +472,7 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
         raise ValueError("trials must be >= 1")
     n = 2 * m
     rng = random.Random(f"{seed}:theorem:{fspec.functional_id}:{m}")
-    kernel = _density_kernel(fspec, n, "interior", m)
+    kernel = _density_kernel(fspec, n).placed("interior", m)
 
     def draw():
         form = _random_doubled(len(kernel.basis), rng)
@@ -556,12 +603,9 @@ def _lemma_lift(spec: LemmaSpec, form: Optional[AntiSymForm], n: int) -> LinearO
     return _LIFTS[spec.lift](form)
 
 
-def _lemma_kernel(spec: LemmaSpec, n: int, placement: str) -> TraceKernel:
-    """The trace kernel of one placement of a trace identity."""
-    return TraceKernel(
-        n, spec.word_flavors, lambda form: _lemma_lift(spec, form, n),
-        spec.form_degree or 0, placement,
-    )
+def _lemma_kernel(spec: LemmaSpec, n: int) -> TraceKernel:
+    """The plain trace kernel of a trace identity."""
+    return TraceKernel(n, spec.word_flavors, lambda form: _lemma_lift(spec, form, n), spec.form_degree or 0)
 
 
 def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> CheckReport:
@@ -571,8 +615,8 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     variants are verified each trial.  The expected side is the tabulated
     closed form ``ratio * unit * Tr(Id)`` (times ``V(S^{n-1})`` for
     integrated variants); any disagreement is reported with both exact
-    values.  The kernels are compiled once and the trials run in
-    :func:`_trial_loop`.
+    values.  The identity's kernel is compiled once and placed once per
+    placement, and the trials run in :func:`_trial_loop`.
     """
     if lemma_id in _LEMMA_ALIASES:
         base_id, placement = _LEMMA_ALIASES[lemma_id]
@@ -591,20 +635,20 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     # the form, if any, and every vector are drawn doubled; the trace is
     # 2^n c / D, times V(S^{n-1}) for a sandwiched (cosphere-integrated) one
     scale = Fraction(1 << n, 1 << (len(spec.word_flavors) + bool(spec.form_degree)))
+    kernel = _lemma_kernel(spec, n)
     comparisons = []
     for placement in placements:
         spheres = () if placement == "plain" else (n - 1,)
         comparisons.append((
-            placement, _lemma_kernel(spec, n, placement), SymbolicScalar.unit(scale, spheres=spheres),
+            placement, kernel.placed(placement), SymbolicScalar.unit(scale, spheres=spheres),
             SymbolicScalar.unit(scale * spec.ratio, spheres=spheres),
         ))
-    basis = comparisons[0][1].basis
     rng = random.Random(f"{seed}:lemma:{lemma_id}:{n}")
 
     def draw():
         vectors = [_random_doubled(n, rng) for _ in spec.word_flavors]
-        form = _random_doubled(len(basis), rng) if spec.form_degree else None
-        return [[1] if form is None else form, *vectors], _lemma_unit(spec, basis, form, vectors)
+        form = _random_doubled(len(kernel.basis), rng) if spec.form_degree else None
+        return [[1] if form is None else form, *vectors], _lemma_unit(spec, kernel.basis, form, vectors)
 
     return _trial_loop(lemma_id, n, trials, draw, comparisons, magnitude=spec.sign_policy == "magnitude")
 

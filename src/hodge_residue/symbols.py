@@ -1,4 +1,4 @@
-"""Sphere moments, cosphere averages by blade grade, and flat-space checks.
+"""Sphere moments, cosphere weights by blade grade, and flat-space checks.
 
 The interior residue densities reduce to integrals over the unit cosphere of
 operators quadratic in ``xi``.  This module provides:
@@ -6,10 +6,12 @@ operators quadratic in ``xi``.  This module provides:
 * :func:`sphere_moment` -- the exact monomial moment
   ``integral_{S^{n-1}} xi^alpha dS`` as a :class:`SymbolicScalar` (a rational
   multiple of ``V(S^{n-1})``),
-* :func:`cosphere_average` -- the cosphere average of the ``before``,
-  ``after`` and ``interior`` integrands of an operator, as that operator with
-  each blade scaled by a weight read from its grade, so that
-  ``integral tr(W . P(xi)) dS`` is one trace against it times ``V(S^{n-1})``,
+* :func:`_grade_weights` -- the weight law: the cosphere average of the
+  ``before``, ``after`` and ``interior`` integrands of an operator scales
+  each blade by a weight read from its grade, so ``integral tr(W . P(xi))
+  dS`` is ``V(S^{n-1})`` times a trace with every blade so weighted;
+  :meth:`hodge_residue.residue.TraceKernel.placed` applies the weights to a
+  compiled kernel's entries,
 * :func:`check_flat_commutators` -- the commutator identities
   ``[d + d*, x_k] = c(e_k)`` and ``[i(d - d*), x_k] = i chat(e_k)`` on
   monomial forms ``x^beta e_mask`` of flat ``R^n`` with integer
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .exterior import MAX_DIMENSION, LinearOp, _accumulate, clifford_generator
+from .exterior import MAX_DIMENSION, _accumulate, clifford_generator
 from .scalars import SymbolicScalar
 
 
@@ -55,12 +57,29 @@ def sphere_moment(alpha: Sequence[int], n: int) -> SymbolicScalar:
     return SymbolicScalar.unit(Fraction(numerator, denominator), spheres=(n - 1,))
 
 
-_PLACEMENTS = ("before", "after", "interior")
-
-
 @lru_cache(maxsize=128)
 def _grade_weights(n: int, placement: str, m: int) -> Dict[Tuple[int, int], Fraction]:
-    """``{(|A|, g mod 2): weight}`` of :func:`cosphere_average` (shared; read only)."""
+    """``{(|A|, g mod 2): weight}``: the cosphere average of a placement's
+    integrand scales each blade by the weight of its grade class (shared;
+    read only).
+
+    The integrands are quadratic in the unit covector ``xi``:
+
+    * ``"before"``: ``sum_{i,j} xi_i xi_j c_i X c_j``,
+    * ``"after"``: ``sum_{i,j} xi_i xi_j X c_i c_j``,
+    * ``"interior"``: ``X + m sum_{i,j} (c_i X + X c_i) c_j xi_i xi_j``.
+
+    Only the moments ``integral xi_i^2 dS = q V`` survive, with ``q = 1/n``
+    read from :func:`sphere_moment`.  Every blade ``X = c_A chat_B`` of grade
+    ``g = |A| + |B|`` is an eigenvector of both sandwiches,
+    ``sum_i c_i X c_i = -(-1)^g (n - 2|A|) X`` and ``sum_i X c_i c_i = -n X``,
+    so ``(1 / V(S^{n-1})) integral`` of the integrand is ``X`` times: before
+    ``-(-1)^g (n - 2|A|) q``, after ``-n q``, and interior ``1 + m (before +
+    after)``.  ``m`` is read by ``"interior"`` only; any other placement
+    raises ``ValueError``.
+    """
+    if placement not in ("before", "after", "interior"):
+        raise ValueError(f"placement must be before, after or interior, got {placement!r}")
     q = sphere_moment((2,) + (0,) * (n - 1), n).coefficient(spheres=(n - 1,)).re
 
     def weight(a: int, odd: int) -> Fraction:
@@ -73,36 +92,6 @@ def _grade_weights(n: int, placement: str, m: int) -> Dict[Tuple[int, int], Frac
         return 1 + m * (before + after)
 
     return {(a, odd): weight(a, odd) for a in range(n + 1) for odd in (0, 1)}
-
-
-def cosphere_average(op: LinearOp, placement: str, m: int = 1) -> LinearOp:
-    """``(1 / V(S^{n-1})) integral_{S^{n-1}}`` of a placement's integrand.
-
-    The integrands are quadratic in the unit covector ``xi``:
-
-    * ``"before"``: ``sum_{i,j} xi_i xi_j c_i op c_j``,
-    * ``"after"``: ``sum_{i,j} xi_i xi_j op c_i c_j``,
-    * ``"interior"``: ``op + m sum_{i,j} (c_i op + op c_i) c_j xi_i xi_j``.
-
-    Only the moments ``integral xi_i^2 dS = q V`` survive, with ``q = 1/n``
-    read from :func:`sphere_moment`.  Every blade ``X = c_A chat_B`` of grade
-    ``g = |A| + |B|`` is an eigenvector of both sandwiches,
-    ``sum_i c_i X c_i = -(-1)^g (n - 2|A|) X`` and ``sum_i X c_i c_i = -n X``,
-    so the average scales each blade of ``op`` by its weight: ``before`` =
-    ``-(-1)^g (n - 2|A|) q``, ``after`` = ``-n q``, and ``interior`` =
-    ``1 + m (before + after)``.
-    """
-    if placement not in _PLACEMENTS:
-        raise ValueError(f"placement must be one of {_PLACEMENTS}, got {placement!r}")
-    n = op.n
-    weights = _grade_weights(n, placement, m)
-    low = (1 << n) - 1
-    blades = {}
-    for key, coeff in op.blades.items():
-        w = weights[(key & low).bit_count(), key.bit_count() & 1]
-        if w:
-            blades[key] = coeff * w
-    return LinearOp._of(n, blades)
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ class TestBoundaryDensity:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_kernel_is_the_boundary_trace_identity_kernel(self, flavor, lemma_id, m):
         kernel, _ = _boundary_kernel(flavor, m)
-        lemma = _lemma_kernel(LEMMA_CHECKS[lemma_id], 2 * m, "plain")
+        lemma = _lemma_kernel(LEMMA_CHECKS[lemma_id], 2 * m)
         assert kernel.columns == lemma.columns
         assert kernel.coeffs == lemma.coeffs
         assert kernel.denominator == lemma.denominator

@@ -104,3 +104,16 @@ def test_private_names_have_a_package_caller(path):
     private = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
     uncalled = [(name, line) for name, line in private if name not in read]
     assert not uncalled, f"{path.name}: private names no package module reads {uncalled}"
+
+
+def test_all_lists_exactly_the_reexported_names():
+    """``from hodge_residue import *`` gives every name ``__init__.py``
+    imports from the package's modules, and nothing else."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    [listed] = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    ]
+    exported = [ast.literal_eval(element) for element in listed.elts]
+    assert len(exported) == len(set(exported))
+    assert set(exported) == set(_imported_names(tree))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodge_residue.exterior import clifford_word, trace_product
+from hodge_residue.exterior import LinearOp, clifford_word, trace_product
 from hodge_residue.forms import (
     AntiSymForm,
     form_contract,
@@ -33,6 +33,8 @@ from hodge_residue.boundary import verify_boundary
 from hodge_residue.residue import (
     FUNCTIONALS,
     LEMMA_CHECKS,
+    TraceKernel,
+    _LEMMA_ALIASES,
     _density_kernel,
     _lemma_kernel,
     _lemma_lift,
@@ -46,7 +48,7 @@ from hodge_residue.residue import (
 from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volume
 import word_reference
 from mixed_rationals import mixed_form, mixed_vector
-from word_reference import lemma_lhs
+from word_reference import cosphere_average, lemma_lhs
 
 
 def _placed_value(value: Fraction, placement: str, n: int) -> SymbolicScalar:
@@ -122,8 +124,9 @@ def test_lemma_kernels_equal_word_route(n, draw):
     compared = nonzero = 0
     for lemma_id, spec in sorted(LEMMA_CHECKS.items()):
         rng = random.Random(f"kernel:{lemma_id}:{n}:{draw}")
+        plain = _lemma_kernel(spec, n)
         for placement in spec.placements:
-            kernel = _lemma_kernel(spec, n, placement)
+            kernel = plain.placed(placement)
             for _ in range(2):
                 vectors = [vector(n, rng) for _ in spec.word_flavors]
                 form = form_of(n, spec.form_degree, rng) if spec.form_degree else None
@@ -165,7 +168,7 @@ def test_basis_certificate_at_m2(functional_id, inputs):
     holds at n = 4, not only on the random trials."""
     m, n = 2, 4
     spec = FUNCTIONALS[functional_id]
-    kernel = _density_kernel(spec, n, "interior", m)
+    kernel = _density_kernel(spec, n).placed("interior", m)
     unit = sphere_volume(n - 1) * spec.prefactor
     coeff = closed_form_coefficient(functional_id, m)
     basis = [basis_vector(n, j) for j in range(1, n + 1)]
@@ -177,6 +180,128 @@ def test_basis_certificate_at_m2(functional_id, inputs):
             if unit * kernel.trace(T, vectors) != coeff * form_contract(T, vectors):
                 disagreements += 1
     assert (checked, disagreements) == (inputs, 0)
+
+
+# ---------------------------------------------------------------------------
+# Placed kernels: one plain compile per check, placements as entry weights.
+# ---------------------------------------------------------------------------
+
+
+def _kernel_parts(kernel: TraceKernel) -> tuple:
+    return (kernel.basis, kernel.columns, kernel.coeffs, kernel.denominator, kernel.grades)
+
+
+def _assert_placed_equals_compile_of_placed_lift(flavors, lift, degree, n, placement, m):
+    kernel = TraceKernel(n, flavors, lift, degree).placed(placement, m)
+    compiled = TraceKernel(n, flavors, lambda form: cosphere_average(lift(form), placement, m), degree)
+    assert _kernel_parts(kernel) == _kernel_parts(compiled), (placement, m)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("lemma_id", sorted(LEMMA_CHECKS))
+def test_placed_lemma_kernels_equal_compiles_of_placed_lifts(lemma_id, n):
+    """Scaling the plain kernel's entries by their blades' weights gives the
+    tensor, denominator included, that compiling the placed lift gives: for
+    the identity's own placements and for every other one."""
+    spec = LEMMA_CHECKS[lemma_id]
+    for placement in ("before", "after", "interior"):
+        _assert_placed_equals_compile_of_placed_lift(
+            spec.word_flavors, lambda form: _lemma_lift(spec, form, n), spec.form_degree or 0, n, placement, n // 2,
+        )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("functional_id", sorted(FUNCTIONALS))
+def test_placed_density_kernels_equal_compiles_of_placed_lifts(functional_id, m):
+    spec = FUNCTIONALS[functional_id]
+    for placement in ("interior", "before", "after"):
+        _assert_placed_equals_compile_of_placed_lift(
+            spec.arg_flavors, spec.lift, spec.torsion_degree, 2 * m, placement, m,
+        )
+
+
+def test_plain_placement_is_the_kernel_and_unknown_ones_raise():
+    kernel = _lemma_kernel(LEMMA_CHECKS["L2.5"], 4)
+    assert kernel.placed("plain") is kernel
+    for placement in ("interor", "Before", ""):
+        with pytest.raises(ValueError, match="before, after or interior"):
+            kernel.placed(placement)
+
+
+def _count_compiles(monkeypatch) -> list:
+    calls = []
+    compile_kernel = TraceKernel.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        compile_kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceKernel, "__init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lemma_id", sorted(LEMMA_CHECKS) + sorted(_LEMMA_ALIASES))
+def test_lemma_check_compiles_one_kernel(monkeypatch, lemma_id):
+    calls = _count_compiles(monkeypatch)
+    lemma_check(lemma_id, 4, trials=1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("functional_id", sorted(FUNCTIONALS))
+def test_densities_compile_one_kernel_per_call(monkeypatch, functional_id):
+    spec = FUNCTIONALS[functional_id]
+    rng = random.Random(f"compiles:{functional_id}")
+    T = random_form(4, spec.torsion_degree, rng)
+    vectors = [random_vector(4, rng) for _ in spec.arg_flavors]
+    calls = _count_compiles(monkeypatch)
+    for call in (
+        lambda: verify_theorem(functional_id, 2, trials=1),
+        lambda: spectral_density(functional_id, T, vectors, 2),
+        lambda: density_decomposition(functional_id, T, vectors, 2),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+
+
+class TestKernelTraceInputs:
+    """``TraceKernel.trace`` refuses inputs of another shape instead of
+    truncating them."""
+
+    def test_vector_count_checked(self):
+        kernel = _lemma_kernel(LEMMA_CHECKS["B5.8"], 4)
+        vectors = [basis_vector(4, 4), basis_vector(4, 1), basis_vector(4, 1), basis_vector(4, 2)]
+        assert kernel.trace(None, vectors[:3]) == 16
+        for count in (2, 4):
+            with pytest.raises(ValueError, match=f"takes 3 vectors, got {count}"):
+                kernel.trace(None, vectors[:count])
+
+    def test_empty_kernel_knows_its_vector_count(self):
+        kernel = TraceKernel(4, ("c", "c"), lambda _: LinearOp.zero(4), 0)
+        assert not kernel.coeffs
+        assert kernel.trace(None, [basis_vector(4, 1)] * 2) == 0
+        with pytest.raises(ValueError, match="takes 2 vectors, got 1"):
+            kernel.trace(None, [basis_vector(4, 1)])
+
+    def test_form_checked(self):
+        kernel = _lemma_kernel(LEMMA_CHECKS["L2.4"], 4)
+        vectors = [basis_vector(4, 1), basis_vector(4, 2)]
+        assert kernel.trace(AntiSymForm(4, 2, {(1, 2): Fraction(1)}), vectors) == -16
+        # read in the n = 4 basis order, this form's (5, 6) entry would be dropped
+        wider = AntiSymForm(6, 2, {(1, 2): Fraction(1), (5, 6): Fraction(1)})
+        for form in (wider, AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)}), None):
+            with pytest.raises(ValueError, match="degree-2 form with n=4"):
+                kernel.trace(form, vectors)
+        boundary = _lemma_kernel(LEMMA_CHECKS["B5.8"], 4)
+        with pytest.raises(ValueError, match="takes no form"):
+            boundary.trace(AntiSymForm(4, 2, {(1, 2): Fraction(1)}), vectors + [basis_vector(4, 3)])
+
+    def test_vector_length_checked(self):
+        kernel = _lemma_kernel(LEMMA_CHECKS["L2.4"], 4)
+        T = AntiSymForm(4, 2, {(1, 2): Fraction(1)})
+        for short, long in ((basis_vector(4, 1)[:3], basis_vector(4, 2)), (basis_vector(4, 1), basis_vector(6, 2))):
+            with pytest.raises(ValueError, match="length n=4"):
+                kernel.trace(T, [short, long])
 
 
 # ---------------------------------------------------------------------------

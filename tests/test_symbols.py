@@ -20,12 +20,12 @@ from hodge_residue.residue import _LIFTS, LEMMA_CHECKS
 from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import (
     _flat_derivative,
+    _grade_weights,
     check_flat_commutators,
-    cosphere_average,
     sphere_moment,
 )
 from matrix_reference import from_entries
-from word_reference import generator_word
+from word_reference import cosphere_average, generator_word
 from xi_reference import average, integrand, interior_integrand
 
 
@@ -146,8 +146,13 @@ class TestCosphereAverage:
         assert sphere_volume(n - 1) * trace_product(word, averaged) == manual
 
     def test_unknown_placement_rejected(self):
-        with pytest.raises(ValueError):
-            cosphere_average(LinearOp.identity(4), "plain")
+        # the weight law is the one place a placement name is checked: "plain"
+        # has no weights, and a misspelt name must not fall through to any
+        for placement in ("plain", "interor", "Before"):
+            with pytest.raises(ValueError, match="before, after or interior"):
+                _grade_weights(4, placement, 1)
+            with pytest.raises(ValueError, match="before, after or interior"):
+                cosphere_average(LinearOp.identity(4), placement)
 
 
 class TestFlatOperators:

@@ -5,7 +5,10 @@ Each value is built from whole operators: the Clifford word of the vectors
 (:func:`clifford_word`), the lift of the whole form, its cosphere placement
 (:func:`cosphere_average`) and one :func:`trace_product`.  It never reads a
 kernel tensor or a letter path, and the tests hold
-:class:`hodge_residue.residue.TraceKernel` to it exactly.
+:class:`hodge_residue.residue.TraceKernel` and its placed kernels to it
+exactly.  :func:`cosphere_average` places a whole operator blade by blade
+with the package's weight law, and ``xi_reference`` holds it to the
+explicit xi-polynomial integrals.
 
 The boundary density is the word traced against each term of the residue
 kernel, ``sum_t tr(W op_t) K_t``; the tests hold the package's degree-0
@@ -25,7 +28,23 @@ from hodge_residue.exterior import (
 )
 from hodge_residue.residue import FunctionalSpec
 from hodge_residue.scalars import SymbolicScalar, sphere_volume
-from hodge_residue.symbols import cosphere_average
+from hodge_residue.symbols import _grade_weights
+
+
+def cosphere_average(op: LinearOp, placement: str, m: int = 1) -> LinearOp:
+    """``(1 / V(S^{n-1})) integral_{S^{n-1}}`` of a placement's integrand
+    (``"before"``, ``"after"`` or ``"interior"``, see
+    :func:`hodge_residue.symbols._grade_weights`): ``op`` with each blade
+    ``c_A chat_B`` of grade ``g`` scaled by the weight of ``(|A|, g mod 2)``."""
+    n = op.n
+    weights = _grade_weights(n, placement, m)
+    low = (1 << n) - 1
+    blades = {}
+    for key, coeff in op.blades.items():
+        w = weights[(key & low).bit_count(), key.bit_count() & 1]
+        if w:
+            blades[key] = coeff * w
+    return LinearOp._of(n, blades)
 
 
 def lemma_lhs(word: LinearOp, lift: LinearOp, placement: str) -> SymbolicScalar:

@@ -6,7 +6,7 @@ explicit ``compose`` of Clifford generators with the given operator.  It is
 averaged over the unit cosphere monomial by monomial with
 :func:`sphere_moment`.  It forms every Clifford product and uses no blade
 grade, so it shares no step with
-:func:`hodge_residue.symbols.cosphere_average` but the moments, and the tests
+:func:`word_reference.cosphere_average` but the moments, and the tests
 hold the two to exact equality.
 """
 
