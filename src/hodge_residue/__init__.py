@@ -23,9 +23,7 @@ from .exterior import (
     clifford,
     clifford_generator,
     clifford_word,
-    contract_lower,
     trace_product,
-    wedge_raise,
 )
 from .forms import (
     AntiSymForm,
@@ -84,7 +82,6 @@ __all__ = [
     "clifford_word",
     "closed_form_boundary_coefficient",
     "closed_form_coefficient",
-    "contract_lower",
     "density_decomposition",
     "form_contract",
     "form_from_json",
@@ -109,5 +106,4 @@ __all__ = [
     "vectors_from_json",
     "verify_boundary",
     "verify_theorem",
-    "wedge_raise",
 ]

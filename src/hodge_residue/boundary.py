@@ -3,7 +3,10 @@
 Everything here is a rational function of the normal covariable ``xi_n``
 (tangential covariable fixed on the unit sphere ``|xi'| = 1``), either scalar
 (:class:`ScalarRational`) or with operator coefficients in partial-fraction
-form (:class:`RationalXnOp`).  The three analytic ingredients are
+form (:class:`RationalXnOp`).  Every boundary symbol decays at infinity, so
+only proper fractions are decomposed: a numerator of degree at least the
+denominator's order raises ``ValueError``.  The three analytic ingredients
+are
 
 * :func:`pi_plus` -- the projection keeping partial-fraction terms with poles
   in the upper half-plane (the boundary-calculus symbol projection),
@@ -95,15 +98,14 @@ def _strip(coeffs: Sequence[GaussianRational]) -> Tuple[GaussianRational, ...]:
 
 def _expand_factors(factors: Dict[GaussianRational, int]) -> Tuple[GaussianRational, ...]:
     poly: Tuple[GaussianRational, ...] = (as_gaussian(1),)
-    for pole, mult in sorted(factors.items(), key=_pole_key):
+    for pole in sorted(factors, key=_pole_key):
         linear = (-pole, as_gaussian(1))
-        for _ in range(mult):
+        for _ in range(factors[pole]):
             poly = _conv(poly, linear)
     return poly
 
 
-def _pole_key(item) -> Tuple[Fraction, Fraction]:
-    pole = item[0] if isinstance(item, tuple) else item
+def _pole_key(pole: GaussianRational) -> Tuple[Fraction, Fraction]:
     return (pole.re, pole.im)
 
 
@@ -131,17 +133,9 @@ class ScalarRational:
         return not self.num
 
     @property
-    def numerator_degree(self) -> int:
-        return len(self.num) - 1 if self.num else -1
-
-    @property
-    def denominator_order(self) -> int:
-        return sum(self.den.values())
-
-    @property
     def decay_order(self) -> int:
-        """Degree of decay at infinity (2 = at least quadratic)."""
-        return self.denominator_order - self.numerator_degree
+        """Degree of decay at infinity (2 = at least quadratic, 1 = proper)."""
+        return sum(self.den.values()) - len(self.num) + 1
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other: "ScalarRational") -> "ScalarRational":
@@ -189,31 +183,20 @@ class ScalarRational:
         diff = self - other
         return diff.is_zero
 
-    def evaluate(self, z: complex) -> complex:
-        num = 0j
-        for coeff in reversed(self.num):
-            num = num * z + complex(coeff)
-        den = 1j * 0 + 1.0
-        for pole, mult in self.den.items():
-            den *= (z - complex(pole)) ** mult
-        return num / den
-
     # -- partial fractions ----------------------------------------------------
-    def partial_fractions(self) -> Tuple[Tuple[GaussianRational, ...], Dict[Tuple[GaussianRational, int], GaussianRational]]:
-        """Canonical decomposition ``poly + sum coeff/(xi-pole)^order``."""
+    def partial_fractions(self) -> Dict[Tuple[GaussianRational, int], GaussianRational]:
+        """``{(pole, order): coeff}`` with ``self = sum coeff/(xi-pole)^order``.
+
+        Only proper fractions decompose: a numerator of degree at least the
+        denominator's order (a polynomial part) raises ``ValueError``.
+        """
         if self.is_zero:
-            return (), {}
-        num = self.num
-        poly_part: Tuple[GaussianRational, ...] = ()
-        den_poly = _expand_factors(self.den)
-        if len(num) >= len(den_poly) and self.den:
-            poly_part, num = _poly_divmod(num, den_poly)
-            num = _strip(num)
-        elif not self.den:
-            return num, {}
+            return {}
+        if self.decay_order < 1:
+            raise ValueError("partial fractions of a proper fraction only (no polynomial part)")
         terms: Dict[Tuple[GaussianRational, int], GaussianRational] = {}
         for pole, mult in self.den.items():
-            shifted = _taylor_shift(num, pole)
+            shifted = _taylor_shift(self.num, pole)
             series = _truncate(shifted, mult)
             for other_pole, other_mult in self.den.items():
                 if other_pole == pole:
@@ -224,7 +207,7 @@ class ScalarRational:
             for s, coeff in enumerate(series):
                 if coeff:
                     terms[(pole, mult - s)] = coeff
-        return poly_part, terms
+        return terms
 
     def line_integral(self) -> SymbolicScalar:
         """``integral over R`` by residues; requires at least quadratic decay."""
@@ -234,11 +217,8 @@ class ScalarRational:
             raise ValueError(
                 f"insufficient decay for a line integral (decay order {self.decay_order} < 2)"
             )
-        poly_part, terms = self.partial_fractions()
-        if poly_part:
-            raise ValueError("insufficient decay for a line integral (polynomial part)")
         total = ZERO
-        for (pole, order), coeff in terms.items():
+        for (pole, order), coeff in self.partial_fractions().items():
             if pole.im == 0:
                 raise ValueError(f"pole on the real axis at {pole}")
             if order == 1 and pole.im > 0:
@@ -251,19 +231,6 @@ class ScalarRational:
 
 def _factor_deficit(current: Dict[GaussianRational, int], target: Dict[GaussianRational, int]) -> Dict[GaussianRational, int]:
     return {pole: target[pole] - current.get(pole, 0) for pole in target if target[pole] > current.get(pole, 0)}
-
-
-def _poly_divmod(num: Sequence[GaussianRational], den: Sequence[GaussianRational]):
-    num = list(num)
-    quotient = [ZERO] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(quotient) - 1, -1, -1):
-        coeff = num[k + len(den) - 1] / lead
-        quotient[k] = coeff
-        if coeff:
-            for j, dj in enumerate(den):
-                num[k + j] = num[k + j] - coeff * dj
-    return _strip(quotient), tuple(num[: len(den) - 1])
 
 
 def _taylor_shift(coeffs: Sequence[GaussianRational], center: GaussianRational) -> Tuple[GaussianRational, ...]:
@@ -317,20 +284,16 @@ def _series_mul(a: Sequence[GaussianRational], b: Sequence[GaussianRational], le
 
 
 class RationalXnOp:
-    """Partial-fraction sum ``sum coeff_op/(xi_n - pole)^order`` + polynomial.
+    """Proper partial-fraction sum ``sum coeff_op/(xi_n - pole)^order``.
 
     Terms are canonical: pairwise-distinct ``(pole, order)`` keys, no zero
-    operator coefficients, deterministic order.
+    operator coefficients, deterministic order.  There is no polynomial
+    part: every term decays.
     """
 
-    __slots__ = ("n", "terms", "poly")
+    __slots__ = ("n", "terms")
 
-    def __init__(
-        self,
-        n: int,
-        terms: Sequence[Tuple[GaussianRational, int, LinearOp]] = (),
-        poly: Sequence[Tuple[int, LinearOp]] = (),
-    ):
+    def __init__(self, n: int, terms: Sequence[Tuple[GaussianRational, int, LinearOp]] = ()):
         self.n = n
         merged: Dict[Tuple[GaussianRational, int], LinearOp] = {}
         for pole, order, coeff in terms:
@@ -348,43 +311,28 @@ class RationalXnOp:
             )
             if not op.is_zero
         ]
-        poly_merged: Dict[int, LinearOp] = {}
-        for degree, coeff in poly:
-            if degree < 0:
-                raise ValueError("polynomial degree must be >= 0")
-            poly_merged[degree] = coeff if degree not in poly_merged else poly_merged[degree] + coeff
-        self.poly = [
-            (degree, op) for degree, op in sorted(poly_merged.items()) if not op.is_zero
-        ]
 
     @classmethod
     def from_scalar(cls, scalar: ScalarRational, op: LinearOp) -> "RationalXnOp":
-        """Distribute a scalar rational function onto an operator coefficient."""
-        poly_part, pf = scalar.partial_fractions()
-        terms = [(pole, order, op.scale(coeff)) for (pole, order), coeff in pf.items()]
-        poly = [(deg, op.scale(c)) for deg, c in enumerate(poly_part) if c]
-        return cls(op.n, terms, poly)
+        """Distribute a proper scalar rational function onto an operator
+        coefficient (an improper one raises in its partial fractions)."""
+        return cls(op.n, [
+            (pole, order, op.scale(coeff)) for (pole, order), coeff in scalar.partial_fractions().items()
+        ])
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms and not self.poly
+        return not self.terms
 
     def __add__(self, other: "RationalXnOp") -> "RationalXnOp":
         if not isinstance(other, RationalXnOp) or other.n != self.n:
             return NotImplemented
-        return RationalXnOp(self.n, list(self.terms) + list(other.terms), list(self.poly) + list(other.poly))
-
-    def scale(self, scalar) -> "RationalXnOp":
-        return RationalXnOp(
-            self.n,
-            [(pole, order, op.scale(scalar)) for pole, order, op in self.terms],
-            [(deg, op.scale(scalar)) for deg, op in self.poly],
-        )
+        return RationalXnOp(self.n, list(self.terms) + list(other.terms))
 
     def __eq__(self, other):
         if not isinstance(other, RationalXnOp):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms and self.poly == other.poly
+        return self.n == other.n and self.terms == other.terms
 
     __hash__ = None
 
@@ -395,20 +343,14 @@ class RationalXnOp:
             value = trace_product(word, op)
             if value:
                 total = total + ScalarRational([value], {pole: order})
-        for degree, op in self.poly:
-            value = trace_product(word, op)
-            if value:
-                total = total + ScalarRational([ZERO] * degree + [value])
         return total
 
     def __repr__(self) -> str:
-        return f"RationalXnOp(n={self.n}, terms={len(self.terms)}, poly={len(self.poly)})"
+        return f"RationalXnOp(n={self.n}, terms={len(self.terms)})"
 
 
 def pi_plus(r: RationalXnOp) -> RationalXnOp:
     """Keep the partial-fraction terms with poles in the upper half-plane."""
-    if r.poly:
-        raise ValueError("projection requires a decaying symbol (no polynomial part)")
     kept = []
     for pole, order, op in r.terms:
         if pole.im == 0:

@@ -4,10 +4,12 @@ The exterior algebra ``Lambda^*(R^n)`` has dimension ``2^n``; the wedge
 monomial ``e_{i_1} ^ ... ^ e_{i_k}`` (indices increasing, 1-based) is encoded
 as the bitmask with bits ``i_1 - 1, ..., i_k - 1`` set.
 
-Two families of Clifford actions are provided for each direction ``j``:
+Two families of Clifford actions are provided for each direction ``j``,
+from the exterior multiplication ``eps_j = e_j ^ .`` and the interior
+contraction ``iota_j``:
 
-* ``c_j = wedge_raise(j) - contract_lower(j)`` squaring to ``-1``,
-* ``chat_j = wedge_raise(j) + contract_lower(j)`` squaring to ``+1``,
+* ``c_j = eps_j - iota_j`` squaring to ``-1``,
+* ``chat_j = eps_j + iota_j`` squaring to ``+1``,
 
 with all mixed pairs anticommuting.  They generate the Clifford algebra
 ``Cl(n,n)``, which is all of ``End(Lambda^*(R^n))``, so every operator is a
@@ -42,8 +44,6 @@ from .scalars import GaussianRational, as_gaussian
 FLAVORS = ("c", "chat")
 
 MAX_DIMENSION = 14
-
-_HALF = Fraction(1, 2)
 
 
 def _check_n(n: int) -> None:
@@ -172,19 +172,12 @@ class LinearOp:
         return not self.blades
 
     def column(self, mask: int) -> Dict[int, object]:
-        """``{row: coefficient}``: the image of the basis monomial ``mask``.
-
-        Whole ``Fraction`` values come back as ``int``: the entries of
-        ``wedge_raise`` and ``contract_lower`` are sums of halves.
-        """
+        """``{row: coefficient}``: the image of the basis monomial ``mask``."""
         col: Dict[int, object] = {}
         n = self.n
         for key, coeff in self.blades.items():
             sign, row = _blade_action(n, key, mask)
             _accumulate(col, row, coeff if sign > 0 else -coeff)
-        for row, coeff in col.items():
-            if type(coeff) is Fraction and coeff.denominator == 1:
-                col[row] = coeff.numerator
         return col
 
     # -- algebra --------------------------------------------------------------
@@ -278,20 +271,6 @@ def trace_product(a: LinearOp, b: LinearOp) -> GaussianRational:
 
 def _generator_key(flavor: str, n: int, j: int) -> int:
     return 1 << (j - 1 if flavor == "c" else n + j - 1)
-
-
-def wedge_raise(n: int, j: int) -> LinearOp:
-    """Exterior multiplication ``e_j ^ .`` (1-based ``j``): ``(c_j + chat_j) / 2``."""
-    _check_n(n)
-    _check_index(n, j)
-    return LinearOp._of(n, {_generator_key("c", n, j): _HALF, _generator_key("chat", n, j): _HALF})
-
-
-def contract_lower(n: int, j: int) -> LinearOp:
-    """Interior contraction with ``e_j`` (1-based ``j``): ``(chat_j - c_j) / 2``."""
-    _check_n(n)
-    _check_index(n, j)
-    return LinearOp._of(n, {_generator_key("c", n, j): -_HALF, _generator_key("chat", n, j): _HALF})
 
 
 def clifford_generator(flavor: str, n: int, j: int) -> LinearOp:

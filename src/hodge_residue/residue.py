@@ -521,32 +521,28 @@ class LemmaSpec:
     sign_policy: str = "exact"  # exact | magnitude
 
 
-def _frac(a, b=1) -> Fraction:
-    return Fraction(a, b)
-
-
 LEMMA_CHECKS: Dict[str, LemmaSpec] = {
     spec.lemma_id: spec
     for spec in [
-        LemmaSpec("L2.4", ("chat", "chat"), "two_chat", 2, ("plain",), _frac(-1)),
-        LemmaSpec("L2.5", ("chat", "chat"), "two_chat", 2, ("before", "after"), _frac(1)),
-        LemmaSpec("L3.4a", ("c", "c", "c"), "three_c", 3, ("plain",), _frac(1)),
-        LemmaSpec("L3.4b", ("c", "c", "c"), "three_mixed", 3, ("plain",), _frac(0)),
-        LemmaSpec("L3.5", ("c", "c", "c"), "three_mixed", 3, ("before", "after"), _frac(0)),
-        LemmaSpec("L3.6a", ("c", "c", "c"), "three_c", 3, ("after",), _frac(-1)),
-        LemmaSpec("L3.6b", ("c", "c", "c"), "three_c", 3, ("before",), _frac(-5)),
-        LemmaSpec("L3.7a", ("c", "chat", "chat"), "three_mixed", 3, ("plain",), _frac(-2)),
-        LemmaSpec("L3.7b", ("c", "chat", "chat"), "three_c", 3, ("plain",), _frac(0)),
-        LemmaSpec("L3.8", ("c", "chat", "chat"), "three_c", 3, ("after", "before"), _frac(0)),
-        LemmaSpec("L3.9", ("c", "chat", "chat"), "three_mixed", 3, ("before", "after"), _frac(2)),
-        LemmaSpec("L4.5", ("c", "c", "chat", "chat"), "four_mixed", 4, ("plain",), _frac(-1, 6)),
-        LemmaSpec("L4.6a", ("c", "c", "chat", "chat"), "four_mixed", 4, ("before",), _frac(-1, 2)),
-        LemmaSpec("L4.6b", ("c", "c", "chat", "chat"), "four_mixed", 4, ("after",), _frac(1, 6)),
-        LemmaSpec("L4.7", ("chat",) * 4, "four_chat", 4, ("plain",), _frac(1)),
-        LemmaSpec("L4.8", ("chat",) * 4, "four_chat", 4, ("before", "after"), _frac(-1)),
-        LemmaSpec("B5.8", ("c", "c", "c"), "normal_c", None, ("plain",), _frac(1), unit="boundary_cyclic"),
-        LemmaSpec("B5.10", ("c", "chat", "chat"), "normal_c", None, ("plain",), _frac(1), unit="boundary_first"),
-        LemmaSpec("M6.2", ("c", "c"), None, None, ("plain",), _frac(1), unit="metric", sign_policy="magnitude"),
+        LemmaSpec("L2.4", ("chat", "chat"), "two_chat", 2, ("plain",), Fraction(-1)),
+        LemmaSpec("L2.5", ("chat", "chat"), "two_chat", 2, ("before", "after"), Fraction(1)),
+        LemmaSpec("L3.4a", ("c", "c", "c"), "three_c", 3, ("plain",), Fraction(1)),
+        LemmaSpec("L3.4b", ("c", "c", "c"), "three_mixed", 3, ("plain",), Fraction(0)),
+        LemmaSpec("L3.5", ("c", "c", "c"), "three_mixed", 3, ("before", "after"), Fraction(0)),
+        LemmaSpec("L3.6a", ("c", "c", "c"), "three_c", 3, ("after",), Fraction(-1)),
+        LemmaSpec("L3.6b", ("c", "c", "c"), "three_c", 3, ("before",), Fraction(-5)),
+        LemmaSpec("L3.7a", ("c", "chat", "chat"), "three_mixed", 3, ("plain",), Fraction(-2)),
+        LemmaSpec("L3.7b", ("c", "chat", "chat"), "three_c", 3, ("plain",), Fraction(0)),
+        LemmaSpec("L3.8", ("c", "chat", "chat"), "three_c", 3, ("after", "before"), Fraction(0)),
+        LemmaSpec("L3.9", ("c", "chat", "chat"), "three_mixed", 3, ("before", "after"), Fraction(2)),
+        LemmaSpec("L4.5", ("c", "c", "chat", "chat"), "four_mixed", 4, ("plain",), Fraction(-1, 6)),
+        LemmaSpec("L4.6a", ("c", "c", "chat", "chat"), "four_mixed", 4, ("before",), Fraction(-1, 2)),
+        LemmaSpec("L4.6b", ("c", "c", "chat", "chat"), "four_mixed", 4, ("after",), Fraction(1, 6)),
+        LemmaSpec("L4.7", ("chat",) * 4, "four_chat", 4, ("plain",), Fraction(1)),
+        LemmaSpec("L4.8", ("chat",) * 4, "four_chat", 4, ("before", "after"), Fraction(-1)),
+        LemmaSpec("B5.8", ("c", "c", "c"), "normal_c", None, ("plain",), Fraction(1), unit="boundary_cyclic"),
+        LemmaSpec("B5.10", ("c", "chat", "chat"), "normal_c", None, ("plain",), Fraction(1), unit="boundary_first"),
+        LemmaSpec("M6.2", ("c", "c"), None, None, ("plain",), Fraction(1), unit="metric", sign_policy="magnitude"),
     ]
 }
 

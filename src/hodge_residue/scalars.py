@@ -142,8 +142,6 @@ class GaussianRational:
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction, _RationalABC)):
             return not self.im and self.re == other
-        if isinstance(other, complex):
-            return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
@@ -196,24 +194,18 @@ def as_gaussian(value: _CoeffLike) -> GaussianRational:
 # Symbolic scalars: GaussianRational combinations of pi^a * prod V(S^d)^e
 # ---------------------------------------------------------------------------
 
-_SphereSpec = Union[Mapping[int, int], Iterable[int], Iterable[tuple]]
+_SphereSpec = Iterable[Union[int, tuple]]
 
 # A unit monomial is keyed by (pi_exponent, ((sphere_dim, exponent), ...)).
 UnitKey = tuple
 
 
 def _normalize_spheres(spheres: _SphereSpec) -> tuple:
+    """Sorted ``((dim, exponent), ...)`` from entries ``dim`` (exponent 1)
+    or ``(dim, exponent)``."""
     merged: dict = {}
-    if isinstance(spheres, Mapping):
-        items = spheres.items()
-    else:
-        items = []
-        for entry in spheres:
-            if isinstance(entry, tuple):
-                items.append(entry)
-            else:
-                items.append((entry, 1))
-    for dim, exp in items:
+    for entry in spheres:
+        dim, exp = entry if isinstance(entry, tuple) else (entry, 1)
         if dim < 0:
             raise ValueError(f"sphere dimension must be >= 0, got {dim}")
         merged[dim] = merged.get(dim, 0) + exp
@@ -354,8 +346,9 @@ class SymbolicScalar:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    # equal to plain numbers (``number(2) == 2``), so no hash can agree with
+    # both; nothing hashes a SymbolicScalar
+    __hash__ = None
 
     # -- output ---------------------------------------------------------------
     @staticmethod

@@ -141,11 +141,11 @@ def _times_coordinate(k: int, form: FlatForm) -> FlatForm:
     }
 
 
-def check_flat_commutators(n: int, max_degree: int = 3) -> List[dict]:
+def check_flat_commutators(n: int) -> List[dict]:
     """Verify the commutator identities on all monomial forms of low degree.
 
     For every coordinate ``k`` and every monomial form ``x^beta e_mask`` with
-    ``|beta| < max_degree``:
+    ``|beta| <= 2``:
 
     * ``[d + d*, x_k] omega == c(e_k) omega``
     * ``[d - d*, x_k] omega == chat(e_k) omega``
@@ -162,11 +162,9 @@ def check_flat_commutators(n: int, max_degree: int = 3) -> List[dict]:
     """
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension n must satisfy 1 <= n <= {MAX_DIMENSION}, got {n}")
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     # d + d* and d - d* of a monomial do not depend on k: take them once
     monomials = []
-    for total in range(max_degree):
+    for total in range(3):
         for beta in _exponents_with_sum(n, total):
             for mask in range(1 << n):
                 omega = {(beta, mask): 1}

@@ -2,19 +2,36 @@
 
 Forms are :class:`PolyForm` dicts ``{(beta, mask): coeff}`` with ``Fraction``
 (or Gaussian) coefficients.  ``d`` and ``d*`` apply the columns of the
-``wedge_raise`` and ``contract_lower`` operators (sums of half blades) to the
-partial derivatives of the coefficients, so their signs come from the blade
-action and not from the popcount rule of
+:func:`wedge_raise` and :func:`contract_lower` operators (sums of half
+blades, defined here) to the partial derivatives of the coefficients, so
+their signs come from the blade action and not from the popcount rule of
 :func:`hodge_residue.symbols.check_flat_commutators`.  The ``chat`` identity
 keeps the paper's factor ``i`` on both sides.  The tests hold the two routes
 to exact equality.
 """
 
 import itertools
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from hodge_residue.exterior import LinearOp, clifford_generator, contract_lower, wedge_raise
+from hodge_residue.exterior import LinearOp, _check_index, _check_n, _generator_key, clifford_generator
 from hodge_residue.scalars import I
+
+_HALF = Fraction(1, 2)
+
+
+def wedge_raise(n: int, j: int) -> LinearOp:
+    """Exterior multiplication ``e_j ^ .`` (1-based ``j``): ``(c_j + chat_j) / 2``."""
+    _check_n(n)
+    _check_index(n, j)
+    return LinearOp._of(n, {_generator_key("c", n, j): _HALF, _generator_key("chat", n, j): _HALF})
+
+
+def contract_lower(n: int, j: int) -> LinearOp:
+    """Interior contraction with ``e_j`` (1-based ``j``): ``(chat_j - c_j) / 2``."""
+    _check_n(n)
+    _check_index(n, j)
+    return LinearOp._of(n, {_generator_key("c", n, j): -_HALF, _generator_key("chat", n, j): _HALF})
 
 
 class PolyForm:

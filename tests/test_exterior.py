@@ -13,11 +13,10 @@ from hodge_residue.exterior import (
     clifford,
     clifford_generator,
     clifford_word,
-    contract_lower,
     trace_product,
-    wedge_raise,
 )
 from hodge_residue.scalars import GaussianRational
+from flat_reference import contract_lower, wedge_raise
 from matrix_reference import from_entries
 from mixed_rationals import mixed_vector
 from word_reference import generator_word

@@ -55,6 +55,13 @@ class TestGaussianRational:
     def test_complex_conversion(self):
         assert complex(GaussianRational(Fraction(1, 2), Fraction(-3))) == 0.5 - 3j
 
+    def test_never_equal_to_a_float_complex(self):
+        # 1/3 is not a float, and equal values must hash alike: an exact
+        # scalar compares only with exact ones
+        assert GaussianRational(Fraction(1, 3)) != complex(1 / 3)
+        assert GaussianRational(Fraction(1), Fraction(1)) != 1 + 1j
+        assert len({GaussianRational(Fraction(1), Fraction(1)), 1 + 1j}) == 2
+
     def test_rendering(self):
         assert str(GaussianRational(Fraction(0))) == "0"
         assert str(GaussianRational(Fraction(-1, 8))) == "-1/8"
@@ -119,6 +126,12 @@ class TestSymbolicScalar:
         x = sphere_volume(3) * a + PI * sphere_volume(2) * b
         general = x * SymbolicScalar.number(factor)
         assert (x * factor).terms == general.terms == (factor * x).terms
+
+    def test_equal_to_numbers_but_unhashable(self):
+        # number(2) == 2, and no hash agrees with both int and unit keys
+        assert SymbolicScalar.number(2) == 2
+        with pytest.raises(TypeError):
+            hash(SymbolicScalar.number(2))
 
     def test_numeric_evaluation(self):
         val = sphere_volume(3) * Fraction(2) + SymbolicScalar.number(Fraction(1))

@@ -104,8 +104,6 @@ def generator_word(n: int, letters) -> LinearOp:
 def pi_minus(r: RationalXnOp) -> RationalXnOp:
     """Keep the partial-fraction terms with poles in the lower half-plane,
     the complement of :func:`hodge_residue.boundary.pi_plus`."""
-    if r.poly:
-        raise ValueError("projection requires a decaying symbol (no polynomial part)")
     if any(pole.im == 0 for pole, _, _ in r.terms):
         raise ValueError("pole on the real axis")
     return RationalXnOp(r.n, [term for term in r.terms if term[0].im < 0])
