@@ -4,12 +4,11 @@ The package computes residue densities of perturbed Hodge operators in exact
 rational/Gaussian-rational arithmetic (interior functionals, trace identities,
 boundary terms) and checks the results against tabulated closed forms.  The
 independent floating-point oracle lives in ``hodge_residue.oracle``; it needs
-numpy and scipy, and neither the package nor the CLI imports it.
+numpy, and neither the package nor the CLI imports it.
 """
 
 from .boundary import (
     BoundaryArgs,
-    RationalXnOp,
     ScalarRational,
     boundary_density,
     closed_form_boundary_coefficient,
@@ -72,7 +71,6 @@ __all__ = [
     "LEMMA_CHECKS",
     "LinearOp",
     "PI",
-    "RationalXnOp",
     "ScalarRational",
     "SymbolicScalar",
     "boundary_density",

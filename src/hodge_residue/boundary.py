@@ -1,15 +1,17 @@
 """Boundary contributions: rational symbols in the normal covariable.
 
 Everything here is a rational function of the normal covariable ``xi_n``
-(tangential covariable fixed on the unit sphere ``|xi'| = 1``), either scalar
-(:class:`ScalarRational`) or with operator coefficients in partial-fraction
-form (:class:`RationalXnOp`).  Every boundary symbol decays at infinity, so
-only proper fractions are decomposed: a numerator of degree at least the
-denominator's order raises ``ValueError``.  The three analytic ingredients
-are
+(tangential covariable fixed on the unit sphere ``|xi'| = 1``), a
+:class:`ScalarRational`.  Each channel of the inverse symbol is a pair
+``(a, r)``: one Clifford generator ``c_a`` times one scalar ``r``, so every
+operation in ``xi_n`` acts on the scalar alone.  Every boundary symbol decays
+at infinity, so only proper fractions are decomposed: a numerator of degree
+at least the denominator's order raises ``ValueError``.  The three analytic
+ingredients are
 
-* :func:`pi_plus` -- the projection keeping partial-fraction terms with poles
-  in the upper half-plane (the boundary-calculus symbol projection),
+* :func:`pi_plus` -- the projection keeping the partial-fraction terms
+  ``{(pole, order): coeff}`` with poles in the upper half-plane (the
+  boundary-calculus symbol projection),
 * :meth:`ScalarRational.line_integral` -- exact ``integral over R dxi_n``
   by residues, ``2 pi i * sum`` of upper-half-plane residues with ``pi``
   symbolic,
@@ -19,23 +21,21 @@ are
   (odd tangential terms vanish by computed moments, not by assumption).
 
 Only the argument word ``W`` depends on the density's vectors.  The trace
-against ``W`` and the line integral are both Q[i]-linear, so each
-upper-half-plane term ``op_t/(xi_n - pole_t)^order_t`` of a projected
-channel ``alpha`` contributes ``tr(W op_t) * K_t`` with the word-independent
-weight ``K_t = moment(alpha) * line_integral(d/(xi_n - pole_t)^order_t)``
-(``d`` the normal derivative symbol).  The pairs ``(op_t, K_t)`` form the
-residue kernel of symbol order ``m``; it is built once per ``m`` from the same
-channels, projection and residues, with every pole and decay check.  Each
-channel's sphere moment is computed first, and a channel whose moment is
-zero is not built.
+against ``W`` and the line integral are both Q[i]-linear, so a channel
+``(a, r)`` keyed ``alpha`` contributes ``tr(W c_a) * K`` with the
+word-independent weight ``K = moment(alpha) * line_integral(pi_plus(r) d)``
+(``d`` the normal derivative symbol), summed term by term over the
+partial fractions.  The pairs ``(a, K)`` form the residue kernel of symbol
+order ``m``; it is built once per ``m`` from the same channels, projection
+and residues, with every pole and decay check.  A channel whose sphere
+moment is zero contributes no pair.
 
-At every ``m`` that kernel has one term, ``(i/2) c_n`` (the normal channel),
-so a density is ``weight * tr(W c_n)`` with ``weight`` the term's ``K``
-times its blade coefficient.  ``tr(W(u, v, w) c_n)`` is a degree-0
+At every ``m`` that kernel has one pair, ``(n, K)`` (the normal channel),
+so a density is ``K * tr(W c_n)``.  ``tr(W(u, v, w) c_n)`` is a degree-0
 :class:`~hodge_residue.residue.TraceKernel`, the same tensor as the B5.8
 (psi1) and B5.10 (psi2) trace identities; the kernel build raises
-``ValueError`` if the residue kernel has another term count or its operator
-is not a single blade.  No Clifford word is built.
+``ValueError`` if the residue kernel has another number of pairs.  No
+Clifford word is built.
 
 :func:`verify_boundary` asserts exact proportionality of each density to its
 stated vector contraction and compares the engine's absolute constant with
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exterior import LinearOp, clifford_generator, trace_product
+from .exterior import clifford_generator
 from .forms import _random_doubled
 from .residue import CheckReport, TraceKernel, _trial_loop, boundary_contraction
 from .scalars import (
@@ -278,86 +278,15 @@ def _series_mul(a: Sequence[GaussianRational], b: Sequence[GaussianRational], le
     return out
 
 
-# ---------------------------------------------------------------------------
-# Operator-valued rational functions in partial-fraction form
-# ---------------------------------------------------------------------------
-
-
-class RationalXnOp:
-    """Proper partial-fraction sum ``sum coeff_op/(xi_n - pole)^order``.
-
-    Terms are canonical: pairwise-distinct ``(pole, order)`` keys, no zero
-    operator coefficients, deterministic order.  There is no polynomial
-    part: every term decays.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Sequence[Tuple[GaussianRational, int, LinearOp]] = ()):
-        self.n = n
-        merged: Dict[Tuple[GaussianRational, int], LinearOp] = {}
-        for pole, order, coeff in terms:
-            pole = as_gaussian(pole)
-            if order < 1:
-                raise ValueError("pole order must be >= 1")
-            if coeff.n != n:
-                raise ValueError("coefficient operator dimension mismatch")
-            key = (pole, order)
-            merged[key] = coeff if key not in merged else merged[key] + coeff
-        self.terms = [
-            (pole, order, op)
-            for (pole, order), op in sorted(
-                merged.items(), key=lambda kv: (_pole_key(kv[0][0]), kv[0][1])
-            )
-            if not op.is_zero
-        ]
-
-    @classmethod
-    def from_scalar(cls, scalar: ScalarRational, op: LinearOp) -> "RationalXnOp":
-        """Distribute a proper scalar rational function onto an operator
-        coefficient (an improper one raises in its partial fractions)."""
-        return cls(op.n, [
-            (pole, order, op.scale(coeff)) for (pole, order), coeff in scalar.partial_fractions().items()
-        ])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "RationalXnOp") -> "RationalXnOp":
-        if not isinstance(other, RationalXnOp) or other.n != self.n:
-            return NotImplemented
-        return RationalXnOp(self.n, list(self.terms) + list(other.terms))
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalXnOp):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    __hash__ = None
-
-    def trace_against(self, word: LinearOp) -> ScalarRational:
-        """``tr(word . self)`` as a scalar rational function of ``xi_n``."""
-        total = ScalarRational(())
-        for pole, order, op in self.terms:
-            value = trace_product(word, op)
-            if value:
-                total = total + ScalarRational([value], {pole: order})
-        return total
-
-    def __repr__(self) -> str:
-        return f"RationalXnOp(n={self.n}, terms={len(self.terms)})"
-
-
-def pi_plus(r: RationalXnOp) -> RationalXnOp:
-    """Keep the partial-fraction terms with poles in the upper half-plane."""
-    kept = []
-    for pole, order, op in r.terms:
+def pi_plus(
+    terms: Dict[Tuple[GaussianRational, int], GaussianRational]
+) -> Dict[Tuple[GaussianRational, int], GaussianRational]:
+    """Keep the partial-fraction terms ``{(pole, order): coeff}`` with poles in
+    the upper half-plane."""
+    for pole, _ in terms:
         if pole.im == 0:
             raise ValueError(f"pole on the real axis at {pole}")
-        if pole.im > 0:
-            kept.append((pole, order, op))
-    return RationalXnOp(r.n, kept)
+    return {(pole, order): coeff for (pole, order), coeff in terms.items() if pole.im > 0}
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +313,19 @@ class BoundaryArgs:
                 raise ValueError(f"vectors must have length n = 2m = {n}")
 
 
-def _channel_key(n: int, a: int) -> Tuple[int, ...]:
-    """The tangential exponent of channel ``a``: ``e_a``, zero for ``a = n``."""
-    return tuple(int(k == a) for k in range(1, n))
-
-
-def _resolvent_channel(n: int, a: int) -> RationalXnOp:
-    """Channel ``a`` of :func:`resolvent_symbol_channels`; ``a = n`` is the normal one."""
-    numerator = [I] if a < n else [ZERO, I]
-    return RationalXnOp.from_scalar(ScalarRational(numerator, {I: 1, -I: 1}), clifford_generator("c", n, a))
-
-
-def resolvent_symbol_channels(n: int) -> Dict[Tuple[int, ...], RationalXnOp]:
+def resolvent_symbol_channels(n: int) -> Dict[Tuple[int, ...], Tuple[int, ScalarRational]]:
     """Channels of the order ``-1`` inverse symbol ``i c(xi)/|xi|^2`` at ``|xi'| = 1``.
 
-    Keyed by the tangential monomial exponent: key ``e_a`` (length ``n-1``)
-    carries the implicit scalar ``xi_a`` times ``i c_a/(1+xi_n^2)``; the zero
-    key carries ``i xi_n c_n/(1+xi_n^2)``.
+    Each channel is a pair ``(a, r)``: the generator ``c_a`` times the scalar
+    rational function ``r`` of ``xi_n``.  Keyed by the tangential monomial
+    exponent: key ``e_a`` (length ``n-1``) carries the implicit scalar
+    ``xi_a`` times ``(a, i/(1+xi_n^2))``; the zero key carries
+    ``(n, i xi_n/(1+xi_n^2))``.
     """
-    return {_channel_key(n, a): _resolvent_channel(n, a) for a in range(1, n + 1)}
+    return {
+        tuple(int(k == a) for k in range(1, n)): (a, ScalarRational([I] if a < n else [ZERO, I], {I: 1, -I: 1}))
+        for a in range(1, n + 1)
+    }
 
 
 def normal_derivative_symbol(m: int) -> ScalarRational:
@@ -411,24 +334,25 @@ def normal_derivative_symbol(m: int) -> ScalarRational:
 
 
 @functools.lru_cache(maxsize=None)
-def _residue_kernel(m: int) -> Tuple[Tuple[LinearOp, SymbolicScalar], ...]:
-    """Word-independent pairs ``(op_t, K_t)`` of the boundary density at order ``m``.
+def _residue_kernel(m: int) -> Tuple[Tuple[int, SymbolicScalar], ...]:
+    """Word-independent pairs ``(a, K)`` of the boundary density at order ``m``.
 
-    ``K_t = moment(alpha) * line_integral(d/(xi_n - pole_t)^order_t)`` for
-    each term ``op_t/(xi_n - pole_t)^order_t`` of ``pi_plus`` of the channel
-    ``alpha``; a channel whose computed moment is zero contributes no pair
-    and is not built.
+    ``K = moment(alpha) * sum_t line_integral(coeff_t d/(xi_n - pole_t)^order_t)``
+    over the terms of ``pi_plus`` of the partial fractions of the channel
+    ``(a, r)`` keyed ``alpha``; a channel whose computed moment is zero
+    contributes no pair.
     """
     n = 2 * m
     derivative = normal_derivative_symbol(m)
     kernel = []
-    for a in range(1, n + 1):
-        moment = sphere_moment(_channel_key(n, a), n - 1)
+    for alpha, (a, scalar) in resolvent_symbol_channels(n).items():
+        moment = sphere_moment(alpha, n - 1)
         if moment.is_zero:
             continue
-        for pole, order, op in pi_plus(_resolvent_channel(n, a)).terms:
-            integral = (ScalarRational([1], {pole: order}) * derivative).line_integral()
-            kernel.append((op, moment * integral))
+        integral = SymbolicScalar()
+        for (pole, order), coeff in pi_plus(scalar.partial_fractions()).items():
+            integral = integral + (ScalarRational([coeff], {pole: order}) * derivative).line_integral()
+        kernel.append((a, moment * integral))
     return tuple(kernel)
 
 
@@ -436,20 +360,16 @@ def _boundary_kernel(flavor: str, m: int) -> Tuple[TraceKernel, SymbolicScalar]:
     """``(kernel, weight)`` with ``boundary_density = weight * 2^n c / D``.
 
     ``c`` is the kernel's contraction with the three vectors and ``D`` its
-    denominator.  The residue kernel of order ``m`` must have one term
-    ``coeff * e_key``: the kernel is the degree-0 trace against the blade
-    ``e_key`` and the weight is ``K * coeff``.
+    denominator.  The residue kernel of order ``m`` must have one pair
+    ``(a, K)``: the kernel is the degree-0 trace against ``c_a`` and the
+    weight is ``K``.
     """
-    n = 2 * m
     terms = _residue_kernel(m)
     if len(terms) != 1:
         raise ValueError(f"the residue kernel of order {m} has {len(terms)} terms, not one")
-    op, integral = terms[0]
-    if len(op.blades) != 1:
-        raise ValueError(f"the residue kernel's operator has {len(op.blades)} blades, not one")
-    [(key, coeff)] = op.blades.items()
-    blade = LinearOp._of(n, {key: 1})
-    return TraceKernel(n, _FLAVOR_WORDS[flavor], lambda _: blade, 0), integral * coeff
+    [(a, weight)] = terms
+    generator = clifford_generator("c", 2 * m, a)
+    return TraceKernel(2 * m, _FLAVOR_WORDS[flavor], lambda _: generator, 0), weight
 
 
 def boundary_density(args: BoundaryArgs) -> SymbolicScalar:

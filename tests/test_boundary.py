@@ -12,11 +12,11 @@ from fractions import Fraction
 import pytest
 
 import hodge_residue.boundary as boundary_module
+import hodge_residue.exterior as exterior_module
 import word_reference
 from hodge_residue.boundary import (
     BoundaryArgs,
     _boundary_kernel,
-    RationalXnOp,
     ScalarRational,
     boundary_contraction,
     boundary_density,
@@ -26,10 +26,10 @@ from hodge_residue.boundary import (
     resolvent_symbol_channels,
     verify_boundary,
 )
-from hodge_residue.exterior import LinearOp, clifford_generator, clifford_word
+from hodge_residue.exterior import LinearOp, clifford_generator, clifford_word, trace_product
 from hodge_residue.forms import random_vector
 from hodge_residue.residue import LEMMA_CHECKS, _lemma_kernel
-from hodge_residue.scalars import GaussianRational, I, SymbolicScalar, sphere_volume
+from hodge_residue.scalars import ZERO, GaussianRational, I, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import sphere_moment
 from mixed_rationals import mixed_vector
 from word_reference import pi_minus
@@ -42,6 +42,14 @@ ONE = GaussianRational(1)
 def cauchy_kernel(extra_order: int = 0):
     """Denominator dictionary for ``(1 + xi^2)^{1 + extra_order}``."""
     return {I: 1 + extra_order, -I: 1 + extra_order}
+
+
+def from_partial_fractions(terms) -> ScalarRational:
+    """The scalar ``sum coeff/(xi - pole)^order`` of partial-fraction terms."""
+    total = ScalarRational(())
+    for (pole, order), coeff in terms.items():
+        total = total + ScalarRational([coeff], {pole: order})
+    return total
 
 
 def evaluate(scalar: ScalarRational, z: complex) -> complex:
@@ -83,13 +91,9 @@ class TestScalarRational:
         ([ONE, GaussianRational(0), GaussianRational(0), ONE], cauchy_kernel()),
     ], ids=["constant", "equal-degree", "higher-degree"])
     def test_improper_fraction_is_rejected(self, num, den):
-        # every boundary symbol decays, so a polynomial part is an error,
-        # both in the scalar decomposition and in an operator-valued symbol
-        scalar = ScalarRational(num, den)
+        # every boundary symbol decays, so a polynomial part is an error
         with pytest.raises(ValueError, match="polynomial part"):
-            scalar.partial_fractions()
-        with pytest.raises(ValueError, match="polynomial part"):
-            RationalXnOp.from_scalar(scalar, clifford_generator("c", 4, 1))
+            ScalarRational(num, den).partial_fractions()
 
     def test_proper_fraction_of_decay_one_decomposes(self):
         # xi/(1+xi^2) = (1/2)/(xi-i) + (1/2)/(xi+i): proper, though not integrable
@@ -150,13 +154,14 @@ class TestLineIntegral:
             scalar.line_integral()
 
     def test_operator_valued_integral(self):
-        # the integral of op/(1+xi^2) is pi * op, so traced against op it is
-        # pi * tr(op^2) = -16 pi; the trace comes first, then one scalar
-        # line integral, as in the boundary residue kernel
+        # the channel (1, i/(1+xi^2)) integrates to i pi c_1, so traced
+        # against c_1 it is i pi tr(c_1^2) = -16 i pi: the trace of the
+        # generator times one scalar line integral, as in the residue kernel
         n = 4
+        a, scalar = resolvent_symbol_channels(n)[(1, 0, 0)]
         op = clifford_generator("c", n, 1)
-        r = RationalXnOp.from_scalar(ScalarRational([ONE], cauchy_kernel()), op)
-        assert r.trace_against(op).line_integral() == SymbolicScalar.unit(-16, pi=1)
+        value = trace_product(op, clifford_generator("c", n, a)) * scalar.line_integral()
+        assert value == SymbolicScalar.unit(GaussianRational(0, -16), pi=1)
 
 
 class TestHalfPlaneProjection:
@@ -165,35 +170,29 @@ class TestHalfPlaneProjection:
         channels = resolvent_symbol_channels(n)
         assert len(channels) == n
         zero_key = (0,) * (n - 1)
-        for alpha, channel in channels.items():
-            projected = pi_plus(channel)
+        for alpha, (a, channel) in channels.items():
+            projected = pi_plus(channel.partial_fractions())
             if alpha == zero_key:
                 # i xi c_n/(1+xi^2) -> (i/2) c_n / (xi - i)
-                expected = RationalXnOp.from_scalar(
-                    ScalarRational([HALF_I], {I: 1}), clifford_generator("c", n, n)
-                )
+                assert (a, projected) == (n, {(I, 1): HALF_I})
             else:
-                a = alpha.index(1) + 1
                 # i c_a/(1+xi^2) -> (1/2) c_a / (xi - i)
-                expected = RationalXnOp.from_scalar(
-                    ScalarRational([HALF], {I: 1}), clifford_generator("c", n, a)
-                )
-            assert projected == expected
+                assert (a, projected) == (alpha.index(1) + 1, {(I, 1): HALF})
 
     def test_projection_is_idempotent_and_complementary(self):
         n = 4
-        for alpha, channel in resolvent_symbol_channels(n).items():
-            plus = pi_plus(channel)
-            minus = pi_minus(channel)
+        for _, channel in resolvent_symbol_channels(n).values():
+            terms = channel.partial_fractions()
+            plus = pi_plus(terms)
+            minus = pi_minus(terms)
             assert pi_plus(plus) == plus
-            assert pi_minus(plus).is_zero
-            assert plus + minus == channel
+            assert not pi_minus(plus)
+            assert {**plus, **minus} == terms
+            assert from_partial_fractions(plus) + from_partial_fractions(minus) == channel
 
     def test_projection_rejects_real_poles(self):
-        n = 4
-        r = RationalXnOp(n, [(GaussianRational(1), 1, clifford_generator("c", n, 1))])
         with pytest.raises(ValueError, match="real axis"):
-            pi_plus(r)
+            pi_plus({(I, 1): ONE, (GaussianRational(1), 1): ONE})
 
 
 class TestNormalDerivativeSymbol:
@@ -250,8 +249,9 @@ class TestBoundaryDensity:
             u, v, w = (tuple(random_vector(n, rng)) for _ in range(3))
             word = clifford_word(n, list(zip(letters.split(), (u, v, w))))
             composed = SymbolicScalar()
-            for alpha, channel in resolvent_symbol_channels(n).items():
-                scalar = pi_plus(channel).trace_against(word) * derivative
+            for alpha, (a, channel) in resolvent_symbol_channels(n).items():
+                projected = from_partial_fractions(pi_plus(channel.partial_fractions()))
+                scalar = trace_product(word, clifford_generator("c", n, a)) * projected * derivative
                 composed = composed + sphere_moment(alpha, n - 1) * scalar.line_integral()
             assert boundary_density(BoundaryArgs(flavor, u, v, w, m)) == composed
             nonzero += not composed.is_zero
@@ -280,12 +280,9 @@ class TestBoundaryDensity:
         assert kernel.coeffs == lemma.coeffs
         assert kernel.denominator == lemma.denominator
 
-    @pytest.mark.parametrize("shape", ["two terms", "two blades"])
-    def test_kernel_needs_one_single_blade_term(self, monkeypatch, shape):
+    def test_kernel_needs_one_term(self, monkeypatch):
         real = boundary_module._residue_kernel(2)
-        op, weight = real[0]
-        fake = real + real if shape == "two terms" else ((op + clifford_generator("c", 4, 1), weight),)
-        monkeypatch.setattr(boundary_module, "_residue_kernel", lambda m: fake)
+        monkeypatch.setattr(boundary_module, "_residue_kernel", lambda m: real + real)
         args = BoundaryArgs("psi1", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
         with pytest.raises(ValueError, match="not one"):
             boundary_density(args)
@@ -406,11 +403,44 @@ class TestVerifyBoundary:
         def refuse(*args, **kwargs):
             raise AssertionError("an operator product or trace on the boundary path")
 
+        assert not hasattr(boundary_module, "trace_product")
         monkeypatch.setattr(LinearOp, "compose", refuse)
-        monkeypatch.setattr(boundary_module, "trace_product", refuse)
+        monkeypatch.setattr(exterior_module, "trace_product", refuse)
+        boundary_module._residue_kernel.cache_clear()
         assert verify_boundary("psi1", 4, trials=3, seed=0).status == "pass"
         args = BoundaryArgs("psi2", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
         assert not boundary_density(args).is_zero
+
+    @pytest.mark.parametrize("defect, match", [
+        ("real pole", "real axis"),
+        ("polynomial part", "polynomial part"),
+        ("no decay", "insufficient decay"),
+    ])
+    def test_pole_and_decay_checks_hold_on_the_kernel_path(self, monkeypatch, defect, match):
+        # the kernel build runs every check of pi_plus, partial_fractions and
+        # line_integral on the normal channel, whose moment is not zero
+        real_channels = boundary_module.resolvent_symbol_channels
+
+        def channels(n):
+            out = real_channels(n)
+            if defect == "real pole":
+                out[(0,) * (n - 1)] = (n, ScalarRational([ZERO, I], {ONE: 1, -I: 1}))
+            elif defect == "polynomial part":
+                out[(0,) * (n - 1)] = (n, ScalarRational([ZERO, ZERO, I], {I: 1, -I: 1}))
+            return out
+
+        monkeypatch.setattr(boundary_module, "resolvent_symbol_channels", channels)
+        if defect == "no decay":
+            monkeypatch.setattr(boundary_module, "normal_derivative_symbol", lambda m: ScalarRational([ONE]))
+        args = BoundaryArgs("psi1", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
+        boundary_module._residue_kernel.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=match):
+                verify_boundary("psi1", 2)
+            with pytest.raises(ValueError, match=match):
+                boundary_density(args)
+        finally:
+            boundary_module._residue_kernel.cache_clear()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ The verify command must emit byte-identical reports for a fixed seed and use
 exit codes as a signal: 0 all checks pass, 1 at least one discrepancy
 (several tabulated identities genuinely disagree with the engine, so the
 lemma and theorem suites exit 1 by design), 2 configuration errors and
-malformed input.  Importing the package or the CLI must not load the
-numpy/scipy float oracle.
+malformed input.  Importing the package or the CLI must not load numpy or
+scipy, and the float oracle loads numpy but not scipy.
 """
 
 import hashlib
@@ -434,8 +434,8 @@ class TestImportFootprint:
         assert loaded.strip() == "[]"
 
     def test_oracle_still_imports_and_loads_numpy(self):
-        loaded = _python("import sys, hodge_residue.oracle\nprint('numpy' in sys.modules)")
-        assert loaded.strip() == "True"
+        loaded = _python("import sys, hodge_residue.oracle\nprint('numpy' in sys.modules, 'scipy' in sys.modules)")
+        assert loaded.strip() == "True False"
 
 
 class TestDensityCommand:

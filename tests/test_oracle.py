@@ -1,9 +1,9 @@
 """Cross-validation of the exact engine against the floating-point oracle.
 
 The oracle builds dense complex matrices straight from the bitmask sign rule
-(never by converting exact operators), computes sphere moments from Gamma
-functions, sphere integrals by Monte Carlo, and line integrals by adaptive
-quadrature.  Deterministic routes must agree to 1e-9 relative; Monte-Carlo
+(never by converting exact operators); ``float_reference`` computes sphere
+moments from Gamma functions, sphere integrals by Monte Carlo, and line
+integrals by adaptive quadrature.  Deterministic routes must agree to 1e-9 relative; Monte-Carlo
 routes to three standard errors.
 """
 
@@ -29,14 +29,11 @@ from hodge_residue.oracle import (
     float_density,
     float_plain_trace,
     float_sandwich_integral,
-    float_trace,
-    line_quadrature,
-    moment_float,
-    sphere_quadrature,
 )
 from hodge_residue.residue import FUNCTIONALS, spectral_density
 from hodge_residue.scalars import sphere_volume_float
 from hodge_residue.symbols import sphere_moment
+from float_reference import float_trace, line_quadrature, moment_float, sphere_quadrature
 from word_reference import lemma_lhs
 
 LIFT_KIND = {

@@ -10,19 +10,21 @@ exactly.  :func:`cosphere_average` places a whole operator blade by blade
 with the package's weight law, and ``xi_reference`` holds it to the
 explicit xi-polynomial integrals.
 
-The boundary density is the word traced against each term of the residue
-kernel, ``sum_t tr(W op_t) K_t``; the tests hold the package's degree-0
-kernel route to it.  :func:`generator_word` and :func:`pi_minus` have no
-caller in the package and serve the tests' structural laws.
+The boundary density is the word traced against the generator of each pair
+``(a, K)`` of the residue kernel, ``sum tr(W c_a) K``; the tests hold the
+package's degree-0 kernel route to it.  :func:`generator_word` and
+:func:`pi_minus` have no caller in the package and serve the tests'
+structural laws.
 """
 
-from hodge_residue.boundary import _FLAVOR_WORDS, BoundaryArgs, RationalXnOp, _residue_kernel
+from hodge_residue.boundary import _FLAVOR_WORDS, BoundaryArgs, _residue_kernel
 from hodge_residue.exterior import (
     LinearOp,
     _check_flavor,
     _check_index,
     _check_n,
     _generator_blade,
+    clifford_generator,
     clifford_word,
     trace_product,
 )
@@ -81,11 +83,13 @@ def density_decomposition(fspec: FunctionalSpec, T, vectors, m: int) -> dict:
 
 
 def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
-    """``sum_t tr(W op_t) * K_t`` over the residue kernel of order ``m``."""
-    word = clifford_word(2 * args.m, list(zip(_FLAVOR_WORDS[args.flavor], (args.u, args.v, args.w))))
+    """``sum tr(W c_a) * K`` over the pairs ``(a, K)`` of the residue kernel
+    of order ``m``."""
+    n = 2 * args.m
+    word = clifford_word(n, list(zip(_FLAVOR_WORDS[args.flavor], (args.u, args.v, args.w))))
     total = SymbolicScalar()
-    for op, weight in _residue_kernel(args.m):
-        total = total + weight * trace_product(word, op)
+    for a, weight in _residue_kernel(args.m):
+        total = total + weight * trace_product(word, clifford_generator("c", n, a))
     return total
 
 
@@ -101,9 +105,10 @@ def generator_word(n: int, letters) -> LinearOp:
     return LinearOp._of(n, {key: sign})
 
 
-def pi_minus(r: RationalXnOp) -> RationalXnOp:
-    """Keep the partial-fraction terms with poles in the lower half-plane,
-    the complement of :func:`hodge_residue.boundary.pi_plus`."""
-    if any(pole.im == 0 for pole, _, _ in r.terms):
+def pi_minus(terms: dict) -> dict:
+    """Keep the partial-fraction terms ``{(pole, order): coeff}`` with poles in
+    the lower half-plane, the complement of
+    :func:`hodge_residue.boundary.pi_plus`."""
+    if any(pole.im == 0 for pole, _ in terms):
         raise ValueError("pole on the real axis")
-    return RationalXnOp(r.n, [term for term in r.terms if term[0].im < 0])
+    return {(pole, order): coeff for (pole, order), coeff in terms.items() if pole.im < 0}
