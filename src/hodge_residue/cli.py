@@ -8,6 +8,7 @@ and ``boundary`` evaluate single functionals on user-supplied inputs.
 
 from __future__ import annotations
 
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -45,7 +46,7 @@ DEFAULT_LEMMA_DIMENSIONS = (4, 6)
 DEFAULT_SYMBOL_ORDERS = (2, 3)
 DEFAULT_COMMUTATOR_DIMENSIONS = (2, 4)
 # the largest n at which check_flat_commutators finishes in reasonable time
-# (16 s at n = 10 on 2 CPUs, about nine times its 1.8 s at n = 8)
+# (4.3 s at n = 10 on 2 CPUs, about six times its 0.68 s at n = 8)
 MAX_COMMUTATOR_DIMENSION = 10
 # symbol orders m whose dimension n = 2m the engine supports
 SYMBOL_ORDER = click.IntRange(2, MAX_DIMENSION // 2)
@@ -144,8 +145,8 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
     if n_value is not None and n_value > MAX_COMMUTATOR_DIMENSION and suite in ("commutators", "all"):
         raise click.UsageError(
             f"--n must be <= {MAX_COMMUTATOR_DIMENSION} for the commutator check "
-            f"(suites commutators and all): it takes about 16 s at n = 10 and grows about "
-            f"ninefold per step of 2 in n, so a larger n would take minutes"
+            f"(suites commutators and all): it takes about 4 s at n = 10 and grows about "
+            f"sixfold per step of 2 in n, so a larger n would take half a minute or more"
         )
     if out is not None and not out.parent.is_dir():
         raise click.UsageError(f"--out: directory {out.parent} does not exist")
@@ -200,7 +201,11 @@ def cmd_density(functional_id: str, m: int, form_path: Path, vectors_path: Path)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"invalid input: {exc}")
     click.echo(value.render())
-    click.echo(f"float: {value.numeric()}")
+    try:
+        numeric = value.numeric()
+    except OverflowError:
+        numeric = complex("inf")
+    click.echo(f"float: {numeric}" if cmath.isfinite(numeric) else "float: outside float range")
 
 
 @main.command("boundary")

@@ -7,7 +7,8 @@ blades, defined here) to the partial derivatives of the coefficients, so
 their signs come from the blade action and not from the popcount rule of
 :func:`hodge_residue.symbols.check_flat_commutators`.  The ``chat`` identity
 keeps the paper's factor ``i`` on both sides.  The tests hold the two routes
-to exact equality.
+to exact equality.  :func:`pack` and :func:`unpack` convert between these
+dicts and the engine's packed monomial keys.
 """
 
 import itertools
@@ -78,6 +79,26 @@ class PolyForm:
 
     def __repr__(self) -> str:
         return f"PolyForm(n={self.n}, terms={self.terms})"
+
+
+def pack(n: int, terms: Dict[Tuple[Tuple[int, ...], int], object]) -> Dict[int, object]:
+    """``{(beta, mask): coeff}`` as ``{key: coeff}`` in the engine's layout:
+    ``mask`` in the low ``n`` bits, ``beta_j`` in the 2-bit field at bit
+    ``n + 2j`` (0-based ``j``)."""
+    out = {}
+    for (beta, mask), coeff in terms.items():
+        assert len(beta) == n and all(0 <= b <= 3 for b in beta), beta
+        out[mask | sum(b << (n + 2 * j) for j, b in enumerate(beta))] = coeff
+    return out
+
+
+def unpack(n: int, packed: Dict[int, object]) -> Dict[Tuple[Tuple[int, ...], int], object]:
+    """The inverse of :func:`pack`; a key with bits above the top field fails."""
+    terms = {}
+    for key, coeff in packed.items():
+        assert key >> (3 * n) == 0, f"key {key:#x} overflows the top field at n={n}"
+        terms[(tuple((key >> (n + 2 * j)) & 3 for j in range(n)), key & ((1 << n) - 1))] = coeff
+    return terms
 
 
 def apply_operator(op: LinearOp, form: PolyForm) -> PolyForm:

@@ -453,6 +453,28 @@ class TestDensityCommand:
         assert lines[0] == "(-48) * V(S^3)"
         assert lines[1].startswith("float: ")
 
+    @pytest.mark.parametrize("large", ["form", "vectors"])
+    def test_value_outside_float_range_keeps_exact_line_and_exits_0(self, runner, tmp_path, large):
+        # the exact value is fine; only its float rendering overflows
+        form = json.loads(FORM3_JSON)
+        vectors = json.loads(VECTORS3_JSON)
+        if large == "form":
+            form["entries"][0]["value"] = "1e400"
+        else:
+            vectors["vectors"][0][0] = "1e400"
+        paths = {}
+        for name, payload in (("form", form), ("vectors", vectors)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(payload), encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["density", "T2", "--m", "2", "--form", str(paths["form"]), "--vectors", str(paths["vectors"])],
+        )
+        assert result.exit_code == 0, result.output
+        exact, numeric = result.output.strip().splitlines()
+        assert "0" * 300 in exact and exact.endswith("* V(S^3)")
+        assert numeric == "float: outside float range"
+
     def test_invalid_input_is_a_usage_error(self, runner, tmp_path):
         form = tmp_path / "form.json"
         form.write_text(FORM3_JSON, encoding="utf-8")

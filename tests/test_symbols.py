@@ -188,25 +188,53 @@ class TestFlatOperators:
         assert coordinate_multiply(1, form) == PolyForm.monomial(n, (2, 0), 0b10, Fraction(2))
 
 
+def _packed_d_and_dstar(n, terms):
+    """``d`` and ``d*`` of ``{(beta, mask): coeff}`` through the engine's packed
+    helper: a ``d`` term has the same coefficient in ``d + d*`` and ``d - d*``,
+    a ``d*`` term opposite ones."""
+    d, dstar = {}, {}
+    for key, coeff in flat_reference.pack(n, terms).items():
+        plus, minus = _flat_derivative(key, n)
+        assert plus.keys() == minus.keys()
+        for out, c in plus.items():
+            assert minus[out] in (c, -c)
+            part = d if minus[out] == c else dstar
+            part[out] = part.get(out, 0) + coeff * c
+    return tuple(flat_reference.unpack(n, {k: c for k, c in part.items() if c}) for part in (d, dstar))
+
+
 class TestBitmaskFlatOperators:
-    """``d`` and ``d*`` of the engine's check, on integer ``{(beta, mask): int}`` forms."""
+    """``d`` and ``d*`` of the engine's check, on packed monomial keys."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_agree_term_by_term_with_reference_route(self, n):
         for omega in flat_reference.monomial_forms(n, 3):
-            terms = dict(omega.terms)
-            assert _flat_derivative(terms) == exterior_derivative(omega).terms, omega
-            assert _flat_derivative(terms, True) == codifferential(omega).terms, omega
+            d, dstar = _packed_d_and_dstar(n, omega.terms)
+            assert d == exterior_derivative(omega).terms, omega
+            assert dstar == codifferential(omega).terms, omega
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_d_and_codifferential_square_to_zero(self, n):
         nonzero = 0
         for omega in flat_reference.monomial_forms(n, 4):
-            for codiff in (False, True):
-                once = _flat_derivative(dict(omega.terms), codiff)
+            for part in (0, 1):
+                once = _packed_d_and_dstar(n, omega.terms)[part]
                 nonzero += bool(once)
-                assert _flat_derivative(once, codiff) == {}, (omega, codiff)
+                assert _packed_d_and_dstar(n, once)[part] == {}, (omega, part)
         assert nonzero
+
+    @pytest.mark.parametrize("full", ["top", "every"])
+    @pytest.mark.parametrize("mask", [0, (1 << MAX_DIMENSION) - 1], ids=["none", "all"])
+    def test_full_fields_at_the_largest_dimension_do_not_wrap(self, full, mask):
+        # beta_j = 3 fills its 2-bit field: a width or offset bug would carry
+        # into the neighbouring field, or past the top one at n = MAX_DIMENSION
+        n = MAX_DIMENSION
+        beta = (0,) * (n - 1) + (3,) if full == "top" else (3,) * n
+        omega = PolyForm.monomial(n, beta, mask)
+        d, dstar = _packed_d_and_dstar(n, omega.terms)
+        assert d == exterior_derivative(omega).terms
+        assert dstar == codifferential(omega).terms
+        assert d or dstar
 
 
 class TestFlatCommutators:
@@ -226,7 +254,7 @@ class TestFlatCommutators:
         # dim Lambda* = 4 masks, exponent tuples with |beta| < 3 in 2 vars = 6
         assert all(rec["monomials"] == 24 for rec in records)
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_records_equal_reference_route(self, n):
         assert check_flat_commutators(n) == flat_reference.check_flat_commutators(n)
 
