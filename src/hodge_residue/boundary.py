@@ -58,6 +58,7 @@ from .residue import CheckReport, TraceKernel, _trial_loop, boundary_contraction
 from .scalars import (
     GaussianRational,
     I,
+    ONE,
     SymbolicScalar,
     ZERO,
     as_gaussian,
@@ -255,14 +256,11 @@ def _truncate(coeffs: Sequence[GaussianRational], length: int) -> List[GaussianR
 
 def _inverse_power_series(base: GaussianRational, mult: int, length: int) -> List[GaussianRational]:
     """Series of ``(t + base)^{-mult}`` around ``t = 0`` to the given length."""
-    inv = GaussianRational(1) / base
-    out = []
-    for s in range(length):
-        coeff = math.comb(mult + s - 1, s) * (inv ** (mult + s))
-        if s % 2:
-            coeff = -coeff
-        out.append(coeff)
-    return out
+    inv = ONE / base
+    powers = [ONE]  # powers[k] = inv^k, a running product
+    for _ in range(mult + length - 1):
+        powers.append(powers[-1] * inv)
+    return [(-1) ** s * math.comb(mult + s - 1, s) * powers[mult + s] for s in range(length)]
 
 
 def _series_mul(a: Sequence[GaussianRational], b: Sequence[GaussianRational], length: int) -> List[GaussianRational]:
@@ -410,14 +408,10 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     unconditionally; the engine's constant is then compared exactly against
     the tabulated closed form, with both values rendered.  The kernel is
     compiled once and the trials run in
-    :func:`~hodge_residue.residue._trial_loop`.
+    :func:`~hodge_residue.residue._trial_loop`, which undoes the doubled
+    draw.  An unknown flavor or ``m < 2`` raises ``ValueError`` from
+    :func:`closed_form_boundary_coefficient`.
     """
-    if flavor not in _FLAVOR_WORDS:
-        raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = 2 * m
     rng = random.Random(f"{seed}:boundary:{flavor}:{m}")
     per_unit_expected = closed_form_boundary_coefficient(flavor, m) * sphere_volume(n - 2)
@@ -445,11 +439,10 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
             f"tabulated closed form = {per_unit_expected.render()}"
         )
 
-    # the three vectors are drawn doubled; the density is weight * 2^n c / D
-    # and the closed form's side per_unit_expected * 2^n t
-    undoubled = Fraction(1 << n, 8)
+    # the density is weight * 2^n c / D and the closed form's side
+    # per_unit_expected * 2^n t
     return _trial_loop(
         "Psi1" if flavor == "psi1" else "Psi2", n, trials, draw,
-        [("plain", kernel, weight * undoubled, per_unit_expected * undoubled)],
+        [("plain", kernel, weight * (1 << n), per_unit_expected * (1 << n))],
         describe=proportionality,
     )

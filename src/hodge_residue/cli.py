@@ -33,7 +33,7 @@ from .residue import (
     spectral_density,
     verify_theorem,
 )
-from .scalars import sphere_volume
+from .scalars import SymbolicScalar, sphere_volume
 from .symbols import check_flat_commutators
 
 SUITES = ("lemmas", "theorems", "boundary", "commutators", "all")
@@ -106,6 +106,15 @@ def _render_markdown(report: Dict) -> str:
         )
     lines.append("")
     return "\n".join(lines)
+
+
+def _render(value: SymbolicScalar) -> str:
+    """The exact value's text; one the interpreter will not print is bad input."""
+    try:
+        return value.render()
+    except ValueError:  # Fraction.__str__ of an integer past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise click.UsageError(f"invalid input: the exact value has an integer of more than {limit} digits") from None
 
 
 @click.group()
@@ -200,7 +209,7 @@ def cmd_density(functional_id: str, m: int, form_path: Path, vectors_path: Path)
         value = spectral_density(functional_id, form, vectors, m)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"invalid input: {exc}")
-    click.echo(value.render())
+    click.echo(_render(value))
     try:
         numeric = value.numeric()
     except OverflowError:
@@ -230,8 +239,8 @@ def cmd_boundary(flavor: str, m: int, vectors_path: Path) -> None:
         * (1 << n)
         * sphere_volume(n - 2)
     )
-    click.echo(f"engine: {engine.render()}")
-    click.echo(f"closed form: {closed.render()}")
+    # both rendered before either is printed
+    click.echo(f"engine: {_render(engine)}\nclosed form: {_render(closed)}")
     verdict = "match" if engine == closed else "MISMATCH"
     click.echo(f"verdict: {verdict}")
     if verdict != "match":

@@ -131,40 +131,26 @@ class LinearOp:
     ``blades`` is a dict ``{key: coefficient}`` over the ``Cl(n,n)`` blade
     keys described in the module docstring.  Coefficients may be ``int``,
     ``Fraction`` or :class:`~hodge_residue.scalars.GaussianRational`; zeros
-    are never stored, so equal operators have equal dicts.
+    are never stored, so equal operators have equal dicts.  The constructor
+    checks ``n`` only: the caller's dict must already hold valid keys and no
+    zeros, and it is wrapped, not copied.
     """
 
     __slots__ = ("n", "blades")
 
-    def __init__(self, n: int, blades: Dict[int, object] | None = None):
+    def __init__(self, n: int, blades: Dict[int, object]):
         _check_n(n)
-        limit = 1 << (2 * n)
-        clean: Dict[int, object] = {}
-        for key, coeff in (blades or {}).items():
-            if not 0 <= key < limit:
-                raise ValueError(f"blade key {key} out of range for n={n}")
-            if coeff:
-                clean[key] = coeff
         self.n = n
-        self.blades = clean
-
-    @classmethod
-    def _of(cls, n: int, blades: Dict[int, object]) -> "LinearOp":
-        """Wrap a dict already known to hold valid keys and no zeros."""
-        op = cls.__new__(cls)
-        op.n = n
-        op.blades = blades
-        return op
+        self.blades = blades
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "LinearOp":
-        _check_n(n)
-        return cls._of(n, {0: 1})
+        return cls(n, {0: 1})
 
     @classmethod
     def zero(cls, n: int) -> "LinearOp":
-        return cls(n)
+        return cls(n, {})
 
     # -- structure ----------------------------------------------------------
     @property
@@ -202,7 +188,7 @@ class LinearOp:
             for y, b in right:
                 v = minus_a if (signs & y).bit_count() & 1 else a
                 _accumulate(out, x ^ y, v if b == 1 else -v if b == -1 else v * b)
-        return LinearOp._of(n, out)
+        return LinearOp(n, out)
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
         return self.compose(other)
@@ -213,10 +199,7 @@ class LinearOp:
         blades = dict(self.blades)
         for key, coeff in other.blades.items():
             _accumulate(blades, key, coeff)
-        return LinearOp._of(self.n, blades)
-
-    def __sub__(self, other: "LinearOp") -> "LinearOp":
-        return self + (-other)
+        return LinearOp(self.n, blades)
 
     def __neg__(self) -> "LinearOp":
         return self.scale(-1)
@@ -224,12 +207,7 @@ class LinearOp:
     def scale(self, scalar) -> "LinearOp":
         if not scalar:
             return LinearOp.zero(self.n)
-        return LinearOp._of(self.n, {k: scalar * c for k, c in self.blades.items()})
-
-    def __rmul__(self, scalar) -> "LinearOp":
-        if isinstance(scalar, (int, Fraction, GaussianRational)):
-            return self.scale(scalar)
-        return NotImplemented
+        return LinearOp(self.n, {k: scalar * c for k, c in self.blades.items()})
 
     def trace(self) -> GaussianRational:
         return as_gaussian(self.blades.get(0, 0) * (1 << self.n))
@@ -278,7 +256,7 @@ def clifford_generator(flavor: str, n: int, j: int) -> LinearOp:
     _check_flavor(flavor)
     _check_n(n)
     _check_index(n, j)
-    return LinearOp._of(n, {_generator_key(flavor, n, j): 1})
+    return LinearOp(n, {_generator_key(flavor, n, j): 1})
 
 
 def clifford(flavor: str, u: Sequence) -> LinearOp:
@@ -290,8 +268,7 @@ def clifford(flavor: str, u: Sequence) -> LinearOp:
     """
     _check_flavor(flavor)
     n = len(u)
-    _check_n(n)
-    return LinearOp._of(n, {
+    return LinearOp(n, {
         _generator_key(flavor, n, j): coeff
         for j, coeff in enumerate(u, start=1)
         if coeff
@@ -324,7 +301,7 @@ def clifford_word(n: int, letters: Sequence[Tuple[str, Sequence]]) -> LinearOp:
         ints, q = _integer_scaled(u)
         op = op.compose(clifford(flavor, ints))
         scale *= q
-    return LinearOp._of(n, {key: Fraction(c, scale) for key, c in op.blades.items()})
+    return LinearOp(n, {key: Fraction(c, scale) for key, c in op.blades.items()})
 
 
 def _generator_blade(n: int, letters: Iterable[Tuple[str, int]]) -> Tuple[int, int]:

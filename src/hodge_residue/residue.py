@@ -316,8 +316,10 @@ def _trial_loop(check_id: str, n: int, trials: int,
     expected)`` contracts its kernel with the rows to ``c``; the engine side
     ``value * c / D`` (``D`` the kernel's denominator) must equal the expected
     side ``expected * unit``, and :func:`_sides` makes that integer
-    identities.  ``value`` and ``expected`` carry the factor that undoes the
-    doubling, so both sides are the undoubled values.
+    identities.  Both sides are linear in each of the ``r = letters +
+    bool(degree)`` doubled rows, so each carries the factor ``2^r``: it
+    cancels in the comparison, and only the two values the report shows are
+    divided by it.  ``trials`` below 1 raises ``ValueError``.
 
     With ``magnitude`` a comparison whose expected side is nonzero holds when
     the engine side is ``s`` times it, for one sign ``s`` on every trial, and
@@ -328,8 +330,12 @@ def _trial_loop(check_id: str, n: int, trials: int,
     expected side (``"0"`` for both when there is none); only these values
     are built as ``SymbolicScalar``.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     checks = [(label, kernel, value, expected, _sides(value, expected, kernel.denominator))
               for label, kernel, value, expected in comparisons]
+    # every kernel contracts the same rows, so all share r
+    r = comparisons[0][1].letters + bool(comparisons[0][1].degree)
     failures = 0
     shown: Optional[Tuple[SymbolicScalar, SymbolicScalar, str]] = None
     signs = set()
@@ -351,9 +357,9 @@ def _trial_loop(check_id: str, n: int, trials: int,
                 failures += 1
                 if failures == 1:
                     where = f"trial {trial}" + (f", {label} placement" if len(checks) > 1 else "")
-                    shown = (value * Fraction(c, kernel.denominator), expected * unit, where)
+                    shown = (value * Fraction(c, kernel.denominator << r), expected * Fraction(unit, 1 << r), where)
             elif shown is None and unit and expected:
-                shown = (value * Fraction(c, kernel.denominator), expected * (sign * unit), "")
+                shown = (value * Fraction(c, kernel.denominator << r), expected * Fraction(sign * unit, 1 << r), "")
     notes = [f"{failures} of {trials * len(checks)} comparisons disagree; first at {shown[2]}"] if failures else []
     if signs:
         notes.append(
@@ -367,15 +373,11 @@ def _trial_loop(check_id: str, n: int, trials: int,
                        expected_side.render(), detail="; ".join(notes))
 
 
-def _resolve_functional(spec) -> FunctionalSpec:
-    if isinstance(spec, FunctionalSpec):
-        return spec
-    if isinstance(spec, str):
-        try:
-            return FUNCTIONALS[spec]
-        except KeyError:
-            raise ValueError(f"unknown functional id {spec!r}") from None
-    raise TypeError("spec must be a FunctionalSpec or functional id string")
+def _resolve_functional(functional_id: str) -> FunctionalSpec:
+    try:
+        return FUNCTIONALS[functional_id]
+    except KeyError:
+        raise ValueError(f"unknown functional id {functional_id!r}") from None
 
 
 def _density_spec(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> FunctionalSpec:
@@ -465,11 +467,9 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
     Draws random small-rational forms and vectors; every trial must satisfy
     ``spectral_density == closed_form_coefficient * form_contract`` exactly.
     The density's trace kernel is compiled once and the trials run in
-    :func:`_trial_loop`.
+    :func:`_trial_loop`, which undoes the doubled draw.
     """
     fspec = _resolve_functional(functional_id)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = 2 * m
     rng = random.Random(f"{seed}:theorem:{fspec.functional_id}:{m}")
     kernel = _density_kernel(fspec, n).placed("interior", m)
@@ -479,10 +479,9 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
         vectors = [_random_doubled(n, rng) for _ in fspec.arg_flavors]
         return [form, *vectors], _minor_sum(vectors, zip(kernel.basis, form))
 
-    # the form and every vector are drawn doubled; the trace is 2^n c / D
-    undoubled = Fraction(1, 1 << (len(fspec.arg_flavors) + 1))
-    value = sphere_volume(n - 1) * (fspec.prefactor * (undoubled * (1 << n)))
-    expected = closed_form_coefficient(fspec.functional_id, m) * undoubled
+    # the trace is 2^n c / D
+    value = sphere_volume(n - 1) * (fspec.prefactor * (1 << n))
+    expected = closed_form_coefficient(fspec.functional_id, m)
     return _trial_loop(fspec.functional_id, n, trials, draw, [("interior", kernel, value, expected)])
 
 
@@ -612,7 +611,8 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     closed form ``ratio * unit * Tr(Id)`` (times ``V(S^{n-1})`` for
     integrated variants); any disagreement is reported with both exact
     values.  The identity's kernel is compiled once and placed once per
-    placement, and the trials run in :func:`_trial_loop`.
+    placement, and the trials run in :func:`_trial_loop`, which undoes the
+    doubled draw.
     """
     if lemma_id in _LEMMA_ALIASES:
         base_id, placement = _LEMMA_ALIASES[lemma_id]
@@ -625,12 +625,10 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
         raise ValueError(f"unknown lemma id {lemma_id!r}")
     if n % 2 or n < 4:
         raise ValueError("n must be even and >= 4")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
-    # the form, if any, and every vector are drawn doubled; the trace is
-    # 2^n c / D, times V(S^{n-1}) for a sandwiched (cosphere-integrated) one
-    scale = Fraction(1 << n, 1 << (len(spec.word_flavors) + bool(spec.form_degree)))
+    # the trace is 2^n c / D, times V(S^{n-1}) for a sandwiched
+    # (cosphere-integrated) one
+    scale = 1 << n
     kernel = _lemma_kernel(spec, n)
     comparisons = []
     for placement in placements:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Rational as _RationalABC
 from typing import Iterable, Mapping, Union
 
 _RationalLike = Union[int, Fraction]
@@ -29,8 +28,6 @@ def _as_fraction(value: _RationalLike) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, _RationalABC):
-        return Fraction(value.numerator, value.denominator)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -65,8 +62,8 @@ class GaussianRational:
     def _coerce(other) -> "GaussianRational":
         if isinstance(other, GaussianRational):
             return other
-        if isinstance(other, (int, Fraction, _RationalABC)):
-            return GaussianRational(_as_fraction(other))
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(other)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
@@ -115,32 +112,11 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / norm,
         )
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return (GaussianRational(1) / self) ** (-exponent)
-        result = GaussianRational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- comparisons / conversions ---------------------------------------
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction, _RationalABC)):
+        if isinstance(other, (int, Fraction)):
             return not self.im and self.re == other
         return NotImplemented
 
@@ -187,7 +163,7 @@ def as_gaussian(value: _CoeffLike) -> GaussianRational:
     """Coerce an ``int``/``Fraction``/``GaussianRational`` to GaussianRational."""
     if isinstance(value, GaussianRational):
         return value
-    return GaussianRational(_as_fraction(value))
+    return GaussianRational(value)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +249,7 @@ class SymbolicScalar:
     def _coerce(other) -> "SymbolicScalar":
         if isinstance(other, SymbolicScalar):
             return other
-        if isinstance(other, (int, Fraction, GaussianRational, _RationalABC)):
+        if isinstance(other, (int, Fraction, GaussianRational)):
             return SymbolicScalar.number(other)
         return NotImplemented  # type: ignore[return-value]
 
@@ -291,21 +267,6 @@ class SymbolicScalar:
         return SymbolicScalar(terms)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return SymbolicScalar({key: -coeff for key, coeff in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -331,14 +292,6 @@ class SymbolicScalar:
         return SymbolicScalar(terms)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, _RationalABC)):
-            divisor = as_gaussian(other)
-            return SymbolicScalar(
-                {key: coeff / divisor for key, coeff in self.terms.items()}
-            )
-        return NotImplemented
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .exterior import MAX_DIMENSION, clifford_generator
+from .exterior import _check_n, clifford_generator
 from .scalars import SymbolicScalar
 
 
@@ -149,8 +149,7 @@ def check_flat_commutators(n: int) -> List[dict]:
     Returns one record per ``(identity, k)`` pair with pass/fail status, the
     number of monomials checked and the number that disagree.
     """
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(f"dimension n must satisfy 1 <= n <= {MAX_DIMENSION}, got {n}")
+    _check_n(n)
     # d + d* and d - d* of a monomial do not depend on k: take them once
     monomials = []
     for total in range(3):

@@ -25,14 +25,14 @@ def wedge_raise(n: int, j: int) -> LinearOp:
     """Exterior multiplication ``e_j ^ .`` (1-based ``j``): ``(c_j + chat_j) / 2``."""
     _check_n(n)
     _check_index(n, j)
-    return LinearOp._of(n, {_generator_key("c", n, j): _HALF, _generator_key("chat", n, j): _HALF})
+    return LinearOp(n, {_generator_key("c", n, j): _HALF, _generator_key("chat", n, j): _HALF})
 
 
 def contract_lower(n: int, j: int) -> LinearOp:
     """Interior contraction with ``e_j`` (1-based ``j``): ``(chat_j - c_j) / 2``."""
     _check_n(n)
     _check_index(n, j)
-    return LinearOp._of(n, {_generator_key("c", n, j): -_HALF, _generator_key("chat", n, j): _HALF})
+    return LinearOp(n, {_generator_key("c", n, j): -_HALF, _generator_key("chat", n, j): _HALF})
 
 
 class PolyForm:

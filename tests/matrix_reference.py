@@ -40,7 +40,7 @@ def from_entries(n: int, entries: Iterable[Tuple[int, int, object]]) -> LinearOp
             sign, _ = _blade_action(n, key, row)
             _accumulate(sums, key, coeff if sign > 0 else -coeff)
     scale = Fraction(1, dim)
-    return LinearOp._of(n, {
+    return LinearOp(n, {
         key: (-total if _square_is_negative(n, key) else total) * scale
         for key, total in sums.items()
     })

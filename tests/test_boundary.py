@@ -443,11 +443,11 @@ class TestVerifyBoundary:
             boundary_module._residue_kernel.cache_clear()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="flavor must be psi1 or psi2, got 'psi3'"):
             verify_boundary("psi3", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m must be >= 2"):
             verify_boundary("psi1", 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
             verify_boundary("psi1", 2, trials=0)
 
 

@@ -369,6 +369,31 @@ class TestMalformedInput:
         assert result.exit_code == 2, result.output
         assert "invalid input" in result.output
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"n": 4, "degree": 3, "entries": [{"idx": [1, 1, 2], "value": "1"}]},
+         "repeated index in (1, 1, 2) forces value 0"),
+        ({"n": 4, "degree": 5, "entries": []}, "degree must satisfy 0 <= degree <= n, got 5"),
+    ], ids=["repeated_index", "degree_above_n"])
+    def test_form_rule_exits_2_naming_it(self, runner, tmp_path, payload, message):
+        result = _invoke_with_payload(runner, tmp_path, "density", "form", payload)
+        assert result.exit_code == 2, result.output
+        assert f"invalid input: {message}" in result.output
+
+    @pytest.mark.parametrize("command,bad_file", [("density", "form"), ("boundary", "vectors")])
+    def test_exact_value_past_the_digit_limit_exits_2(self, runner, tmp_path, command, bad_file):
+        # "1e5000" parses exactly, but the interpreter will not print an
+        # integer of more than sys.get_int_max_str_digits() digits
+        if command == "density":
+            payload = json.loads(FORM3_JSON)
+            payload["entries"][0]["value"] = "1e5000"
+        else:
+            payload = json.loads(BOUNDARY_VECTORS_JSON)
+            payload["vectors"][0][3] = "1e5000"
+        result = _invoke_with_payload(runner, tmp_path, command, bad_file, payload)
+        assert result.exit_code == 2, result.output
+        assert f"invalid input: the exact value has an integer of more than {sys.get_int_max_str_digits()} digits" \
+            in result.output
+
     @given(
         st.sampled_from([("density", "form"), ("density", "vectors"), ("boundary", "vectors")]),
         JSON_PAYLOADS,
@@ -475,6 +500,13 @@ class TestDensityCommand:
         assert "0" * 300 in exact and exact.endswith("* V(S^3)")
         assert numeric == "float: outside float range"
 
+    def test_repeated_index_with_value_0_is_ignored(self, runner, tmp_path):
+        form = json.loads(FORM3_JSON)
+        form["entries"].append({"idx": [1, 1, 2], "value": "0"})
+        result = _invoke_with_payload(runner, tmp_path, "density", "form", form)
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == "(-48) * V(S^3)"
+
     def test_invalid_input_is_a_usage_error(self, runner, tmp_path):
         form = tmp_path / "form.json"
         form.write_text(FORM3_JSON, encoding="utf-8")
@@ -497,6 +529,21 @@ class TestBoundaryCommand:
         assert result.exit_code == 0, result.output
         assert "engine: (-2 i) * pi * V(S^2)" in result.output
         assert "verdict: match" in result.output
+
+    def test_discrepancy_prints_mismatch_and_exits_1(self, runner, tmp_path, monkeypatch):
+        tabulated = cli_module.closed_form_boundary_coefficient
+        monkeypatch.setattr(cli_module, "closed_form_boundary_coefficient", lambda flavor, m: tabulated(flavor, m) * 2)
+        vectors = tmp_path / "vectors.json"
+        vectors.write_text(BOUNDARY_VECTORS_JSON, encoding="utf-8")
+        result = runner.invoke(
+            main, ["boundary", "psi1", "--m", "2", "--vectors", str(vectors)]
+        )
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines() == [
+            "engine: (-2 i) * pi * V(S^2)",
+            "closed form: (-4 i) * pi * V(S^2)",
+            "verdict: MISMATCH",
+        ]
 
     def test_requires_exactly_three_vectors(self, runner, tmp_path):
         vectors = tmp_path / "vectors.json"

@@ -1,6 +1,7 @@
 """Unit tests for the exterior algebra and Clifford operator layer."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hodge_residue.exterior import (
     FLAVORS,
+    MAX_DIMENSION,
     LinearOp,
     clifford,
     clifford_generator,
@@ -88,6 +90,14 @@ class TestCliffordRelations:
     def test_clifford_rejects_unknown_flavor(self):
         with pytest.raises(ValueError):
             clifford("x", (Fraction(1), Fraction(0)))
+
+    @pytest.mark.parametrize("n,j,message", [
+        (4, 0, "direction index must satisfy 1 <= j <= n, got 0"),
+        (MAX_DIMENSION + 1, 1, f"dimension n must satisfy 1 <= n <= {MAX_DIMENSION}, got {MAX_DIMENSION + 1}"),
+    ], ids=["j=0", "n=MAX_DIMENSION+1"])
+    def test_generator_rejects_bad_index_and_dimension(self, n, j, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            clifford_generator("c", n, j)
 
     def test_generator_word_flattens_products(self):
         n = 3

@@ -592,10 +592,22 @@ class TestInputValidation:
             density_decomposition("T2", T, vectors, m)
 
     def test_unknown_ids_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown functional id 'T9'"):
             verify_theorem("T9", 2)
+        T = AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)})
+        with pytest.raises(ValueError, match="unknown functional id 'T9'"):
+            spectral_density("T9", T, [basis_vector(4, j) for j in (1, 2, 3)], 2)
         with pytest.raises(ValueError):
             lemma_check("L9.9", 4)
+
+    @pytest.mark.parametrize("check", [
+        lambda: lemma_check("L2.4", 4, trials=0),
+        lambda: verify_theorem("T1", 2, trials=0),
+    ], ids=["lemma", "theorem"])
+    def test_zero_trials_rejected(self, check):
+        # the trial loop owns the rule (test_boundary covers verify_boundary)
+        with pytest.raises(ValueError, match=re.escape("trials must be >= 1")):
+            check()
 
     def test_lemma_check_requires_even_n_at_least_4(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,10 @@ class TestSphereMoments:
         with pytest.raises(ValueError):
             sphere_moment((2, 0), 4)
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            sphere_moment((2, -2, 0, 0), 4)
+
 
 class TestInteriorIntegrand:
     """The explicit reference integrand that :class:`TestCosphereAverage` uses."""

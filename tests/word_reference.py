@@ -46,7 +46,7 @@ def cosphere_average(op: LinearOp, placement: str, m: int = 1) -> LinearOp:
         w = weights[(key & low).bit_count(), key.bit_count() & 1]
         if w:
             blades[key] = coeff * w
-    return LinearOp._of(n, blades)
+    return LinearOp(n, blades)
 
 
 def lemma_lhs(word: LinearOp, lift: LinearOp, placement: str) -> SymbolicScalar:
@@ -102,7 +102,7 @@ def generator_word(n: int, letters) -> LinearOp:
         _check_flavor(flavor)
         _check_index(n, j)
     key, sign = _generator_blade(n, letters)
-    return LinearOp._of(n, {key: sign})
+    return LinearOp(n, {key: sign})
 
 
 def pi_minus(terms: dict) -> dict:
