@@ -23,9 +23,10 @@ the one draw: it reads entries ``p/q`` (``p`` in ``[-3, 3]``, ``q`` in
 ``{1, 2}``) from the ``random.Random`` stream exactly as ``randint`` then
 ``choice`` would, and returns each doubled, as the integer ``2p/q``.
 :func:`random_vector` and :func:`random_form` halve it into ``Fraction``
-values.  :func:`_minor_sum` is the one contraction of a form with vectors,
-``sum_I T_I det(vectors restricted to I)`` over integers;
-:func:`form_contract` is its ``Fraction`` wrapper.
+values.  :func:`_minor_contract` is the one contraction of a form with
+vectors, ``sum_I T_I det(vectors restricted to I)`` over integers, run on
+the minor plan :func:`_minor_plan` builds once per ``(n, degree)`` and
+process; :func:`form_contract` is its ``Fraction`` wrapper.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import add, itemgetter, mul, sub
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .exterior import LinearOp, _accumulate, _check_flavor, _generator_blade, _integer_scaled
 
@@ -126,70 +129,84 @@ def form_contract(form: AntiSymForm, vectors: Sequence[Sequence]) -> Fraction:
     """Evaluate the form on ``degree`` many vectors (exact).
 
     Computed as ``sum_I form(I) * det(vectors restricted to I)`` by
-    :func:`_minor_sum`.  The value is multilinear, so each vector and the
-    form's entries are scaled to integers by the lcm of their denominators,
-    the sum stays in integers, and the result is one ``Fraction``.
+    :func:`_minor_contract`, on the columns the form's entries use, so a
+    sparse form costs what its support costs.  The value is multilinear, so
+    each vector and the form's values are scaled to integers by the lcm of
+    their denominators, the sum stays in integers, and the result is one
+    ``Fraction``.
     """
     if len(vectors) != form.degree:
         raise ValueError("number of vectors must equal the form degree")
+    used = sorted({j for idx in form.entries for j in idx})
     rows = []
     denominator = 1
     for u in vectors:
         if len(u) != form.n:
             raise ValueError("vector length must equal n")
-        ints, q = _integer_scaled(u)
+        ints, q = _integer_scaled([u[j - 1] for j in used])
         rows.append(ints)
         denominator *= q
-    coeffs, q = _integer_scaled(form.entries.values())
-    return Fraction(_minor_sum(rows, zip(form.entries, coeffs)), denominator * q)
+    if len(used) < form.degree:
+        return Fraction(0)
+    basis = itertools.combinations(used, form.degree)
+    values, q = _integer_scaled([form.entries.get(idx, 0) for idx in basis])
+    return Fraction(_minor_contract(len(used), values, rows), denominator * q)
 
 
-def _minor_sum(rows: Sequence[Sequence[int]], terms: Iterable[Tuple[Tuple[int, ...], int]]) -> int:
-    """``sum coeff * det(rows restricted to idx)`` over the ``(idx, coeff)``
-    terms (increasing, 1-based ``idx``), in integers.
+def _reader(indices: Sequence[int]) -> Callable[[Sequence], Tuple]:
+    """``seq -> tuple(seq[i] for i in indices)`` in one C-level call; a
+    one-entry ``itemgetter`` would return the entry itself, not a tuple."""
+    if len(indices) == 1:
+        [i] = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
-    The minors of the last rows are built bottom-up, keyed by column
-    bitmask, over the columns the terms use: a row put on top of a minor at
-    a new column ``c`` contributes with the sign of the minor's columns below
-    ``c``.  Each term then expands along the first row, so index sets share
-    their sub-minors.
+
+@lru_cache(maxsize=None)
+def _minor_plan(n: int, degree: int) -> Tuple[Tuple[Tuple[Callable, Callable, Callable], ...], ...]:
+    """The passes that build every minor of ``degree`` rows of length ``n``.
+
+    Level ``l`` (``1 <= l <= degree``) lists every ``l``-subset ``S`` of the
+    columns in ``itertools.combinations`` order; its value at ``S`` is the
+    minor of the last ``l`` rows on ``S``, expanded along its top row:
+    ``sum_p (-1)^p row[S_p] * minor(S without S_p)``, the second factor read
+    from level ``l - 1``.  Pass ``p`` of a level is ``(op, cols, drops)``:
+    ``cols`` reads ``S_p`` of every ``S`` from the row, ``drops`` the index
+    of ``S`` without ``S_p`` from the previous level, and ``op`` adds
+    (``p`` even) or subtracts (``p`` odd) the pass's products.  Level
+    ``degree`` is in the basis order of a degree-``degree`` form.
     """
-    masked = []
-    used = 0
-    for idx, coeff in terms:
-        if coeff:
-            mask = 0
-            for j in idx:
-                mask |= 1 << (j - 1)
-            masked.append((mask, idx, coeff))
-            used |= mask
-    if not rows:
-        return sum(coeff for _, _, coeff in masked)
-    minors = {0: 1}
-    for row in rows[:0:-1]:
-        grown: Dict[int, int] = {}
-        for mask, minor in minors.items():
-            odd = False
-            bit = 1
-            for x in row:
-                if mask & bit:
-                    odd = not odd
-                elif x and used & bit:
-                    key = mask | bit
-                    grown[key] = grown.get(key, 0) + (-x * minor if odd else x * minor)
-                bit <<= 1
-        minors = grown
-    first = rows[0]
-    total = 0
-    for mask, idx, coeff in masked:
-        value = 0
-        for pos, j in enumerate(idx):
-            x = first[j - 1]
-            if x:
-                minor = x * minors.get(mask ^ (1 << (j - 1)), 0)
-                value = value - minor if pos & 1 else value + minor
-        total += coeff * value
-    return total
+    levels = []
+    position = {(): 0}
+    for size in range(1, degree + 1):
+        subsets = list(itertools.combinations(range(n), size))
+        levels.append(tuple(
+            (sub if p & 1 else add,
+             _reader([s[p] for s in subsets]),
+             _reader([position[s[:p] + s[p + 1:]] for s in subsets]))
+            for p in range(size)
+        ))
+        position = {s: i for i, s in enumerate(subsets)}
+    return tuple(levels)
+
+
+def _minor_contract(n: int, values: Sequence[int], rows: Sequence[Sequence[int]]) -> int:
+    """``sum_I values[I] * det(rows restricted to I)`` in integers, ``values``
+    in the basis order of a degree-``len(rows)`` form on ``R^n``.
+
+    Each level of :func:`_minor_plan` is one ``map`` pass per position in
+    its subsets, so the minors of the lower rows are shared by every index
+    set and the per-entry work runs at C level.  The work is that of every
+    ``l``-subset for ``l <= len(rows)``, however sparse ``values`` is.
+    """
+    level: Sequence[int] = (1,)
+    for row, passes in zip(reversed(rows), _minor_plan(n, len(rows))):
+        (_, cols, drops), *rest = passes
+        minors = map(mul, cols(row), drops(level))
+        for op, cols, drops in rest:
+            minors = map(op, minors, map(mul, cols(row), drops(level)))
+        level = tuple(minors)
+    return sum(map(mul, values, level))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,17 @@ identities are the same trace with the ``"before"`` or ``"after"`` weights,
 and the plain ones with the lift itself.
 
 Every such trace ``tr(W(u_1 ... u_k) . P(lift(T)))`` is multilinear in the
-form and in each vector.  A :class:`TraceKernel` is compiled once per check
-(or per call of :func:`spectral_density` and :func:`density_decomposition`)
-from basis inputs: the lift of each basis form ``e_I`` and the letter paths
-that fold each of its blades to the empty blade.  It is the sparse integer
-tensor ``{(I, j_1, ..., j_k): c}`` of the plain trace.  Each entry comes
-from one blade, so :meth:`TraceKernel.placed` gives a placement ``P`` by
-scaling every entry by its blade's weight, with no second compile.
+form and in each vector.  A :class:`TraceKernel` is compiled from basis
+inputs: the lift of each basis form ``e_I`` and the letter paths that fold
+each of its blades to the empty blade.  A trace identity's kernel is
+compiled once per shape (word, lift, form degree, ``n``) per process and
+shared by every identity of that shape; a density's once per check (or per
+call of :func:`spectral_density` and :func:`density_decomposition`).  It is
+the sparse integer tensor ``{(I, j_1, ..., j_k): c}`` of the plain trace.
+Each entry comes from one blade, so :meth:`TraceKernel.placed` gives a
+placement ``P`` by scaling every entry by its blade's weight, with no second
+compile; when every blade has one grade class, as in every identity, the
+placed contraction is the plain one times one integer ratio.
 :meth:`TraceKernel.contract` contracts a kernel with integer rows, and
 :meth:`TraceKernel.trace` scales rational inputs to integers and divides
 once.  No Clifford word is built on this path.
@@ -42,6 +46,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -55,8 +60,9 @@ from .exterior import (
 )
 from .forms import (
     AntiSymForm,
-    _minor_sum,
+    _minor_contract,
     _random_doubled,
+    _reader,
     lift_four_chat,
     lift_four_mixed,
     lift_three_c,
@@ -117,8 +123,8 @@ def _letter_paths(n: int, flavors: Sequence[str], key: int,
 
 
 class TraceKernel:
-    """The trace ``tr(W(u_1 ... u_k) . lift(T))`` of one check, compiled once,
-    and its cosphere placements.
+    """The trace ``tr(W(u_1 ... u_k) . lift(T))`` of one check or identity
+    shape, compiled once, and its cosphere placements.
 
     ``W`` is the Clifford word of the letters ``flavors``.  The trace is
     multilinear in the form and in each vector, so it is ``2^n / denominator
@@ -136,13 +142,19 @@ class TraceKernel:
     that blade's grade class ``(|A|, g mod 2)`` per entry; a cosphere
     placement scales each blade by the weight of its class, so
     :meth:`placed` scales the entries and compiles nothing.
+
+    ``basis``, ``columns``, ``coeffs`` and ``grades`` are tuples, so a
+    kernel shared between checks cannot be altered by one of them.  The
+    contraction of this kernel is ``plain.contract(rows) * factor //
+    divisor``: a compiled kernel is its own ``plain`` with ratio ``1/1``.
     """
 
-    __slots__ = ("n", "degree", "letters", "basis", "columns", "coeffs", "denominator", "grades")
+    __slots__ = ("n", "degree", "letters", "basis", "columns", "coeffs", "denominator", "grades",
+                 "reads", "plain", "factor", "divisor")
 
     def __init__(self, n: int, flavors: Sequence[str], lift: Callable[..., LinearOp], degree: int):
         self.n, self.degree, self.letters = n, degree, len(flavors)
-        self.basis = list(itertools.combinations(range(1, n + 1), degree)) if degree else [()]
+        self.basis = tuple(itertools.combinations(range(1, n + 1), degree)) if degree else ((),)
         signs = [_product_signs(n, 1 << bit) for bit in range(2 * n)]
         low = (1 << n) - 1
         entries, values, grades = [], [], []
@@ -154,11 +166,17 @@ class TraceKernel:
                     entries.append((slot,) + js)
                     values.append(coeff if sign > 0 else -coeff)
                     grades.append(grade)
-        self.grades = grades
+        self.grades = tuple(grades)
         self.denominator = lcm(*(c.denominator for c in values))
-        self.coeffs = [c.numerator * (self.denominator // c.denominator) for c in values]
+        self.coeffs = tuple(c.numerator * (self.denominator // c.denominator) for c in values)
         # one tuple per tensor slot: the form's basis slot, then each letter's index
-        self.columns = list(zip(*entries))
+        self._set_columns(tuple(zip(*entries)))
+        self.plain, self.factor, self.divisor = self, 1, 1
+
+    def _set_columns(self, columns: Tuple[Tuple[int, ...], ...]) -> None:
+        self.columns = columns
+        # each column read from its row by one C-level call
+        self.reads = tuple(map(_reader, columns))
 
     def placed(self, placement: str, m: int = 1) -> "TraceKernel":
         """The kernel of ``tr(W . P(lift(T)))`` for a placement ``P``.
@@ -170,21 +188,36 @@ class TraceKernel:
         dropped and the tensor is reduced to lowest terms, so it equals the
         compile of the placed lift.  Any other placement raises
         ``ValueError``.
+
+        When every entry has one grade class of nonzero weight ``f``, the
+        placed kernel shares this kernel's columns, and its contraction is
+        this kernel's times ``f // common``, ``common`` the reducing gcd:
+        it keeps ``self`` as :attr:`plain` with the pair ``(f, common)``.
         """
         if placement == "plain":
             return self
         weights = _grade_weights(self.n, placement, m)
         scale = lcm(*(w.denominator for w in weights.values()))
         factors = {grade: w.numerator * (scale // w.denominator) for grade, w in weights.items()}
-        scaled = [c * factors[grade] for c, grade in zip(self.coeffs, self.grades)]
-        coeffs = list(itertools.compress(scaled, scaled))
-        common = gcd(self.denominator * scale, *coeffs)
         kernel = object.__new__(TraceKernel)
         kernel.n, kernel.degree, kernel.letters, kernel.basis = self.n, self.degree, self.letters, self.basis
-        # the kept entries' columns; none at all when no entry is kept, as a compile gives
-        kernel.columns = [tuple(itertools.compress(column, scaled)) for column in self.columns] if coeffs else []
-        kernel.grades = list(itertools.compress(self.grades, scaled))
-        kernel.coeffs = [c // common for c in coeffs]
+        classes = set(self.grades)
+        factor = factors[classes.pop()] if len(classes) == 1 else 0
+        if factor:
+            common = gcd(self.denominator * scale, factor * gcd(*self.coeffs))
+            kernel.columns, kernel.reads, kernel.grades = self.columns, self.reads, self.grades
+            kernel.coeffs = tuple(c * factor // common for c in self.coeffs)
+            kernel.plain, kernel.factor, kernel.divisor = self, factor, common
+        else:
+            scaled = [c * factors[grade] for c, grade in zip(self.coeffs, self.grades)]
+            coeffs = tuple(itertools.compress(scaled, scaled))
+            common = gcd(self.denominator * scale, *coeffs)
+            # the kept entries' columns; none at all when no entry is kept, as a compile gives
+            kernel._set_columns(tuple(tuple(itertools.compress(column, scaled)) for column in self.columns)
+                                if coeffs else ())
+            kernel.grades = tuple(itertools.compress(self.grades, scaled))
+            kernel.coeffs = tuple(c // common for c in coeffs)
+            kernel.plain, kernel.factor, kernel.divisor = kernel, 1, 1
         kernel.denominator = self.denominator * scale // common
         return kernel
 
@@ -196,8 +229,8 @@ class TraceKernel:
         ``2^n / denominator`` times the result.
         """
         products = self.coeffs
-        for column, row in zip(self.columns, rows):
-            products = map(mul, products, map(row.__getitem__, column))
+        for read, row in zip(self.reads, rows):
+            products = map(mul, products, read(row))
         return sum(products)
 
     def trace(self, form: Optional[AntiSymForm], vectors: Sequence[Sequence]) -> Fraction:
@@ -316,10 +349,13 @@ def _trial_loop(check_id: str, n: int, trials: int,
     expected)`` contracts its kernel with the rows to ``c``; the engine side
     ``value * c / D`` (``D`` the kernel's denominator) must equal the expected
     side ``expected * unit``, and :func:`_sides` makes that integer
-    identities.  Both sides are linear in each of the ``r = letters +
-    bool(degree)`` doubled rows, so each carries the factor ``2^r``: it
-    cancels in the comparison, and only the two values the report shows are
-    divided by it.  ``trials`` below 1 raises ``ValueError``.
+    identities.  Each distinct :attr:`TraceKernel.plain` kernel is contracted
+    once per trial, and a comparison's ``c`` is that contraction times its
+    kernel's ``factor // divisor``.  Both sides are linear in each of the
+    ``r = letters + bool(degree)`` doubled rows, so each carries the factor
+    ``2^r``: it cancels in the comparison, and only the two values the
+    report shows are divided by it.  ``trials`` below 1 raises
+    ``ValueError``.
 
     With ``magnitude`` a comparison whose expected side is nonzero holds when
     the engine side is ``s`` times it, for one sign ``s`` on every trial, and
@@ -332,8 +368,13 @@ def _trial_loop(check_id: str, n: int, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    checks = [(label, kernel, value, expected, _sides(value, expected, kernel.denominator))
-              for label, kernel, value, expected in comparisons]
+    plains: List[TraceKernel] = []
+    checks = []
+    for label, kernel, value, expected in comparisons:
+        if kernel.plain not in plains:
+            plains.append(kernel.plain)
+        checks.append((label, kernel, value, expected, _sides(value, expected, kernel.denominator),
+                       plains.index(kernel.plain), kernel.factor, kernel.divisor))
     # every kernel contracts the same rows, so all share r
     r = comparisons[0][1].letters + bool(comparisons[0][1].degree)
     failures = 0
@@ -342,8 +383,9 @@ def _trial_loop(check_id: str, n: int, trials: int,
     contracted = []
     for trial in range(trials):
         rows, unit = draw()
-        for label, kernel, value, expected, (re_left, re_right, im_left, im_right) in checks:
-            c = kernel.contract(rows)
+        contractions = [plain.contract(rows) for plain in plains]
+        for label, kernel, value, expected, (re_left, re_right, im_left, im_right), which, factor, divisor in checks:
+            c = contractions[which] * factor // divisor
             contracted.append((c, unit))
             ok = c * re_left == unit * re_right and c * im_left == unit * im_right
             sign = 1
@@ -467,9 +509,12 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
     Draws random small-rational forms and vectors; every trial must satisfy
     ``spectral_density == closed_form_coefficient * form_contract`` exactly.
     The density's trace kernel is compiled once and the trials run in
-    :func:`_trial_loop`, which undoes the doubled draw.
+    :func:`_trial_loop`, which undoes the doubled draw.  ``m < 2`` raises
+    ``ValueError`` before anything is compiled.
     """
     fspec = _resolve_functional(functional_id)
+    if m < 2:
+        raise ValueError("m must be >= 2")
     n = 2 * m
     rng = random.Random(f"{seed}:theorem:{fspec.functional_id}:{m}")
     kernel = _density_kernel(fspec, n).placed("interior", m)
@@ -477,7 +522,7 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
     def draw():
         form = _random_doubled(len(kernel.basis), rng)
         vectors = [_random_doubled(n, rng) for _ in fspec.arg_flavors]
-        return [form, *vectors], _minor_sum(vectors, zip(kernel.basis, form))
+        return [form, *vectors], _minor_contract(n, form, vectors)
 
     # the trace is 2^n c / D
     value = sphere_volume(n - 1) * (fspec.prefactor * (1 << n))
@@ -575,12 +620,11 @@ def boundary_contraction(flavor: str, u: Sequence, v: Sequence, w: Sequence):
     raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
 
 
-def _lemma_unit(spec: LemmaSpec, basis: Sequence[Tuple[int, ...]], form: Optional[Sequence[int]],
-                vectors: Sequence[Sequence[int]]) -> int:
+def _lemma_unit(spec: LemmaSpec, form: Optional[Sequence[int]], vectors: Sequence[Sequence[int]]) -> int:
     """The identity's unit on integer inputs, the form given by its values
-    in ``basis`` order."""
+    in basis order."""
     if spec.unit == "form":
-        return _minor_sum(vectors, zip(basis, form))
+        return _minor_contract(len(vectors[0]), form, vectors)
     if spec.unit == "metric":
         return _dot(vectors[0], vectors[1])
     if spec.unit == "boundary_cyclic":
@@ -590,17 +634,26 @@ def _lemma_unit(spec: LemmaSpec, basis: Sequence[Tuple[int, ...]], form: Optiona
     raise ValueError(f"unknown unit kind {spec.unit!r}")
 
 
-def _lemma_lift(spec: LemmaSpec, form: Optional[AntiSymForm], n: int) -> LinearOp:
-    if spec.lift is None:
+def _lemma_lift(lift: Optional[str], form: Optional[AntiSymForm], n: int) -> LinearOp:
+    """The operator a :attr:`LemmaSpec.lift` key names, on ``form``."""
+    if lift is None:
         return LinearOp.identity(n)
-    if spec.lift == "normal_c":
+    if lift == "normal_c":
         return clifford_generator("c", n, n)
-    return _LIFTS[spec.lift](form)
+    return _LIFTS[lift](form)
+
+
+@lru_cache(maxsize=None)
+def _shape_kernel(word_flavors: Tuple[str, ...], lift: Optional[str], form_degree: Optional[int],
+                  n: int) -> TraceKernel:
+    """The plain trace kernel of one identity shape, compiled once per process."""
+    return TraceKernel(n, word_flavors, lambda form: _lemma_lift(lift, form, n), form_degree or 0)
 
 
 def _lemma_kernel(spec: LemmaSpec, n: int) -> TraceKernel:
-    """The plain trace kernel of a trace identity."""
-    return TraceKernel(n, spec.word_flavors, lambda form: _lemma_lift(spec, form, n), spec.form_degree or 0)
+    """The plain trace kernel of a trace identity, shared by every identity
+    of its shape."""
+    return _shape_kernel(spec.word_flavors, spec.lift, spec.form_degree, n)
 
 
 def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> CheckReport:
@@ -610,8 +663,9 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     variants are verified each trial.  The expected side is the tabulated
     closed form ``ratio * unit * Tr(Id)`` (times ``V(S^{n-1})`` for
     integrated variants); any disagreement is reported with both exact
-    values.  The identity's kernel is compiled once and placed once per
-    placement, and the trials run in :func:`_trial_loop`, which undoes the
+    values.  The identity's kernel is compiled once per shape and process
+    and placed once per placement, and the trials run in
+    :func:`_trial_loop`, which contracts it once per trial and undoes the
     doubled draw.
     """
     if lemma_id in _LEMMA_ALIASES:
@@ -642,7 +696,7 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     def draw():
         vectors = [_random_doubled(n, rng) for _ in spec.word_flavors]
         form = _random_doubled(len(kernel.basis), rng) if spec.form_degree else None
-        return [[1] if form is None else form, *vectors], _lemma_unit(spec, kernel.basis, form, vectors)
+        return [[1] if form is None else form, *vectors], _lemma_unit(spec, form, vectors)
 
     return _trial_loop(lemma_id, n, trials, draw, comparisons, magnitude=spec.sign_policy == "magnitude")
 

@@ -174,6 +174,21 @@ class TestGoldenReports:
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == recorded["sha256"]
 
 
+    # `verify --suite all` at two more seeds, recorded before the lemma
+    # trials ran on compiled plans (golden.json records seed 0 only)
+    ALL_SUITE_SHA256 = {
+        1: "7f0a49fae870bc19a634ccf4b72b340ed07d7e16cfb4e32b4be20937eb48bd4e",
+        7: "a39f563008b675c2ea57189c8f0d78332b5af977bf763f11de5d17b408cbc578",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(ALL_SUITE_SHA256))
+    def test_all_suite_report_at_other_seeds(self, runner, seed):
+        result = runner.invoke(main, ["verify", "--suite", "all", "--seed", str(seed)])
+        # exit 1: the suite holds the checks whose tables disagree (criteria 2 and 3)
+        assert result.exit_code == 1, result.output
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == self.ALL_SUITE_SHA256[seed]
+
+
 class TestReportSchema:
     def test_check_and_summary_shape(self, runner):
         result = runner.invoke(

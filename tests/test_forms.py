@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from hodge_residue.forms import (
     lift_three_c,
     lift_three_mixed,
     lift_torsion_assembly,
+    _minor_contract,
+    _minor_plan,
     _random_doubled,
     lift_two_chat,
     random_form,
@@ -92,6 +95,24 @@ class TestFormContract:
                 total += term
             assert form_contract(form, vectors) == total
 
+    def test_sparse_form_contract_reads_only_its_columns(self):
+        rng = random.Random("contract:sparse")
+        n = 9
+        cases = [
+            AntiSymForm(n, 3, {(2, 5, 9): Fraction(3, 2), (5, 7, 9): Fraction(-2)}),
+            AntiSymForm(n, 2, {(1, 8): Fraction(1, 3)}),
+            AntiSymForm(n, 3, {}),
+        ]
+        for form in cases:
+            vectors = [mixed_vector(n, rng) for _ in range(form.degree)]
+            total = Fraction(0)
+            for idx in itertools.permutations(range(1, n + 1), form.degree):
+                term = form.value(idx)
+                for vec, j in zip(vectors, idx):
+                    term *= vec[j - 1]
+                total += term
+            assert form_contract(form, vectors) == total
+
     def test_contract_alternates_in_arguments(self):
         rng = random.Random(7)
         n = 4
@@ -106,6 +127,42 @@ class TestFormContract:
         e3 = [Fraction(0), Fraction(0), Fraction(1), Fraction(0)]
         assert form_contract(form, [e1, e3]) == Fraction(5, 2)
         assert form_contract(form, [e3, e1]) == Fraction(-5, 2)
+
+
+def _leibniz(n: int, values, rows) -> int:
+    """``sum_I values[I] sum_sigma sgn(sigma) prod_a rows[a][I[sigma(a)]]``
+    over increasing 0-based ``I`` in basis order, term by term."""
+    total = 0
+    for value, idx in zip(values, itertools.combinations(range(n), len(rows))):
+        for perm in itertools.permutations(range(len(rows))):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            term = -value if inversions & 1 else value
+            for row, p in zip(rows, perm):
+                term *= row[idx[p]]
+            total += term
+    return total
+
+
+class TestMinorPlan:
+    @pytest.mark.parametrize("n", range(8))
+    def test_plan_equals_leibniz_sum(self, n):
+        rng = random.Random(f"minor-plan:{n}")
+        for degree in range(n + 1):
+            for case in range(4):
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(degree)]
+                if degree and case == 3:
+                    rows[rng.randrange(degree)] = [0] * n
+                values = [rng.randint(-3, 3) for _ in range(comb(n, degree))]
+                assert _minor_contract(n, values, rows) == _leibniz(n, values, rows), (degree, case)
+
+    def test_plan_is_built_once_per_shape(self):
+        assert _minor_plan(6, 3) is _minor_plan(6, 3)
+        assert [len(level) for level in _minor_plan(6, 3)] == [1, 2, 3]
+
+    def test_degree_zero_and_one(self):
+        assert _minor_contract(3, [5], []) == 5
+        assert _minor_contract(3, [1, -2, 3], [[4, 5, 6]]) == 4 - 10 + 18
+        assert _minor_contract(1, [7], [[-2]]) == -14
 
 
 class TestLifts:

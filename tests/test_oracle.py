@@ -30,7 +30,7 @@ from hodge_residue.oracle import (
     float_plain_trace,
     float_sandwich_integral,
 )
-from hodge_residue.residue import FUNCTIONALS, spectral_density
+from hodge_residue.residue import FUNCTIONALS, _lemma_lift, spectral_density
 from hodge_residue.scalars import sphere_volume_float
 from hodge_residue.symbols import sphere_moment
 from float_reference import float_trace, line_quadrature, moment_float, sphere_quadrature
@@ -43,6 +43,11 @@ LIFT_KIND = {
     "T4": "four_mixed",
     "T5": "four_chat",
 }
+
+# the lifts only the trace identities compile, by the kind dense_lift names
+# them, with their form degree: L3.x (three_c, three_mixed), M6.2
+# (identity), B5.8 and B5.10 (normal_c)
+LEMMA_LIFT_DEGREE = {"three_c": 3, "three_mixed": 3, "identity": None, "normal_c": None}
 
 
 def exact_matrix(op) -> np.ndarray:
@@ -103,15 +108,20 @@ class TestFloatTraces:
             exact = complex(clifford_word(n, letters).trace())
             assert rel_close(float_trace(letters), exact)
 
-    @pytest.mark.parametrize("functional_id", sorted(LIFT_KIND))
-    def test_dense_lifts_match_exact_lifts(self, functional_id):
+    @pytest.mark.parametrize("case", sorted(LIFT_KIND) + sorted(LEMMA_LIFT_DEGREE))
+    def test_dense_lifts_match_exact_lifts(self, case):
         n = 4
-        spec = FUNCTIONALS[functional_id]
-        rng = random.Random(f"oracle:lift:{functional_id}")
-        form = random_form(n, spec.torsion_degree, rng)
-        exact = exact_matrix(spec.lift(form))
-        dense = dense_lift(LIFT_KIND[functional_id], form, n)
-        assert np.allclose(exact, dense, atol=1e-10)
+        rng = random.Random(f"oracle:lift:{case}")
+        if case in LIFT_KIND:
+            spec = FUNCTIONALS[case]
+            form = random_form(n, spec.torsion_degree, rng)
+            kind, exact = LIFT_KIND[case], spec.lift(form)
+        else:
+            degree = LEMMA_LIFT_DEGREE[case]
+            form = random_form(n, degree, rng) if degree else None
+            kind, exact = case, _lemma_lift(None if case == "identity" else case, form, n)
+        dense = dense_lift(kind, form, n)
+        assert np.allclose(exact_matrix(exact), dense, atol=1e-10)
 
     def test_plain_trace_agrees_with_exact(self):
         n = 4

@@ -30,6 +30,7 @@ from hodge_residue.forms import (
 import hodge_residue.boundary as boundary_module
 import hodge_residue.residue as residue_module
 from hodge_residue.boundary import verify_boundary
+from hodge_residue.cli import DEFAULT_LEMMA_DIMENSIONS, _run_checks
 from hodge_residue.residue import (
     FUNCTIONALS,
     LEMMA_CHECKS,
@@ -131,7 +132,7 @@ def test_lemma_kernels_equal_word_route(n, draw):
                 vectors = [vector(n, rng) for _ in spec.word_flavors]
                 form = form_of(n, spec.form_degree, rng) if spec.form_degree else None
                 word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
-                expected = lemma_lhs(word, _lemma_lift(spec, form, n), placement)
+                expected = lemma_lhs(word, _lemma_lift(spec.lift, form, n), placement)
                 value = _placed_value(kernel.trace(form, vectors), placement, n)
                 assert value == expected, (lemma_id, placement)
                 compared += 1
@@ -206,7 +207,7 @@ def test_placed_lemma_kernels_equal_compiles_of_placed_lifts(lemma_id, n):
     spec = LEMMA_CHECKS[lemma_id]
     for placement in ("before", "after", "interior"):
         _assert_placed_equals_compile_of_placed_lift(
-            spec.word_flavors, lambda form: _lemma_lift(spec, form, n), spec.form_degree or 0, n, placement, n // 2,
+            spec.word_flavors, lambda form: _lemma_lift(spec.lift, form, n), spec.form_degree or 0, n, placement, n // 2,
         )
 
 
@@ -242,9 +243,65 @@ def _count_compiles(monkeypatch) -> list:
 
 @pytest.mark.parametrize("lemma_id", sorted(LEMMA_CHECKS) + sorted(_LEMMA_ALIASES))
 def test_lemma_check_compiles_one_kernel(monkeypatch, lemma_id):
+    # kernels are memoized per shape, so the count starts from an empty memo
+    residue_module._shape_kernel.cache_clear()
     calls = _count_compiles(monkeypatch)
     lemma_check(lemma_id, 4, trials=1)
     assert len(calls) == 1
+    lemma_check(lemma_id, 4, trials=1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_theorem_below_order_two_is_rejected_before_compiling(monkeypatch, m):
+    calls = _count_compiles(monkeypatch)
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        verify_theorem("T1", m)
+    assert calls == []
+
+
+def test_default_lemma_suite_compiles_one_kernel_per_shape(monkeypatch):
+    # ten shapes at each of n = 4 and 6: L2.4/L2.5, L3.4a/L3.6a/L3.6b,
+    # L3.4b/L3.5, L3.7a/L3.9, L3.7b/L3.8, L4.5/L4.6a/L4.6b, L4.7/L4.8 share
+    # kernels; B5.8, B5.10 and M6.2 have their own
+    residue_module._shape_kernel.cache_clear()
+    calls = _count_compiles(monkeypatch)
+    reports = list(_run_checks("lemmas", DEFAULT_LEMMA_DIMENSIONS, (), (), 1, 0))
+    assert len(reports) == 2 * len(LEMMA_CHECKS) == 38
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_memoized_lemma_kernels_are_immutable(n):
+    for spec in LEMMA_CHECKS.values():
+        kernel = _lemma_kernel(spec, n)
+        assert _lemma_kernel(spec, n) is kernel
+        for part in (kernel.basis, kernel.columns, kernel.coeffs, kernel.grades):
+            assert type(part) is tuple
+        assert all(type(column) is tuple for column in kernel.columns)
+        for placement in spec.placements:
+            placed = kernel.placed(placement)
+            assert all(type(part) is tuple for part in (placed.basis, placed.columns, placed.coeffs, placed.grades))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("lemma_id", sorted(LEMMA_CHECKS))
+def test_one_contraction_serves_every_placement(lemma_id, n):
+    """A placed kernel's contraction is its plain kernel's times the integer
+    pair it keeps; for an identity's kernel that plain kernel is the
+    identity's compiled one, shared by all its placements."""
+    spec = LEMMA_CHECKS[lemma_id]
+    plain = _lemma_kernel(spec, n)
+    rng = random.Random(f"one-contraction:{lemma_id}:{n}")
+    for placement in ("plain", "before", "after", "interior"):
+        kernel = plain.placed(placement, n // 2)
+        assert kernel.plain is plain or not kernel.coeffs
+        for _ in range(3):
+            rows = [[rng.randint(-6, 6) for _ in plain.basis]] if spec.form_degree else [[1]]
+            rows += [[rng.randint(-6, 6) for _ in range(n)] for _ in spec.word_flavors]
+            shared = kernel.plain.contract(rows) * kernel.factor
+            assert shared % kernel.divisor == 0
+            assert shared // kernel.divisor == kernel.contract(rows), placement
 
 
 @pytest.mark.parametrize("functional_id", sorted(FUNCTIONALS))
@@ -659,7 +716,7 @@ def _lemma_inputs(spec, lemma_id, n, seed, trial):
 
 def _word_route_lhs(spec, n, vectors, form):
     word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
-    return lemma_lhs(word, _lemma_lift(spec, form, n), "plain")
+    return lemma_lhs(word, _lemma_lift(spec.lift, form, n), "plain")
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -750,5 +807,5 @@ def test_derived_fractional_ratio_passes(monkeypatch, n):
             break
     word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
     expected = SymbolicScalar.number(spec.ratio * unit * (1 << n)) * sphere_volume(n - 1)
-    assert report.computed == lemma_lhs(word, _lemma_lift(spec, form, n), "before").render()
+    assert report.computed == lemma_lhs(word, _lemma_lift(spec.lift, form, n), "before").render()
     assert report.expected == expected.render() == report.computed
