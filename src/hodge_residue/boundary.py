@@ -33,9 +33,9 @@ moment is zero contributes no pair.
 At every ``m`` that kernel has one pair, ``(n, K)`` (the normal channel),
 so a density is ``K * tr(W c_n)``.  ``tr(W(u, v, w) c_n)`` is a degree-0
 :class:`~hodge_residue.residue.TraceKernel`, the same tensor as the B5.8
-(psi1) and B5.10 (psi2) trace identities; the kernel build raises
-``ValueError`` if the residue kernel has another number of pairs.  No
-Clifford word is built.
+(psi1) and B5.10 (psi2) trace identities, and it is their memoized kernel;
+the kernel lookup raises ``ValueError`` if the residue kernel is not that
+one pair.  No Clifford word is built.
 
 :func:`verify_boundary` asserts exact proportionality of each density to its
 stated vector contraction and compares the engine's absolute constant with
@@ -52,9 +52,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exterior import clifford_generator
 from .forms import _random_doubled
-from .residue import CheckReport, TraceKernel, _trial_loop, boundary_contraction
+from .residue import CheckReport, TraceKernel, _shape_kernel, _trial_loop, boundary_contraction
 from .scalars import (
     GaussianRational,
     I,
@@ -97,19 +96,6 @@ def _strip(coeffs: Sequence[GaussianRational]) -> Tuple[GaussianRational, ...]:
     return tuple(coeffs)
 
 
-def _expand_factors(factors: Dict[GaussianRational, int]) -> Tuple[GaussianRational, ...]:
-    poly: Tuple[GaussianRational, ...] = (as_gaussian(1),)
-    for pole in sorted(factors, key=_pole_key):
-        linear = (-pole, as_gaussian(1))
-        for _ in range(factors[pole]):
-            poly = _conv(poly, linear)
-    return poly
-
-
-def _pole_key(pole: GaussianRational) -> Tuple[Fraction, Fraction]:
-    return (pole.re, pole.im)
-
-
 class ScalarRational:
     """``num(xi) / prod (xi - pole)^mult`` with exact Gaussian-rational data."""
 
@@ -139,25 +125,6 @@ class ScalarRational:
         return sum(self.den.values()) - len(self.num) + 1
 
     # -- arithmetic ------------------------------------------------------------
-    def __add__(self, other: "ScalarRational") -> "ScalarRational":
-        if not isinstance(other, ScalarRational):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        target: Dict[GaussianRational, int] = dict(self.den)
-        for pole, mult in other.den.items():
-            target[pole] = max(target.get(pole, 0), mult)
-        num_a = _conv(self.num, _expand_factors(_factor_deficit(self.den, target)))
-        num_b = _conv(other.num, _expand_factors(_factor_deficit(other.den, target)))
-        length = max(len(num_a), len(num_b))
-        total = [
-            (num_a[k] if k < len(num_a) else ZERO) + (num_b[k] if k < len(num_b) else ZERO)
-            for k in range(length)
-        ]
-        return ScalarRational(total, target)
-
     def __mul__(self, other):
         if isinstance(other, ScalarRational):
             den = dict(self.den)
@@ -170,19 +137,6 @@ class ScalarRational:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarRational":
-        return self * (-1)
-
-    def __sub__(self, other: "ScalarRational") -> "ScalarRational":
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarRational):
-            return NotImplemented
-        # compare as fractions: cross-multiplied numerators over the union den
-        diff = self - other
-        return diff.is_zero
 
     # -- partial fractions ----------------------------------------------------
     def partial_fractions(self) -> Dict[Tuple[GaussianRational, int], GaussianRational]:
@@ -228,10 +182,6 @@ class ScalarRational:
 
     def __repr__(self) -> str:
         return f"ScalarRational(num={self.num!r}, den={self.den!r})"
-
-
-def _factor_deficit(current: Dict[GaussianRational, int], target: Dict[GaussianRational, int]) -> Dict[GaussianRational, int]:
-    return {pole: target[pole] - current.get(pole, 0) for pole in target if target[pole] > current.get(pole, 0)}
 
 
 def _taylor_shift(coeffs: Sequence[GaussianRational], center: GaussianRational) -> Tuple[GaussianRational, ...]:
@@ -358,16 +308,17 @@ def _boundary_kernel(flavor: str, m: int) -> Tuple[TraceKernel, SymbolicScalar]:
     """``(kernel, weight)`` with ``boundary_density = weight * 2^n c / D``.
 
     ``c`` is the kernel's contraction with the three vectors and ``D`` its
-    denominator.  The residue kernel of order ``m`` must have one pair
-    ``(a, K)``: the kernel is the degree-0 trace against ``c_a`` and the
-    weight is ``K``.
+    denominator.  The residue kernel of order ``m`` must be the one pair
+    ``(n, K)``: the kernel is the degree-0 trace against ``c_n``, the B5.8 or
+    B5.10 identity's kernel, and the weight is ``K``.
     """
+    n = 2 * m
     terms = _residue_kernel(m)
-    if len(terms) != 1:
-        raise ValueError(f"the residue kernel of order {m} has {len(terms)} terms, not one")
-    [(a, weight)] = terms
-    generator = clifford_generator("c", 2 * m, a)
-    return TraceKernel(2 * m, _FLAVOR_WORDS[flavor], lambda _: generator, 0), weight
+    generators = [a for a, _ in terms]
+    if generators != [n]:
+        raise ValueError(f"the residue kernel of order {m} has the generators {generators}, not one pair (n, K)")
+    [(_, weight)] = terms
+    return _shape_kernel(_FLAVOR_WORDS[flavor], "normal_c", None, n), weight
 
 
 def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
@@ -377,7 +328,8 @@ def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
     symbol order, traced against the argument word, integrated over ``xi_n``
     by residues and over the tangential sphere by exact moments: the
     weight of the one residue-kernel term times the trace of the word
-    against its blade, read from a degree-0 trace kernel compiled per call.
+    against its blade, read from the B5.8 or B5.10 identity's degree-0 trace
+    kernel.
     """
     kernel, weight = _boundary_kernel(args.flavor, args.m)
     return weight * kernel.trace(None, (args.u, args.v, args.w))
@@ -407,7 +359,7 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     Proportionality of the density to the stated contraction is asserted
     unconditionally; the engine's constant is then compared exactly against
     the tabulated closed form, with both values rendered.  The kernel is
-    compiled once and the trials run in
+    the B5.8 or B5.10 identity's and the trials run in
     :func:`~hodge_residue.residue._trial_loop`, which undoes the doubled
     draw.  An unknown flavor or ``m < 2`` raises ``ValueError`` from
     :func:`closed_form_boundary_coefficient`.
@@ -443,6 +395,6 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     # per_unit_expected * 2^n t
     return _trial_loop(
         "Psi1" if flavor == "psi1" else "Psi2", n, trials, draw,
-        [("plain", kernel, weight * (1 << n), per_unit_expected * (1 << n))],
+        [("plain", kernel, Fraction(1), weight * (1 << n), per_unit_expected * (1 << n))],
         describe=proportionality,
     )

@@ -21,10 +21,9 @@ compiled once per shape (word, lift, form degree, ``n``) per process and
 shared by every identity of that shape; a density's once per check (or per
 call of :func:`spectral_density` and :func:`density_decomposition`).  It is
 the sparse integer tensor ``{(I, j_1, ..., j_k): c}`` of the plain trace.
-Each entry comes from one blade, so :meth:`TraceKernel.placed` gives a
-placement ``P`` by scaling every entry by its blade's weight, with no second
-compile; when every blade has one grade class, as in every identity, the
-placed contraction is the plain one times one integer ratio.
+Each entry comes from one blade, and every blade a kernel traces has one
+grade class, so a placement ``P`` scales the whole trace by one rational
+weight, :meth:`TraceKernel.weight`, with no second compile.
 :meth:`TraceKernel.contract` contracts a kernel with integer rows, and
 :meth:`TraceKernel.trace` scales rational inputs to integers and divides
 once.  No Clifford word is built on this path.
@@ -47,7 +46,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -124,7 +123,7 @@ def _letter_paths(n: int, flavors: Sequence[str], key: int,
 
 class TraceKernel:
     """The trace ``tr(W(u_1 ... u_k) . lift(T))`` of one check or identity
-    shape, compiled once, and its cosphere placements.
+    shape, compiled once, and the weight of each cosphere placement.
 
     ``W`` is the Clifford word of the letters ``flavors``.  The trace is
     multilinear in the form and in each vector, so it is ``2^n / denominator
@@ -138,26 +137,24 @@ class TraceKernel:
 
     The letters of an entry multiply to one blade, the only one they trace
     against to a nonzero value, so every entry comes from exactly one blade
-    of the lift and no two blades add into one entry.  The kernel records
-    that blade's grade class ``(|A|, g mod 2)`` per entry; a cosphere
-    placement scales each blade by the weight of its class, so
-    :meth:`placed` scales the entries and compiles nothing.
+    of the lift.  Every traced blade must have one grade class ``(|A|, g mod
+    2)``, recorded as :attr:`grade` (``None`` when no blade is traced); blades
+    of two classes raise ``ValueError``.  A cosphere placement scales each
+    blade by the weight of its class, so it scales the whole trace by one
+    :meth:`weight` and compiles nothing.
 
-    ``basis``, ``columns``, ``coeffs`` and ``grades`` are tuples, so a
-    kernel shared between checks cannot be altered by one of them.  The
-    contraction of this kernel is ``plain.contract(rows) * factor //
-    divisor``: a compiled kernel is its own ``plain`` with ratio ``1/1``.
+    ``basis``, ``columns`` and ``coeffs`` are tuples, so a kernel shared
+    between checks cannot be altered by one of them.
     """
 
-    __slots__ = ("n", "degree", "letters", "basis", "columns", "coeffs", "denominator", "grades",
-                 "reads", "plain", "factor", "divisor")
+    __slots__ = ("n", "degree", "letters", "basis", "columns", "reads", "coeffs", "denominator", "grade")
 
     def __init__(self, n: int, flavors: Sequence[str], lift: Callable[..., LinearOp], degree: int):
         self.n, self.degree, self.letters = n, degree, len(flavors)
         self.basis = tuple(itertools.combinations(range(1, n + 1), degree)) if degree else ((),)
         signs = [_product_signs(n, 1 << bit) for bit in range(2 * n)]
         low = (1 << n) - 1
-        entries, values, grades = [], [], []
+        entries, values, grades = [], [], set()
         for slot, idx in enumerate(self.basis):
             op = lift(AntiSymForm(n, degree, {idx: 1}) if degree else None)
             for key, coeff in op.blades.items():
@@ -165,61 +162,30 @@ class TraceKernel:
                 for js, sign in _letter_paths(n, flavors, key, signs):
                     entries.append((slot,) + js)
                     values.append(coeff if sign > 0 else -coeff)
-                    grades.append(grade)
-        self.grades = tuple(grades)
+                    grades.add(grade)
+        if len(grades) > 1:
+            raise ValueError(f"the traced blades span the grade classes {sorted(grades)}, not one")
+        self.grade = grades.pop() if grades else None
         self.denominator = lcm(*(c.denominator for c in values))
         self.coeffs = tuple(c.numerator * (self.denominator // c.denominator) for c in values)
-        # one tuple per tensor slot: the form's basis slot, then each letter's index
-        self._set_columns(tuple(zip(*entries)))
-        self.plain, self.factor, self.divisor = self, 1, 1
+        # one tuple per tensor slot: the form's basis slot, then each letter's
+        # index, each read from its row by one C-level call
+        self.columns = tuple(zip(*entries))
+        self.reads = tuple(map(_reader, self.columns))
 
-    def _set_columns(self, columns: Tuple[Tuple[int, ...], ...]) -> None:
-        self.columns = columns
-        # each column read from its row by one C-level call
-        self.reads = tuple(map(_reader, columns))
+    def weight(self, placement: str, m: int = 1) -> Fraction:
+        """The factor by which a placement ``P`` scales this trace:
+        ``tr(W . P(lift(T)))`` is the weight times ``tr(W . lift(T))``.
 
-    def placed(self, placement: str, m: int = 1) -> "TraceKernel":
-        """The kernel of ``tr(W . P(lift(T)))`` for a placement ``P``.
-
-        ``"plain"`` is this kernel.  ``"before"``, ``"after"`` and
-        ``"interior"`` (at symbol order ``m``) scale each entry by its grade
-        class's weight, :func:`~hodge_residue.symbols._grade_weights` made
-        integers over one common denominator; entries of weight 0 are
-        dropped and the tensor is reduced to lowest terms, so it equals the
-        compile of the placed lift.  Any other placement raises
-        ``ValueError``.
-
-        When every entry has one grade class of nonzero weight ``f``, the
-        placed kernel shares this kernel's columns, and its contraction is
-        this kernel's times ``f // common``, ``common`` the reducing gcd:
-        it keeps ``self`` as :attr:`plain` with the pair ``(f, common)``.
+        ``"plain"`` has weight 1; ``"before"``, ``"after"`` and
+        ``"interior"`` (at symbol order ``m``) the weight of :attr:`grade`
+        from :func:`~hodge_residue.symbols._grade_weights`, and 0 on a kernel
+        with no entry.  Any other placement raises ``ValueError``.
         """
         if placement == "plain":
-            return self
+            return Fraction(1)
         weights = _grade_weights(self.n, placement, m)
-        scale = lcm(*(w.denominator for w in weights.values()))
-        factors = {grade: w.numerator * (scale // w.denominator) for grade, w in weights.items()}
-        kernel = object.__new__(TraceKernel)
-        kernel.n, kernel.degree, kernel.letters, kernel.basis = self.n, self.degree, self.letters, self.basis
-        classes = set(self.grades)
-        factor = factors[classes.pop()] if len(classes) == 1 else 0
-        if factor:
-            common = gcd(self.denominator * scale, factor * gcd(*self.coeffs))
-            kernel.columns, kernel.reads, kernel.grades = self.columns, self.reads, self.grades
-            kernel.coeffs = tuple(c * factor // common for c in self.coeffs)
-            kernel.plain, kernel.factor, kernel.divisor = self, factor, common
-        else:
-            scaled = [c * factors[grade] for c, grade in zip(self.coeffs, self.grades)]
-            coeffs = tuple(itertools.compress(scaled, scaled))
-            common = gcd(self.denominator * scale, *coeffs)
-            # the kept entries' columns; none at all when no entry is kept, as a compile gives
-            kernel._set_columns(tuple(tuple(itertools.compress(column, scaled)) for column in self.columns)
-                                if coeffs else ())
-            kernel.grades = tuple(itertools.compress(self.grades, scaled))
-            kernel.coeffs = tuple(c // common for c in coeffs)
-            kernel.plain, kernel.factor, kernel.divisor = kernel, 1, 1
-        kernel.denominator = self.denominator * scale // common
-        return kernel
+        return Fraction(0) if self.grade is None else weights[self.grade]
 
     def contract(self, rows: Sequence[Sequence[int]]) -> int:
         """``sum c * rows[0][I] * rows[1][j_1] ... rows[k][j_k]`` in integers.
@@ -337,7 +303,7 @@ def _sides(value: SymbolicScalar, expected: SymbolicScalar, denominator: int) ->
 
 def _trial_loop(check_id: str, n: int, trials: int,
                 draw: Callable[[], Tuple[List[Sequence[int]], int]],
-                comparisons: Sequence[Tuple[str, TraceKernel, SymbolicScalar, SymbolicScalar]],
+                comparisons: Sequence[Tuple[str, TraceKernel, Fraction, SymbolicScalar, SymbolicScalar]],
                 magnitude: bool = False,
                 describe: Optional[Callable[[List[Tuple[int, int]]], str]] = None) -> CheckReport:
     """The trials of every randomized check, decided in integers.
@@ -345,13 +311,14 @@ def _trial_loop(check_id: str, n: int, trials: int,
     Each trial calls ``draw()`` for its inputs, drawn doubled as integers by
     :func:`~hodge_residue.forms._random_doubled`: the kernel rows (the form's
     values in basis order, ``[1]`` for degree 0, then each vector) and the
-    expected side's unit on them.  Each comparison ``(label, kernel, value,
-    expected)`` contracts its kernel with the rows to ``c``; the engine side
-    ``value * c / D`` (``D`` the kernel's denominator) must equal the expected
-    side ``expected * unit``, and :func:`_sides` makes that integer
-    identities.  Each distinct :attr:`TraceKernel.plain` kernel is contracted
-    once per trial, and a comparison's ``c`` is that contraction times its
-    kernel's ``factor // divisor``.  Both sides are linear in each of the
+    expected side's unit on them.  A comparison ``(label, kernel, weight,
+    value, expected)`` is the engine side ``value * weight * t / D``, with
+    ``t`` the kernel's contraction with the rows and ``D`` its denominator,
+    against the expected side ``expected * unit``.  With ``weight = p / q``
+    that is ``value * c / (D q)`` for the integer ``c = p t``, and
+    :func:`_sides` makes it integer identities.  Each distinct kernel of a
+    nonzero weight is contracted once per trial; a comparison of weight 0
+    contracts nothing and has ``c = 0``.  Both sides are linear in each of the
     ``r = letters + bool(degree)`` doubled rows, so each carries the factor
     ``2^r``: it cancels in the comparison, and only the two values the
     report shows are divided by it.  ``trials`` below 1 raises
@@ -368,13 +335,12 @@ def _trial_loop(check_id: str, n: int, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    plains: List[TraceKernel] = []
+    kernels = dict.fromkeys(kernel for _, kernel, weight, _, _ in comparisons if weight)
     checks = []
-    for label, kernel, value, expected in comparisons:
-        if kernel.plain not in plains:
-            plains.append(kernel.plain)
-        checks.append((label, kernel, value, expected, _sides(value, expected, kernel.denominator),
-                       plains.index(kernel.plain), kernel.factor, kernel.divisor))
+    for label, kernel, weight, value, expected in comparisons:
+        denominator = kernel.denominator * weight.denominator
+        checks.append((label, kernel, weight.numerator, denominator, value, expected,
+                       _sides(value, expected, denominator)))
     # every kernel contracts the same rows, so all share r
     r = comparisons[0][1].letters + bool(comparisons[0][1].degree)
     failures = 0
@@ -383,9 +349,9 @@ def _trial_loop(check_id: str, n: int, trials: int,
     contracted = []
     for trial in range(trials):
         rows, unit = draw()
-        contractions = [plain.contract(rows) for plain in plains]
-        for label, kernel, value, expected, (re_left, re_right, im_left, im_right), which, factor, divisor in checks:
-            c = contractions[which] * factor // divisor
+        contractions = {kernel: kernel.contract(rows) for kernel in kernels}
+        for label, kernel, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
+            c = p * contractions[kernel] if p else 0
             contracted.append((c, unit))
             ok = c * re_left == unit * re_right and c * im_left == unit * im_right
             sign = 1
@@ -399,9 +365,9 @@ def _trial_loop(check_id: str, n: int, trials: int,
                 failures += 1
                 if failures == 1:
                     where = f"trial {trial}" + (f", {label} placement" if len(checks) > 1 else "")
-                    shown = (value * Fraction(c, kernel.denominator << r), expected * Fraction(unit, 1 << r), where)
+                    shown = (value * Fraction(c, denominator << r), expected * Fraction(unit, 1 << r), where)
             elif shown is None and unit and expected:
-                shown = (value * Fraction(c, kernel.denominator << r), expected * Fraction(sign * unit, 1 << r), "")
+                shown = (value * Fraction(c, denominator << r), expected * Fraction(sign * unit, 1 << r), "")
     notes = [f"{failures} of {trials * len(checks)} comparisons disagree; first at {shown[2]}"] if failures else []
     if signs:
         notes.append(
@@ -452,7 +418,8 @@ def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) 
     Returns a GaussianRational multiple of ``V(S^{2m-1})``.
     """
     fspec = _density_spec(spec, T, vectors, m)
-    value = _density_kernel(fspec, T.n).placed("interior", m).trace(T, vectors)
+    kernel = _density_kernel(fspec, T.n)
+    value = kernel.trace(T, vectors) * kernel.weight("interior", m)
     return sphere_volume(T.n - 1) * (fspec.prefactor * value)
 
 
@@ -486,16 +453,14 @@ def density_decomposition(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: 
     """Split the density into its zero-order and per-m sandwich parts.
 
     Returns ``{"zero_order", "sandwich_per_m", "total"}`` with
-    ``total = zero_order + m * sandwich_per_m`` (prefactor applied to all).
+    ``total = zero_order + m * sandwich_per_m`` (prefactor applied to all):
+    one trace, times the weights of the ``"before"`` and ``"after"``
+    placements for the sandwich part.
     """
     fspec = _density_spec(spec, T, vectors, m)
     kernel = _density_kernel(fspec, T.n)
-    zero, before, after = (
-        kernel.placed(placement).trace(T, vectors) for placement in ("plain", "before", "after")
-    )
-    unit = sphere_volume(T.n - 1) * fspec.prefactor
-    zero = unit * zero
-    sandwich = unit * (before + after)
+    zero = sphere_volume(T.n - 1) * (fspec.prefactor * kernel.trace(T, vectors))
+    sandwich = zero * (kernel.weight("before") + kernel.weight("after"))
     return {
         "zero_order": zero,
         "sandwich_per_m": sandwich,
@@ -517,17 +482,18 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
         raise ValueError("m must be >= 2")
     n = 2 * m
     rng = random.Random(f"{seed}:theorem:{fspec.functional_id}:{m}")
-    kernel = _density_kernel(fspec, n).placed("interior", m)
+    kernel = _density_kernel(fspec, n)
 
     def draw():
         form = _random_doubled(len(kernel.basis), rng)
         vectors = [_random_doubled(n, rng) for _ in fspec.arg_flavors]
         return [form, *vectors], _minor_contract(n, form, vectors)
 
-    # the trace is 2^n c / D
+    # the interior trace is weight * 2^n c / D
     value = sphere_volume(n - 1) * (fspec.prefactor * (1 << n))
     expected = closed_form_coefficient(fspec.functional_id, m)
-    return _trial_loop(fspec.functional_id, n, trials, draw, [("interior", kernel, value, expected)])
+    return _trial_loop(fspec.functional_id, n, trials, draw,
+                       [("interior", kernel, kernel.weight("interior", m), value, expected)])
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +629,10 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     variants are verified each trial.  The expected side is the tabulated
     closed form ``ratio * unit * Tr(Id)`` (times ``V(S^{n-1})`` for
     integrated variants); any disagreement is reported with both exact
-    values.  The identity's kernel is compiled once per shape and process
-    and placed once per placement, and the trials run in
-    :func:`_trial_loop`, which contracts it once per trial and undoes the
-    doubled draw.
+    values.  The identity's kernel is compiled once per shape and process,
+    each placement is its :meth:`TraceKernel.weight`, and the trials run in
+    :func:`_trial_loop`, which contracts the kernel at most once per trial
+    and undoes the doubled draw.
     """
     if lemma_id in _LEMMA_ALIASES:
         base_id, placement = _LEMMA_ALIASES[lemma_id]
@@ -680,15 +646,15 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     if n % 2 or n < 4:
         raise ValueError("n must be even and >= 4")
 
-    # the trace is 2^n c / D, times V(S^{n-1}) for a sandwiched
-    # (cosphere-integrated) one
+    # a placement's trace is weight * 2^n c / D, times V(S^{n-1}) for a
+    # sandwiched (cosphere-integrated) one
     scale = 1 << n
     kernel = _lemma_kernel(spec, n)
     comparisons = []
     for placement in placements:
         spheres = () if placement == "plain" else (n - 1,)
         comparisons.append((
-            placement, kernel.placed(placement), SymbolicScalar.unit(scale, spheres=spheres),
+            placement, kernel, kernel.weight(placement), SymbolicScalar.unit(scale, spheres=spheres),
             SymbolicScalar.unit(scale * spec.ratio, spheres=spheres),
         ))
     rng = random.Random(f"{seed}:lemma:{lemma_id}:{n}")

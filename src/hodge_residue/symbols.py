@@ -9,9 +9,10 @@ operators quadratic in ``xi``.  This module provides:
 * :func:`_grade_weights` -- the weight law: the cosphere average of the
   ``before``, ``after`` and ``interior`` integrands of an operator scales
   each blade by a weight read from its grade, so ``integral tr(W . P(xi))
-  dS`` is ``V(S^{n-1})`` times a trace with every blade so weighted;
-  :meth:`hodge_residue.residue.TraceKernel.placed` applies the weights to a
-  compiled kernel's entries,
+  dS`` is ``V(S^{n-1})`` times a trace with every blade so weighted; every
+  blade a compiled kernel traces has one grade class, so
+  :meth:`hodge_residue.residue.TraceKernel.weight` reads one weight for the
+  whole trace,
 * :func:`check_flat_commutators` -- the commutator identities
   ``[d + d*, x_k] = c(e_k)`` and ``[i(d - d*), x_k] = i chat(e_k)`` on
   monomial forms ``x^beta e_mask`` of flat ``R^n``, each packed into one

@@ -47,6 +47,7 @@ from hodge_residue.residue import (
     verify_theorem,
 )
 from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volume
+from hodge_residue.symbols import _grade_weights
 import word_reference
 from mixed_rationals import mixed_form, mixed_vector
 from word_reference import cosphere_average, lemma_lhs
@@ -125,15 +126,14 @@ def test_lemma_kernels_equal_word_route(n, draw):
     compared = nonzero = 0
     for lemma_id, spec in sorted(LEMMA_CHECKS.items()):
         rng = random.Random(f"kernel:{lemma_id}:{n}:{draw}")
-        plain = _lemma_kernel(spec, n)
+        kernel = _lemma_kernel(spec, n)
         for placement in spec.placements:
-            kernel = plain.placed(placement)
             for _ in range(2):
                 vectors = [vector(n, rng) for _ in spec.word_flavors]
                 form = form_of(n, spec.form_degree, rng) if spec.form_degree else None
                 word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
                 expected = lemma_lhs(word, _lemma_lift(spec.lift, form, n), placement)
-                value = _placed_value(kernel.trace(form, vectors), placement, n)
+                value = _placed_value(kernel.trace(form, vectors) * kernel.weight(placement), placement, n)
                 assert value == expected, (lemma_id, placement)
                 compared += 1
                 nonzero += not expected.is_zero
@@ -169,8 +169,8 @@ def test_basis_certificate_at_m2(functional_id, inputs):
     holds at n = 4, not only on the random trials."""
     m, n = 2, 4
     spec = FUNCTIONALS[functional_id]
-    kernel = _density_kernel(spec, n).placed("interior", m)
-    unit = sphere_volume(n - 1) * spec.prefactor
+    kernel = _density_kernel(spec, n)
+    unit = sphere_volume(n - 1) * spec.prefactor * kernel.weight("interior", m)
     coeff = closed_form_coefficient(functional_id, m)
     basis = [basis_vector(n, j) for j in range(1, n + 1)]
     checked = disagreements = 0
@@ -184,49 +184,88 @@ def test_basis_certificate_at_m2(functional_id, inputs):
 
 
 # ---------------------------------------------------------------------------
-# Placed kernels: one plain compile per check, placements as entry weights.
+# One grade class per kernel: a placement is one weight on the plain compile.
 # ---------------------------------------------------------------------------
 
+# the grade class (|A|, g mod 2) of every blade each kernel traces, the same
+# at every n; None for a kernel with no entry
+LEMMA_GRADES = {
+    "L2.4": (0, 0), "L2.5": (0, 0), "L3.4a": (3, 1), "L3.4b": None, "L3.5": None,
+    "L3.6a": (3, 1), "L3.6b": (3, 1), "L3.7a": (1, 1), "L3.7b": None, "L3.8": None,
+    "L3.9": (1, 1), "L4.5": (2, 0), "L4.6a": (2, 0), "L4.6b": (2, 0), "L4.7": (0, 0),
+    "L4.8": (0, 0), "B5.8": (1, 1), "B5.10": (1, 1), "M6.2": (0, 0),
+}
+DENSITY_GRADES = {"T1": (0, 0), "T2": (3, 1), "T3": (1, 1), "T4": (2, 0), "T5": (0, 0)}
 
-def _kernel_parts(kernel: TraceKernel) -> tuple:
-    return (kernel.basis, kernel.columns, kernel.coeffs, kernel.denominator, kernel.grades)
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_every_kernel_has_one_grade_class(n):
+    assert set(LEMMA_GRADES) == set(LEMMA_CHECKS)
+    for lemma_id, spec in LEMMA_CHECKS.items():
+        kernel = _lemma_kernel(spec, n)
+        assert kernel.grade == LEMMA_GRADES[lemma_id], lemma_id
+        assert (kernel.grade is None) == (not kernel.coeffs), lemma_id
+    for functional_id, spec in FUNCTIONALS.items():
+        assert _density_kernel(spec, n).grade == DENSITY_GRADES[functional_id], functional_id
+    for flavor in ("psi1", "psi2"):
+        assert boundary_module._boundary_kernel(flavor, n // 2)[0].grade == (1, 1)
 
 
-def _assert_placed_equals_compile_of_placed_lift(flavors, lift, degree, n, placement, m):
-    kernel = TraceKernel(n, flavors, lift, degree).placed(placement, m)
-    compiled = TraceKernel(n, flavors, lambda form: cosphere_average(lift(form), placement, m), degree)
-    assert _kernel_parts(kernel) == _kernel_parts(compiled), (placement, m)
+def test_blades_of_two_grade_classes_are_rejected_at_compile():
+    # c_1 is of class (1, 1) and c_1 c_2 c_3 of class (3, 1); the word c c c
+    # traces both
+    lift = LinearOp(4, {0b1: 1, 0b111: 1})
+    with pytest.raises(ValueError, match=r"grade classes \[\(1, 1\), \(3, 1\)\], not one"):
+        TraceKernel(4, ("c", "c", "c"), lambda _: lift, 0)
+    # a blade the word cannot trace does not count
+    assert TraceKernel(4, ("c",), lambda _: lift, 0).grade == (1, 1)
+
+
+def _assert_placed_equals_compile_of_placed_lift(flavors, lift, degree, n, m):
+    """Compiling the placed lift gives the kernel's tensor, entry for entry,
+    times the placement's weight, or no entry when the weight is 0."""
+    kernel = TraceKernel(n, flavors, lift, degree)
+    for placement in ("before", "after", "interior"):
+        weight = kernel.weight(placement, m)
+        assert weight == (_grade_weights(n, placement, m)[kernel.grade] if kernel.coeffs else 0)
+        compiled = TraceKernel(n, flavors, lambda form: cosphere_average(lift(form), placement, m), degree)
+        assert compiled.basis == kernel.basis
+        if not weight:
+            assert (compiled.columns, compiled.coeffs, compiled.grade) == ((), (), None), placement
+            continue
+        assert (compiled.columns, compiled.grade) == (kernel.columns, kernel.grade), placement
+        scaled = [Fraction(c, kernel.denominator) * weight for c in kernel.coeffs]
+        assert [Fraction(c, compiled.denominator) for c in compiled.coeffs] == scaled, placement
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("lemma_id", sorted(LEMMA_CHECKS))
 def test_placed_lemma_kernels_equal_compiles_of_placed_lifts(lemma_id, n):
-    """Scaling the plain kernel's entries by their blades' weights gives the
-    tensor, denominator included, that compiling the placed lift gives: for
-    the identity's own placements and for every other one."""
+    """The plain kernel scaled by a placement's weight is the tensor,
+    denominator aside, that compiling the placed lift gives: for the
+    identity's own placements and for every other one."""
     spec = LEMMA_CHECKS[lemma_id]
-    for placement in ("before", "after", "interior"):
-        _assert_placed_equals_compile_of_placed_lift(
-            spec.word_flavors, lambda form: _lemma_lift(spec.lift, form, n), spec.form_degree or 0, n, placement, n // 2,
-        )
+    _assert_placed_equals_compile_of_placed_lift(
+        spec.word_flavors, lambda form: _lemma_lift(spec.lift, form, n), spec.form_degree or 0, n, n // 2,
+    )
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("functional_id", sorted(FUNCTIONALS))
 def test_placed_density_kernels_equal_compiles_of_placed_lifts(functional_id, m):
     spec = FUNCTIONALS[functional_id]
-    for placement in ("interior", "before", "after"):
-        _assert_placed_equals_compile_of_placed_lift(
-            spec.arg_flavors, spec.lift, spec.torsion_degree, 2 * m, placement, m,
-        )
+    _assert_placed_equals_compile_of_placed_lift(spec.arg_flavors, spec.lift, spec.torsion_degree, 2 * m, m)
 
 
 def test_plain_placement_is_the_kernel_and_unknown_ones_raise():
-    kernel = _lemma_kernel(LEMMA_CHECKS["L2.5"], 4)
-    assert kernel.placed("plain") is kernel
-    for placement in ("interor", "Before", ""):
-        with pytest.raises(ValueError, match="before, after or interior"):
-            kernel.placed(placement)
+    empty = _lemma_kernel(LEMMA_CHECKS["L3.5"], 4)
+    assert not empty.coeffs
+    for kernel in (_lemma_kernel(LEMMA_CHECKS["L2.5"], 4), empty):
+        assert kernel.weight("plain") == 1
+        for placement in ("interor", "Before", ""):
+            with pytest.raises(ValueError, match="before, after or interior"):
+                kernel.weight(placement)
+    assert empty.weight("before") == empty.weight("interior", 2) == 0
 
 
 def _count_compiles(monkeypatch) -> list:
@@ -276,32 +315,44 @@ def test_memoized_lemma_kernels_are_immutable(n):
     for spec in LEMMA_CHECKS.values():
         kernel = _lemma_kernel(spec, n)
         assert _lemma_kernel(spec, n) is kernel
-        for part in (kernel.basis, kernel.columns, kernel.coeffs, kernel.grades):
+        for part in (kernel.basis, kernel.columns, kernel.coeffs):
             assert type(part) is tuple
         assert all(type(column) is tuple for column in kernel.columns)
-        for placement in spec.placements:
-            placed = kernel.placed(placement)
-            assert all(type(part) is tuple for part in (placed.basis, placed.columns, placed.coeffs, placed.grades))
+
+
+def _count_contractions(monkeypatch) -> list:
+    calls = []
+    contract = TraceKernel.contract
+
+    def counted(self, rows):
+        calls.append(self)
+        return contract(self, rows)
+
+    monkeypatch.setattr(TraceKernel, "contract", counted)
+    return calls
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("lemma_id", sorted(LEMMA_CHECKS))
-def test_one_contraction_serves_every_placement(lemma_id, n):
-    """A placed kernel's contraction is its plain kernel's times the integer
-    pair it keeps; for an identity's kernel that plain kernel is the
-    identity's compiled one, shared by all its placements."""
+def test_one_contraction_serves_every_placement(monkeypatch, lemma_id, n):
+    """Each trial contracts the identity's one kernel once for all its
+    placements, and not at all when every placement's weight is 0."""
     spec = LEMMA_CHECKS[lemma_id]
-    plain = _lemma_kernel(spec, n)
-    rng = random.Random(f"one-contraction:{lemma_id}:{n}")
-    for placement in ("plain", "before", "after", "interior"):
-        kernel = plain.placed(placement, n // 2)
-        assert kernel.plain is plain or not kernel.coeffs
-        for _ in range(3):
-            rows = [[rng.randint(-6, 6) for _ in plain.basis]] if spec.form_degree else [[1]]
-            rows += [[rng.randint(-6, 6) for _ in range(n)] for _ in spec.word_flavors]
-            shared = kernel.plain.contract(rows) * kernel.factor
-            assert shared % kernel.divisor == 0
-            assert shared // kernel.divisor == kernel.contract(rows), placement
+    kernel = _lemma_kernel(spec, n)
+    contracted = any(kernel.weight(placement) for placement in spec.placements)
+    calls = _count_contractions(monkeypatch)
+    lemma_check(lemma_id, n, trials=3)
+    assert calls == [kernel] * 3 * contracted
+
+
+@pytest.mark.parametrize("functional_id, contractions", [("T2", 1), ("T3", 0)])
+def test_theorem_trials_contract_a_kernel_of_nonzero_weight(monkeypatch, functional_id, contractions):
+    # T3's interior weight is 0, so its trials contract nothing
+    calls = _count_contractions(monkeypatch)
+    for trials in (1, 3):
+        calls.clear()
+        verify_theorem(functional_id, 2, trials=trials)
+        assert len(calls) == contractions * trials
 
 
 @pytest.mark.parametrize("functional_id", sorted(FUNCTIONALS))

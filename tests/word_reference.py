@@ -5,8 +5,8 @@ Each value is built from whole operators: the Clifford word of the vectors
 (:func:`clifford_word`), the lift of the whole form, its cosphere placement
 (:func:`cosphere_average`) and one :func:`trace_product`.  It never reads a
 kernel tensor or a letter path, and the tests hold
-:class:`hodge_residue.residue.TraceKernel` and its placed kernels to it
-exactly.  :func:`cosphere_average` places a whole operator blade by blade
+:class:`hodge_residue.residue.TraceKernel` times each placement's
+:meth:`~hodge_residue.residue.TraceKernel.weight` to it exactly.  :func:`cosphere_average` places a whole operator blade by blade
 with the package's weight law, and ``xi_reference`` holds it to the
 explicit xi-polynomial integrals.
 
