@@ -318,7 +318,7 @@ def _boundary_kernel(flavor: str, m: int) -> Tuple[TraceKernel, SymbolicScalar]:
     if generators != [n]:
         raise ValueError(f"the residue kernel of order {m} has the generators {generators}, not one pair (n, K)")
     [(_, weight)] = terms
-    return _shape_kernel(_FLAVOR_WORDS[flavor], "normal_c", None, n), weight
+    return _shape_kernel(_FLAVOR_WORDS[flavor], "normal_c", n), weight
 
 
 def boundary_density(args: BoundaryArgs) -> SymbolicScalar:

@@ -29,8 +29,8 @@ rules do all the work:
   ``e_X^2``; a trace of a product only touches the blades both sides share.
 * *Action on Lambda.*  ``c_j`` and ``chat_j`` both flip bit ``j - 1`` of a
   monomial, so ``c_A chat_B`` is the signed permutation
-  ``m -> +-(m xor A xor B)`` of the monomial basis; :meth:`LinearOp.column`
-  reads an operator's matrix one column at a time through this action.
+  ``m -> +-(m xor A xor B)`` of the monomial basis; :func:`_blade_action`
+  gives the signed image of one monomial under one blade.
 """
 
 from __future__ import annotations
@@ -156,15 +156,6 @@ class LinearOp:
     @property
     def is_zero(self) -> bool:
         return not self.blades
-
-    def column(self, mask: int) -> Dict[int, object]:
-        """``{row: coefficient}``: the image of the basis monomial ``mask``."""
-        col: Dict[int, object] = {}
-        n = self.n
-        for key, coeff in self.blades.items():
-            sign, row = _blade_action(n, key, mask)
-            _accumulate(col, row, coeff if sign > 0 else -coeff)
-        return col
 
     # -- algebra --------------------------------------------------------------
     def compose(self, other: "LinearOp") -> "LinearOp":

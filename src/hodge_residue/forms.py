@@ -4,19 +4,17 @@ A degree-``k`` antisymmetric form on ``R^n`` is stored by its values on
 increasing index tuples (1-based); values at arbitrary tuples follow by
 permutation sign.  The lifts replace each index slot of the form with a
 Clifford generator of a prescribed flavor, producing the curvature-type
-operators whose traces the residue densities consume:
-
-* ``lift_monotone`` sums over increasing tuples.  For a single flavor it is
-  ``lift_ordered / k!``; for a mixed pattern it ties each flavor to index
-  order, so the lift is not frame covariant.  ``lift_four_mixed``
-  (``c c chat chat``) is such a lift; README's acceptance table gives the
-  consequence for ``T4`` and ``L4.x``,
-* ``lift_ordered`` sums over all pairwise-distinct ordered tuples with the
-  antisymmetrically extended coefficient (needed for mixed-flavor patterns
-  that do not factor through increasing tuples),
-* ``lift_torsion_assembly`` is the weighted combination
-  ``(3/2) * lift(c,c,c) - (1/4) * lift_ordered(c,chat,chat)`` entering the
-  degree-3 density computations.
+operators whose traces the residue densities consume.  Each named lift is
+defined once, as integer terms over one denominator in :data:`LIFT_TERMS`;
+:func:`_term_blades` gives a table's blades on one basis form.  The trace
+kernels of :mod:`hodge_residue.residue` compile from it directly, and
+``lift_<name>``, :func:`lift_monotone` and :func:`lift_ordered` build whole
+operators from it.  A monotone term sums over increasing tuples: for a single
+flavor it is the ordered sum ``/ k!``, and for a mixed pattern it ties each
+flavor to index order, so the lift is not frame covariant.  An ordered term
+sums over all pairwise-distinct ordered tuples with the antisymmetrically
+extended coefficient, needed for mixed patterns such as ``torsion_assembly``'s
+``c chat chat``.
 
 The random trials of the checks run in integers.  :func:`_random_doubled` is
 the one draw: it reads entries ``p/q`` (``p`` in ``[-3, 3]``, ``q`` in
@@ -38,7 +36,7 @@ from functools import lru_cache
 from math import comb
 from operator import add, itemgetter, mul, sub
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 from .exterior import LinearOp, _accumulate, _check_flavor, _generator_blade, _integer_scaled
 
@@ -214,13 +212,66 @@ def _minor_contract(n: int, values: Sequence[int], rows: Sequence[Sequence[int]]
 # ---------------------------------------------------------------------------
 
 
+# A term ``(coefficient, flavors, ordered)`` is ``coefficient * sum
+# gen(f_1, i_1) ... gen(f_k, i_k)`` over the index tuples of a form entry:
+# its increasing tuple, or with ``ordered`` every ordering of it, signed by
+# the permutation.
+LiftTerm = Tuple[int, Tuple[str, ...], bool]
+
+# Each named lift, defined once as ``(denominator, terms)``; ``lift_<name>``
+# and the trace kernels both read it.
+LIFT_TERMS: Dict[str, Tuple[int, Tuple[LiftTerm, ...]]] = {
+    "two_chat": (1, ((1, ("chat", "chat"), False),)),
+    "three_c": (1, ((1, ("c", "c", "c"), False),)),
+    "three_mixed": (1, ((1, ("c", "chat", "chat"), True),)),
+    # (3/2) three_c - (1/4) three_mixed
+    "torsion_assembly": (4, ((6, ("c", "c", "c"), False), (-1, ("c", "chat", "chat"), True))),
+    # The flavors follow index order (c on the two lowest indices), so this
+    # lift is not frame covariant: it does not commute with signed
+    # permutations of the frame.  README's acceptance table gives the
+    # consequence for T4 and L4.x and names the covariant alternative,
+    # lift_ordered(form, ("c", "c", "chat", "chat")) / 4.
+    "four_mixed": (1, ((1, ("c", "c", "chat", "chat"), False),)),
+    "four_chat": (1, ((1, ("chat",) * 4, False),)),
+}
+
+
+@lru_cache(maxsize=None)
+def _orderings(degree: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """Every permutation of ``range(degree)`` with its sign, the identity first."""
+    return tuple((perm, _sort_with_sign(perm)[1]) for perm in itertools.permutations(range(degree)))
+
+
+def _term_blades(n: int, terms: Iterable[LiftTerm], idx: Tuple[int, ...]) -> Dict[int, int]:
+    """``{blade: integer coefficient}``: the terms summed on the basis form
+    ``e_idx`` (``idx`` increasing, 1-based), zeros dropped."""
+    blades: Dict[int, int] = {}
+    orderings = _orderings(len(idx))
+    for coefficient, flavors, ordered in terms:
+        # a monotone term takes the first ordering, the identity
+        for perm, perm_sign in orderings if ordered else orderings[:1]:
+            key, sign = _generator_blade(n, zip(flavors, (idx[p] for p in perm)))
+            _accumulate(blades, key, coefficient if sign == perm_sign else -coefficient)
+    return blades
+
+
+def _lift(form: AntiSymForm, denominator: int, terms: Sequence[LiftTerm]) -> LinearOp:
+    """``sum_I form(I) * (the terms on e_I) / denominator``."""
+    for _, flavors, _ in terms:
+        if len(flavors) != form.degree:
+            raise ValueError(f"the lift takes a degree-{len(flavors)} form, got degree {form.degree}")
+        for flavor in flavors:
+            _check_flavor(flavor)
+    blades: Dict[int, object] = {}
+    for idx, value in form.entries.items():
+        for key, c in _term_blades(form.n, terms, idx).items():
+            _accumulate(blades, key, value * Fraction(c, denominator))
+    return LinearOp(form.n, blades)
+
+
 def lift_monotone(form: AntiSymForm, flavors: Sequence[str]) -> LinearOp:
     """``sum_{i_1 < ... < i_k} form(I) * gen(f_1, i_1) o ... o gen(f_k, i_k)``."""
-    op = _zero_lift(form, flavors)
-    for idx, coeff in form.entries.items():
-        key, sign = _generator_blade(form.n, zip(flavors, idx))
-        _accumulate(op.blades, key, coeff if sign > 0 else -coeff)
-    return op
+    return _lift(form, 1, [(1, tuple(flavors), False)])
 
 
 def lift_ordered(form: AntiSymForm, flavors: Sequence[str]) -> LinearOp:
@@ -230,73 +281,38 @@ def lift_ordered(form: AntiSymForm, flavors: Sequence[str]) -> LinearOp:
     the antisymmetric extension supplies the permutation signs, so only the
     orderings of each stored (increasing) index tuple contribute.
     """
-    op = _zero_lift(form, flavors)
-    orders = [
-        (perm, _sort_with_sign(perm)[1])
-        for perm in itertools.permutations(range(form.degree))
-    ]
-    for idx, coeff in form.entries.items():
-        minus = -coeff
-        for perm, perm_sign in orders:
-            key, sign = _generator_blade(form.n, zip(flavors, (idx[p] for p in perm)))
-            _accumulate(op.blades, key, coeff if sign == perm_sign else minus)
-    return op
-
-
-def _zero_lift(form: AntiSymForm, flavors: Sequence[str]) -> LinearOp:
-    """A fresh zero operator for a lift, after checking the flavors."""
-    if len(flavors) != form.degree:
-        raise ValueError("one flavor per form slot is required")
-    for flavor in flavors:
-        _check_flavor(flavor)
-    return LinearOp.zero(form.n)
+    return _lift(form, 1, [(1, tuple(flavors), True)])
 
 
 def lift_two_chat(form: AntiSymForm) -> LinearOp:
     """Degree-2 lift ``sum_{k<l} T_{kl} chat_k chat_l``."""
-    _require_degree(form, 2)
-    return lift_monotone(form, ("chat", "chat"))
+    return _lift(form, *LIFT_TERMS["two_chat"])
 
 
 def lift_three_c(form: AntiSymForm) -> LinearOp:
     """Degree-3 lift ``sum_{i<s<t} T_{ist} c_i c_s c_t``."""
-    _require_degree(form, 3)
-    return lift_monotone(form, ("c", "c", "c"))
+    return _lift(form, *LIFT_TERMS["three_c"])
 
 
 def lift_three_mixed(form: AntiSymForm) -> LinearOp:
     """Degree-3 lift ``sum_{i,s,t distinct} T_{ist} c_i chat_s chat_t``."""
-    _require_degree(form, 3)
-    return lift_ordered(form, ("c", "chat", "chat"))
+    return _lift(form, *LIFT_TERMS["three_mixed"])
 
 
 def lift_torsion_assembly(form: AntiSymForm) -> LinearOp:
     """The weighted degree-3 lift ``(3/2) lift_three_c - (1/4) lift_three_mixed``."""
-    _require_degree(form, 3)
-    return lift_three_c(form).scale(Fraction(3, 2)) + lift_three_mixed(form).scale(Fraction(-1, 4))
+    return _lift(form, *LIFT_TERMS["torsion_assembly"])
 
 
 def lift_four_mixed(form: AntiSymForm) -> LinearOp:
-    """Degree-4 lift ``sum_{k<l<a<b} T_{klab} c_k c_l chat_a chat_b``.
-
-    The flavors follow index order (``c`` on the two lowest indices), so this
-    lift is not frame covariant: it does not commute with signed
-    permutations of the frame.  README's acceptance table names the
-    covariant alternative, ``lift_ordered(form, ("c", "c", "chat", "chat")) / 4``.
-    """
-    _require_degree(form, 4)
-    return lift_monotone(form, ("c", "c", "chat", "chat"))
+    """Degree-4 lift ``sum_{k<l<a<b} T_{klab} c_k c_l chat_a chat_b`` (not
+    frame covariant, see its table entry)."""
+    return _lift(form, *LIFT_TERMS["four_mixed"])
 
 
 def lift_four_chat(form: AntiSymForm) -> LinearOp:
     """Degree-4 lift ``sum_{k<l<a<b} T_{klab} chat_k chat_l chat_a chat_b``."""
-    _require_degree(form, 4)
-    return lift_monotone(form, ("chat",) * 4)
-
-
-def _require_degree(form: AntiSymForm, degree: int) -> None:
-    if form.degree != degree:
-        raise ValueError(f"expected a degree-{degree} form, got degree {form.degree}")
+    return _lift(form, *LIFT_TERMS["four_chat"])
 
 
 # ---------------------------------------------------------------------------

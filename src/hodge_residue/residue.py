@@ -15,18 +15,19 @@ and the plain ones with the lift itself.
 
 Every such trace ``tr(W(u_1 ... u_k) . P(lift(T)))`` is multilinear in the
 form and in each vector.  A :class:`TraceKernel` is compiled from basis
-inputs: the lift of each basis form ``e_I`` and the letter paths that fold
-each of its blades to the empty blade.  A trace identity's kernel is
-compiled once per shape (word, lift, form degree, ``n``) per process and
-shared by every identity of that shape; a density's once per check (or per
-call of :func:`spectral_density` and :func:`density_decomposition`).  It is
-the sparse integer tensor ``{(I, j_1, ..., j_k): c}`` of the plain trace.
+inputs: the lift's integer blades on each basis form ``e_I``, read from its
+term table (:data:`~hodge_residue.forms.LIFT_TERMS`), and the letter paths
+that fold each blade to the empty blade.  A trace identity's kernel is
+compiled once per shape (word, lift, ``n``) per process and shared by every
+identity of that shape; a density's once per check (or per call of
+:func:`spectral_density` and :func:`density_decomposition`).  It is the
+sparse integer tensor ``{(I, j_1, ..., j_k): c}`` of the plain trace.
 Each entry comes from one blade, and every blade a kernel traces has one
 grade class, so a placement ``P`` scales the whole trace by one rational
 weight, :meth:`TraceKernel.weight`, with no second compile.
 :meth:`TraceKernel.contract` contracts a kernel with integer rows, and
 :meth:`TraceKernel.trace` scales rational inputs to integers and divides
-once.  No Clifford word is built on this path.
+once.  No form, operator or Clifford word is built on this path.
 
 Each functional carries a closed-form coefficient table entry;
 :func:`verify_theorem` compares the engine's exact density against
@@ -46,29 +47,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exterior import (
-    FLAVORS,
-    LinearOp,
-    _integer_scaled,
-    _product_signs,
-    clifford_generator,
-)
-from .forms import (
-    AntiSymForm,
-    _minor_contract,
-    _random_doubled,
-    _reader,
-    lift_four_chat,
-    lift_four_mixed,
-    lift_three_c,
-    lift_three_mixed,
-    lift_torsion_assembly,
-    lift_two_chat,
-)
+from . import forms
+from .exterior import FLAVORS, LinearOp, _generator_key, _integer_scaled, _product_signs
+from .forms import LIFT_TERMS, AntiSymForm, _minor_contract, _random_doubled, _reader, _term_blades
 from .scalars import GaussianRational, I, ONE, SymbolicScalar, ZERO, sphere_volume
 from .symbols import _grade_weights
 
@@ -121,6 +105,13 @@ def _letter_paths(n: int, flavors: Sequence[str], key: int,
     return [(js, sign) for _, sign, js in paths]
 
 
+def _traceable(word: Sequence[str], flavors: Sequence[str]) -> bool:
+    """:func:`_letter_paths`' first check for every blade of a lift term with
+    these flavors: its indices are distinct, so each blade sets as many bits
+    in each half as the term has letters of that flavor."""
+    return all(word.count(f) >= flavors.count(f) and (word.count(f) - flavors.count(f)) % 2 == 0 for f in FLAVORS)
+
+
 class TraceKernel:
     """The trace ``tr(W(u_1 ... u_k) . lift(T))`` of one check or identity
     shape, compiled once, and the weight of each cosphere placement.
@@ -128,12 +119,12 @@ class TraceKernel:
     ``W`` is the Clifford word of the letters ``flavors``.  The trace is
     multilinear in the form and in each vector, so it is ``2^n / denominator
     * sum c T_I u_1[j_1] ... u_k[j_k]`` over a sparse integer tensor
-    ``{(I, j_1, ..., j_k): c}``.  The tensor is read off basis inputs: for
-    each blade of the lift of each basis form ``e_I``, :func:`_letter_paths`
-    gives the index tuples whose letters fold it to the empty blade (trace =
-    ``2^n`` times the identity coefficient).  ``lift`` maps a basis form to
-    its operator; with ``degree`` 0 it is called with ``None`` and the trace
-    takes no form.
+    ``{(I, j_1, ..., j_k): c}``.  The tensor is read off basis inputs:
+    ``slots[I]`` is the lift on the basis form ``e_I`` as ``{blade: c}``
+    over ``denominator`` (one slot, and no form, for ``degree`` 0), and
+    :func:`_letter_paths` gives the index tuples whose letters fold each
+    blade to the empty blade (trace = ``2^n`` times the identity
+    coefficient).
 
     The letters of an entry multiply to one blade, the only one they trace
     against to a nonzero value, so every entry comes from exactly one blade
@@ -149,15 +140,14 @@ class TraceKernel:
 
     __slots__ = ("n", "degree", "letters", "basis", "columns", "reads", "coeffs", "denominator", "grade")
 
-    def __init__(self, n: int, flavors: Sequence[str], lift: Callable[..., LinearOp], degree: int):
+    def __init__(self, n: int, flavors: Sequence[str], slots: Sequence[Dict[int, int]], degree: int, denominator=1):
         self.n, self.degree, self.letters = n, degree, len(flavors)
         self.basis = tuple(itertools.combinations(range(1, n + 1), degree)) if degree else ((),)
         signs = [_product_signs(n, 1 << bit) for bit in range(2 * n)]
         low = (1 << n) - 1
         entries, values, grades = [], [], set()
-        for slot, idx in enumerate(self.basis):
-            op = lift(AntiSymForm(n, degree, {idx: 1}) if degree else None)
-            for key, coeff in op.blades.items():
+        for slot, blades in enumerate(slots):
+            for key, coeff in blades.items():
                 grade = ((key & low).bit_count(), key.bit_count() & 1)
                 for js, sign in _letter_paths(n, flavors, key, signs):
                     entries.append((slot,) + js)
@@ -166,8 +156,8 @@ class TraceKernel:
         if len(grades) > 1:
             raise ValueError(f"the traced blades span the grade classes {sorted(grades)}, not one")
         self.grade = grades.pop() if grades else None
-        self.denominator = lcm(*(c.denominator for c in values))
-        self.coeffs = tuple(c.numerator * (self.denominator // c.denominator) for c in values)
+        self.denominator = denominator
+        self.coeffs = tuple(values)
         # one tuple per tensor slot: the form's basis slot, then each letter's
         # index, each read from its row by one C-level call
         self.columns = tuple(zip(*entries))
@@ -240,16 +230,21 @@ class FunctionalSpec:
     functional_id: str
     arg_flavors: Tuple[str, ...]
     torsion_degree: int
-    lift: Callable[[AntiSymForm], LinearOp]
+    lift_kind: str  # key into forms.LIFT_TERMS
     prefactor: GaussianRational
+
+    @property
+    def lift(self) -> Callable[[AntiSymForm], LinearOp]:
+        """The named operator lift ``forms.lift_<lift_kind>``."""
+        return getattr(forms, f"lift_{self.lift_kind}")
 
 
 FUNCTIONALS: Dict[str, FunctionalSpec] = {
-    "T1": FunctionalSpec("T1", ("chat", "chat"), 2, lift_two_chat, I),
-    "T2": FunctionalSpec("T2", ("c", "c", "c"), 3, lift_torsion_assembly, ONE),
-    "T3": FunctionalSpec("T3", ("c", "chat", "chat"), 3, lift_torsion_assembly, ONE),
-    "T4": FunctionalSpec("T4", ("c", "c", "chat", "chat"), 4, lift_four_mixed, I),
-    "T5": FunctionalSpec("T5", ("chat",) * 4, 4, lift_four_chat, I),
+    "T1": FunctionalSpec("T1", ("chat", "chat"), 2, "two_chat", I),
+    "T2": FunctionalSpec("T2", ("c", "c", "c"), 3, "torsion_assembly", ONE),
+    "T3": FunctionalSpec("T3", ("c", "chat", "chat"), 3, "torsion_assembly", ONE),
+    "T4": FunctionalSpec("T4", ("c", "c", "chat", "chat"), 4, "four_mixed", I),
+    "T5": FunctionalSpec("T5", ("chat",) * 4, 4, "four_chat", I),
 }
 
 
@@ -346,13 +341,14 @@ def _trial_loop(check_id: str, n: int, trials: int,
     failures = 0
     shown: Optional[Tuple[SymbolicScalar, SymbolicScalar, str]] = None
     signs = set()
-    contracted = []
+    contracted = [] if describe else None
     for trial in range(trials):
         rows, unit = draw()
         contractions = {kernel: kernel.contract(rows) for kernel in kernels}
         for label, kernel, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
             c = p * contractions[kernel] if p else 0
-            contracted.append((c, unit))
+            if contracted is not None:
+                contracted.append((c, unit))
             ok = c * re_left == unit * re_right and c * im_left == unit * im_right
             sign = 1
             if magnitude and unit and expected:
@@ -409,7 +405,7 @@ def _density_spec(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> 
 
 
 def _density_kernel(fspec: FunctionalSpec, n: int) -> TraceKernel:
-    return TraceKernel(n, fspec.arg_flavors, fspec.lift, fspec.torsion_degree)
+    return _compile(fspec.arg_flavors, fspec.lift_kind, n)
 
 
 def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> SymbolicScalar:
@@ -501,15 +497,6 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
 # ---------------------------------------------------------------------------
 
 
-_LIFTS: Dict[str, Callable[..., LinearOp]] = {
-    "two_chat": lift_two_chat,
-    "three_c": lift_three_c,
-    "three_mixed": lift_three_mixed,
-    "four_mixed": lift_four_mixed,
-    "four_chat": lift_four_chat,
-}
-
-
 @dataclass(frozen=True)
 class LemmaSpec:
     """One dispatch entry of the trace-identity checker.
@@ -523,7 +510,7 @@ class LemmaSpec:
 
     lemma_id: str
     word_flavors: Tuple[str, ...]
-    lift: Optional[str]  # key into _LIFTS; None = identity; "normal_c" = c(dx_n)
+    lift: Optional[str]  # key into forms.LIFT_TERMS; None = identity; "normal_c" = c(dx_n)
     form_degree: Optional[int]
     placements: Tuple[str, ...]
     ratio: Fraction
@@ -600,26 +587,30 @@ def _lemma_unit(spec: LemmaSpec, form: Optional[Sequence[int]], vectors: Sequenc
     raise ValueError(f"unknown unit kind {spec.unit!r}")
 
 
-def _lemma_lift(lift: Optional[str], form: Optional[AntiSymForm], n: int) -> LinearOp:
-    """The operator a :attr:`LemmaSpec.lift` key names, on ``form``."""
+def _compile(word_flavors: Tuple[str, ...], lift: Optional[str], n: int) -> TraceKernel:
+    """The plain trace kernel of the word against a lift: a
+    :data:`~hodge_residue.forms.LIFT_TERMS` key, whose terms the word cannot
+    trace are skipped, ``"normal_c"`` (the blade ``c_n``) or ``None`` (the
+    identity)."""
     if lift is None:
-        return LinearOp.identity(n)
+        return TraceKernel(n, word_flavors, [{0: 1}], 0)
     if lift == "normal_c":
-        return clifford_generator("c", n, n)
-    return _LIFTS[lift](form)
+        return TraceKernel(n, word_flavors, [{_generator_key("c", n, n): 1}], 0)
+    denominator, terms = LIFT_TERMS[lift]
+    traced = [term for term in terms if _traceable(word_flavors, term[1])]
+    degree = len(terms[0][1])
+    slots = [_term_blades(n, traced, idx) for idx in itertools.combinations(range(1, n + 1), degree)]
+    return TraceKernel(n, word_flavors, slots, degree, denominator)
 
 
-@lru_cache(maxsize=None)
-def _shape_kernel(word_flavors: Tuple[str, ...], lift: Optional[str], form_degree: Optional[int],
-                  n: int) -> TraceKernel:
-    """The plain trace kernel of one identity shape, compiled once per process."""
-    return TraceKernel(n, word_flavors, lambda form: _lemma_lift(lift, form, n), form_degree or 0)
+# the plain trace kernel of one identity shape, compiled once per process
+_shape_kernel = lru_cache(maxsize=None)(_compile)
 
 
 def _lemma_kernel(spec: LemmaSpec, n: int) -> TraceKernel:
     """The plain trace kernel of a trace identity, shared by every identity
     of its shape."""
-    return _shape_kernel(spec.word_flavors, spec.lift, spec.form_degree, n)
+    return _shape_kernel(spec.word_flavors, spec.lift, n)
 
 
 def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> CheckReport:

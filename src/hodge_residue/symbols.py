@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .exterior import _check_n, clifford_generator
+from .exterior import _blade_action, _check_n, _generator_key
 from .scalars import SymbolicScalar
 
 
@@ -145,7 +145,7 @@ def check_flat_commutators(n: int) -> List[dict]:
     injective, so the verdict is the same.  Both sides of each are integer
     forms ``{packed monomial: int}``: the left side differentiates ``x_k
     omega`` itself (no Leibniz shortcut), with popcount signs, and the right
-    side reads the generator's column, whose signs come from the blade action.
+    side is the generator's signed action on ``e_mask`` (``_blade_action``).
 
     Returns one record per ``(identity, k)`` pair with pass/fail status, the
     number of monomials checked and the number that disagree.
@@ -161,8 +161,8 @@ def check_flat_commutators(n: int) -> List[dict]:
     results: List[dict] = []
     for k in range(1, n + 1):
         step = 1 << (n + 2 * k - 2)  # adding it to a key multiplies by x_k
-        columns = [
-            [clifford_generator(flavor, n, k).column(mask) for mask in range(1 << n)]
+        actions = [
+            [_blade_action(n, _generator_key(flavor, n, k), mask) for mask in range(1 << n)]
             for flavor in ("c", "chat")
         ]
         bad = [0, 0]
@@ -174,7 +174,8 @@ def check_flat_commutators(n: int) -> List[dict]:
                     coeff = lhs.pop(term, 0) - coeff
                     if coeff:
                         lhs[term] = coeff
-                bad[i] += lhs != {high | row: c for row, c in columns[i][mask].items()}
+                sign, row = actions[i][mask]
+                bad[i] += lhs != {high | row: sign}
         for flavor, mismatches in zip(("c", "chat"), bad):
             results.append({
                 "identity": flavor, "k": k, "ok": not mismatches,

@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from hodge_residue.exterior import LinearOp, _check_index, _check_n, _generator_key, clifford_generator
 from hodge_residue.scalars import I
+from matrix_reference import column
 
 _HALF = Fraction(1, 2)
 
@@ -105,7 +106,7 @@ def apply_operator(op: LinearOp, form: PolyForm) -> PolyForm:
     """The operator applied to the exterior part of every term."""
     terms: Dict[Tuple[Tuple[int, ...], int], object] = {}
     for (beta, mask), coeff in form.terms.items():
-        for row, c in op.column(mask).items():
+        for row, c in column(op, mask).items():
             terms[(beta, row)] = terms.get((beta, row), 0) + c * coeff
     return PolyForm(form.n, terms)
 

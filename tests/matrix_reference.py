@@ -1,7 +1,7 @@
 """Matrix-to-blade route: build an operator from its matrix entries.
 
 The engine never needs it; tests use it to draw random operators and to read
-matrix identities back through :meth:`LinearOp.column`.  It inverts the
+matrix identities back through :func:`column`.  It inverts the
 blade action of :mod:`hodge_residue.exterior` (``c_A chat_B`` is the signed
 permutation ``m -> +-(m xor A xor B)``) with the trace formula for blade
 coefficients.
@@ -17,6 +17,16 @@ from hodge_residue.exterior import (
     _check_n,
     _square_is_negative,
 )
+
+
+def column(op: LinearOp, mask: int) -> Dict[int, object]:
+    """``{row: coefficient}``: the image of the basis monomial ``mask``,
+    read through the blade action."""
+    col: Dict[int, object] = {}
+    for key, coeff in op.blades.items():
+        sign, row = _blade_action(op.n, key, mask)
+        _accumulate(col, row, coeff if sign > 0 else -coeff)
+    return col
 
 
 def from_entries(n: int, entries: Iterable[Tuple[int, int, object]]) -> LinearOp:

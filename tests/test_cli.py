@@ -23,9 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodge_residue
+import hodge_residue.boundary as boundary_module
 import hodge_residue.cli as cli_module
+import hodge_residue.residue as residue_module
 from hodge_residue.cli import main
-from hodge_residue.exterior import MAX_DIMENSION
+from hodge_residue.exterior import MAX_DIMENSION, LinearOp
+from hodge_residue.forms import AntiSymForm
 from hodge_residue.residue import lemma_ids
 from json_fuzz import JSON_PAYLOADS
 
@@ -127,6 +130,29 @@ class TestVerifySuiteExitCodes:
             "T4": "fail",
             "T5": "pass",
         }
+
+
+class TestVerifyBuildsNoOperator:
+    """Every verify suite runs on compiled kernels, integer draws and packed
+    keys: no form object and no operator is built, kernel compiles included."""
+
+    @pytest.mark.parametrize("suite", ["lemmas", "theorems", "all"])
+    def test_no_form_or_operator_is_constructed(self, runner, monkeypatch, suite):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a form or an operator was constructed on the verify path")
+
+        residue_module._shape_kernel.cache_clear()
+        boundary_module._residue_kernel.cache_clear()
+        monkeypatch.setattr(AntiSymForm, "__init__", refuse)
+        monkeypatch.setattr(AntiSymForm, "_of", refuse)
+        monkeypatch.setattr(LinearOp, "__init__", refuse)
+        result = runner.invoke(main, ["verify", "--suite", suite, "--trials", "2"])
+        # the lemma and theorem suites exit 1 by design; anything raised
+        # inside a check would not be a SystemExit
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1
+        report = json.loads(result.output)
+        assert report["summary"]["pass"] + report["summary"]["fail"] == len(report["checks"]) > 0
 
 
 class TestReportDeterminism:

@@ -30,11 +30,12 @@ from hodge_residue.oracle import (
     float_plain_trace,
     float_sandwich_integral,
 )
-from hodge_residue.residue import FUNCTIONALS, _lemma_lift, spectral_density
+from hodge_residue.residue import FUNCTIONALS, spectral_density
 from hodge_residue.scalars import sphere_volume_float
 from hodge_residue.symbols import sphere_moment
 from float_reference import float_trace, line_quadrature, moment_float, sphere_quadrature
-from word_reference import lemma_lhs
+from matrix_reference import column
+from word_reference import lemma_lhs, lemma_lift
 
 LIFT_KIND = {
     "T1": "two_chat",
@@ -55,7 +56,7 @@ def exact_matrix(op) -> np.ndarray:
     dim = 1 << op.n
     matrix = np.zeros((dim, dim), dtype=np.complex128)
     for col in range(dim):
-        for row, coeff in op.column(col).items():
+        for row, coeff in column(op, col).items():
             matrix[row, col] = complex(coeff)
     return matrix
 
@@ -119,7 +120,7 @@ class TestFloatTraces:
         else:
             degree = LEMMA_LIFT_DEGREE[case]
             form = random_form(n, degree, rng) if degree else None
-            kind, exact = case, _lemma_lift(None if case == "identity" else case, form, n)
+            kind, exact = case, lemma_lift(None if case == "identity" else case, form, n)
         dense = dense_lift(kind, form, n)
         assert np.allclose(exact_matrix(exact), dense, atol=1e-10)
 

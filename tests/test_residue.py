@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodge_residue.exterior import LinearOp, clifford_word, trace_product
+from hodge_residue.exterior import clifford_word, trace_product
 from hodge_residue.forms import (
     AntiSymForm,
     form_contract,
@@ -38,7 +38,6 @@ from hodge_residue.residue import (
     _LEMMA_ALIASES,
     _density_kernel,
     _lemma_kernel,
-    _lemma_lift,
     closed_form_coefficient,
     density_decomposition,
     lemma_check,
@@ -50,7 +49,7 @@ from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volum
 from hodge_residue.symbols import _grade_weights
 import word_reference
 from mixed_rationals import mixed_form, mixed_vector
-from word_reference import cosphere_average, lemma_lhs
+from word_reference import compile_lift, cosphere_average, lemma_lhs, lemma_lift
 
 
 def _placed_value(value: Fraction, placement: str, n: int) -> SymbolicScalar:
@@ -132,7 +131,7 @@ def test_lemma_kernels_equal_word_route(n, draw):
                 vectors = [vector(n, rng) for _ in spec.word_flavors]
                 form = form_of(n, spec.form_degree, rng) if spec.form_degree else None
                 word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
-                expected = lemma_lhs(word, _lemma_lift(spec.lift, form, n), placement)
+                expected = lemma_lhs(word, lemma_lift(spec.lift, form, n), placement)
                 value = _placed_value(kernel.trace(form, vectors) * kernel.weight(placement), placement, n)
                 assert value == expected, (lemma_id, placement)
                 compared += 1
@@ -211,24 +210,60 @@ def test_every_kernel_has_one_grade_class(n):
         assert boundary_module._boundary_kernel(flavor, n // 2)[0].grade == (1, 1)
 
 
+def _entries(kernel):
+    """``{(I, j_1, ..., j_k): c / D}``: the tensor a trace reads, whatever
+    the kernel's denominator."""
+    return dict(zip(zip(*kernel.columns), (Fraction(c, kernel.denominator) for c in kernel.coeffs)))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_term_compiles_equal_compiles_of_whole_lifts(n):
+    """Every kernel the engine compiles from a lift's term table (skipping
+    the terms its word cannot trace) is, entry for entry as ``c / D`` and in
+    its grade class, the compile of the whole operator lift of each basis
+    form; only the denominator may differ (T2's is 4, not 2)."""
+    cases = [
+        (_lemma_kernel(spec, n), spec.word_flavors, spec.form_degree or 0,
+         lambda form, kind=spec.lift: lemma_lift(kind, form, n))
+        for spec in LEMMA_CHECKS.values()
+    ]
+    cases += [
+        (_density_kernel(spec, n), spec.arg_flavors, spec.torsion_degree, spec.lift)
+        for spec in FUNCTIONALS.values()
+    ]
+    cases += [
+        (boundary_module._boundary_kernel(flavor, n // 2)[0], boundary_module._FLAVOR_WORDS[flavor], 0,
+         lambda _: lemma_lift("normal_c", None, n))
+        for flavor in ("psi1", "psi2")
+    ]
+    assert len(cases) == len(LEMMA_CHECKS) + len(FUNCTIONALS) + 2
+    for kernel, flavors, degree, lift in cases:
+        compiled = compile_lift(n, flavors, lift, degree)
+        assert kernel.basis == compiled.basis
+        assert _entries(kernel) == _entries(compiled), flavors
+        assert kernel.grade == compiled.grade, flavors
+    t2 = FUNCTIONALS["T2"]
+    whole = compile_lift(n, t2.arg_flavors, t2.lift, t2.torsion_degree)
+    assert (_density_kernel(t2, n).denominator, whole.denominator) == (4, 2)
+
+
 def test_blades_of_two_grade_classes_are_rejected_at_compile():
     # c_1 is of class (1, 1) and c_1 c_2 c_3 of class (3, 1); the word c c c
     # traces both
-    lift = LinearOp(4, {0b1: 1, 0b111: 1})
+    blades = [{0b1: 1, 0b111: 1}]
     with pytest.raises(ValueError, match=r"grade classes \[\(1, 1\), \(3, 1\)\], not one"):
-        TraceKernel(4, ("c", "c", "c"), lambda _: lift, 0)
+        TraceKernel(4, ("c", "c", "c"), blades, 0)
     # a blade the word cannot trace does not count
-    assert TraceKernel(4, ("c",), lambda _: lift, 0).grade == (1, 1)
+    assert TraceKernel(4, ("c",), blades, 0).grade == (1, 1)
 
 
-def _assert_placed_equals_compile_of_placed_lift(flavors, lift, degree, n, m):
+def _assert_placed_equals_compile_of_placed_lift(kernel, flavors, lift, degree, n, m):
     """Compiling the placed lift gives the kernel's tensor, entry for entry,
     times the placement's weight, or no entry when the weight is 0."""
-    kernel = TraceKernel(n, flavors, lift, degree)
     for placement in ("before", "after", "interior"):
         weight = kernel.weight(placement, m)
         assert weight == (_grade_weights(n, placement, m)[kernel.grade] if kernel.coeffs else 0)
-        compiled = TraceKernel(n, flavors, lambda form: cosphere_average(lift(form), placement, m), degree)
+        compiled = compile_lift(n, flavors, lambda form: cosphere_average(lift(form), placement, m), degree)
         assert compiled.basis == kernel.basis
         if not weight:
             assert (compiled.columns, compiled.coeffs, compiled.grade) == ((), (), None), placement
@@ -246,7 +281,8 @@ def test_placed_lemma_kernels_equal_compiles_of_placed_lifts(lemma_id, n):
     identity's own placements and for every other one."""
     spec = LEMMA_CHECKS[lemma_id]
     _assert_placed_equals_compile_of_placed_lift(
-        spec.word_flavors, lambda form: _lemma_lift(spec.lift, form, n), spec.form_degree or 0, n, n // 2,
+        _lemma_kernel(spec, n), spec.word_flavors, lambda form: lemma_lift(spec.lift, form, n),
+        spec.form_degree or 0, n, n // 2,
     )
 
 
@@ -254,7 +290,10 @@ def test_placed_lemma_kernels_equal_compiles_of_placed_lifts(lemma_id, n):
 @pytest.mark.parametrize("functional_id", sorted(FUNCTIONALS))
 def test_placed_density_kernels_equal_compiles_of_placed_lifts(functional_id, m):
     spec = FUNCTIONALS[functional_id]
-    _assert_placed_equals_compile_of_placed_lift(spec.arg_flavors, spec.lift, spec.torsion_degree, 2 * m, m)
+    n = 2 * m
+    _assert_placed_equals_compile_of_placed_lift(
+        _density_kernel(spec, n), spec.arg_flavors, spec.lift, spec.torsion_degree, n, m,
+    )
 
 
 def test_plain_placement_is_the_kernel_and_unknown_ones_raise():
@@ -385,7 +424,7 @@ class TestKernelTraceInputs:
                 kernel.trace(None, vectors[:count])
 
     def test_empty_kernel_knows_its_vector_count(self):
-        kernel = TraceKernel(4, ("c", "c"), lambda _: LinearOp.zero(4), 0)
+        kernel = TraceKernel(4, ("c", "c"), [{}], 0)
         assert not kernel.coeffs
         assert kernel.trace(None, [basis_vector(4, 1)] * 2) == 0
         with pytest.raises(ValueError, match="takes 2 vectors, got 1"):
@@ -767,7 +806,7 @@ def _lemma_inputs(spec, lemma_id, n, seed, trial):
 
 def _word_route_lhs(spec, n, vectors, form):
     word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
-    return lemma_lhs(word, _lemma_lift(spec.lift, form, n), "plain")
+    return lemma_lhs(word, lemma_lift(spec.lift, form, n), "plain")
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -858,5 +897,5 @@ def test_derived_fractional_ratio_passes(monkeypatch, n):
             break
     word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
     expected = SymbolicScalar.number(spec.ratio * unit * (1 << n)) * sphere_volume(n - 1)
-    assert report.computed == lemma_lhs(word, _lemma_lift(spec.lift, form, n), "before").render()
+    assert report.computed == lemma_lhs(word, lemma_lift(spec.lift, form, n), "before").render()
     assert report.expected == expected.render() == report.computed

@@ -8,7 +8,7 @@ import pytest
 
 import flat_reference
 from flat_reference import PolyForm, codifferential, coordinate_multiply, exterior_derivative
-from hodge_residue import symbols
+from hodge_residue import forms, symbols
 from hodge_residue.exterior import (
     MAX_DIMENSION,
     LinearOp,
@@ -16,7 +16,7 @@ from hodge_residue.exterior import (
     trace_product,
 )
 from hodge_residue.forms import AntiSymForm, lift_two_chat, random_form
-from hodge_residue.residue import _LIFTS, LEMMA_CHECKS
+from hodge_residue.residue import LEMMA_CHECKS
 from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import (
     _flat_derivative,
@@ -107,6 +107,10 @@ class TestInteriorIntegrand:
         assert len(alphas) == 1 + n * (n + 1) // 2
 
 
+# the named lifts the lemma checks compile
+LEMMA_LIFTS = sorted({spec.lift for spec in LEMMA_CHECKS.values()} - {None, "normal_c"})
+
+
 def _random_lift(name, n, rng):
     """A lift the lemma checks use, on a random form where it takes one."""
     if name == "identity":
@@ -114,12 +118,12 @@ def _random_lift(name, n, rng):
     if name == "normal_c":
         return clifford_generator("c", n, n)
     degree = next(spec.form_degree for spec in LEMMA_CHECKS.values() if spec.lift == name)
-    return _LIFTS[name](random_form(n, degree, rng))
+    return getattr(forms, f"lift_{name}")(random_form(n, degree, rng))
 
 
 class TestCosphereAverage:
     @pytest.mark.parametrize("n", [4, 6, 8])
-    @pytest.mark.parametrize("name", sorted(_LIFTS) + ["identity", "normal_c"])
+    @pytest.mark.parametrize("name", LEMMA_LIFTS + ["identity", "normal_c"])
     def test_equals_explicit_xi_polynomial_route(self, name, n):
         rng = random.Random(f"cosphere:{name}:{n}")
         nonzero = 0
@@ -262,12 +266,14 @@ class TestFlatCommutators:
     def test_records_equal_reference_route(self, n):
         assert check_flat_commutators(n) == flat_reference.check_flat_commutators(n)
 
-    @pytest.mark.parametrize("module", [symbols, flat_reference], ids=["engine", "reference"])
-    def test_counts_the_monomials_that_disagree(self, module, monkeypatch):
+    @pytest.mark.parametrize("module, generator_of", [
+        (symbols, "_generator_key"), (flat_reference, "clifford_generator"),
+    ], ids=["engine", "reference"])
+    def test_counts_the_monomials_that_disagree(self, module, generator_of, monkeypatch):
         # hold the chat side to c(e_k): c_k and chat_k agree on the masks
         # without k and differ on the other half, 12 of the 24 monomials at n = 2
-        generator = module.clifford_generator
-        monkeypatch.setattr(module, "clifford_generator", lambda flavor, n, k: generator("c", n, k))
+        generator = getattr(module, generator_of)
+        monkeypatch.setattr(module, generator_of, lambda flavor, n, k: generator("c", n, k))
         records = module.check_flat_commutators(2)
         assert [(r["identity"], r["ok"], r["mismatches"]) for r in records] == [
             ("c", True, 0), ("chat", False, 12), ("c", True, 0), ("chat", False, 12),

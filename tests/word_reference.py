@@ -12,11 +12,19 @@ explicit xi-polynomial integrals.
 
 The boundary density is the word traced against the generator of each pair
 ``(a, K)`` of the residue kernel, ``sum tr(W c_a) K``; the tests hold the
-package's degree-0 kernel route to it.  :func:`generator_word` and
-:func:`pi_minus` have no caller in the package and serve the tests'
-structural laws.
+package's degree-0 kernel route to it.
+
+:func:`lemma_lift` is the operator a trace identity's lift key names, and
+:func:`compile_lift` compiles a trace kernel from a whole operator lift of
+each basis form, the route the package's term tables replace.
+:func:`generator_word` and :func:`pi_minus` have no caller in the package
+and serve the tests' structural laws.
 """
 
+import itertools
+from math import lcm
+
+from hodge_residue import forms
 from hodge_residue.boundary import _FLAVOR_WORDS, BoundaryArgs, _residue_kernel
 from hodge_residue.exterior import (
     LinearOp,
@@ -28,7 +36,8 @@ from hodge_residue.exterior import (
     clifford_word,
     trace_product,
 )
-from hodge_residue.residue import FunctionalSpec
+from hodge_residue.forms import AntiSymForm
+from hodge_residue.residue import FunctionalSpec, TraceKernel
 from hodge_residue.scalars import SymbolicScalar, sphere_volume
 from hodge_residue.symbols import _grade_weights
 
@@ -57,6 +66,29 @@ def lemma_lhs(word: LinearOp, lift: LinearOp, placement: str) -> SymbolicScalar:
     if placement in ("before", "after"):
         return sphere_volume(lift.n - 1) * trace_product(word, cosphere_average(lift, placement))
     raise ValueError(f"unknown placement {placement!r}")
+
+
+def lemma_lift(kind, form, n: int) -> LinearOp:
+    """The operator a :attr:`~hodge_residue.residue.LemmaSpec.lift` key
+    names, on ``form``: the identity (``None``), ``c_n`` (``"normal_c"``) or
+    ``forms.lift_<kind>``."""
+    if kind is None:
+        return LinearOp.identity(n)
+    if kind == "normal_c":
+        return clifford_generator("c", n, n)
+    return getattr(forms, f"lift_{kind}")(form)
+
+
+def compile_lift(n: int, flavors, lift, degree: int) -> TraceKernel:
+    """The trace kernel of the word ``flavors`` against ``lift``, a map from
+    a basis form (``None`` for degree 0) to its operator: the blades of
+    ``lift(e_I)`` for every basis form, scaled to integers by the lcm of
+    their denominators."""
+    basis = itertools.combinations(range(1, n + 1), degree) if degree else [None]
+    ops = [lift(AntiSymForm(n, degree, {idx: 1}) if degree else None) for idx in basis]
+    denominator = lcm(*(c.denominator for op in ops for c in op.blades.values()))
+    slots = [{key: c.numerator * (denominator // c.denominator) for key, c in op.blades.items()} for op in ops]
+    return TraceKernel(n, flavors, slots, degree, denominator)
 
 
 def _word_and_lift(fspec: FunctionalSpec, T, vectors):
