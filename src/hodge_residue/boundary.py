@@ -32,10 +32,10 @@ moment is zero contributes no pair.
 
 At every ``m`` that kernel has one pair, ``(n, K)`` (the normal channel),
 so a density is ``K * tr(W c_n)``.  ``tr(W(u, v, w) c_n)`` is a degree-0
-:class:`~hodge_residue.residue.TraceKernel`, the same tensor as the B5.8
-(psi1) and B5.10 (psi2) trace identities, and it is their memoized kernel;
-the kernel lookup raises ``ValueError`` if the residue kernel is not that
-one pair.  No Clifford word is built.
+:class:`~hodge_residue.residue.TraceKernel`, the very kernel of the B5.8
+(psi1) or B5.10 (psi2) trace identity, from the one kernel memo; the
+kernel lookup raises ``ValueError`` if the residue kernel is not that one
+pair.  No Clifford word is built.
 
 :func:`verify_boundary` asserts exact proportionality of each density to its
 stated vector contraction and compares the engine's absolute constant with
@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .forms import _random_doubled
-from .residue import CheckReport, TraceKernel, _shape_kernel, _trial_loop, boundary_contraction
+from .residue import LEMMA_CHECKS, CheckReport, TraceKernel, _kernel, _trial_loop, boundary_contraction
 from .scalars import (
     GaussianRational,
     I,
@@ -66,8 +66,8 @@ from .scalars import (
 from .symbols import sphere_moment
 
 _FLAVOR_WORDS: Dict[str, Tuple[str, ...]] = {
-    "psi1": ("c", "c", "c"),
-    "psi2": ("c", "chat", "chat"),
+    "psi1": LEMMA_CHECKS["B5.8"].word_flavors,
+    "psi2": LEMMA_CHECKS["B5.10"].word_flavors,
 }
 
 
@@ -318,7 +318,7 @@ def _boundary_kernel(flavor: str, m: int) -> Tuple[TraceKernel, SymbolicScalar]:
     if generators != [n]:
         raise ValueError(f"the residue kernel of order {m} has the generators {generators}, not one pair (n, K)")
     [(_, weight)] = terms
-    return _shape_kernel(_FLAVOR_WORDS[flavor], "normal_c", n), weight
+    return _kernel(_FLAVOR_WORDS[flavor], "normal_c", n), weight
 
 
 def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
@@ -394,7 +394,7 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     # the density is weight * 2^n c / D and the closed form's side
     # per_unit_expected * 2^n t
     return _trial_loop(
-        "Psi1" if flavor == "psi1" else "Psi2", n, trials, draw,
-        [("plain", kernel, Fraction(1), weight * (1 << n), per_unit_expected * (1 << n))],
+        "Psi1" if flavor == "psi1" else "Psi2", n, trials, draw, kernel,
+        [("plain", Fraction(1), weight * (1 << n), per_unit_expected * (1 << n))],
         describe=proportionality,
     )

@@ -17,11 +17,11 @@ Every such trace ``tr(W(u_1 ... u_k) . P(lift(T)))`` is multilinear in the
 form and in each vector.  A :class:`TraceKernel` is compiled from basis
 inputs: the lift's integer blades on each basis form ``e_I``, read from its
 term table (:data:`~hodge_residue.forms.LIFT_TERMS`), and the letter paths
-that fold each blade to the empty blade.  A trace identity's kernel is
-compiled once per shape (word, lift, ``n``) per process and shared by every
-identity of that shape; a density's once per check (or per call of
-:func:`spectral_density` and :func:`density_decomposition`).  It is the
-sparse integer tensor ``{(I, j_1, ..., j_k): c}`` of the plain trace.
+that fold each blade to the empty blade.  Every kernel comes from one
+memo, :func:`_kernel`: compiled once per shape (word, lift, ``n``) per
+process and shared by every trace identity, density and boundary density
+of that shape.  It is the sparse integer tensor ``{(I, j_1, ..., j_k): c}``
+of the plain trace.
 Each entry comes from one blade, and every blade a kernel traces has one
 grade class, so a placement ``P`` scales the whole trace by one rational
 weight, :meth:`TraceKernel.weight`, with no second compile.
@@ -51,7 +51,7 @@ from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import forms
-from .exterior import FLAVORS, LinearOp, _generator_key, _integer_scaled, _product_signs
+from .exterior import FLAVORS, LinearOp, _check_n, _generator_key, _integer_scaled, _product_signs
 from .forms import LIFT_TERMS, AntiSymForm, _minor_contract, _random_doubled, _reader, _term_blades
 from .scalars import GaussianRational, I, ONE, SymbolicScalar, ZERO, sphere_volume
 from .symbols import _grade_weights
@@ -135,12 +135,14 @@ class TraceKernel:
     :meth:`weight` and compiles nothing.
 
     ``basis``, ``columns`` and ``coeffs`` are tuples, so a kernel shared
-    between checks cannot be altered by one of them.
+    between checks cannot be altered by one of them.  ``n`` past
+    ``MAX_DIMENSION`` raises ``ValueError``, for every check and density.
     """
 
     __slots__ = ("n", "degree", "letters", "basis", "columns", "reads", "coeffs", "denominator", "grade")
 
     def __init__(self, n: int, flavors: Sequence[str], slots: Sequence[Dict[int, int]], degree: int, denominator=1):
+        _check_n(n)
         self.n, self.degree, self.letters = n, degree, len(flavors)
         self.basis = tuple(itertools.combinations(range(1, n + 1), degree)) if degree else ((),)
         signs = [_product_signs(n, 1 << bit) for bit in range(2 * n)]
@@ -218,6 +220,35 @@ class TraceKernel:
         return Fraction(self.contract(rows) << self.n, self.denominator * scale)
 
 
+def _lift_degree(lift: Optional[str]) -> Optional[int]:
+    """The degree of the form a lift takes, the length of its table terms;
+    ``None`` for the identity and ``"normal_c"``, which take no form."""
+    if lift not in LIFT_TERMS:
+        return None
+    _, terms = LIFT_TERMS[lift]
+    return len(terms[0][1])
+
+
+def _compile(word_flavors: Tuple[str, ...], lift: Optional[str], n: int) -> TraceKernel:
+    """The plain trace kernel of the word against a lift: a
+    :data:`~hodge_residue.forms.LIFT_TERMS` key, whose terms the word cannot
+    trace are skipped, ``"normal_c"`` (the blade ``c_n``) or ``None`` (the
+    identity)."""
+    if lift is None:
+        return TraceKernel(n, word_flavors, [{0: 1}], 0)
+    if lift == "normal_c":
+        return TraceKernel(n, word_flavors, [{_generator_key("c", n, n): 1}], 0)
+    denominator, terms = LIFT_TERMS[lift]
+    traced = [term for term in terms if _traceable(word_flavors, term[1])]
+    degree = _lift_degree(lift)
+    slots = [_term_blades(n, traced, idx) for idx in itertools.combinations(range(1, n + 1), degree)]
+    return TraceKernel(n, word_flavors, slots, degree, denominator)
+
+
+# the one way to get a trace kernel, compiled once per shape and process
+_kernel = lru_cache(maxsize=None)(_compile)
+
+
 # ---------------------------------------------------------------------------
 # Functional table
 # ---------------------------------------------------------------------------
@@ -229,9 +260,12 @@ class FunctionalSpec:
 
     functional_id: str
     arg_flavors: Tuple[str, ...]
-    torsion_degree: int
     lift_kind: str  # key into forms.LIFT_TERMS
     prefactor: GaussianRational
+
+    @property
+    def torsion_degree(self) -> int:
+        return _lift_degree(self.lift_kind)
 
     @property
     def lift(self) -> Callable[[AntiSymForm], LinearOp]:
@@ -240,11 +274,11 @@ class FunctionalSpec:
 
 
 FUNCTIONALS: Dict[str, FunctionalSpec] = {
-    "T1": FunctionalSpec("T1", ("chat", "chat"), 2, "two_chat", I),
-    "T2": FunctionalSpec("T2", ("c", "c", "c"), 3, "torsion_assembly", ONE),
-    "T3": FunctionalSpec("T3", ("c", "chat", "chat"), 3, "torsion_assembly", ONE),
-    "T4": FunctionalSpec("T4", ("c", "c", "chat", "chat"), 4, "four_mixed", I),
-    "T5": FunctionalSpec("T5", ("chat",) * 4, 4, "four_chat", I),
+    "T1": FunctionalSpec("T1", ("chat", "chat"), "two_chat", I),
+    "T2": FunctionalSpec("T2", ("c", "c", "c"), "torsion_assembly", ONE),
+    "T3": FunctionalSpec("T3", ("c", "chat", "chat"), "torsion_assembly", ONE),
+    "T4": FunctionalSpec("T4", ("c", "c", "chat", "chat"), "four_mixed", I),
+    "T5": FunctionalSpec("T5", ("chat",) * 4, "four_chat", I),
 }
 
 
@@ -298,7 +332,8 @@ def _sides(value: SymbolicScalar, expected: SymbolicScalar, denominator: int) ->
 
 def _trial_loop(check_id: str, n: int, trials: int,
                 draw: Callable[[], Tuple[List[Sequence[int]], int]],
-                comparisons: Sequence[Tuple[str, TraceKernel, Fraction, SymbolicScalar, SymbolicScalar]],
+                kernel: TraceKernel,
+                comparisons: Sequence[Tuple[str, Fraction, SymbolicScalar, SymbolicScalar]],
                 magnitude: bool = False,
                 describe: Optional[Callable[[List[Tuple[int, int]]], str]] = None) -> CheckReport:
     """The trials of every randomized check, decided in integers.
@@ -306,18 +341,17 @@ def _trial_loop(check_id: str, n: int, trials: int,
     Each trial calls ``draw()`` for its inputs, drawn doubled as integers by
     :func:`~hodge_residue.forms._random_doubled`: the kernel rows (the form's
     values in basis order, ``[1]`` for degree 0, then each vector) and the
-    expected side's unit on them.  A comparison ``(label, kernel, weight,
-    value, expected)`` is the engine side ``value * weight * t / D``, with
-    ``t`` the kernel's contraction with the rows and ``D`` its denominator,
+    expected side's unit on them.  A comparison ``(label, weight, value,
+    expected)`` is the engine side ``value * weight * t / D``, with ``t`` the
+    check's kernel contracted with the rows and ``D`` its denominator,
     against the expected side ``expected * unit``.  With ``weight = p / q``
     that is ``value * c / (D q)`` for the integer ``c = p t``, and
-    :func:`_sides` makes it integer identities.  Each distinct kernel of a
-    nonzero weight is contracted once per trial; a comparison of weight 0
-    contracts nothing and has ``c = 0``.  Both sides are linear in each of the
-    ``r = letters + bool(degree)`` doubled rows, so each carries the factor
-    ``2^r``: it cancels in the comparison, and only the two values the
-    report shows are divided by it.  ``trials`` below 1 raises
-    ``ValueError``.
+    :func:`_sides` makes it integer identities.  The kernel is contracted
+    once per trial, and not at all when every weight is 0.  Both sides are
+    linear in each of the ``r = letters + bool(degree)`` doubled rows, so
+    each carries the factor ``2^r``: it cancels in the comparison, and only
+    the two values the report shows are divided by it.  ``trials`` below 1
+    raises ``ValueError``.
 
     With ``magnitude`` a comparison whose expected side is nonzero holds when
     the engine side is ``s`` times it, for one sign ``s`` on every trial, and
@@ -330,23 +364,21 @@ def _trial_loop(check_id: str, n: int, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    kernels = dict.fromkeys(kernel for _, kernel, weight, _, _ in comparisons if weight)
     checks = []
-    for label, kernel, weight, value, expected in comparisons:
+    for label, weight, value, expected in comparisons:
         denominator = kernel.denominator * weight.denominator
-        checks.append((label, kernel, weight.numerator, denominator, value, expected,
-                       _sides(value, expected, denominator)))
-    # every kernel contracts the same rows, so all share r
-    r = comparisons[0][1].letters + bool(comparisons[0][1].degree)
+        checks.append((label, weight.numerator, denominator, value, expected, _sides(value, expected, denominator)))
+    contracts = any(weight for _, weight, _, _ in comparisons)
+    r = kernel.letters + bool(kernel.degree)
     failures = 0
     shown: Optional[Tuple[SymbolicScalar, SymbolicScalar, str]] = None
     signs = set()
     contracted = [] if describe else None
     for trial in range(trials):
         rows, unit = draw()
-        contractions = {kernel: kernel.contract(rows) for kernel in kernels}
-        for label, kernel, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
-            c = p * contractions[kernel] if p else 0
+        t = kernel.contract(rows) if contracts else 0
+        for label, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
+            c = p * t
             if contracted is not None:
                 contracted.append((c, unit))
             ok = c * re_left == unit * re_right and c * im_left == unit * im_right
@@ -404,17 +436,13 @@ def _density_spec(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> 
     return fspec
 
 
-def _density_kernel(fspec: FunctionalSpec, n: int) -> TraceKernel:
-    return _compile(fspec.arg_flavors, fspec.lift_kind, n)
-
-
 def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> SymbolicScalar:
     """Exact pointwise density of the functional on the given arguments.
 
     Returns a GaussianRational multiple of ``V(S^{2m-1})``.
     """
     fspec = _density_spec(spec, T, vectors, m)
-    kernel = _density_kernel(fspec, T.n)
+    kernel = _kernel(fspec.arg_flavors, fspec.lift_kind, T.n)
     value = kernel.trace(T, vectors) * kernel.weight("interior", m)
     return sphere_volume(T.n - 1) * (fspec.prefactor * value)
 
@@ -454,7 +482,7 @@ def density_decomposition(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: 
     placements for the sandwich part.
     """
     fspec = _density_spec(spec, T, vectors, m)
-    kernel = _density_kernel(fspec, T.n)
+    kernel = _kernel(fspec.arg_flavors, fspec.lift_kind, T.n)
     zero = sphere_volume(T.n - 1) * (fspec.prefactor * kernel.trace(T, vectors))
     sandwich = zero * (kernel.weight("before") + kernel.weight("after"))
     return {
@@ -478,7 +506,7 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
         raise ValueError("m must be >= 2")
     n = 2 * m
     rng = random.Random(f"{seed}:theorem:{fspec.functional_id}:{m}")
-    kernel = _density_kernel(fspec, n)
+    kernel = _kernel(fspec.arg_flavors, fspec.lift_kind, n)
 
     def draw():
         form = _random_doubled(len(kernel.basis), rng)
@@ -488,8 +516,8 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
     # the interior trace is weight * 2^n c / D
     value = sphere_volume(n - 1) * (fspec.prefactor * (1 << n))
     expected = closed_form_coefficient(fspec.functional_id, m)
-    return _trial_loop(fspec.functional_id, n, trials, draw,
-                       [("interior", kernel, kernel.weight("interior", m), value, expected)])
+    return _trial_loop(fspec.functional_id, n, trials, draw, kernel,
+                       [("interior", kernel.weight("interior", m), value, expected)])
 
 
 # ---------------------------------------------------------------------------
@@ -511,50 +539,47 @@ class LemmaSpec:
     lemma_id: str
     word_flavors: Tuple[str, ...]
     lift: Optional[str]  # key into forms.LIFT_TERMS; None = identity; "normal_c" = c(dx_n)
-    form_degree: Optional[int]
     placements: Tuple[str, ...]
     ratio: Fraction
     unit: str = "form"  # form | metric | boundary_cyclic | boundary_first
     sign_policy: str = "exact"  # exact | magnitude
 
+    @property
+    def form_degree(self) -> Optional[int]:
+        return _lift_degree(self.lift)
+
 
 LEMMA_CHECKS: Dict[str, LemmaSpec] = {
     spec.lemma_id: spec
     for spec in [
-        LemmaSpec("L2.4", ("chat", "chat"), "two_chat", 2, ("plain",), Fraction(-1)),
-        LemmaSpec("L2.5", ("chat", "chat"), "two_chat", 2, ("before", "after"), Fraction(1)),
-        LemmaSpec("L3.4a", ("c", "c", "c"), "three_c", 3, ("plain",), Fraction(1)),
-        LemmaSpec("L3.4b", ("c", "c", "c"), "three_mixed", 3, ("plain",), Fraction(0)),
-        LemmaSpec("L3.5", ("c", "c", "c"), "three_mixed", 3, ("before", "after"), Fraction(0)),
-        LemmaSpec("L3.6a", ("c", "c", "c"), "three_c", 3, ("after",), Fraction(-1)),
-        LemmaSpec("L3.6b", ("c", "c", "c"), "three_c", 3, ("before",), Fraction(-5)),
-        LemmaSpec("L3.7a", ("c", "chat", "chat"), "three_mixed", 3, ("plain",), Fraction(-2)),
-        LemmaSpec("L3.7b", ("c", "chat", "chat"), "three_c", 3, ("plain",), Fraction(0)),
-        LemmaSpec("L3.8", ("c", "chat", "chat"), "three_c", 3, ("after", "before"), Fraction(0)),
-        LemmaSpec("L3.9", ("c", "chat", "chat"), "three_mixed", 3, ("before", "after"), Fraction(2)),
-        LemmaSpec("L4.5", ("c", "c", "chat", "chat"), "four_mixed", 4, ("plain",), Fraction(-1, 6)),
-        LemmaSpec("L4.6a", ("c", "c", "chat", "chat"), "four_mixed", 4, ("before",), Fraction(-1, 2)),
-        LemmaSpec("L4.6b", ("c", "c", "chat", "chat"), "four_mixed", 4, ("after",), Fraction(1, 6)),
-        LemmaSpec("L4.7", ("chat",) * 4, "four_chat", 4, ("plain",), Fraction(1)),
-        LemmaSpec("L4.8", ("chat",) * 4, "four_chat", 4, ("before", "after"), Fraction(-1)),
-        LemmaSpec("B5.8", ("c", "c", "c"), "normal_c", None, ("plain",), Fraction(1), unit="boundary_cyclic"),
-        LemmaSpec("B5.10", ("c", "chat", "chat"), "normal_c", None, ("plain",), Fraction(1), unit="boundary_first"),
-        LemmaSpec("M6.2", ("c", "c"), None, None, ("plain",), Fraction(1), unit="metric", sign_policy="magnitude"),
+        LemmaSpec("L2.4", ("chat", "chat"), "two_chat", ("plain",), Fraction(-1)),
+        LemmaSpec("L2.5", ("chat", "chat"), "two_chat", ("before", "after"), Fraction(1)),
+        LemmaSpec("L3.4a", ("c", "c", "c"), "three_c", ("plain",), Fraction(1)),
+        LemmaSpec("L3.4b", ("c", "c", "c"), "three_mixed", ("plain",), Fraction(0)),
+        LemmaSpec("L3.5", ("c", "c", "c"), "three_mixed", ("before", "after"), Fraction(0)),
+        LemmaSpec("L3.6a", ("c", "c", "c"), "three_c", ("after",), Fraction(-1)),
+        LemmaSpec("L3.6b", ("c", "c", "c"), "three_c", ("before",), Fraction(-5)),
+        LemmaSpec("L3.7a", ("c", "chat", "chat"), "three_mixed", ("plain",), Fraction(-2)),
+        LemmaSpec("L3.7b", ("c", "chat", "chat"), "three_c", ("plain",), Fraction(0)),
+        LemmaSpec("L3.8", ("c", "chat", "chat"), "three_c", ("after", "before"), Fraction(0)),
+        LemmaSpec("L3.9", ("c", "chat", "chat"), "three_mixed", ("before", "after"), Fraction(2)),
+        LemmaSpec("L4.5", ("c", "c", "chat", "chat"), "four_mixed", ("plain",), Fraction(-1, 6)),
+        LemmaSpec("L4.6a", ("c", "c", "chat", "chat"), "four_mixed", ("before",), Fraction(-1, 2)),
+        LemmaSpec("L4.6b", ("c", "c", "chat", "chat"), "four_mixed", ("after",), Fraction(1, 6)),
+        LemmaSpec("L4.7", ("chat",) * 4, "four_chat", ("plain",), Fraction(1)),
+        LemmaSpec("L4.8", ("chat",) * 4, "four_chat", ("before", "after"), Fraction(-1)),
+        LemmaSpec("B5.8", ("c", "c", "c"), "normal_c", ("plain",), Fraction(1), unit="boundary_cyclic"),
+        LemmaSpec("B5.10", ("c", "chat", "chat"), "normal_c", ("plain",), Fraction(1), unit="boundary_first"),
+        LemmaSpec("M6.2", ("c", "c"), None, ("plain",), Fraction(1), unit="metric", sign_policy="magnitude"),
     ]
 }
 
-# Individual a/b aliases for identities whose two variants share one closed form.
+# Individual a/b aliases, in placement order, for identities whose two
+# variants share one closed form: L2.5a is L2.5 before, L3.8a is L3.8 after.
 _LEMMA_ALIASES: Dict[str, Tuple[str, str]] = {
-    "L2.5a": ("L2.5", "before"),
-    "L2.5b": ("L2.5", "after"),
-    "L3.5a": ("L3.5", "before"),
-    "L3.5b": ("L3.5", "after"),
-    "L3.8a": ("L3.8", "after"),
-    "L3.8b": ("L3.8", "before"),
-    "L3.9a": ("L3.9", "before"),
-    "L3.9b": ("L3.9", "after"),
-    "L4.8a": ("L4.8", "before"),
-    "L4.8b": ("L4.8", "after"),
+    spec.lemma_id + suffix: (spec.lemma_id, placement)
+    for spec in LEMMA_CHECKS.values() if len(spec.placements) == 2
+    for suffix, placement in zip("ab", spec.placements)
 }
 
 
@@ -587,32 +612,6 @@ def _lemma_unit(spec: LemmaSpec, form: Optional[Sequence[int]], vectors: Sequenc
     raise ValueError(f"unknown unit kind {spec.unit!r}")
 
 
-def _compile(word_flavors: Tuple[str, ...], lift: Optional[str], n: int) -> TraceKernel:
-    """The plain trace kernel of the word against a lift: a
-    :data:`~hodge_residue.forms.LIFT_TERMS` key, whose terms the word cannot
-    trace are skipped, ``"normal_c"`` (the blade ``c_n``) or ``None`` (the
-    identity)."""
-    if lift is None:
-        return TraceKernel(n, word_flavors, [{0: 1}], 0)
-    if lift == "normal_c":
-        return TraceKernel(n, word_flavors, [{_generator_key("c", n, n): 1}], 0)
-    denominator, terms = LIFT_TERMS[lift]
-    traced = [term for term in terms if _traceable(word_flavors, term[1])]
-    degree = len(terms[0][1])
-    slots = [_term_blades(n, traced, idx) for idx in itertools.combinations(range(1, n + 1), degree)]
-    return TraceKernel(n, word_flavors, slots, degree, denominator)
-
-
-# the plain trace kernel of one identity shape, compiled once per process
-_shape_kernel = lru_cache(maxsize=None)(_compile)
-
-
-def _lemma_kernel(spec: LemmaSpec, n: int) -> TraceKernel:
-    """The plain trace kernel of a trace identity, shared by every identity
-    of its shape."""
-    return _shape_kernel(spec.word_flavors, spec.lift, n)
-
-
 def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> CheckReport:
     """Exact randomized check of one tabulated trace identity.
 
@@ -640,22 +639,22 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     # a placement's trace is weight * 2^n c / D, times V(S^{n-1}) for a
     # sandwiched (cosphere-integrated) one
     scale = 1 << n
-    kernel = _lemma_kernel(spec, n)
+    kernel = _kernel(spec.word_flavors, spec.lift, n)
     comparisons = []
     for placement in placements:
         spheres = () if placement == "plain" else (n - 1,)
         comparisons.append((
-            placement, kernel, kernel.weight(placement), SymbolicScalar.unit(scale, spheres=spheres),
+            placement, kernel.weight(placement), SymbolicScalar.unit(scale, spheres=spheres),
             SymbolicScalar.unit(scale * spec.ratio, spheres=spheres),
         ))
     rng = random.Random(f"{seed}:lemma:{lemma_id}:{n}")
 
     def draw():
         vectors = [_random_doubled(n, rng) for _ in spec.word_flavors]
-        form = _random_doubled(len(kernel.basis), rng) if spec.form_degree else None
+        form = _random_doubled(len(kernel.basis), rng) if kernel.degree else None
         return [[1] if form is None else form, *vectors], _lemma_unit(spec, form, vectors)
 
-    return _trial_loop(lemma_id, n, trials, draw, comparisons, magnitude=spec.sign_policy == "magnitude")
+    return _trial_loop(lemma_id, n, trials, draw, kernel, comparisons, magnitude=spec.sign_policy == "magnitude")
 
 
 def lemma_ids() -> List[str]:

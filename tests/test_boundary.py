@@ -28,7 +28,7 @@ from hodge_residue.boundary import (
 )
 from hodge_residue.exterior import LinearOp, clifford_generator, clifford_word, trace_product
 from hodge_residue.forms import random_vector
-from hodge_residue.residue import LEMMA_CHECKS, _lemma_kernel
+from hodge_residue.residue import LEMMA_CHECKS, _kernel
 from hodge_residue.scalars import ZERO, GaussianRational, I, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import sphere_moment
 from mixed_rationals import mixed_vector
@@ -284,7 +284,9 @@ class TestBoundaryDensity:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_kernel_is_the_boundary_trace_identity_kernel(self, flavor, lemma_id, m):
         kernel, _ = _boundary_kernel(flavor, m)
-        lemma = _lemma_kernel(LEMMA_CHECKS[lemma_id], 2 * m)
+        spec = LEMMA_CHECKS[lemma_id]
+        lemma = _kernel(spec.word_flavors, spec.lift, 2 * m)
+        assert kernel is lemma
         assert kernel.columns == lemma.columns
         assert kernel.coeffs == lemma.coeffs
         assert kernel.denominator == lemma.denominator

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodge_residue.exterior import clifford_word, trace_product
+from hodge_residue.exterior import MAX_DIMENSION, clifford_word, trace_product
 from hodge_residue.forms import (
     AntiSymForm,
     form_contract,
@@ -30,14 +30,19 @@ from hodge_residue.forms import (
 import hodge_residue.boundary as boundary_module
 import hodge_residue.residue as residue_module
 from hodge_residue.boundary import verify_boundary
-from hodge_residue.cli import DEFAULT_LEMMA_DIMENSIONS, _run_checks
+from hodge_residue.cli import (
+    DEFAULT_COMMUTATOR_DIMENSIONS,
+    DEFAULT_LEMMA_DIMENSIONS,
+    DEFAULT_SYMBOL_ORDERS,
+    _run_checks,
+)
 from hodge_residue.residue import (
     FUNCTIONALS,
     LEMMA_CHECKS,
+    FunctionalSpec,
     TraceKernel,
     _LEMMA_ALIASES,
-    _density_kernel,
-    _lemma_kernel,
+    _kernel,
     closed_form_coefficient,
     density_decomposition,
     lemma_check,
@@ -66,6 +71,13 @@ def basis_vector(n: int, j: int):
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def kernel_of(spec, n: int) -> TraceKernel:
+    """The memoized kernel of a density's or a trace identity's shape."""
+    if isinstance(spec, FunctionalSpec):
+        return _kernel(spec.arg_flavors, spec.lift_kind, n)
+    return _kernel(spec.word_flavors, spec.lift, n)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +137,7 @@ def test_lemma_kernels_equal_word_route(n, draw):
     compared = nonzero = 0
     for lemma_id, spec in sorted(LEMMA_CHECKS.items()):
         rng = random.Random(f"kernel:{lemma_id}:{n}:{draw}")
-        kernel = _lemma_kernel(spec, n)
+        kernel = kernel_of(spec, n)
         for placement in spec.placements:
             for _ in range(2):
                 vectors = [vector(n, rng) for _ in spec.word_flavors]
@@ -168,7 +180,7 @@ def test_basis_certificate_at_m2(functional_id, inputs):
     holds at n = 4, not only on the random trials."""
     m, n = 2, 4
     spec = FUNCTIONALS[functional_id]
-    kernel = _density_kernel(spec, n)
+    kernel = kernel_of(spec, n)
     unit = sphere_volume(n - 1) * spec.prefactor * kernel.weight("interior", m)
     coeff = closed_form_coefficient(functional_id, m)
     basis = [basis_vector(n, j) for j in range(1, n + 1)]
@@ -201,11 +213,11 @@ DENSITY_GRADES = {"T1": (0, 0), "T2": (3, 1), "T3": (1, 1), "T4": (2, 0), "T5": 
 def test_every_kernel_has_one_grade_class(n):
     assert set(LEMMA_GRADES) == set(LEMMA_CHECKS)
     for lemma_id, spec in LEMMA_CHECKS.items():
-        kernel = _lemma_kernel(spec, n)
+        kernel = kernel_of(spec, n)
         assert kernel.grade == LEMMA_GRADES[lemma_id], lemma_id
         assert (kernel.grade is None) == (not kernel.coeffs), lemma_id
     for functional_id, spec in FUNCTIONALS.items():
-        assert _density_kernel(spec, n).grade == DENSITY_GRADES[functional_id], functional_id
+        assert kernel_of(spec, n).grade == DENSITY_GRADES[functional_id], functional_id
     for flavor in ("psi1", "psi2"):
         assert boundary_module._boundary_kernel(flavor, n // 2)[0].grade == (1, 1)
 
@@ -223,12 +235,12 @@ def test_term_compiles_equal_compiles_of_whole_lifts(n):
     its grade class, the compile of the whole operator lift of each basis
     form; only the denominator may differ (T2's is 4, not 2)."""
     cases = [
-        (_lemma_kernel(spec, n), spec.word_flavors, spec.form_degree or 0,
+        (kernel_of(spec, n), spec.word_flavors, spec.form_degree or 0,
          lambda form, kind=spec.lift: lemma_lift(kind, form, n))
         for spec in LEMMA_CHECKS.values()
     ]
     cases += [
-        (_density_kernel(spec, n), spec.arg_flavors, spec.torsion_degree, spec.lift)
+        (kernel_of(spec, n), spec.arg_flavors, spec.torsion_degree, spec.lift)
         for spec in FUNCTIONALS.values()
     ]
     cases += [
@@ -244,7 +256,7 @@ def test_term_compiles_equal_compiles_of_whole_lifts(n):
         assert kernel.grade == compiled.grade, flavors
     t2 = FUNCTIONALS["T2"]
     whole = compile_lift(n, t2.arg_flavors, t2.lift, t2.torsion_degree)
-    assert (_density_kernel(t2, n).denominator, whole.denominator) == (4, 2)
+    assert (kernel_of(t2, n).denominator, whole.denominator) == (4, 2)
 
 
 def test_blades_of_two_grade_classes_are_rejected_at_compile():
@@ -281,7 +293,7 @@ def test_placed_lemma_kernels_equal_compiles_of_placed_lifts(lemma_id, n):
     identity's own placements and for every other one."""
     spec = LEMMA_CHECKS[lemma_id]
     _assert_placed_equals_compile_of_placed_lift(
-        _lemma_kernel(spec, n), spec.word_flavors, lambda form: lemma_lift(spec.lift, form, n),
+        kernel_of(spec, n), spec.word_flavors, lambda form: lemma_lift(spec.lift, form, n),
         spec.form_degree or 0, n, n // 2,
     )
 
@@ -292,14 +304,14 @@ def test_placed_density_kernels_equal_compiles_of_placed_lifts(functional_id, m)
     spec = FUNCTIONALS[functional_id]
     n = 2 * m
     _assert_placed_equals_compile_of_placed_lift(
-        _density_kernel(spec, n), spec.arg_flavors, spec.lift, spec.torsion_degree, n, m,
+        kernel_of(spec, n), spec.arg_flavors, spec.lift, spec.torsion_degree, n, m,
     )
 
 
 def test_plain_placement_is_the_kernel_and_unknown_ones_raise():
-    empty = _lemma_kernel(LEMMA_CHECKS["L3.5"], 4)
+    empty = kernel_of(LEMMA_CHECKS["L3.5"], 4)
     assert not empty.coeffs
-    for kernel in (_lemma_kernel(LEMMA_CHECKS["L2.5"], 4), empty):
+    for kernel in (kernel_of(LEMMA_CHECKS["L2.5"], 4), empty):
         assert kernel.weight("plain") == 1
         for placement in ("interor", "Before", ""):
             with pytest.raises(ValueError, match="before, after or interior"):
@@ -322,7 +334,7 @@ def _count_compiles(monkeypatch) -> list:
 @pytest.mark.parametrize("lemma_id", sorted(LEMMA_CHECKS) + sorted(_LEMMA_ALIASES))
 def test_lemma_check_compiles_one_kernel(monkeypatch, lemma_id):
     # kernels are memoized per shape, so the count starts from an empty memo
-    residue_module._shape_kernel.cache_clear()
+    residue_module._kernel.cache_clear()
     calls = _count_compiles(monkeypatch)
     lemma_check(lemma_id, 4, trials=1)
     assert len(calls) == 1
@@ -342,18 +354,30 @@ def test_default_lemma_suite_compiles_one_kernel_per_shape(monkeypatch):
     # ten shapes at each of n = 4 and 6: L2.4/L2.5, L3.4a/L3.6a/L3.6b,
     # L3.4b/L3.5, L3.7a/L3.9, L3.7b/L3.8, L4.5/L4.6a/L4.6b, L4.7/L4.8 share
     # kernels; B5.8, B5.10 and M6.2 have their own
-    residue_module._shape_kernel.cache_clear()
+    residue_module._kernel.cache_clear()
     calls = _count_compiles(monkeypatch)
     reports = list(_run_checks("lemmas", DEFAULT_LEMMA_DIMENSIONS, (), (), 1, 0))
     assert len(reports) == 2 * len(LEMMA_CHECKS) == 38
     assert len(calls) == 20
 
 
+def test_default_all_suite_compiles_each_shape_once(monkeypatch):
+    # the 20 lemma kernels, plus T2 and T3 at n = 4 and 6: T1, T4 and T5
+    # are the shapes of L2.4, L4.5 and L4.7, and Psi1 and Psi2 those of B5.8
+    # and B5.10; the commutator check compiles no kernel
+    residue_module._kernel.cache_clear()
+    calls = _count_compiles(monkeypatch)
+    reports = list(_run_checks("all", DEFAULT_LEMMA_DIMENSIONS, DEFAULT_SYMBOL_ORDERS,
+                               DEFAULT_COMMUTATOR_DIMENSIONS, 1, 0))
+    assert len(reports) == 38 + 10 + 4 + 4
+    assert len(calls) == 24
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_memoized_lemma_kernels_are_immutable(n):
-    for spec in LEMMA_CHECKS.values():
-        kernel = _lemma_kernel(spec, n)
-        assert _lemma_kernel(spec, n) is kernel
+    for spec in [*LEMMA_CHECKS.values(), *FUNCTIONALS.values()]:
+        kernel = kernel_of(spec, n)
+        assert kernel_of(spec, n) is kernel
         for part in (kernel.basis, kernel.columns, kernel.coeffs):
             assert type(part) is tuple
         assert all(type(column) is tuple for column in kernel.columns)
@@ -377,7 +401,7 @@ def test_one_contraction_serves_every_placement(monkeypatch, lemma_id, n):
     """Each trial contracts the identity's one kernel once for all its
     placements, and not at all when every placement's weight is 0."""
     spec = LEMMA_CHECKS[lemma_id]
-    kernel = _lemma_kernel(spec, n)
+    kernel = kernel_of(spec, n)
     contracted = any(kernel.weight(placement) for placement in spec.placements)
     calls = _count_contractions(monkeypatch)
     lemma_check(lemma_id, n, trials=3)
@@ -406,9 +430,35 @@ def test_densities_compile_one_kernel_per_call(monkeypatch, functional_id):
         lambda: spectral_density(functional_id, T, vectors, 2),
         lambda: density_decomposition(functional_id, T, vectors, 2),
     ):
+        # kernels are memoized per shape, so each count starts from an empty memo
+        residue_module._kernel.cache_clear()
         calls.clear()
         call()
         assert len(calls) == 1
+
+
+# Past n = 16 the blade sign rules are wrong, and L2.4 and B5.8 gave false
+# fails at n = 34; every entry point refuses n > MAX_DIMENSION at its compile.
+PAST_MAX_M = MAX_DIMENSION // 2 + 1
+PAST_MAX_N = 2 * PAST_MAX_M
+E1 = basis_vector(PAST_MAX_N, 1)
+PAST_MAX_DENSITY_ARGS = ("T1", AntiSymForm(PAST_MAX_N, 2, {(1, 2): Fraction(1)}), [E1, E1], PAST_MAX_M)
+PAST_MAX_ENTRY_POINTS = {
+    "lemma_check": lambda: lemma_check("L2.4", 34, trials=3),
+    "lemma_check_boundary": lambda: lemma_check("B5.8", 34, trials=3),
+    "verify_theorem": lambda: verify_theorem("T1", PAST_MAX_M, trials=1),
+    "verify_boundary": lambda: verify_boundary("psi1", PAST_MAX_M, trials=1),
+    "boundary_density": lambda: boundary_module.boundary_density(
+        boundary_module.BoundaryArgs("psi1", E1, E1, E1, PAST_MAX_M)),
+    "spectral_density": lambda: spectral_density(*PAST_MAX_DENSITY_ARGS),
+    "density_decomposition": lambda: density_decomposition(*PAST_MAX_DENSITY_ARGS),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(PAST_MAX_ENTRY_POINTS))
+def test_entry_points_reject_n_past_max_dimension(entry_point):
+    with pytest.raises(ValueError, match=f"1 <= n <= {MAX_DIMENSION}, got"):
+        PAST_MAX_ENTRY_POINTS[entry_point]()
 
 
 class TestKernelTraceInputs:
@@ -416,7 +466,7 @@ class TestKernelTraceInputs:
     truncating them."""
 
     def test_vector_count_checked(self):
-        kernel = _lemma_kernel(LEMMA_CHECKS["B5.8"], 4)
+        kernel = kernel_of(LEMMA_CHECKS["B5.8"], 4)
         vectors = [basis_vector(4, 4), basis_vector(4, 1), basis_vector(4, 1), basis_vector(4, 2)]
         assert kernel.trace(None, vectors[:3]) == 16
         for count in (2, 4):
@@ -431,7 +481,7 @@ class TestKernelTraceInputs:
             kernel.trace(None, [basis_vector(4, 1)])
 
     def test_form_checked(self):
-        kernel = _lemma_kernel(LEMMA_CHECKS["L2.4"], 4)
+        kernel = kernel_of(LEMMA_CHECKS["L2.4"], 4)
         vectors = [basis_vector(4, 1), basis_vector(4, 2)]
         assert kernel.trace(AntiSymForm(4, 2, {(1, 2): Fraction(1)}), vectors) == -16
         # read in the n = 4 basis order, this form's (5, 6) entry would be dropped
@@ -439,12 +489,12 @@ class TestKernelTraceInputs:
         for form in (wider, AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)}), None):
             with pytest.raises(ValueError, match="degree-2 form with n=4"):
                 kernel.trace(form, vectors)
-        boundary = _lemma_kernel(LEMMA_CHECKS["B5.8"], 4)
+        boundary = kernel_of(LEMMA_CHECKS["B5.8"], 4)
         with pytest.raises(ValueError, match="takes no form"):
             boundary.trace(AntiSymForm(4, 2, {(1, 2): Fraction(1)}), vectors + [basis_vector(4, 3)])
 
     def test_vector_length_checked(self):
-        kernel = _lemma_kernel(LEMMA_CHECKS["L2.4"], 4)
+        kernel = kernel_of(LEMMA_CHECKS["L2.4"], 4)
         T = AntiSymForm(4, 2, {(1, 2): Fraction(1)})
         for short, long in ((basis_vector(4, 1)[:3], basis_vector(4, 2)), (basis_vector(4, 1), basis_vector(6, 2))):
             with pytest.raises(ValueError, match="length n=4"):
