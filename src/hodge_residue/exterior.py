@@ -35,9 +35,7 @@ rules do all the work:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .scalars import GaussianRational, as_gaussian
 
@@ -164,21 +162,10 @@ class LinearOp:
             raise ValueError("operator dimension mismatch")
         n = self.n
         out: Dict[int, object] = {}
-        right = other.blades.items()
         for x, a in self.blades.items():
             signs = _product_signs(n, x)
-            # generators and their words carry unit coefficients: where one
-            # side is +-1 the product is only a sign
-            if a == 1 or a == -1:
-                flip = a == -1
-                for y, b in right:
-                    odd = (signs & y).bit_count() & 1
-                    _accumulate(out, x ^ y, -b if odd ^ flip else b)
-                continue
-            minus_a = -a
-            for y, b in right:
-                v = minus_a if (signs & y).bit_count() & 1 else a
-                _accumulate(out, x ^ y, v if b == 1 else -v if b == -1 else v * b)
+            for y, b in other.blades.items():
+                _accumulate(out, x ^ y, -a * b if (signs & y).bit_count() & 1 else a * b)
         return LinearOp(n, out)
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
@@ -219,8 +206,6 @@ def trace_product(a: LinearOp, b: LinearOp) -> GaussianRational:
     if a.n != b.n:
         raise ValueError("operator dimension mismatch")
     n = a.n
-    if len(a.blades) > len(b.blades):
-        a, b = b, a
     other = b.blades
     total = 0
     for key, u in a.blades.items():
@@ -266,33 +251,18 @@ def clifford(flavor: str, u: Sequence) -> LinearOp:
     })
 
 
-def _integer_scaled(values: Iterable) -> Tuple[List[int], int]:
-    """``(q * values, q)`` as integers, with ``q`` the lcm of the denominators
-    of the rational (``int`` or ``Fraction``) ``values``."""
-    values = list(values)
-    q = lcm(*(x.denominator for x in values))
-    return [x.numerator * (q // x.denominator) for x in values], q
-
-
 def clifford_word(n: int, letters: Sequence[Tuple[str, Sequence]]) -> LinearOp:
     """Product of Clifford actions, leftmost letter outermost.
 
-    ``letters`` is a sequence of ``(flavor, vector)`` pairs with rational
-    (``int`` or ``Fraction``) vector entries; the returned operator is
-    ``clifford(f_1, u_1) o ... o clifford(f_k, u_k)``.  The word is
-    multilinear in the vectors, so each vector is scaled to integers by the
-    lcm of its entry denominators, the integer letters are composed, and
-    every blade is divided once by the product of the scales.
+    ``letters`` is a sequence of ``(flavor, vector)`` pairs; the returned
+    operator is ``clifford(f_1, u_1) o ... o clifford(f_k, u_k)``.
     """
     op = LinearOp.identity(n)
-    scale = 1
     for flavor, u in letters:
         if len(u) != n:
             raise ValueError("vector length must equal n")
-        ints, q = _integer_scaled(u)
-        op = op.compose(clifford(flavor, ints))
-        scale *= q
-    return LinearOp(n, {key: Fraction(c, scale) for key, c in op.blades.items()})
+        op = op.compose(clifford(flavor, u))
+    return op
 
 
 def _generator_blade(n: int, letters: Iterable[Tuple[str, int]]) -> Tuple[int, int]:

@@ -8,13 +8,12 @@ operators whose traces the residue densities consume.  Each named lift is
 defined once, as integer terms over one denominator in :data:`LIFT_TERMS`;
 :func:`_term_blades` gives a table's blades on one basis form.  The trace
 kernels of :mod:`hodge_residue.residue` compile from it directly, and
-``lift_<name>``, :func:`lift_monotone` and :func:`lift_ordered` build whole
-operators from it.  A monotone term sums over increasing tuples: for a single
-flavor it is the ordered sum ``/ k!``, and for a mixed pattern it ties each
-flavor to index order, so the lift is not frame covariant.  An ordered term
-sums over all pairwise-distinct ordered tuples with the antisymmetrically
-extended coefficient, needed for mixed patterns such as ``torsion_assembly``'s
-``c chat chat``.
+``lift_<name>`` builds the whole operator from it.  A monotone term sums over
+increasing tuples: for a single flavor it is the ordered sum ``/ k!``, and
+for a mixed pattern it ties each flavor to index order, so the lift is not
+frame covariant.  An ordered term sums over all pairwise-distinct ordered
+tuples with the antisymmetrically extended coefficient, needed for mixed
+patterns such as ``torsion_assembly``'s ``c chat chat``.
 
 The random trials of the checks run in integers.  :func:`_random_doubled` is
 the one draw: it reads entries ``p/q`` (``p`` in ``[-3, 3]``, ``q`` in
@@ -22,15 +21,16 @@ the one draw: it reads entries ``p/q`` (``p`` in ``[-3, 3]``, ``q`` in
 ``choice`` would, and returns each doubled, as the integer ``2p/q``.
 :func:`random_vector` and :func:`random_form` halve it into ``Fraction``
 values.  :func:`_minor_contract` is the one contraction of a form with
-vectors, ``sum_I T_I det(vectors restricted to I)`` over integers, run on
-the minor plan :func:`_minor_plan` builds once per ``(n, degree)`` and
-process; :func:`form_contract` is its ``Fraction`` wrapper.
+vectors, ``sum_I T_I det(vectors restricted to I)``, run on the minor plan
+:func:`_minor_plan` builds once per ``(n, degree)`` and process; the checks
+call it on integers, and :func:`form_contract` on the form's own values.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -38,7 +38,7 @@ from operator import add, itemgetter, mul, sub
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
-from .exterior import LinearOp, _accumulate, _check_flavor, _generator_blade, _integer_scaled
+from .exterior import LinearOp, _accumulate, _check_flavor, _generator_blade
 
 
 def _sort_with_sign(indices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
@@ -86,13 +86,6 @@ class AntiSymForm:
                     clean[sorted_idx] = value
         self.entries = clean
 
-    @classmethod
-    def _of(cls, n: int, degree: int, entries: Dict[Tuple[int, ...], object]) -> "AntiSymForm":
-        """A form from nonzero values at increasing in-range tuples, unchecked."""
-        form = cls.__new__(cls)
-        form.n, form.degree, form.entries = n, degree, entries
-        return form
-
     def value(self, indices: Sequence[int]):
         """Value at an arbitrary index tuple (antisymmetric extension)."""
         if len(indices) != self.degree:
@@ -124,31 +117,15 @@ def _check_degree(n: int, degree: int) -> None:
 
 
 def form_contract(form: AntiSymForm, vectors: Sequence[Sequence]) -> Fraction:
-    """Evaluate the form on ``degree`` many vectors (exact).
-
-    Computed as ``sum_I form(I) * det(vectors restricted to I)`` by
-    :func:`_minor_contract`, on the columns the form's entries use, so a
-    sparse form costs what its support costs.  The value is multilinear, so
-    each vector and the form's values are scaled to integers by the lcm of
-    their denominators, the sum stays in integers, and the result is one
-    ``Fraction``.
-    """
+    """Evaluate the form on ``degree`` many vectors (exact):
+    ``sum_I form(I) * det(vectors restricted to I)`` by :func:`_minor_contract`."""
     if len(vectors) != form.degree:
         raise ValueError("number of vectors must equal the form degree")
-    used = sorted({j for idx in form.entries for j in idx})
-    rows = []
-    denominator = 1
-    for u in vectors:
-        if len(u) != form.n:
-            raise ValueError("vector length must equal n")
-        ints, q = _integer_scaled([u[j - 1] for j in used])
-        rows.append(ints)
-        denominator *= q
-    if len(used) < form.degree:
-        return Fraction(0)
-    basis = itertools.combinations(used, form.degree)
-    values, q = _integer_scaled([form.entries.get(idx, 0) for idx in basis])
-    return Fraction(_minor_contract(len(used), values, rows), denominator * q)
+    if any(len(u) != form.n for u in vectors):
+        raise ValueError("vector length must equal n")
+    basis = itertools.combinations(range(1, form.n + 1), form.degree)
+    values = [form.entries.get(idx, 0) for idx in basis]
+    return Fraction(_minor_contract(form.n, values, vectors))
 
 
 def _reader(indices: Sequence[int]) -> Callable[[Sequence], Tuple]:
@@ -189,8 +166,9 @@ def _minor_plan(n: int, degree: int) -> Tuple[Tuple[Tuple[Callable, Callable, Ca
 
 
 def _minor_contract(n: int, values: Sequence[int], rows: Sequence[Sequence[int]]) -> int:
-    """``sum_I values[I] * det(rows restricted to I)`` in integers, ``values``
-    in the basis order of a degree-``len(rows)`` form on ``R^n``.
+    """``sum_I values[I] * det(rows restricted to I)``, exact for integer or
+    ``Fraction`` entries, ``values`` in the basis order of a
+    degree-``len(rows)`` form on ``R^n``.
 
     Each level of :func:`_minor_plan` is one ``map`` pass per position in
     its subsets, so the minors of the lower rows are shared by every index
@@ -229,8 +207,8 @@ LIFT_TERMS: Dict[str, Tuple[int, Tuple[LiftTerm, ...]]] = {
     # The flavors follow index order (c on the two lowest indices), so this
     # lift is not frame covariant: it does not commute with signed
     # permutations of the frame.  README's acceptance table gives the
-    # consequence for T4 and L4.x and names the covariant alternative,
-    # lift_ordered(form, ("c", "c", "chat", "chat")) / 4.
+    # consequence for T4 and L4.x and names the covariant alternative, the
+    # ordered term (1, ("c", "c", "chat", "chat"), True) over denominator 4.
     "four_mixed": (1, ((1, ("c", "c", "chat", "chat"), False),)),
     "four_chat": (1, ((1, ("chat",) * 4, False),)),
 }
@@ -267,21 +245,6 @@ def _lift(form: AntiSymForm, denominator: int, terms: Sequence[LiftTerm]) -> Lin
         for key, c in _term_blades(form.n, terms, idx).items():
             _accumulate(blades, key, value * Fraction(c, denominator))
     return LinearOp(form.n, blades)
-
-
-def lift_monotone(form: AntiSymForm, flavors: Sequence[str]) -> LinearOp:
-    """``sum_{i_1 < ... < i_k} form(I) * gen(f_1, i_1) o ... o gen(f_k, i_k)``."""
-    return _lift(form, 1, [(1, tuple(flavors), False)])
-
-
-def lift_ordered(form: AntiSymForm, flavors: Sequence[str]) -> LinearOp:
-    """Sum over all pairwise-distinct ordered tuples with signed coefficients.
-
-    ``sum_{(i_1,...,i_k) distinct} form(i_1,...,i_k) * gen(f_1,i_1) o ...``;
-    the antisymmetric extension supplies the permutation signs, so only the
-    orderings of each stored (increasing) index tuple contribute.
-    """
-    return _lift(form, 1, [(1, tuple(flavors), True)])
 
 
 def lift_two_chat(form: AntiSymForm) -> LinearOp:
@@ -346,7 +309,7 @@ def random_form(n: int, degree: int, rng) -> AntiSymForm:
     _check_degree(n, degree)
     basis = itertools.combinations(range(1, n + 1), degree)
     doubled = _random_doubled(comb(n, degree), rng)
-    return AntiSymForm._of(n, degree, {idx: Fraction(x, 2) for idx, x in zip(basis, doubled) if x})
+    return AntiSymForm(n, degree, {idx: Fraction(x, 2) for idx, x in zip(basis, doubled) if x})
 
 
 def random_vector(n: int, rng) -> List[Fraction]:
@@ -397,9 +360,19 @@ def _as_int(value: object, what: str) -> int:
 
 
 def _as_fraction(value: object, what: str) -> Fraction:
-    """An exact rational given as a JSON number or a string such as ``"-3/2"``."""
+    """An exact rational given as a JSON number or a string such as ``"-3/2"``.
+
+    A decimal exponent past ``sys.get_int_max_str_digits()`` in magnitude is
+    refused before ``Fraction`` forms its power of ten, as a literal of that
+    many digits is; a limit of 0 turns the check off, as it does for ``int``.
+    """
+    text = str(value)
+    limit = sys.get_int_max_str_digits()
     try:
-        return Fraction(str(value))
+        _, marker, exponent = text.lower().partition("e")
+        if marker and limit and abs(int(exponent)) > limit:
+            raise ValueError("exponent past the digit limit")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{what} must be a rational number, got {value!r}") from None
 

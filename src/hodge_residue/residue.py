@@ -47,11 +47,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import forms
-from .exterior import FLAVORS, LinearOp, _check_n, _generator_key, _integer_scaled, _product_signs
+from .exterior import FLAVORS, LinearOp, _check_n, _generator_key, _product_signs
 from .forms import LIFT_TERMS, AntiSymForm, _minor_contract, _random_doubled, _reader, _term_blades
 from .scalars import GaussianRational, I, ONE, SymbolicScalar, ZERO, sphere_volume
 from .symbols import _grade_weights
@@ -110,6 +111,13 @@ def _traceable(word: Sequence[str], flavors: Sequence[str]) -> bool:
     these flavors: its indices are distinct, so each blade sets as many bits
     in each half as the term has letters of that flavor."""
     return all(word.count(f) >= flavors.count(f) and (word.count(f) - flavors.count(f)) % 2 == 0 for f in FLAVORS)
+
+
+def _integer_scaled(values: Sequence) -> Tuple[List[int], int]:
+    """``(q * values, q)`` as integers, with ``q`` the lcm of the denominators
+    of the rational (``int`` or ``Fraction``) ``values``."""
+    q = lcm(*(x.denominator for x in values))
+    return [x.numerator * (q // x.denominator) for x in values], q
 
 
 class TraceKernel:

@@ -12,7 +12,8 @@ LEAVES = (
     | st.booleans()
     | st.integers(min_value=-2, max_value=8)
     | st.floats()
-    | st.sampled_from(["1", "-3/2", "0.5", "1/0", "0/0", "x", "", "[1]", "1e400", "-1e400", "1e5000"])
+    | st.sampled_from(["1", "-3/2", "0.5", "1/0", "0/0", "x", "", "[1]", "1e400", "-1e400", "1e5000",
+                       "1e999999999", "-1e-999999999"])
     | st.text(max_size=4)
 )
 KEYS = st.sampled_from(["n", "degree", "entries", "idx", "value", "vectors"]) | st.text(max_size=3)

@@ -144,7 +144,6 @@ class TestVerifyBuildsNoOperator:
         residue_module._kernel.cache_clear()
         boundary_module._residue_kernel.cache_clear()
         monkeypatch.setattr(AntiSymForm, "__init__", refuse)
-        monkeypatch.setattr(AntiSymForm, "_of", refuse)
         monkeypatch.setattr(LinearOp, "__init__", refuse)
         result = runner.invoke(main, ["verify", "--suite", suite, "--trials", "2"])
         # the lemma and theorem suites exit 1 by design; anything raised
@@ -384,23 +383,29 @@ MALFORMED_INPUTS = [
     ("density", "vectors", [1, 2]),
     ("boundary", "vectors", {"vectors": 3}),
     ("boundary", "vectors", [1, 2]),
+    # a decimal exponent past the digit limit: Fraction would form the power
+    # of ten first, which takes hours
+    ("density", "form", {"n": 4, "degree": 3, "entries": [{"idx": [1, 2, 3], "value": "1e999999999"}]}),
+    ("density", "vectors", {"vectors": [["-1e-999999999", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]]}),
+    ("boundary", "vectors", {"vectors": [["1e999999999", "0", "0", "1"], ["1", "0", "0", "0"], ["1", "0", "0", "0"]]}),
+    ("boundary", "vectors", {"vectors": [["-1e-999999999", "0", "0", "1"], ["1", "0", "0", "0"], ["1", "0", "0", "0"]]}),
 ]
 
 
 def _invoke_with_payload(runner, directory, command, bad_file, payload):
-    return _invoke_with_text(runner, directory, command, bad_file, json.dumps(payload))
+    return _invoke_with_texts(runner, directory, command, {bad_file: json.dumps(payload)})
 
 
-def _invoke_with_text(runner, directory, command, bad_file, text):
+def _invoke_with_texts(runner, directory, command, replaced):
     """Run ``density T2 --m 2`` or ``boundary psi1 --m 2`` with valid input
-    files except ``bad_file``, which holds ``text``."""
+    files except those ``replaced`` names, each holding its text."""
     if command == "density":
         args = ["density", "T2", "--m", "2"]
         texts = {"form": FORM3_JSON, "vectors": VECTORS3_JSON}
     else:
         args = ["boundary", "psi1", "--m", "2"]
         texts = {"vectors": BOUNDARY_VECTORS_JSON}
-    texts[bad_file] = text
+    texts.update(replaced)
     for name, text in texts.items():
         path = Path(directory) / f"{name}.json"
         path.write_text(text, encoding="utf-8")
@@ -421,7 +426,7 @@ class TestMalformedInput:
     def test_deeply_nested_json_exits_2(self, runner, tmp_path, command, bad_file):
         # raw text: json.dumps cannot build a payload nested this deep
         text = "[" * 100_000 + "]" * 100_000
-        result = _invoke_with_text(runner, tmp_path, command, bad_file, text)
+        result = _invoke_with_texts(runner, tmp_path, command, {bad_file: text})
         assert result.exit_code == 2, result.output
         assert "invalid input" in result.output
 
@@ -437,15 +442,17 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command,bad_file", [("density", "form"), ("boundary", "vectors")])
     def test_exact_value_past_the_digit_limit_exits_2(self, runner, tmp_path, command, bad_file):
-        # "1e5000" parses exactly, but the interpreter will not print an
-        # integer of more than sys.get_int_max_str_digits() digits
+        # each "1e3000" parses within sys.get_int_max_str_digits(), but the
+        # interpreter will not print their product, an integer of more digits
         if command == "density":
-            payload = json.loads(FORM3_JSON)
-            payload["entries"][0]["value"] = "1e5000"
+            form, vectors = json.loads(FORM3_JSON), json.loads(VECTORS3_JSON)
+            form["entries"][0]["value"] = vectors["vectors"][0][0] = "1e3000"
+            replaced = {bad_file: json.dumps(form), "vectors": json.dumps(vectors)}
         else:
-            payload = json.loads(BOUNDARY_VECTORS_JSON)
-            payload["vectors"][0][3] = "1e5000"
-        result = _invoke_with_payload(runner, tmp_path, command, bad_file, payload)
+            vectors = json.loads(BOUNDARY_VECTORS_JSON)
+            vectors["vectors"][0][3] = vectors["vectors"][1][0] = "1e3000"
+            replaced = {bad_file: json.dumps(vectors)}
+        result = _invoke_with_texts(runner, tmp_path, command, replaced)
         assert result.exit_code == 2, result.output
         assert f"invalid input: the exact value has an integer of more than {sys.get_int_max_str_digits()} digits" \
             in result.output

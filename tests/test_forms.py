@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -17,11 +18,10 @@ from hodge_residue.forms import (
     form_from_json,
     lift_four_chat,
     lift_four_mixed,
-    lift_monotone,
-    lift_ordered,
     lift_three_c,
     lift_three_mixed,
     lift_torsion_assembly,
+    _as_fraction,
     _minor_contract,
     _minor_plan,
     _random_doubled,
@@ -32,7 +32,7 @@ from hodge_residue.forms import (
 )
 from json_fuzz import JSON_PAYLOADS
 from mixed_rationals import mixed_form, mixed_vector
-from word_reference import generator_word
+from word_reference import generator_word, lift_monotone, lift_ordered
 
 
 class TestAntiSymForm:
@@ -336,6 +336,13 @@ class TestJsonRoundTrip:
             form_from_json({"n": 4, "degree": 2, "entries": [{"idx": [1], "value": "1"}]})
         with pytest.raises((ValueError, KeyError)):
             vectors_from_json({"vectors": "nope"})
+
+    def test_decimal_exponent_is_bounded_by_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert _as_fraction(f"1e{limit}", "a value") == 10 ** limit
+        for text in (f"1e{limit + 1}", f"-1e-{limit + 1}"):
+            with pytest.raises(ValueError, match="a value must be a rational number"):
+                _as_fraction(text, "a value")
 
     def test_str_is_json_text_never_a_path(self, tmp_path, monkeypatch):
         form = AntiSymForm(4, 2, {(1, 4): Fraction(-1, 2)})

@@ -1,21 +1,26 @@
 """Every module-level import under ``src/hodge_residue/`` and ``tests/`` is used,
-and every private module-level name of the package has a caller in it.
+every private module-level name of the package has a caller in it, and every
+public function or class of the package is reached by more than the tests.
 
 An import counts as used when its bound name appears as a name anywhere in
 the module, including inside quoted annotations.  The package's
 ``__init__.py`` exists to re-export names, so it is exempt.  A private
 (``_``-prefixed) function, class or constant counts as called when some
 module of the package reads it by name; a test's use does not count, so a
-helper only tests use lives in the tests.
+helper only tests use lives in the tests.  A public top-level function or
+class is reached when ``__all__`` lists it, a module of the package or a
+file under ``bench/`` reads it, or it is decorated (the click commands).
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "hodge_residue"
+BENCH = TESTS.parent / "bench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(TESTS.glob("*.py"))
 
@@ -95,25 +100,46 @@ def _read_names(tree: ast.Module) -> set:
     return read | set(_quoted_names(tree))
 
 
+@lru_cache(maxsize=None)
+def _read_in(path: Path) -> frozenset:
+    return frozenset(_read_names(ast.parse(path.read_text(encoding="utf-8"))))
+
+
 PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=_module_id)
 def test_private_names_have_a_package_caller(path):
-    read = set().union(*(_read_names(ast.parse(p.read_text(encoding="utf-8"))) for p in PACKAGE_MODULES))
+    read = set().union(*map(_read_in, PACKAGE_MODULES))
     private = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
     uncalled = [(name, line) for name, line in private if name not in read]
     assert not uncalled, f"{path.name}: private names no package module reads {uncalled}"
+
+
+def _listed_in_all() -> list:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    [listed] = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    ]
+    return [ast.literal_eval(element) for element in listed.elts]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
+def test_public_names_are_reached_by_more_than_the_tests(path):
+    reached = set(_listed_in_all()).union(*map(_read_in, PACKAGE_MODULES + sorted(BENCH.rglob("*.py"))))
+    unreached = [
+        (node.name, node.lineno) for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and not node.decorator_list and node.name not in reached
+    ]
+    assert not unreached, f"{path.name}: public names only the tests reach {unreached}"
 
 
 def test_all_lists_exactly_the_reexported_names():
     """``from hodge_residue import *`` gives every name ``__init__.py``
     imports from the package's modules, and nothing else."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    [listed] = [
-        node.value for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-    ]
-    exported = [ast.literal_eval(element) for element in listed.elts]
+    exported = _listed_in_all()
     assert len(exported) == len(set(exported))
     assert set(exported) == set(_imported_names(tree))

@@ -17,6 +17,8 @@ package's degree-0 kernel route to it.
 :func:`lemma_lift` is the operator a trace identity's lift key names, and
 :func:`compile_lift` compiles a trace kernel from a whole operator lift of
 each basis form, the route the package's term tables replace.
+:func:`lift_monotone` and :func:`lift_ordered` lift a form by one monotone
+or one ordered term of any flavor pattern, on the package's ``forms._lift``.
 :func:`generator_word` and :func:`pi_minus` have no caller in the package
 and serve the tests' structural laws.
 """
@@ -77,6 +79,21 @@ def lemma_lift(kind, form, n: int) -> LinearOp:
     if kind == "normal_c":
         return clifford_generator("c", n, n)
     return getattr(forms, f"lift_{kind}")(form)
+
+
+def lift_monotone(form: AntiSymForm, flavors) -> LinearOp:
+    """``sum_{i_1 < ... < i_k} form(I) * gen(f_1, i_1) o ... o gen(f_k, i_k)``."""
+    return forms._lift(form, 1, [(1, tuple(flavors), False)])
+
+
+def lift_ordered(form: AntiSymForm, flavors) -> LinearOp:
+    """Sum over all pairwise-distinct ordered tuples with signed coefficients.
+
+    ``sum_{(i_1,...,i_k) distinct} form(i_1,...,i_k) * gen(f_1,i_1) o ...``;
+    the antisymmetric extension supplies the permutation signs, so only the
+    orderings of each stored (increasing) index tuple contribute.
+    """
+    return forms._lift(form, 1, [(1, tuple(flavors), True)])
 
 
 def compile_lift(n: int, flavors, lift, degree: int) -> TraceKernel:
