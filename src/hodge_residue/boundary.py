@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+from .exterior import _check_n
 from .forms import _random_doubled
 from .residue import LEMMA_CHECKS, CheckReport, TraceKernel, _kernel, _trial_loop, boundary_contraction
 from .scalars import (
@@ -288,9 +289,11 @@ def _residue_kernel(m: int) -> Tuple[Tuple[int, SymbolicScalar], ...]:
     ``K = moment(alpha) * sum_t line_integral(coeff_t d/(xi_n - pole_t)^order_t)``
     over the terms of ``pi_plus`` of the partial fractions of the channel
     ``(a, r)`` keyed ``alpha``; a channel whose computed moment is zero
-    contributes no pair.
+    contributes no pair.  ``n = 2m`` past ``MAX_DIMENSION`` raises
+    ``ValueError`` before any channel is built.
     """
     n = 2 * m
+    _check_n(n)
     derivative = normal_derivative_symbol(m)
     kernel = []
     for alpha, (a, scalar) in resolvent_symbol_channels(n).items():

@@ -363,18 +363,18 @@ def _as_fraction(value: object, what: str) -> Fraction:
     """An exact rational given as a JSON number or a string such as ``"-3/2"``.
 
     A decimal exponent past ``sys.get_int_max_str_digits()`` in magnitude is
-    refused before ``Fraction`` forms its power of ten, as a literal of that
-    many digits is; a limit of 0 turns the check off, as it does for ``int``.
+    refused, naming the limit, before ``Fraction`` forms its power of ten, as
+    a literal of that many digits is; a limit of 0 turns the check off.
     """
     text = str(value)
     limit = sys.get_int_max_str_digits()
     try:
         _, marker, exponent = text.lower().partition("e")
-        if marker and limit and abs(int(exponent)) > limit:
-            raise ValueError("exponent past the digit limit")
-        return Fraction(text)
+        if not (marker and limit and abs(int(exponent)) > limit):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{what} must be a rational number, got {value!r}") from None
+    raise ValueError(f"{what} must have a decimal exponent of at most {limit} in magnitude, got {value!r}")
 
 
 def _load_json(data: Union[dict, str, Path]) -> dict:

@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import forms
 from .exterior import FLAVORS, LinearOp, _check_n, _generator_key, _product_signs
 from .forms import LIFT_TERMS, AntiSymForm, _minor_contract, _random_doubled, _reader, _term_blades
-from .scalars import GaussianRational, I, ONE, SymbolicScalar, ZERO, sphere_volume
+from .scalars import GaussianRational, I, ONE, SymbolicScalar, sphere_volume
 from .symbols import _grade_weights
 
 
@@ -241,7 +241,8 @@ def _compile(word_flavors: Tuple[str, ...], lift: Optional[str], n: int) -> Trac
     """The plain trace kernel of the word against a lift: a
     :data:`~hodge_residue.forms.LIFT_TERMS` key, whose terms the word cannot
     trace are skipped, ``"normal_c"`` (the blade ``c_n``) or ``None`` (the
-    identity)."""
+    identity).  ``n`` past ``MAX_DIMENSION`` raises before any slot is built."""
+    _check_n(n)
     if lift is None:
         return TraceKernel(n, word_flavors, [{0: 1}], 0)
     if lift == "normal_c":
@@ -322,15 +323,13 @@ def _sides(value: SymbolicScalar, expected: SymbolicScalar, denominator: int) ->
     equals ``expected * unit`` exactly when ``c * re_left == unit * re_right``
     and ``c * im_left == unit * im_right``.
 
-    ``value`` has one symbolic unit, and ``expected`` must be a multiple of
-    it.  Its real and its imaginary part, ``p * c / D = q * unit``, are each
+    ``expected`` must be a multiple of the unit of ``value``.  Their
+    coefficients ``p`` and ``q`` give ``p * c / D = q * unit``, each part
     cleared of denominators into ``c * (p.num q.den) = unit * (q.num p.den D)``.
     """
-    [key] = value.terms
-    if expected.terms.keys() - {key}:
-        unit = " * ".join(SymbolicScalar._render_units(key)) or "1"
-        raise ValueError(f"the closed form is not a multiple of {unit}")
-    p, q = value.terms[key], expected.terms.get(key, ZERO)
+    if not value.shares_unit(expected):
+        raise ValueError(f"the closed form is not a multiple of {value.unit_text()}")
+    p, q = value.coeff, expected.coeff
     return tuple(
         side
         for a, b in ((p.re, q.re), (p.im, q.im))
@@ -645,16 +644,12 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
         raise ValueError("n must be even and >= 4")
 
     # a placement's trace is weight * 2^n c / D, times V(S^{n-1}) for a
-    # sandwiched (cosphere-integrated) one
-    scale = 1 << n
+    # sandwiched (cosphere-integrated) one, and its closed form ratio times that
     kernel = _kernel(spec.word_flavors, spec.lift, n)
     comparisons = []
     for placement in placements:
-        spheres = () if placement == "plain" else (n - 1,)
-        comparisons.append((
-            placement, kernel.weight(placement), SymbolicScalar.unit(scale, spheres=spheres),
-            SymbolicScalar.unit(scale * spec.ratio, spheres=spheres),
-        ))
+        value = SymbolicScalar.unit(1 << n, spheres=() if placement == "plain" else (n - 1,))
+        comparisons.append((placement, kernel.weight(placement), value, value * spec.ratio))
     rng = random.Random(f"{seed}:lemma:{lemma_id}:{n}")
 
     def draw():

@@ -6,19 +6,19 @@ Three layers of scalars appear in the computations:
 * ``GaussianRational`` -- complex numbers with rational real and imaginary
   parts, closed under field operations.  These are the coefficients of
   every operator and of every symbolic quantity.
-* ``SymbolicScalar`` -- finite linear combinations of unit monomials
-  ``pi^a * V(S^{d1})^{e1} * ...`` with ``GaussianRational`` coefficients,
-  where ``V(S^d)`` denotes the volume of the round unit ``d``-sphere.
-  Sphere volumes and powers of ``pi`` are carried symbolically so every
-  comparison stays exact; :meth:`SymbolicScalar.numeric` evaluates to a
-  ``complex`` float only when explicitly requested.
+* ``SymbolicScalar`` -- one ``GaussianRational`` coefficient times one unit
+  monomial ``pi^a * V(S^{d1})^{e1} * ...``, the unit of every quantity the
+  engine computes, where ``V(S^d)`` is the volume of the round unit sphere.
+  Units stay symbolic so every comparison is exact;
+  :meth:`SymbolicScalar.numeric` evaluates to a ``complex`` float only when
+  explicitly requested.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 _RationalLike = Union[int, Fraction]
 
@@ -53,9 +53,6 @@ class GaussianRational:
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def norm_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     # -- arithmetic ------------------------------------------------------
     @staticmethod
@@ -104,7 +101,7 @@ class GaussianRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        norm = other.norm_squared()
+        norm = other.re * other.re + other.im * other.im
         if not norm:
             raise ZeroDivisionError("division by zero GaussianRational")
         return GaussianRational(
@@ -167,13 +164,12 @@ def as_gaussian(value: _CoeffLike) -> GaussianRational:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic scalars: GaussianRational combinations of pi^a * prod V(S^d)^e
+# Symbolic scalars: a GaussianRational times one unit pi^a * prod V(S^d)^e
 # ---------------------------------------------------------------------------
 
 _SphereSpec = Iterable[Union[int, tuple]]
 
-# A unit monomial is keyed by (pi_exponent, ((sphere_dim, exponent), ...)).
-UnitKey = tuple
+_NO_UNIT = (0, ())
 
 
 def _normalize_spheres(spheres: _SphereSpec) -> tuple:
@@ -196,23 +192,21 @@ def sphere_volume_float(dim: int) -> float:
 
 
 class SymbolicScalar:
-    """An exact linear combination of monomials ``pi^a * prod V(S^d)^e``.
+    """An exact value ``coeff * pi^a * prod V(S^d)^e``: one
+    :class:`GaussianRational` coefficient times one unit monomial.
 
-    The coefficients are :class:`GaussianRational`; zero coefficients are
-    never stored, so equality of the term dictionaries is exact equality of
-    the symbolic values.
+    The unit is keyed ``(a, ((d, e), ...))``, spheres sorted, no exponent 0.
+    Zero has the key ``(0, ())``, so every zero is equal and adds to any
+    value; ``+`` of two nonzero values of different units raises
+    ``ValueError``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeff", "key")
 
-    def __init__(self, terms: Mapping[UnitKey, GaussianRational] | None = None):
-        clean: dict = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = as_gaussian(coeff)
-                if coeff:
-                    clean[key] = coeff
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, coeff: _CoeffLike = 0, key: tuple = _NO_UNIT):
+        coeff = as_gaussian(coeff)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "key", key if coeff else _NO_UNIT)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SymbolicScalar is immutable")
@@ -220,7 +214,7 @@ class SymbolicScalar:
     # -- constructors ------------------------------------------------------
     @classmethod
     def number(cls, value: _CoeffLike) -> "SymbolicScalar":
-        return cls({(0, ()): as_gaussian(value)})
+        return cls(value)
 
     @classmethod
     def unit(
@@ -230,19 +224,23 @@ class SymbolicScalar:
         pi: int = 0,
         spheres: _SphereSpec = (),
     ) -> "SymbolicScalar":
-        return cls({(pi, _normalize_spheres(spheres)): as_gaussian(coeff)})
+        return cls(coeff, (pi, _normalize_spheres(spheres)))
 
     # -- predicates ---------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeff
 
     def __bool__(self):
         return not self.is_zero
 
     def coefficient(self, *, pi: int = 0, spheres: _SphereSpec = ()) -> GaussianRational:
         """Coefficient of the monomial ``pi^pi * prod V(S^d)``."""
-        return self.terms.get((pi, _normalize_spheres(spheres)), ZERO)
+        return self.coeff if self.key == (pi, _normalize_spheres(spheres)) else ZERO
+
+    def shares_unit(self, other: "SymbolicScalar") -> bool:
+        """Whether both are multiples of one unit; zero is a multiple of any."""
+        return self.is_zero or other.is_zero or self.key == other.key
 
     # -- arithmetic ----------------------------------------------------------
     @staticmethod
@@ -250,46 +248,25 @@ class SymbolicScalar:
         if isinstance(other, SymbolicScalar):
             return other
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return SymbolicScalar.number(other)
+            return SymbolicScalar(other)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            total = terms.get(key, ZERO) + coeff
-            if total:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
-        return SymbolicScalar(terms)
+        if not self.shares_unit(other):
+            raise ValueError(f"cannot add a multiple of {other.unit_text()} to a multiple of {self.unit_text()}")
+        return SymbolicScalar(self.coeff + other.coeff, self.key if self else other.key)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a rational factor scales each coefficient and merges no units
-            return SymbolicScalar({key: GaussianRational(c.re * other, c.im * other) for key, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict = {}
-        for (pi1, sph1), c1 in self.terms.items():
-            for (pi2, sph2), c2 in other.terms.items():
-                merged: dict = {}
-                for d, e in sph1:
-                    merged[d] = merged.get(d, 0) + e
-                for d, e in sph2:
-                    merged[d] = merged.get(d, 0) + e
-                key = (pi1 + pi2, tuple(sorted((d, e) for d, e in merged.items() if e)))
-                total = terms.get(key, ZERO) + c1 * c2
-                if total:
-                    terms[key] = total
-                else:
-                    terms.pop(key, None)
-        return SymbolicScalar(terms)
+        (pi1, spheres1), (pi2, spheres2) = self.key, other.key
+        return SymbolicScalar(self.coeff * other.coeff, (pi1 + pi2, _normalize_spheres(spheres1 + spheres2)))
 
     __rmul__ = __mul__
 
@@ -297,16 +274,16 @@ class SymbolicScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.coeff == other.coeff and self.key == other.key
 
     # equal to plain numbers (``number(2) == 2``), so no hash can agree with
     # both; nothing hashes a SymbolicScalar
     __hash__ = None
 
     # -- output ---------------------------------------------------------------
-    @staticmethod
-    def _render_units(key: UnitKey) -> list:
-        pi_exp, spheres = key
+    def unit_text(self) -> str:
+        """The unit as text, e.g. ``pi * V(S^2)``; ``1`` for a number."""
+        pi_exp, spheres = self.key
         parts = []
         if pi_exp == 1:
             parts.append("pi")
@@ -315,34 +292,24 @@ class SymbolicScalar:
         for dim, exp in spheres:
             name = f"V(S^{dim})"
             parts.append(name if exp == 1 else f"{name}^{exp}")
-        return parts
+        return " * ".join(parts) or "1"
 
     def render(self) -> str:
         """Deterministic human-readable form, e.g. ``(-1/8 i) * pi * V(S^2)``."""
-        if not self.terms:
-            return "0"
-        chunks = []
-        for key in sorted(self.terms, reverse=True):
-            coeff = self.terms[key]
-            units = self._render_units(key)
-            if units:
-                chunks.append(" * ".join([f"({coeff})"] + units))
-            else:
-                chunks.append(str(coeff))
-        return " + ".join(chunks)
+        if self.key == _NO_UNIT:
+            return str(self.coeff)
+        return f"({self.coeff}) * {self.unit_text()}"
 
     def numeric(self) -> complex:
-        """Evaluate the symbolic units to floats and return a ``complex``."""
-        total = 0j
-        for (pi_exp, spheres), coeff in self.terms.items():
-            factor = math.pi ** pi_exp
-            for dim, exp in spheres:
-                factor *= sphere_volume_float(dim) ** exp
-            total += complex(coeff) * factor
-        return total
+        """Evaluate the symbolic unit to floats and return a ``complex``."""
+        pi_exp, spheres = self.key
+        factor = math.pi ** pi_exp
+        for dim, exp in spheres:
+            factor *= sphere_volume_float(dim) ** exp
+        # adding 0j turns a zero part of -0.0 (an underflow) into 0.0
+        return complex(self.coeff) * factor + 0j
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"SymbolicScalar({self.render()!r})"

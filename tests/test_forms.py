@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -341,8 +342,11 @@ class TestJsonRoundTrip:
         limit = sys.get_int_max_str_digits()
         assert _as_fraction(f"1e{limit}", "a value") == 10 ** limit
         for text in (f"1e{limit + 1}", f"-1e-{limit + 1}"):
-            with pytest.raises(ValueError, match="a value must be a rational number"):
+            message = f"a value must have a decimal exponent of at most {limit} in magnitude, got '{text}'"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 _as_fraction(text, "a value")
+        with pytest.raises(ValueError, match="a value must be a rational number, got '1e'"):
+            _as_fraction("1e", "a value")
 
     def test_str_is_json_text_never_a_path(self, tmp_path, monkeypatch):
         form = AntiSymForm(4, 2, {(1, 4): Fraction(-1, 2)})

@@ -10,6 +10,9 @@ module of the package reads it by name; a test's use does not count, so a
 helper only tests use lives in the tests.  A public top-level function or
 class is reached when ``__all__`` lists it, a module of the package or a
 file under ``bench/`` reads it, or it is decorated (the click commands).
+No package module reads a private attribute (``X._name``) of a name it
+imports from another package module, so each class keeps its internals to
+its own module.
 """
 
 import ast
@@ -114,6 +117,28 @@ def test_private_names_have_a_package_caller(path):
     private = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
     uncalled = [(name, line) for name, line in private if name not in read]
     assert not uncalled, f"{path.name}: private names no package module reads {uncalled}"
+
+
+def _imported_from_package(tree: ast.Module) -> set:
+    """Names bound by a relative import: ``from .module import Name`` or
+    ``from . import module``."""
+    return {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=_module_id)
+def test_no_private_attribute_of_an_imported_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = _imported_from_package(tree)
+    reads = sorted(
+        (node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+    )
+    assert not reads, f"{path.name}: private attributes of names imported from the package {reads}"
 
 
 def _listed_in_all() -> list:

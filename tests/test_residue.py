@@ -50,7 +50,7 @@ from hodge_residue.residue import (
     spectral_density,
     verify_theorem,
 )
-from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volume
+from hodge_residue.scalars import PI, GaussianRational, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import _grade_weights
 import word_reference
 from mixed_rationals import mixed_form, mixed_vector
@@ -438,7 +438,9 @@ def test_densities_compile_one_kernel_per_call(monkeypatch, functional_id):
 
 
 # Past n = 16 the blade sign rules are wrong, and L2.4 and B5.8 gave false
-# fails at n = 34; every entry point refuses n > MAX_DIMENSION at its compile.
+# fails at n = 34; every entry point refuses n > MAX_DIMENSION before it
+# builds a kernel slot or a boundary channel, whose counts, C(n, degree) and
+# 2m, make a late refusal slow at large n.
 PAST_MAX_M = MAX_DIMENSION // 2 + 1
 PAST_MAX_N = 2 * PAST_MAX_M
 E1 = basis_vector(PAST_MAX_N, 1)
@@ -456,7 +458,12 @@ PAST_MAX_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry_point", sorted(PAST_MAX_ENTRY_POINTS))
-def test_entry_points_reject_n_past_max_dimension(entry_point):
+def test_entry_points_reject_n_past_max_dimension(monkeypatch, entry_point):
+    def built(*args):
+        raise AssertionError("built before the dimension check")
+
+    monkeypatch.setattr(residue_module, "_term_blades", built)
+    monkeypatch.setattr(boundary_module, "resolvent_symbol_channels", built)
     with pytest.raises(ValueError, match=f"1 <= n <= {MAX_DIMENSION}, got"):
         PAST_MAX_ENTRY_POINTS[entry_point]()
 
@@ -900,9 +907,9 @@ def test_theorem_coefficient_moved_by_one_fails(monkeypatch, m, shift):
 ], ids=["theorem", "boundary"])
 def test_theorem_coefficient_off_the_sphere_unit_is_rejected(monkeypatch, module, table, check, unit):
     # the integer verdict compares multiples of the engine side's one unit;
-    # a table entry with any other unit must not be compared on that unit alone
+    # a table entry with another unit must not be compared on its coefficient
     original = getattr(module, table)
-    monkeypatch.setattr(module, table, lambda *args: original(*args) + 1)
+    monkeypatch.setattr(module, table, lambda *args: original(*args) * PI)
     with pytest.raises(ValueError, match=re.escape(f"not a multiple of {unit}")):
         check()
 
