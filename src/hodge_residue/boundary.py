@@ -40,21 +40,20 @@ pair.  No Clifford word is built.
 :func:`verify_boundary` asserts exact proportionality of each density to its
 stated vector contraction and compares the engine's absolute constant with
 the tabulated closed form, reporting both.  Its trials run in
-:func:`~hodge_residue.residue._trial_loop`.
+:func:`~hodge_residue.residue._trial_loop`, which draws the vectors and
+takes the contraction as the unit of the flavor's kind.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .exterior import _check_n
-from .forms import _random_doubled
-from .residue import LEMMA_CHECKS, CheckReport, TraceKernel, _kernel, _trial_loop, boundary_contraction
+from .residue import LEMMA_CHECKS, CheckReport, TraceKernel, _kernel, _trial_loop
 from .scalars import (
     GaussianRational,
     I,
@@ -363,18 +362,14 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     unconditionally; the engine's constant is then compared exactly against
     the tabulated closed form, with both values rendered.  The kernel is
     the B5.8 or B5.10 identity's and the trials run in
-    :func:`~hodge_residue.residue._trial_loop`, which undoes the doubled
-    draw.  An unknown flavor or ``m < 2`` raises ``ValueError`` from
-    :func:`closed_form_boundary_coefficient`.
+    :func:`~hodge_residue.residue._trial_loop`, which draws ``u, v, w``
+    doubled, takes their contraction (the flavor's unit kind) as the unit
+    and undoes the doubling.  An unknown flavor or ``m < 2`` raises
+    ``ValueError`` from :func:`closed_form_boundary_coefficient`.
     """
     n = 2 * m
-    rng = random.Random(f"{seed}:boundary:{flavor}:{m}")
     per_unit_expected = closed_form_boundary_coefficient(flavor, m) * sphere_volume(n - 2)
     kernel, weight = _boundary_kernel(flavor, m)
-
-    def draw():
-        u, v, w = (_random_doubled(n, rng) for _ in range(3))
-        return [[1], u, v, w], boundary_contraction(flavor, u, v, w)
 
     def proportionality(contracted: List[Tuple[int, int]]) -> str:
         # the density weight * 2^n c / D is proportional to the contraction t
@@ -397,7 +392,7 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     # the density is weight * 2^n c / D and the closed form's side
     # per_unit_expected * 2^n t
     return _trial_loop(
-        "Psi1" if flavor == "psi1" else "Psi2", n, trials, draw, kernel,
+        "Psi1" if flavor == "psi1" else "Psi2", trials, f"{seed}:boundary:{flavor}:{m}", kernel, flavor,
         [("plain", Fraction(1), weight * (1 << n), per_unit_expected * (1 << n))],
         describe=proportionality,
     )

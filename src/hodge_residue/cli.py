@@ -18,7 +18,6 @@ import click
 
 from .boundary import (
     BoundaryArgs,
-    boundary_contraction,
     boundary_density,
     closed_form_boundary_coefficient,
     verify_boundary,
@@ -28,6 +27,7 @@ from .forms import form_from_json, vectors_from_json
 from .residue import (
     FUNCTIONALS,
     CheckReport,
+    boundary_contraction,
     lemma_check,
     lemma_ids,
     spectral_density,

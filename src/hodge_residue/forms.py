@@ -98,10 +98,6 @@ class AntiSymForm:
             return Fraction(0)
         return sign * base if sign == -1 else base
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other):
         if not isinstance(other, AntiSymForm):
             return NotImplemented
@@ -348,29 +344,40 @@ def vectors_from_json(data: Union[dict, str, Path]) -> List[List[Fraction]]:
     return [[_as_fraction(x, "a vector entry") for x in vec] for vec in vectors]
 
 
+def _over_digit_limit(text: str) -> bool:
+    """Whether ``text`` has more decimal digits than ``int`` converts,
+    ``sys.get_int_max_str_digits()`` (0 for no limit)."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and sum(map(str.isdecimal, text)) > limit
+
+
 def _as_int(value: object, what: str) -> int:
     """An integer given as a JSON integer or a decimal string; never a
-    truncated float."""
+    truncated float.  A string of more digits than
+    ``sys.get_int_max_str_digits()`` is refused, naming the limit."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:
-            pass
+            if _over_digit_limit(value):
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"{what} must be an integer of at most {limit} digits, got {value!r}") from None
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_fraction(value: object, what: str) -> Fraction:
     """An exact rational given as a JSON number or a string such as ``"-3/2"``.
 
-    A decimal exponent past ``sys.get_int_max_str_digits()`` in magnitude is
-    refused, naming the limit, before ``Fraction`` forms its power of ten, as
-    a literal of that many digits is; a limit of 0 turns the check off.
+    A decimal exponent past ``sys.get_int_max_str_digits()`` in magnitude,
+    or written with more digits than that, is refused, naming the limit,
+    before ``Fraction`` forms its power of ten, as a literal of that many
+    digits is; a limit of 0 turns the check off.
     """
     text = str(value)
     limit = sys.get_int_max_str_digits()
     try:
         _, marker, exponent = text.lower().partition("e")
-        if not (marker and limit and abs(int(exponent)) > limit):
+        if not (marker and limit and (_over_digit_limit(exponent) or abs(int(exponent)) > limit)):
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{what} must be a rational number, got {value!r}") from None

@@ -337,21 +337,23 @@ def _sides(value: SymbolicScalar, expected: SymbolicScalar, denominator: int) ->
     )
 
 
-def _trial_loop(check_id: str, n: int, trials: int,
-                draw: Callable[[], Tuple[List[Sequence[int]], int]],
-                kernel: TraceKernel,
+def _trial_loop(check_id: str, trials: int, rng_label: str, kernel: TraceKernel, unit: str,
                 comparisons: Sequence[Tuple[str, Fraction, SymbolicScalar, SymbolicScalar]],
-                magnitude: bool = False,
+                form_first: bool = False, magnitude: bool = False,
                 describe: Optional[Callable[[List[Tuple[int, int]]], str]] = None) -> CheckReport:
     """The trials of every randomized check, decided in integers.
 
-    Each trial calls ``draw()`` for its inputs, drawn doubled as integers by
-    :func:`~hodge_residue.forms._random_doubled`: the kernel rows (the form's
-    values in basis order, ``[1]`` for degree 0, then each vector) and the
-    expected side's unit on them.  A comparison ``(label, weight, value,
-    expected)`` is the engine side ``value * weight * t / D``, with ``t`` the
-    check's kernel contracted with the rows and ``D`` its denominator,
-    against the expected side ``expected * unit``.  With ``weight = p / q``
+    One ``random.Random(rng_label)`` stream feeds every trial.  Each trial
+    draws its inputs doubled, as integers, by
+    :func:`~hodge_residue.forms._random_doubled`: one vector of length
+    ``kernel.n`` per letter and the form's values in basis order (none for
+    degree 0), the form first when ``form_first``, else last.  The kernel
+    rows are the form's values (``(1,)`` for degree 0) and then the vectors,
+    and the expected side's unit ``base`` is :func:`_unit` of the kind
+    ``unit`` on them.  A comparison ``(label, weight, value, expected)`` is
+    the engine side ``value * weight * t / D``, with ``t`` the check's
+    kernel contracted with the rows and ``D`` its denominator, against the
+    expected side ``expected * base``.  With ``weight = p / q``
     that is ``value * c / (D q)`` for the integer ``c = p t``, and
     :func:`_sides` makes it integer identities.  The kernel is contracted
     once per trial, and not at all when every weight is 0.  Both sides are
@@ -362,7 +364,7 @@ def _trial_loop(check_id: str, n: int, trials: int,
 
     With ``magnitude`` a comparison whose expected side is nonzero holds when
     the engine side is ``s`` times it, for one sign ``s`` on every trial, and
-    the detail records ``s``.  ``describe`` maps the ``(c, unit)`` of every
+    the detail records ``s``.  ``describe`` maps the ``(c, base)`` of every
     comparison, in order, to one more sentence of detail.
 
     The report shows the first failure, else the first pass with a nonzero
@@ -377,21 +379,27 @@ def _trial_loop(check_id: str, n: int, trials: int,
         checks.append((label, weight.numerator, denominator, value, expected, _sides(value, expected, denominator)))
     contracts = any(weight for _, weight, _, _ in comparisons)
     r = kernel.letters + bool(kernel.degree)
+    size = len(kernel.basis) if kernel.degree else 0
+    rng = random.Random(rng_label)
     failures = 0
     shown: Optional[Tuple[SymbolicScalar, SymbolicScalar, str]] = None
     signs = set()
     contracted = [] if describe else None
     for trial in range(trials):
-        rows, unit = draw()
-        t = kernel.contract(rows) if contracts else 0
+        form = _random_doubled(size, rng) if form_first else None
+        vectors = [_random_doubled(kernel.n, rng) for _ in range(kernel.letters)]
+        if not form_first:
+            form = _random_doubled(size, rng)
+        base = _unit(unit, form, vectors)
+        t = kernel.contract([form or (1,), *vectors]) if contracts else 0
         for label, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
             c = p * t
             if contracted is not None:
-                contracted.append((c, unit))
-            ok = c * re_left == unit * re_right and c * im_left == unit * im_right
+                contracted.append((c, base))
+            ok = c * re_left == base * re_right and c * im_left == base * im_right
             sign = 1
-            if magnitude and unit and expected:
-                minus = c * re_left == -unit * re_right and c * im_left == -unit * im_right
+            if magnitude and base and expected:
+                minus = c * re_left == -base * re_right and c * im_left == -base * im_right
                 sign = 1 if ok else -1 if minus else 0
                 if sign:
                     signs.add(sign)
@@ -400,9 +408,9 @@ def _trial_loop(check_id: str, n: int, trials: int,
                 failures += 1
                 if failures == 1:
                     where = f"trial {trial}" + (f", {label} placement" if len(checks) > 1 else "")
-                    shown = (value * Fraction(c, denominator << r), expected * Fraction(unit, 1 << r), where)
-            elif shown is None and unit and expected:
-                shown = (value * Fraction(c, denominator << r), expected * Fraction(sign * unit, 1 << r), "")
+                    shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r), where)
+            elif shown is None and base and expected:
+                shown = (value * Fraction(c, denominator << r), expected * Fraction(sign * base, 1 << r), "")
     notes = [f"{failures} of {trials * len(checks)} comparisons disagree; first at {shown[2]}"] if failures else []
     if signs:
         notes.append(
@@ -412,7 +420,7 @@ def _trial_loop(check_id: str, n: int, trials: int,
     if describe:
         notes.append(describe(contracted))
     engine_side, expected_side, _ = shown or (SymbolicScalar(), SymbolicScalar(), "")
-    return CheckReport(check_id, n, trials, "fail" if failures else "pass", engine_side.render(),
+    return CheckReport(check_id, kernel.n, trials, "fail" if failures else "pass", engine_side.render(),
                        expected_side.render(), detail="; ".join(notes))
 
 
@@ -505,26 +513,20 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
     Draws random small-rational forms and vectors; every trial must satisfy
     ``spectral_density == closed_form_coefficient * form_contract`` exactly.
     The density's trace kernel is compiled once and the trials run in
-    :func:`_trial_loop`, which undoes the doubled draw.  ``m < 2`` raises
-    ``ValueError`` before anything is compiled.
+    :func:`_trial_loop`, which draws the form, then the vectors, doubled and
+    undoes the doubling.  ``m < 2`` raises ``ValueError`` before anything is
+    compiled.
     """
     fspec = _resolve_functional(functional_id)
     if m < 2:
         raise ValueError("m must be >= 2")
     n = 2 * m
-    rng = random.Random(f"{seed}:theorem:{fspec.functional_id}:{m}")
     kernel = _kernel(fspec.arg_flavors, fspec.lift_kind, n)
-
-    def draw():
-        form = _random_doubled(len(kernel.basis), rng)
-        vectors = [_random_doubled(n, rng) for _ in fspec.arg_flavors]
-        return [form, *vectors], _minor_contract(n, form, vectors)
-
     # the interior trace is weight * 2^n c / D
     value = sphere_volume(n - 1) * (fspec.prefactor * (1 << n))
     expected = closed_form_coefficient(fspec.functional_id, m)
-    return _trial_loop(fspec.functional_id, n, trials, draw, kernel,
-                       [("interior", kernel.weight("interior", m), value, expected)])
+    return _trial_loop(fspec.functional_id, trials, f"{seed}:theorem:{fspec.functional_id}:{m}", kernel, "form",
+                       [("interior", kernel.weight("interior", m), value, expected)], form_first=True)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +550,7 @@ class LemmaSpec:
     lift: Optional[str]  # key into forms.LIFT_TERMS; None = identity; "normal_c" = c(dx_n)
     placements: Tuple[str, ...]
     ratio: Fraction
-    unit: str = "form"  # form | metric | boundary_cyclic | boundary_first
+    unit: str = "form"  # a _unit kind: form | metric | psi1 | -psi2
     sign_policy: str = "exact"  # exact | magnitude
 
     @property
@@ -575,8 +577,8 @@ LEMMA_CHECKS: Dict[str, LemmaSpec] = {
         LemmaSpec("L4.6b", ("c", "c", "chat", "chat"), "four_mixed", ("after",), Fraction(1, 6)),
         LemmaSpec("L4.7", ("chat",) * 4, "four_chat", ("plain",), Fraction(1)),
         LemmaSpec("L4.8", ("chat",) * 4, "four_chat", ("before", "after"), Fraction(-1)),
-        LemmaSpec("B5.8", ("c", "c", "c"), "normal_c", ("plain",), Fraction(1), unit="boundary_cyclic"),
-        LemmaSpec("B5.10", ("c", "chat", "chat"), "normal_c", ("plain",), Fraction(1), unit="boundary_first"),
+        LemmaSpec("B5.8", ("c", "c", "c"), "normal_c", ("plain",), Fraction(1), unit="psi1"),
+        LemmaSpec("B5.10", ("c", "chat", "chat"), "normal_c", ("plain",), Fraction(1), unit="-psi2"),
         LemmaSpec("M6.2", ("c", "c"), None, ("plain",), Fraction(1), unit="metric", sign_policy="magnitude"),
     ]
 }
@@ -605,18 +607,19 @@ def boundary_contraction(flavor: str, u: Sequence, v: Sequence, w: Sequence):
     raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
 
 
-def _lemma_unit(spec: LemmaSpec, form: Optional[Sequence[int]], vectors: Sequence[Sequence[int]]) -> int:
-    """The identity's unit on integer inputs, the form given by its values
-    in basis order."""
-    if spec.unit == "form":
+def _unit(kind: str, form: Sequence[int], vectors: Sequence[Sequence[int]]) -> int:
+    """The unit of a kind on one trial's integer inputs: ``"form"`` the form
+    contraction (the form's values in basis order), ``"metric"`` ``<u, v>``,
+    ``"psi1"``/``"psi2"`` the boundary contraction, ``"-psi2"`` its negative."""
+    if kind == "form":
         return _minor_contract(len(vectors[0]), form, vectors)
-    if spec.unit == "metric":
-        return _dot(vectors[0], vectors[1])
-    if spec.unit == "boundary_cyclic":
-        return boundary_contraction("psi1", *vectors)
-    if spec.unit == "boundary_first":
+    if kind == "metric":
+        return _dot(*vectors)
+    if kind == "-psi2":
         return -boundary_contraction("psi2", *vectors)
-    raise ValueError(f"unknown unit kind {spec.unit!r}")
+    if kind in ("psi1", "psi2"):
+        return boundary_contraction(kind, *vectors)
+    raise ValueError(f"unknown unit kind {kind!r}")
 
 
 def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> CheckReport:
@@ -628,8 +631,8 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     integrated variants); any disagreement is reported with both exact
     values.  The identity's kernel is compiled once per shape and process,
     each placement is its :meth:`TraceKernel.weight`, and the trials run in
-    :func:`_trial_loop`, which contracts the kernel at most once per trial
-    and undoes the doubled draw.
+    :func:`_trial_loop`, which draws the vectors, then the form, doubled,
+    contracts the kernel at most once per trial and undoes the doubling.
     """
     if lemma_id in _LEMMA_ALIASES:
         base_id, placement = _LEMMA_ALIASES[lemma_id]
@@ -650,14 +653,8 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     for placement in placements:
         value = SymbolicScalar.unit(1 << n, spheres=() if placement == "plain" else (n - 1,))
         comparisons.append((placement, kernel.weight(placement), value, value * spec.ratio))
-    rng = random.Random(f"{seed}:lemma:{lemma_id}:{n}")
-
-    def draw():
-        vectors = [_random_doubled(n, rng) for _ in spec.word_flavors]
-        form = _random_doubled(len(kernel.basis), rng) if kernel.degree else None
-        return [[1] if form is None else form, *vectors], _lemma_unit(spec, form, vectors)
-
-    return _trial_loop(lemma_id, n, trials, draw, kernel, comparisons, magnitude=spec.sign_policy == "magnitude")
+    return _trial_loop(lemma_id, trials, f"{seed}:lemma:{lemma_id}:{n}", kernel, spec.unit, comparisons,
+                       magnitude=spec.sign_policy == "magnitude")
 
 
 def lemma_ids() -> List[str]:

@@ -13,12 +13,12 @@ import pytest
 
 import hodge_residue.boundary as boundary_module
 import hodge_residue.exterior as exterior_module
+import hodge_residue.residue as residue_module
 import word_reference
 from hodge_residue.boundary import (
     BoundaryArgs,
     _boundary_kernel,
     ScalarRational,
-    boundary_contraction,
     boundary_density,
     closed_form_boundary_coefficient,
     normal_derivative_symbol,
@@ -28,7 +28,7 @@ from hodge_residue.boundary import (
 )
 from hodge_residue.exterior import LinearOp, clifford_generator, clifford_word, trace_product
 from hodge_residue.forms import random_vector
-from hodge_residue.residue import LEMMA_CHECKS, _kernel
+from hodge_residue.residue import LEMMA_CHECKS, _kernel, boundary_contraction
 from hodge_residue.scalars import ZERO, GaussianRational, I, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import sphere_moment
 from mixed_rationals import mixed_vector
@@ -384,17 +384,15 @@ class TestVerifyBoundary:
         assert f"= {(original(flavor, m) * sphere_volume(n - 2)).render()}; tabulated" in report.detail
 
     def test_psi2_against_the_psi1_contraction_is_not_proportional(self, monkeypatch):
-        original = boundary_module.boundary_contraction
-        monkeypatch.setattr(
-            boundary_module, "boundary_contraction", lambda flavor, u, v, w: original("psi1", u, v, w)
-        )
+        original = residue_module._unit
+        monkeypatch.setattr(residue_module, "_unit", lambda kind, form, vectors: original("psi1", form, vectors))
         report = verify_boundary("psi2", 2, trials=20, seed=0)
         assert report.status == "fail"
         assert "proportionality to the stated contraction: FAILS" in report.detail
         assert "engine constant per unit contraction*Tr(Id) = nonconstant" in report.detail
 
     def test_zero_contraction_with_a_nonzero_density_fails(self, monkeypatch):
-        monkeypatch.setattr(boundary_module, "boundary_contraction", lambda flavor, u, v, w: 0)
+        monkeypatch.setattr(residue_module, "_unit", lambda kind, form, vectors: 0)
         report = verify_boundary("psi1", 2, trials=5, seed=0)
         rng = random.Random("0:boundary:psi1:2")
         densities = [

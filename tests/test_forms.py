@@ -23,6 +23,7 @@ from hodge_residue.forms import (
     lift_three_mixed,
     lift_torsion_assembly,
     _as_fraction,
+    _as_int,
     _minor_contract,
     _minor_plan,
     _random_doubled,
@@ -347,6 +348,19 @@ class TestJsonRoundTrip:
                 _as_fraction(text, "a value")
         with pytest.raises(ValueError, match="a value must be a rational number, got '1e'"):
             _as_fraction("1e", "a value")
+        # a digit string past the limit, which int() itself refuses, is
+        # named as such, in an exponent and in an integer
+        text = "1e" + "9" * (limit + 1)
+        message = f"a value must have a decimal exponent of at most {limit} in magnitude, got '{text}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _as_fraction(text, "a value")
+        assert _as_int("9" * limit, '"n"') == 10 ** limit - 1
+        digits = "9" * (limit + 1)
+        message = f'"n" must be an integer of at most {limit} digits, got {digits!r}'
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _as_int(digits, '"n"')
+        with pytest.raises(ValueError, match=re.escape('"n" must be an integer, got \'9x\'')):
+            _as_int("9x", '"n"')
 
     def test_str_is_json_text_never_a_path(self, tmp_path, monkeypatch):
         form = AntiSymForm(4, 2, {(1, 4): Fraction(-1, 2)})

@@ -12,7 +12,9 @@ class is reached when ``__all__`` lists it, a module of the package or a
 file under ``bench/`` reads it, or it is decorated (the click commands).
 No package module reads a private attribute (``X._name``) of a name it
 imports from another package module, so each class keeps its internals to
-its own module.
+its own module.  The package builds a ``random.Random`` in one function
+only, ``residue._trial_loop``, so every randomized check draws its inputs
+on one path.
 """
 
 import ast
@@ -168,3 +170,21 @@ def test_all_lists_exactly_the_reexported_names():
     exported = _listed_in_all()
     assert len(exported) == len(set(exported))
     assert set(exported) == set(_imported_names(tree))
+
+
+def _random_constructions(tree: ast.AST, function: str = "<module>"):
+    """The innermost function around each ``random.Random(...)`` or
+    ``Random(...)`` call under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Random":
+            yield function
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _random_constructions(node, inner)
+
+
+def test_random_streams_are_built_in_the_trial_loop_only():
+    sites = [
+        (path.name, function) for path in PACKAGE_MODULES
+        for function in _random_constructions(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sites == [("residue.py", "_trial_loop")]

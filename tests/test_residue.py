@@ -917,14 +917,14 @@ def test_theorem_coefficient_off_the_sphere_unit_is_rejected(monkeypatch, module
 def test_magnitude_sign_that_flips_between_trials_fails(monkeypatch):
     # the unit's sign alternates from trial to trial, so no single sign
     # relates the engine's value to the tabulated magnitude
-    unit = residue_module._lemma_unit
+    unit = residue_module._unit
     calls = []
 
     def flipping(*args):
         calls.append(None)
         return unit(*args) * (-1) ** len(calls)
 
-    monkeypatch.setattr(residue_module, "_lemma_unit", flipping)
+    monkeypatch.setattr(residue_module, "_unit", flipping)
     n = 4
     report = lemma_check("M6.2", n, trials=6, seed=0)
     trial = _first_failing_trial(report)
