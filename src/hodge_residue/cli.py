@@ -2,19 +2,19 @@
 
 ``hodge-residue verify`` runs the selected check suites and writes a
 deterministic JSON (or markdown) report; the exit code doubles as a CI gate
-(0 all checks pass, 1 at least one failed, 2 bad configuration).  ``density``
-and ``boundary`` evaluate single functionals on user-supplied inputs.
-"""
+(0 all checks pass, 1 at least one failed, 2 bad configuration or input).
+``density`` and ``boundary`` evaluate single functionals on user-supplied
+inputs.  The parser is the standard library's ``argparse``, built at import."""
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence
-
-import click
+from typing import Dict, Iterator, List, NoReturn, Optional, Sequence
 
 from .boundary import (
     BoundaryArgs,
@@ -48,8 +48,19 @@ DEFAULT_COMMUTATOR_DIMENSIONS = (2, 4)
 # the largest n at which check_flat_commutators finishes in reasonable time
 # (4.3 s at n = 10 on 2 CPUs, about six times its 0.68 s at n = 8)
 MAX_COMMUTATOR_DIMENSION = 10
-# symbol orders m whose dimension n = 2m the engine supports
-SYMBOL_ORDER = click.IntRange(2, MAX_DIMENSION // 2)
+
+
+def _usage(message: str) -> NoReturn:
+    """Bad configuration or input: the message on stderr, exit code 2."""
+    sys.stderr.write(f"Error: {message}\n")
+    sys.exit(2)
+
+
+def _symbol_order(text: str) -> int:
+    """A symbol order m whose dimension n = 2m the engine supports."""
+    if 2 <= int(text) <= MAX_DIMENSION // 2:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"{text} is not in the range 2<=x<={MAX_DIMENSION // 2}.")
 
 
 def _commutator_reports(n: int) -> List[CheckReport]:
@@ -114,51 +125,36 @@ def _render(value: SymbolicScalar) -> str:
         return value.render()
     except ValueError:  # Fraction.__str__ of an integer past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
-        raise click.UsageError(f"invalid input: the exact value has an integer of more than {limit} digits") from None
+        _usage(f"invalid input: the exact value has an integer of more than {limit} digits")
 
 
-@click.group()
-def main() -> None:
-    """Exact verification engine for spectral form/torsion functionals."""
-
-
-@main.command("verify")
-@click.option("--suite", type=click.Choice(SUITES), default="all", show_default=True)
-@click.option("--n", "n_value", type=int, default=None, help="Single dimension override (lemma/commutator suites).")
-@click.option("--m", "m_value", type=SYMBOL_ORDER, default=None, help="Single symbol-order override (theorem/boundary suites).")
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True, path_type=Path), default=None)
-@click.option("--format", "fmt", type=click.Choice(("json", "md")), default="json", show_default=True)
 def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trials: int,
                seed: int, out: Optional[Path], fmt: str) -> None:
     """Run verification suites and emit a deterministic report."""
     if trials < 1:
-        raise click.UsageError("--trials must be >= 1")
+        _usage("--trials must be >= 1")
     if n_value is not None and suite not in N_SUITES:
-        raise click.UsageError(
-            f"--n does not apply to --suite {suite}: its checks run at n = 2m; use --m"
-        )
+        _usage(f"--n does not apply to --suite {suite}: its checks run at n = 2m; use --m")
     if m_value is not None and suite not in M_SUITES:
-        raise click.UsageError(
-            f"--m does not apply to --suite {suite}: its checks run at a dimension n; use --n"
-        )
+        _usage(f"--m does not apply to --suite {suite}: its checks run at a dimension n; use --n")
     if n_value is not None and (
         n_value < 2 if suite == "commutators" else n_value % 2 or not 4 <= n_value <= MAX_DIMENSION
     ):
-        raise click.UsageError(
+        _usage(
             f"--n must be even with 4 <= n <= {MAX_DIMENSION} for --suite lemmas, even with "
             f"4 <= n <= {MAX_COMMUTATOR_DIMENSION} for --suite all, and 2 <= n <= "
             f"{MAX_COMMUTATOR_DIMENSION} for --suite commutators; got {n_value} for --suite {suite}"
         )
     if n_value is not None and n_value > MAX_COMMUTATOR_DIMENSION and suite in ("commutators", "all"):
-        raise click.UsageError(
+        _usage(
             f"--n must be <= {MAX_COMMUTATOR_DIMENSION} for the commutator check "
             f"(suites commutators and all): it takes about 4 s at n = 10 and grows about "
             f"sixfold per step of 2 in n, so a larger n would take half a minute or more"
         )
+    if out is not None and (out.is_dir() or out.exists() and not os.access(out, os.W_OK)):
+        _usage(f"--out: {out} is a directory or a file that cannot be written")
     if out is not None and not out.parent.is_dir():
-        raise click.UsageError(f"--out: directory {out.parent} does not exist")
+        _usage(f"--out: directory {out.parent} does not exist")
     n_values = (n_value,) if n_value is not None else DEFAULT_LEMMA_DIMENSIONS
     m_values = (m_value,) if m_value is not None else DEFAULT_SYMBOL_ORDERS
     commutator_ns = (n_value,) if n_value is not None else DEFAULT_COMMUTATOR_DIMENSIONS
@@ -189,38 +185,29 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
     )
     if out is not None:
         out.write_text(rendered, encoding="utf-8")
-        click.echo(f"{passed} pass, {failed} fail -> {out}")
+        print(f"{passed} pass, {failed} fail -> {out}")
     else:
-        click.echo(rendered, nl=False)
+        sys.stdout.write(rendered)
     if failed:
         sys.exit(1)
 
 
-@main.command("density")
-@click.argument("functional_id", type=click.Choice(sorted(FUNCTIONALS)))
-@click.option("--m", type=SYMBOL_ORDER, required=True)
-@click.option("--form", "form_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True)
-@click.option("--vectors", "vectors_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True)
 def cmd_density(functional_id: str, m: int, form_path: Path, vectors_path: Path) -> None:
     """Evaluate one interior density on a form/vectors pair (exact + float)."""
     try:
         form = form_from_json(form_path)
         vectors = vectors_from_json(vectors_path)
         value = spectral_density(functional_id, form, vectors, m)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"invalid input: {exc}")
-    click.echo(_render(value))
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        _usage(f"invalid input: {exc}")
+    print(_render(value))
     try:
         numeric = value.numeric()
     except OverflowError:
         numeric = complex("inf")
-    click.echo(f"float: {numeric}" if cmath.isfinite(numeric) else "float: outside float range")
+    print(f"float: {numeric}" if cmath.isfinite(numeric) else "float: outside float range")
 
 
-@main.command("boundary")
-@click.argument("flavor", type=click.Choice(("psi1", "psi2")))
-@click.option("--m", type=SYMBOL_ORDER, required=True)
-@click.option("--vectors", "vectors_path", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True)
 def cmd_boundary(flavor: str, m: int, vectors_path: Path) -> None:
     """Evaluate one boundary density and compare with its closed form."""
     try:
@@ -230,8 +217,8 @@ def cmd_boundary(flavor: str, m: int, vectors_path: Path) -> None:
         u, v, w = (tuple(vec) for vec in vectors)
         args = BoundaryArgs(flavor, u, v, w, m)
         engine = boundary_density(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"invalid input: {exc}")
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        _usage(f"invalid input: {exc}")
     n = 2 * m
     closed = (
         closed_form_boundary_coefficient(flavor, m)
@@ -240,11 +227,52 @@ def cmd_boundary(flavor: str, m: int, vectors_path: Path) -> None:
         * sphere_volume(n - 2)
     )
     # both rendered before either is printed
-    click.echo(f"engine: {_render(engine)}\nclosed form: {_render(closed)}")
+    print(f"engine: {_render(engine)}\nclosed form: {_render(closed)}")
     verdict = "match" if engine == closed else "MISMATCH"
-    click.echo(f"verdict: {verdict}")
+    print(f"verdict: {verdict}")
     if verdict != "match":
         sys.exit(1)
+
+
+# built once, at import, not per call; options are spelled in full, and help is --help only
+_HELP = argparse.ArgumentParser(add_help=False)
+_HELP.add_argument("--help", action="help", help="Show this message and exit.")
+_OPTIONS = dict(add_help=False, allow_abbrev=False, parents=[_HELP])
+_PARSER = argparse.ArgumentParser(prog="hodge-residue", description=__doc__.splitlines()[0], **_OPTIONS)
+_commands = _PARSER.add_subparsers(required=True, metavar="COMMAND")
+
+_verify = _commands.add_parser("verify", help=cmd_verify.__doc__, **_OPTIONS)
+_verify.add_argument("--suite", choices=SUITES, default="all", help="(default: %(default)s)")
+_verify.add_argument("--n", dest="n_value", metavar="N", type=int, help="Single dimension override (lemma/commutator suites).")
+_verify.add_argument("--m", dest="m_value", metavar="M", type=_symbol_order,
+                     help="Single symbol-order override (theorem/boundary suites).")
+_verify.add_argument("--trials", type=int, default=20, help="(default: %(default)s)")
+_verify.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
+_verify.add_argument("--out", metavar="FILE", type=Path)
+_verify.add_argument("--format", dest="fmt", choices=("json", "md"), default="json", help="(default: %(default)s)")
+_verify.set_defaults(run=cmd_verify)
+
+_density = _commands.add_parser("density", help=cmd_density.__doc__, **_OPTIONS)
+_density.add_argument("functional_id", choices=sorted(FUNCTIONALS))
+_density.add_argument("--m", type=_symbol_order, required=True)
+_density.add_argument("--form", dest="form_path", metavar="FILE", type=Path, required=True)
+_density.add_argument("--vectors", dest="vectors_path", metavar="FILE", type=Path, required=True)
+_density.set_defaults(run=cmd_density)
+
+_boundary = _commands.add_parser("boundary", help=cmd_boundary.__doc__, **_OPTIONS)
+_boundary.add_argument("flavor", choices=("psi1", "psi2"))
+_boundary.add_argument("--m", type=_symbol_order, required=True)
+_boundary.add_argument("--vectors", dest="vectors_path", metavar="FILE", type=Path, required=True)
+_boundary.set_defaults(run=cmd_boundary)
+
+
+def main(args: Optional[Sequence[str]] = None, prog_name: Optional[str] = None,
+         standalone_mode: bool = True) -> None:
+    """Run ``hodge-residue`` on ``args`` (default ``sys.argv[1:]``); ``prog_name`` and
+    ``standalone_mode`` are ignored, accepted because ``bench/entry.py`` passes them."""
+    options = vars(_PARSER.parse_args(args))
+    command = options.pop("run")
+    command(**options)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -345,10 +346,10 @@ def vectors_from_json(data: Union[dict, str, Path]) -> List[List[Fraction]]:
 
 
 def _over_digit_limit(text: str) -> bool:
-    """Whether ``text`` has more decimal digits than ``int`` converts,
-    ``sys.get_int_max_str_digits()`` (0 for no limit)."""
+    """Whether a run of digits in ``text`` (``_`` separators aside) is longer
+    than ``int`` converts, ``sys.get_int_max_str_digits()`` (0 for no limit)."""
     limit = sys.get_int_max_str_digits()
-    return bool(limit) and sum(map(str.isdecimal, text)) > limit
+    return bool(limit) and any(len(run) > limit for run in re.findall(r"\d+", text.replace("_", "")))
 
 
 def _as_int(value: object, what: str) -> int:
@@ -370,8 +371,8 @@ def _as_fraction(value: object, what: str) -> Fraction:
 
     A decimal exponent past ``sys.get_int_max_str_digits()`` in magnitude,
     or written with more digits than that, is refused, naming the limit,
-    before ``Fraction`` forms its power of ten, as a literal of that many
-    digits is; a limit of 0 turns the check off.
+    before ``Fraction`` forms its power of ten, as a longer run of digits is
+    once ``Fraction`` refuses it; a limit of 0 turns the checks off.
     """
     text = str(value)
     limit = sys.get_int_max_str_digits()
@@ -380,6 +381,8 @@ def _as_fraction(value: object, what: str) -> Fraction:
         if not (marker and limit and (_over_digit_limit(exponent) or abs(int(exponent)) > limit)):
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        if _over_digit_limit(text):
+            raise ValueError(f"{what} must have at most {limit} digits in a row, got {value!r}") from None
         raise ValueError(f"{what} must be a rational number, got {value!r}") from None
     raise ValueError(f"{what} must have a decimal exponent of at most {limit} in magnitude, got {value!r}")
 

@@ -23,7 +23,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from click.testing import CliRunner
 
 from hodge_residue.boundary import (
     ScalarRational,
@@ -57,6 +56,7 @@ from hodge_residue.residue import (
 )
 from hodge_residue.scalars import GaussianRational, I
 from hodge_residue.symbols import check_flat_commutators, sphere_moment
+from cli_runner import CliRunner
 from float_reference import float_trace, line_quadrature, sphere_quadrature
 from word_reference import generator_word, lemma_lhs, pi_minus
 

@@ -4,8 +4,8 @@ The verify command must emit byte-identical reports for a fixed seed and use
 exit codes as a signal: 0 all checks pass, 1 at least one discrepancy
 (several tabulated identities genuinely disagree with the engine, so the
 lemma and theorem suites exit 1 by design), 2 configuration errors and
-malformed input.  Importing the package or the CLI must not load numpy or
-scipy, and the float oracle loads numpy but not scipy.
+malformed input.  Importing the package or the CLI must not load numpy,
+scipy or click, and the float oracle loads numpy but not scipy.
 """
 
 import hashlib
@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +29,7 @@ from hodge_residue.cli import main
 from hodge_residue.exterior import MAX_DIMENSION, LinearOp
 from hodge_residue.forms import AntiSymForm
 from hodge_residue.residue import lemma_ids
+from cli_runner import CliRunner
 from json_fuzz import JSON_PAYLOADS
 
 GOLDEN = json.loads(
@@ -368,6 +368,19 @@ class TestConfigurationErrors:
         assert result.exit_code == 2, result.output
         assert f"directory {missing} does not exist" in result.output
 
+    def test_out_naming_a_directory_exits_2_before_any_check(self, runner, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
+        result = runner.invoke(main, ["verify", "--suite", "boundary", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert str(tmp_path) in result.output
+
+    def test_abbreviated_option_exits_2(self, runner, monkeypatch):
+        # no prefix of --trials stands for it
+        monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
+        result = runner.invoke(main, ["verify", "--suite", "boundary", "--tri", "2"])
+        assert result.exit_code == 2, result.output
+        assert "--tri" in result.output
+
 
 def _no_checks_may_run(*args):
     raise AssertionError("a check started")
@@ -397,8 +410,13 @@ def _invoke_with_payload(runner, directory, command, bad_file, payload):
 
 
 def _invoke_with_texts(runner, directory, command, replaced):
-    """Run ``density T2 --m 2`` or ``boundary psi1 --m 2`` with valid input
-    files except those ``replaced`` names, each holding its text."""
+    return runner.invoke(main, _input_args(directory, command, replaced))
+
+
+def _input_args(directory, command, replaced):
+    """The arguments of ``density T2 --m 2`` or ``boundary psi1 --m 2`` with
+    valid input files in ``directory`` except those ``replaced`` names, each
+    holding its text."""
     if command == "density":
         args = ["density", "T2", "--m", "2"]
         texts = {"form": FORM3_JSON, "vectors": VECTORS3_JSON}
@@ -410,7 +428,7 @@ def _invoke_with_texts(runner, directory, command, replaced):
         path = Path(directory) / f"{name}.json"
         path.write_text(text, encoding="utf-8")
         args += [f"--{name}", str(path)]
-    return runner.invoke(main, args)
+    return args
 
 
 class TestMalformedInput:
@@ -429,6 +447,20 @@ class TestMalformedInput:
         result = _invoke_with_texts(runner, tmp_path, command, {bad_file: text})
         assert result.exit_code == 2, result.output
         assert "invalid input" in result.output
+
+    @pytest.mark.parametrize("command,bad_file", [
+        ("density", "form"), ("density", "vectors"), ("boundary", "vectors"),
+    ])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_input_path_that_is_no_file_exits_2(self, runner, tmp_path, command, bad_file, kind):
+        args = _input_args(tmp_path, command, {})
+        path = tmp_path / f"{bad_file}.json"
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert str(path) in result.output
 
     @pytest.mark.parametrize("payload,message", [
         ({"n": 4, "degree": 3, "entries": [{"idx": [1, 1, 2], "value": "1"}]},
@@ -515,9 +547,10 @@ def _python(code: str) -> str:
 
 class TestImportFootprint:
     def test_package_and_cli_do_not_load_numpy_or_scipy(self):
+        # nor click: the command line is the standard library's argparse
         loaded = _python(
             "import sys, hodge_residue, hodge_residue.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy', 'click')))"
         )
         assert loaded.strip() == "[]"
 

@@ -354,6 +354,14 @@ class TestJsonRoundTrip:
         message = f"a value must have a decimal exponent of at most {limit} in magnitude, got '{text}'"
         with pytest.raises(ValueError, match=re.escape(message)):
             _as_fraction(text, "a value")
+        # Fraction converts the numerator, the decimal part and the
+        # denominator separately: each run of digits is held to the limit,
+        # not their sum
+        for text in ("9" * (limit + 1), "1/" + "9" * (limit + 1), "0." + "9" * (limit + 1)):
+            message = f"a value must have at most {limit} digits in a row, got '{text}'"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _as_fraction(text, "a value")
+        assert _as_fraction("9" * (limit - 1) + "/" + "9" * (limit - 1), "a value") == 1
         assert _as_int("9" * limit, '"n"') == 10 ** limit - 1
         digits = "9" * (limit + 1)
         message = f'"n" must be an integer of at most {limit} digits, got {digits!r}'

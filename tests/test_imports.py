@@ -8,11 +8,10 @@ the module, including inside quoted annotations.  The package's
 (``_``-prefixed) function, class or constant counts as called when some
 module of the package reads it by name; a test's use does not count, so a
 helper only tests use lives in the tests.  A public top-level function or
-class is reached when ``__all__`` lists it, a module of the package or a
-file under ``bench/`` reads it, or it is decorated (the click commands).
-No package module reads a private attribute (``X._name``) of a name it
-imports from another package module, so each class keeps its internals to
-its own module.  The package builds a ``random.Random`` in one function
+class is reached when ``__all__`` lists it or when a module of the package or
+a file under ``bench/`` reads it.  No package module reads a private
+attribute (``X._name``) of a name it imports from another package module, so
+each class keeps its internals to its own module.  The package builds a ``random.Random`` in one function
 only, ``residue._trial_loop``, so every randomized check draws its inputs
 on one path.
 """
@@ -158,7 +157,7 @@ def test_public_names_are_reached_by_more_than_the_tests(path):
     unreached = [
         (node.name, node.lineno) for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_") and not node.decorator_list and node.name not in reached
+        and not node.name.startswith("_") and node.name not in reached
     ]
     assert not unreached, f"{path.name}: public names only the tests reach {unreached}"
 
