@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -242,23 +241,19 @@ def pi_plus(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BoundaryArgs:
     """Arguments of a boundary density evaluation."""
 
-    flavor: str  # "psi1" | "psi2"
-    u: tuple
-    v: tuple
-    w: tuple
-    m: int
+    __slots__ = ("flavor", "u", "v", "w", "m")
 
-    def __post_init__(self):
-        if self.flavor not in _FLAVOR_WORDS:
-            raise ValueError(f"flavor must be psi1 or psi2, got {self.flavor!r}")
-        n = 2 * self.m
-        for vec in (self.u, self.v, self.w):
+    def __init__(self, flavor: str, u: tuple, v: tuple, w: tuple, m: int):
+        if flavor not in _FLAVOR_WORDS:
+            raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
+        n = 2 * m
+        for vec in (u, v, w):
             if len(vec) != n:
                 raise ValueError(f"vectors must have length n = 2m = {n}")
+        self.flavor, self.u, self.v, self.w, self.m = flavor, u, v, w, m
 
 
 def resolvent_symbol_channels(n: int) -> Dict[Tuple[int, ...], Tuple[int, ScalarRational]]:

@@ -58,8 +58,12 @@ def _usage(message: str) -> NoReturn:
 
 def _symbol_order(text: str) -> int:
     """A symbol order m whose dimension n = 2m the engine supports."""
-    if 2 <= int(text) <= MAX_DIMENSION // 2:
-        return int(text)
+    try:
+        m = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if 2 <= m <= MAX_DIMENSION // 2:
+        return m
     raise argparse.ArgumentTypeError(f"{text} is not in the range 2<=x<={MAX_DIMENSION // 2}.")
 
 
@@ -239,7 +243,7 @@ _HELP = argparse.ArgumentParser(add_help=False)
 _HELP.add_argument("--help", action="help", help="Show this message and exit.")
 _OPTIONS = dict(add_help=False, allow_abbrev=False, parents=[_HELP])
 _PARSER = argparse.ArgumentParser(prog="hodge-residue", description=__doc__.splitlines()[0], **_OPTIONS)
-_commands = _PARSER.add_subparsers(required=True, metavar="COMMAND")
+_commands = _PARSER.add_subparsers(required=True, metavar="COMMAND", dest="command")
 
 _verify = _commands.add_parser("verify", help=cmd_verify.__doc__, **_OPTIONS)
 _verify.add_argument("--suite", choices=SUITES, default="all", help="(default: %(default)s)")
@@ -270,7 +274,11 @@ def main(args: Optional[Sequence[str]] = None, prog_name: Optional[str] = None,
          standalone_mode: bool = True) -> None:
     """Run ``hodge-residue`` on ``args`` (default ``sys.argv[1:]``); ``prog_name`` and
     ``standalone_mode`` are ignored, accepted because ``bench/entry.py`` passes them."""
-    options = vars(_PARSER.parse_args(args))
+    namespace, unknown = _PARSER.parse_known_args(args)
+    options = vars(namespace)
+    parser = _commands.choices[options.pop("command")]
+    if unknown:  # the subcommand's parser reports them, so its usage line is printed
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     command = options.pop("run")
     command(**options)
 

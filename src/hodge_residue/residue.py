@@ -44,12 +44,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import forms
 from .exterior import FLAVORS, LinearOp, _check_n, _generator_key, _product_signs
@@ -263,8 +262,7 @@ _kernel = lru_cache(maxsize=None)(_compile)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionalSpec:
+class FunctionalSpec(NamedTuple):
     """Static description of one interior functional."""
 
     functional_id: str
@@ -291,8 +289,7 @@ FUNCTIONALS: Dict[str, FunctionalSpec] = {
 }
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """Result of one randomized exact check."""
 
     check_id: str
@@ -534,8 +531,7 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaSpec:
+class LemmaSpec(NamedTuple):
     """One dispatch entry of the trace-identity checker.
 
     ``placements`` lists the sandwich variants the identity covers, in their

@@ -5,7 +5,7 @@ exit codes as a signal: 0 all checks pass, 1 at least one discrepancy
 (several tabulated identities genuinely disagree with the engine, so the
 lemma and theorem suites exit 1 by design), 2 configuration errors and
 malformed input.  Importing the package or the CLI must not load numpy,
-scipy or click, and the float oracle loads numpy but not scipy.
+scipy, click or dataclasses, and the float oracle loads numpy but not scipy.
 """
 
 import hashlib
@@ -380,6 +380,8 @@ class TestConfigurationErrors:
         result = runner.invoke(main, ["verify", "--suite", "boundary", "--tri", "2"])
         assert result.exit_code == 2, result.output
         assert "--tri" in result.output
+        # reported by the subcommand, whose usage line is printed
+        assert "usage: hodge-residue verify" in result.output
 
 
 def _no_checks_may_run(*args):
@@ -531,6 +533,15 @@ class TestSymbolOrderRange:
         assert result.exit_code == 2, result.output
         assert f"2<=x<={MAX_DIMENSION // 2}" in result.output
 
+    @pytest.mark.parametrize("value", ["x", "2.5", ""])
+    def test_non_integer_m_exits_2_naming_the_value(self, runner, monkeypatch, value):
+        # the message names the value, not the private function that parses it
+        monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
+        result = runner.invoke(main, ["verify", "--suite", "theorems", "--m", value])
+        assert result.exit_code == 2, result.output
+        assert f"argument --m: invalid int value: {value!r}" in result.output
+        assert "_symbol_order" not in result.output
+
 
 def _python(code: str) -> str:
     """stdout of ``code`` run in a fresh interpreter that imports this package."""
@@ -547,10 +558,12 @@ def _python(code: str) -> str:
 
 class TestImportFootprint:
     def test_package_and_cli_do_not_load_numpy_or_scipy(self):
-        # nor click: the command line is the standard library's argparse
+        # nor click: the command line is the standard library's argparse; nor
+        # dataclasses and the inspect machinery it imports: the records are plain
         loaded = _python(
             "import sys, hodge_residue, hodge_residue.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy', 'click')))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('numpy', 'scipy', 'click', 'dataclasses', 'inspect')))"
         )
         assert loaded.strip() == "[]"
 

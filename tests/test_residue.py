@@ -7,7 +7,6 @@ disagrees with the engine are asserted to FAIL with both values reported —
 those discrepancies are real and must stay visible.
 """
 
-import dataclasses
 import itertools
 import random
 import re
@@ -868,7 +867,7 @@ def _word_route_lhs(spec, n, vectors, form):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_lemma_ratio_moved_by_one_seventh_fails(monkeypatch, n):
-    spec = dataclasses.replace(LEMMA_CHECKS["L2.4"], ratio=LEMMA_CHECKS["L2.4"].ratio + Fraction(1, 7))
+    spec = LEMMA_CHECKS["L2.4"]._replace(ratio=LEMMA_CHECKS["L2.4"].ratio + Fraction(1, 7))
     monkeypatch.setitem(LEMMA_CHECKS, "L2.4", spec)
     report = lemma_check("L2.4", n, trials=5, seed=0)
     trial = _first_failing_trial(report)
@@ -941,7 +940,7 @@ def test_magnitude_sign_that_flips_between_trials_fails(monkeypatch):
 def test_derived_fractional_ratio_passes(monkeypatch, n):
     # L3.6b's derived ratio (n - 6)/n (README) has denominator n / gcd(n, 6),
     # so the integer verdict must keep the ratio's denominator
-    spec = dataclasses.replace(LEMMA_CHECKS["L3.6b"], ratio=Fraction(n - 6, n))
+    spec = LEMMA_CHECKS["L3.6b"]._replace(ratio=Fraction(n - 6, n))
     monkeypatch.setitem(LEMMA_CHECKS, "L3.6b", spec)
     report = lemma_check("L3.6b", n, trials=3, seed=0)
     assert report.status == "pass", report.to_dict()
