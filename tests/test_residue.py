@@ -8,6 +8,7 @@ those discrepancies are real and must stay visible.
 """
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -42,6 +43,7 @@ from hodge_residue.residue import (
     TraceKernel,
     _LEMMA_ALIASES,
     _kernel,
+    boundary_contraction,
     closed_form_coefficient,
     density_decomposition,
     lemma_check,
@@ -394,17 +396,36 @@ def _count_contractions(monkeypatch) -> list:
     return calls
 
 
+def _unit_value(spec, vectors, form):
+    """The unit of a trace identity's closed form on one trial's inputs."""
+    if spec.unit == "form":
+        return form_contract(form, vectors)
+    if spec.unit == "metric":
+        return dot(*vectors)
+    return boundary_contraction(spec.unit.lstrip("-"), *vectors)
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("lemma_id", sorted(LEMMA_CHECKS))
 def test_one_contraction_serves_every_placement(monkeypatch, lemma_id, n):
     """Each trial contracts the identity's one kernel once for all its
-    placements, and not at all when every placement's weight is 0."""
+    placements, and not at all when every placement's weight is 0.  An
+    identity that holds on every input (each passing one here) runs no trial
+    after the one its report shows, and none when its expected side is 0;
+    M6.2's sign policy runs every trial."""
     spec = LEMMA_CHECKS[lemma_id]
     kernel = kernel_of(spec, n)
-    contracted = any(kernel.weight(placement) for placement in spec.placements)
+    weighted = any(kernel.weight(placement) for placement in spec.placements)
     calls = _count_contractions(monkeypatch)
-    lemma_check(lemma_id, n, trials=3)
-    assert calls == [kernel] * 3 * contracted
+    report = lemma_check(lemma_id, n, trials=3)
+    if report.status == "fail" or spec.sign_policy == "magnitude":
+        assert calls == [kernel] * 3 * weighted
+    elif not (weighted and spec.ratio):
+        assert calls == []
+    else:
+        units = [_unit_value(spec, *_lemma_inputs(spec, lemma_id, n, 0, trial)) for trial in range(3)]
+        shown = next((trial for trial, unit in enumerate(units) if unit), 2)
+        assert calls == [kernel] * (shown + 1)
 
 
 @pytest.mark.parametrize("functional_id, contractions", [("T2", 1), ("T3", 0)])
@@ -955,3 +976,60 @@ def test_derived_fractional_ratio_passes(monkeypatch, n):
     expected = SymbolicScalar.number(spec.ratio * unit * (1 << n)) * sphere_volume(n - 1)
     assert report.computed == lemma_lhs(word, lemma_lift(spec.lift, form, n), "before").render()
     assert report.expected == expected.render() == report.computed
+
+
+# ---------------------------------------------------------------------------
+# The identity stop: a check whose kernel tensor is its closed form times the
+# unit's tensor ends its trials at the pass its report shows.
+# ---------------------------------------------------------------------------
+
+UNIT_KINDS = [("form", 2), ("form", 3), ("form", 4), ("metric", 0), ("psi1", 0), ("psi2", 0), ("-psi2", 0)]
+
+
+def _contract_tensor(tensor, rows):
+    """``sum c * rows[0][key[0]] * ... * rows[k][key[k]]`` over a sparse tensor."""
+    return sum(c * math.prod(row[i] for row, i in zip(rows, key)) for key, c in tensor.items())
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind, degree", UNIT_KINDS)
+def test_unit_tensor_contracts_to_the_unit(kind, degree, n):
+    # _unit reaches each kind by its own route: minors for a form, dot
+    # products for the metric and the boundary contractions
+    letters = degree or (2 if kind == "metric" else 3)
+    size = math.comb(n, degree) if degree else 0
+    tensor = residue_module._unit_tensor(kind, n, degree)
+    rng = random.Random(f"unit-tensor:{kind}:{degree}:{n}")
+    for _ in range(50):
+        form = [rng.randint(-6, 6) for _ in range(size)]
+        vectors = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(letters)]
+        assert _contract_tensor(tensor, [form or [1], *vectors]) == residue_module._unit(kind, form, vectors)
+
+
+def test_unit_tensor_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown unit kind 'psi3'"):
+        residue_module._unit_tensor("psi3", 4, 0)
+
+
+STOP_CASES = (
+    [(lemma_check, lemma_id, n) for lemma_id in sorted(LEMMA_CHECKS) + sorted(_LEMMA_ALIASES) for n in (4, 6, 8)]
+    + [(verify_theorem, functional_id, m) for functional_id in sorted(FUNCTIONALS) for m in (2, 3, 4)]
+    + [(verify_boundary, flavor, m) for flavor in ("psi1", "psi2") for m in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("check, name, size", STOP_CASES,
+                         ids=[f"{name}-{size}" for _, name, size in STOP_CASES])
+def test_identity_stop_changes_no_report(monkeypatch, check, name, size):
+    stopped = [check(name, size, seed=seed) for seed in (0, 3)]
+    monkeypatch.setattr(residue_module, "_holds_identically", lambda *args: False)
+    assert [check(name, size, seed=seed) for seed in (0, 3)] == stopped
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_identity_stop_keeps_a_moved_ratio_failing(monkeypatch, n):
+    monkeypatch.setitem(LEMMA_CHECKS, "L4.7", LEMMA_CHECKS["L4.7"]._replace(ratio=Fraction(2)))
+    stopped = lemma_check("L4.7", n)
+    assert stopped.status == "fail"
+    monkeypatch.setattr(residue_module, "_holds_identically", lambda *args: False)
+    assert lemma_check("L4.7", n) == stopped
