@@ -37,11 +37,11 @@ so a density is ``K * tr(W c_n)``.  ``tr(W(u, v, w) c_n)`` is a degree-0
 kernel lookup raises ``ValueError`` if the residue kernel is not that one
 pair.  No Clifford word is built.
 
-:func:`verify_boundary` asserts exact proportionality of each density to its
-stated vector contraction and compares the engine's absolute constant with
-the tabulated closed form, reporting both.  Its trials run in
-:func:`~hodge_residue.residue._trial_loop`, which draws the vectors and
-takes the contraction as the unit of the flavor's kind.
+:func:`verify_boundary` decides exact proportionality of each density to its
+stated vector contraction from the kernel's ratio
+:func:`~hodge_residue.residue._ratio` to the contraction, and compares the
+engine's absolute constant with the tabulated closed form on the trials of
+:func:`~hodge_residue.residue._trial_loop`, reporting both.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .exterior import _check_n
-from .residue import LEMMA_CHECKS, CheckReport, TraceKernel, _kernel, _trial_loop
+from .residue import LEMMA_CHECKS, CheckReport, TraceKernel, _kernel, _ratio, _trial_loop
 from .scalars import (
     GaussianRational,
     I,
@@ -353,41 +353,29 @@ def closed_form_boundary_coefficient(flavor: str, m: int) -> SymbolicScalar:
 def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> CheckReport:
     """Check proportionality and the absolute constant of one boundary density.
 
-    Proportionality of the density to the stated contraction is asserted
-    unconditionally; the engine's constant is then compared exactly against
-    the tabulated closed form, with both values rendered.  The kernel is
-    the B5.8 or B5.10 identity's and the trials run in
-    :func:`~hodge_residue.residue._trial_loop`, which draws ``u, v, w``
-    doubled, takes their contraction (the flavor's unit kind) as the unit
-    and undoes the doubling.  An unknown flavor or ``m < 2`` raises
-    ``ValueError`` from :func:`closed_form_boundary_coefficient`.
+    The kernel is the B5.8 or B5.10 identity's.  The density is proportional
+    to the stated contraction exactly when the kernel has a ratio ``kappa``
+    to the contraction's tensor, and its constant is then ``weight * kappa /
+    D``; the detail's sentence names both.  The trials, in
+    :func:`~hodge_residue.residue._trial_loop` with the contraction as the
+    unit, compare the density exactly with the tabulated closed form.  An
+    unknown flavor or ``m < 2`` raises ``ValueError`` from
+    :func:`closed_form_boundary_coefficient`.
     """
     n = 2 * m
     per_unit_expected = closed_form_boundary_coefficient(flavor, m) * sphere_volume(n - 2)
     kernel, weight = _boundary_kernel(flavor, m)
-
-    def proportionality(contracted: List[Tuple[int, int]]) -> str:
-        # the density weight * 2^n c / D is proportional to the contraction t
-        # when c * t0 == c0 * t on every trial, (c0, t0) the first with t0 != 0,
-        # and no trial has t == 0 with c != 0
-        nonzero = [(c, t) for c, t in contracted if t]
-        if not nonzero:
-            constant = "undetermined (the contraction is 0 on every trial)"
-        else:
-            c0, t0 = nonzero[0]
-            nonconstant = any(c * t0 != c0 * t for c, t in nonzero)
-            constant = "nonconstant" if nonconstant else (weight * Fraction(c0, kernel.denominator * t0)).render()
-        proportional = constant != "nonconstant" and all(t or not c for c, t in contracted)
-        return (
-            f"proportionality to the stated contraction: {'holds' if proportional else 'FAILS'}; "
-            f"engine constant per unit contraction*Tr(Id) = {constant}; "
-            f"tabulated closed form = {per_unit_expected.render()}"
-        )
-
-    # the density is weight * 2^n c / D and the closed form's side
-    # per_unit_expected * 2^n t
-    return _trial_loop(
+    # the density weight * 2^n c / D against the closed form's per_unit_expected * 2^n t
+    report = _trial_loop(
         "Psi1" if flavor == "psi1" else "Psi2", trials, f"{seed}:boundary:{flavor}:{m}", kernel, flavor,
         [("plain", Fraction(1), weight * (1 << n), per_unit_expected * (1 << n))],
-        describe=proportionality,
     )
+    # the density is proportional to the contraction exactly when c = kappa t
+    kappa = _ratio(kernel, flavor)
+    constant = "nonconstant" if kappa is None else (weight * Fraction(kappa, kernel.denominator)).render()
+    proportionality = (
+        f"proportionality to the stated contraction: {'FAILS' if kappa is None else 'holds'}; "
+        f"engine constant per unit contraction*Tr(Id) = {constant}; "
+        f"tabulated closed form = {per_unit_expected.render()}"
+    )
+    return report._replace(detail="; ".join(filter(None, (report.detail, proportionality))))

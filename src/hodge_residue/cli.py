@@ -48,6 +48,9 @@ DEFAULT_COMMUTATOR_DIMENSIONS = (2, 4)
 # the largest n at which check_flat_commutators finishes in reasonable time
 # (4.3 s at n = 10 on 2 CPUs, about six times its 0.68 s at n = 8)
 MAX_COMMUTATOR_DIMENSION = 10
+# a failing check draws every trial; --suite lemmas --n 14 takes about 7 s
+# at this many trials on 2 CPUs
+MAX_TRIALS = 1000
 
 
 def _usage(message: str) -> NoReturn:
@@ -137,6 +140,9 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
     """Run verification suites and emit a deterministic report."""
     if trials < 1:
         _usage("--trials must be >= 1")
+    if trials > MAX_TRIALS:
+        _usage(f"--trials must be <= {MAX_TRIALS}: a failing check draws every trial, and "
+               f"--suite lemmas --n 14 takes about 7 s at {MAX_TRIALS} trials; got {trials}")
     if n_value is not None and suite not in N_SUITES:
         _usage(f"--n does not apply to --suite {suite}: its checks run at n = 2m; use --m")
     if m_value is not None and suite not in M_SUITES:

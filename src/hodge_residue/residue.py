@@ -34,8 +34,10 @@ Each functional carries a closed-form coefficient table entry;
 ``coefficient * T(args)`` on random trials, and :func:`lemma_check` verifies
 the individual trace identities feeding those densities.  Their trials, and
 those of :func:`~hodge_residue.boundary.verify_boundary`, run in
-:func:`_trial_loop`, which ends at the first pass it shows once the kernel's
-tensor is the closed form times :func:`_unit_tensor`.  Every check is exact:
+:func:`_trial_loop`.  Each kernel's tensor is one exact ratio :func:`_ratio`
+times its unit's :func:`_unit_tensor`, or no multiple of it; with that
+ratio no trial contracts the kernel, and a check that cannot fail ends at
+the first pass it shows.  Every check is exact:
 when the engine's exact value disagrees with a tabulated closed form, the
 report carries both values verbatim; nothing is softened to a tolerance or
 auto-corrected.
@@ -259,6 +261,22 @@ def _compile(word_flavors: Tuple[str, ...], lift: Optional[str], n: int) -> Trac
 _kernel = lru_cache(maxsize=None)(_compile)
 
 
+@lru_cache(maxsize=None)
+def _ratio(kernel: TraceKernel, unit: str) -> Optional[int | Fraction]:
+    """The exact ``kappa`` (an ``int`` when integral) with ``K = kappa U``, else
+    ``None``: ``K`` is the kernel's tensor summed per key, ``U`` the
+    :func:`_unit_tensor` of the kind ``unit``, so the kernel contracts any rows
+    to ``kappa`` times their :func:`_unit`.  Once per kernel, unit and process."""
+    expected = _unit_tensor(unit, kernel.n, kernel.degree)
+    engine = dict.fromkeys(expected, 0)
+    for key, c in zip(zip(*kernel.columns), kernel.coeffs):
+        engine[key] = engine.get(key, 0) + c
+    k0, u0 = next(((engine[key], u) for key, u in expected.items()), (0, 1))
+    if any(c * u0 != k0 * expected.get(key, 0) for key, c in engine.items()):
+        return None
+    return k0 // u0 if k0 % u0 == 0 else Fraction(k0, u0)
+
+
 # ---------------------------------------------------------------------------
 # Functional table
 # ---------------------------------------------------------------------------
@@ -336,10 +354,15 @@ def _sides(value: SymbolicScalar, expected: SymbolicScalar, denominator: int) ->
     )
 
 
+def _identical(kappa: Optional[int | Fraction], p: int, sides: Tuple[int, int, int, int]) -> bool:
+    """Whether a :func:`_trial_loop` comparison holds on every input: ``c = p
+    kappa base``, so exactly when ``p kappa left == right`` for re and im."""
+    return kappa is not None and p * kappa * sides[0] == sides[1] and p * kappa * sides[2] == sides[3]
+
+
 def _trial_loop(check_id: str, trials: int, rng_label: str, kernel: TraceKernel, unit: str,
                 comparisons: Sequence[Tuple[str, Fraction, SymbolicScalar, SymbolicScalar]],
-                form_first: bool = False, magnitude: bool = False,
-                describe: Optional[Callable[[List[Tuple[int, int]]], str]] = None) -> CheckReport:
+                form_first: bool = False, magnitude: bool = False) -> CheckReport:
     """The trials of every randomized check, decided in integers.
 
     One ``random.Random(rng_label)`` stream feeds every trial.  Each trial
@@ -354,40 +377,42 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, kernel: TraceKernel,
     kernel contracted with the rows and ``D`` its denominator, against the
     expected side ``expected * base``.  With ``weight = p / q``
     that is ``value * c / (D q)`` for the integer ``c = p t``, and
-    :func:`_sides` makes it integer identities.  The kernel is contracted
-    once per trial run, and not at all when every weight is 0.  Both sides are
+    :func:`_sides` makes it integer identities.  Both sides are
     linear in each of the ``r = letters + bool(degree)`` doubled rows, so
     each carries the factor ``2^r``: it cancels in the comparison, and only
     the two values the report shows are divided by it.  ``trials`` below 1
     raises ``ValueError``.
 
-    With ``magnitude`` a comparison whose expected side is nonzero holds when
-    the engine side is ``s`` times it, for one sign ``s`` on every trial, and
-    the detail records ``s``.  ``describe`` maps the ``(c, base)`` of every
-    comparison, in order, to one more sentence of detail.
+    ``t`` is ``kappa * base`` when the kernel is :func:`_ratio` ``kappa``
+    times the unit (0 when every weight is 0); only a kernel with no
+    ``kappa`` is contracted, once per trial.  With ``magnitude``, a
+    comparison that fails but holds with its expected side negated is
+    compared with the negated side, and a passing check notes that sign.
 
     The report shows the first failure, else the first pass with a nonzero
     expected side (``"0"`` for both when there is none); only these values
-    are built as ``SymbolicScalar``.  Without ``magnitude`` and ``describe``,
-    a check whose comparisons :func:`_holds_identically` cannot fail, so that
-    pass fixes its report: the loop stops after it, or before the first draw
-    when no expected side is nonzero, and the report is the full loop's.
+    are built as ``SymbolicScalar``.  When every comparison holds on every
+    input (:func:`_identical`), that pass fixes the report: the loop stops
+    after it, or before the first draw when no expected side is nonzero.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    checks = []
+    # every weight 0 makes the engine side 0, whatever the kernel
+    kappa = _ratio(kernel, unit) if any(weight for _, weight, _, _ in comparisons) else 0
+    checks, sign = [], 1
     for label, weight, value, expected in comparisons:
-        denominator = kernel.denominator * weight.denominator
-        checks.append((label, weight.numerator, denominator, value, expected, _sides(value, expected, denominator)))
-    contracts = any(weight for _, weight, _, _ in comparisons)
+        p, denominator = weight.numerator, kernel.denominator * weight.denominator
+        sides = _sides(value, expected, denominator)
+        if magnitude and not _identical(kappa, p, sides) and _identical(kappa, -p, sides):
+            expected, sign = expected * -1, -1
+            sides = _sides(value, expected, denominator)
+        checks.append((label, p, denominator, value, expected, sides))
+    identical = all(_identical(kappa, p, sides) for _, p, *_, sides in checks)
     r = kernel.letters + bool(kernel.degree)
     size = len(kernel.basis) if kernel.degree else 0
     rng = random.Random(rng_label)
     failures = 0
     shown: Optional[Tuple[SymbolicScalar, SymbolicScalar, str]] = None
-    signs = set()
-    contracted = [] if describe else None
-    identical = not magnitude and describe is None and _holds_identically(kernel, unit, checks)
     for trial in range(trials):
         if identical and (shown or not any(expected for *_, expected, _ in checks)):
             break
@@ -396,34 +421,22 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, kernel: TraceKernel,
         if not form_first:
             form = _random_doubled(size, rng)
         base = _unit(unit, form, vectors)
-        t = kernel.contract([form or (1,), *vectors]) if contracts else 0
+        t = kernel.contract([form or (1,), *vectors]) if kappa is None else kappa * base
         for label, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
             c = p * t
-            if contracted is not None:
-                contracted.append((c, base))
-            ok = c * re_left == base * re_right and c * im_left == base * im_right
-            sign = 1
-            if magnitude and base and expected:
-                minus = c * re_left == -base * re_right and c * im_left == -base * im_right
-                sign = 1 if ok else -1 if minus else 0
-                if sign:
-                    signs.add(sign)
-                ok = bool(sign) and len(signs) == 1
-            if not ok:
+            if c * re_left != base * re_right or c * im_left != base * im_right:
                 failures += 1
                 if failures == 1:
                     where = f"trial {trial}" + (f", {label} placement" if len(checks) > 1 else "")
                     shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r), where)
             elif shown is None and base and expected:
-                shown = (value * Fraction(c, denominator << r), expected * Fraction(sign * base, 1 << r), "")
+                shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r), "")
     notes = [f"{failures} of {trials * len(checks)} comparisons disagree; first at {shown[2]}"] if failures else []
-    if signs:
+    if magnitude and shown and not failures:
         notes.append(
-            f"observed sign {'+' if 1 in signs else '-'}1 relative to the tabulated magnitude; "
+            f"observed sign {'+' if sign > 0 else '-'}1 relative to the tabulated magnitude; "
             "proportionality and magnitude asserted, sign recorded"
         )
-    if describe:
-        notes.append(describe(contracted))
     engine_side, expected_side, _ = shown or (SymbolicScalar(), SymbolicScalar(), "")
     return CheckReport(check_id, kernel.n, trials, "fail" if failures else "pass", engine_side.render(),
                        expected_side.render(), detail="; ".join(notes))
@@ -647,22 +660,6 @@ def _unit_tensor(kind: str, n: int, degree: int) -> Mapping[Tuple[int, ...], int
     return MappingProxyType(tensor)
 
 
-def _holds_identically(kernel: TraceKernel, unit: str, checks: Sequence[Tuple]) -> bool:
-    """Whether each of :func:`_trial_loop`'s ``checks`` holds on every input:
-    exactly when ``a K == b U`` (``a = p left``, ``b = right``) for the kernel
-    and unit tensors, ``K`` summed per key: ``a = b = 0``, or ``K = (k0 / u0)
-    U`` and ``a k0 = b u0``, with ``k0`` and ``u0`` at ``U``'s first key."""
-    expected = _unit_tensor(unit, kernel.n, kernel.degree)
-    engine = dict.fromkeys(expected, 0)
-    for key, c in zip(zip(*kernel.columns), kernel.coeffs):
-        engine[key] = engine.get(key, 0) + c
-    first = next(iter(expected))
-    k0, u0 = engine[first], expected[first]
-    proportional = all(c * u0 == k0 * expected.get(key, 0) for key, c in engine.items())
-    return all((proportional or a == b == 0) and a * k0 == b * u0
-               for _, p, *_, sides in checks for a, b in ((p * sides[0], sides[1]), (p * sides[2], sides[3])))
-
-
 def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> CheckReport:
     """Exact randomized check of one tabulated trace identity.
 
@@ -672,8 +669,7 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     integrated variants); any disagreement is reported with both exact
     values.  The identity's kernel is compiled once per shape and process,
     each placement is its :meth:`TraceKernel.weight`, and the trials run in
-    :func:`_trial_loop`, which draws the vectors, then the form, doubled,
-    contracts the kernel at most once per trial and undoes the doubling.
+    :func:`_trial_loop`, which draws the vectors, then the form, doubled.
     """
     if lemma_id in _LEMMA_ALIASES:
         base_id, placement = _LEMMA_ALIASES[lemma_id]

@@ -6,6 +6,7 @@ Expected values were frozen from hand partial-fraction computations and
 cross-checked against adaptive quadrature (see test_oracle.py).
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -336,6 +337,14 @@ class TestClosedFormCoefficient:
             closed_form_boundary_coefficient("psi1", 1)
 
 
+def _fresh_ratios(monkeypatch):
+    """A kernel ratio memo of this test's own, so a patched unit tensor
+    neither reads a ratio memoized before it nor leaves one behind."""
+    fresh = functools.lru_cache(maxsize=None)(residue_module._ratio.__wrapped__)
+    for module in (residue_module, boundary_module):
+        monkeypatch.setattr(module, "_ratio", fresh)
+
+
 class TestVerifyBoundary:
     @pytest.mark.parametrize("flavor", ["psi1", "psi2"])
     @pytest.mark.parametrize("m", [2, 3])
@@ -350,13 +359,16 @@ class TestVerifyBoundary:
         b = verify_boundary("psi1", 2, trials=3, seed=7).to_dict()
         assert a == b
 
-    def test_constant_is_undetermined_when_every_contraction_is_zero(self):
-        # seed 7 draws a single psi2 trial whose contraction u_n <v, w> is 0
+    def test_constant_is_named_when_every_contraction_is_zero(self):
+        # seed 7 draws a single psi2 trial whose contraction u_n <v, w> is 0;
+        # the constant is the kernel ratio's, whatever the trials draw
         report = verify_boundary("psi2", 2, trials=1, seed=7)
-        assert report.status == "pass"
-        assert "holds" in report.detail
-        assert "nonconstant" not in report.detail
-        assert "undetermined (the contraction is 0 on every trial)" in report.detail
+        per_unit = (closed_form_boundary_coefficient("psi2", 2) * sphere_volume(2)).render()
+        assert (report.status, report.computed, report.expected) == ("pass", "0", "0")
+        assert report.detail == (
+            f"proportionality to the stated contraction: holds; "
+            f"engine constant per unit contraction*Tr(Id) = {per_unit}; tabulated closed form = {per_unit}"
+        )
 
     @pytest.mark.parametrize("flavor", ["psi1", "psi2"])
     @pytest.mark.parametrize("m", [2, 3])
@@ -384,8 +396,10 @@ class TestVerifyBoundary:
         assert f"= {(original(flavor, m) * sphere_volume(n - 2)).render()}; tabulated" in report.detail
 
     def test_psi2_against_the_psi1_contraction_is_not_proportional(self, monkeypatch):
-        original = residue_module._unit
+        original, tensor = residue_module._unit, residue_module._unit_tensor
         monkeypatch.setattr(residue_module, "_unit", lambda kind, form, vectors: original("psi1", form, vectors))
+        monkeypatch.setattr(residue_module, "_unit_tensor", lambda kind, n, degree: tensor("psi1", n, degree))
+        _fresh_ratios(monkeypatch)
         report = verify_boundary("psi2", 2, trials=20, seed=0)
         assert report.status == "fail"
         assert "proportionality to the stated contraction: FAILS" in report.detail
@@ -393,6 +407,8 @@ class TestVerifyBoundary:
 
     def test_zero_contraction_with_a_nonzero_density_fails(self, monkeypatch):
         monkeypatch.setattr(residue_module, "_unit", lambda kind, form, vectors: 0)
+        monkeypatch.setattr(residue_module, "_unit_tensor", lambda kind, n, degree: {})
+        _fresh_ratios(monkeypatch)
         report = verify_boundary("psi1", 2, trials=5, seed=0)
         rng = random.Random("0:boundary:psi1:2")
         densities = [
@@ -407,7 +423,7 @@ class TestVerifyBoundary:
         assert report.detail.startswith(
             f"{len(nonzero)} of 5 comparisons disagree; first at trial {nonzero[0]}; "
             "proportionality to the stated contraction: FAILS; "
-            "engine constant per unit contraction*Tr(Id) = undetermined"
+            "engine constant per unit contraction*Tr(Id) = nonconstant"
         )
 
     def test_no_operator_is_composed_or_traced(self, monkeypatch):

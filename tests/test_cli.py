@@ -297,6 +297,20 @@ class TestConfigurationErrors:
         assert result.exit_code == 2
         assert message in " ".join(result.output.split())
 
+    @pytest.mark.parametrize("trials", ["1001", "100000000000000000000"])
+    def test_trials_past_the_bound_exit_2_naming_it(self, runner, monkeypatch, trials):
+        # a failing check draws every trial, so such a run would not finish
+        monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
+        result = runner.invoke(main, ["verify", "--suite", "lemmas", "--trials", trials])
+        assert result.exit_code == 2
+        assert "--trials must be <= 1000" in result.output and f"got {trials}" in result.output
+
+    def test_trials_at_the_bound_run(self, runner, monkeypatch):
+        monkeypatch.setattr(cli_module, "_run_checks", lambda *a: iter(()))
+        result = runner.invoke(main, ["verify", "--suite", "lemmas", "--n", "14", "--trials", "1000"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["config"]["trials"] == 1000
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_commutator_suite_runs_at_small_and_odd_n(self, runner, n):
         result = runner.invoke(main, ["verify", "--suite", "commutators", "--n", str(n)])

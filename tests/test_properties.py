@@ -1,21 +1,23 @@
 """Property-based invariants of the exact engine (>= 100 generated cases each).
 
 These are convention-independent structural laws: multilinearity, frame
-covariance under signed permutations of the basis, trace cyclicity, vanishing
-of odd generator words, permutation symmetry of sphere moments, and
-idempotence of the half-plane projection.  They hold regardless of which
-tabulated constants the engine reproduces.
+covariance under signed permutations of the basis and under exact rational
+rotations, trace cyclicity, vanishing of odd generator words, permutation
+symmetry of sphere moments, and idempotence of the half-plane projection.
+They hold regardless of which tabulated constants the engine reproduces.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodge_residue.boundary import pi_plus
 from hodge_residue.exterior import LinearOp, trace_product
-from hodge_residue.forms import AntiSymForm, form_contract
-from hodge_residue.residue import spectral_density
+from hodge_residue.forms import AntiSymForm, form_contract, random_form, random_vector
+from hodge_residue.residue import FUNCTIONALS, LEMMA_CHECKS, _kernel, spectral_density
 from hodge_residue.scalars import GaussianRational, I
 from hodge_residue.symbols import sphere_moment
 from matrix_reference import from_entries
@@ -143,6 +145,73 @@ class TestFrameCovariance:
             M,
         )
         assert moved == plain
+
+
+def cayley_rotation(n: int, rng: random.Random):
+    """``Q = (I + A)^{-1} (I - A)`` for a random rational skew ``A``, an exact
+    rotation, by Gauss-Jordan elimination of ``[I + A | I - A]``."""
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        skew[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        skew[j][i] = -skew[i][j]
+    rows = [[(i == j) + skew[i][j] for j in range(n)] + [(i == j) - skew[i][j] for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def rotate_vector(Q, u):
+    return [sum(q * x for q, x in zip(row, u)) for row in Q]
+
+
+def rotate_form(Q, form: AntiSymForm) -> AntiSymForm:
+    """The form ``T(Q^T .)``, which takes the rotated vectors ``Q u`` to ``T(u)``:
+    its value on ``e_I`` is ``T`` on the rows ``I`` of ``Q``."""
+    basis = itertools.combinations(range(1, form.n + 1), form.degree)
+    return AntiSymForm(form.n, form.degree, {idx: form_contract(form, [Q[i - 1] for i in idx]) for idx in basis})
+
+
+# the trace kernel of every interior trace identity and density; the boundary
+# rows B5.8 and B5.10 fix e_n, so a rotation moves them
+INTERIOR_KERNELS = {
+    **{name: (spec.word_flavors, spec.lift) for name, spec in LEMMA_CHECKS.items() if spec.lift != "normal_c"},
+    **{name: (spec.arg_flavors, spec.lift_kind) for name, spec in FUNCTIONALS.items()},
+}
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("name", sorted(INTERIOR_KERNELS))
+def test_kernel_trace_is_rotation_invariant_unless_the_lift_is_four_mixed(name, n):
+    # by the first fundamental theorem for O(n), the invariant kernels are the
+    # multiples of T(u_1 ... u_k) (or <u, v>); the four_mixed lift takes its
+    # flavors in index order, so it is not frame covariant and its kernels
+    # move under a rotation
+    flavors, lift = INTERIOR_KERNELS[name]
+    kernel = _kernel(flavors, lift, n)
+    rng = random.Random(f"rotation:{name}:{n}")
+    moved = []
+    for _ in range(4):
+        Q = cayley_rotation(n, rng)
+        columns = list(zip(*Q))
+        assert [[sum(a * b for a, b in zip(p, q)) for q in columns] for p in columns] == [
+            [int(i == j) for j in range(n)] for i in range(n)]
+        T = random_form(n, kernel.degree, rng) if kernel.degree else None
+        vectors = [random_vector(n, rng) for _ in flavors]
+        rotated = [rotate_vector(Q, u) for u in vectors]
+        QT = None if T is None else rotate_form(Q, T)
+        if T is not None:
+            assert form_contract(QT, rotated) == form_contract(T, vectors)
+        moved.append(kernel.trace(QT, rotated) != kernel.trace(T, vectors))
+    if lift == "four_mixed":
+        assert any(moved), "the trace was invariant on every rotation drawn"
+    else:
+        assert not any(moved)
 
 
 word_letters = st.lists(

@@ -7,6 +7,7 @@ disagrees with the engine are asserted to FAIL with both values reported —
 those discrepancies are real and must stay visible.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -43,7 +44,6 @@ from hodge_residue.residue import (
     TraceKernel,
     _LEMMA_ALIASES,
     _kernel,
-    boundary_contraction,
     closed_form_coefficient,
     density_decomposition,
     lemma_check,
@@ -396,41 +396,25 @@ def _count_contractions(monkeypatch) -> list:
     return calls
 
 
-def _unit_value(spec, vectors, form):
-    """The unit of a trace identity's closed form on one trial's inputs."""
-    if spec.unit == "form":
-        return form_contract(form, vectors)
-    if spec.unit == "metric":
-        return dot(*vectors)
-    return boundary_contraction(spec.unit.lstrip("-"), *vectors)
-
-
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("lemma_id", sorted(LEMMA_CHECKS))
 def test_one_contraction_serves_every_placement(monkeypatch, lemma_id, n):
-    """Each trial contracts the identity's one kernel once for all its
-    placements, and not at all when every placement's weight is 0.  An
-    identity that holds on every input (each passing one here) runs no trial
-    after the one its report shows, and none when its expected side is 0;
-    M6.2's sign policy runs every trial."""
+    """A kernel that is a ratio times its unit is never contracted: each
+    trial's engine side is that ratio times the unit it draws, failing
+    checks included.  The four_mixed kernels have none, so each trial
+    contracts one once for all its placements, unless every weight is 0."""
     spec = LEMMA_CHECKS[lemma_id]
     kernel = kernel_of(spec, n)
     weighted = any(kernel.weight(placement) for placement in spec.placements)
     calls = _count_contractions(monkeypatch)
-    report = lemma_check(lemma_id, n, trials=3)
-    if report.status == "fail" or spec.sign_policy == "magnitude":
-        assert calls == [kernel] * 3 * weighted
-    elif not (weighted and spec.ratio):
-        assert calls == []
-    else:
-        units = [_unit_value(spec, *_lemma_inputs(spec, lemma_id, n, 0, trial)) for trial in range(3)]
-        shown = next((trial for trial, unit in enumerate(units) if unit), 2)
-        assert calls == [kernel] * (shown + 1)
+    lemma_check(lemma_id, n, trials=3)
+    assert calls == [kernel] * 3 * (spec.lift == "four_mixed" and weighted)
 
 
-@pytest.mark.parametrize("functional_id, contractions", [("T2", 1), ("T3", 0)])
+@pytest.mark.parametrize("functional_id, contractions", [("T2", 0), ("T3", 0), ("T4", 1)])
 def test_theorem_trials_contract_a_kernel_of_nonzero_weight(monkeypatch, functional_id, contractions):
-    # T3's interior weight is 0, so its trials contract nothing
+    # T2 and T3 have a ratio (and T3's interior weight is 0), so only T4's
+    # trials contract
     calls = _count_contractions(monkeypatch)
     for trials in (1, 3):
         calls.clear()
@@ -934,26 +918,24 @@ def test_theorem_coefficient_off_the_sphere_unit_is_rejected(monkeypatch, module
         check()
 
 
-def test_magnitude_sign_that_flips_between_trials_fails(monkeypatch):
-    # the unit's sign alternates from trial to trial, so no single sign
-    # relates the engine's value to the tabulated magnitude
-    unit = residue_module._unit
-    calls = []
-
-    def flipping(*args):
-        calls.append(None)
-        return unit(*args) * (-1) ** len(calls)
-
-    monkeypatch.setattr(residue_module, "_unit", flipping)
+@pytest.mark.parametrize("ratio", [2, -1], ids=["two", "minus-one"])
+def test_magnitude_sign_comes_from_the_kernel_ratio(monkeypatch, ratio):
+    # M6.2's kernel is -1 times the metric unit's: a tabulated -1 holds with
+    # sign +1, and a tabulated 2 holds with neither sign
+    spec = LEMMA_CHECKS["M6.2"]._replace(ratio=Fraction(ratio))
+    monkeypatch.setitem(LEMMA_CHECKS, "M6.2", spec)
     n = 4
     report = lemma_check("M6.2", n, trials=6, seed=0)
+    if ratio == -1:
+        assert report.status == "pass"
+        assert report.computed == report.expected != "0"
+        assert report.detail.startswith("observed sign +1 relative to the tabulated magnitude")
+        return
     trial = _first_failing_trial(report)
-    assert "observed sign +1" in report.detail
-    spec = LEMMA_CHECKS["M6.2"]
+    assert "observed sign" not in report.detail
     vectors, form = _lemma_inputs(spec, "M6.2", n, 0, trial)
-    expected = (-1) ** (trial + 1) * spec.ratio * dot(*vectors) * (1 << n)
     assert report.computed == _word_route_lhs(spec, n, vectors, form).render()
-    assert report.expected == SymbolicScalar.number(expected).render()
+    assert report.expected == SymbolicScalar.number(ratio * dot(*vectors) * (1 << n)).render()
     assert report.computed != report.expected
 
 
@@ -979,8 +961,9 @@ def test_derived_fractional_ratio_passes(monkeypatch, n):
 
 
 # ---------------------------------------------------------------------------
-# The identity stop: a check whose kernel tensor is its closed form times the
-# unit's tensor ends its trials at the pass its report shows.
+# The kernel ratio: a kernel tensor that is kappa times its unit's tensor is
+# never contracted, and a check that holds on every input ends its trials at
+# the pass its report shows.
 # ---------------------------------------------------------------------------
 
 UNIT_KINDS = [("form", 2), ("form", 3), ("form", 4), ("metric", 0), ("psi1", 0), ("psi2", 0), ("-psi2", 0)]
@@ -1011,6 +994,45 @@ def test_unit_tensor_rejects_an_unknown_kind():
         residue_module._unit_tensor("psi3", 4, 0)
 
 
+# K = kappa U with kappa over the kernel's denominator, at every n tested; the
+# four_mixed kernels are no multiple of their unit
+KERNEL_RATIOS = {
+    "L2.4": -1, "L2.5": -1, "L3.4a": 1, "L3.4b": 0, "L3.5": 0, "L3.6a": 1, "L3.6b": 1, "L3.7a": 2,
+    "L3.7b": 0, "L3.8": 0, "L3.9": 2, "L4.5": None, "L4.6a": None, "L4.6b": None, "L4.7": 1, "L4.8": 1,
+    "B5.8": 1, "B5.10": 1, "M6.2": -1,
+    "T1": -1, "T2": Fraction(3, 2), "T3": Fraction(-1, 2), "T4": None, "T5": 1,
+}
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("name", list(KERNEL_RATIOS))
+def test_kernel_ratio_to_its_unit(name, n):
+    spec = LEMMA_CHECKS.get(name) or FUNCTIONALS[name]
+    unit = getattr(spec, "unit", "form")
+    kernel = kernel_of(spec, n)
+    kappa = residue_module._ratio(kernel, unit)
+    if KERNEL_RATIOS[name] is None:
+        assert kappa is None
+        return
+    assert type(kappa) is int and Fraction(kappa, kernel.denominator) == KERNEL_RATIOS[name]
+    # the kernel's own contraction against _unit's minors or dot products
+    rng = random.Random(f"ratio:{name}:{n}")
+    size = len(kernel.basis) if kernel.degree else 0
+    for _ in range(50):
+        form = [rng.randint(-6, 6) for _ in range(size)]
+        vectors = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(kernel.letters)]
+        assert kernel.contract([form or [1], *vectors]) == kappa * residue_module._unit(unit, form, vectors)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_kernel_with_entries_off_the_unit_support_has_no_ratio(n):
+    # B5.8's kernel is the psi1 contraction's tensor, which agrees with the
+    # psi2 tensor on every key of the latter and has more keys besides
+    kernel = kernel_of(LEMMA_CHECKS["B5.8"], n)
+    assert residue_module._ratio(kernel, "psi1") == 1
+    assert residue_module._ratio(kernel, "psi2") is None
+
+
 STOP_CASES = (
     [(lemma_check, lemma_id, n) for lemma_id in sorted(LEMMA_CHECKS) + sorted(_LEMMA_ALIASES) for n in (4, 6, 8)]
     + [(verify_theorem, functional_id, m) for functional_id in sorted(FUNCTIONALS) for m in (2, 3, 4)]
@@ -1018,12 +1040,46 @@ STOP_CASES = (
 )
 
 
+# sha256 of the repr of every STOP_CASES report at seeds 0, 3, 11 and trials
+# 1, 3, 20, in that order, recorded from the route that contracted every
+# kernel on every trial and kept a per-trial sign set for M6.2: it pins every
+# field of every report, detail included
+STOP_CASE_REPORTS_SHA256 = "d88ae88b862cbdd0131986ab478b429007e78ca581ac92a960d9013d1400be56"
+
+
+def test_stop_case_reports_are_pinned():
+    text = "\n".join(repr(check(name, size, trials, seed)) for check, name, size in STOP_CASES
+                     for seed in (0, 3, 11) for trials in (1, 3, 20))
+    assert hashlib.sha256(text.encode()).hexdigest() == STOP_CASE_REPORTS_SHA256
+
+
+def _ratio_off(monkeypatch):
+    """No kernel has a ratio, so every trial contracts its kernel."""
+    for module in (residue_module, boundary_module):
+        monkeypatch.setattr(module, "_ratio", lambda kernel, unit: None)
+
+
 @pytest.mark.parametrize("check, name, size", STOP_CASES,
                          ids=[f"{name}-{size}" for _, name, size in STOP_CASES])
 def test_identity_stop_changes_no_report(monkeypatch, check, name, size):
     stopped = [check(name, size, seed=seed) for seed in (0, 3)]
-    monkeypatch.setattr(residue_module, "_holds_identically", lambda *args: False)
-    assert [check(name, size, seed=seed) for seed in (0, 3)] == stopped
+    _ratio_off(monkeypatch)
+    contracted = [check(name, size, seed=seed) for seed in (0, 3)]
+    if name == "M6.2":
+        # the sign comes from the ratio: without one, the tabulated sign fails
+        # at the trial the passing report shows
+        for off, on in zip(contracted, stopped):
+            assert (on.status, off.status, off.computed) == ("pass", "fail", on.computed)
+            assert off.expected != on.expected
+    elif check is verify_boundary:
+        # the proportionality sentence is the ratio's; status and values are the trials'
+        for off, on in zip(contracted, stopped):
+            assert off._replace(detail="") == on._replace(detail="")
+            assert off.detail == re.sub(r": holds; (engine constant [^=]*= )[^;]*;", r": FAILS; \1nonconstant;",
+                                        on.detail)
+            assert "nonconstant" in off.detail
+    else:
+        assert contracted == stopped
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -1031,5 +1087,5 @@ def test_identity_stop_keeps_a_moved_ratio_failing(monkeypatch, n):
     monkeypatch.setitem(LEMMA_CHECKS, "L4.7", LEMMA_CHECKS["L4.7"]._replace(ratio=Fraction(2)))
     stopped = lemma_check("L4.7", n)
     assert stopped.status == "fail"
-    monkeypatch.setattr(residue_module, "_holds_identically", lambda *args: False)
+    _ratio_off(monkeypatch)
     assert lemma_check("L4.7", n) == stopped
