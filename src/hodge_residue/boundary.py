@@ -22,26 +22,23 @@ ingredients are
 
 Only the argument word ``W`` depends on the density's vectors.  The trace
 against ``W`` and the line integral are both Q[i]-linear, so a channel
-``(a, r)`` keyed ``alpha`` contributes ``tr(W c_a) * K`` with the
-word-independent weight ``K = moment(alpha) * line_integral(pi_plus(r) d)``
-(``d`` the normal derivative symbol), summed term by term over the
-partial fractions.  The pairs ``(a, K)`` form the residue kernel of symbol
-order ``m``; it is built once per ``m`` from the same channels, projection
-and residues, with every pole and decay check.  A channel whose sphere
-moment is zero contributes no pair.
+``(a, r)`` keyed ``alpha`` contributes ``tr(W c_a)`` times the
+word-independent ``moment(alpha) * line_integral(pi_plus(r) d)`` (``d`` the
+normal derivative symbol), summed term by term over the partial fractions.
+Only the normal channel, ``a = n``, has a nonzero sphere moment, so a
+density is ``K * tr(W c_n)`` with one residue weight ``K``
+(:func:`_residue_weight`), built once per ``m`` from the same channels,
+projection and residues, with every pole and decay check; any other channel
+with a nonzero moment raises ``ValueError``.  ``tr(W(u, v, w) c_n)`` is a
+degree-0 :class:`~hodge_residue.residue.TraceKernel`, the very kernel of the
+B5.8 (psi1) or B5.10 (psi2) trace identity, from the one kernel memo.  No
+Clifford word is built.
 
-At every ``m`` that kernel has one pair, ``(n, K)`` (the normal channel),
-so a density is ``K * tr(W c_n)``.  ``tr(W(u, v, w) c_n)`` is a degree-0
-:class:`~hodge_residue.residue.TraceKernel`, the very kernel of the B5.8
-(psi1) or B5.10 (psi2) trace identity, from the one kernel memo; the
-kernel lookup raises ``ValueError`` if the residue kernel is not that one
-pair.  No Clifford word is built.
-
-:func:`verify_boundary` decides exact proportionality of each density to its
-stated vector contraction from the kernel's ratio
-:func:`~hodge_residue.residue._ratio` to the contraction, and compares the
-engine's absolute constant with the tabulated closed form on the trials of
-:func:`~hodge_residue.residue._trial_loop`, reporting both.
+:func:`verify_boundary` runs its trials in
+:func:`~hodge_residue.residue._trial_loop`, which compares the density
+exactly with the tabulated closed form and decides the kernel's ratio
+``kappa`` to the stated contraction; the detail reports proportionality and
+the engine's absolute constant ``K * kappa`` from it.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .exterior import _check_n
-from .residue import LEMMA_CHECKS, CheckReport, TraceKernel, _kernel, _ratio, _trial_loop
+from .residue import LEMMA_CHECKS, CheckReport, _kernel, _trial_loop
 from .scalars import (
     GaussianRational,
     I,
@@ -277,45 +274,27 @@ def normal_derivative_symbol(m: int) -> ScalarRational:
 
 
 @functools.lru_cache(maxsize=None)
-def _residue_kernel(m: int) -> Tuple[Tuple[int, SymbolicScalar], ...]:
-    """Word-independent pairs ``(a, K)`` of the boundary density at order ``m``.
-
-    ``K = moment(alpha) * sum_t line_integral(coeff_t d/(xi_n - pole_t)^order_t)``
-    over the terms of ``pi_plus`` of the partial fractions of the channel
-    ``(a, r)`` keyed ``alpha``; a channel whose computed moment is zero
-    contributes no pair.  ``n = 2m`` past ``MAX_DIMENSION`` raises
-    ``ValueError`` before any channel is built.
+def _residue_weight(m: int) -> SymbolicScalar:
+    """The word-independent weight ``K`` of the boundary density at order ``m``:
+    ``moment(alpha) * line_integral(coeff_t d / (xi_n - pole_t)^order_t)``
+    summed over the terms ``t`` of ``pi_plus`` of each channel ``(a, r)``
+    keyed ``alpha`` whose computed moment is not zero.  Such a channel on any
+    generator but the normal one, ``c_n``, raises ``ValueError``, and so does
+    ``n = 2m`` past ``MAX_DIMENSION``, before any channel is built.
     """
     n = 2 * m
     _check_n(n)
     derivative = normal_derivative_symbol(m)
-    kernel = []
+    weight = SymbolicScalar()
     for alpha, (a, scalar) in resolvent_symbol_channels(n).items():
         moment = sphere_moment(alpha, n - 1)
         if moment.is_zero:
             continue
-        integral = SymbolicScalar()
+        if a != n:
+            raise ValueError(f"the channel c_{a} of order {m} has a nonzero moment; only the normal channel c_{n} may")
         for (pole, order), coeff in pi_plus(scalar.partial_fractions()).items():
-            integral = integral + (ScalarRational([coeff], {pole: order}) * derivative).line_integral()
-        kernel.append((a, moment * integral))
-    return tuple(kernel)
-
-
-def _boundary_kernel(flavor: str, m: int) -> Tuple[TraceKernel, SymbolicScalar]:
-    """``(kernel, weight)`` with ``boundary_density = weight * 2^n c / D``.
-
-    ``c`` is the kernel's contraction with the three vectors and ``D`` its
-    denominator.  The residue kernel of order ``m`` must be the one pair
-    ``(n, K)``: the kernel is the degree-0 trace against ``c_n``, the B5.8 or
-    B5.10 identity's kernel, and the weight is ``K``.
-    """
-    n = 2 * m
-    terms = _residue_kernel(m)
-    generators = [a for a, _ in terms]
-    if generators != [n]:
-        raise ValueError(f"the residue kernel of order {m} has the generators {generators}, not one pair (n, K)")
-    [(_, weight)] = terms
-    return _kernel(_FLAVOR_WORDS[flavor], "normal_c", n), weight
+            weight = weight + moment * (ScalarRational([coeff], {pole: order}) * derivative).line_integral()
+    return weight
 
 
 def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
@@ -324,12 +303,11 @@ def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
     The projected inverse symbol times the normal derivative of the next
     symbol order, traced against the argument word, integrated over ``xi_n``
     by residues and over the tangential sphere by exact moments: the
-    weight of the one residue-kernel term times the trace of the word
-    against its blade, read from the B5.8 or B5.10 identity's degree-0 trace
-    kernel.
+    residue weight times the trace of the word against ``c_n``, read from
+    the B5.8 or B5.10 identity's degree-0 trace kernel.
     """
-    kernel, weight = _boundary_kernel(args.flavor, args.m)
-    return weight * kernel.trace(None, (args.u, args.v, args.w))
+    kernel = _kernel(_FLAVOR_WORDS[args.flavor], "normal_c", 2 * args.m)
+    return _residue_weight(args.m) * kernel.trace(None, (args.u, args.v, args.w))
 
 
 def closed_form_boundary_coefficient(flavor: str, m: int) -> SymbolicScalar:
@@ -353,26 +331,24 @@ def closed_form_boundary_coefficient(flavor: str, m: int) -> SymbolicScalar:
 def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> CheckReport:
     """Check proportionality and the absolute constant of one boundary density.
 
-    The kernel is the B5.8 or B5.10 identity's.  The density is proportional
-    to the stated contraction exactly when the kernel has a ratio ``kappa``
-    to the contraction's tensor, and its constant is then ``weight * kappa /
-    D``; the detail's sentence names both.  The trials, in
-    :func:`~hodge_residue.residue._trial_loop` with the contraction as the
-    unit, compare the density exactly with the tabulated closed form.  An
+    The trials, in :func:`~hodge_residue.residue._trial_loop` on the B5.8 or
+    B5.10 identity's kernel with the contraction as the unit, compare the
+    density exactly with the tabulated closed form and decide the kernel's
+    ratio ``kappa`` to the contraction's tensor.  The density is proportional
+    to the contraction exactly when ``kappa`` exists, and its constant is then
+    the residue weight times ``kappa``; the detail's sentence names both.  An
     unknown flavor or ``m < 2`` raises ``ValueError`` from
     :func:`closed_form_boundary_coefficient`.
     """
     n = 2 * m
     per_unit_expected = closed_form_boundary_coefficient(flavor, m) * sphere_volume(n - 2)
-    kernel, weight = _boundary_kernel(flavor, m)
+    weight = _residue_weight(m)
     # the density weight * 2^n c / D against the closed form's per_unit_expected * 2^n t
-    report = _trial_loop(
-        "Psi1" if flavor == "psi1" else "Psi2", trials, f"{seed}:boundary:{flavor}:{m}", kernel, flavor,
-        [("plain", Fraction(1), weight * (1 << n), per_unit_expected * (1 << n))],
+    report, kappa = _trial_loop(
+        "Psi1" if flavor == "psi1" else "Psi2", trials, f"{seed}:boundary:{flavor}:{m}",
+        (_FLAVOR_WORDS[flavor], "normal_c", n), flavor, [("plain", weight * (1 << n), per_unit_expected * (1 << n))],
     )
-    # the density is proportional to the contraction exactly when c = kappa t
-    kappa = _ratio(kernel, flavor)
-    constant = "nonconstant" if kappa is None else (weight * Fraction(kappa, kernel.denominator)).render()
+    constant = "nonconstant" if kappa is None else (weight * kappa).render()
     proportionality = (
         f"proportionality to the stated contraction: {'FAILS' if kappa is None else 'holds'}; "
         f"engine constant per unit contraction*Tr(Id) = {constant}; "

@@ -253,7 +253,8 @@ _commands = _PARSER.add_subparsers(required=True, metavar="COMMAND", dest="comma
 
 _verify = _commands.add_parser("verify", help=cmd_verify.__doc__, **_OPTIONS)
 _verify.add_argument("--suite", choices=SUITES, default="all", help="(default: %(default)s)")
-_verify.add_argument("--n", dest="n_value", metavar="N", type=int, help="Single dimension override (lemma/commutator suites).")
+_verify.add_argument("--n", dest="n_value", metavar="N", type=int,
+                     help="Single dimension override (lemma/commutator suites).")
 _verify.add_argument("--m", dest="m_value", metavar="M", type=_symbol_order,
                      help="Single symbol-order override (theorem/boundary suites).")
 _verify.add_argument("--trials", type=int, default=20, help="(default: %(default)s)")

@@ -264,13 +264,13 @@ _kernel = lru_cache(maxsize=None)(_compile)
 @lru_cache(maxsize=None)
 def _ratio(kernel: TraceKernel, unit: str) -> Optional[int | Fraction]:
     """The exact ``kappa`` (an ``int`` when integral) with ``K = kappa U``, else
-    ``None``: ``K`` is the kernel's tensor summed per key, ``U`` the
-    :func:`_unit_tensor` of the kind ``unit``, so the kernel contracts any rows
-    to ``kappa`` times their :func:`_unit`.  Once per kernel, unit and process."""
+    ``None``: ``K`` is the kernel's tensor (each entry, from one blade of one
+    slot, has its own key), ``U`` the :func:`_unit_tensor` of the kind
+    ``unit``, so the kernel contracts any rows to ``kappa`` times their
+    :func:`_unit`.  Once per kernel, unit and process."""
     expected = _unit_tensor(unit, kernel.n, kernel.degree)
     engine = dict.fromkeys(expected, 0)
-    for key, c in zip(zip(*kernel.columns), kernel.coeffs):
-        engine[key] = engine.get(key, 0) + c
+    engine.update(zip(zip(*kernel.columns), kernel.coeffs))
     k0, u0 = next(((engine[key], u) for key, u in expected.items()), (0, 1))
     if any(c * u0 != k0 * expected.get(key, 0) for key, c in engine.items()):
         return None
@@ -360,28 +360,28 @@ def _identical(kappa: Optional[int | Fraction], p: int, sides: Tuple[int, int, i
     return kappa is not None and p * kappa * sides[0] == sides[1] and p * kappa * sides[2] == sides[3]
 
 
-def _trial_loop(check_id: str, trials: int, rng_label: str, kernel: TraceKernel, unit: str,
-                comparisons: Sequence[Tuple[str, Fraction, SymbolicScalar, SymbolicScalar]],
-                form_first: bool = False, magnitude: bool = False) -> CheckReport:
+def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[str, ...], Optional[str], int],
+                unit: str, comparisons: Sequence[Tuple[str, SymbolicScalar, SymbolicScalar]],
+                form_first: bool = False, magnitude: bool = False) -> Tuple[CheckReport, Optional[Fraction]]:
     """The trials of every randomized check, decided in integers.
 
-    One ``random.Random(rng_label)`` stream feeds every trial.  Each trial
-    draws its inputs doubled, as integers, by
-    :func:`~hodge_residue.forms._random_doubled`: one vector of length
-    ``kernel.n`` per letter and the form's values in basis order (none for
-    degree 0), the form first when ``form_first``, else last.  The kernel
-    rows are the form's values (``(1,)`` for degree 0) and then the vectors,
-    and the expected side's unit ``base`` is :func:`_unit` of the kind
-    ``unit`` on them.  A comparison ``(label, weight, value, expected)`` is
-    the engine side ``value * weight * t / D``, with ``t`` the check's
-    kernel contracted with the rows and ``D`` its denominator, against the
-    expected side ``expected * base``.  With ``weight = p / q``
-    that is ``value * c / (D q)`` for the integer ``c = p t``, and
-    :func:`_sides` makes it integer identities.  Both sides are
-    linear in each of the ``r = letters + bool(degree)`` doubled rows, so
-    each carries the factor ``2^r``: it cancels in the comparison, and only
-    the two values the report shows are divided by it.  ``trials`` below 1
-    raises ``ValueError``.
+    ``trials`` below 1 raises ``ValueError`` before the kernel of ``shape``
+    ``(word, lift, n)`` is looked up in :func:`_kernel`.  One
+    ``random.Random(rng_label)`` stream feeds every trial, which draws its
+    inputs doubled, as integers, by :func:`~hodge_residue.forms._random_doubled`:
+    one vector of length ``n`` per letter and the form's values in basis
+    order (none for degree 0), the form first when ``form_first``, else last.
+    The kernel rows are the form's values (``(1,)`` for degree 0) and then
+    the vectors, and the expected side's unit ``base`` is :func:`_unit` of
+    the kind ``unit`` on them.  A comparison ``(placement, value, expected)``
+    is the engine side ``value * weight * t / D``, with ``weight`` the
+    placement's :meth:`TraceKernel.weight` at symbol order ``n // 2``, ``t``
+    the kernel contracted with the rows and ``D`` its denominator, against
+    ``expected * base``.  With ``weight = p / q`` that is ``value * c / (D
+    q)`` for the integer ``c = p t``, and :func:`_sides` makes it integer
+    identities.  Both sides are linear in each of the ``r = letters +
+    bool(degree)`` doubled rows, so the factor ``2^r`` cancels, and only the
+    two values the report shows are divided by it.
 
     ``t`` is ``kappa * base`` when the kernel is :func:`_ratio` ``kappa``
     times the unit (0 when every weight is 0); only a kernel with no
@@ -394,19 +394,23 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, kernel: TraceKernel,
     are built as ``SymbolicScalar``.  When every comparison holds on every
     input (:func:`_identical`), that pass fixes the report: the loop stops
     after it, or before the first draw when no expected side is nonzero.
+    Returns the report and ``kappa / D``, the plain trace over ``2^n`` per
+    unit (``None`` without ``kappa``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    kernel = _kernel(*shape)
+    weights = [kernel.weight(placement, kernel.n // 2) for placement, _, _ in comparisons]
     # every weight 0 makes the engine side 0, whatever the kernel
-    kappa = _ratio(kernel, unit) if any(weight for _, weight, _, _ in comparisons) else 0
+    kappa = _ratio(kernel, unit) if any(weights) else 0
     checks, sign = [], 1
-    for label, weight, value, expected in comparisons:
+    for weight, (placement, value, expected) in zip(weights, comparisons):
         p, denominator = weight.numerator, kernel.denominator * weight.denominator
         sides = _sides(value, expected, denominator)
         if magnitude and not _identical(kappa, p, sides) and _identical(kappa, -p, sides):
             expected, sign = expected * -1, -1
             sides = _sides(value, expected, denominator)
-        checks.append((label, p, denominator, value, expected, sides))
+        checks.append((placement, p, denominator, value, expected, sides))
     identical = all(_identical(kappa, p, sides) for _, p, *_, sides in checks)
     r = kernel.letters + bool(kernel.degree)
     size = len(kernel.basis) if kernel.degree else 0
@@ -422,12 +426,12 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, kernel: TraceKernel,
             form = _random_doubled(size, rng)
         base = _unit(unit, form, vectors)
         t = kernel.contract([form or (1,), *vectors]) if kappa is None else kappa * base
-        for label, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
+        for placement, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
             c = p * t
             if c * re_left != base * re_right or c * im_left != base * im_right:
                 failures += 1
                 if failures == 1:
-                    where = f"trial {trial}" + (f", {label} placement" if len(checks) > 1 else "")
+                    where = f"trial {trial}" + (f", {placement} placement" if len(checks) > 1 else "")
                     shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r), where)
             elif shown is None and base and expected:
                 shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r), "")
@@ -438,8 +442,9 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, kernel: TraceKernel,
             "proportionality and magnitude asserted, sign recorded"
         )
     engine_side, expected_side, _ = shown or (SymbolicScalar(), SymbolicScalar(), "")
-    return CheckReport(check_id, kernel.n, trials, "fail" if failures else "pass", engine_side.render(),
-                       expected_side.render(), detail="; ".join(notes))
+    report = CheckReport(check_id, kernel.n, trials, "fail" if failures else "pass", engine_side.render(),
+                         expected_side.render(), detail="; ".join(notes))
+    return report, None if kappa is None else Fraction(kappa, kernel.denominator)
 
 
 def _resolve_functional(functional_id: str) -> FunctionalSpec:
@@ -530,21 +535,21 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
 
     Draws random small-rational forms and vectors; every trial must satisfy
     ``spectral_density == closed_form_coefficient * form_contract`` exactly.
-    The density's trace kernel is compiled once and the trials run in
-    :func:`_trial_loop`, which draws the form, then the vectors, doubled and
-    undoes the doubling.  ``m < 2`` raises ``ValueError`` before anything is
-    compiled.
+    The trials run in :func:`_trial_loop` on the density's kernel shape,
+    which draws the form, then the vectors, doubled and undoes the doubling.
+    An unknown id, ``m < 2`` or ``trials < 1`` raises ``ValueError`` before
+    anything is compiled.
     """
     fspec = _resolve_functional(functional_id)
     if m < 2:
         raise ValueError("m must be >= 2")
     n = 2 * m
-    kernel = _kernel(fspec.arg_flavors, fspec.lift_kind, n)
     # the interior trace is weight * 2^n c / D
     value = sphere_volume(n - 1) * (fspec.prefactor * (1 << n))
     expected = closed_form_coefficient(fspec.functional_id, m)
-    return _trial_loop(fspec.functional_id, trials, f"{seed}:theorem:{fspec.functional_id}:{m}", kernel, "form",
-                       [("interior", kernel.weight("interior", m), value, expected)], form_first=True)
+    return _trial_loop(fspec.functional_id, trials, f"{seed}:theorem:{fspec.functional_id}:{m}",
+                       (fspec.arg_flavors, fspec.lift_kind, n), "form", [("interior", value, expected)],
+                       form_first=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +672,10 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     variants are verified each trial.  The expected side is the tabulated
     closed form ``ratio * unit * Tr(Id)`` (times ``V(S^{n-1})`` for
     integrated variants); any disagreement is reported with both exact
-    values.  The identity's kernel is compiled once per shape and process,
-    each placement is its :meth:`TraceKernel.weight`, and the trials run in
-    :func:`_trial_loop`, which draws the vectors, then the form, doubled.
+    values.  The trials run in :func:`_trial_loop` on the identity's kernel
+    shape, which weights each placement and draws the vectors, then the
+    form, doubled.  An unknown id, a bad ``n`` or ``trials < 1`` raises
+    ``ValueError`` before anything is compiled.
     """
     if lemma_id in _LEMMA_ALIASES:
         base_id, placement = _LEMMA_ALIASES[lemma_id]
@@ -685,13 +691,12 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
 
     # a placement's trace is weight * 2^n c / D, times V(S^{n-1}) for a
     # sandwiched (cosphere-integrated) one, and its closed form ratio times that
-    kernel = _kernel(spec.word_flavors, spec.lift, n)
     comparisons = []
     for placement in placements:
         value = SymbolicScalar.unit(1 << n, spheres=() if placement == "plain" else (n - 1,))
-        comparisons.append((placement, kernel.weight(placement), value, value * spec.ratio))
-    return _trial_loop(lemma_id, trials, f"{seed}:lemma:{lemma_id}:{n}", kernel, spec.unit, comparisons,
-                       magnitude=spec.sign_policy == "magnitude")
+        comparisons.append((placement, value, value * spec.ratio))
+    return _trial_loop(lemma_id, trials, f"{seed}:lemma:{lemma_id}:{n}", (spec.word_flavors, spec.lift, n),
+                       spec.unit, comparisons, magnitude=spec.sign_policy == "magnitude")[0]
 
 
 def lemma_ids() -> List[str]:

@@ -18,7 +18,6 @@ import hodge_residue.residue as residue_module
 import word_reference
 from hodge_residue.boundary import (
     BoundaryArgs,
-    _boundary_kernel,
     ScalarRational,
     boundary_density,
     closed_form_boundary_coefficient,
@@ -283,8 +282,17 @@ class TestBoundaryDensity:
 
     @pytest.mark.parametrize("flavor,lemma_id", [("psi1", "B5.8"), ("psi2", "B5.10")])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
-    def test_kernel_is_the_boundary_trace_identity_kernel(self, flavor, lemma_id, m):
-        kernel, _ = _boundary_kernel(flavor, m)
+    def test_kernel_is_the_boundary_trace_identity_kernel(self, monkeypatch, flavor, lemma_id, m):
+        # the kernel boundary_density looks up and traces
+        looked_up = []
+
+        def recorded(*shape):
+            looked_up.append(_kernel(*shape))
+            return looked_up[-1]
+
+        monkeypatch.setattr(boundary_module, "_kernel", recorded)
+        boundary_density(BoundaryArgs(flavor, *([0] * (2 * m),) * 3, m))
+        [kernel] = looked_up
         spec = LEMMA_CHECKS[lemma_id]
         lemma = _kernel(spec.word_flavors, spec.lift, 2 * m)
         assert kernel is lemma
@@ -293,15 +301,33 @@ class TestBoundaryDensity:
         assert kernel.denominator == lemma.denominator
 
     def test_kernel_needs_one_term(self, monkeypatch):
-        # the residue kernel must be exactly one pair, on the normal generator
-        [(_, weight)] = real = boundary_module._residue_kernel(2)
+        # only the normal channel may carry a nonzero sphere moment: a
+        # tangential channel with one, or the normal channel moved onto c_1,
+        # is refused
         args = BoundaryArgs("psi1", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
-        for terms in (real + real, ((1, weight),)):
-            monkeypatch.setattr(boundary_module, "_residue_kernel", lambda m: terms)
-            with pytest.raises(ValueError, match="not one pair"):
-                boundary_density(args)
-            with pytest.raises(ValueError, match="not one pair"):
-                verify_boundary("psi1", 2)
+        real_channels, real_moment = boundary_module.resolvent_symbol_channels, boundary_module.sphere_moment
+        normal = (0,) * 3
+
+        def moved_channels(n):
+            channels = real_channels(n)
+            channels[normal] = (1, channels[normal][1])
+            return channels
+
+        patches = (
+            ("sphere_moment", lambda alpha, dim: real_moment(tuple(2 * e for e in alpha), dim)),
+            ("resolvent_symbol_channels", moved_channels),
+        )
+        try:
+            for name, patched in patches:
+                boundary_module._residue_weight.cache_clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(boundary_module, name, patched)
+                    with pytest.raises(ValueError, match="only the normal channel c_4 may"):
+                        boundary_density(args)
+                    with pytest.raises(ValueError, match="only the normal channel c_4 may"):
+                        verify_boundary("psi1", 2)
+        finally:
+            boundary_module._residue_weight.cache_clear()
 
     def test_contraction_formulas(self):
         u, v, w = (Fraction(1), Fraction(2), Fraction(0), Fraction(3)), (
@@ -340,9 +366,7 @@ class TestClosedFormCoefficient:
 def _fresh_ratios(monkeypatch):
     """A kernel ratio memo of this test's own, so a patched unit tensor
     neither reads a ratio memoized before it nor leaves one behind."""
-    fresh = functools.lru_cache(maxsize=None)(residue_module._ratio.__wrapped__)
-    for module in (residue_module, boundary_module):
-        monkeypatch.setattr(module, "_ratio", fresh)
+    monkeypatch.setattr(residue_module, "_ratio", functools.lru_cache(maxsize=None)(residue_module._ratio.__wrapped__))
 
 
 class TestVerifyBoundary:
@@ -433,7 +457,7 @@ class TestVerifyBoundary:
         assert not hasattr(boundary_module, "trace_product")
         monkeypatch.setattr(LinearOp, "compose", refuse)
         monkeypatch.setattr(exterior_module, "trace_product", refuse)
-        boundary_module._residue_kernel.cache_clear()
+        boundary_module._residue_weight.cache_clear()
         assert verify_boundary("psi1", 4, trials=3, seed=0).status == "pass"
         args = BoundaryArgs("psi2", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
         assert not boundary_density(args).is_zero
@@ -460,14 +484,14 @@ class TestVerifyBoundary:
         if defect == "no decay":
             monkeypatch.setattr(boundary_module, "normal_derivative_symbol", lambda m: ScalarRational([ONE]))
         args = BoundaryArgs("psi1", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
-        boundary_module._residue_kernel.cache_clear()
+        boundary_module._residue_weight.cache_clear()
         try:
             with pytest.raises(ValueError, match=match):
                 verify_boundary("psi1", 2)
             with pytest.raises(ValueError, match=match):
                 boundary_density(args)
         finally:
-            boundary_module._residue_kernel.cache_clear()
+            boundary_module._residue_weight.cache_clear()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="flavor must be psi1 or psi2, got 'psi3'"):

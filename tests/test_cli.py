@@ -142,7 +142,7 @@ class TestVerifyBuildsNoOperator:
             raise AssertionError("a form or an operator was constructed on the verify path")
 
         residue_module._kernel.cache_clear()
-        boundary_module._residue_kernel.cache_clear()
+        boundary_module._residue_weight.cache_clear()
         monkeypatch.setattr(AntiSymForm, "__init__", refuse)
         monkeypatch.setattr(LinearOp, "__init__", refuse)
         result = runner.invoke(main, ["verify", "--suite", suite, "--trials", "2"])
@@ -152,6 +152,32 @@ class TestVerifyBuildsNoOperator:
         assert result.exit_code == 1
         report = json.loads(result.output)
         assert report["summary"]["pass"] + report["summary"]["fail"] == len(report["checks"]) > 0
+
+
+class TestCheckSeam:
+    """The benchmark times each randomized report by swapping the code of
+    ``lemma_check``, ``verify_theorem`` and ``verify_boundary``: the CLI must
+    reach every such report through these three plain functions."""
+
+    def test_every_randomized_report_comes_through_the_three_checks(self, monkeypatch):
+        owners = {"lemma_check": residue_module, "verify_theorem": residue_module, "verify_boundary": boundary_module}
+        calls = dict.fromkeys(owners, 0)
+        for name, owner in owners.items():
+            check = getattr(cli_module, name)
+            assert check is getattr(owner, name)
+            assert check.__code__.co_freevars == ()
+
+            def counted(*args, check=check, name=name):
+                calls[name] += 1
+                return check(*args)
+
+            monkeypatch.setattr(cli_module, name, counted)
+        reports = list(cli_module._run_checks("all", cli_module.DEFAULT_LEMMA_DIMENSIONS,
+                                              cli_module.DEFAULT_SYMBOL_ORDERS,
+                                              cli_module.DEFAULT_COMMUTATOR_DIMENSIONS, 1, 0))
+        assert calls == {"lemma_check": 38, "verify_theorem": 10, "verify_boundary": 4}
+        commutators = [report for report in reports if report.check_id.startswith("commutator")]
+        assert len(reports) - len(commutators) == sum(calls.values())
 
 
 class TestReportDeterminism:

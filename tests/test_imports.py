@@ -13,7 +13,8 @@ a file under ``bench/`` reads it.  No package module reads a private
 attribute (``X._name``) of a name it imports from another package module, so
 each class keeps its internals to its own module.  The package builds a ``random.Random`` in one function
 only, ``residue._trial_loop``, so every randomized check draws its inputs
-on one path.
+on one path, and it reads a kernel's ratio ``_ratio`` in that function only.
+No line of the package is longer than 120 characters.
 """
 
 import ast
@@ -171,19 +172,34 @@ def test_all_lists_exactly_the_reexported_names():
     assert set(exported) == set(_imported_names(tree))
 
 
-def _random_constructions(tree: ast.AST, function: str = "<module>"):
-    """The innermost function around each ``random.Random(...)`` or
-    ``Random(...)`` call under ``tree``."""
+def _call_sites(callee: str, tree: ast.AST, function: str = "<module>"):
+    """The innermost function around each ``module.callee(...)`` or
+    ``callee(...)`` call under ``tree``."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Random":
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == callee:
             yield function
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        yield from _random_constructions(node, inner)
+        yield from _call_sites(callee, node, inner)
+
+
+def _package_call_sites(callee: str) -> list:
+    return [
+        (path.name, function) for path in PACKAGE_MODULES
+        for function in _call_sites(callee, ast.parse(path.read_text(encoding="utf-8")))
+    ]
 
 
 def test_random_streams_are_built_in_the_trial_loop_only():
-    sites = [
-        (path.name, function) for path in PACKAGE_MODULES
-        for function in _random_constructions(ast.parse(path.read_text(encoding="utf-8")))
+    assert _package_call_sites("Random") == [("residue.py", "_trial_loop")]
+
+
+def test_kernel_ratio_is_read_in_the_trial_loop_only():
+    assert _package_call_sites("_ratio") == [("residue.py", "_trial_loop")]
+
+
+def test_no_package_line_is_longer_than_120_characters():
+    long_lines = [
+        f"{path.name}:{number}" for path in PACKAGE_MODULES
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 120
     ]
-    assert sites == [("residue.py", "_trial_loop")]
+    assert not long_lines

@@ -81,6 +81,11 @@ def kernel_of(spec, n: int) -> TraceKernel:
     return _kernel(spec.word_flavors, spec.lift, n)
 
 
+def boundary_kernel(flavor: str, n: int) -> TraceKernel:
+    """The memoized kernel a boundary density of this flavor traces."""
+    return _kernel(boundary_module._FLAVOR_WORDS[flavor], "normal_c", n)
+
+
 # ---------------------------------------------------------------------------
 # Sandwich multipliers: the exact engine must satisfy
 #   integral tr(W c(xi) L c(xi))  = (-1)^len (2k - n)/n * tr(W L) * V
@@ -220,7 +225,7 @@ def test_every_kernel_has_one_grade_class(n):
     for functional_id, spec in FUNCTIONALS.items():
         assert kernel_of(spec, n).grade == DENSITY_GRADES[functional_id], functional_id
     for flavor in ("psi1", "psi2"):
-        assert boundary_module._boundary_kernel(flavor, n // 2)[0].grade == (1, 1)
+        assert boundary_kernel(flavor, n).grade == (1, 1)
 
 
 def _entries(kernel):
@@ -245,7 +250,7 @@ def test_term_compiles_equal_compiles_of_whole_lifts(n):
         for spec in FUNCTIONALS.values()
     ]
     cases += [
-        (boundary_module._boundary_kernel(flavor, n // 2)[0], boundary_module._FLAVOR_WORDS[flavor], 0,
+        (boundary_kernel(flavor, n), boundary_module._FLAVOR_WORDS[flavor], 0,
          lambda _: lemma_lift("normal_c", None, n))
         for flavor in ("psi1", "psi2")
     ]
@@ -470,6 +475,59 @@ def test_entry_points_reject_n_past_max_dimension(monkeypatch, entry_point):
     monkeypatch.setattr(boundary_module, "resolvent_symbol_channels", built)
     with pytest.raises(ValueError, match=f"1 <= n <= {MAX_DIMENSION}, got"):
         PAST_MAX_ENTRY_POINTS[entry_point]()
+
+
+# each refused before any kernel is compiled: a trial count below 1, an
+# unknown id, and a size that is odd, too small or past MAX_DIMENSION
+BAD_CHECK_ARGUMENTS = {
+    "lemma-trials": (lemma_check, ("L2.4", 4), {"trials": 0}, "trials must be >= 1"),
+    "lemma-id": (lemma_check, ("L9.9", 4), {}, "unknown lemma id"),
+    "lemma-odd-n": (lemma_check, ("L2.4", 5), {}, "n must be even"),
+    "lemma-small-n": (lemma_check, ("L2.4", 2), {}, "n must be even"),
+    "lemma-past-max": (lemma_check, ("L2.4", PAST_MAX_N), {}, "1 <= n <="),
+    "theorem-trials": (verify_theorem, ("T2", 2), {"trials": 0}, "trials must be >= 1"),
+    "theorem-id": (verify_theorem, ("T9", 2), {}, "unknown functional id"),
+    "theorem-small-m": (verify_theorem, ("T2", 1), {}, "m must be >= 2"),
+    "theorem-past-max": (verify_theorem, ("T2", PAST_MAX_M), {}, "1 <= n <="),
+    "boundary-trials": (verify_boundary, ("psi1", 3), {"trials": 0}, "trials must be >= 1"),
+    "boundary-flavor": (verify_boundary, ("psi3", 3), {}, "flavor must be psi1 or psi2"),
+    "boundary-small-m": (verify_boundary, ("psi1", 1), {}, "m must be >= 2"),
+    "boundary-past-max": (verify_boundary, ("psi1", PAST_MAX_M), {}, "1 <= n <="),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECK_ARGUMENTS))
+def test_bad_check_arguments_compile_nothing(monkeypatch, case):
+    check, args, kwargs, message = BAD_CHECK_ARGUMENTS[case]
+    original, compiled = TraceKernel.__init__, []
+
+    def counted(self, *args, **kwargs):
+        compiled.append(args[:2])
+        original(self, *args, **kwargs)
+
+    residue_module._kernel.cache_clear()
+    monkeypatch.setattr(TraceKernel, "__init__", counted)
+    with pytest.raises(ValueError, match=message):
+        check(*args, **kwargs)
+    assert compiled == []
+
+
+# every lemma, theorem and boundary kernel shape
+KERNEL_SHAPES = sorted(
+    {(spec.word_flavors, spec.lift) for spec in LEMMA_CHECKS.values()}
+    | {(spec.arg_flavors, spec.lift_kind) for spec in FUNCTIONALS.values()},
+    key=repr,
+)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_every_kernel_entry_has_its_own_key(n):
+    # each entry comes from one blade of one slot, so _ratio can take the
+    # kernel's keys without summing them
+    assert len(KERNEL_SHAPES) == 12
+    for word, lift in KERNEL_SHAPES:
+        kernel = _kernel(word, lift, n)
+        assert len(set(zip(*kernel.columns))) == len(kernel.coeffs), (word, lift)
 
 
 class TestKernelTraceInputs:
@@ -1055,8 +1113,7 @@ def test_stop_case_reports_are_pinned():
 
 def _ratio_off(monkeypatch):
     """No kernel has a ratio, so every trial contracts its kernel."""
-    for module in (residue_module, boundary_module):
-        monkeypatch.setattr(module, "_ratio", lambda kernel, unit: None)
+    monkeypatch.setattr(residue_module, "_ratio", lambda kernel, unit: None)
 
 
 @pytest.mark.parametrize("check, name, size", STOP_CASES,

@@ -27,7 +27,7 @@ import itertools
 from math import lcm
 
 from hodge_residue import forms
-from hodge_residue.boundary import _FLAVOR_WORDS, BoundaryArgs, _residue_kernel
+from hodge_residue.boundary import _FLAVOR_WORDS, BoundaryArgs, _residue_weight
 from hodge_residue.exterior import (
     LinearOp,
     _check_flavor,
@@ -132,14 +132,11 @@ def density_decomposition(fspec: FunctionalSpec, T, vectors, m: int) -> dict:
 
 
 def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
-    """``sum tr(W c_a) * K`` over the pairs ``(a, K)`` of the residue kernel
-    of order ``m``."""
+    """``tr(W c_n) * K`` with ``K`` the residue weight of order ``m``, the
+    one channel whose sphere moment is not zero being the normal one."""
     n = 2 * args.m
     word = clifford_word(n, list(zip(_FLAVOR_WORDS[args.flavor], (args.u, args.v, args.w))))
-    total = SymbolicScalar()
-    for a, weight in _residue_kernel(args.m):
-        total = total + weight * trace_product(word, clifford_generator("c", n, a))
-    return total
+    return _residue_weight(args.m) * trace_product(word, clifford_generator("c", n, n))
 
 
 def generator_word(n: int, letters) -> LinearOp:
