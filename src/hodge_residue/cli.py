@@ -48,8 +48,10 @@ DEFAULT_COMMUTATOR_DIMENSIONS = (2, 4)
 # the largest n at which check_flat_commutators finishes in reasonable time
 # (4.3 s at n = 10 on 2 CPUs, about six times its 0.68 s at n = 8)
 MAX_COMMUTATOR_DIMENSION = 10
-# a failing check draws every trial; --suite lemmas --n 14 takes about 7 s
-# at this many trials on 2 CPUs
+# a check draws trials only until one decides it, so --suite lemmas --n 14
+# takes about 0.3 s at this many trials on 2 CPUs; a passing check whose
+# kernel has no ratio to its unit (four_mixed) still draws every one, about
+# 1.5 s at n = 14
 MAX_TRIALS = 1000
 
 
@@ -141,8 +143,8 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
     if trials < 1:
         _usage("--trials must be >= 1")
     if trials > MAX_TRIALS:
-        _usage(f"--trials must be <= {MAX_TRIALS}: a failing check draws every trial, and "
-               f"--suite lemmas --n 14 takes about 7 s at {MAX_TRIALS} trials; got {trials}")
+        _usage(f"--trials must be <= {MAX_TRIALS}: a check draws trials until one decides it, and a "
+               f"passing check whose kernel has no ratio to its unit draws every one; got {trials}")
     if n_value is not None and suite not in N_SUITES:
         _usage(f"--n does not apply to --suite {suite}: its checks run at n = 2m; use --m")
     if m_value is not None and suite not in M_SUITES:

@@ -36,8 +36,8 @@ the individual trace identities feeding those densities.  Their trials, and
 those of :func:`~hodge_residue.boundary.verify_boundary`, run in
 :func:`_trial_loop`.  Each kernel's tensor is one exact ratio :func:`_ratio`
 times its unit's :func:`_unit_tensor`, or no multiple of it; with that
-ratio no trial contracts the kernel, and a check that cannot fail ends at
-the first pass it shows.  Every check is exact:
+ratio no trial contracts the kernel, and a check's trials end at the first
+one that decides it.  Every check is exact:
 when the engine's exact value disagrees with a tabulated closed form, the
 report carries both values verbatim; nothing is softened to a tolerance or
 auto-corrected.
@@ -355,8 +355,8 @@ def _sides(value: SymbolicScalar, expected: SymbolicScalar, denominator: int) ->
 
 
 def _identical(kappa: Optional[int | Fraction], p: int, sides: Tuple[int, int, int, int]) -> bool:
-    """Whether a :func:`_trial_loop` comparison holds on every input: ``c = p
-    kappa base``, so exactly when ``p kappa left == right`` for re and im."""
+    """The magnitude policy's sign test, whether a :func:`_trial_loop` comparison
+    holds on every input: ``c = p kappa base``, so exactly when ``p kappa left == right`` for re and im."""
     return kappa is not None and p * kappa * sides[0] == sides[1] and p * kappa * sides[2] == sides[3]
 
 
@@ -391,11 +391,12 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
 
     The report shows the first failure, else the first pass with a nonzero
     expected side (``"0"`` for both when there is none); only these values
-    are built as ``SymbolicScalar``.  When every comparison holds on every
-    input (:func:`_identical`), that pass fixes the report: the loop stops
-    after it, or before the first draw when no expected side is nonzero.
-    Returns the report and ``kappa / D``, the plain trace over ``2^n`` per
-    unit (``None`` without ``kappa``).
+    are built as ``SymbolicScalar``.  A failure fixes the report, and with
+    ``kappa`` so does every trial whose ``base`` is not 0: a comparison then
+    reads ``base * (p kappa left - right) = 0``, true on that trial exactly
+    when true on every input.  The loop stops after such a trial (``trials``
+    is the budget).  Returns the report and ``kappa / D``, the plain trace
+    over ``2^n`` per unit (``None`` without ``kappa``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -411,15 +412,12 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
             expected, sign = expected * -1, -1
             sides = _sides(value, expected, denominator)
         checks.append((placement, p, denominator, value, expected, sides))
-    identical = all(_identical(kappa, p, sides) for _, p, *_, sides in checks)
     r = kernel.letters + bool(kernel.degree)
     size = len(kernel.basis) if kernel.degree else 0
     rng = random.Random(rng_label)
-    failures = 0
+    failed = False
     shown: Optional[Tuple[SymbolicScalar, SymbolicScalar, str]] = None
     for trial in range(trials):
-        if identical and (shown or not any(expected for *_, expected, _ in checks)):
-            break
         form = _random_doubled(size, rng) if form_first else None
         vectors = [_random_doubled(kernel.n, rng) for _ in range(kernel.letters)]
         if not form_first:
@@ -429,20 +427,22 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
         for placement, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
             c = p * t
             if c * re_left != base * re_right or c * im_left != base * im_right:
-                failures += 1
-                if failures == 1:
+                if not failed:
                     where = f"trial {trial}" + (f", {placement} placement" if len(checks) > 1 else "")
                     shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r), where)
+                failed = True
             elif shown is None and base and expected:
                 shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r), "")
-    notes = [f"{failures} of {trials * len(checks)} comparisons disagree; first at {shown[2]}"] if failures else []
-    if magnitude and shown and not failures:
+        if failed or kappa is not None and base:
+            break
+    notes = [f"comparisons disagree; first at {shown[2]}"] if failed else []
+    if magnitude and shown and not failed:
         notes.append(
             f"observed sign {'+' if sign > 0 else '-'}1 relative to the tabulated magnitude; "
             "proportionality and magnitude asserted, sign recorded"
         )
     engine_side, expected_side, _ = shown or (SymbolicScalar(), SymbolicScalar(), "")
-    report = CheckReport(check_id, kernel.n, trials, "fail" if failures else "pass", engine_side.render(),
+    report = CheckReport(check_id, kernel.n, trials, "fail" if failed else "pass", engine_side.render(),
                          expected_side.render(), detail="; ".join(notes))
     return report, None if kappa is None else Fraction(kappa, kernel.denominator)
 

@@ -414,7 +414,7 @@ class TestVerifyBoundary:
         assert report.status == "fail"
         assert report.computed == density.render()
         assert report.expected == (per_unit * (boundary_contraction(flavor, u, v, w) * (1 << n))).render()
-        assert report.detail.startswith(f"{len(nonzero)} of 20 comparisons disagree; first at trial {first}; ")
+        assert report.detail.startswith(f"comparisons disagree; first at trial {first}; ")
         # the density is still proportional, with the unmoved constant
         assert "proportionality to the stated contraction: holds" in report.detail
         assert f"= {(original(flavor, m) * sphere_volume(n - 2)).render()}; tabulated" in report.detail
@@ -445,7 +445,7 @@ class TestVerifyBoundary:
         assert report.status == "fail"
         assert (report.computed, report.expected) == (densities[nonzero[0]].render(), "0")
         assert report.detail.startswith(
-            f"{len(nonzero)} of 5 comparisons disagree; first at trial {nonzero[0]}; "
+            f"comparisons disagree; first at trial {nonzero[0]}; "
             "proportionality to the stated contraction: FAILS; "
             "engine constant per unit contraction*Tr(Id) = nonconstant"
         )

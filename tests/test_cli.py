@@ -254,6 +254,23 @@ class TestGoldenReports:
         assert result.exit_code == 1, result.output
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == self.SEED_0_SHA256[fmt]
 
+    # each suite at its largest default-trial size, seed 0, recorded from the
+    # route that drew every trial of a failing check: stopping at the trial
+    # that decides a check leaves every byte as it was
+    LARGE_SIZE_SHA256 = {
+        ("lemmas", "--n", "14"): ("218453b37165b9cb83811070d17a8ded3596347a1a9e5d1662ec59013b5aac21", 1),
+        ("theorems", "--m", "7"): ("ddde7de3282ecc1244c698effb82ef136984a7441577443b104623282da17d60", 1),
+        ("boundary", "--m", "7"): ("3e31c0d9652a31b032c23203b83279455af7e301a486a8816aa04140657fe53b", 0),
+    }
+
+    @pytest.mark.parametrize("args", sorted(LARGE_SIZE_SHA256), ids=lambda args: f"{args[0]}-{args[2]}")
+    def test_report_at_the_largest_size(self, runner, args):
+        suite, option, size = args
+        result = runner.invoke(main, ["verify", "--suite", suite, option, size])
+        digest, exit_code = self.LARGE_SIZE_SHA256[args]
+        assert result.exit_code == exit_code, result.output
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
 
 class TestReportSchema:
     def test_check_and_summary_shape(self, runner):
@@ -325,17 +342,23 @@ class TestConfigurationErrors:
 
     @pytest.mark.parametrize("trials", ["1001", "100000000000000000000"])
     def test_trials_past_the_bound_exit_2_naming_it(self, runner, monkeypatch, trials):
-        # a failing check draws every trial, so such a run would not finish
+        # refused before any check runs: a check draws trials until one decides
+        # it, but a passing check whose kernel has no ratio draws every one
         monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
         result = runner.invoke(main, ["verify", "--suite", "lemmas", "--trials", trials])
         assert result.exit_code == 2
         assert "--trials must be <= 1000" in result.output and f"got {trials}" in result.output
 
-    def test_trials_at_the_bound_run(self, runner, monkeypatch):
-        monkeypatch.setattr(cli_module, "_run_checks", lambda *a: iter(()))
+    def test_trials_at_the_bound_run(self, runner):
+        # each check draws trials only until one decides it, so the real run
+        # is short; its bytes were recorded from the route that drew every
+        # trial of a failing check
         result = runner.invoke(main, ["verify", "--suite", "lemmas", "--n", "14", "--trials", "1000"])
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 1, result.output
         assert json.loads(result.output)["config"]["trials"] == 1000
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "dac2d206ae4f0b36792409c0d3e1cace0c90f7da2179ffbb8ffdd074be871d77"
+        )
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_commutator_suite_runs_at_small_and_odd_n(self, runner, n):

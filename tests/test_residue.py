@@ -7,6 +7,7 @@ disagrees with the engine are asserted to FAIL with both values reported —
 those discrepancies are real and must stay visible.
 """
 
+import functools
 import hashlib
 import itertools
 import math
@@ -389,6 +390,14 @@ def test_memoized_lemma_kernels_are_immutable(n):
         assert all(type(column) is tuple for column in kernel.columns)
 
 
+def _trials_drawn(report, trials: int) -> int:
+    """The trials a check without a kernel ratio draws: every one on a pass,
+    else those up to and including the first failure its detail names."""
+    if report.passed:
+        return trials
+    return int(re.search(r"first at trial (\d+)", report.detail)[1]) + 1
+
+
 def _count_contractions(monkeypatch) -> list:
     calls = []
     contract = TraceKernel.contract
@@ -406,25 +415,26 @@ def _count_contractions(monkeypatch) -> list:
 def test_one_contraction_serves_every_placement(monkeypatch, lemma_id, n):
     """A kernel that is a ratio times its unit is never contracted: each
     trial's engine side is that ratio times the unit it draws, failing
-    checks included.  The four_mixed kernels have none, so each trial
-    contracts one once for all its placements, unless every weight is 0."""
+    checks included.  The four_mixed kernels have none, so each trial up to
+    and including the first failing one contracts one once for all its
+    placements, unless every weight is 0."""
     spec = LEMMA_CHECKS[lemma_id]
     kernel = kernel_of(spec, n)
     weighted = any(kernel.weight(placement) for placement in spec.placements)
     calls = _count_contractions(monkeypatch)
-    lemma_check(lemma_id, n, trials=3)
-    assert calls == [kernel] * 3 * (spec.lift == "four_mixed" and weighted)
+    report = lemma_check(lemma_id, n, trials=3)
+    assert calls == [kernel] * _trials_drawn(report, 3) * (spec.lift == "four_mixed" and weighted)
 
 
 @pytest.mark.parametrize("functional_id, contractions", [("T2", 0), ("T3", 0), ("T4", 1)])
 def test_theorem_trials_contract_a_kernel_of_nonzero_weight(monkeypatch, functional_id, contractions):
     # T2 and T3 have a ratio (and T3's interior weight is 0), so only T4's
-    # trials contract
+    # trials contract, up to and including the first failing one
     calls = _count_contractions(monkeypatch)
     for trials in (1, 3):
         calls.clear()
-        verify_theorem(functional_id, 2, trials=trials)
-        assert len(calls) == contractions * trials
+        report = verify_theorem(functional_id, 2, trials=trials)
+        assert len(calls) == contractions * _trials_drawn(report, trials)
 
 
 @pytest.mark.parametrize("functional_id", sorted(FUNCTIONALS))
@@ -1099,16 +1109,94 @@ STOP_CASES = (
 
 
 # sha256 of the repr of every STOP_CASES report at seeds 0, 3, 11 and trials
-# 1, 3, 20, in that order, recorded from the route that contracted every
-# kernel on every trial and kept a per-trial sign set for M6.2: it pins every
-# field of every report, detail included
-STOP_CASE_REPORTS_SHA256 = "d88ae88b862cbdd0131986ab478b429007e78ca581ac92a960d9013d1400be56"
+# 1, 3, 20, in that order: it pins every field of every report, detail
+# included.  Re-recorded when a check's trials came to end at the trial that
+# decides it: a failing detail no longer counts the disagreeing comparisons
+# of trials it does not draw, and reads "comparisons disagree; first at
+# trial j".  STOP_CASE_OUTPUT_SHA256 holds every other field unchanged.
+STOP_CASE_REPORTS_SHA256 = "559b5999cb6af3f071dfd759a9e6076a5eeb10e3732e9451343b61250ebe024d"
+# the same reports with detail emptied, recorded from the route that drew
+# every trial of a failing check, before the stop at the deciding trial
+STOP_CASE_OUTPUT_SHA256 = "0a78789769c0ac3bfebe7ebdbfb1aa7d0b6f9bd27591dd943c5463ca6eda0d28"
+
+
+@functools.lru_cache(maxsize=None)
+def _stop_case_reports() -> tuple:
+    return tuple(check(name, size, trials, seed) for check, name, size in STOP_CASES
+                 for seed in (0, 3, 11) for trials in (1, 3, 20))
 
 
 def test_stop_case_reports_are_pinned():
-    text = "\n".join(repr(check(name, size, trials, seed)) for check, name, size in STOP_CASES
-                     for seed in (0, 3, 11) for trials in (1, 3, 20))
+    text = "\n".join(map(repr, _stop_case_reports()))
     assert hashlib.sha256(text.encode()).hexdigest() == STOP_CASE_REPORTS_SHA256
+
+
+def test_stop_case_outputs_are_pinned():
+    text = "\n".join(repr(report._replace(detail="")) for report in _stop_case_reports())
+    assert hashlib.sha256(text.encode()).hexdigest() == STOP_CASE_OUTPUT_SHA256
+
+
+def _stop_case_draws(check, name: str, size: int, seed: int):
+    """A stop case's kernel, unit kind and placements, and a ``draw()`` of
+    its next trial's ``(form, vectors)`` from a replay of its stream, in the
+    check's order: a lemma draws the vectors then the form, a theorem the
+    form then the vectors, and a boundary density three vectors, no form."""
+    if check is verify_boundary:
+        n, unit, placements = 2 * size, name, ("plain",)
+        rng = random.Random(f"{seed}:boundary:{name}:{size}")
+        kernel = boundary_kernel(name, n)
+        return kernel, unit, placements, lambda: (None, [random_vector(n, rng) for _ in range(3)])
+    if check is verify_theorem:
+        spec, n, unit, placements = FUNCTIONALS[name], 2 * size, "form", ("interior",)
+        rng = random.Random(f"{seed}:theorem:{name}:{size}")
+        kernel = kernel_of(spec, n)
+
+        def draw():
+            form = random_form(n, spec.torsion_degree, rng)
+            return form, [random_vector(n, rng) for _ in spec.arg_flavors]
+
+        return kernel, unit, placements, draw
+    base_id, placement = _LEMMA_ALIASES.get(name, (name, None))
+    spec, n = LEMMA_CHECKS[base_id], size
+    rng = random.Random(f"{seed}:lemma:{name}:{n}")
+    placements = (placement,) if placement else spec.placements
+
+    def draw():
+        vectors = [random_vector(n, rng) for _ in spec.word_flavors]
+        return (random_form(n, spec.form_degree, rng) if spec.form_degree else None), vectors
+
+    return kernel_of(spec, n), spec.unit, placements, draw
+
+
+def _unit_is_zero(unit: str, form, vectors) -> bool:
+    if unit == "form":
+        return form_contract(form, vectors) == 0
+    if unit == "metric":
+        return dot(*vectors) == 0
+    return residue_module.boundary_contraction(unit.lstrip("-"), *vectors) == 0
+
+
+@pytest.mark.parametrize("check, name, size", STOP_CASES,
+                         ids=[f"{name}-{size}" for _, name, size in STOP_CASES])
+def test_trials_drawn_are_the_deciding_ones(monkeypatch, check, name, size):
+    """With a ratio (or every weight 0) a check draws its trials up to and
+    including the first whose unit is not 0, taken from a replay of its
+    stream; without one, up to and including its first failure, else all."""
+    units = []
+    unit_of = residue_module._unit
+    monkeypatch.setattr(residue_module, "_unit", lambda *args: units.append(args) or unit_of(*args))
+    for seed in (0, 3):
+        units.clear()
+        report = check(name, size, 20, seed)
+        kernel, unit, placements, draw = _stop_case_draws(check, name, size, seed)
+        weighted = any(kernel.weight(placement, kernel.n // 2) for placement in placements)
+        if weighted and residue_module._ratio(kernel, unit) is None:
+            assert len(units) == _trials_drawn(report, 20)
+            continue
+        deciding = next((j for j in range(20) if not _unit_is_zero(unit, *draw())), None)
+        assert len(units) == (20 if deciding is None else deciding + 1)
+        if not report.passed:
+            assert f"first at trial {deciding}" in report.detail
 
 
 def _ratio_off(monkeypatch):
