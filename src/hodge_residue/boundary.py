@@ -31,8 +31,8 @@ density is ``K * tr(W c_n)`` with one residue weight ``K``
 projection and residues, with every pole and decay check; any other channel
 with a nonzero moment raises ``ValueError``.  ``tr(W(u, v, w) c_n)`` is a
 degree-0 :class:`~hodge_residue.residue.TraceKernel`, the very kernel of the
-B5.8 (psi1) or B5.10 (psi2) trace identity, from the one kernel memo.  No
-Clifford word is built.
+B5.8 (psi1) or B5.10 (psi2) trace identity, expanded at ``n`` from that
+shape's one order-type table.  No Clifford word is built.
 
 :func:`verify_boundary` runs its trials in
 :func:`~hodge_residue.residue._trial_loop`, which compares the density

@@ -49,9 +49,9 @@ DEFAULT_COMMUTATOR_DIMENSIONS = (2, 4)
 # (4.3 s at n = 10 on 2 CPUs, about six times its 0.68 s at n = 8)
 MAX_COMMUTATOR_DIMENSION = 10
 # a check draws trials only until one decides it, so --suite lemmas --n 14
-# takes about 0.3 s at this many trials on 2 CPUs; a passing check whose
-# kernel has no ratio to its unit (four_mixed) still draws every one, about
-# 1.5 s at n = 14
+# takes about 0.16 s at this many trials on 2 CPUs (cold process); a passing
+# check whose kernel has no ratio to its unit (four_mixed) still draws every
+# one, about 1.5 s at n = 14
 MAX_TRIALS = 1000
 
 

@@ -146,10 +146,6 @@ class LinearOp:
     def identity(cls, n: int) -> "LinearOp":
         return cls(n, {0: 1})
 
-    @classmethod
-    def zero(cls, n: int) -> "LinearOp":
-        return cls(n, {})
-
     # -- structure ----------------------------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -170,22 +166,6 @@ class LinearOp:
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
         return self.compose(other)
-
-    def __add__(self, other: "LinearOp") -> "LinearOp":
-        if not isinstance(other, LinearOp) or other.n != self.n:
-            return NotImplemented
-        blades = dict(self.blades)
-        for key, coeff in other.blades.items():
-            _accumulate(blades, key, coeff)
-        return LinearOp(self.n, blades)
-
-    def __neg__(self) -> "LinearOp":
-        return self.scale(-1)
-
-    def scale(self, scalar) -> "LinearOp":
-        if not scalar:
-            return LinearOp.zero(self.n)
-        return LinearOp(self.n, {k: scalar * c for k, c in self.blades.items()})
 
     def trace(self) -> GaussianRational:
         return as_gaussian(self.blades.get(0, 0) * (1 << self.n))

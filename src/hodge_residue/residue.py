@@ -14,14 +14,18 @@ identities are the same trace with the ``"before"`` or ``"after"`` weights,
 and the plain ones with the lift itself.
 
 Every such trace ``tr(W(u_1 ... u_k) . P(lift(T)))`` is multilinear in the
-form and in each vector.  A :class:`TraceKernel` is compiled from basis
-inputs: the lift's integer blades on each basis form ``e_I``, read from its
-term table (:data:`~hodge_residue.forms.LIFT_TERMS`), and the letter paths
-that fold each blade to the empty blade.  Every kernel comes from one
-memo, :func:`_kernel`: compiled once per shape (word, lift, ``n``) per
-process and shared by every trace identity, density and boundary density
-of that shape.  It is the sparse integer tensor ``{(I, j_1, ..., j_k): c}``
-of the plain trace.
+form and in each vector: a :class:`TraceKernel`, the sparse integer tensor
+``{(I, j_1, ..., j_k): c}`` of the plain trace at one ``n``.  It is compiled
+directly (:func:`_compile`) from basis inputs: the lift's integer blades on
+each basis form ``e_I``, read from its term table
+(:data:`~hodge_residue.forms.LIFT_TERMS`), and the letter paths that fold
+each blade to the empty blade.  An entry's coefficient depends only on the
+order type of its index tuple, so each shape (word, lift) is compiled once
+per process, at ``n0``, the most distinct indices an entry can use (at most
+4 for every check shape), and kept as the n-free :class:`KernelTable` ``{(r, I ranks, j ranks): c}``
+(:func:`_table`); the ``"normal_c"`` lift pins its top rank to the index
+``n``.  The table is expanded into a kernel at ``n`` only where a trace is
+contracted: a density, or a check whose tensor is no multiple of its unit.
 Each entry comes from one blade, and every blade a kernel traces has one
 grade class, so a placement ``P`` scales the whole trace by one rational
 weight, :meth:`TraceKernel.weight`, with no second compile.
@@ -35,9 +39,10 @@ Each functional carries a closed-form coefficient table entry;
 the individual trace identities feeding those densities.  Their trials, and
 those of :func:`~hodge_residue.boundary.verify_boundary`, run in
 :func:`_trial_loop`.  Each kernel's tensor is one exact ratio :func:`_ratio`
-times its unit's :func:`_unit_tensor`, or no multiple of it; with that
-ratio no trial contracts the kernel, and a check's trials end at the first
-one that decides it.  Every check is exact:
+times its unit's, decided on the order types of the two tables
+(:func:`_unit_table`), or no multiple of it; with that ratio no kernel is
+expanded or contracted, and a check's trials end at the first one that
+decides it.  Every check is exact:
 when the engine's exact value disagrees with a tabulated closed form, the
 report carries both values verbatim; nothing is softened to a tolerance or
 auto-corrected.
@@ -49,8 +54,8 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from operator import mul
+from math import comb, lcm
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -125,56 +130,40 @@ def _integer_scaled(values: Sequence) -> Tuple[List[int], int]:
 
 class TraceKernel:
     """The trace ``tr(W(u_1 ... u_k) . lift(T))`` of one check or identity
-    shape, compiled once, and the weight of each cosphere placement.
+    shape at one ``n``, and the weight of each cosphere placement.
 
-    ``W`` is the Clifford word of the letters ``flavors``.  The trace is
+    ``W`` is the Clifford word of ``letters`` letters.  The trace is
     multilinear in the form and in each vector, so it is ``2^n / denominator
     * sum c T_I u_1[j_1] ... u_k[j_k]`` over a sparse integer tensor
-    ``{(I, j_1, ..., j_k): c}``.  The tensor is read off basis inputs:
-    ``slots[I]`` is the lift on the basis form ``e_I`` as ``{blade: c}``
-    over ``denominator`` (one slot, and no form, for ``degree`` 0), and
-    :func:`_letter_paths` gives the index tuples whose letters fold each
-    blade to the empty blade (trace = ``2^n`` times the identity
-    coefficient).
+    ``{(I, j_1, ..., j_k): c}``: ``columns`` holds one tuple per tensor slot
+    (the slot of ``I`` in :attr:`basis`, then each letter's 0-based index)
+    and ``coeffs`` the integers, both empty when the tensor is.
+    :func:`_compile_slots` compiles it from a lift's blades and
+    :meth:`KernelTable.expand` from a shape's order types.
 
-    The letters of an entry multiply to one blade, the only one they trace
-    against to a nonzero value, so every entry comes from exactly one blade
-    of the lift.  Every traced blade must have one grade class ``(|A|, g mod
-    2)``, recorded as :attr:`grade` (``None`` when no blade is traced); blades
-    of two classes raise ``ValueError``.  A cosphere placement scales each
-    blade by the weight of its class, so it scales the whole trace by one
-    :meth:`weight` and compiles nothing.
+    Every entry comes from one blade of the lift, and every traced blade has
+    one grade class ``(|A|, g mod 2)``, recorded as :attr:`grade` (``None``
+    when no blade is traced).  A cosphere placement scales each blade by the
+    weight of its class, so it scales the whole trace by one :meth:`weight`
+    and compiles nothing.
 
-    ``basis``, ``columns`` and ``coeffs`` are tuples, so a kernel shared
-    between checks cannot be altered by one of them.  ``n`` past
-    ``MAX_DIMENSION`` raises ``ValueError``, for every check and density.
+    ``basis``, ``columns`` and ``coeffs`` are tuples, so a kernel cannot be
+    altered by a check that reads it.  ``n`` past ``MAX_DIMENSION`` raises
+    ``ValueError``, for every check and density.
     """
 
     __slots__ = ("n", "degree", "letters", "basis", "columns", "reads", "coeffs", "denominator", "grade")
 
-    def __init__(self, n: int, flavors: Sequence[str], slots: Sequence[Dict[int, int]], degree: int, denominator=1):
+    def __init__(self, n: int, degree: int, letters: int, columns: Sequence[Sequence[int]], coeffs: Sequence[int],
+                 denominator: int = 1, grade: Optional[Tuple[int, int]] = None):
         _check_n(n)
-        self.n, self.degree, self.letters = n, degree, len(flavors)
+        self.n, self.degree, self.letters = n, degree, letters
         self.basis = tuple(itertools.combinations(range(1, n + 1), degree)) if degree else ((),)
-        signs = [_product_signs(n, 1 << bit) for bit in range(2 * n)]
-        low = (1 << n) - 1
-        entries, values, grades = [], [], set()
-        for slot, blades in enumerate(slots):
-            for key, coeff in blades.items():
-                grade = ((key & low).bit_count(), key.bit_count() & 1)
-                for js, sign in _letter_paths(n, flavors, key, signs):
-                    entries.append((slot,) + js)
-                    values.append(coeff if sign > 0 else -coeff)
-                    grades.add(grade)
-        if len(grades) > 1:
-            raise ValueError(f"the traced blades span the grade classes {sorted(grades)}, not one")
-        self.grade = grades.pop() if grades else None
-        self.denominator = denominator
-        self.coeffs = tuple(values)
-        # one tuple per tensor slot: the form's basis slot, then each letter's
-        # index, each read from its row by one C-level call
-        self.columns = tuple(zip(*entries))
+        self.coeffs = tuple(coeffs)
+        # each column read from its row by one C-level call
+        self.columns = tuple(map(tuple, columns)) if self.coeffs else ()
         self.reads = tuple(map(_reader, self.columns))
+        self.denominator, self.grade = denominator, grade
 
     def weight(self, placement: str, m: int = 1) -> Fraction:
         """The factor by which a placement ``P`` scales this trace:
@@ -185,10 +174,7 @@ class TraceKernel:
         from :func:`~hodge_residue.symbols._grade_weights`, and 0 on a kernel
         with no entry.  Any other placement raises ``ValueError``.
         """
-        if placement == "plain":
-            return Fraction(1)
-        weights = _grade_weights(self.n, placement, m)
-        return Fraction(0) if self.grade is None else weights[self.grade]
+        return _placement_weight(self.grade, self.n, placement, m)
 
     def contract(self, rows: Sequence[Sequence[int]]) -> int:
         """``sum c * rows[0][I] * rows[1][j_1] ... rows[k][j_k]`` in integers.
@@ -231,6 +217,39 @@ class TraceKernel:
         return Fraction(self.contract(rows) << self.n, self.denominator * scale)
 
 
+def _placement_weight(grade: Optional[Tuple[int, int]], n: int, placement: str, m: int = 1) -> Fraction:
+    """:meth:`TraceKernel.weight` of a tensor at ``n`` whose blades have the
+    grade class ``grade`` (``None`` for an empty tensor)."""
+    if placement == "plain":
+        return Fraction(1)
+    weights = _grade_weights(n, placement, m)
+    return Fraction(0) if grade is None else weights[grade]
+
+
+def _compile_slots(n: int, flavors: Sequence[str], slots: Sequence[Dict[int, int]], degree: int,
+                   denominator: int = 1) -> TraceKernel:
+    """The kernel of the word of the letters ``flavors`` against a lift read
+    off basis inputs: ``slots[I]`` is the lift on the basis form ``e_I`` as
+    ``{blade: c}`` over ``denominator`` (one slot, and no form, for
+    ``degree`` 0), and :func:`_letter_paths` gives the index tuples whose
+    letters fold each blade to the empty blade (trace = ``2^n`` times the
+    identity coefficient).  Blades of two grade classes raise ``ValueError``."""
+    _check_n(n)
+    signs = [_product_signs(n, 1 << bit) for bit in range(2 * n)]
+    low = (1 << n) - 1
+    entries, values, grades = [], [], set()
+    for slot, blades in enumerate(slots):
+        for key, coeff in blades.items():
+            grade = ((key & low).bit_count(), key.bit_count() & 1)
+            for js, sign in _letter_paths(n, flavors, key, signs):
+                entries.append((slot,) + js)
+                values.append(coeff if sign > 0 else -coeff)
+                grades.add(grade)
+    if len(grades) > 1:
+        raise ValueError(f"the traced blades span the grade classes {sorted(grades)}, not one")
+    return TraceKernel(n, degree, len(flavors), zip(*entries), values, denominator, grades.pop() if grades else None)
+
+
 def _lift_degree(lift: Optional[str]) -> Optional[int]:
     """The degree of the form a lift takes, the length of its table terms;
     ``None`` for the identity and ``"normal_c"``, which take no form."""
@@ -241,36 +260,125 @@ def _lift_degree(lift: Optional[str]) -> Optional[int]:
 
 
 def _compile(word_flavors: Tuple[str, ...], lift: Optional[str], n: int) -> TraceKernel:
-    """The plain trace kernel of the word against a lift: a
-    :data:`~hodge_residue.forms.LIFT_TERMS` key, whose terms the word cannot
-    trace are skipped, ``"normal_c"`` (the blade ``c_n``) or ``None`` (the
-    identity).  ``n`` past ``MAX_DIMENSION`` raises before any slot is built."""
+    """The plain trace kernel of the word against a lift at ``n``, compiled
+    directly: a :data:`~hodge_residue.forms.LIFT_TERMS` key, whose terms the
+    word cannot trace are skipped, ``"normal_c"`` (the blade ``c_n``) or
+    ``None`` (the identity).  ``n`` past ``MAX_DIMENSION`` raises before any
+    slot is built."""
     _check_n(n)
     if lift is None:
-        return TraceKernel(n, word_flavors, [{0: 1}], 0)
+        return _compile_slots(n, word_flavors, [{0: 1}], 0)
     if lift == "normal_c":
-        return TraceKernel(n, word_flavors, [{_generator_key("c", n, n): 1}], 0)
+        return _compile_slots(n, word_flavors, [{_generator_key("c", n, n): 1}], 0)
     denominator, terms = LIFT_TERMS[lift]
     traced = [term for term in terms if _traceable(word_flavors, term[1])]
     degree = _lift_degree(lift)
     slots = [_term_blades(n, traced, idx) for idx in itertools.combinations(range(1, n + 1), degree)]
-    return TraceKernel(n, word_flavors, slots, degree, denominator)
+    return _compile_slots(n, word_flavors, slots, degree, denominator)
 
 
-# the one way to get a trace kernel, compiled once per shape and process
-_kernel = lru_cache(maxsize=None)(_compile)
+class KernelTable(NamedTuple):
+    """A shape's trace kernel at every ``n`` at once, by order type.
+
+    An entry's coefficient depends only on the order type of its index tuple
+    (README's invariance lemma), so ``types`` maps ``(r, I ranks, j ranks)``
+    to the integer coefficient: ``r`` distinct indices, and each index of
+    ``I`` and of the letters ``j_1 ... j_k`` as its rank among them.  With
+    ``pinned`` (the ``"normal_c"`` lift, the blade ``c_n``) the top rank is
+    the index ``n`` itself.  ``letters``, ``degree``, ``denominator`` and
+    ``grade`` are the kernel's at every ``n`` where it has an entry.
+    """
+
+    letters: int
+    degree: int
+    denominator: int
+    grade: Optional[Tuple[int, int]]
+    pinned: bool
+    types: Mapping[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int]
+
+    def weight(self, placement: str, n: int, m: int = 1) -> Fraction:
+        """:meth:`TraceKernel.weight` of the expansion at ``n``, which has an
+        entry exactly when some type has ``r <= n``."""
+        fits = any(r <= n for r, _, _ in self.types)
+        return _placement_weight(self.grade if fits else None, n, placement, m)
+
+    def expand(self, n: int) -> TraceKernel:
+        """The kernel at ``n``: each type with ``r <= n`` placed at every
+        increasing ``r``-subset of ``range(n)`` (of ``range(n - 1)``, then
+        ``n - 1``, when pinned).  ``n`` past ``MAX_DIMENSION`` raises first."""
+        _check_n(n)
+        slot_of = {idx: slot for slot, idx in enumerate(itertools.combinations(range(n), self.degree))}
+        columns: List[List[int]] = [[] for _ in range(self.letters + 1)]
+        coeffs: List[int] = []
+        for (r, idx, js), c in self.types.items():
+            # no subset when r > n
+            if self.pinned:
+                subsets = [s + (n - 1,) for s in itertools.combinations(range(n - 1), r - 1)]
+            else:
+                subsets = list(itertools.combinations(range(n), r))
+            columns[0].extend(map(slot_of.__getitem__, map(_reader(idx), subsets)) if idx else [0] * len(subsets))
+            for column, j in zip(columns[1:], js):
+                column.extend(map(itemgetter(j), subsets))
+            coeffs.extend([c] * len(subsets))
+        return TraceKernel(n, self.degree, self.letters, columns, coeffs, self.denominator,
+                           self.grade if coeffs else None)
 
 
 @lru_cache(maxsize=None)
-def _ratio(kernel: TraceKernel, unit: str) -> Optional[int | Fraction]:
-    """The exact ``kappa`` (an ``int`` when integral) with ``K = kappa U``, else
-    ``None``: ``K`` is the kernel's tensor (each entry, from one blade of one
-    slot, has its own key), ``U`` the :func:`_unit_tensor` of the kind
-    ``unit``, so the kernel contracts any rows to ``kappa`` times their
-    :func:`_unit`.  Once per kernel, unit and process."""
-    expected = _unit_tensor(unit, kernel.n, kernel.degree)
+def _table(word_flavors: Tuple[str, ...], lift: Optional[str]) -> KernelTable:
+    """The order-type table of a shape, once per shape and process.
+
+    An entry's letters cancel each of the lift's ``b`` blade generators and
+    pair up the other ``k - b`` with a same-flavor letter at the same index,
+    so it uses at most ``n0 = b + (k - b) // 2`` distinct indices; every
+    type appears in the direct :func:`_compile` at ``n0``, and is read off
+    it."""
+    degree = _lift_degree(lift) or 0
+    b = 1 if lift == "normal_c" else degree
+    k = len(word_flavors)
+    kernel = _compile(word_flavors, lift, b + (k - b) // 2)
+    types = {}
+    for (slot, *js), c in zip(zip(*kernel.columns), kernel.coeffs):
+        idx = tuple(i - 1 for i in kernel.basis[slot])
+        rank = {i: p for p, i in enumerate(sorted({*idx, *js}))}
+        types[len(rank), tuple(map(rank.get, idx)), tuple(map(rank.get, js))] = c
+    return KernelTable(k, degree, kernel.denominator, kernel.grade, lift == "normal_c", MappingProxyType(types))
+
+
+def _kernel(word_flavors: Tuple[str, ...], lift: Optional[str], n: int) -> TraceKernel:
+    """The trace kernel of a shape at ``n``, expanded from its :func:`_table`;
+    ``n`` past ``MAX_DIMENSION`` raises before the table is looked up."""
+    _check_n(n)
+    return _table(word_flavors, lift).expand(n)
+
+
+def _unit_table(kind: str, degree: int) -> Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int]:
+    """:func:`_unit` by order type, in the layout of :attr:`KernelTable.types`:
+    ``"form"`` is ``sgn s`` at ``(I, s(I))``, ``"metric"`` ``<u, v>``'s one
+    type, and the boundary kinds :func:`boundary_contraction`'s terms with
+    the top rank pinned to ``n``, summed where they meet (``j = n``)."""
+    if kind == "form":
+        return {(degree, tuple(range(degree)), perm): sign for perm, sign in _orderings(degree)}
+    if kind == "metric":
+        return {(1, (), (0, 0)): 1}
+    if kind not in ("psi1", "psi2", "-psi2"):
+        raise ValueError(f"unknown unit kind {kind!r}")
+    sign = -1 if kind == "-psi2" else 1
+    table = {(1, (), (0, 0, 0)): sign, (2, (), (1, 0, 0)): sign}
+    if kind == "psi1":
+        table.update({(2, (), (0, 1, 0)): -sign, (2, (), (0, 0, 1)): sign})
+    return table
+
+
+def _ratio(table: KernelTable, unit: str, n: int) -> Optional[int | Fraction]:
+    """The exact ``kappa`` (an ``int`` when integral) with ``K = kappa U`` at
+    ``n``, else ``None``: ``K`` is the kernel's tensor and ``U`` that of the
+    unit kind ``unit``, compared type by type on :func:`_unit_table` over the
+    types with ``r <= n`` (each expands to keys of its own, at least one), so
+    the kernel contracts any rows to ``kappa`` times their :func:`_unit`."""
+    expected = {key: u for key, u in _unit_table(unit, table.degree).items() if key[0] <= n}
     engine = dict.fromkeys(expected, 0)
-    engine.update(zip(zip(*kernel.columns), kernel.coeffs))
+    engine.update((key, c) for key, c in table.types.items() if key[0] <= n)
     k0, u0 = next(((engine[key], u) for key, u in expected.items()), (0, 1))
     if any(c * u0 != k0 * expected.get(key, 0) for key, c in engine.items()):
         return None
@@ -365,17 +473,18 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
                 form_first: bool = False, magnitude: bool = False) -> Tuple[CheckReport, Optional[Fraction]]:
     """The trials of every randomized check, decided in integers.
 
-    ``trials`` below 1 raises ``ValueError`` before the kernel of ``shape``
-    ``(word, lift, n)`` is looked up in :func:`_kernel`.  One
-    ``random.Random(rng_label)`` stream feeds every trial, which draws its
-    inputs doubled, as integers, by :func:`~hodge_residue.forms._random_doubled`:
-    one vector of length ``n`` per letter and the form's values in basis
-    order (none for degree 0), the form first when ``form_first``, else last.
-    The kernel rows are the form's values (``(1,)`` for degree 0) and then
-    the vectors, and the expected side's unit ``base`` is :func:`_unit` of
-    the kind ``unit`` on them.  A comparison ``(placement, value, expected)``
-    is the engine side ``value * weight * t / D``, with ``weight`` the
-    placement's :meth:`TraceKernel.weight` at symbol order ``n // 2``, ``t``
+    ``trials`` below 1, then ``n`` past ``MAX_DIMENSION``, raises
+    ``ValueError`` before the :func:`_table` of ``shape`` ``(word, lift,
+    n)`` is looked up.  One ``random.Random(rng_label)`` stream feeds every
+    trial, which draws its inputs doubled, as integers, by
+    :func:`~hodge_residue.forms._random_doubled`: one vector of length ``n``
+    per letter and the form's ``C(n, degree)`` values in basis order (none
+    for degree 0), the form first when ``form_first``, else last.  The
+    kernel rows are the form's values (``(1,)`` for degree 0) and then the
+    vectors, and the expected side's unit ``base`` is :func:`_unit` of the
+    kind ``unit`` on them.  A comparison ``(placement, value, expected)`` is
+    the engine side ``value * weight * t / D``, with ``weight`` the
+    placement's :meth:`KernelTable.weight` at symbol order ``n // 2``, ``t``
     the kernel contracted with the rows and ``D`` its denominator, against
     ``expected * base``.  With ``weight = p / q`` that is ``value * c / (D
     q)`` for the integer ``c = p t``, and :func:`_sides` makes it integer
@@ -384,8 +493,9 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
     two values the report shows are divided by it.
 
     ``t`` is ``kappa * base`` when the kernel is :func:`_ratio` ``kappa``
-    times the unit (0 when every weight is 0); only a kernel with no
-    ``kappa`` is contracted, once per trial.  With ``magnitude``, a
+    times the unit, decided on the table (0, undecided, when every weight is
+    0); only a kernel with no ``kappa`` is expanded at ``n``, once, and
+    contracted, once per trial.  With ``magnitude``, a
     comparison that fails but holds with its expected side negated is
     compared with the negated side, and a passing check notes that sign.
 
@@ -400,26 +510,29 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    kernel = _kernel(*shape)
-    weights = [kernel.weight(placement, kernel.n // 2) for placement, _, _ in comparisons]
+    word, lift, n = shape
+    _check_n(n)
+    table = _table(word, lift)
+    weights = [table.weight(placement, n, n // 2) for placement, _, _ in comparisons]
     # every weight 0 makes the engine side 0, whatever the kernel
-    kappa = _ratio(kernel, unit) if any(weights) else 0
+    kappa = _ratio(table, unit, n) if any(weights) else 0
+    kernel = table.expand(n) if kappa is None else None
     checks, sign = [], 1
     for weight, (placement, value, expected) in zip(weights, comparisons):
-        p, denominator = weight.numerator, kernel.denominator * weight.denominator
+        p, denominator = weight.numerator, table.denominator * weight.denominator
         sides = _sides(value, expected, denominator)
         if magnitude and not _identical(kappa, p, sides) and _identical(kappa, -p, sides):
             expected, sign = expected * -1, -1
             sides = _sides(value, expected, denominator)
         checks.append((placement, p, denominator, value, expected, sides))
-    r = kernel.letters + bool(kernel.degree)
-    size = len(kernel.basis) if kernel.degree else 0
+    r = table.letters + bool(table.degree)
+    size = comb(n, table.degree) if table.degree else 0
     rng = random.Random(rng_label)
     failed = False
     shown: Optional[Tuple[SymbolicScalar, SymbolicScalar, str]] = None
     for trial in range(trials):
         form = _random_doubled(size, rng) if form_first else None
-        vectors = [_random_doubled(kernel.n, rng) for _ in range(kernel.letters)]
+        vectors = [_random_doubled(n, rng) for _ in range(table.letters)]
         if not form_first:
             form = _random_doubled(size, rng)
         base = _unit(unit, form, vectors)
@@ -442,9 +555,9 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
             "proportionality and magnitude asserted, sign recorded"
         )
     engine_side, expected_side, _ = shown or (SymbolicScalar(), SymbolicScalar(), "")
-    report = CheckReport(check_id, kernel.n, trials, "fail" if failed else "pass", engine_side.render(),
+    report = CheckReport(check_id, n, trials, "fail" if failed else "pass", engine_side.render(),
                          expected_side.render(), detail="; ".join(notes))
-    return report, None if kappa is None else Fraction(kappa, kernel.denominator)
+    return report, None if kappa is None else Fraction(kappa, table.denominator)
 
 
 def _resolve_functional(functional_id: str) -> FunctionalSpec:
@@ -642,27 +755,6 @@ def _unit(kind: str, form: Sequence[int], vectors: Sequence[Sequence[int]]) -> i
     if kind in ("psi1", "psi2"):
         return boundary_contraction(kind, *vectors)
     raise ValueError(f"unknown unit kind {kind!r}")
-
-
-@lru_cache(maxsize=None)
-def _unit_tensor(kind: str, n: int, degree: int) -> Mapping[Tuple[int, ...], int]:
-    """:func:`_unit` as ``{(slot, j_1, ..., j_k): c}`` in the kernel's row layout
-    (0-based ``j``): ``"form"`` is ``sgn s`` at ``(I, s(I))``, ``"metric"``
-    ``(0, j, j): 1``, the rest :func:`boundary_contraction`'s terms, summed."""
-    if kind == "form":
-        return MappingProxyType({(slot,) + tuple(idx[p] for p in perm): sign
-                                 for slot, idx in enumerate(itertools.combinations(range(n), degree))
-                                 for perm, sign in _orderings(degree)})
-    if kind == "metric":
-        return MappingProxyType({(0, j, j): 1 for j in range(n)})
-    if kind not in ("psi1", "psi2", "-psi2"):
-        raise ValueError(f"unknown unit kind {kind!r}")
-    last, sign, tensor = n - 1, -1 if kind == "-psi2" else 1, {}
-    for j in range(n):
-        terms = (((0, last, j, j), sign), ((0, j, last, j), -sign), ((0, j, j, last), sign))
-        for key, c in terms[:3 if kind == "psi1" else 1]:
-            tensor[key] = tensor.get(key, 0) + c
-    return MappingProxyType(tensor)
 
 
 def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> CheckReport:

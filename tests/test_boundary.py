@@ -6,7 +6,6 @@ Expected values were frozen from hand partial-fraction computations and
 cross-checked against adaptive quadrature (see test_oracle.py).
 """
 
-import functools
 import random
 from fractions import Fraction
 
@@ -283,22 +282,22 @@ class TestBoundaryDensity:
     @pytest.mark.parametrize("flavor,lemma_id", [("psi1", "B5.8"), ("psi2", "B5.10")])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_kernel_is_the_boundary_trace_identity_kernel(self, monkeypatch, flavor, lemma_id, m):
-        # the kernel boundary_density looks up and traces
+        # the shape boundary_density looks up and the kernel it traces: the
+        # lemma's, expanded from the one table of that shape
         looked_up = []
 
         def recorded(*shape):
-            looked_up.append(_kernel(*shape))
-            return looked_up[-1]
+            looked_up.append((shape, _kernel(*shape)))
+            return looked_up[-1][1]
 
         monkeypatch.setattr(boundary_module, "_kernel", recorded)
         boundary_density(BoundaryArgs(flavor, *([0] * (2 * m),) * 3, m))
-        [kernel] = looked_up
+        [(shape, kernel)] = looked_up
         spec = LEMMA_CHECKS[lemma_id]
-        lemma = _kernel(spec.word_flavors, spec.lift, 2 * m)
-        assert kernel is lemma
-        assert kernel.columns == lemma.columns
-        assert kernel.coeffs == lemma.coeffs
-        assert kernel.denominator == lemma.denominator
+        assert shape == (spec.word_flavors, spec.lift, 2 * m)
+        lemma = _kernel(*shape)
+        assert dict(zip(zip(*kernel.columns), kernel.coeffs)) == dict(zip(zip(*lemma.columns), lemma.coeffs))
+        assert (kernel.n, kernel.denominator, kernel.grade) == (lemma.n, lemma.denominator, lemma.grade)
 
     def test_kernel_needs_one_term(self, monkeypatch):
         # only the normal channel may carry a nonzero sphere moment: a
@@ -363,12 +362,6 @@ class TestClosedFormCoefficient:
             closed_form_boundary_coefficient("psi1", 1)
 
 
-def _fresh_ratios(monkeypatch):
-    """A kernel ratio memo of this test's own, so a patched unit tensor
-    neither reads a ratio memoized before it nor leaves one behind."""
-    monkeypatch.setattr(residue_module, "_ratio", functools.lru_cache(maxsize=None)(residue_module._ratio.__wrapped__))
-
-
 class TestVerifyBoundary:
     @pytest.mark.parametrize("flavor", ["psi1", "psi2"])
     @pytest.mark.parametrize("m", [2, 3])
@@ -420,10 +413,10 @@ class TestVerifyBoundary:
         assert f"= {(original(flavor, m) * sphere_volume(n - 2)).render()}; tabulated" in report.detail
 
     def test_psi2_against_the_psi1_contraction_is_not_proportional(self, monkeypatch):
-        original, tensor = residue_module._unit, residue_module._unit_tensor
+        # the trials' unit and the unit table the ratio is decided on are both psi1's
+        original, table = residue_module._unit, residue_module._unit_table
         monkeypatch.setattr(residue_module, "_unit", lambda kind, form, vectors: original("psi1", form, vectors))
-        monkeypatch.setattr(residue_module, "_unit_tensor", lambda kind, n, degree: tensor("psi1", n, degree))
-        _fresh_ratios(monkeypatch)
+        monkeypatch.setattr(residue_module, "_unit_table", lambda kind, degree: table("psi1", degree))
         report = verify_boundary("psi2", 2, trials=20, seed=0)
         assert report.status == "fail"
         assert "proportionality to the stated contraction: FAILS" in report.detail
@@ -431,8 +424,7 @@ class TestVerifyBoundary:
 
     def test_zero_contraction_with_a_nonzero_density_fails(self, monkeypatch):
         monkeypatch.setattr(residue_module, "_unit", lambda kind, form, vectors: 0)
-        monkeypatch.setattr(residue_module, "_unit_tensor", lambda kind, n, degree: {})
-        _fresh_ratios(monkeypatch)
+        monkeypatch.setattr(residue_module, "_unit_table", lambda kind, degree: {})
         report = verify_boundary("psi1", 2, trials=5, seed=0)
         rng = random.Random("0:boundary:psi1:2")
         densities = [

@@ -141,7 +141,7 @@ class TestVerifyBuildsNoOperator:
         def refuse(*args, **kwargs):
             raise AssertionError("a form or an operator was constructed on the verify path")
 
-        residue_module._kernel.cache_clear()
+        residue_module._table.cache_clear()
         boundary_module._residue_weight.cache_clear()
         monkeypatch.setattr(AntiSymForm, "__init__", refuse)
         monkeypatch.setattr(LinearOp, "__init__", refuse)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodge_residue.exterior import LinearOp
 from hodge_residue.forms import (
     AntiSymForm,
     form_contract,
@@ -34,7 +33,7 @@ from hodge_residue.forms import (
 )
 from json_fuzz import JSON_PAYLOADS
 from mixed_rationals import mixed_form, mixed_vector
-from word_reference import generator_word, lift_monotone, lift_ordered
+from word_reference import add, generator_word, lift_monotone, lift_ordered, scale, zero
 
 
 class TestAntiSymForm:
@@ -171,27 +170,26 @@ class TestLifts:
     def test_monotone_lift_on_single_entry(self):
         form = AntiSymForm(4, 2, {(1, 3): Fraction(2)})
         lifted = lift_monotone(form, ("chat", "chat"))
-        expected = generator_word(4, [("chat", 1), ("chat", 3)]).scale(Fraction(2))
+        expected = scale(generator_word(4, [("chat", 1), ("chat", 3)]), Fraction(2))
         assert lifted == expected
 
     def test_two_chat_sums_over_increasing_pairs(self):
         form = AntiSymForm(4, 2, {(1, 2): Fraction(1), (3, 4): Fraction(-1, 2)})
-        expected = generator_word(4, [("chat", 1), ("chat", 2)]) + generator_word(
-            4, [("chat", 3), ("chat", 4)]
-        ).scale(Fraction(-1, 2))
+        expected = add(generator_word(4, [("chat", 1), ("chat", 2)]),
+                       scale(generator_word(4, [("chat", 3), ("chat", 4)]), Fraction(-1, 2)))
         assert lift_two_chat(form) == expected
 
     def test_ordered_lift_sums_all_distinct_triples(self):
         form = AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)})
         lifted = lift_ordered(form, ("c", "chat", "chat"))
-        total = LinearOp.zero(4)
+        total = zero(4)
         import itertools
 
         for triple in itertools.permutations((1, 2, 3)):
             word = generator_word(
                 4, [("c", triple[0]), ("chat", triple[1]), ("chat", triple[2])]
             )
-            total = total + word.scale(form.value(triple))
+            total = add(total, scale(word, form.value(triple)))
         assert lifted == total
 
     @given(
@@ -202,12 +200,12 @@ class TestLifts:
     def test_lifts_are_sums_of_scaled_generator_words(self, flavors, seed):
         n = 5
         form = mixed_form(n, len(flavors), random.Random(seed))
-        monotone = LinearOp.zero(n)
+        monotone = zero(n)
         for idx, coeff in form.entries.items():
-            monotone = monotone + generator_word(n, list(zip(flavors, idx))).scale(coeff)
-        ordered = LinearOp.zero(n)
+            monotone = add(monotone, scale(generator_word(n, list(zip(flavors, idx))), coeff))
+        ordered = zero(n)
         for idx in itertools.permutations(range(1, n + 1), len(flavors)):
-            ordered = ordered + generator_word(n, list(zip(flavors, idx))).scale(form.value(idx))
+            ordered = add(ordered, scale(generator_word(n, list(zip(flavors, idx))), form.value(idx)))
         assert lift_monotone(form, flavors) == monotone
         assert lift_ordered(form, flavors) == ordered
 
@@ -222,9 +220,7 @@ class TestLifts:
     def test_torsion_assembly_combination(self):
         rng = random.Random(4)
         form = random_form(4, 3, rng)
-        expected = lift_three_c(form).scale(Fraction(3, 2)) + lift_three_mixed(
-            form
-        ).scale(Fraction(-1, 4))
+        expected = add(scale(lift_three_c(form), Fraction(3, 2)), scale(lift_three_mixed(form), Fraction(-1, 4)))
         assert lift_torsion_assembly(form) == expected
 
     def test_lift_degree_validation(self):
@@ -248,7 +244,7 @@ class TestLifts:
         summed = AntiSymForm(
             n, 3, {t: a.value(t) + b.value(t) for t in itertools.combinations(range(1, n + 1), 3)}
         )
-        assert lift_three_c(summed) == lift_three_c(a) + lift_three_c(b)
+        assert lift_three_c(summed) == add(lift_three_c(a), lift_three_c(b))
 
 
 class TestRandomData:

@@ -42,9 +42,12 @@ from hodge_residue.residue import (
     FUNCTIONALS,
     LEMMA_CHECKS,
     FunctionalSpec,
+    KernelTable,
     TraceKernel,
     _LEMMA_ALIASES,
+    _compile,
     _kernel,
+    _table,
     closed_form_coefficient,
     density_decomposition,
     lemma_check,
@@ -75,15 +78,20 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def kernel_of(spec, n: int) -> TraceKernel:
-    """The memoized kernel of a density's or a trace identity's shape."""
+def shape_of(spec) -> tuple:
+    """The kernel shape ``(word, lift)`` of a density or a trace identity."""
     if isinstance(spec, FunctionalSpec):
-        return _kernel(spec.arg_flavors, spec.lift_kind, n)
-    return _kernel(spec.word_flavors, spec.lift, n)
+        return spec.arg_flavors, spec.lift_kind
+    return spec.word_flavors, spec.lift
+
+
+def kernel_of(spec, n: int) -> TraceKernel:
+    """The kernel of a density's or a trace identity's shape, expanded at n."""
+    return _kernel(*shape_of(spec), n)
 
 
 def boundary_kernel(flavor: str, n: int) -> TraceKernel:
-    """The memoized kernel a boundary density of this flavor traces."""
+    """The kernel a boundary density of this flavor traces, expanded at n."""
     return _kernel(boundary_module._FLAVOR_WORDS[flavor], "normal_c", n)
 
 
@@ -271,14 +279,15 @@ def test_blades_of_two_grade_classes_are_rejected_at_compile():
     # traces both
     blades = [{0b1: 1, 0b111: 1}]
     with pytest.raises(ValueError, match=r"grade classes \[\(1, 1\), \(3, 1\)\], not one"):
-        TraceKernel(4, ("c", "c", "c"), blades, 0)
+        residue_module._compile_slots(4, ("c", "c", "c"), blades, 0)
     # a blade the word cannot trace does not count
-    assert TraceKernel(4, ("c",), blades, 0).grade == (1, 1)
+    assert residue_module._compile_slots(4, ("c",), blades, 0).grade == (1, 1)
 
 
 def _assert_placed_equals_compile_of_placed_lift(kernel, flavors, lift, degree, n, m):
-    """Compiling the placed lift gives the kernel's tensor, entry for entry,
-    times the placement's weight, or no entry when the weight is 0."""
+    """Compiling the placed lift gives the kernel's tensor, as a ``{key: c /
+    D}`` mapping, times the placement's weight, or no entry when the weight
+    is 0; entry order carries no meaning."""
     for placement in ("before", "after", "interior"):
         weight = kernel.weight(placement, m)
         assert weight == (_grade_weights(n, placement, m)[kernel.grade] if kernel.coeffs else 0)
@@ -287,9 +296,9 @@ def _assert_placed_equals_compile_of_placed_lift(kernel, flavors, lift, degree, 
         if not weight:
             assert (compiled.columns, compiled.coeffs, compiled.grade) == ((), (), None), placement
             continue
-        assert (compiled.columns, compiled.grade) == (kernel.columns, kernel.grade), placement
-        scaled = [Fraction(c, kernel.denominator) * weight for c in kernel.coeffs]
-        assert [Fraction(c, compiled.denominator) for c in compiled.coeffs] == scaled, placement
+        assert compiled.grade == kernel.grade, placement
+        scaled = {key: c * weight for key, c in _entries(kernel).items()}
+        assert _entries(compiled) == scaled, placement
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -327,25 +336,27 @@ def test_plain_placement_is_the_kernel_and_unknown_ones_raise():
 
 
 def _count_compiles(monkeypatch) -> list:
+    """The ``(word, lift, n)`` of every direct compile, from an empty table
+    memo: one per table, at its ``n0``."""
     calls = []
-    compile_kernel = TraceKernel.__init__
 
-    def counted(self, *args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        compile_kernel(self, *args, **kwargs)
+        return _compile(*args)
 
-    monkeypatch.setattr(TraceKernel, "__init__", counted)
+    _table.cache_clear()
+    monkeypatch.setattr(residue_module, "_compile", counted)
     return calls
 
 
 @pytest.mark.parametrize("lemma_id", sorted(LEMMA_CHECKS) + sorted(_LEMMA_ALIASES))
 def test_lemma_check_compiles_one_kernel(monkeypatch, lemma_id):
-    # kernels are memoized per shape, so the count starts from an empty memo
-    residue_module._kernel.cache_clear()
+    # one table per shape and process, whatever the n
     calls = _count_compiles(monkeypatch)
     lemma_check(lemma_id, 4, trials=1)
     assert len(calls) == 1
     lemma_check(lemma_id, 4, trials=1)
+    lemma_check(lemma_id, 6, trials=1)
     assert len(calls) == 1
 
 
@@ -358,33 +369,37 @@ def test_theorem_below_order_two_is_rejected_before_compiling(monkeypatch, m):
 
 
 def test_default_lemma_suite_compiles_one_kernel_per_shape(monkeypatch):
-    # ten shapes at each of n = 4 and 6: L2.4/L2.5, L3.4a/L3.6a/L3.6b,
-    # L3.4b/L3.5, L3.7a/L3.9, L3.7b/L3.8, L4.5/L4.6a/L4.6b, L4.7/L4.8 share
-    # kernels; B5.8, B5.10 and M6.2 have their own
-    residue_module._kernel.cache_clear()
+    # ten shapes, one table each for n = 4 and 6: L2.4/L2.5,
+    # L3.4a/L3.6a/L3.6b, L3.4b/L3.5, L3.7a/L3.9, L3.7b/L3.8,
+    # L4.5/L4.6a/L4.6b, L4.7/L4.8 share tables; B5.8, B5.10 and M6.2 have
+    # their own
     calls = _count_compiles(monkeypatch)
     reports = list(_run_checks("lemmas", DEFAULT_LEMMA_DIMENSIONS, (), (), 1, 0))
     assert len(reports) == 2 * len(LEMMA_CHECKS) == 38
-    assert len(calls) == 20
+    assert len(calls) == 10
+    assert all(n <= 4 for _, _, n in calls)
 
 
 def test_default_all_suite_compiles_each_shape_once(monkeypatch):
-    # the 20 lemma kernels, plus T2 and T3 at n = 4 and 6: T1, T4 and T5
-    # are the shapes of L2.4, L4.5 and L4.7, and Psi1 and Psi2 those of B5.8
-    # and B5.10; the commutator check compiles no kernel
-    residue_module._kernel.cache_clear()
+    # the 10 lemma tables, plus T2's and T3's: T1, T4 and T5 are the shapes
+    # of L2.4, L4.5 and L4.7, and Psi1 and Psi2 those of B5.8 and B5.10; the
+    # commutator check compiles no kernel
     calls = _count_compiles(monkeypatch)
     reports = list(_run_checks("all", DEFAULT_LEMMA_DIMENSIONS, DEFAULT_SYMBOL_ORDERS,
                                DEFAULT_COMMUTATOR_DIMENSIONS, 1, 0))
     assert len(reports) == 38 + 10 + 4 + 4
-    assert len(calls) == 24
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_memoized_lemma_kernels_are_immutable(n):
+    # the memo holds tables, shared by every n; an expansion is the caller's
     for spec in [*LEMMA_CHECKS.values(), *FUNCTIONALS.values()]:
+        table = _table(*shape_of(spec))
+        assert _table(*shape_of(spec)) is table
+        with pytest.raises(TypeError):
+            table.types[1, (), (0, 0)] = 1
         kernel = kernel_of(spec, n)
-        assert kernel_of(spec, n) is kernel
         for part in (kernel.basis, kernel.columns, kernel.coeffs):
             assert type(part) is tuple
         assert all(type(column) is tuple for column in kernel.columns)
@@ -419,11 +434,13 @@ def test_one_contraction_serves_every_placement(monkeypatch, lemma_id, n):
     and including the first failing one contracts one once for all its
     placements, unless every weight is 0."""
     spec = LEMMA_CHECKS[lemma_id]
-    kernel = kernel_of(spec, n)
-    weighted = any(kernel.weight(placement) for placement in spec.placements)
+    weighted = any(kernel_of(spec, n).weight(placement) for placement in spec.placements)
     calls = _count_contractions(monkeypatch)
     report = lemma_check(lemma_id, n, trials=3)
-    assert calls == [kernel] * _trials_drawn(report, 3) * (spec.lift == "four_mixed" and weighted)
+    assert len(calls) == _trials_drawn(report, 3) * (spec.lift == "four_mixed" and weighted)
+    # one expansion at n, contracted on every trial
+    assert len(set(map(id, calls))) <= 1
+    assert all(kernel.n == n for kernel in calls)
 
 
 @pytest.mark.parametrize("functional_id, contractions", [("T2", 0), ("T3", 0), ("T4", 1)])
@@ -449,8 +466,8 @@ def test_densities_compile_one_kernel_per_call(monkeypatch, functional_id):
         lambda: spectral_density(functional_id, T, vectors, 2),
         lambda: density_decomposition(functional_id, T, vectors, 2),
     ):
-        # kernels are memoized per shape, so each count starts from an empty memo
-        residue_module._kernel.cache_clear()
+        # tables are memoized per shape, so each count starts from an empty memo
+        _table.cache_clear()
         calls.clear()
         call()
         assert len(calls) == 1
@@ -515,7 +532,7 @@ def test_bad_check_arguments_compile_nothing(monkeypatch, case):
         compiled.append(args[:2])
         original(self, *args, **kwargs)
 
-    residue_module._kernel.cache_clear()
+    _table.cache_clear()
     monkeypatch.setattr(TraceKernel, "__init__", counted)
     with pytest.raises(ValueError, match=message):
         check(*args, **kwargs)
@@ -532,11 +549,11 @@ KERNEL_SHAPES = sorted(
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_every_kernel_entry_has_its_own_key(n):
-    # each entry comes from one blade of one slot, so _ratio can take the
-    # kernel's keys without summing them
+    # each entry comes from one blade of one slot, so a table can take the
+    # direct compile's keys, and _ratio the table's types, without summing them
     assert len(KERNEL_SHAPES) == 12
     for word, lift in KERNEL_SHAPES:
-        kernel = _kernel(word, lift, n)
+        kernel = _compile(word, lift, n)
         assert len(set(zip(*kernel.columns))) == len(kernel.coeffs), (word, lift)
 
 
@@ -553,7 +570,7 @@ class TestKernelTraceInputs:
                 kernel.trace(None, vectors[:count])
 
     def test_empty_kernel_knows_its_vector_count(self):
-        kernel = TraceKernel(4, ("c", "c"), [{}], 0)
+        kernel = TraceKernel(4, 0, 2, (), ())
         assert not kernel.coeffs
         assert kernel.trace(None, [basis_vector(4, 1)] * 2) == 0
         with pytest.raises(ValueError, match="takes 2 vectors, got 1"):
@@ -1037,6 +1054,25 @@ def test_derived_fractional_ratio_passes(monkeypatch, n):
 UNIT_KINDS = [("form", 2), ("form", 3), ("form", 4), ("metric", 0), ("psi1", 0), ("psi2", 0), ("-psi2", 0)]
 
 
+def unit_tensor(kind: str, n: int, degree: int) -> dict:
+    """The reference tensor of ``residue._unit`` at ``n``, ``{(slot, j_1,
+    ..., j_k): c}`` in the kernel's row layout (0-based ``j``): ``"form"`` is
+    ``sgn s`` at ``(I, s(I))``, ``"metric"`` ``(0, j, j): 1``, the rest
+    ``boundary_contraction``'s terms, summed."""
+    if kind == "form":
+        return {(slot,) + tuple(idx[p] for p in perm): sign
+                for slot, idx in enumerate(itertools.combinations(range(n), degree))
+                for perm, sign in residue_module._orderings(degree)}
+    if kind == "metric":
+        return {(0, j, j): 1 for j in range(n)}
+    last, sign, tensor = n - 1, -1 if kind == "-psi2" else 1, {}
+    for j in range(n):
+        terms = (((0, last, j, j), sign), ((0, j, last, j), -sign), ((0, j, j, last), sign))
+        for key, c in terms[:3 if kind == "psi1" else 1]:
+            tensor[key] = tensor.get(key, 0) + c
+    return tensor
+
+
 def _contract_tensor(tensor, rows):
     """``sum c * rows[0][key[0]] * ... * rows[k][key[k]]`` over a sparse tensor."""
     return sum(c * math.prod(row[i] for row, i in zip(rows, key)) for key, c in tensor.items())
@@ -1046,10 +1082,14 @@ def _contract_tensor(tensor, rows):
 @pytest.mark.parametrize("kind, degree", UNIT_KINDS)
 def test_unit_tensor_contracts_to_the_unit(kind, degree, n):
     # _unit reaches each kind by its own route: minors for a form, dot
-    # products for the metric and the boundary contractions
+    # products for the metric and the boundary contractions; the package's
+    # unit table expands to the reference tensor
     letters = degree or (2 if kind == "metric" else 3)
     size = math.comb(n, degree) if degree else 0
-    tensor = residue_module._unit_tensor(kind, n, degree)
+    tensor = unit_tensor(kind, n, degree)
+    table = KernelTable(letters, degree, 1, None, kind.startswith(("psi", "-psi")),
+                        residue_module._unit_table(kind, degree))
+    assert _entries(table.expand(n)) == tensor
     rng = random.Random(f"unit-tensor:{kind}:{degree}:{n}")
     for _ in range(50):
         form = [rng.randint(-6, 6) for _ in range(size)]
@@ -1059,7 +1099,7 @@ def test_unit_tensor_contracts_to_the_unit(kind, degree, n):
 
 def test_unit_tensor_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown unit kind 'psi3'"):
-        residue_module._unit_tensor("psi3", 4, 0)
+        residue_module._unit_table("psi3", 0)
 
 
 # K = kappa U with kappa over the kernel's denominator, at every n tested; the
@@ -1077,13 +1117,14 @@ KERNEL_RATIOS = {
 def test_kernel_ratio_to_its_unit(name, n):
     spec = LEMMA_CHECKS.get(name) or FUNCTIONALS[name]
     unit = getattr(spec, "unit", "form")
-    kernel = kernel_of(spec, n)
-    kappa = residue_module._ratio(kernel, unit)
+    table = _table(*shape_of(spec))
+    kappa = residue_module._ratio(table, unit, n)
     if KERNEL_RATIOS[name] is None:
         assert kappa is None
         return
-    assert type(kappa) is int and Fraction(kappa, kernel.denominator) == KERNEL_RATIOS[name]
+    assert type(kappa) is int and Fraction(kappa, table.denominator) == KERNEL_RATIOS[name]
     # the kernel's own contraction against _unit's minors or dot products
+    kernel = table.expand(n)
     rng = random.Random(f"ratio:{name}:{n}")
     size = len(kernel.basis) if kernel.degree else 0
     for _ in range(50):
@@ -1096,9 +1137,106 @@ def test_kernel_ratio_to_its_unit(name, n):
 def test_kernel_with_entries_off_the_unit_support_has_no_ratio(n):
     # B5.8's kernel is the psi1 contraction's tensor, which agrees with the
     # psi2 tensor on every key of the latter and has more keys besides
-    kernel = kernel_of(LEMMA_CHECKS["B5.8"], n)
-    assert residue_module._ratio(kernel, "psi1") == 1
-    assert residue_module._ratio(kernel, "psi2") is None
+    table = _table(*shape_of(LEMMA_CHECKS["B5.8"]))
+    assert residue_module._ratio(table, "psi1", n) == 1
+    assert residue_module._ratio(table, "psi2", n) is None
+
+
+# ---------------------------------------------------------------------------
+# Order-type tables: one direct compile per shape, at n0, expanded per n only
+# to contract.  Odd n are held-out points: no check runs there.
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _direct(word, lift, n: int) -> TraceKernel:
+    """The direct compile at n, the reference the tables are held to."""
+    return _compile(word, lift, n)
+
+
+# each check shape with the units it is checked against; B5.8/Psi1 and
+# B5.10/Psi2 share a shape and take psi1, and -psi2 or psi2
+CHECK_UNITS = {
+    **{shape: {"form"} for shape in KERNEL_SHAPES},
+    **{(spec.word_flavors, spec.lift): {spec.unit} for spec in LEMMA_CHECKS.values() if spec.unit != "form"},
+}
+CHECK_UNITS[boundary_module._FLAVOR_WORDS["psi2"], "normal_c"].add("psi2")
+
+
+@pytest.mark.parametrize("n", range(1, MAX_DIMENSION + 1))
+def test_table_expansions_equal_direct_compiles(n):
+    assert len(KERNEL_SHAPES) == 12
+    for word, lift in KERNEL_SHAPES:
+        expanded, direct = _table(word, lift).expand(n), _direct(word, lift, n)
+        assert _entries(expanded) == _entries(direct), (word, lift)
+        assert (expanded.basis, expanded.letters, expanded.grade) == (direct.basis, direct.letters, direct.grade)
+
+
+def _reference_ratio(kernel: TraceKernel, unit: str) -> Fraction:
+    """``kappa / D`` with ``K = kappa U`` on the full tensors at the kernel's
+    n, else None."""
+    expected = unit_tensor(unit, kernel.n, kernel.degree)
+    engine = dict.fromkeys(expected, 0)
+    engine.update(zip(zip(*kernel.columns), kernel.coeffs))
+    k0, u0 = next(((engine[key], u) for key, u in expected.items()), (0, 1))
+    if any(c * u0 != k0 * expected.get(key, 0) for key, c in engine.items()):
+        return None
+    return Fraction(k0, u0 * kernel.denominator)
+
+
+def test_table_ratio_is_the_full_tensor_decision_at_every_n():
+    """The ratio decided on the two tables' types is the one decided on the
+    full tensors of the direct compile and the reference unit at n = 4 ... 14,
+    and the same at every n from the table's n0 on."""
+    decided = 0
+    for (word, lift), units in sorted(CHECK_UNITS.items(), key=repr):
+        table = _table(word, lift)
+        n0 = max(r for r, _, _ in table.types) if table.types else 1
+        assert n0 <= 4, (word, lift)
+        for unit in sorted(units):
+            ratios = {n: residue_module._ratio(table, unit, n) for n in range(n0, MAX_DIMENSION + 1)}
+            assert len(set(ratios.values())) == 1, (word, lift, unit)
+            for n in range(4, MAX_DIMENSION + 1):
+                kappa = ratios[n]
+                reference = _reference_ratio(_direct(word, lift, n), unit)
+                assert reference == (None if kappa is None else Fraction(kappa, table.denominator)), (word, lift, n)
+                decided += 1
+    assert decided == 13 * 11
+
+
+def _record_tables(monkeypatch) -> tuple:
+    """The ratio decisions ``(types, unit, n)`` and the expansions ``(types,
+    n)`` of the calls that follow."""
+    decided, expanded = [], []
+    ratio, expand = residue_module._ratio, KernelTable.expand
+    monkeypatch.setattr(residue_module, "_ratio", lambda table, unit, n: decided.append(
+        (table.types, unit, n)) or ratio(table, unit, n))
+    monkeypatch.setattr(KernelTable, "expand", lambda table, n: expanded.append((table.types, n)) or expand(table, n))
+    return decided, expanded
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_theorems_decide_and_expand_only_where_weighted(monkeypatch, m):
+    # T3's interior weight is 0, so its check neither decides a ratio nor
+    # expands its table; only T4, with no ratio, expands, once
+    decided, expanded = _record_tables(monkeypatch)
+    for functional_id in sorted(FUNCTIONALS):
+        decided.clear()
+        expanded.clear()
+        verify_theorem(functional_id, m)
+        types = _table(*shape_of(FUNCTIONALS[functional_id])).types
+        assert decided == ([] if functional_id == "T3" else [(types, "form", 2 * m)]), functional_id
+        assert expanded == ([(types, 2 * m)] if functional_id == "T4" else []), functional_id
+
+
+def test_theorem_suite_compiles_five_tables_and_expands_only_t4(monkeypatch):
+    calls = _count_compiles(monkeypatch)
+    _, expanded = _record_tables(monkeypatch)
+    list(_run_checks("theorems", (), DEFAULT_SYMBOL_ORDERS, (), 20, 0))
+    n0 = {"T1": 2, "T2": 3, "T3": 3, "T4": 4, "T5": 4}
+    assert sorted(calls) == sorted((*shape_of(spec), n0[name]) for name, spec in FUNCTIONALS.items())
+    t4 = _table(*shape_of(FUNCTIONALS["T4"])).types
+    assert expanded == [(t4, 2 * m) for m in DEFAULT_SYMBOL_ORDERS]
 
 
 STOP_CASES = (
@@ -1137,25 +1275,24 @@ def test_stop_case_outputs_are_pinned():
 
 
 def _stop_case_draws(check, name: str, size: int, seed: int):
-    """A stop case's kernel, unit kind and placements, and a ``draw()`` of
+    """A stop case's table, n, unit kind and placements, and a ``draw()`` of
     its next trial's ``(form, vectors)`` from a replay of its stream, in the
     check's order: a lemma draws the vectors then the form, a theorem the
     form then the vectors, and a boundary density three vectors, no form."""
     if check is verify_boundary:
         n, unit, placements = 2 * size, name, ("plain",)
         rng = random.Random(f"{seed}:boundary:{name}:{size}")
-        kernel = boundary_kernel(name, n)
-        return kernel, unit, placements, lambda: (None, [random_vector(n, rng) for _ in range(3)])
+        table = _table(boundary_module._FLAVOR_WORDS[name], "normal_c")
+        return table, n, unit, placements, lambda: (None, [random_vector(n, rng) for _ in range(3)])
     if check is verify_theorem:
         spec, n, unit, placements = FUNCTIONALS[name], 2 * size, "form", ("interior",)
         rng = random.Random(f"{seed}:theorem:{name}:{size}")
-        kernel = kernel_of(spec, n)
 
         def draw():
             form = random_form(n, spec.torsion_degree, rng)
             return form, [random_vector(n, rng) for _ in spec.arg_flavors]
 
-        return kernel, unit, placements, draw
+        return _table(*shape_of(spec)), n, unit, placements, draw
     base_id, placement = _LEMMA_ALIASES.get(name, (name, None))
     spec, n = LEMMA_CHECKS[base_id], size
     rng = random.Random(f"{seed}:lemma:{name}:{n}")
@@ -1165,7 +1302,7 @@ def _stop_case_draws(check, name: str, size: int, seed: int):
         vectors = [random_vector(n, rng) for _ in spec.word_flavors]
         return (random_form(n, spec.form_degree, rng) if spec.form_degree else None), vectors
 
-    return kernel_of(spec, n), spec.unit, placements, draw
+    return _table(*shape_of(spec)), n, spec.unit, placements, draw
 
 
 def _unit_is_zero(unit: str, form, vectors) -> bool:
@@ -1188,9 +1325,9 @@ def test_trials_drawn_are_the_deciding_ones(monkeypatch, check, name, size):
     for seed in (0, 3):
         units.clear()
         report = check(name, size, 20, seed)
-        kernel, unit, placements, draw = _stop_case_draws(check, name, size, seed)
-        weighted = any(kernel.weight(placement, kernel.n // 2) for placement in placements)
-        if weighted and residue_module._ratio(kernel, unit) is None:
+        table, n, unit, placements, draw = _stop_case_draws(check, name, size, seed)
+        weighted = any(table.weight(placement, n, n // 2) for placement in placements)
+        if weighted and residue_module._ratio(table, unit, n) is None:
             assert len(units) == _trials_drawn(report, 20)
             continue
         deciding = next((j for j in range(20) if not _unit_is_zero(unit, *draw())), None)
@@ -1201,7 +1338,7 @@ def test_trials_drawn_are_the_deciding_ones(monkeypatch, check, name, size):
 
 def _ratio_off(monkeypatch):
     """No kernel has a ratio, so every trial contracts its kernel."""
-    monkeypatch.setattr(residue_module, "_ratio", lambda kernel, unit: None)
+    monkeypatch.setattr(residue_module, "_ratio", lambda table, unit, n: None)
 
 
 @pytest.mark.parametrize("check, name, size", STOP_CASES,

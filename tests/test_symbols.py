@@ -25,7 +25,7 @@ from hodge_residue.symbols import (
     sphere_moment,
 )
 from matrix_reference import from_entries
-from word_reference import cosphere_average, generator_word
+from word_reference import add, cosphere_average, generator_word, scale
 from xi_reference import average, integrand, interior_integrand
 
 
@@ -75,9 +75,7 @@ class TestInteriorIntegrand:
         poly = interior_integrand(theta, 2)
         assert poly[(0,) * n] == theta
         poly_i = interior_integrand(theta, 2, GaussianRational(Fraction(0), Fraction(1)))
-        assert poly_i[(0,) * n] == theta.scale(
-            GaussianRational(Fraction(0), Fraction(1))
-        )
+        assert poly_i[(0,) * n] == scale(theta, GaussianRational(Fraction(0), Fraction(1)))
 
     def test_quadratic_terms_have_expected_structure(self):
         n = 4
@@ -88,13 +86,11 @@ class TestInteriorIntegrand:
         c2 = clifford_generator("c", n, 2)
         # diagonal term alpha = 2 e_1
         alpha = (2, 0, 0, 0)
-        expected = ((c1 @ theta + theta @ c1) @ c1).scale(m)
+        expected = scale(add(c1 @ theta, theta @ c1) @ c1, m)
         assert poly[alpha] == expected
         # cross term alpha = e_1 + e_2 collects both orders
         alpha = (1, 1, 0, 0)
-        expected = ((c1 @ theta + theta @ c1) @ c2).scale(m) + (
-            (c2 @ theta + theta @ c2) @ c1
-        ).scale(m)
+        expected = add(scale(add(c1 @ theta, theta @ c1) @ c2, m), scale(add(c2 @ theta, theta @ c2) @ c1, m))
         assert poly[alpha] == expected
 
     def test_exponent_set_is_constants_plus_quadratics(self):

@@ -10,6 +10,9 @@ kernel tensor or a letter path, and the tests hold
 with the package's weight law, and ``xi_reference`` holds it to the
 explicit xi-polynomial integrals.
 
+:func:`zero`, :func:`add` and :func:`scale` are the operator sum and scalar
+multiple, which no route of the package needs.
+
 The boundary density is the word traced against the generator of each pair
 ``(a, K)`` of the residue kernel, ``sum tr(W c_a) K``; the tests hold the
 package's degree-0 kernel route to it.
@@ -30,6 +33,7 @@ from hodge_residue import forms
 from hodge_residue.boundary import _FLAVOR_WORDS, BoundaryArgs, _residue_weight
 from hodge_residue.exterior import (
     LinearOp,
+    _accumulate,
     _check_flavor,
     _check_index,
     _check_n,
@@ -39,9 +43,33 @@ from hodge_residue.exterior import (
     trace_product,
 )
 from hodge_residue.forms import AntiSymForm
-from hodge_residue.residue import FunctionalSpec, TraceKernel
+from hodge_residue.residue import FunctionalSpec, TraceKernel, _compile_slots
 from hodge_residue.scalars import SymbolicScalar, sphere_volume
 from hodge_residue.symbols import _grade_weights
+
+
+def zero(n: int) -> LinearOp:
+    """The zero operator on ``Lambda^*(R^n)``."""
+    return LinearOp(n, {})
+
+
+def add(*ops: LinearOp) -> LinearOp:
+    """The sum of one or more operators of one ``n``, zeros dropped."""
+    n = ops[0].n
+    if any(op.n != n for op in ops):
+        raise ValueError("operator dimension mismatch")
+    blades = {}
+    for op in ops:
+        for key, coeff in op.blades.items():
+            _accumulate(blades, key, coeff)
+    return LinearOp(n, blades)
+
+
+def scale(op: LinearOp, scalar) -> LinearOp:
+    """``scalar * op``, the zero operator when ``scalar`` is 0."""
+    if not scalar:
+        return zero(op.n)
+    return LinearOp(op.n, {key: scalar * c for key, c in op.blades.items()})
 
 
 def cosphere_average(op: LinearOp, placement: str, m: int = 1) -> LinearOp:
@@ -105,7 +133,7 @@ def compile_lift(n: int, flavors, lift, degree: int) -> TraceKernel:
     ops = [lift(AntiSymForm(n, degree, {idx: 1}) if degree else None) for idx in basis]
     denominator = lcm(*(c.denominator for op in ops for c in op.blades.values()))
     slots = [{key: c.numerator * (denominator // c.denominator) for key, c in op.blades.items()} for op in ops]
-    return TraceKernel(n, flavors, slots, degree, denominator)
+    return _compile_slots(n, flavors, slots, degree, denominator)
 
 
 def _word_and_lift(fspec: FunctionalSpec, T, vectors):

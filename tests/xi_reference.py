@@ -6,14 +6,16 @@ explicit ``compose`` of Clifford generators with the given operator.  It is
 averaged over the unit cosphere monomial by monomial with
 :func:`sphere_moment`.  It forms every Clifford product and uses no blade
 grade, so it shares no step with
-:func:`word_reference.cosphere_average` but the moments, and the tests
-hold the two to exact equality.
+:func:`word_reference.cosphere_average` but the moments (and the operator
+sum and multiple, :func:`word_reference.add` and :func:`word_reference.scale`),
+and the tests hold the two to exact equality.
 """
 
 from typing import Dict, Tuple
 
 from hodge_residue.exterior import LinearOp, clifford_generator
 from hodge_residue.symbols import sphere_moment
+from word_reference import add, scale, zero
 
 XiPolynomial = Dict[Tuple[int, ...], LinearOp]
 
@@ -23,16 +25,16 @@ def _add(poly: XiPolynomial, i: int, j: int, op: LinearOp) -> None:
     alpha[i - 1] += 1
     alpha[j - 1] += 1
     alpha = tuple(alpha)
-    poly[alpha] = poly[alpha] + op if alpha in poly else op
+    poly[alpha] = add(poly[alpha], op) if alpha in poly else op
 
 
 def interior_integrand(theta: LinearOp, m: int, prefactor=1) -> XiPolynomial:
     """``prefactor * [theta + m sum_{i,j} (c_i theta + theta c_i) c_j xi_i xi_j]``."""
     n = theta.n
-    poly: XiPolynomial = {(0,) * n: theta.scale(prefactor)}
+    poly: XiPolynomial = {(0,) * n: scale(theta, prefactor)}
     for i in range(1, n + 1):
         ci = clifford_generator("c", n, i)
-        sandwich = (ci.compose(theta) + theta.compose(ci)).scale(prefactor * m)
+        sandwich = scale(add(ci.compose(theta), theta.compose(ci)), prefactor * m)
         for j in range(1, n + 1):
             _add(poly, i, j, sandwich.compose(clifford_generator("c", n, j)))
     return poly
@@ -60,9 +62,9 @@ def integrand(op: LinearOp, placement: str, m: int = 1) -> XiPolynomial:
 
 def average(poly: XiPolynomial, n: int) -> LinearOp:
     """``(1 / V(S^{n-1})) integral_{S^{n-1}} poly(xi) dS``, term by term."""
-    total = LinearOp.zero(n)
+    total = zero(n)
     for alpha, op in poly.items():
         moment = sphere_moment(alpha, n).coefficient(spheres=(n - 1,))
         if moment:
-            total = total + op.scale(moment.re)
+            total = add(total, scale(op, moment.re))
     return total
