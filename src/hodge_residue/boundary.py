@@ -170,9 +170,9 @@ class ScalarRational:
             )
         total = ZERO
         for (pole, order), coeff in self.partial_fractions().items():
-            if pole.im == 0:
+            if not pole.triple[1]:
                 raise ValueError(f"pole on the real axis at {pole}")
-            if order == 1 and pole.im > 0:
+            if order == 1 and pole.triple[1] > 0:
                 total = total + coeff
         return SymbolicScalar.unit(GaussianRational(0, 2) * total, pi=1)
 
@@ -228,9 +228,9 @@ def pi_plus(
     """Keep the partial-fraction terms ``{(pole, order): coeff}`` with poles in
     the upper half-plane."""
     for pole, _ in terms:
-        if pole.im == 0:
+        if not pole.triple[1]:
             raise ValueError(f"pole on the real axis at {pole}")
-    return {(pole, order): coeff for (pole, order), coeff in terms.items() if pole.im > 0}
+    return {(pole, order): coeff for (pole, order), coeff in terms.items() if pole.triple[1] > 0}
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +338,13 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     to the contraction exactly when ``kappa`` exists, and its constant is then
     the residue weight times ``kappa``; the detail's sentence names both.  An
     unknown flavor or ``m < 2`` raises ``ValueError`` from
-    :func:`closed_form_boundary_coefficient`.
+    :func:`closed_form_boundary_coefficient`, then ``trials < 1`` before any
+    channel is built.
     """
     n = 2 * m
     per_unit_expected = closed_form_boundary_coefficient(flavor, m) * sphere_volume(n - 2)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     weight = _residue_weight(m)
     # the density weight * 2^n c / D against the closed form's per_unit_expected * 2^n t
     report, kappa = _trial_loop(

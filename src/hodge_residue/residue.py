@@ -448,18 +448,14 @@ def _sides(value: SymbolicScalar, expected: SymbolicScalar, denominator: int) ->
     equals ``expected * unit`` exactly when ``c * re_left == unit * re_right``
     and ``c * im_left == unit * im_right``.
 
-    ``expected`` must be a multiple of the unit of ``value``.  Their
-    coefficients ``p`` and ``q`` give ``p * c / D = q * unit``, each part
-    cleared of denominators into ``c * (p.num q.den) = unit * (q.num p.den D)``.
+    ``expected`` must be a multiple of the unit of ``value``.  Their coefficients
+    ``(pa + pb i) / pd`` and ``(qa + qb i) / qd`` give ``p * c / D = q * unit``, cleared
+    of denominators into ``c * (pa qd) = unit * (qa pd D)`` and ``c * (pb qd) = unit * (qb pd D)``.
     """
     if not value.shares_unit(expected):
         raise ValueError(f"the closed form is not a multiple of {value.unit_text()}")
-    p, q = value.coeff, expected.coeff
-    return tuple(
-        side
-        for a, b in ((p.re, q.re), (p.im, q.im))
-        for side in (a.numerator * b.denominator, b.numerator * a.denominator * denominator)
-    )
+    (pa, pb, pd), (qa, qb, qd) = value.coeff.triple, expected.coeff.triple
+    return pa * qd, qa * pd * denominator, pb * qd, qb * pd * denominator
 
 
 def _identical(kappa: Optional[int | Fraction], p: int, sides: Tuple[int, int, int, int]) -> bool:

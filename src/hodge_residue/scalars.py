@@ -2,10 +2,11 @@
 
 Three layers of scalars appear in the computations:
 
-* ``Fraction`` -- exact rational numbers (``fractions.Fraction``).
-* ``GaussianRational`` -- complex numbers with rational real and imaginary
-  parts, closed under field operations.  These are the coefficients of
-  every operator and of every symbolic quantity.
+* ``int`` and ``Fraction`` -- the exact rationals callers pass in and read
+  back out.
+* ``GaussianRational`` -- the field Q[i], each value held as one reduced
+  integer triple ``(a + b i) / d``.  These are the coefficients of every
+  operator and of every symbolic quantity.
 * ``SymbolicScalar`` -- one ``GaussianRational`` coefficient times one unit
   monomial ``pi^a * V(S^{d1})^{e1} * ...``, the unit of every quantity the
   engine computes, where ``V(S^d)`` is the volume of the round unit sphere.
@@ -18,41 +19,50 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
 _RationalLike = Union[int, Fraction]
 
 
-def _as_fraction(value: _RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
 class GaussianRational:
-    """A complex number ``re + im*i`` with exact rational parts.
+    """A complex number ``(a + b i) / d`` held as three ints with ``d > 0``
+    and ``gcd(a, b, d) = 1``, so each value has one triple.
 
-    Instances are immutable, hashable, and hash-compatible with
-    ``fractions.Fraction`` whenever the imaginary part vanishes, so they can
-    serve as dictionary keys alongside plain rationals (e.g. as pole
-    locations).
+    Instances are immutable, as ``Fraction``'s are: nothing assigns the
+    private slots after construction.  They are hashable, and hash-compatible
+    with ``fractions.Fraction`` whenever the imaginary part vanishes, so they
+    can serve as dictionary keys alongside plain rationals (e.g. as pole
+    locations).  Arithmetic and ``==`` are integer operations and one
+    ``math.gcd``; the ``Fraction`` parts :attr:`re` and :attr:`im` are built
+    only when read.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: _RationalLike = 0, im: _RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"cannot interpret {part!r} as an exact rational")
+        # a prime of the lcm d of the two denominators divides one part's denominator as
+        # often as d, so not that part's numerator: the triple is already reduced
+        d = re.denominator * im.denominator // math.gcd(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("GaussianRational is immutable")
-
-    # -- helpers ---------------------------------------------------------
+    # -- parts -------------------------------------------------------------
     @property
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
+    def triple(self) -> Tuple[int, int, int]:
+        """``(a, b, d)``: the value is ``(a + b i) / d``, ``d > 0``, ``gcd(a, b, d) = 1``."""
+        return self._a, self._b, self._d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic ------------------------------------------------------
     @staticmethod
@@ -60,40 +70,35 @@ class GaussianRational:
         if isinstance(other, GaussianRational):
             return other
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
+            return _triple(other.numerator, 0, other.denominator)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return NotImplemented if other is NotImplemented else self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        return NotImplemented if other is NotImplemented else other + -self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -101,52 +106,64 @@ class GaussianRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        norm = other.re * other.re + other.im * other.im
+        a, b, c, e = self._a, self._b, other._a, other._b
+        norm = c * c + e * e
         if not norm:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        # ((a + b i) / d) / ((c + e i) / f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        f = other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     # -- comparisons / conversions ---------------------------------------
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
+            return not self._b and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._a or self._b)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
-            imag = "i"
-        elif self.im == -1:
-            imag = "-i"
-        else:
-            imag = f"{self.im} i"
-        if not self.re:
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _rational_text(a, d)
+        imag = "i" if b == d else "-i" if b == -d else f"{_rational_text(b, d)} i"
+        if not a:
             return imag
-        if self.im > 0:
-            return f"{self.re} + {imag}"
-        return f"{self.re} - {imag.lstrip('-')}"
+        return f"{_rational_text(a, d)} {'+' if b > 0 else '-'} {imag.lstrip('-')}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The value ``(a + b i) / d`` of a reduced triple, ``d > 0``."""
+    value = object.__new__(GaussianRational)
+    value._a, value._b, value._d = a, b, d
+    return value
+
+
+def _rational_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The value ``(a + b i) / d`` for any ints with ``d > 0``."""
+    g = math.gcd(a, b, d)
+    return _triple(a, b, d) if g == 1 else _triple(a // g, b // g, d // g)
 
 
 I = GaussianRational(0, 1)
@@ -158,9 +175,10 @@ _CoeffLike = Union[int, Fraction, GaussianRational]
 
 def as_gaussian(value: _CoeffLike) -> GaussianRational:
     """Coerce an ``int``/``Fraction``/``GaussianRational`` to GaussianRational."""
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)
+    coerced = GaussianRational._coerce(value)
+    if coerced is NotImplemented:
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    return coerced
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +284,9 @@ class SymbolicScalar:
         if other is NotImplemented:
             return NotImplemented
         (pi1, spheres1), (pi2, spheres2) = self.key, other.key
-        return SymbolicScalar(self.coeff * other.coeff, (pi1 + pi2, _normalize_spheres(spheres1 + spheres2)))
+        # keys are normalized, so a side with no sphere factor leaves the other's as it is
+        spheres = _normalize_spheres(spheres1 + spheres2) if spheres1 and spheres2 else spheres1 or spheres2
+        return SymbolicScalar(self.coeff * other.coeff, (pi1 + pi2, spheres))
 
     __rmul__ = __mul__
 

@@ -14,7 +14,10 @@ attribute (``X._name``) of a name it imports from another package module, so
 each class keeps its internals to its own module.  The package builds a ``random.Random`` in one function
 only, ``residue._trial_loop``, so every randomized check draws its inputs
 on one path, and it reads a kernel's ratio ``_ratio`` in that function only.
-No line of the package is longer than 120 characters.
+Only ``scalars.py`` reads the slots of a ``GaussianRational``'s integer
+triple; every other module of the package, ``bench/`` and ``tests/`` reads
+the public ``triple`` (or ``re``/``im``).  No line of the package is longer
+than 120 characters.
 """
 
 import ast
@@ -203,3 +206,30 @@ def test_no_package_line_is_longer_than_120_characters():
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 120
     ]
     assert not long_lines
+
+
+def _triple_slots() -> set:
+    """The ``__slots__`` of ``scalars.GaussianRational``."""
+    tree = ast.parse((PACKAGE / "scalars.py").read_text(encoding="utf-8"))
+    [slots] = [
+        statement.value for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "GaussianRational"
+        for statement in node.body
+        if isinstance(statement, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in statement.targets)
+    ]
+    return set(ast.literal_eval(slots))
+
+
+READERS_OF_THE_TRIPLE = (
+    [p for p in PACKAGE_MODULES if p.name != "scalars.py"] + sorted(BENCH.rglob("*.py")) + TEST_MODULES
+)
+
+
+@pytest.mark.parametrize("path", READERS_OF_THE_TRIPLE, ids=lambda path: str(path.relative_to(TESTS.parent)))
+def test_gaussian_triple_slots_are_read_in_scalars_only(path):
+    slots = _triple_slots()
+    assert len(slots) == 3
+    reads = sorted(
+        (node.lineno, node.attr) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in slots
+    )
+    assert not reads, f"{path.name}: reads of GaussianRational's slots outside scalars.py {reads}"

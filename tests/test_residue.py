@@ -47,6 +47,7 @@ from hodge_residue.residue import (
     _LEMMA_ALIASES,
     _compile,
     _kernel,
+    _sides,
     _table,
     closed_form_coefficient,
     density_decomposition,
@@ -537,6 +538,47 @@ def test_bad_check_arguments_compile_nothing(monkeypatch, case):
     with pytest.raises(ValueError, match=message):
         check(*args, **kwargs)
     assert compiled == []
+
+
+def test_sides_decide_the_comparison_in_integers():
+    # value * c / D == expected * unit exactly when c * left == unit * right for re and for im
+    rng = random.Random(5)
+
+    def draw():
+        return GaussianRational(*(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(2)))
+
+    outcomes = set()
+    for trial in range(400):
+        p, c, unit, denominator = draw(), rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 12)
+        q = p * Fraction(c, denominator * unit) if unit and trial % 2 else draw()
+        holds = p * Fraction(c, denominator) == q * unit
+        re_left, re_right, im_left, im_right = _sides(
+            SymbolicScalar.unit(p, pi=1), SymbolicScalar.unit(q, pi=1), denominator)
+        assert (c * re_left == unit * re_right and c * im_left == unit * im_right) is holds
+        outcomes.add(holds)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("case", sorted(case for case in BAD_CHECK_ARGUMENTS if case.startswith("boundary-")))
+def test_bad_boundary_arguments_build_no_channel(monkeypatch, case):
+    # the residue weight is memoized, so it is cleared to make a build visible
+    check, args, kwargs, message = BAD_CHECK_ARGUMENTS[case]
+    original, built = boundary_module.resolvent_symbol_channels, []
+
+    def recorded(n):
+        built.append(n)
+        return original(n)
+
+    monkeypatch.setattr(boundary_module, "resolvent_symbol_channels", recorded)
+    boundary_module._residue_weight.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=message):
+            check(*args, **kwargs)
+        assert built == []
+        verify_boundary("psi1", 3, trials=1)
+        assert built == [6]
+    finally:
+        boundary_module._residue_weight.cache_clear()
 
 
 # every lemma, theorem and boundary kernel shape

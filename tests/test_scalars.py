@@ -2,6 +2,7 @@
 
 import math
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,12 @@ from hodge_residue.scalars import (
     PI,
     GaussianRational,
     SymbolicScalar,
+    _reduced,
     as_gaussian,
     sphere_volume,
     sphere_volume_float,
 )
+from fraction_pair_reference import FractionPairGaussian
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=16
@@ -87,6 +90,120 @@ class TestGaussianRational:
         assert as_gaussian(3) == GaussianRational(Fraction(3))
         assert as_gaussian(Fraction(1, 2)) == GaussianRational(Fraction(1, 2))
         assert as_gaussian(I) is I
+
+
+BIG = 10 ** 30
+big_ints = st.integers(-BIG, BIG)
+# 0, small and large integers, small fractions, and fractions with large numerators and denominators
+parts = st.one_of(
+    st.just(0), st.integers(-9, 9), big_ints, rationals, st.builds(Fraction, big_ints, st.integers(1, BIG)),
+)
+
+
+@st.composite
+def gaussian_pairs(draw):
+    """A ``GaussianRational`` and the reference value: a general, pure real or
+    pure imaginary one from parts, or one from a triple scaled by a common factor."""
+    shape = draw(st.sampled_from(["general", "real", "imaginary", "scaled triple"]))
+    if shape == "scaled triple":
+        a, b, d, k = draw(big_ints), draw(big_ints), draw(st.integers(1, BIG)), draw(st.integers(1, 10 ** 6))
+        return _reduced(k * a, k * b, k * d), FractionPairGaussian(Fraction(a, d), Fraction(b, d))
+    re_part = 0 if shape == "imaginary" else draw(parts)
+    im_part = 0 if shape == "real" else draw(parts)
+    return GaussianRational(re_part, im_part), FractionPairGaussian(re_part, im_part)
+
+
+def assert_matches(value, reference):
+    """``value`` is a reduced triple with the reference's value, text, float and truth."""
+    assert type(value) is GaussianRational
+    a, b, d = value.triple
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (value.re, value.im) == (reference.re, reference.im)
+    assert (str(value), repr(value)) == (str(reference), repr(reference))
+    assert complex(value) == complex(reference)
+    assert bool(value) is bool(reference)
+    if not reference.im:
+        assert hash(value) == hash(reference) == hash(reference.re)
+
+
+@contextmanager
+def fractions_built():
+    """The argument tuples of every ``Fraction`` built inside the block."""
+    raw, built = vars(Fraction)["__new__"], []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return raw.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = raw
+
+
+class TestAgainstFractionPairs:
+    """The integer triple against :class:`FractionPairGaussian`, the pair of
+    ``Fraction`` parts it replaces."""
+
+    @given(gaussian_pairs(), gaussian_pairs())
+    def test_field_operations_and_equality(self, x, y):
+        (a, ra), (b, rb) = x, y
+        assert_matches(a, ra)
+        for value, reference in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra)):
+            assert_matches(value, reference)
+        if rb:
+            assert_matches(a / b, ra / rb)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        assert (a == b) is (ra == rb) and (a != b) is (ra != rb)
+        assert a == a + 0 and hash(a) == hash(a + 0) == hash(a * 1)
+
+    @given(gaussian_pairs(), parts)
+    def test_rational_operands(self, x, q):
+        a, ra = x
+        for value, reference in ((a + q, ra + q), (q + a, q + ra), (a - q, ra - q), (q - a, q - ra),
+                                 (a * q, ra * q), (q * a, q * ra)):
+            assert_matches(value, reference)
+        if q:
+            assert_matches(a / q, ra / q)
+        assert (a == q) is (ra == q)
+        numerator, _, denominator = a.triple
+        for near in (numerator, Fraction(numerator, denominator + 1)):
+            assert (a == near) is (ra == near)
+        if a == q:
+            assert hash(a) == hash(q)
+        assert_matches(as_gaussian(q), FractionPairGaussian(q))
+
+    @given(big_ints, big_ints, st.integers(1, BIG), st.integers(1, 10 ** 6))
+    def test_a_scaled_triple_is_the_same_value(self, a, b, d, k):
+        value, same = _reduced(k * a, k * b, k * d), GaussianRational(Fraction(a, d), Fraction(b, d))
+        assert value == same and hash(value) == hash(same) and value.triple == same.triple
+
+    @given(st.one_of(parts, st.builds(Fraction, big_ints, st.integers(1, 2 ** 61 + 5))))
+    def test_real_values_hash_as_their_fraction(self, q):
+        q = Fraction(q)
+        for value in (GaussianRational(q), as_gaussian(q), GaussianRational(q, 1) - I):
+            assert value == q and hash(value) == hash(q)
+
+    def test_non_real_arithmetic_and_text_build_no_fraction(self):
+        x, y = GaussianRational(Fraction(3, 4), Fraction(-5, 6)), GaussianRational(7, Fraction(1, 9))
+        same, q = GaussianRational(Fraction(3, 4), Fraction(-5, 6)), Fraction(-3, 7)
+        with fractions_built() as built:
+            values = [x + y, x - y, x * y, x / y, -x, x + 2, 2 - x, x * q, q * x, x / q, x - q, q - x]
+            assert x == same and x != y and x != q and x != 1
+            assert len({hash(v) for v in values + [x, y]}) > 1
+            texts = [str(v) for v in values + [GaussianRational(q)]]
+        assert built == []
+        assert texts[-1] == "-3/7" and texts[0] == "31/4 - 13/18 i"
+
+    def test_parts_must_be_exact(self):
+        for part in (0.5, 1j, "1"):
+            with pytest.raises(TypeError, match="as an exact rational"):
+                GaussianRational(part)
+            with pytest.raises(TypeError, match="as an exact rational"):
+                as_gaussian(part)
 
 
 class TestSymbolicScalar:
