@@ -31,8 +31,8 @@ density is ``K * tr(W c_n)`` with one residue weight ``K``
 projection and residues, with every pole and decay check; any other channel
 with a nonzero moment raises ``ValueError``.  ``tr(W(u, v, w) c_n)`` is a
 degree-0 :class:`~hodge_residue.residue.TraceKernel`, the very kernel of the
-B5.8 (psi1) or B5.10 (psi2) trace identity, expanded at ``n`` from that
-shape's one order-type table.  No Clifford word is built.
+B5.8 (psi1) or B5.10 (psi2) trace identity, read from that shape's one
+order-type table as ``kappa`` times the contraction.  No Clifford word is built.
 
 :func:`verify_boundary` runs its trials in
 :func:`~hodge_residue.residue._trial_loop`, which compares the density
@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .exterior import _check_n
-from .residue import LEMMA_CHECKS, CheckReport, _kernel, _trial_loop
+from .residue import LEMMA_CHECKS, CheckReport, _trace, _trial_loop
 from .scalars import (
     GaussianRational,
     I,
@@ -303,11 +303,11 @@ def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
     The projected inverse symbol times the normal derivative of the next
     symbol order, traced against the argument word, integrated over ``xi_n``
     by residues and over the tangential sphere by exact moments: the
-    residue weight times the trace of the word against ``c_n``, read from
-    the B5.8 or B5.10 identity's degree-0 trace kernel.
+    residue weight times the trace of the word against ``c_n``, the B5.8 or
+    B5.10 identity's degree-0 trace kernel read as ``kappa`` times the contraction.
     """
-    kernel = _kernel(_FLAVOR_WORDS[args.flavor], "normal_c", 2 * args.m)
-    return _residue_weight(args.m) * kernel.trace(None, (args.u, args.v, args.w))
+    trace = _trace((_FLAVOR_WORDS[args.flavor], "normal_c", 2 * args.m), args.flavor, None, (args.u, args.v, args.w))
+    return _residue_weight(args.m) * trace
 
 
 def closed_form_boundary_coefficient(flavor: str, m: int) -> SymbolicScalar:

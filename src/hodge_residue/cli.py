@@ -45,9 +45,6 @@ M_SUITES = ("theorems", "boundary", "all")
 DEFAULT_LEMMA_DIMENSIONS = (4, 6)
 DEFAULT_SYMBOL_ORDERS = (2, 3)
 DEFAULT_COMMUTATOR_DIMENSIONS = (2, 4)
-# the largest n at which check_flat_commutators finishes in reasonable time
-# (4.3 s at n = 10 on 2 CPUs, about six times its 0.68 s at n = 8)
-MAX_COMMUTATOR_DIMENSION = 10
 # a check draws trials only until one decides it, so --suite lemmas --n 14
 # takes about 0.16 s at this many trials on 2 CPUs (cold process); a passing
 # check whose kernel has no ratio to its unit (four_mixed) still draws every
@@ -149,19 +146,12 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
         _usage(f"--n does not apply to --suite {suite}: its checks run at n = 2m; use --m")
     if m_value is not None and suite not in M_SUITES:
         _usage(f"--m does not apply to --suite {suite}: its checks run at a dimension n; use --n")
-    if n_value is not None and (
-        n_value < 2 if suite == "commutators" else n_value % 2 or not 4 <= n_value <= MAX_DIMENSION
+    if n_value is not None and not (
+        2 <= n_value <= MAX_DIMENSION and (suite == "commutators" or n_value % 2 == 0 and n_value >= 4)
     ):
         _usage(
-            f"--n must be even with 4 <= n <= {MAX_DIMENSION} for --suite lemmas, even with "
-            f"4 <= n <= {MAX_COMMUTATOR_DIMENSION} for --suite all, and 2 <= n <= "
-            f"{MAX_COMMUTATOR_DIMENSION} for --suite commutators; got {n_value} for --suite {suite}"
-        )
-    if n_value is not None and n_value > MAX_COMMUTATOR_DIMENSION and suite in ("commutators", "all"):
-        _usage(
-            f"--n must be <= {MAX_COMMUTATOR_DIMENSION} for the commutator check "
-            f"(suites commutators and all): it takes about 4 s at n = 10 and grows about "
-            f"sixfold per step of 2 in n, so a larger n would take half a minute or more"
+            f"--n must be even with 4 <= n <= {MAX_DIMENSION} for --suite lemmas and --suite all, "
+            f"and 2 <= n <= {MAX_DIMENSION} for --suite commutators; got {n_value} for --suite {suite}"
         )
     if out is not None and (out.is_dir() or out.exists() and not os.access(out, os.W_OK)):
         _usage(f"--out: {out} is a directory or a file that cannot be written")

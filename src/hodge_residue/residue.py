@@ -24,8 +24,8 @@ order type of its index tuple, so each shape (word, lift) is compiled once
 per process, at ``n0``, the most distinct indices an entry can use (at most
 4 for every check shape), and kept as the n-free :class:`KernelTable` ``{(r, I ranks, j ranks): c}``
 (:func:`_table`); the ``"normal_c"`` lift pins its top rank to the index
-``n``.  The table is expanded into a kernel at ``n`` only where a trace is
-contracted: a density, or a check whose tensor is no multiple of its unit.
+``n``.  The table is expanded into a kernel at ``n`` only where a tensor
+with no ratio to its unit is contracted, by a check or a density (:func:`_trace`).
 Each entry comes from one blade, and every blade a kernel traces has one
 grade class, so a placement ``P`` scales the whole trace by one rational
 weight, :meth:`TraceKernel.weight`, with no second compile.
@@ -205,16 +205,22 @@ class TraceKernel:
             raise ValueError(f"the kernel takes {self.letters} vectors, got {len(vectors)}")
         if any(len(u) != self.n for u in vectors):
             raise ValueError(f"every vector must have length n={self.n}")
-        if form is None:
-            rows, scale = [[1]], 1
-        else:
-            values, scale = _integer_scaled([form.entries.get(idx, 0) for idx in self.basis])
-            rows = [values]
-        for u in vectors:
-            ints, q = _integer_scaled(u)
-            rows.append(ints)
-            scale *= q
+        rows, scale = _scaled_rows(self.n, form, vectors)
         return Fraction(self.contract(rows) << self.n, self.denominator * scale)
+
+
+def _scaled_rows(n: int, form: Optional[AntiSymForm], vectors: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """A trace's rows, the form's values in basis order (``[1]`` for ``None``)
+    and the vectors, each scaled to integers, and the product of the scales."""
+    rows, scale = [[1]], 1
+    if form is not None:
+        basis = itertools.combinations(range(1, n + 1), form.degree)
+        rows[0], scale = _integer_scaled([form.entries.get(idx, 0) for idx in basis])
+    for u in vectors:
+        ints, q = _integer_scaled(u)
+        rows.append(ints)
+        scale *= q
+    return rows, scale
 
 
 def _placement_weight(grade: Optional[Tuple[int, int]], n: int, placement: str, m: int = 1) -> Fraction:
@@ -345,11 +351,20 @@ def _table(word_flavors: Tuple[str, ...], lift: Optional[str]) -> KernelTable:
     return KernelTable(k, degree, kernel.denominator, kernel.grade, lift == "normal_c", MappingProxyType(types))
 
 
-def _kernel(word_flavors: Tuple[str, ...], lift: Optional[str], n: int) -> TraceKernel:
-    """The trace kernel of a shape at ``n``, expanded from its :func:`_table`;
-    ``n`` past ``MAX_DIMENSION`` raises before the table is looked up."""
+def _trace(shape: Tuple[Tuple[str, ...], Optional[str], int], unit: str, form: Optional[AntiSymForm],
+           vectors: Sequence[Sequence]) -> Fraction:
+    """The plain trace of a shape ``(word, lift, n)`` on a form (``None`` for
+    degree 0) and vectors: ``2^n kappa / D`` times their :func:`_unit` when the
+    :func:`_table` is :func:`_ratio` ``kappa`` times it, else (``four_mixed``)
+    the kernel's, expanded at ``n``.  Past ``MAX_DIMENSION`` ``n`` raises first."""
+    word, lift, n = shape
     _check_n(n)
-    return _table(word_flavors, lift).expand(n)
+    table = _table(word, lift)
+    kappa = _ratio(table, unit, n)
+    if kappa is None:
+        return table.expand(n).trace(form, vectors)
+    rows, scale = _scaled_rows(n, form, vectors)
+    return kappa * Fraction(_unit(unit, rows[0], rows[1:]) << n, table.denominator * scale)
 
 
 def _unit_table(kind: str, degree: int) -> Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int]:
@@ -589,8 +604,8 @@ def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) 
     Returns a GaussianRational multiple of ``V(S^{2m-1})``.
     """
     fspec = _density_spec(spec, T, vectors, m)
-    kernel = _kernel(fspec.arg_flavors, fspec.lift_kind, T.n)
-    value = kernel.trace(T, vectors) * kernel.weight("interior", m)
+    shape = (fspec.arg_flavors, fspec.lift_kind)
+    value = _trace((*shape, T.n), "form", T, vectors) * _table(*shape).weight("interior", T.n, m)
     return sphere_volume(T.n - 1) * (fspec.prefactor * value)
 
 
@@ -629,9 +644,9 @@ def density_decomposition(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: 
     placements for the sandwich part.
     """
     fspec = _density_spec(spec, T, vectors, m)
-    kernel = _kernel(fspec.arg_flavors, fspec.lift_kind, T.n)
-    zero = sphere_volume(T.n - 1) * (fspec.prefactor * kernel.trace(T, vectors))
-    sandwich = zero * (kernel.weight("before") + kernel.weight("after"))
+    shape = (fspec.arg_flavors, fspec.lift_kind)
+    zero = sphere_volume(T.n - 1) * (fspec.prefactor * _trace((*shape, T.n), "form", T, vectors))
+    sandwich = zero * (_table(*shape).weight("before", T.n) + _table(*shape).weight("after", T.n))
     return {
         "zero_order": zero,
         "sandwich_per_m": sandwich,

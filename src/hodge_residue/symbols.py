@@ -16,14 +16,16 @@ operators quadratic in ``xi``.  This module provides:
 * :func:`check_flat_commutators` -- the commutator identities
   ``[d + d*, x_k] = c(e_k)`` and ``[i(d - d*), x_k] = i chat(e_k)`` on
   monomial forms ``x^beta e_mask`` of flat ``R^n``, each packed into one
-  integer key, with integer coefficients.
+  integer key, with integer coefficients; each order type of monomial is
+  evaluated once and its monomials are counted in closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exterior import _blade_action, _check_n, _generator_key
 from .scalars import SymbolicScalar
@@ -96,7 +98,7 @@ def _grade_weights(n: int, placement: str, m: int) -> Dict[Tuple[int, int], Frac
 
 
 # ---------------------------------------------------------------------------
-# Flat commutator identities on packed monomial keys
+# Flat commutator identities by order type, on packed monomial keys
 # ---------------------------------------------------------------------------
 
 # A monomial ``x^beta e_M`` packs into one int: ``M`` in the low ``n`` bits,
@@ -131,6 +133,36 @@ def _flat_derivative(key: int, n: int) -> Tuple[Dict[int, int], Dict[int, int]]:
     return plus, minus
 
 
+def _type_mismatches(r: int, t: int, gaps: Tuple[int, ...]) -> List[int]:
+    """``[c, chat]`` disagreeing types among those with ``r`` indices in ``S =
+    supp beta + {k}``, ``k`` at rank ``t`` and ``M``'s parity ``gaps[i]`` below
+    ``S``'s ``i``-th index: one per ``beta`` and bits of ``M`` on ``S``, each at
+    the representative ``n = 2r``, ``S`` on the odd bits, each gap one bit."""
+    n, k = 2 * r, 2 * t + 2
+    step = 1 << (n + 2 * k - 2)  # adding it to a key multiplies by x_k
+    masks = [sum(g << 2 * i for i, g in enumerate(gaps))]
+    for i in range(r):
+        masks += [mask | 2 << 2 * i for mask in masks]
+    actions = [[_blade_action(n, _generator_key(flavor, n, k), mask) for mask in masks] for flavor in ("c", "chat")]
+    bad = [0, 0]
+    for beta in itertools.product(range(3), repeat=r):
+        if sum(beta) > 2 or not all(beta[:t] + beta[t + 1:]):
+            continue
+        high = sum(b << (n + 4 * i + 2) for i, b in enumerate(beta))
+        for j, mask in enumerate(masks):
+            of_omega = _flat_derivative(high | mask, n)
+            # D(x_k omega) - x_k D(omega), for D = d + d* and then d - d*
+            for i, lhs in enumerate(_flat_derivative(high + step + mask, n)):
+                for term, coeff in of_omega[i].items():
+                    term += step
+                    coeff = lhs.pop(term, 0) - coeff
+                    if coeff:
+                        lhs[term] = coeff
+                sign, row = actions[i][j]
+                bad[i] += lhs != {high | row: sign}
+    return bad
+
+
 def check_flat_commutators(n: int) -> List[dict]:
     """Verify the commutator identities on all monomial forms of low degree.
 
@@ -147,47 +179,30 @@ def check_flat_commutators(n: int) -> List[dict]:
     omega`` itself (no Leibniz shortcut), with popcount signs, and the right
     side is the generator's signed action on ``e_mask`` (``_blade_action``).
 
+    A monomial's verdict reads only its order type (README, "Order types"),
+    so each type present at ``n`` is evaluated once per call and counted in
+    closed form: a gap of length ``L >= 1`` below or between the indices of
+    ``S`` holds ``2^(L - 1)`` bit patterns of either parity, an empty one
+    only parity 0, and the ``n - 1 - s_r`` bits above ``S`` are free.
+
     Returns one record per ``(identity, k)`` pair with pass/fail status, the
     number of monomials checked and the number that disagree.
     """
     _check_n(n)
-    # d + d* and d - d* of a monomial do not depend on k: take them once
-    monomials = []
-    for total in range(3):
-        for beta in _exponents_with_sum(n, total):
-            high = sum(b << (n + 2 * j) for j, b in enumerate(beta))
-            for mask in range(1 << n):
-                monomials.append((high, mask, _flat_derivative(high | mask, n)))
-    results: List[dict] = []
-    for k in range(1, n + 1):
-        step = 1 << (n + 2 * k - 2)  # adding it to a key multiplies by x_k
-        actions = [
-            [_blade_action(n, _generator_key(flavor, n, k), mask) for mask in range(1 << n)]
-            for flavor in ("c", "chat")
-        ]
-        bad = [0, 0]
-        for high, mask, of_omega in monomials:
-            # D(x_k omega) - x_k D(omega), for D = d + d* and then d - d*
-            for i, lhs in enumerate(_flat_derivative(high + step + mask, n)):
-                for term, coeff in of_omega[i].items():
-                    term += step
-                    coeff = lhs.pop(term, 0) - coeff
-                    if coeff:
-                        lhs[term] = coeff
-                sign, row = actions[i][mask]
-                bad[i] += lhs != {high | row: sign}
-        for flavor, mismatches in zip(("c", "chat"), bad):
-            results.append({
-                "identity": flavor, "k": k, "ok": not mismatches,
-                "monomials": len(monomials), "mismatches": mismatches,
-            })
-    return results
-
-
-def _exponents_with_sum(n: int, total: int) -> Iterable[Tuple[int, ...]]:
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _exponents_with_sum(n - 1, total - first):
-            yield (first,) + rest
+    outcomes: Dict[Tuple[int, int, Tuple[int, ...]], List[int]] = {}
+    bad = [[0, 0] for _ in range(n)]
+    for r in (1, 2, 3):
+        for s in itertools.combinations(range(n), r):
+            lengths = [b - a - 1 for a, b in zip((-1,) + s, s)]
+            free = n - 1 - s[-1] + sum(length - 1 for length in lengths if length)
+            for gaps in itertools.product(*((0, 1) if length else (0,) for length in lengths)):
+                for t, index in enumerate(s):
+                    if (r, t, gaps) not in outcomes:
+                        outcomes[r, t, gaps] = _type_mismatches(r, t, gaps)
+                    for i, mismatches in enumerate(outcomes[r, t, gaps]):
+                        bad[index][i] += mismatches << free
+    monomials = (1 << n) * (1 + n + n * (n + 1) // 2)  # |beta| = 0, 1, 2
+    return [
+        {"identity": flavor, "k": k, "ok": not row[i], "monomials": monomials, "mismatches": row[i]}
+        for k, row in enumerate(bad, start=1) for i, flavor in enumerate(("c", "chat"))
+    ]

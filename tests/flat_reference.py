@@ -9,12 +9,20 @@ their signs come from the blade action and not from the popcount rule of
 keeps the paper's factor ``i`` on both sides.  The tests hold the two routes
 to exact equality.  :func:`pack` and :func:`unpack` convert between these
 dicts and the engine's packed monomial keys.
+
+:func:`enumerated_flat_commutators` is the engine's check without its order
+types: it walks every ``(k, beta, M)`` through the engine's own helpers, read
+from :mod:`hodge_residue.symbols` at call time, so a helper patched there
+reaches both routes.  :func:`blade_column` applies a blade one generator at a
+time from the definitions of ``e_j ^ .`` and ``iota_j``, a route to the
+action on ``Lambda`` that does not read :func:`hodge_residue.exterior._blade_action`.
 """
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
+from hodge_residue import symbols
 from hodge_residue.exterior import LinearOp, _check_index, _check_n, _generator_key, clifford_generator
 from hodge_residue.scalars import I
 from matrix_reference import column
@@ -176,3 +184,74 @@ def check_flat_commutators(n: int, max_degree: int = 3) -> List[dict]:
             results.append({"identity": identity, "k": k, "ok": not bad,
                             "monomials": len(forms), "mismatches": bad})
     return results
+
+
+def _exponents_with_sum(n: int, total: int) -> Iterable[Tuple[int, ...]]:
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _exponents_with_sum(n - 1, total - first):
+            yield (first,) + rest
+
+
+def enumerated_flat_commutators(n: int) -> List[dict]:
+    """The engine's records, from every monomial ``x^beta e_mask`` with
+    ``|beta| <= 2`` and every ``k``: ``D(x_k omega) - x_k D(omega)`` on packed
+    keys against the generator's action on ``e_mask``."""
+    _check_n(n)
+    flat_derivative, blade_action, generator_key = (
+        symbols._flat_derivative, symbols._blade_action, symbols._generator_key)
+    # d + d* and d - d* of a monomial do not depend on k: take them once
+    monomials = []
+    for total in range(3):
+        for beta in _exponents_with_sum(n, total):
+            high = sum(b << (n + 2 * j) for j, b in enumerate(beta))
+            for mask in range(1 << n):
+                monomials.append((high, mask, flat_derivative(high | mask, n)))
+    results: List[dict] = []
+    for k in range(1, n + 1):
+        step = 1 << (n + 2 * k - 2)  # adding it to a key multiplies by x_k
+        actions = [
+            [blade_action(n, generator_key(flavor, n, k), mask) for mask in range(1 << n)]
+            for flavor in ("c", "chat")
+        ]
+        bad = [0, 0]
+        for high, mask, of_omega in monomials:
+            for i, lhs in enumerate(flat_derivative(high + step + mask, n)):
+                for term, coeff in of_omega[i].items():
+                    term += step
+                    coeff = lhs.pop(term, 0) - coeff
+                    if coeff:
+                        lhs[term] = coeff
+                sign, row = actions[i][mask]
+                bad[i] += lhs != {high | row: sign}
+        for flavor, mismatches in zip(("c", "chat"), bad):
+            results.append({
+                "identity": flavor, "k": k, "ok": not mismatches,
+                "monomials": len(monomials), "mismatches": mismatches,
+            })
+    return results
+
+
+def generator_column(flavor: str, j: int, mask: int) -> Tuple[int, int]:
+    """``(sign, image)`` with ``gen_j e_mask = sign e_image``, from ``c_j =
+    eps_j - iota_j`` and ``chat_j = eps_j + iota_j``: ``eps_j`` (on a mask
+    without ``j``) and ``iota_j`` (on one with it) both sign by the bits of
+    ``mask`` below ``j``."""
+    sign = -1 if bin(mask & ((1 << (j - 1)) - 1)).count("1") % 2 else 1
+    if flavor == "c" and mask >> (j - 1) & 1:
+        sign = -sign
+    return sign, mask ^ (1 << (j - 1))
+
+
+def blade_column(n: int, key: int, mask: int) -> Tuple[int, int]:
+    """``(sign, image)`` with ``e_key e_mask = sign e_image``: the blade is
+    its generators in increasing bit order (bit ``j - 1`` is ``c_j``, bit ``n
+    + j - 1`` is ``chat_j``), so the highest acts first."""
+    sign = 1
+    for bit in reversed(range(2 * n)):
+        if key >> bit & 1:
+            s, mask = generator_column("c", bit + 1, mask) if bit < n else generator_column("chat", bit - n + 1, mask)
+            sign *= s
+    return sign, mask

@@ -27,7 +27,7 @@ from hodge_residue.boundary import (
 )
 from hodge_residue.exterior import LinearOp, clifford_generator, clifford_word, trace_product
 from hodge_residue.forms import random_vector
-from hodge_residue.residue import LEMMA_CHECKS, _kernel, boundary_contraction
+from hodge_residue.residue import LEMMA_CHECKS, _table, _trace, boundary_contraction
 from hodge_residue.scalars import ZERO, GaussianRational, I, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import sphere_moment
 from mixed_rationals import mixed_vector
@@ -282,22 +282,24 @@ class TestBoundaryDensity:
     @pytest.mark.parametrize("flavor,lemma_id", [("psi1", "B5.8"), ("psi2", "B5.10")])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_kernel_is_the_boundary_trace_identity_kernel(self, monkeypatch, flavor, lemma_id, m):
-        # the shape boundary_density looks up and the kernel it traces: the
-        # lemma's, expanded from the one table of that shape
+        # the shape boundary_density traces is the lemma's, and its trace
+        # equals that of the lemma's kernel, expanded from the one table of
+        # that shape
         looked_up = []
 
-        def recorded(*shape):
-            looked_up.append((shape, _kernel(*shape)))
-            return looked_up[-1][1]
+        def recorded(shape, *args):
+            looked_up.append(shape)
+            return _trace(shape, *args)
 
-        monkeypatch.setattr(boundary_module, "_kernel", recorded)
-        boundary_density(BoundaryArgs(flavor, *([0] * (2 * m),) * 3, m))
-        [(shape, kernel)] = looked_up
+        monkeypatch.setattr(boundary_module, "_trace", recorded)
+        rng = random.Random(f"boundary-shape:{flavor}:{m}")
+        vectors = [tuple(mixed_vector(2 * m, rng)) for _ in range(3)]
+        density = boundary_density(BoundaryArgs(flavor, *vectors, m))
+        [shape] = looked_up
         spec = LEMMA_CHECKS[lemma_id]
         assert shape == (spec.word_flavors, spec.lift, 2 * m)
-        lemma = _kernel(*shape)
-        assert dict(zip(zip(*kernel.columns), kernel.coeffs)) == dict(zip(zip(*lemma.columns), lemma.coeffs))
-        assert (kernel.n, kernel.denominator, kernel.grade) == (lemma.n, lemma.denominator, lemma.grade)
+        lemma = _table(spec.word_flavors, spec.lift).expand(2 * m)
+        assert density == boundary_module._residue_weight(m) * lemma.trace(None, vectors)
 
     def test_kernel_needs_one_term(self, monkeypatch):
         # only the normal channel may carry a nonzero sphere moment: a

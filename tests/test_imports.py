@@ -196,8 +196,9 @@ def test_random_streams_are_built_in_the_trial_loop_only():
     assert _package_call_sites("Random") == [("residue.py", "_trial_loop")]
 
 
-def test_kernel_ratio_is_read_in_the_trial_loop_only():
-    assert _package_call_sites("_ratio") == [("residue.py", "_trial_loop")]
+def test_kernel_ratio_is_read_in_the_trial_loop_and_the_trace_only():
+    # checks decide kappa in their trial loop, densities in the one trace
+    assert sorted(_package_call_sites("_ratio")) == [("residue.py", "_trace"), ("residue.py", "_trial_loop")]
 
 
 def test_no_package_line_is_longer_than_120_characters():

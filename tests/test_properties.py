@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hodge_residue.boundary import pi_plus
 from hodge_residue.exterior import LinearOp, trace_product
 from hodge_residue.forms import AntiSymForm, form_contract, random_form, random_vector
-from hodge_residue.residue import FUNCTIONALS, LEMMA_CHECKS, _kernel, spectral_density
+from hodge_residue.residue import FUNCTIONALS, LEMMA_CHECKS, _table, spectral_density
 from hodge_residue.scalars import GaussianRational, I
 from hodge_residue.symbols import sphere_moment
 from matrix_reference import from_entries
@@ -193,7 +193,7 @@ def test_kernel_trace_is_rotation_invariant_unless_the_lift_is_four_mixed(name, 
     # flavors in index order, so it is not frame covariant and its kernels
     # move under a rotation
     flavors, lift = INTERIOR_KERNELS[name]
-    kernel = _kernel(flavors, lift, n)
+    kernel = _table(flavors, lift).expand(n)
     rng = random.Random(f"rotation:{name}:{n}")
     moved = []
     for _ in range(4):

@@ -46,7 +46,6 @@ from hodge_residue.residue import (
     TraceKernel,
     _LEMMA_ALIASES,
     _compile,
-    _kernel,
     _sides,
     _table,
     closed_form_coefficient,
@@ -88,12 +87,12 @@ def shape_of(spec) -> tuple:
 
 def kernel_of(spec, n: int) -> TraceKernel:
     """The kernel of a density's or a trace identity's shape, expanded at n."""
-    return _kernel(*shape_of(spec), n)
+    return _table(*shape_of(spec)).expand(n)
 
 
 def boundary_kernel(flavor: str, n: int) -> TraceKernel:
     """The kernel a boundary density of this flavor traces, expanded at n."""
-    return _kernel(boundary_module._FLAVOR_WORDS[flavor], "normal_c", n)
+    return _table(boundary_module._FLAVOR_WORDS[flavor], "normal_c").expand(n)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +186,36 @@ def test_density_kernels_equal_word_route(functional_id, m, draw):
         for part in parts:
             assert parts[part] == reference[part], part
         assert not parts["zero_order"].is_zero
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_densities_expand_only_the_kernel_with_no_ratio(monkeypatch, m):
+    # every density shape but four_mixed's (T4) is kappa times its unit, so
+    # its density is kappa / D times the unit on the inputs: no expansion
+    n = 2 * m
+    four_mixed = _table(*shape_of(FUNCTIONALS["T4"]))
+    expanded, expand = [], KernelTable.expand
+
+    def guarded(table, size):
+        assert table is four_mixed, "a kernel with a ratio to its unit was expanded"
+        expanded.append(size)
+        return expand(table, size)
+
+    monkeypatch.setattr(KernelTable, "expand", guarded)
+    rng = random.Random(f"ratio-densities:{m}")
+    for functional_id, spec in sorted(FUNCTIONALS.items()):
+        for _ in range(2):
+            T = mixed_form(n, spec.torsion_degree, rng)
+            vectors = [mixed_vector(n, rng) for _ in spec.arg_flavors]
+            assert spectral_density(functional_id, T, vectors, m) == word_reference.spectral_density(
+                spec, T, vectors, m), functional_id
+            assert density_decomposition(functional_id, T, vectors, m) == word_reference.density_decomposition(
+                spec, T, vectors, m), functional_id
+    for flavor in ("psi1", "psi2"):
+        for _ in range(2):
+            args = boundary_module.BoundaryArgs(flavor, *(tuple(mixed_vector(n, rng)) for _ in range(3)), m)
+            assert boundary_module.boundary_density(args) == word_reference.boundary_density(args), flavor
+    assert expanded == [n] * 4
 
 
 @pytest.mark.parametrize("functional_id,inputs", [("T1", 96), ("T5", 256)])

@@ -12,6 +12,9 @@ from hodge_residue import forms, symbols
 from hodge_residue.exterior import (
     MAX_DIMENSION,
     LinearOp,
+    _blade_action,
+    _generator_key,
+    _parity_below,
     clifford_generator,
     trace_product,
 )
@@ -242,12 +245,14 @@ class TestBitmaskFlatOperators:
 
 
 class TestFlatCommutators:
-    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("n", [2, 4, 11, 12, 13, 14])
     def test_both_identities_hold_on_low_degree_monomials(self, n):
         records = check_flat_commutators(n)
         assert records, "no commutator records produced"
         assert all(rec["ok"] for rec in records)
         assert all(rec["mismatches"] == 0 for rec in records)
+        # every beta with |beta| <= 2 on every mask
+        assert all(rec["monomials"] == 2 ** n * (n + 1) * (n + 2) // 2 for rec in records)
         identities = {rec["identity"] for rec in records}
         assert identities == {"c", "chat"}
         ks = {rec["k"] for rec in records}
@@ -275,7 +280,71 @@ class TestFlatCommutators:
             ("c", True, 0), ("chat", False, 12), ("c", True, 0), ("chat", False, 12),
         ]
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_records_equal_the_enumeration(self, n):
+        # the order types and their closed-form counts against every (k, beta, M)
+        assert check_flat_commutators(n) == flat_reference.enumerated_flat_commutators(n)
+
+    @pytest.mark.parametrize("mutant", ["dstar_sign", "own_bit", "double_two", "no_chat_parity"])
+    def test_mutants_disagree_equally_on_both_routes(self, mutant, monkeypatch):
+        if mutant == "no_chat_parity":
+            monkeypatch.setattr(symbols, "_blade_action", _blade_action_without_chat_parity)
+        else:
+            monkeypatch.setattr(symbols, "_flat_derivative", _mutant_flat_derivative(mutant))
+        for n in range(1, 8):
+            records = check_flat_commutators(n)
+            assert records == flat_reference.enumerated_flat_commutators(n), n
+            # the chat parity reads the bits below k, none of them at n = 1
+            assert sum(r["mismatches"] for r in records) or (mutant, n) == ("no_chat_parity", 1), n
+
     @pytest.mark.parametrize("n", [0, -1, MAX_DIMENSION + 1])
     def test_rejects_empty_or_unsupported_sizes(self, n):
         with pytest.raises(ValueError):
             check_flat_commutators(n)
+
+
+def _mutant_flat_derivative(mutant):
+    """``_flat_derivative`` with one fault: the ``d*`` terms' sign flipped, the
+    sign read with the bit of ``j`` itself, or ``beta_j = 2`` read as 4."""
+    def derivative(key, n):
+        mask = key & ((1 << n) - 1)
+        plus, minus = {}, {}
+        for j in range(n):
+            b = (key >> (n + 2 * j)) & 3
+            if not b:
+                continue
+            bit = 1 << j
+            out = (key - (1 << (n + 2 * j))) ^ bit
+            b = 4 if mutant == "double_two" and b == 2 else b
+            below = mask & ((bit << 1) - 1 if mutant == "own_bit" else bit - 1)
+            c = -b if below.bit_count() & 1 else b
+            if mask & bit:
+                c = -c if mutant == "dstar_sign" else c
+                plus[out], minus[out] = -c, c
+            else:
+                plus[out] = minus[out] = c
+        return plus, minus
+    return derivative
+
+
+def _blade_action_without_chat_parity(n, key, mask):
+    """``_blade_action`` with the ``chat`` factors' parity term dropped."""
+    a, b = key & ((1 << n) - 1), key >> n
+    mid = mask ^ b
+    odd = ((_parity_below(mid) ^ mid) & a).bit_count() & 1
+    return (-1 if odd else 1), mid ^ a
+
+
+class TestBladeActionAtLargeN:
+    @pytest.mark.parametrize("n", range(11, MAX_DIMENSION + 1))
+    def test_agrees_with_the_generator_route_on_sample_masks(self, n):
+        # the commutator suite reaches these sizes; _parity_below holds to bit 16
+        rng = random.Random(n)
+        top = (1 << n) - 1
+        samples = [(0, top), (top << n, top), ((1 << 2 * n) - 1, top ^ 1), ((1 << n) - 1, 0)]
+        samples += [(rng.getrandbits(2 * n), rng.getrandbits(n)) for _ in range(200)]
+        for j in (1, n):
+            for flavor in ("c", "chat"):
+                samples += [(_generator_key(flavor, n, j), mask) for mask in (0, top, rng.getrandbits(n))]
+        for key, mask in samples:
+            assert _blade_action(n, key, mask) == flat_reference.blade_column(n, key, mask), (key, mask)
