@@ -29,10 +29,10 @@ Only the normal channel, ``a = n``, has a nonzero sphere moment, so a
 density is ``K * tr(W c_n)`` with one residue weight ``K``
 (:func:`_residue_weight`), built once per ``m`` from the same channels,
 projection and residues, with every pole and decay check; any other channel
-with a nonzero moment raises ``ValueError``.  ``tr(W(u, v, w) c_n)`` is a
-degree-0 :class:`~hodge_residue.residue.TraceKernel`, the very kernel of the
-B5.8 (psi1) or B5.10 (psi2) trace identity, read from that shape's one
-order-type table as ``kappa`` times the contraction.  No Clifford word is built.
+with a nonzero moment raises ``ValueError``.  ``tr(W(u, v, w) c_n)`` is the
+degree-0 kernel of the B5.8 (psi1) or B5.10 (psi2) trace identity, read
+from that shape's one :class:`~hodge_residue.residue.KernelTable` as
+``kappa`` times the contraction.  No Clifford word is built.
 
 :func:`verify_boundary` runs its trials in
 :func:`~hodge_residue.residue._trial_loop`, which compares the density

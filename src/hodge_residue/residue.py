@@ -14,24 +14,22 @@ identities are the same trace with the ``"before"`` or ``"after"`` weights,
 and the plain ones with the lift itself.
 
 Every such trace ``tr(W(u_1 ... u_k) . P(lift(T)))`` is multilinear in the
-form and in each vector: a :class:`TraceKernel`, the sparse integer tensor
-``{(I, j_1, ..., j_k): c}`` of the plain trace at one ``n``.  It is compiled
-directly (:func:`_compile`) from basis inputs: the lift's integer blades on
-each basis form ``e_I``, read from its term table
+form and in each vector: at each ``n`` a sparse integer tensor ``{(I, j_1,
+..., j_k): c}`` of the plain trace.  An entry's coefficient depends only on
+the order type of its index tuple, so each shape (word, lift) is held once
+per process as the n-free :class:`KernelTable` ``{(r, I ranks, j ranks):
+c}`` (:func:`_table`).  It is compiled from basis inputs at ``n0``, the most
+distinct indices an entry can use (at most 4 for every check shape): the
+lift's integer blades on each basis form ``e_I``, read from its term table
 (:data:`~hodge_residue.forms.LIFT_TERMS`), and the letter paths that fold
-each blade to the empty blade.  An entry's coefficient depends only on the
-order type of its index tuple, so each shape (word, lift) is compiled once
-per process, at ``n0``, the most distinct indices an entry can use (at most
-4 for every check shape), and kept as the n-free :class:`KernelTable` ``{(r, I ranks, j ranks): c}``
-(:func:`_table`); the ``"normal_c"`` lift pins its top rank to the index
-``n``.  The table is expanded into a kernel at ``n`` only where a tensor
-with no ratio to its unit is contracted, by a check or a density (:func:`_trace`).
-Each entry comes from one blade, and every blade a kernel traces has one
-grade class, so a placement ``P`` scales the whole trace by one rational
-weight, :meth:`TraceKernel.weight`, with no second compile.
-:meth:`TraceKernel.contract` contracts a kernel with integer rows, and
-:meth:`TraceKernel.trace` scales rational inputs to integers and divides
-once.  No form, operator or Clifford word is built on this path.
+each blade to the empty blade.  The ``"normal_c"`` lift pins its top rank
+to the index ``n``.  Each entry comes from one blade, and every blade a
+kernel traces has one grade class, so a placement ``P`` scales the whole
+trace by one rational weight, :meth:`KernelTable.weight`, with no second
+compile.  Only where a tensor with no ratio to its unit is contracted, by a
+check or a density (:func:`_trace`), is the table expanded at ``n``:
+:meth:`KernelTable.expand` returns the integer contraction of its rows.  No
+form, operator or Clifford word is built on this path.
 
 Each functional carries a closed-form coefficient table entry;
 :func:`verify_theorem` compares the engine's exact density against
@@ -123,95 +121,20 @@ def _traceable(word: Sequence[str], flavors: Sequence[str]) -> bool:
 
 def _integer_scaled(values: Sequence) -> Tuple[List[int], int]:
     """``(q * values, q)`` as integers, with ``q`` the lcm of the denominators
-    of the rational (``int`` or ``Fraction``) ``values``."""
+    of the rational ``values``; the first that is not an ``int`` or a
+    ``Fraction`` raises ``ValueError``."""
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"trace inputs must be int or Fraction, got {x!r}")
     q = lcm(*(x.denominator for x in values))
     return [x.numerator * (q // x.denominator) for x in values], q
 
 
-class TraceKernel:
-    """The trace ``tr(W(u_1 ... u_k) . lift(T))`` of one check or identity
-    shape at one ``n``, and the weight of each cosphere placement.
-
-    ``W`` is the Clifford word of ``letters`` letters.  The trace is
-    multilinear in the form and in each vector, so it is ``2^n / denominator
-    * sum c T_I u_1[j_1] ... u_k[j_k]`` over a sparse integer tensor
-    ``{(I, j_1, ..., j_k): c}``: ``columns`` holds one tuple per tensor slot
-    (the slot of ``I`` in :attr:`basis`, then each letter's 0-based index)
-    and ``coeffs`` the integers, both empty when the tensor is.
-    :func:`_compile_slots` compiles it from a lift's blades and
-    :meth:`KernelTable.expand` from a shape's order types.
-
-    Every entry comes from one blade of the lift, and every traced blade has
-    one grade class ``(|A|, g mod 2)``, recorded as :attr:`grade` (``None``
-    when no blade is traced).  A cosphere placement scales each blade by the
-    weight of its class, so it scales the whole trace by one :meth:`weight`
-    and compiles nothing.
-
-    ``basis``, ``columns`` and ``coeffs`` are tuples, so a kernel cannot be
-    altered by a check that reads it.  ``n`` past ``MAX_DIMENSION`` raises
-    ``ValueError``, for every check and density.
-    """
-
-    __slots__ = ("n", "degree", "letters", "basis", "columns", "reads", "coeffs", "denominator", "grade")
-
-    def __init__(self, n: int, degree: int, letters: int, columns: Sequence[Sequence[int]], coeffs: Sequence[int],
-                 denominator: int = 1, grade: Optional[Tuple[int, int]] = None):
-        _check_n(n)
-        self.n, self.degree, self.letters = n, degree, letters
-        self.basis = tuple(itertools.combinations(range(1, n + 1), degree)) if degree else ((),)
-        self.coeffs = tuple(coeffs)
-        # each column read from its row by one C-level call
-        self.columns = tuple(map(tuple, columns)) if self.coeffs else ()
-        self.reads = tuple(map(_reader, self.columns))
-        self.denominator, self.grade = denominator, grade
-
-    def weight(self, placement: str, m: int = 1) -> Fraction:
-        """The factor by which a placement ``P`` scales this trace:
-        ``tr(W . P(lift(T)))`` is the weight times ``tr(W . lift(T))``.
-
-        ``"plain"`` has weight 1; ``"before"``, ``"after"`` and
-        ``"interior"`` (at symbol order ``m``) the weight of :attr:`grade`
-        from :func:`~hodge_residue.symbols._grade_weights`, and 0 on a kernel
-        with no entry.  Any other placement raises ``ValueError``.
-        """
-        return _placement_weight(self.grade, self.n, placement, m)
-
-    def contract(self, rows: Sequence[Sequence[int]]) -> int:
-        """``sum c * rows[0][I] * rows[1][j_1] ... rows[k][j_k]`` in integers.
-
-        ``rows[0]`` holds the form's values in :attr:`basis` order (``[1]``
-        for degree 0) and the other rows the letters' vectors; the trace is
-        ``2^n / denominator`` times the result.
-        """
-        products = self.coeffs
-        for read, row in zip(self.reads, rows):
-            products = map(mul, products, read(row))
-        return sum(products)
-
-    def trace(self, form: Optional[AntiSymForm], vectors: Sequence[Sequence]) -> Fraction:
-        """The trace on a form (``None`` for degree 0) and the letters' vectors.
-
-        Each input is scaled to integers by the lcm of its denominators, the
-        tensor is contracted by :meth:`contract`, and the result is one
-        ``Fraction``.  A form of another ``n`` or degree, another number of
-        vectors or a vector of another length raises ``ValueError``.
-        """
-        if self.degree:
-            if form is None or (form.n, form.degree) != (self.n, self.degree):
-                raise ValueError(f"the kernel takes a degree-{self.degree} form with n={self.n}")
-        elif form is not None:
-            raise ValueError("the kernel takes no form")
-        if len(vectors) != self.letters:
-            raise ValueError(f"the kernel takes {self.letters} vectors, got {len(vectors)}")
-        if any(len(u) != self.n for u in vectors):
-            raise ValueError(f"every vector must have length n={self.n}")
-        rows, scale = _scaled_rows(self.n, form, vectors)
-        return Fraction(self.contract(rows) << self.n, self.denominator * scale)
-
-
 def _scaled_rows(n: int, form: Optional[AntiSymForm], vectors: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
     """A trace's rows, the form's values in basis order (``[1]`` for ``None``)
-    and the vectors, each scaled to integers, and the product of the scales."""
+    and the vectors, each scaled to integers, and the product of the scales.
+    The first value that is not an ``int`` or a ``Fraction`` raises
+    ``ValueError``."""
     rows, scale = [[1]], 1
     if form is not None:
         basis = itertools.combinations(range(1, n + 1), form.degree)
@@ -223,39 +146,6 @@ def _scaled_rows(n: int, form: Optional[AntiSymForm], vectors: Sequence[Sequence
     return rows, scale
 
 
-def _placement_weight(grade: Optional[Tuple[int, int]], n: int, placement: str, m: int = 1) -> Fraction:
-    """:meth:`TraceKernel.weight` of a tensor at ``n`` whose blades have the
-    grade class ``grade`` (``None`` for an empty tensor)."""
-    if placement == "plain":
-        return Fraction(1)
-    weights = _grade_weights(n, placement, m)
-    return Fraction(0) if grade is None else weights[grade]
-
-
-def _compile_slots(n: int, flavors: Sequence[str], slots: Sequence[Dict[int, int]], degree: int,
-                   denominator: int = 1) -> TraceKernel:
-    """The kernel of the word of the letters ``flavors`` against a lift read
-    off basis inputs: ``slots[I]`` is the lift on the basis form ``e_I`` as
-    ``{blade: c}`` over ``denominator`` (one slot, and no form, for
-    ``degree`` 0), and :func:`_letter_paths` gives the index tuples whose
-    letters fold each blade to the empty blade (trace = ``2^n`` times the
-    identity coefficient).  Blades of two grade classes raise ``ValueError``."""
-    _check_n(n)
-    signs = [_product_signs(n, 1 << bit) for bit in range(2 * n)]
-    low = (1 << n) - 1
-    entries, values, grades = [], [], set()
-    for slot, blades in enumerate(slots):
-        for key, coeff in blades.items():
-            grade = ((key & low).bit_count(), key.bit_count() & 1)
-            for js, sign in _letter_paths(n, flavors, key, signs):
-                entries.append((slot,) + js)
-                values.append(coeff if sign > 0 else -coeff)
-                grades.add(grade)
-    if len(grades) > 1:
-        raise ValueError(f"the traced blades span the grade classes {sorted(grades)}, not one")
-    return TraceKernel(n, degree, len(flavors), zip(*entries), values, denominator, grades.pop() if grades else None)
-
-
 def _lift_degree(lift: Optional[str]) -> Optional[int]:
     """The degree of the form a lift takes, the length of its table terms;
     ``None`` for the identity and ``"normal_c"``, which take no form."""
@@ -263,24 +153,6 @@ def _lift_degree(lift: Optional[str]) -> Optional[int]:
         return None
     _, terms = LIFT_TERMS[lift]
     return len(terms[0][1])
-
-
-def _compile(word_flavors: Tuple[str, ...], lift: Optional[str], n: int) -> TraceKernel:
-    """The plain trace kernel of the word against a lift at ``n``, compiled
-    directly: a :data:`~hodge_residue.forms.LIFT_TERMS` key, whose terms the
-    word cannot trace are skipped, ``"normal_c"`` (the blade ``c_n``) or
-    ``None`` (the identity).  ``n`` past ``MAX_DIMENSION`` raises before any
-    slot is built."""
-    _check_n(n)
-    if lift is None:
-        return _compile_slots(n, word_flavors, [{0: 1}], 0)
-    if lift == "normal_c":
-        return _compile_slots(n, word_flavors, [{_generator_key("c", n, n): 1}], 0)
-    denominator, terms = LIFT_TERMS[lift]
-    traced = [term for term in terms if _traceable(word_flavors, term[1])]
-    degree = _lift_degree(lift)
-    slots = [_term_blades(n, traced, idx) for idx in itertools.combinations(range(1, n + 1), degree)]
-    return _compile_slots(n, word_flavors, slots, degree, denominator)
 
 
 class KernelTable(NamedTuple):
@@ -303,15 +175,29 @@ class KernelTable(NamedTuple):
     types: Mapping[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int]
 
     def weight(self, placement: str, n: int, m: int = 1) -> Fraction:
-        """:meth:`TraceKernel.weight` of the expansion at ``n``, which has an
-        entry exactly when some type has ``r <= n``."""
-        fits = any(r <= n for r, _, _ in self.types)
-        return _placement_weight(self.grade if fits else None, n, placement, m)
+        """The factor by which a placement ``P`` scales the trace at ``n``:
+        ``tr(W . P(lift(T)))`` is the weight times ``tr(W . lift(T))``.
 
-    def expand(self, n: int) -> TraceKernel:
-        """The kernel at ``n``: each type with ``r <= n`` placed at every
+        ``"plain"`` has weight 1; ``"before"``, ``"after"`` and
+        ``"interior"`` (at symbol order ``m``) the weight of :attr:`grade`
+        from :func:`~hodge_residue.symbols._grade_weights`, and 0 where the
+        expansion at ``n`` has no entry, that is where no type has ``r <=
+        n``.  Any other placement raises ``ValueError``.
+        """
+        if placement == "plain":
+            return Fraction(1)
+        weights = _grade_weights(n, placement, m)
+        return weights[self.grade] if any(r <= n for r, _, _ in self.types) else Fraction(0)
+
+    def expand(self, n: int) -> Callable[[Sequence[Sequence[int]]], int]:
+        """The kernel's integer contraction at ``n``, ``rows -> sum c *
+        rows[0][I] * rows[1][j_1] ... rows[k][j_k]``: ``rows[0]`` holds the
+        form's values in basis order (``[1]`` for degree 0) and the other
+        rows the letters' vectors, and the trace is ``2^n / denominator``
+        times the result.  Each type with ``r <= n`` is placed at every
         increasing ``r``-subset of ``range(n)`` (of ``range(n - 1)``, then
-        ``n - 1``, when pinned).  ``n`` past ``MAX_DIMENSION`` raises first."""
+        ``n - 1``, when pinned), and each column is read from its row by one
+        C-level call.  ``n`` past ``MAX_DIMENSION`` raises first."""
         _check_n(n)
         slot_of = {idx: slot for slot, idx in enumerate(itertools.combinations(range(n), self.degree))}
         columns: List[List[int]] = [[] for _ in range(self.letters + 1)]
@@ -326,8 +212,15 @@ class KernelTable(NamedTuple):
             for column, j in zip(columns[1:], js):
                 column.extend(map(itemgetter(j), subsets))
             coeffs.extend([c] * len(subsets))
-        return TraceKernel(n, self.degree, self.letters, columns, coeffs, self.denominator,
-                           self.grade if coeffs else None)
+        reads = tuple(map(_reader, columns)) if coeffs else ()
+
+        def contract(rows: Sequence[Sequence[int]]) -> int:
+            products = coeffs
+            for read, row in zip(reads, rows):
+                products = map(mul, products, read(row))
+            return sum(products)
+
+        return contract
 
 
 @lru_cache(maxsize=None)
@@ -336,19 +229,41 @@ def _table(word_flavors: Tuple[str, ...], lift: Optional[str]) -> KernelTable:
 
     An entry's letters cancel each of the lift's ``b`` blade generators and
     pair up the other ``k - b`` with a same-flavor letter at the same index,
-    so it uses at most ``n0 = b + (k - b) // 2`` distinct indices; every
-    type appears in the direct :func:`_compile` at ``n0``, and is read off
-    it."""
+    so it uses at most ``n0 = b + (k - b) // 2`` distinct indices, and every
+    type appears at ``n0``.  There the lift is read as blades on each basis
+    form ``e_I``: a :data:`~hodge_residue.forms.LIFT_TERMS` key's terms that
+    the word can trace (:func:`~hodge_residue.forms._term_blades`), the
+    blade ``c_n`` for ``"normal_c"`` or the empty blade for ``None`` (the
+    identity).  :func:`_letter_paths` folds each blade to the empty blade
+    (trace = ``2^n`` times the identity coefficient), and each path is kept
+    by its ranks.  Blades of two grade classes raise ``ValueError``."""
     degree = _lift_degree(lift) or 0
     b = 1 if lift == "normal_c" else degree
     k = len(word_flavors)
-    kernel = _compile(word_flavors, lift, b + (k - b) // 2)
-    types = {}
-    for (slot, *js), c in zip(zip(*kernel.columns), kernel.coeffs):
-        idx = tuple(i - 1 for i in kernel.basis[slot])
-        rank = {i: p for p, i in enumerate(sorted({*idx, *js}))}
-        types[len(rank), tuple(map(rank.get, idx)), tuple(map(rank.get, js))] = c
-    return KernelTable(k, degree, kernel.denominator, kernel.grade, lift == "normal_c", MappingProxyType(types))
+    n = b + (k - b) // 2
+    denominator = 1
+    if lift is None:
+        inputs = [((), {0: 1})]
+    elif lift == "normal_c":
+        inputs = [((), {_generator_key("c", n, n): 1})]
+    else:
+        denominator, terms = LIFT_TERMS[lift]
+        traced = [term for term in terms if _traceable(word_flavors, term[1])]
+        inputs = [(idx, _term_blades(n, traced, idx)) for idx in itertools.combinations(range(1, n + 1), degree)]
+    signs = [_product_signs(n, 1 << bit) for bit in range(2 * n)]
+    low = (1 << n) - 1
+    types, grades = {}, set()
+    for idx, blades in inputs:
+        base = tuple(i - 1 for i in idx)
+        for key, coeff in blades.items():
+            for js, sign in _letter_paths(n, word_flavors, key, signs):
+                rank = {i: p for p, i in enumerate(sorted({*base, *js}))}
+                types[len(rank), tuple(map(rank.get, base)), tuple(map(rank.get, js))] = coeff if sign > 0 else -coeff
+                grades.add(((key & low).bit_count(), key.bit_count() & 1))
+    if len(grades) > 1:
+        raise ValueError(f"the traced blades span the grade classes {sorted(grades)}, not one")
+    return KernelTable(k, degree, denominator, grades.pop() if grades else None, lift == "normal_c",
+                       MappingProxyType(types))
 
 
 def _trace(shape: Tuple[Tuple[str, ...], Optional[str], int], unit: str, form: Optional[AntiSymForm],
@@ -361,9 +276,9 @@ def _trace(shape: Tuple[Tuple[str, ...], Optional[str], int], unit: str, form: O
     _check_n(n)
     table = _table(word, lift)
     kappa = _ratio(table, unit, n)
-    if kappa is None:
-        return table.expand(n).trace(form, vectors)
     rows, scale = _scaled_rows(n, form, vectors)
+    if kappa is None:
+        return Fraction(table.expand(n)(rows) << n, table.denominator * scale)
     return kappa * Fraction(_unit(unit, rows[0], rows[1:]) << n, table.denominator * scale)
 
 
@@ -527,7 +442,7 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
     weights = [table.weight(placement, n, n // 2) for placement, _, _ in comparisons]
     # every weight 0 makes the engine side 0, whatever the kernel
     kappa = _ratio(table, unit, n) if any(weights) else 0
-    kernel = table.expand(n) if kappa is None else None
+    contract = table.expand(n) if kappa is None else None
     checks, sign = [], 1
     for weight, (placement, value, expected) in zip(weights, comparisons):
         p, denominator = weight.numerator, table.denominator * weight.denominator
@@ -547,7 +462,7 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
         if not form_first:
             form = _random_doubled(size, rng)
         base = _unit(unit, form, vectors)
-        t = kernel.contract([form or (1,), *vectors]) if kappa is None else kappa * base
+        t = contract([form or (1,), *vectors]) if kappa is None else kappa * base
         for placement, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
             c = p * t
             if c * re_left != base * re_right or c * im_left != base * im_right:
@@ -581,6 +496,8 @@ def _resolve_functional(functional_id: str) -> FunctionalSpec:
 def _density_spec(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> FunctionalSpec:
     """The functional's spec, after checking the density's arguments."""
     fspec = _resolve_functional(spec)
+    if not isinstance(T, AntiSymForm):
+        raise ValueError(f"{fspec.functional_id} needs a degree-{fspec.torsion_degree} form, got {T!r}")
     n = T.n
     if n != 2 * m or n < 4:
         raise ValueError(f"need n = 2m >= 4; got n={n}, m={m}")

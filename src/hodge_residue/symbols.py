@@ -11,7 +11,7 @@ operators quadratic in ``xi``.  This module provides:
   each blade by a weight read from its grade, so ``integral tr(W . P(xi))
   dS`` is ``V(S^{n-1})`` times a trace with every blade so weighted; every
   blade a compiled kernel traces has one grade class, so
-  :meth:`hodge_residue.residue.TraceKernel.weight` reads one weight for the
+  :meth:`hodge_residue.residue.KernelTable.weight` reads one weight for the
   whole trace,
 * :func:`check_flat_commutators` -- the commutator identities
   ``[d + d*, x_k] = c(e_k)`` and ``[i(d - d*), x_k] = i chat(e_k)`` on

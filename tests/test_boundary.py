@@ -14,6 +14,7 @@ import pytest
 import hodge_residue.boundary as boundary_module
 import hodge_residue.exterior as exterior_module
 import hodge_residue.residue as residue_module
+import kernel_reference
 import word_reference
 from hodge_residue.boundary import (
     BoundaryArgs,
@@ -298,7 +299,7 @@ class TestBoundaryDensity:
         [shape] = looked_up
         spec = LEMMA_CHECKS[lemma_id]
         assert shape == (spec.word_flavors, spec.lift, 2 * m)
-        lemma = _table(spec.word_flavors, spec.lift).expand(2 * m)
+        lemma = kernel_reference.expand(_table(spec.word_flavors, spec.lift), 2 * m)
         assert density == boundary_module._residue_weight(m) * lemma.trace(None, vectors)
 
     def test_kernel_needs_one_term(self, monkeypatch):

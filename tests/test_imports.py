@@ -13,7 +13,11 @@ a file under ``bench/`` reads it.  No package module reads a private
 attribute (``X._name``) of a name it imports from another package module, so
 each class keeps its internals to its own module.  The package builds a ``random.Random`` in one function
 only, ``residue._trial_loop``, so every randomized check draws its inputs
-on one path, and it reads a kernel's ratio ``_ratio`` in that function only.
+on one path, and it reads a kernel's ratio ``_ratio`` there and in ``_trace``
+only.  The order-type table is the package's one kernel type: no module
+defines or imports a per-n ``TraceKernel``, ``_compile``, ``_compile_slots``
+or ``_placement_weight``, and only ``residue._table`` folds lift blades into
+letter paths (``forms._lift`` also reads the blades, to build the operator).
 Only ``scalars.py`` reads the slots of a ``GaussianRational``'s integer
 triple; every other module of the package, ``bench/`` and ``tests/`` reads
 the public ``triple`` (or ``re``/``im``).  No line of the package is longer
@@ -199,6 +203,35 @@ def test_random_streams_are_built_in_the_trial_loop_only():
 def test_kernel_ratio_is_read_in_the_trial_loop_and_the_trace_only():
     # checks decide kappa in their trial loop, densities in the one trace
     assert sorted(_package_call_sites("_ratio")) == [("residue.py", "_trace"), ("residue.py", "_trial_loop")]
+
+
+PER_N_KERNEL_NAMES = {"TraceKernel", "_compile", "_compile_slots", "_placement_weight"}
+
+
+def _bound_names(tree: ast.Module) -> set:
+    """Every name a module binds at its top level: definitions, assignments
+    and imports."""
+    bound = set(_imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound.add(node.target.id)
+    return bound
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=_module_id)
+def test_no_per_n_kernel_type_is_defined_or_reexported(path):
+    named = (_bound_names(ast.parse(path.read_text(encoding="utf-8"))) | _read_in(path)) & PER_N_KERNEL_NAMES
+    assert not named, f"{path.name}: defines, imports or reads {sorted(named)}"
+
+
+def test_lift_blades_and_letter_paths_meet_in_the_table_compile_only():
+    # forms._lift reads a lift's blades to build the whole operator, not a kernel
+    assert _package_call_sites("_letter_paths") == [("residue.py", "_table")]
+    assert sorted(_package_call_sites("_term_blades")) == [("forms.py", "_lift"), ("residue.py", "_table")]
 
 
 def test_no_package_line_is_longer_than_120_characters():

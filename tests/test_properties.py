@@ -20,6 +20,7 @@ from hodge_residue.forms import AntiSymForm, form_contract, random_form, random_
 from hodge_residue.residue import FUNCTIONALS, LEMMA_CHECKS, _table, spectral_density
 from hodge_residue.scalars import GaussianRational, I
 from hodge_residue.symbols import sphere_moment
+import kernel_reference
 from matrix_reference import from_entries
 from word_reference import generator_word, pi_minus
 
@@ -193,7 +194,7 @@ def test_kernel_trace_is_rotation_invariant_unless_the_lift_is_four_mixed(name, 
     # flavors in index order, so it is not frame covariant and its kernels
     # move under a rotation
     flavors, lift = INTERIOR_KERNELS[name]
-    kernel = _table(flavors, lift).expand(n)
+    kernel = kernel_reference.expand(_table(flavors, lift), n)
     rng = random.Random(f"rotation:{name}:{n}")
     moved = []
     for _ in range(4):

@@ -43,9 +43,7 @@ from hodge_residue.residue import (
     LEMMA_CHECKS,
     FunctionalSpec,
     KernelTable,
-    TraceKernel,
     _LEMMA_ALIASES,
-    _compile,
     _sides,
     _table,
     closed_form_coefficient,
@@ -57,7 +55,9 @@ from hodge_residue.residue import (
 )
 from hodge_residue.scalars import PI, GaussianRational, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import _grade_weights
+import kernel_reference
 import word_reference
+from kernel_reference import TraceKernel
 from mixed_rationals import mixed_form, mixed_vector
 from word_reference import compile_lift, cosphere_average, lemma_lhs, lemma_lift
 
@@ -86,13 +86,18 @@ def shape_of(spec) -> tuple:
 
 
 def kernel_of(spec, n: int) -> TraceKernel:
-    """The kernel of a density's or a trace identity's shape, expanded at n."""
-    return _table(*shape_of(spec)).expand(n)
+    """The tensor of a density's or a trace identity's table, expanded at n."""
+    return kernel_reference.expand(_table(*shape_of(spec)), n)
 
 
 def boundary_kernel(flavor: str, n: int) -> TraceKernel:
-    """The kernel a boundary density of this flavor traces, expanded at n."""
-    return _table(boundary_module._FLAVOR_WORDS[flavor], "normal_c").expand(n)
+    """The tensor of the table a boundary density of this flavor traces, expanded at n."""
+    return kernel_reference.expand(_table(boundary_module._FLAVOR_WORDS[flavor], "normal_c"), n)
+
+
+def trace_of(spec, n: int, form, vectors) -> Fraction:
+    """The engine's plain trace of a density's or a trace identity's shape."""
+    return residue_module._trace((*shape_of(spec), n), getattr(spec, "unit", "form"), form, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +157,14 @@ def test_lemma_kernels_equal_word_route(n, draw):
     compared = nonzero = 0
     for lemma_id, spec in sorted(LEMMA_CHECKS.items()):
         rng = random.Random(f"kernel:{lemma_id}:{n}:{draw}")
-        kernel = kernel_of(spec, n)
+        table = _table(*shape_of(spec))
         for placement in spec.placements:
             for _ in range(2):
                 vectors = [vector(n, rng) for _ in spec.word_flavors]
                 form = form_of(n, spec.form_degree, rng) if spec.form_degree else None
                 word = clifford_word(n, list(zip(spec.word_flavors, vectors)))
                 expected = lemma_lhs(word, lemma_lift(spec.lift, form, n), placement)
-                value = _placed_value(kernel.trace(form, vectors) * kernel.weight(placement), placement, n)
+                value = _placed_value(trace_of(spec, n, form, vectors) * table.weight(placement, n), placement, n)
                 assert value == expected, (lemma_id, placement)
                 compared += 1
                 nonzero += not expected.is_zero
@@ -225,8 +230,7 @@ def test_basis_certificate_at_m2(functional_id, inputs):
     holds at n = 4, not only on the random trials."""
     m, n = 2, 4
     spec = FUNCTIONALS[functional_id]
-    kernel = kernel_of(spec, n)
-    unit = sphere_volume(n - 1) * spec.prefactor * kernel.weight("interior", m)
+    unit = sphere_volume(n - 1) * spec.prefactor * _table(*shape_of(spec)).weight("interior", n, m)
     coeff = closed_form_coefficient(functional_id, m)
     basis = [basis_vector(n, j) for j in range(1, n + 1)]
     checked = disagreements = 0
@@ -234,7 +238,7 @@ def test_basis_certificate_at_m2(functional_id, inputs):
         T = AntiSymForm(n, spec.torsion_degree, {idx: Fraction(1)})
         for vectors in itertools.product(basis, repeat=len(spec.arg_flavors)):
             checked += 1
-            if unit * kernel.trace(T, vectors) != coeff * form_contract(T, vectors):
+            if unit * trace_of(spec, n, T, vectors) != coeff * form_contract(T, vectors):
                 disagreements += 1
     assert (checked, disagreements) == (inputs, 0)
 
@@ -304,22 +308,31 @@ def test_term_compiles_equal_compiles_of_whole_lifts(n):
     assert (kernel_of(t2, n).denominator, whole.denominator) == (4, 2)
 
 
-def test_blades_of_two_grade_classes_are_rejected_at_compile():
+def test_blades_of_two_grade_classes_are_rejected_at_compile(monkeypatch):
     # c_1 is of class (1, 1) and c_1 c_2 c_3 of class (3, 1); the word c c c
     # traces both
     blades = [{0b1: 1, 0b111: 1}]
     with pytest.raises(ValueError, match=r"grade classes \[\(1, 1\), \(3, 1\)\], not one"):
-        residue_module._compile_slots(4, ("c", "c", "c"), blades, 0)
+        kernel_reference._compile_slots(4, ("c", "c", "c"), blades, 0)
     # a blade the word cannot trace does not count
-    assert residue_module._compile_slots(4, ("c",), blades, 0).grade == (1, 1)
+    assert kernel_reference._compile_slots(4, ("c",), blades, 0).grade == (1, 1)
+    # the table's compile, at n0 = 3, on the same blades of the three_c
+    # slot, and with chat_1 (bit 3), which c c c cannot trace, for c_1 c_2 c_3
+    compile_table = _table.__wrapped__
+    monkeypatch.setattr(residue_module, "_term_blades", lambda n, terms, idx: dict(blades[0]))
+    with pytest.raises(ValueError, match=r"grade classes \[\(1, 1\), \(3, 1\)\], not one"):
+        compile_table(("c", "c", "c"), "three_c")
+    monkeypatch.setattr(residue_module, "_term_blades", lambda n, terms, idx: {0b1: 1, 0b1000: 1})
+    assert compile_table(("c", "c", "c"), "three_c").grade == (1, 1)
 
 
-def _assert_placed_equals_compile_of_placed_lift(kernel, flavors, lift, degree, n, m):
-    """Compiling the placed lift gives the kernel's tensor, as a ``{key: c /
-    D}`` mapping, times the placement's weight, or no entry when the weight
-    is 0; entry order carries no meaning."""
+def _assert_placed_equals_compile_of_placed_lift(table, flavors, lift, degree, n, m):
+    """Compiling the placed lift gives the table's tensor at n, as a ``{key:
+    c / D}`` mapping, times the placement's weight, or no entry when the
+    weight is 0; entry order carries no meaning."""
+    kernel = kernel_reference.expand(table, n)
     for placement in ("before", "after", "interior"):
-        weight = kernel.weight(placement, m)
+        weight = table.weight(placement, n, m)
         assert weight == (_grade_weights(n, placement, m)[kernel.grade] if kernel.coeffs else 0)
         compiled = compile_lift(n, flavors, lambda form: cosphere_average(lift(form), placement, m), degree)
         assert compiled.basis == kernel.basis
@@ -339,7 +352,7 @@ def test_placed_lemma_kernels_equal_compiles_of_placed_lifts(lemma_id, n):
     identity's own placements and for every other one."""
     spec = LEMMA_CHECKS[lemma_id]
     _assert_placed_equals_compile_of_placed_lift(
-        kernel_of(spec, n), spec.word_flavors, lambda form: lemma_lift(spec.lift, form, n),
+        _table(*shape_of(spec)), spec.word_flavors, lambda form: lemma_lift(spec.lift, form, n),
         spec.form_degree or 0, n, n // 2,
     )
 
@@ -350,32 +363,41 @@ def test_placed_density_kernels_equal_compiles_of_placed_lifts(functional_id, m)
     spec = FUNCTIONALS[functional_id]
     n = 2 * m
     _assert_placed_equals_compile_of_placed_lift(
-        kernel_of(spec, n), spec.arg_flavors, spec.lift, spec.torsion_degree, n, m,
+        _table(*shape_of(spec)), spec.arg_flavors, spec.lift, spec.torsion_degree, n, m,
     )
 
 
 def test_plain_placement_is_the_kernel_and_unknown_ones_raise():
-    empty = kernel_of(LEMMA_CHECKS["L3.5"], 4)
-    assert not empty.coeffs
-    for kernel in (kernel_of(LEMMA_CHECKS["L2.5"], 4), empty):
-        assert kernel.weight("plain") == 1
+    empty = _table(*shape_of(LEMMA_CHECKS["L3.5"]))
+    assert not empty.types
+    for table in (_table(*shape_of(LEMMA_CHECKS["L2.5"])), empty):
+        assert table.weight("plain", 4) == 1
         for placement in ("interor", "Before", ""):
             with pytest.raises(ValueError, match="before, after or interior"):
-                kernel.weight(placement)
-    assert empty.weight("before") == empty.weight("interior", 2) == 0
+                table.weight(placement, 4)
+    assert empty.weight("before", 4) == empty.weight("interior", 4, 2) == 0
 
 
 def _count_compiles(monkeypatch) -> list:
-    """The ``(word, lift, n)`` of every direct compile, from an empty table
-    memo: one per table, at its ``n0``."""
-    calls = []
+    """The ``(word, lift, n)`` of every table compile, from an empty table
+    memo: each ``_table`` miss, with the one ``n`` its lift blades and letter
+    paths are read at, its ``n0``."""
+    calls, sizes = [], []
+    table, term_blades, letter_paths = _table, residue_module._term_blades, residue_module._letter_paths
 
-    def counted(*args):
-        calls.append(args)
-        return _compile(*args)
+    def counted(word, lift):
+        sizes.clear()
+        misses = table.cache_info().misses
+        compiled = table(word, lift)
+        if table.cache_info().misses > misses:
+            [n] = set(sizes)
+            calls.append((word, lift, n))
+        return compiled
 
     _table.cache_clear()
-    monkeypatch.setattr(residue_module, "_compile", counted)
+    monkeypatch.setattr(residue_module, "_term_blades", lambda n, *args: sizes.append(n) or term_blades(n, *args))
+    monkeypatch.setattr(residue_module, "_letter_paths", lambda n, *args: sizes.append(n) or letter_paths(n, *args))
+    monkeypatch.setattr(residue_module, "_table", counted)
     return calls
 
 
@@ -444,14 +466,21 @@ def _trials_drawn(report, trials: int) -> int:
 
 
 def _count_contractions(monkeypatch) -> list:
+    """The ``(contraction, n)`` of every call of a contraction that
+    ``KernelTable.expand`` returns from here on."""
     calls = []
-    contract = TraceKernel.contract
+    expand = KernelTable.expand
 
-    def counted(self, rows):
-        calls.append(self)
-        return contract(self, rows)
+    def expanded(table, n):
+        contract = expand(table, n)
 
-    monkeypatch.setattr(TraceKernel, "contract", counted)
+        def counted(rows):
+            calls.append((contract, n))
+            return contract(rows)
+
+        return counted
+
+    monkeypatch.setattr(KernelTable, "expand", expanded)
     return calls
 
 
@@ -464,13 +493,13 @@ def test_one_contraction_serves_every_placement(monkeypatch, lemma_id, n):
     and including the first failing one contracts one once for all its
     placements, unless every weight is 0."""
     spec = LEMMA_CHECKS[lemma_id]
-    weighted = any(kernel_of(spec, n).weight(placement) for placement in spec.placements)
+    weighted = any(_table(*shape_of(spec)).weight(placement, n) for placement in spec.placements)
     calls = _count_contractions(monkeypatch)
     report = lemma_check(lemma_id, n, trials=3)
     assert len(calls) == _trials_drawn(report, 3) * (spec.lift == "four_mixed" and weighted)
     # one expansion at n, contracted on every trial
-    assert len(set(map(id, calls))) <= 1
-    assert all(kernel.n == n for kernel in calls)
+    assert len({id(contract) for contract, _ in calls}) <= 1
+    assert all(size == n for _, size in calls)
 
 
 @pytest.mark.parametrize("functional_id, contractions", [("T2", 0), ("T3", 0), ("T4", 1)])
@@ -556,14 +585,9 @@ BAD_CHECK_ARGUMENTS = {
 @pytest.mark.parametrize("case", sorted(BAD_CHECK_ARGUMENTS))
 def test_bad_check_arguments_compile_nothing(monkeypatch, case):
     check, args, kwargs, message = BAD_CHECK_ARGUMENTS[case]
-    original, compiled = TraceKernel.__init__, []
-
-    def counted(self, *args, **kwargs):
-        compiled.append(args[:2])
-        original(self, *args, **kwargs)
-
-    _table.cache_clear()
-    monkeypatch.setattr(TraceKernel, "__init__", counted)
+    # a table compile from an empty memo, or an expansion at n
+    compiled, expand = _count_compiles(monkeypatch), KernelTable.expand
+    monkeypatch.setattr(KernelTable, "expand", lambda table, n: compiled.append((table, n)) or expand(table, n))
     with pytest.raises(ValueError, match=message):
         check(*args, **kwargs)
     assert compiled == []
@@ -624,48 +648,91 @@ def test_every_kernel_entry_has_its_own_key(n):
     # direct compile's keys, and _ratio the table's types, without summing them
     assert len(KERNEL_SHAPES) == 12
     for word, lift in KERNEL_SHAPES:
-        kernel = _compile(word, lift, n)
+        kernel = kernel_reference._compile(word, lift, n)
         assert len(set(zip(*kernel.columns))) == len(kernel.coeffs), (word, lift)
 
 
 class TestKernelTraceInputs:
-    """``TraceKernel.trace`` refuses inputs of another shape instead of
-    truncating them."""
+    """The densities refuse inputs of another shape instead of truncating
+    them: ``spectral_density`` and ``density_decomposition`` check the form
+    and the vectors, and ``BoundaryArgs`` its three vectors."""
+
+    DENSITIES = (spectral_density, density_decomposition)
 
     def test_vector_count_checked(self):
-        kernel = kernel_of(LEMMA_CHECKS["B5.8"], 4)
-        vectors = [basis_vector(4, 4), basis_vector(4, 1), basis_vector(4, 1), basis_vector(4, 2)]
-        assert kernel.trace(None, vectors[:3]) == 16
-        for count in (2, 4):
-            with pytest.raises(ValueError, match=f"takes 3 vectors, got {count}"):
-                kernel.trace(None, vectors[:count])
+        T = AntiSymForm(4, 2, {(1, 2): Fraction(1)})
+        vectors = [basis_vector(4, 1), basis_vector(4, 2), basis_vector(4, 3)]
+        for density in self.DENSITIES:
+            density("T1", T, vectors[:2], 2)
+            for count in (1, 3):
+                with pytest.raises(ValueError, match=f"^T1 takes 2 vectors, got {count}$"):
+                    density("T1", T, vectors[:count], 2)
+        e1, e4 = basis_vector(4, 1), basis_vector(4, 4)
+        args = boundary_module.BoundaryArgs("psi1", e4, e1, e1, 2)
+        assert boundary_module.boundary_density(args) == boundary_module._residue_weight(2) * 16
+        with pytest.raises(TypeError):
+            boundary_module.BoundaryArgs("psi1", e4, e1, 2)
 
     def test_empty_kernel_knows_its_vector_count(self):
-        kernel = TraceKernel(4, 0, 2, (), ())
-        assert not kernel.coeffs
-        assert kernel.trace(None, [basis_vector(4, 1)] * 2) == 0
-        with pytest.raises(ValueError, match="takes 2 vectors, got 1"):
-            kernel.trace(None, [basis_vector(4, 1)])
+        # T3's interior weight is 0, so its density is 0 on every input of its shape
+        T = AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)})
+        vectors = [basis_vector(4, 1), basis_vector(4, 2), basis_vector(4, 3)]
+        assert spectral_density("T3", T, vectors, 2).is_zero
+        for density in self.DENSITIES:
+            with pytest.raises(ValueError, match="^T3 takes 3 vectors, got 2$"):
+                density("T3", T, vectors[:2], 2)
 
     def test_form_checked(self):
-        kernel = kernel_of(LEMMA_CHECKS["L2.4"], 4)
         vectors = [basis_vector(4, 1), basis_vector(4, 2)]
-        assert kernel.trace(AntiSymForm(4, 2, {(1, 2): Fraction(1)}), vectors) == -16
+        parts = density_decomposition("T1", AntiSymForm(4, 2, {(1, 2): Fraction(1)}), vectors, 2)
+        assert parts["zero_order"] == sphere_volume(3) * (FUNCTIONALS["T1"].prefactor * -16)
         # read in the n = 4 basis order, this form's (5, 6) entry would be dropped
         wider = AntiSymForm(6, 2, {(1, 2): Fraction(1), (5, 6): Fraction(1)})
-        for form in (wider, AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)}), None):
-            with pytest.raises(ValueError, match="degree-2 form with n=4"):
-                kernel.trace(form, vectors)
-        boundary = kernel_of(LEMMA_CHECKS["B5.8"], 4)
-        with pytest.raises(ValueError, match="takes no form"):
-            boundary.trace(AntiSymForm(4, 2, {(1, 2): Fraction(1)}), vectors + [basis_vector(4, 3)])
+        refused = {
+            "need n = 2m >= 4; got n=6, m=2": wider,
+            "T1 needs a degree-2 form, got degree 3": AntiSymForm(4, 3, {(1, 2, 3): Fraction(1)}),
+            "T1 needs a degree-2 form, got None": None,
+        }
+        for density in self.DENSITIES:
+            for message, form in refused.items():
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    density("T1", form, vectors, 2)
 
     def test_vector_length_checked(self):
-        kernel = kernel_of(LEMMA_CHECKS["L2.4"], 4)
         T = AntiSymForm(4, 2, {(1, 2): Fraction(1)})
         for short, long in ((basis_vector(4, 1)[:3], basis_vector(4, 2)), (basis_vector(4, 1), basis_vector(6, 2))):
-            with pytest.raises(ValueError, match="length n=4"):
-                kernel.trace(T, [short, long])
+            for density in self.DENSITIES:
+                with pytest.raises(ValueError, match="^argument vector length must equal n$"):
+                    density("T1", T, [short, long], 2)
+            with pytest.raises(ValueError, match=re.escape("vectors must have length n = 2m = 4")):
+                boundary_module.BoundaryArgs("psi1", short, long, basis_vector(4, 3), 2)
+
+
+# every inexact entry is refused by name, on the kappa route (T1, psi1) and
+# on the expansion (T4)
+INEXACT_ENTRIES = {"float": 1.5, "complex": 1j, "gaussian": GaussianRational(1, 1)}
+
+
+@pytest.mark.parametrize("kind", sorted(INEXACT_ENTRIES))
+def test_inexact_trace_inputs_are_refused(kind):
+    bad = INEXACT_ENTRIES[kind]
+    message = f"^trace inputs must be int or Fraction, got {re.escape(repr(bad))}$"
+    e = [basis_vector(4, j) for j in range(1, 5)]
+    exact = AntiSymForm(4, 2, {(1, 2): Fraction(1)})
+    cases = [
+        ("T1", exact, [(bad, 0, 0, 0), e[1]]),
+        ("T1", AntiSymForm(4, 2, {(1, 2): bad}), e[:2]),
+        ("T4", AntiSymForm(4, 4, {(1, 2, 3, 4): Fraction(1)}), [e[0], e[1], e[2], (0, bad, 0, 1)]),
+    ]
+    for functional_id, form, vectors in cases:
+        for density in (spectral_density, density_decomposition):
+            with pytest.raises(ValueError, match=message):
+                density(functional_id, form, vectors, 2)
+    with pytest.raises(ValueError, match=message):
+        boundary_module.boundary_density(boundary_module.BoundaryArgs("psi1", (bad, 0, 0, 1), e[0], e[0], 2))
+    # ints, Fractions and bools are exact
+    assert spectral_density("T1", exact, [(1, 0, 0, 0), (False, True, 0, 0)], 2) == spectral_density(
+        "T1", exact, e[:2], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1160,12 +1227,14 @@ def test_unit_tensor_contracts_to_the_unit(kind, degree, n):
     tensor = unit_tensor(kind, n, degree)
     table = KernelTable(letters, degree, 1, None, kind.startswith(("psi", "-psi")),
                         residue_module._unit_table(kind, degree))
-    assert _entries(table.expand(n)) == tensor
+    assert _entries(kernel_reference.expand(table, n)) == tensor
+    contract = table.expand(n)
     rng = random.Random(f"unit-tensor:{kind}:{degree}:{n}")
     for _ in range(50):
         form = [rng.randint(-6, 6) for _ in range(size)]
         vectors = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(letters)]
-        assert _contract_tensor(tensor, [form or [1], *vectors]) == residue_module._unit(kind, form, vectors)
+        rows = [form or [1], *vectors]
+        assert _contract_tensor(tensor, rows) == contract(rows) == residue_module._unit(kind, form, vectors)
 
 
 def test_unit_tensor_rejects_an_unknown_kind():
@@ -1195,13 +1264,13 @@ def test_kernel_ratio_to_its_unit(name, n):
         return
     assert type(kappa) is int and Fraction(kappa, table.denominator) == KERNEL_RATIOS[name]
     # the kernel's own contraction against _unit's minors or dot products
-    kernel = table.expand(n)
+    contract = table.expand(n)
     rng = random.Random(f"ratio:{name}:{n}")
-    size = len(kernel.basis) if kernel.degree else 0
+    size = math.comb(n, table.degree) if table.degree else 0
     for _ in range(50):
         form = [rng.randint(-6, 6) for _ in range(size)]
-        vectors = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(kernel.letters)]
-        assert kernel.contract([form or [1], *vectors]) == kappa * residue_module._unit(unit, form, vectors)
+        vectors = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(table.letters)]
+        assert contract([form or [1], *vectors]) == kappa * residue_module._unit(unit, form, vectors)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -1214,15 +1283,26 @@ def test_kernel_with_entries_off_the_unit_support_has_no_ratio(n):
 
 
 # ---------------------------------------------------------------------------
-# Order-type tables: one direct compile per shape, at n0, expanded per n only
-# to contract.  Odd n are held-out points: no check runs there.
+# Order-type tables: one compile per shape, at n0, expanded per n only to
+# contract, held to the per-n direct compile of tests/kernel_reference.py.
+# Odd n are held-out points: no check runs there.
 # ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
 def _direct(word, lift, n: int) -> TraceKernel:
     """The direct compile at n, the reference the tables are held to."""
-    return _compile(word, lift, n)
+    return kernel_reference._compile(word, lift, n)
+
+
+def test_tables_equal_the_tables_read_off_the_direct_compile():
+    # the engine compiles each table at n0 straight from the lift's blades
+    # and letter paths; the reference reads it off the tensor at n0
+    assert len(KERNEL_SHAPES) == 12
+    for word, lift in KERNEL_SHAPES:
+        table, reference = _table(word, lift), kernel_reference.table_of(word, lift)
+        assert dict(table.types) == dict(reference.types), (word, lift)
+        assert table._replace(types=None) == reference._replace(types=None), (word, lift)
 
 
 # each check shape with the units it is checked against; B5.8/Psi1 and
@@ -1238,9 +1318,23 @@ CHECK_UNITS[boundary_module._FLAVOR_WORDS["psi2"], "normal_c"].add("psi2")
 def test_table_expansions_equal_direct_compiles(n):
     assert len(KERNEL_SHAPES) == 12
     for word, lift in KERNEL_SHAPES:
-        expanded, direct = _table(word, lift).expand(n), _direct(word, lift, n)
+        expanded, direct = kernel_reference.expand(_table(word, lift), n), _direct(word, lift, n)
         assert _entries(expanded) == _entries(direct), (word, lift)
         assert (expanded.basis, expanded.letters, expanded.grade) == (direct.basis, direct.letters, direct.grade)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_DIMENSION + 1))
+def test_table_contractions_equal_direct_compiles(n):
+    # the engine's contraction at n against the direct compile's on random
+    # integer rows
+    rng = random.Random(f"table-contraction:{n}")
+    for word, lift in KERNEL_SHAPES:
+        table, direct = _table(word, lift), _direct(word, lift, n)
+        contract = table.expand(n)
+        for _ in range(3):
+            form = [rng.randint(-6, 6) for _ in range(math.comb(n, table.degree))] if table.degree else [1]
+            rows = [form, *([rng.randint(-6, 6) for _ in range(n)] for _ in word)]
+            assert contract(rows) == direct.contract(rows), (word, lift)
 
 
 def _reference_ratio(kernel: TraceKernel, unit: str) -> Fraction:

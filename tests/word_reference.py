@@ -4,11 +4,11 @@ placed lift, and the boundary density over the residue kernel.
 Each value is built from whole operators: the Clifford word of the vectors
 (:func:`clifford_word`), the lift of the whole form, its cosphere placement
 (:func:`cosphere_average`) and one :func:`trace_product`.  It never reads a
-kernel tensor or a letter path, and the tests hold
-:class:`hodge_residue.residue.TraceKernel` times each placement's
-:meth:`~hodge_residue.residue.TraceKernel.weight` to it exactly.  :func:`cosphere_average` places a whole operator blade by blade
-with the package's weight law, and ``xi_reference`` holds it to the
-explicit xi-polynomial integrals.
+kernel tensor or a letter path, and the tests hold the package's one kernel
+type, ``hodge_residue.residue.KernelTable``, traced and times each
+placement's ``KernelTable.weight``, to it exactly.  :func:`cosphere_average`
+places a whole operator blade by blade with the package's weight law, and
+``xi_reference`` holds it to the explicit xi-polynomial integrals.
 
 :func:`zero`, :func:`add` and :func:`scale` are the operator sum and scalar
 multiple, which no route of the package needs.
@@ -18,8 +18,9 @@ The boundary density is the word traced against the generator of each pair
 package's degree-0 kernel route to it.
 
 :func:`lemma_lift` is the operator a trace identity's lift key names, and
-:func:`compile_lift` compiles a trace kernel from a whole operator lift of
-each basis form, the route the package's term tables replace.
+:func:`compile_lift` compiles a ``kernel_reference.TraceKernel`` from a whole
+operator lift of each basis form, the route the package's term tables
+replace, with the per-n direct compile of ``kernel_reference``.
 :func:`lift_monotone` and :func:`lift_ordered` lift a form by one monotone
 or one ordered term of any flavor pattern, on the package's ``forms._lift``.
 :func:`generator_word` and :func:`pi_minus` have no caller in the package
@@ -43,7 +44,8 @@ from hodge_residue.exterior import (
     trace_product,
 )
 from hodge_residue.forms import AntiSymForm
-from hodge_residue.residue import FunctionalSpec, TraceKernel, _compile_slots
+from hodge_residue.residue import FunctionalSpec
+from kernel_reference import TraceKernel, _compile_slots
 from hodge_residue.scalars import SymbolicScalar, sphere_volume
 from hodge_residue.symbols import _grade_weights
 
