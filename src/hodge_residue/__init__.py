@@ -8,7 +8,6 @@ numpy, and neither the package nor the CLI imports it.
 """
 
 from .boundary import (
-    BoundaryArgs,
     ScalarRational,
     boundary_density,
     closed_form_boundary_coefficient,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntiSymForm",
-    "BoundaryArgs",
     "CheckReport",
     "FUNCTIONALS",
     "GaussianRational",

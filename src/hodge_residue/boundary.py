@@ -48,8 +48,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exterior import _check_n
-from .residue import LEMMA_CHECKS, CheckReport, _trace, _trial_loop
+from .residue import LEMMA_CHECKS, CheckReport, _check_trials, _symbol_order, _trace, _trial_loop
 from .scalars import (
     GaussianRational,
     I,
@@ -238,21 +237,6 @@ def pi_plus(
 # ---------------------------------------------------------------------------
 
 
-class BoundaryArgs:
-    """Arguments of a boundary density evaluation."""
-
-    __slots__ = ("flavor", "u", "v", "w", "m")
-
-    def __init__(self, flavor: str, u: tuple, v: tuple, w: tuple, m: int):
-        if flavor not in _FLAVOR_WORDS:
-            raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
-        n = 2 * m
-        for vec in (u, v, w):
-            if len(vec) != n:
-                raise ValueError(f"vectors must have length n = 2m = {n}")
-        self.flavor, self.u, self.v, self.w, self.m = flavor, u, v, w, m
-
-
 def resolvent_symbol_channels(n: int) -> Dict[Tuple[int, ...], Tuple[int, ScalarRational]]:
     """Channels of the order ``-1`` inverse symbol ``i c(xi)/|xi|^2`` at ``|xi'| = 1``.
 
@@ -279,11 +263,10 @@ def _residue_weight(m: int) -> SymbolicScalar:
     ``moment(alpha) * line_integral(coeff_t d / (xi_n - pole_t)^order_t)``
     summed over the terms ``t`` of ``pi_plus`` of each channel ``(a, r)``
     keyed ``alpha`` whose computed moment is not zero.  Such a channel on any
-    generator but the normal one, ``c_n``, raises ``ValueError``, and so does
-    ``n = 2m`` past ``MAX_DIMENSION``, before any channel is built.
+    generator but the normal one, ``c_n``, raises ``ValueError``.  Callers
+    check ``m`` first, as the memo keys ``2.0`` as ``2``.
     """
     n = 2 * m
-    _check_n(n)
     derivative = normal_derivative_symbol(m)
     weight = SymbolicScalar()
     for alpha, (a, scalar) in resolvent_symbol_channels(n).items():
@@ -297,7 +280,7 @@ def _residue_weight(m: int) -> SymbolicScalar:
     return weight
 
 
-def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
+def boundary_density(flavor: str, u: Sequence, v: Sequence, w: Sequence, m: int) -> SymbolicScalar:
     """Exact boundary density in units ``pi * V(S^{n-2})``.
 
     The projected inverse symbol times the normal derivative of the next
@@ -305,9 +288,16 @@ def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
     by residues and over the tangential sphere by exact moments: the
     residue weight times the trace of the word against ``c_n``, the B5.8 or
     B5.10 identity's degree-0 trace kernel read as ``kappa`` times the contraction.
+    A bad flavor, ``m`` or vector length raises ``ValueError``.
     """
-    trace = _trace((_FLAVOR_WORDS[args.flavor], "normal_c", 2 * args.m), args.flavor, None, (args.u, args.v, args.w))
-    return _residue_weight(args.m) * trace
+    if flavor not in _FLAVOR_WORDS:
+        raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
+    n = _symbol_order(m)
+    for vec in (u, v, w):
+        if len(vec) != n:
+            raise ValueError(f"vectors must have length n = 2m = {n}")
+    trace = _trace((_FLAVOR_WORDS[flavor], "normal_c", n), flavor, None, (u, v, w))
+    return _residue_weight(m) * trace
 
 
 def closed_form_boundary_coefficient(flavor: str, m: int) -> SymbolicScalar:
@@ -318,8 +308,7 @@ def closed_form_boundary_coefficient(flavor: str, m: int) -> SymbolicScalar:
     """
     if flavor not in _FLAVOR_WORDS:
         raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _symbol_order(m)
     sign_factor = (1 - m) if flavor == "psi1" else (m - 1)
     value = Fraction(
         math.factorial(2 * m - 2) * sign_factor,
@@ -337,14 +326,11 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     ratio ``kappa`` to the contraction's tensor.  The density is proportional
     to the contraction exactly when ``kappa`` exists, and its constant is then
     the residue weight times ``kappa``; the detail's sentence names both.  An
-    unknown flavor or ``m < 2`` raises ``ValueError`` from
-    :func:`closed_form_boundary_coefficient`, then ``trials < 1`` before any
-    channel is built.
+    unknown flavor or a bad ``m`` or ``trials`` raises ``ValueError`` before any channel is built.
     """
+    per_unit_expected = closed_form_boundary_coefficient(flavor, m) * sphere_volume(2 * m - 2)
+    _check_trials(trials)
     n = 2 * m
-    per_unit_expected = closed_form_boundary_coefficient(flavor, m) * sphere_volume(n - 2)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     weight = _residue_weight(m)
     # the density weight * 2^n c / D against the closed form's per_unit_expected * 2^n t
     report, kappa = _trial_loop(

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, NoReturn, Optional, Sequence
 
 from .boundary import (
-    BoundaryArgs,
     boundary_density,
     closed_form_boundary_coefficient,
     verify_boundary,
@@ -27,6 +26,8 @@ from .forms import form_from_json, vectors_from_json
 from .residue import (
     FUNCTIONALS,
     CheckReport,
+    _check_trials,
+    _symbol_order,
     boundary_contraction,
     lemma_check,
     lemma_ids,
@@ -58,15 +59,17 @@ def _usage(message: str) -> NoReturn:
     sys.exit(2)
 
 
-def _symbol_order(text: str) -> int:
-    """A symbol order m whose dimension n = 2m the engine supports."""
+def _order_option(text: str) -> int:
+    """A symbol order m, by the library's rule; a refusal names the range and the rule's message."""
     try:
         m = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if 2 <= m <= MAX_DIMENSION // 2:
-        return m
-    raise argparse.ArgumentTypeError(f"{text} is not in the range 2<=x<={MAX_DIMENSION // 2}.")
+    try:
+        _symbol_order(m)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text} is not in the range 2<=x<={MAX_DIMENSION // 2}: {exc}") from None
+    return m
 
 
 def _commutator_reports(n: int) -> List[CheckReport]:
@@ -137,8 +140,10 @@ def _render(value: SymbolicScalar) -> str:
 def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trials: int,
                seed: int, out: Optional[Path], fmt: str) -> None:
     """Run verification suites and emit a deterministic report."""
-    if trials < 1:
-        _usage("--trials must be >= 1")
+    try:
+        _check_trials(trials)
+    except ValueError as exc:  # the library's message, named as the option
+        _usage(f"--{exc}")
     if trials > MAX_TRIALS:
         _usage(f"--trials must be <= {MAX_TRIALS}: a check draws trials until one decides it, and a "
                f"passing check whose kernel has no ratio to its unit draws every one; got {trials}")
@@ -217,8 +222,7 @@ def cmd_boundary(flavor: str, m: int, vectors_path: Path) -> None:
         if len(vectors) != 3:
             raise ValueError("boundary densities take exactly three vectors")
         u, v, w = (tuple(vec) for vec in vectors)
-        args = BoundaryArgs(flavor, u, v, w, m)
-        engine = boundary_density(args)
+        engine = boundary_density(flavor, u, v, w, m)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _usage(f"invalid input: {exc}")
     n = 2 * m
@@ -247,7 +251,7 @@ _verify = _commands.add_parser("verify", help=cmd_verify.__doc__, **_OPTIONS)
 _verify.add_argument("--suite", choices=SUITES, default="all", help="(default: %(default)s)")
 _verify.add_argument("--n", dest="n_value", metavar="N", type=int,
                      help="Single dimension override (lemma/commutator suites).")
-_verify.add_argument("--m", dest="m_value", metavar="M", type=_symbol_order,
+_verify.add_argument("--m", dest="m_value", metavar="M", type=_order_option,
                      help="Single symbol-order override (theorem/boundary suites).")
 _verify.add_argument("--trials", type=int, default=20, help="(default: %(default)s)")
 _verify.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
@@ -257,14 +261,14 @@ _verify.set_defaults(run=cmd_verify)
 
 _density = _commands.add_parser("density", help=cmd_density.__doc__, **_OPTIONS)
 _density.add_argument("functional_id", choices=sorted(FUNCTIONALS))
-_density.add_argument("--m", type=_symbol_order, required=True)
+_density.add_argument("--m", type=_order_option, required=True)
 _density.add_argument("--form", dest="form_path", metavar="FILE", type=Path, required=True)
 _density.add_argument("--vectors", dest="vectors_path", metavar="FILE", type=Path, required=True)
 _density.set_defaults(run=cmd_density)
 
 _boundary = _commands.add_parser("boundary", help=cmd_boundary.__doc__, **_OPTIONS)
 _boundary.add_argument("flavor", choices=("psi1", "psi2"))
-_boundary.add_argument("--m", type=_symbol_order, required=True)
+_boundary.add_argument("--m", type=_order_option, required=True)
 _boundary.add_argument("--vectors", dest="vectors_path", metavar="FILE", type=Path, required=True)
 _boundary.set_defaults(run=cmd_boundary)
 

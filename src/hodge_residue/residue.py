@@ -9,7 +9,7 @@ where ``W(args)`` is a word of Clifford actions of the argument vectors and
 ``lift(T)`` the operator lift of the torsion form.  The cosphere integral is
 ``V(S^{2m-1})`` times one trace of ``W(args)`` against the lift with each
 blade scaled by the ``"interior"`` weight of its grade
-(:func:`~hodge_residue.symbols._grade_weights`); the sandwiched trace
+(:func:`~hodge_residue.symbols._grade_weight`); the sandwiched trace
 identities are the same trace with the ``"before"`` or ``"after"`` weights,
 and the plain ones with the lift itself.
 
@@ -61,7 +61,26 @@ from . import forms
 from .exterior import FLAVORS, LinearOp, _check_n, _generator_key, _product_signs
 from .forms import LIFT_TERMS, AntiSymForm, _minor_contract, _orderings, _random_doubled, _reader, _term_blades
 from .scalars import GaussianRational, I, ONE, SymbolicScalar, sphere_volume
-from .symbols import _grade_weights
+from .symbols import _grade_weight
+
+
+def _symbol_order(m: int) -> int:
+    """``n = 2m``, by the one rule for every symbol order ``m``: an ``int``,
+    ``m >= 2`` and ``n`` within :func:`~hodge_residue.exterior._check_n`."""
+    if not isinstance(m, int):
+        raise ValueError(f"m must be an int, got {m!r}")
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    _check_n(2 * m)
+    return 2 * m
+
+
+def _check_trials(trials: int) -> None:
+    """The one rule for a check's trial count: an ``int`` ``>= 1``."""
+    if not isinstance(trials, int):
+        raise ValueError(f"trials must be an int, got {trials!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +199,14 @@ class KernelTable(NamedTuple):
 
         ``"plain"`` has weight 1; ``"before"``, ``"after"`` and
         ``"interior"`` (at symbol order ``m``) the weight of :attr:`grade`
-        from :func:`~hodge_residue.symbols._grade_weights`, and 0 where the
+        from :func:`~hodge_residue.symbols._grade_weight`, and 0 where the
         expansion at ``n`` has no entry, that is where no type has ``r <=
         n``.  Any other placement raises ``ValueError``.
         """
         if placement == "plain":
             return Fraction(1)
-        weights = _grade_weights(n, placement, m)
-        return weights[self.grade] if any(r <= n for r, _, _ in self.types) else Fraction(0)
+        has_entry = any(r <= n for r, _, _ in self.types)
+        return _grade_weight(n, placement, m, self.grade if has_entry else None)
 
     def expand(self, n: int) -> Callable[[Sequence[Sequence[int]]], int]:
         """The kernel's integer contraction at ``n``, ``rows -> sum c *
@@ -197,8 +216,7 @@ class KernelTable(NamedTuple):
         times the result.  Each type with ``r <= n`` is placed at every
         increasing ``r``-subset of ``range(n)`` (of ``range(n - 1)``, then
         ``n - 1``, when pinned), and each column is read from its row by one
-        C-level call.  ``n`` past ``MAX_DIMENSION`` raises first."""
-        _check_n(n)
+        C-level call."""
         slot_of = {idx: slot for slot, idx in enumerate(itertools.combinations(range(n), self.degree))}
         columns: List[List[int]] = [[] for _ in range(self.letters + 1)]
         coeffs: List[int] = []
@@ -271,9 +289,8 @@ def _trace(shape: Tuple[Tuple[str, ...], Optional[str], int], unit: str, form: O
     """The plain trace of a shape ``(word, lift, n)`` on a form (``None`` for
     degree 0) and vectors: ``2^n kappa / D`` times their :func:`_unit` when the
     :func:`_table` is :func:`_ratio` ``kappa`` times it, else (``four_mixed``)
-    the kernel's, expanded at ``n``.  Past ``MAX_DIMENSION`` ``n`` raises first."""
+    the kernel's, expanded at ``n``.  Its callers have checked ``n``."""
     word, lift, n = shape
-    _check_n(n)
     table = _table(word, lift)
     kappa = _ratio(table, unit, n)
     rows, scale = _scaled_rows(n, form, vectors)
@@ -399,9 +416,9 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
                 form_first: bool = False, magnitude: bool = False) -> Tuple[CheckReport, Optional[Fraction]]:
     """The trials of every randomized check, decided in integers.
 
-    ``trials`` below 1, then ``n`` past ``MAX_DIMENSION``, raises
-    ``ValueError`` before the :func:`_table` of ``shape`` ``(word, lift,
-    n)`` is looked up.  One ``random.Random(rng_label)`` stream feeds every
+    ``trials`` that fail :func:`_check_trials` raise ``ValueError`` before
+    the :func:`_table` of ``shape`` ``(word, lift, n)`` is looked up; the
+    callers have checked ``n``.  One ``random.Random(rng_label)`` stream feeds every
     trial, which draws its inputs doubled, as integers, by
     :func:`~hodge_residue.forms._random_doubled`: one vector of length ``n``
     per letter and the form's ``C(n, degree)`` values in basis order (none
@@ -434,10 +451,8 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
     is the budget).  Returns the report and ``kappa / D``, the plain trace
     over ``2^n`` per unit (``None`` without ``kappa``).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     word, lift, n = shape
-    _check_n(n)
     table = _table(word, lift)
     weights = [table.weight(placement, n, n // 2) for placement, _, _ in comparisons]
     # every weight 0 makes the engine side 0, whatever the kernel
@@ -499,7 +514,7 @@ def _density_spec(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> 
     if not isinstance(T, AntiSymForm):
         raise ValueError(f"{fspec.functional_id} needs a degree-{fspec.torsion_degree} form, got {T!r}")
     n = T.n
-    if n != 2 * m or n < 4:
+    if n != _symbol_order(m):
         raise ValueError(f"need n = 2m >= 4; got n={n}, m={m}")
     if T.degree != fspec.torsion_degree:
         raise ValueError(
@@ -538,8 +553,7 @@ def closed_form_coefficient(functional_id: str, m: int) -> SymbolicScalar:
     * T4: ``((-2m-1)/3) 2^{2m-1} i``
     * T5: ``(-2m+1) 2^{2m} i``
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _symbol_order(m)
     table: Dict[str, GaussianRational] = {
         "T1": GaussianRational(0, (2 * m - 1) * 2 ** (2 * m)),
         "T2": GaussianRational((3 - 18 * m) * 2 ** (2 * m - 1)),
@@ -578,13 +592,11 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
     ``spectral_density == closed_form_coefficient * form_contract`` exactly.
     The trials run in :func:`_trial_loop` on the density's kernel shape,
     which draws the form, then the vectors, doubled and undoes the doubling.
-    An unknown id, ``m < 2`` or ``trials < 1`` raises ``ValueError`` before
+    An unknown id or a bad ``m`` or ``trials`` raises ``ValueError`` before
     anything is compiled.
     """
     fspec = _resolve_functional(functional_id)
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    n = 2 * m
+    n = _symbol_order(m)
     # the interior trace is weight * 2^n c / D
     value = sphere_volume(n - 1) * (fspec.prefactor * (1 << n))
     expected = closed_form_coefficient(fspec.functional_id, m)
@@ -694,7 +706,7 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     integrated variants); any disagreement is reported with both exact
     values.  The trials run in :func:`_trial_loop` on the identity's kernel
     shape, which weights each placement and draws the vectors, then the
-    form, doubled.  An unknown id, a bad ``n`` or ``trials < 1`` raises
+    form, doubled.  An unknown id, a bad ``n`` or bad ``trials`` raises
     ``ValueError`` before anything is compiled.
     """
     if lemma_id in _LEMMA_ALIASES:
@@ -708,6 +720,7 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
         raise ValueError(f"unknown lemma id {lemma_id!r}")
     if n % 2 or n < 4:
         raise ValueError("n must be even and >= 4")
+    _check_n(n)
 
     # a placement's trace is weight * 2^n c / D, times V(S^{n-1}) for a
     # sandwiched (cosphere-integrated) one, and its closed form ratio times that

@@ -6,13 +6,12 @@ operators quadratic in ``xi``.  This module provides:
 * :func:`sphere_moment` -- the exact monomial moment
   ``integral_{S^{n-1}} xi^alpha dS`` as a :class:`SymbolicScalar` (a rational
   multiple of ``V(S^{n-1})``),
-* :func:`_grade_weights` -- the weight law: the cosphere average of the
+* :func:`_grade_weight` -- the weight law: the cosphere average of the
   ``before``, ``after`` and ``interior`` integrands of an operator scales
   each blade by a weight read from its grade, so ``integral tr(W . P(xi))
   dS`` is ``V(S^{n-1})`` times a trace with every blade so weighted; every
   blade a compiled kernel traces has one grade class, so
-  :meth:`hodge_residue.residue.KernelTable.weight` reads one weight for the
-  whole trace,
+  :meth:`hodge_residue.residue.KernelTable.weight` computes one weight,
 * :func:`check_flat_commutators` -- the commutator identities
   ``[d + d*, x_k] = c(e_k)`` and ``[i(d - d*), x_k] = i chat(e_k)`` on
   monomial forms ``x^beta e_mask`` of flat ``R^n``, each packed into one
@@ -24,8 +23,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import _blade_action, _check_n, _generator_key
 from .scalars import SymbolicScalar
@@ -60,11 +58,9 @@ def sphere_moment(alpha: Sequence[int], n: int) -> SymbolicScalar:
     return SymbolicScalar.unit(Fraction(numerator, denominator), spheres=(n - 1,))
 
 
-@lru_cache(maxsize=128)
-def _grade_weights(n: int, placement: str, m: int) -> Dict[Tuple[int, int], Fraction]:
-    """``{(|A|, g mod 2): weight}``: the cosphere average of a placement's
-    integrand scales each blade by the weight of its grade class (shared;
-    read only).
+def _grade_weight(n: int, placement: str, m: int, grade: Optional[Tuple[int, int]]) -> Fraction:
+    """The weight by which a placement's cosphere average scales every blade
+    of the grade class ``grade = (|A|, g mod 2)``; 0 for ``None``, no blade.
 
     The integrands are quadratic in the unit covector ``xi``:
 
@@ -73,28 +69,26 @@ def _grade_weights(n: int, placement: str, m: int) -> Dict[Tuple[int, int], Frac
     * ``"interior"``: ``X + m sum_{i,j} (c_i X + X c_i) c_j xi_i xi_j``.
 
     Only the moments ``integral xi_i^2 dS = q V`` survive, with ``q = 1/n``
-    read from :func:`sphere_moment`.  Every blade ``X = c_A chat_B`` of grade
+    (:func:`sphere_moment`'s quadratic moment).  Every blade ``X = c_A chat_B`` of grade
     ``g = |A| + |B|`` is an eigenvector of both sandwiches,
     ``sum_i c_i X c_i = -(-1)^g (n - 2|A|) X`` and ``sum_i X c_i c_i = -n X``,
     so ``(1 / V(S^{n-1})) integral`` of the integrand is ``X`` times: before
-    ``-(-1)^g (n - 2|A|) q``, after ``-n q``, and interior ``1 + m (before +
-    after)``.  ``m`` is read by ``"interior"`` only; any other placement
-    raises ``ValueError``.
+    ``-(-1)^g (n - 2|A|) q``, after ``-n q = -1``, and interior ``1 + m
+    (before + after)``.  ``m`` is read by ``"interior"`` only; any other placement
+    raises ``ValueError``, whatever the grade.
     """
     if placement not in ("before", "after", "interior"):
         raise ValueError(f"placement must be before, after or interior, got {placement!r}")
-    q = sphere_moment((2,) + (0,) * (n - 1), n).coefficient(spheres=(n - 1,)).re
-
-    def weight(a: int, odd: int) -> Fraction:
-        before = (n - 2 * a) * q if odd else -(n - 2 * a) * q
-        after = -n * q
-        if placement == "before":
-            return before
-        if placement == "after":
-            return after
-        return 1 + m * (before + after)
-
-    return {(a, odd): weight(a, odd) for a in range(n + 1) for odd in (0, 1)}
+    if grade is None:
+        return Fraction(0)
+    a, odd = grade
+    before = Fraction(n - 2 * a if odd else 2 * a - n, n)
+    after = Fraction(-1)
+    if placement == "before":
+        return before
+    if placement == "after":
+        return after
+    return 1 + m * (before + after)
 
 
 # ---------------------------------------------------------------------------

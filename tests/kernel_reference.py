@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from hodge_residue.exterior import _check_n, _generator_key, _product_signs
 from hodge_residue.forms import LIFT_TERMS, AntiSymForm, _reader, _term_blades
 from hodge_residue.residue import KernelTable, _letter_paths, _lift_degree, _scaled_rows, _traceable
-from hodge_residue.symbols import _grade_weights
+from hodge_residue.symbols import _grade_weight
 
 
 class TraceKernel:
@@ -68,13 +68,12 @@ class TraceKernel:
 
         ``"plain"`` has weight 1; ``"before"``, ``"after"`` and
         ``"interior"`` (at symbol order ``m``) the weight of :attr:`grade`
-        from :func:`~hodge_residue.symbols._grade_weights`, and 0 on a kernel
-        with no entry.  Any other placement raises ``ValueError``.
+        from :func:`~hodge_residue.symbols._grade_weight`, and 0 on a kernel
+        with no entry (no grade).  Any other placement raises ``ValueError``.
         """
         if placement == "plain":
             return Fraction(1)
-        weights = _grade_weights(self.n, placement, m)
-        return Fraction(0) if self.grade is None else weights[self.grade]
+        return _grade_weight(self.n, placement, m, self.grade)
 
     def contract(self, rows: Sequence[Sequence[int]]) -> int:
         """``sum c * rows[0][I] * rows[1][j_1] ... rows[k][j_k]`` in integers.

@@ -17,7 +17,6 @@ import hodge_residue.residue as residue_module
 import kernel_reference
 import word_reference
 from hodge_residue.boundary import (
-    BoundaryArgs,
     ScalarRational,
     boundary_density,
     closed_form_boundary_coefficient,
@@ -219,16 +218,16 @@ class TestBoundaryDensity:
         # u = e_n, v = w = e_1, m = 2: density = -2 i pi V(S^2)
         n = 4
         e = lambda j: tuple(Fraction(1 if k == j else 0) for k in range(1, n + 1))
-        args = BoundaryArgs("psi1", e(4), e(1), e(1), 2)
-        assert boundary_density(args) == SymbolicScalar.unit(
+        args = ("psi1", e(4), e(1), e(1), 2)
+        assert boundary_density(*args) == SymbolicScalar.unit(
             GaussianRational(0, -2), pi=1, spheres=(2,)
         )
 
     def test_vanishes_when_normal_component_absent(self):
         n = 4
         e = lambda j: tuple(Fraction(1 if k == j else 0) for k in range(1, n + 1))
-        args = BoundaryArgs("psi2", e(1), e(2), e(2), 2)
-        assert boundary_density(args).is_zero
+        args = ("psi2", e(1), e(2), e(2), 2)
+        assert boundary_density(*args).is_zero
 
     @pytest.mark.parametrize("flavor", ["psi1", "psi2"])
     @pytest.mark.parametrize("m", [2, 3])
@@ -238,7 +237,7 @@ class TestBoundaryDensity:
         per_unit = closed_form_boundary_coefficient(flavor, m) * sphere_volume(n - 2)
         for _ in range(3):
             u, v, w = (tuple(random_vector(n, rng)) for _ in range(3))
-            density = boundary_density(BoundaryArgs(flavor, u, v, w, m))
+            density = boundary_density(flavor, u, v, w, m)
             contraction = boundary_contraction(flavor, u, v, w)
             assert density == per_unit * (contraction * Fraction(1 << n))
 
@@ -262,7 +261,7 @@ class TestBoundaryDensity:
                 for (pole, order), coeff in pi_plus(channel.partial_fractions()).items():
                     scalar = trace * ScalarRational([coeff], {pole: order}) * derivative
                     composed = composed + sphere_moment(alpha, n - 1) * scalar.line_integral()
-            assert boundary_density(BoundaryArgs(flavor, u, v, w, m)) == composed
+            assert boundary_density(flavor, u, v, w, m) == composed
             nonzero += not composed.is_zero
         assert nonzero
 
@@ -275,9 +274,9 @@ class TestBoundaryDensity:
         rng = random.Random(f"kernel-vs-word:{flavor}:{m}")
         values = []
         for _ in range(6):
-            args = BoundaryArgs(flavor, *(tuple(mixed_vector(n, rng)) for _ in range(3)), m)
-            values.append(word_reference.boundary_density(args))
-            assert boundary_density(args) == values[-1]
+            args = (flavor, *(tuple(mixed_vector(n, rng)) for _ in range(3)), m)
+            values.append(word_reference.boundary_density(*args))
+            assert boundary_density(*args) == values[-1]
         assert sum(not value.is_zero for value in values) > len(values) / 2
 
     @pytest.mark.parametrize("flavor,lemma_id", [("psi1", "B5.8"), ("psi2", "B5.10")])
@@ -295,7 +294,7 @@ class TestBoundaryDensity:
         monkeypatch.setattr(boundary_module, "_trace", recorded)
         rng = random.Random(f"boundary-shape:{flavor}:{m}")
         vectors = [tuple(mixed_vector(2 * m, rng)) for _ in range(3)]
-        density = boundary_density(BoundaryArgs(flavor, *vectors, m))
+        density = boundary_density(flavor, *vectors, m)
         [shape] = looked_up
         spec = LEMMA_CHECKS[lemma_id]
         assert shape == (spec.word_flavors, spec.lift, 2 * m)
@@ -306,7 +305,7 @@ class TestBoundaryDensity:
         # only the normal channel may carry a nonzero sphere moment: a
         # tangential channel with one, or the normal channel moved onto c_1,
         # is refused
-        args = BoundaryArgs("psi1", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
+        args = ("psi1", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
         real_channels, real_moment = boundary_module.resolvent_symbol_channels, boundary_module.sphere_moment
         normal = (0,) * 3
 
@@ -325,7 +324,7 @@ class TestBoundaryDensity:
                 with monkeypatch.context() as patch:
                     patch.setattr(boundary_module, name, patched)
                     with pytest.raises(ValueError, match="only the normal channel c_4 may"):
-                        boundary_density(args)
+                        boundary_density(*args)
                     with pytest.raises(ValueError, match="only the normal channel c_4 may"):
                         verify_boundary("psi1", 2)
         finally:
@@ -406,7 +405,7 @@ class TestVerifyBoundary:
         nonzero = [k for k, vectors in enumerate(trials) if boundary_contraction(flavor, *vectors)]
         first = nonzero[0]
         u, v, w = trials[first]
-        density = word_reference.boundary_density(BoundaryArgs(flavor, u, v, w, m))
+        density = word_reference.boundary_density(flavor, u, v, w, m)
         assert report.status == "fail"
         assert report.computed == density.render()
         assert report.expected == (per_unit * (boundary_contraction(flavor, u, v, w) * (1 << n))).render()
@@ -431,9 +430,7 @@ class TestVerifyBoundary:
         report = verify_boundary("psi1", 2, trials=5, seed=0)
         rng = random.Random("0:boundary:psi1:2")
         densities = [
-            word_reference.boundary_density(
-                BoundaryArgs("psi1", *(tuple(random_vector(4, rng)) for _ in range(3)), 2)
-            )
+            word_reference.boundary_density("psi1", *(tuple(random_vector(4, rng)) for _ in range(3)), 2)
             for _ in range(5)
         ]
         nonzero = [k for k, density in enumerate(densities) if not density.is_zero]
@@ -454,8 +451,8 @@ class TestVerifyBoundary:
         monkeypatch.setattr(exterior_module, "trace_product", refuse)
         boundary_module._residue_weight.cache_clear()
         assert verify_boundary("psi1", 4, trials=3, seed=0).status == "pass"
-        args = BoundaryArgs("psi2", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
-        assert not boundary_density(args).is_zero
+        args = ("psi2", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
+        assert not boundary_density(*args).is_zero
 
     @pytest.mark.parametrize("defect, match", [
         ("real pole", "real axis"),
@@ -478,13 +475,13 @@ class TestVerifyBoundary:
         monkeypatch.setattr(boundary_module, "resolvent_symbol_channels", channels)
         if defect == "no decay":
             monkeypatch.setattr(boundary_module, "normal_derivative_symbol", lambda m: ScalarRational([ONE]))
-        args = BoundaryArgs("psi1", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
+        args = ("psi1", (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 0), 2)
         boundary_module._residue_weight.cache_clear()
         try:
             with pytest.raises(ValueError, match=match):
                 verify_boundary("psi1", 2)
             with pytest.raises(ValueError, match=match):
-                boundary_density(args)
+                boundary_density(*args)
         finally:
             boundary_module._residue_weight.cache_clear()
 
@@ -497,11 +494,11 @@ class TestVerifyBoundary:
             verify_boundary("psi1", 2, trials=0)
 
 
-class TestBoundaryArgsValidation:
+class TestBoundaryDensityValidation:
     def test_flavor_checked(self):
         with pytest.raises(ValueError, match="flavor"):
-            BoundaryArgs("psi9", (1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0), 2)
+            boundary_density("psi9", (1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0), 2)
 
     def test_vector_length_checked(self):
         with pytest.raises(ValueError, match="length"):
-            BoundaryArgs("psi1", (1, 0), (1, 0, 0, 0), (1, 0, 0, 0), 2)
+            boundary_density("psi1", (1, 0), (1, 0, 0, 0), (1, 0, 0, 0), 2)

@@ -574,6 +574,13 @@ class TestMalformedInput:
             assert "invalid input" in result.output
 
 
+# the message of residue._symbol_order for each out-of-range --m
+LIBRARY_M_MESSAGES = {
+    "1": "m must be >= 2",
+    "8": f"dimension n must satisfy 1 <= n <= {MAX_DIMENSION}, got 16",
+}
+
+
 class TestSymbolOrderRange:
     @pytest.mark.parametrize(
         "args",
@@ -583,6 +590,7 @@ class TestSymbolOrderRange:
             ["verify", "--m", "1"],
             ["density", "T2", "--m", "8"],
             ["boundary", "psi1", "--m", "1"],
+            ["density", "T1", "--m", "8"],
         ],
     )
     def test_out_of_range_m_exits_2_naming_the_bound(self, runner, tmp_path, args):
@@ -599,6 +607,9 @@ class TestSymbolOrderRange:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert f"2<=x<={MAX_DIMENSION // 2}" in result.output
+        # and the library's own message, on stderr only
+        assert LIBRARY_M_MESSAGES[args[args.index("--m") + 1]] in result.stderr
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("value", ["x", "2.5", ""])
     def test_non_integer_m_exits_2_naming_the_value(self, runner, monkeypatch, value):
@@ -606,8 +617,9 @@ class TestSymbolOrderRange:
         monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
         result = runner.invoke(main, ["verify", "--suite", "theorems", "--m", value])
         assert result.exit_code == 2, result.output
-        assert f"argument --m: invalid int value: {value!r}" in result.output
+        assert f"argument --m: invalid int value: {value!r}" in result.stderr
         assert "_symbol_order" not in result.output
+        assert result.stdout == ""
 
 
 def _python(code: str) -> str:

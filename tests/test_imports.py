@@ -18,6 +18,11 @@ only.  The order-type table is the package's one kernel type: no module
 defines or imports a per-n ``TraceKernel``, ``_compile``, ``_compile_slots``
 or ``_placement_weight``, and only ``residue._table`` folds lift blades into
 letter paths (``forms._lift`` also reads the blades, to build the operator).
+Each argument has one rule: only ``residue._symbol_order`` compares a symbol
+order ``m`` with a bound, and only ``residue._check_trials`` a trial count
+(the command line's cap ``MAX_TRIALS`` aside).  ``lru_cache`` decorates
+exactly the four memos the bench keeps, and no module defines the removed
+``BoundaryArgs`` or ``_grade_weights``.
 Only ``scalars.py`` reads the slots of a ``GaussianRational``'s integer
 triple; every other module of the package, ``bench/`` and ``tests/`` reads
 the public ``triple`` (or ``re``/``im``).  No line of the package is longer
@@ -267,3 +272,59 @@ def test_gaussian_triple_slots_are_read_in_scalars_only(path):
         if isinstance(node, ast.Attribute) and node.attr in slots
     )
     assert not reads, f"{path.name}: reads of GaussianRational's slots outside scalars.py {reads}"
+
+
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _bound_comparisons(name: str, tree: ast.AST, function: str = "<module>"):
+    """``(function, bounds)`` for each ``<``, ``<=``, ``>`` or ``>=`` under
+    ``tree`` with the bare name ``name`` as an operand: the innermost function
+    around it and the source of its other operands."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Compare) and any(isinstance(op, ORDERINGS) for op in node.ops):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(operand, ast.Name) and operand.id == name for operand in operands):
+                yield function, tuple(ast.unparse(o) for o in operands if getattr(o, "id", None) != name)
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _bound_comparisons(name, node, inner)
+
+
+def _package_bound_comparisons(name: str) -> list:
+    return sorted(
+        (path.name, *site) for path in PACKAGE_MODULES
+        for site in _bound_comparisons(name, ast.parse(path.read_text(encoding="utf-8")))
+    )
+
+
+def test_symbol_order_is_bounded_by_one_rule():
+    # n = 2m's upper bound is _check_n's, which _symbol_order calls
+    assert _package_bound_comparisons("m") == [("residue.py", "_symbol_order", ("2",))]
+
+
+def test_trial_count_is_bounded_by_one_rule():
+    # the command line's cap bounds a run's time, not a check's input
+    assert _package_bound_comparisons("trials") == [
+        ("cli.py", "cmd_verify", ("MAX_TRIALS",)), ("residue.py", "_check_trials", ("1",)),
+    ]
+
+
+def _memoized(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "attr", getattr(target, "id", None)) in ("lru_cache", "cache"):
+                    yield node.name
+
+
+def test_lru_cache_decorates_the_kept_memos_only():
+    # each memo earns its lines on the bench; a new one needs its reason here
+    memoized = sorted(name for path in PACKAGE_MODULES for name in _memoized(ast.parse(path.read_text("utf-8"))))
+    assert memoized == ["_minor_plan", "_orderings", "_residue_weight", "_table"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=_module_id)
+def test_no_removed_argument_wrapper_or_weight_table(path):
+    named = _bound_names(ast.parse(path.read_text(encoding="utf-8"))) & {"BoundaryArgs", "_grade_weights"}
+    assert not named, f"{path.name}: defines or imports {sorted(named)}"

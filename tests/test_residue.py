@@ -54,7 +54,7 @@ from hodge_residue.residue import (
     verify_theorem,
 )
 from hodge_residue.scalars import PI, GaussianRational, SymbolicScalar, sphere_volume
-from hodge_residue.symbols import _grade_weights
+from hodge_residue.symbols import _grade_weight
 import kernel_reference
 import word_reference
 from kernel_reference import TraceKernel
@@ -218,8 +218,8 @@ def test_densities_expand_only_the_kernel_with_no_ratio(monkeypatch, m):
                 spec, T, vectors, m), functional_id
     for flavor in ("psi1", "psi2"):
         for _ in range(2):
-            args = boundary_module.BoundaryArgs(flavor, *(tuple(mixed_vector(n, rng)) for _ in range(3)), m)
-            assert boundary_module.boundary_density(args) == word_reference.boundary_density(args), flavor
+            args = (flavor, *(tuple(mixed_vector(n, rng)) for _ in range(3)), m)
+            assert boundary_module.boundary_density(*args) == word_reference.boundary_density(*args), flavor
     assert expanded == [n] * 4
 
 
@@ -333,7 +333,7 @@ def _assert_placed_equals_compile_of_placed_lift(table, flavors, lift, degree, n
     kernel = kernel_reference.expand(table, n)
     for placement in ("before", "after", "interior"):
         weight = table.weight(placement, n, m)
-        assert weight == (_grade_weights(n, placement, m)[kernel.grade] if kernel.coeffs else 0)
+        assert weight == (_grade_weight(n, placement, m, kernel.grade) if kernel.coeffs else 0)
         compiled = compile_lift(n, flavors, lambda form: cosphere_average(lift(form), placement, m), degree)
         assert compiled.basis == kernel.basis
         if not weight:
@@ -545,8 +545,7 @@ PAST_MAX_ENTRY_POINTS = {
     "lemma_check_boundary": lambda: lemma_check("B5.8", 34, trials=3),
     "verify_theorem": lambda: verify_theorem("T1", PAST_MAX_M, trials=1),
     "verify_boundary": lambda: verify_boundary("psi1", PAST_MAX_M, trials=1),
-    "boundary_density": lambda: boundary_module.boundary_density(
-        boundary_module.BoundaryArgs("psi1", E1, E1, E1, PAST_MAX_M)),
+    "boundary_density": lambda: boundary_module.boundary_density("psi1", E1, E1, E1, PAST_MAX_M),
     "spectral_density": lambda: spectral_density(*PAST_MAX_DENSITY_ARGS),
     "density_decomposition": lambda: density_decomposition(*PAST_MAX_DENSITY_ARGS),
 }
@@ -655,7 +654,7 @@ def test_every_kernel_entry_has_its_own_key(n):
 class TestKernelTraceInputs:
     """The densities refuse inputs of another shape instead of truncating
     them: ``spectral_density`` and ``density_decomposition`` check the form
-    and the vectors, and ``BoundaryArgs`` its three vectors."""
+    and the vectors, and ``boundary_density`` its three vectors."""
 
     DENSITIES = (spectral_density, density_decomposition)
 
@@ -668,10 +667,9 @@ class TestKernelTraceInputs:
                 with pytest.raises(ValueError, match=f"^T1 takes 2 vectors, got {count}$"):
                     density("T1", T, vectors[:count], 2)
         e1, e4 = basis_vector(4, 1), basis_vector(4, 4)
-        args = boundary_module.BoundaryArgs("psi1", e4, e1, e1, 2)
-        assert boundary_module.boundary_density(args) == boundary_module._residue_weight(2) * 16
+        assert boundary_module.boundary_density("psi1", e4, e1, e1, 2) == boundary_module._residue_weight(2) * 16
         with pytest.raises(TypeError):
-            boundary_module.BoundaryArgs("psi1", e4, e1, 2)
+            boundary_module.boundary_density("psi1", e4, e1, 2)
 
     def test_empty_kernel_knows_its_vector_count(self):
         # T3's interior weight is 0, so its density is 0 on every input of its shape
@@ -705,7 +703,7 @@ class TestKernelTraceInputs:
                 with pytest.raises(ValueError, match="^argument vector length must equal n$"):
                     density("T1", T, [short, long], 2)
             with pytest.raises(ValueError, match=re.escape("vectors must have length n = 2m = 4")):
-                boundary_module.BoundaryArgs("psi1", short, long, basis_vector(4, 3), 2)
+                boundary_module.boundary_density("psi1", short, long, basis_vector(4, 3), 2)
 
 
 # every inexact entry is refused by name, on the kappa route (T1, psi1) and
@@ -729,7 +727,7 @@ def test_inexact_trace_inputs_are_refused(kind):
             with pytest.raises(ValueError, match=message):
                 density(functional_id, form, vectors, 2)
     with pytest.raises(ValueError, match=message):
-        boundary_module.boundary_density(boundary_module.BoundaryArgs("psi1", (bad, 0, 0, 1), e[0], e[0], 2))
+        boundary_module.boundary_density("psi1", (bad, 0, 0, 1), e[0], e[0], 2)
     # ints, Fractions and bools are exact
     assert spectral_density("T1", exact, [(1, 0, 0, 0), (False, True, 0, 0)], 2) == spectral_density(
         "T1", exact, e[:2], 2)

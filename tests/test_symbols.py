@@ -23,7 +23,7 @@ from hodge_residue.residue import LEMMA_CHECKS
 from hodge_residue.scalars import GaussianRational, SymbolicScalar, sphere_volume
 from hodge_residue.symbols import (
     _flat_derivative,
-    _grade_weights,
+    _grade_weight,
     check_flat_commutators,
     sphere_moment,
 )
@@ -120,6 +120,18 @@ def _random_lift(name, n, rng):
     return getattr(forms, f"lift_{name}")(random_form(n, degree, rng))
 
 
+def test_grade_weight_is_the_closed_form():
+    # before = -(-1)^g (n - 2a) / n, after = -1, interior = 1 + m (before + after)
+    for n in range(1, MAX_DIMENSION + 1):
+        for a, odd in itertools.product(range(n + 1), (0, 1)):
+            before = Fraction(n - 2 * a if odd else 2 * a - n, n)
+            assert _grade_weight(n, "before", 1, (a, odd)) == before
+            assert _grade_weight(n, "after", 1, (a, odd)) == -1
+            for m in range(1, 8):
+                assert _grade_weight(n, "interior", m, (a, odd)) == 1 + m * (before - 1)
+        assert _grade_weight(n, "interior", 3, None) == 0
+
+
 class TestCosphereAverage:
     @pytest.mark.parametrize("n", [4, 6, 8])
     @pytest.mark.parametrize("name", LEMMA_LIFTS + ["identity", "normal_c"])
@@ -154,10 +166,12 @@ class TestCosphereAverage:
 
     def test_unknown_placement_rejected(self):
         # the weight law is the one place a placement name is checked: "plain"
-        # has no weights, and a misspelt name must not fall through to any
+        # has no weights, and a misspelt name must not fall through to any,
+        # whatever the grade
         for placement in ("plain", "interor", "Before"):
-            with pytest.raises(ValueError, match="before, after or interior"):
-                _grade_weights(4, placement, 1)
+            for grade in ((0, 0), (1, 1), None):
+                with pytest.raises(ValueError, match="before, after or interior"):
+                    _grade_weight(4, placement, 1, grade)
             with pytest.raises(ValueError, match="before, after or interior"):
                 cosphere_average(LinearOp.identity(4), placement)
 

@@ -31,7 +31,7 @@ import itertools
 from math import lcm
 
 from hodge_residue import forms
-from hodge_residue.boundary import _FLAVOR_WORDS, BoundaryArgs, _residue_weight
+from hodge_residue.boundary import _FLAVOR_WORDS, _residue_weight
 from hodge_residue.exterior import (
     LinearOp,
     _accumulate,
@@ -47,7 +47,7 @@ from hodge_residue.forms import AntiSymForm
 from hodge_residue.residue import FunctionalSpec
 from kernel_reference import TraceKernel, _compile_slots
 from hodge_residue.scalars import SymbolicScalar, sphere_volume
-from hodge_residue.symbols import _grade_weights
+from hodge_residue.symbols import _grade_weight
 
 
 def zero(n: int) -> LinearOp:
@@ -77,14 +77,18 @@ def scale(op: LinearOp, scalar) -> LinearOp:
 def cosphere_average(op: LinearOp, placement: str, m: int = 1) -> LinearOp:
     """``(1 / V(S^{n-1})) integral_{S^{n-1}}`` of a placement's integrand
     (``"before"``, ``"after"`` or ``"interior"``, see
-    :func:`hodge_residue.symbols._grade_weights`): ``op`` with each blade
-    ``c_A chat_B`` of grade ``g`` scaled by the weight of ``(|A|, g mod 2)``."""
+    :func:`hodge_residue.symbols._grade_weight`): ``op`` with each blade
+    ``c_A chat_B`` of grade ``g`` scaled by the weight of ``(|A|, g mod 2)``,
+    read once per class."""
     n = op.n
-    weights = _grade_weights(n, placement, m)
+    weights = {}
     low = (1 << n) - 1
     blades = {}
     for key, coeff in op.blades.items():
-        w = weights[(key & low).bit_count(), key.bit_count() & 1]
+        grade = (key & low).bit_count(), key.bit_count() & 1
+        if grade not in weights:
+            weights[grade] = _grade_weight(n, placement, m, grade)
+        w = weights[grade]
         if w:
             blades[key] = coeff * w
     return LinearOp(n, blades)
@@ -161,12 +165,12 @@ def density_decomposition(fspec: FunctionalSpec, T, vectors, m: int) -> dict:
     return {"zero_order": zero, "sandwich_per_m": sandwich, "total": zero + m * sandwich}
 
 
-def boundary_density(args: BoundaryArgs) -> SymbolicScalar:
+def boundary_density(flavor: str, u, v, w, m: int) -> SymbolicScalar:
     """``tr(W c_n) * K`` with ``K`` the residue weight of order ``m``, the
     one channel whose sphere moment is not zero being the normal one."""
-    n = 2 * args.m
-    word = clifford_word(n, list(zip(_FLAVOR_WORDS[args.flavor], (args.u, args.v, args.w))))
-    return _residue_weight(args.m) * trace_product(word, clifford_generator("c", n, n))
+    n = 2 * m
+    word = clifford_word(n, list(zip(_FLAVOR_WORDS[flavor], (u, v, w))))
+    return _residue_weight(m) * trace_product(word, clifford_generator("c", n, n))
 
 
 def generator_word(n: int, letters) -> LinearOp:
