@@ -60,7 +60,7 @@ def _usage(message: str) -> NoReturn:
 
 
 def _order_option(text: str) -> int:
-    """A symbol order m, by the library's rule; a refusal names the range and the rule's message."""
+    """A symbol order m, by the library's rule; a refusal is the rule's message."""
     try:
         m = int(text)
     except ValueError:
@@ -68,7 +68,7 @@ def _order_option(text: str) -> int:
     try:
         _symbol_order(m)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text} is not in the range 2<=x<={MAX_DIMENSION // 2}: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return m
 
 

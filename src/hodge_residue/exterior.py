@@ -45,7 +45,7 @@ MAX_DIMENSION = 14
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"dimension n must be an int, got {n!r}")
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension n must satisfy 1 <= n <= {MAX_DIMENSION}, got {n}")

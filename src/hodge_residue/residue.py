@@ -67,7 +67,7 @@ from .symbols import _grade_weight
 def _symbol_order(m: int) -> int:
     """``n = 2m``, by the one rule for every symbol order ``m``: an ``int``,
     ``m >= 2`` and ``n`` within :func:`~hodge_residue.exterior._check_n`."""
-    if not isinstance(m, int):
+    if not isinstance(m, int) or isinstance(m, bool):
         raise ValueError(f"m must be an int, got {m!r}")
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -77,7 +77,7 @@ def _symbol_order(m: int) -> int:
 
 def _check_trials(trials: int) -> None:
     """The one rule for a check's trial count: an ``int`` ``>= 1``."""
-    if not isinstance(trials, int):
+    if not isinstance(trials, int) or isinstance(trials, bool):
         raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -308,12 +308,11 @@ def _unit_table(kind: str, degree: int) -> Dict[Tuple[int, Tuple[int, ...], Tupl
         return {(degree, tuple(range(degree)), perm): sign for perm, sign in _orderings(degree)}
     if kind == "metric":
         return {(1, (), (0, 0)): 1}
-    if kind not in ("psi1", "psi2", "-psi2"):
+    if kind not in ("psi1", "psi2"):
         raise ValueError(f"unknown unit kind {kind!r}")
-    sign = -1 if kind == "-psi2" else 1
-    table = {(1, (), (0, 0, 0)): sign, (2, (), (1, 0, 0)): sign}
+    table = {(1, (), (0, 0, 0)): 1, (2, (), (1, 0, 0)): 1}
     if kind == "psi1":
-        table.update({(2, (), (0, 1, 0)): -sign, (2, (), (0, 0, 1)): sign})
+        table.update({(2, (), (0, 1, 0)): -1, (2, (), (0, 0, 1)): 1})
     return table
 
 
@@ -405,15 +404,9 @@ def _sides(value: SymbolicScalar, expected: SymbolicScalar, denominator: int) ->
     return pa * qd, qa * pd * denominator, pb * qd, qb * pd * denominator
 
 
-def _identical(kappa: Optional[int | Fraction], p: int, sides: Tuple[int, int, int, int]) -> bool:
-    """The magnitude policy's sign test, whether a :func:`_trial_loop` comparison
-    holds on every input: ``c = p kappa base``, so exactly when ``p kappa left == right`` for re and im."""
-    return kappa is not None and p * kappa * sides[0] == sides[1] and p * kappa * sides[2] == sides[3]
-
-
 def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[str, ...], Optional[str], int],
                 unit: str, comparisons: Sequence[Tuple[str, SymbolicScalar, SymbolicScalar]],
-                form_first: bool = False, magnitude: bool = False) -> Tuple[CheckReport, Optional[Fraction]]:
+                form_first: bool = False) -> Tuple[CheckReport, Optional[Fraction]]:
     """The trials of every randomized check, decided in integers.
 
     ``trials`` that fail :func:`_check_trials` raise ``ValueError`` before
@@ -438,9 +431,8 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
     ``t`` is ``kappa * base`` when the kernel is :func:`_ratio` ``kappa``
     times the unit, decided on the table (0, undecided, when every weight is
     0); only a kernel with no ``kappa`` is expanded at ``n``, once, and
-    contracted, once per trial.  With ``magnitude``, a
-    comparison that fails but holds with its expected side negated is
-    compared with the negated side, and a passing check notes that sign.
+    contracted, once per trial.  ``kappa`` decides only where the trials
+    stop, never a status or a value: every sign is the expected side's.
 
     The report shows the first failure, else the first pass with a nonzero
     expected side (``"0"`` for both when there is none); only these values
@@ -458,13 +450,10 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
     # every weight 0 makes the engine side 0, whatever the kernel
     kappa = _ratio(table, unit, n) if any(weights) else 0
     contract = table.expand(n) if kappa is None else None
-    checks, sign = [], 1
+    checks = []
     for weight, (placement, value, expected) in zip(weights, comparisons):
         p, denominator = weight.numerator, table.denominator * weight.denominator
         sides = _sides(value, expected, denominator)
-        if magnitude and not _identical(kappa, p, sides) and _identical(kappa, -p, sides):
-            expected, sign = expected * -1, -1
-            sides = _sides(value, expected, denominator)
         checks.append((placement, p, denominator, value, expected, sides))
     r = table.letters + bool(table.degree)
     size = comb(n, table.degree) if table.degree else 0
@@ -483,21 +472,16 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
             if c * re_left != base * re_right or c * im_left != base * im_right:
                 if not failed:
                     where = f"trial {trial}" + (f", {placement} placement" if len(checks) > 1 else "")
-                    shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r), where)
+                    shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r),
+                             f"comparisons disagree; first at {where}")
                 failed = True
             elif shown is None and base and expected:
                 shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r), "")
         if failed or kappa is not None and base:
             break
-    notes = [f"comparisons disagree; first at {shown[2]}"] if failed else []
-    if magnitude and shown and not failed:
-        notes.append(
-            f"observed sign {'+' if sign > 0 else '-'}1 relative to the tabulated magnitude; "
-            "proportionality and magnitude asserted, sign recorded"
-        )
-    engine_side, expected_side, _ = shown or (SymbolicScalar(), SymbolicScalar(), "")
+    engine_side, expected_side, detail = shown or (SymbolicScalar(), SymbolicScalar(), "")
     report = CheckReport(check_id, n, trials, "fail" if failed else "pass", engine_side.render(),
-                         expected_side.render(), detail="; ".join(notes))
+                         expected_side.render(), detail)
     return report, None if kappa is None else Fraction(kappa, table.denominator)
 
 
@@ -617,7 +601,9 @@ class LemmaSpec(NamedTuple):
     print order: ``plain`` is the bare trace ``tr(W L)``; ``before`` places
     the two ``c(xi)`` factors around the lift, ``after`` places both to its
     right; sandwiched variants are integrated over the unit cosphere, so
-    their closed forms carry ``V(S^{n-1})``.
+    their closed forms carry ``V(S^{n-1})``.  ``ratio`` is the closed form's
+    signed multiple of ``unit * Tr(Id)``, the same for every placement: each
+    sign is stated here, none is decided by a run.
     """
 
     lemma_id: str
@@ -625,8 +611,7 @@ class LemmaSpec(NamedTuple):
     lift: Optional[str]  # key into forms.LIFT_TERMS; None = identity; "normal_c" = c(dx_n)
     placements: Tuple[str, ...]
     ratio: Fraction
-    unit: str = "form"  # a _unit kind: form | metric | psi1 | -psi2
-    sign_policy: str = "exact"  # exact | magnitude
+    unit: str = "form"  # a _unit kind: form | metric | psi1 | psi2
 
     @property
     def form_degree(self) -> Optional[int]:
@@ -653,8 +638,10 @@ LEMMA_CHECKS: Dict[str, LemmaSpec] = {
         LemmaSpec("L4.7", ("chat",) * 4, "four_chat", ("plain",), Fraction(1)),
         LemmaSpec("L4.8", ("chat",) * 4, "four_chat", ("before", "after"), Fraction(-1)),
         LemmaSpec("B5.8", ("c", "c", "c"), "normal_c", ("plain",), Fraction(1), unit="psi1"),
-        LemmaSpec("B5.10", ("c", "chat", "chat"), "normal_c", ("plain",), Fraction(1), unit="-psi2"),
-        LemmaSpec("M6.2", ("c", "c"), None, ("plain",), Fraction(1), unit="metric", sign_policy="magnitude"),
+        LemmaSpec("B5.10", ("c", "chat", "chat"), "normal_c", ("plain",), Fraction(-1), unit="psi2"),
+        # the paper's +1 rests on its sign of c; here c(u)^2 = -|u|^2, so c(u)c(v)
+        # + c(v)c(u) = -2<u, v> and, by cyclicity, tr c(u)c(v) = -<u, v> 2^n
+        LemmaSpec("M6.2", ("c", "c"), None, ("plain",), Fraction(-1), unit="metric"),
     ]
 }
 
@@ -685,13 +672,11 @@ def boundary_contraction(flavor: str, u: Sequence, v: Sequence, w: Sequence):
 def _unit(kind: str, form: Sequence[int], vectors: Sequence[Sequence[int]]) -> int:
     """The unit of a kind on one trial's integer inputs: ``"form"`` the form
     contraction (the form's values in basis order), ``"metric"`` ``<u, v>``,
-    ``"psi1"``/``"psi2"`` the boundary contraction, ``"-psi2"`` its negative."""
+    ``"psi1"``/``"psi2"`` the boundary contraction."""
     if kind == "form":
         return _minor_contract(len(vectors[0]), form, vectors)
     if kind == "metric":
         return _dot(*vectors)
-    if kind == "-psi2":
-        return -boundary_contraction("psi2", *vectors)
     if kind in ("psi1", "psi2"):
         return boundary_contraction(kind, *vectors)
     raise ValueError(f"unknown unit kind {kind!r}")
@@ -718,9 +703,9 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
         placements = spec.placements
     else:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
+    _check_n(n)
     if n % 2 or n < 4:
         raise ValueError("n must be even and >= 4")
-    _check_n(n)
 
     # a placement's trace is weight * 2^n c / D, times V(S^{n-1}) for a
     # sandwiched (cosphere-integrated) one, and its closed form ratio times that
@@ -729,7 +714,7 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
         value = SymbolicScalar.unit(1 << n, spheres=() if placement == "plain" else (n - 1,))
         comparisons.append((placement, value, value * spec.ratio))
     return _trial_loop(lemma_id, trials, f"{seed}:lemma:{lemma_id}:{n}", (spec.word_flavors, spec.lift, n),
-                       spec.unit, comparisons, magnitude=spec.sign_policy == "magnitude")[0]
+                       spec.unit, comparisons)[0]
 
 
 def lemma_ids() -> List[str]:

@@ -606,9 +606,9 @@ class TestSymbolOrderRange:
             args = args + [f"--{name}", str(path)]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
-        assert f"2<=x<={MAX_DIMENSION // 2}" in result.output
-        # and the library's own message, on stderr only
-        assert LIBRARY_M_MESSAGES[args[args.index("--m") + 1]] in result.stderr
+        # the library's own message alone, on stderr only: the bound is stated once
+        message = LIBRARY_M_MESSAGES[args[args.index("--m") + 1]]
+        assert result.stderr.endswith(f": error: argument --m: {message}\n")
         assert result.stdout == ""
 
     @pytest.mark.parametrize("value", ["x", "2.5", ""])

@@ -22,7 +22,9 @@ Each argument has one rule: only ``residue._symbol_order`` compares a symbol
 order ``m`` with a bound, and only ``residue._check_trials`` a trial count
 (the command line's cap ``MAX_TRIALS`` aside).  ``lru_cache`` decorates
 exactly the four memos the bench keeps, and no module defines the removed
-``BoundaryArgs`` or ``_grade_weights``.
+``BoundaryArgs``, ``_grade_weights`` or ``_identical``.  Every sign is
+tabulated: ``LemmaSpec`` has no ``sign_policy``, ``_trial_loop`` no
+``magnitude`` and no module names a ``"-psi2"`` unit.
 Only ``scalars.py`` reads the slots of a ``GaussianRational``'s integer
 triple; every other module of the package, ``bench/`` and ``tests/`` reads
 the public ``triple`` (or ``re``/``im``).  No line of the package is longer
@@ -30,10 +32,13 @@ than 120 characters.
 """
 
 import ast
+import inspect
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
+
+from hodge_residue.residue import LemmaSpec, _trial_loop
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "hodge_residue"
@@ -326,5 +331,13 @@ def test_lru_cache_decorates_the_kept_memos_only():
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=_module_id)
 def test_no_removed_argument_wrapper_or_weight_table(path):
-    named = _bound_names(ast.parse(path.read_text(encoding="utf-8"))) & {"BoundaryArgs", "_grade_weights"}
+    named = _bound_names(ast.parse(path.read_text(encoding="utf-8"))) & {"BoundaryArgs", "_grade_weights", "_identical"}
     assert not named, f"{path.name}: defines or imports {sorted(named)}"
+
+
+def test_signs_are_tabulated_not_chosen_by_a_run():
+    # a check's sign is its LemmaSpec ratio: no field picks a policy, no trial
+    # loop flag flips an expected side, and no unit kind is a negated one
+    assert "sign_policy" not in LemmaSpec._fields
+    assert "magnitude" not in inspect.signature(_trial_loop).parameters
+    assert not [path.name for path in PACKAGE_MODULES if '"-psi2"' in path.read_text(encoding="utf-8")]

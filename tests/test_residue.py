@@ -1059,11 +1059,6 @@ class TestReportShape:
         assert report.to_dict()["id"] == "L2.4"
         assert report.to_dict()["trials"] == 2
 
-    def test_magnitude_policy_reports_observed_sign(self):
-        report = lemma_check("M6.2", 4, trials=3, seed=0)
-        assert report.status == "pass"
-        assert "-1" in report.detail or "minus" in report.detail.lower()
-
 
 # ---------------------------------------------------------------------------
 # Verdict strictness of the integer comparison: a check whose table is moved
@@ -1139,10 +1134,10 @@ def test_theorem_coefficient_off_the_sphere_unit_is_rejected(monkeypatch, module
         check()
 
 
-@pytest.mark.parametrize("ratio", [2, -1], ids=["two", "minus-one"])
-def test_magnitude_sign_comes_from_the_kernel_ratio(monkeypatch, ratio):
-    # M6.2's kernel is -1 times the metric unit's: a tabulated -1 holds with
-    # sign +1, and a tabulated 2 holds with neither sign
+@pytest.mark.parametrize("ratio", [-1, 1], ids=["tabulated", "paper"])
+def test_metric_identity_sign_is_the_tabulated_one(monkeypatch, ratio):
+    # M6.2's kernel is -1 times the metric unit's: the tabulated -1 passes
+    # with nothing to note, and the paper's +1 fails with the word route's values
     spec = LEMMA_CHECKS["M6.2"]._replace(ratio=Fraction(ratio))
     monkeypatch.setitem(LEMMA_CHECKS, "M6.2", spec)
     n = 4
@@ -1150,10 +1145,9 @@ def test_magnitude_sign_comes_from_the_kernel_ratio(monkeypatch, ratio):
     if ratio == -1:
         assert report.status == "pass"
         assert report.computed == report.expected != "0"
-        assert report.detail.startswith("observed sign +1 relative to the tabulated magnitude")
+        assert report.detail == ""
         return
     trial = _first_failing_trial(report)
-    assert "observed sign" not in report.detail
     vectors, form = _lemma_inputs(spec, "M6.2", n, 0, trial)
     assert report.computed == _word_route_lhs(spec, n, vectors, form).render()
     assert report.expected == SymbolicScalar.number(ratio * dot(*vectors) * (1 << n)).render()
@@ -1187,7 +1181,7 @@ def test_derived_fractional_ratio_passes(monkeypatch, n):
 # the pass its report shows.
 # ---------------------------------------------------------------------------
 
-UNIT_KINDS = [("form", 2), ("form", 3), ("form", 4), ("metric", 0), ("psi1", 0), ("psi2", 0), ("-psi2", 0)]
+UNIT_KINDS = [("form", 2), ("form", 3), ("form", 4), ("metric", 0), ("psi1", 0), ("psi2", 0)]
 
 
 def unit_tensor(kind: str, n: int, degree: int) -> dict:
@@ -1201,9 +1195,9 @@ def unit_tensor(kind: str, n: int, degree: int) -> dict:
                 for perm, sign in residue_module._orderings(degree)}
     if kind == "metric":
         return {(0, j, j): 1 for j in range(n)}
-    last, sign, tensor = n - 1, -1 if kind == "-psi2" else 1, {}
+    last, tensor = n - 1, {}
     for j in range(n):
-        terms = (((0, last, j, j), sign), ((0, j, last, j), -sign), ((0, j, j, last), sign))
+        terms = (((0, last, j, j), 1), ((0, j, last, j), -1), ((0, j, j, last), 1))
         for key, c in terms[:3 if kind == "psi1" else 1]:
             tensor[key] = tensor.get(key, 0) + c
     return tensor
@@ -1223,7 +1217,7 @@ def test_unit_tensor_contracts_to_the_unit(kind, degree, n):
     letters = degree or (2 if kind == "metric" else 3)
     size = math.comb(n, degree) if degree else 0
     tensor = unit_tensor(kind, n, degree)
-    table = KernelTable(letters, degree, 1, None, kind.startswith(("psi", "-psi")),
+    table = KernelTable(letters, degree, 1, None, kind.startswith("psi"),
                         residue_module._unit_table(kind, degree))
     assert _entries(kernel_reference.expand(table, n)) == tensor
     contract = table.expand(n)
@@ -1245,7 +1239,7 @@ def test_unit_tensor_rejects_an_unknown_kind():
 KERNEL_RATIOS = {
     "L2.4": -1, "L2.5": -1, "L3.4a": 1, "L3.4b": 0, "L3.5": 0, "L3.6a": 1, "L3.6b": 1, "L3.7a": 2,
     "L3.7b": 0, "L3.8": 0, "L3.9": 2, "L4.5": None, "L4.6a": None, "L4.6b": None, "L4.7": 1, "L4.8": 1,
-    "B5.8": 1, "B5.10": 1, "M6.2": -1,
+    "B5.8": 1, "B5.10": -1, "M6.2": -1,
     "T1": -1, "T2": Fraction(3, 2), "T3": Fraction(-1, 2), "T4": None, "T5": 1,
 }
 
@@ -1303,13 +1297,12 @@ def test_tables_equal_the_tables_read_off_the_direct_compile():
         assert table._replace(types=None) == reference._replace(types=None), (word, lift)
 
 
-# each check shape with the units it is checked against; B5.8/Psi1 and
-# B5.10/Psi2 share a shape and take psi1, and -psi2 or psi2
+# each check shape with the one unit it is checked against; B5.8/Psi1 take
+# psi1, and B5.10/Psi2, which share a shape, psi2
 CHECK_UNITS = {
-    **{shape: {"form"} for shape in KERNEL_SHAPES},
-    **{(spec.word_flavors, spec.lift): {spec.unit} for spec in LEMMA_CHECKS.values() if spec.unit != "form"},
+    **dict.fromkeys(KERNEL_SHAPES, "form"),
+    **{(spec.word_flavors, spec.lift): spec.unit for spec in LEMMA_CHECKS.values() if spec.unit != "form"},
 }
-CHECK_UNITS[boundary_module._FLAVOR_WORDS["psi2"], "normal_c"].add("psi2")
 
 
 @pytest.mark.parametrize("n", range(1, MAX_DIMENSION + 1))
@@ -1352,19 +1345,18 @@ def test_table_ratio_is_the_full_tensor_decision_at_every_n():
     full tensors of the direct compile and the reference unit at n = 4 ... 14,
     and the same at every n from the table's n0 on."""
     decided = 0
-    for (word, lift), units in sorted(CHECK_UNITS.items(), key=repr):
+    for (word, lift), unit in sorted(CHECK_UNITS.items(), key=repr):
         table = _table(word, lift)
         n0 = max(r for r, _, _ in table.types) if table.types else 1
         assert n0 <= 4, (word, lift)
-        for unit in sorted(units):
-            ratios = {n: residue_module._ratio(table, unit, n) for n in range(n0, MAX_DIMENSION + 1)}
-            assert len(set(ratios.values())) == 1, (word, lift, unit)
-            for n in range(4, MAX_DIMENSION + 1):
-                kappa = ratios[n]
-                reference = _reference_ratio(_direct(word, lift, n), unit)
-                assert reference == (None if kappa is None else Fraction(kappa, table.denominator)), (word, lift, n)
-                decided += 1
-    assert decided == 13 * 11
+        ratios = {n: residue_module._ratio(table, unit, n) for n in range(n0, MAX_DIMENSION + 1)}
+        assert len(set(ratios.values())) == 1, (word, lift, unit)
+        for n in range(4, MAX_DIMENSION + 1):
+            kappa = ratios[n]
+            reference = _reference_ratio(_direct(word, lift, n), unit)
+            assert reference == (None if kappa is None else Fraction(kappa, table.denominator)), (word, lift, n)
+            decided += 1
+    assert decided == 12 * 11
 
 
 def _record_tables(monkeypatch) -> tuple:
@@ -1414,8 +1406,10 @@ STOP_CASES = (
 # included.  Re-recorded when a check's trials came to end at the trial that
 # decides it: a failing detail no longer counts the disagreeing comparisons
 # of trials it does not draw, and reads "comparisons disagree; first at
-# trial j".  STOP_CASE_OUTPUT_SHA256 holds every other field unchanged.
-STOP_CASE_REPORTS_SHA256 = "559b5999cb6af3f071dfd759a9e6076a5eeb10e3732e9451343b61250ebe024d"
+# trial j".  Re-recorded when M6.2's sign moved into its tabulated ratio:
+# its passing detail no longer notes an observed sign, and is empty.
+# STOP_CASE_OUTPUT_SHA256 holds every other field unchanged.
+STOP_CASE_REPORTS_SHA256 = "a2a8dc6b1b8660b09365c8796e4909a14f8c25f5b5efe6af2daffda685cf1916"
 # the same reports with detail emptied, recorded from the route that drew
 # every trial of a failing check, before the stop at the deciding trial
 STOP_CASE_OUTPUT_SHA256 = "0a78789769c0ac3bfebe7ebdbfb1aa7d0b6f9bd27591dd943c5463ca6eda0d28"
@@ -1473,7 +1467,7 @@ def _unit_is_zero(unit: str, form, vectors) -> bool:
         return form_contract(form, vectors) == 0
     if unit == "metric":
         return dot(*vectors) == 0
-    return residue_module.boundary_contraction(unit.lstrip("-"), *vectors) == 0
+    return residue_module.boundary_contraction(unit, *vectors) == 0
 
 
 @pytest.mark.parametrize("check, name, size", STOP_CASES,
@@ -1510,13 +1504,7 @@ def test_identity_stop_changes_no_report(monkeypatch, check, name, size):
     stopped = [check(name, size, seed=seed) for seed in (0, 3)]
     _ratio_off(monkeypatch)
     contracted = [check(name, size, seed=seed) for seed in (0, 3)]
-    if name == "M6.2":
-        # the sign comes from the ratio: without one, the tabulated sign fails
-        # at the trial the passing report shows
-        for off, on in zip(contracted, stopped):
-            assert (on.status, off.status, off.computed) == ("pass", "fail", on.computed)
-            assert off.expected != on.expected
-    elif check is verify_boundary:
+    if check is verify_boundary:
         # the proportionality sentence is the ratio's; status and values are the trials'
         for off, on in zip(contracted, stopped):
             assert off._replace(detail="") == on._replace(detail="")

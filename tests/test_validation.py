@@ -72,8 +72,15 @@ PAST_MAX_M = MAX_DIMENSION // 2 + 1
 # the rule's message, never a TypeError or AttributeError from later arithmetic
 REFUSED_ARGUMENTS = {
     "lemma_check float n": (lambda: lemma_check("L2.4", 4.0, trials=1), "dimension n must be an int, got 4.0"),
+    # the parity and lower bound are compared only after the rule
+    "lemma_check str n": (lambda: lemma_check("L2.4", "4", trials=1), "dimension n must be an int, got '4'"),
     "check_flat_commutators float n": (lambda: check_flat_commutators(2.0), "dimension n must be an int, got 2.0"),
+    # bool is an int subclass, and no count or order is a truth value
+    "lemma_check n = True": (lambda: lemma_check("L2.4", True, trials=1), "dimension n must be an int, got True"),
+    "check_flat_commutators n = True": (lambda: check_flat_commutators(True), "dimension n must be an int, got True"),
     **{f"{name} float m": (lambda call=call: call(2.0), "m must be an int, got 2.0")
+       for name, call in M_ENTRY_POINTS.items()},
+    **{f"{name} m = True": (lambda call=call: call(True), "m must be an int, got True")
        for name, call in M_ENTRY_POINTS.items()},
     **{f"{name} m = {PAST_MAX_M}": (
         lambda call=call: call(PAST_MAX_M),
@@ -84,6 +91,10 @@ REFUSED_ARGUMENTS = {
     "lemma_check trials = 2.5": (lambda: lemma_check("L2.4", 4, trials=2.5), "trials must be an int, got 2.5"),
     "verify_theorem trials = 2.5": (lambda: verify_theorem("T1", 2, trials=2.5), "trials must be an int, got 2.5"),
     "verify_boundary trials = 2.5": (lambda: verify_boundary("psi1", 2, trials=2.5), "trials must be an int, got 2.5"),
+    "lemma_check trials = True": (lambda: lemma_check("L2.4", 4, trials=True), "trials must be an int, got True"),
+    "verify_theorem trials = True": (lambda: verify_theorem("T1", 2, trials=True), "trials must be an int, got True"),
+    "verify_boundary trials = True": (lambda: verify_boundary("psi1", 2, trials=True),
+                                      "trials must be an int, got True"),
 }
 
 
