@@ -1059,6 +1059,18 @@ class TestReportShape:
         assert report.to_dict()["id"] == "L2.4"
         assert report.to_dict()["trials"] == 2
 
+    def test_magnitude_policy_reports_observed_sign(self):
+        # M6.2's sign is the table's -1, not one observed at run time: the
+        # report's expected side carries it, and no note stands beside it
+        spec, n = LEMMA_CHECKS["M6.2"], 4
+        report = lemma_check("M6.2", n, trials=3, seed=0)
+        assert spec.ratio == -1
+        assert report.status == "pass"
+        assert report.detail == ""
+        draws = (_lemma_inputs(spec, "M6.2", n, 0, trial)[0] for trial in range(3))
+        shown = next(vectors for vectors in draws if dot(*vectors))
+        assert report.expected == SymbolicScalar.number(-dot(*shown) * (1 << n)).render()
+
 
 # ---------------------------------------------------------------------------
 # Verdict strictness of the integer comparison: a check whose table is moved
@@ -1134,10 +1146,11 @@ def test_theorem_coefficient_off_the_sphere_unit_is_rejected(monkeypatch, module
         check()
 
 
-@pytest.mark.parametrize("ratio", [-1, 1], ids=["tabulated", "paper"])
-def test_metric_identity_sign_is_the_tabulated_one(monkeypatch, ratio):
+@pytest.mark.parametrize("ratio", [2, -1, 1], ids=["two", "minus-one", "paper"])
+def test_magnitude_sign_comes_from_the_kernel_ratio(monkeypatch, ratio):
     # M6.2's kernel is -1 times the metric unit's: the tabulated -1 passes
-    # with nothing to note, and the paper's +1 fails with the word route's values
+    # with nothing to note, and any other ratio, the paper's +1 among them,
+    # fails with the word route's values
     spec = LEMMA_CHECKS["M6.2"]._replace(ratio=Fraction(ratio))
     monkeypatch.setitem(LEMMA_CHECKS, "M6.2", spec)
     n = 4
