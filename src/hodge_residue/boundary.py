@@ -38,7 +38,9 @@ from that shape's one :class:`~hodge_residue.residue.KernelTable` as
 :func:`~hodge_residue.residue._trial_loop`, which compares the density
 exactly with the tabulated closed form and decides the kernel's ratio
 ``kappa`` to the stated contraction; the detail reports proportionality and
-the engine's absolute constant ``K * kappa`` from it.
+the engine's absolute constant ``K * kappa`` from it.  The closed form
+(:func:`closed_form_boundary_coefficient`) is the same lemma row's ratio
+times one formula in ``m``, so the row states each flavor's sign once.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .residue import LEMMA_CHECKS, CheckReport, _check_trials, _symbol_order, _trace, _trial_loop
+from .residue import LEMMA_CHECKS, CheckReport, LemmaSpec, _check_trials, _symbol_order, _trace, _trial_loop
 from .scalars import (
     GaussianRational,
     I,
@@ -60,10 +62,17 @@ from .scalars import (
 )
 from .symbols import sphere_moment
 
-_FLAVOR_WORDS: Dict[str, Tuple[str, ...]] = {
-    "psi1": LEMMA_CHECKS["B5.8"].word_flavors,
-    "psi2": LEMMA_CHECKS["B5.10"].word_flavors,
-}
+# each flavor's trace identity: its word is the density's, its ratio the
+# closed form's sign against the flavor's contraction
+_FLAVOR_ROWS: Dict[str, str] = {"psi1": "B5.8", "psi2": "B5.10"}
+
+
+def _flavor_row(flavor: str) -> LemmaSpec:
+    """The flavor's :data:`~hodge_residue.residue.LEMMA_CHECKS` row; an
+    unknown flavor raises ``ValueError``."""
+    if flavor not in _FLAVOR_ROWS:
+        raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
+    return LEMMA_CHECKS[_FLAVOR_ROWS[flavor]]
 
 
 # ---------------------------------------------------------------------------
@@ -290,28 +299,24 @@ def boundary_density(flavor: str, u: Sequence, v: Sequence, w: Sequence, m: int)
     B5.10 identity's degree-0 trace kernel read as ``kappa`` times the contraction.
     A bad flavor, ``m`` or vector length raises ``ValueError``.
     """
-    if flavor not in _FLAVOR_WORDS:
-        raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
+    word = _flavor_row(flavor).word_flavors
     n = _symbol_order(m)
     for vec in (u, v, w):
         if len(vec) != n:
             raise ValueError(f"vectors must have length n = 2m = {n}")
-    trace = _trace((_FLAVOR_WORDS[flavor], "normal_c", n), flavor, None, (u, v, w))
+    trace = _trace((word, "normal_c", n), flavor, None, (u, v, w))
     return _residue_weight(m) * trace
 
 
 def closed_form_boundary_coefficient(flavor: str, m: int) -> SymbolicScalar:
-    """Tabulated boundary coefficient (a rational multiple of ``i pi``).
-
-    psi1: ``(2m-2)! (1-m) 2^{-2m+1} i pi / (m! (m-1)!)``;
-    psi2: the same with ``(m-1)`` in place of ``(1-m)``.
+    """Tabulated boundary coefficient (a rational multiple of ``i pi``): the
+    ratio of the flavor's lemma row, B5.8 (psi1) or B5.10 (psi2), times
+    ``(2m-2)! (1-m) 2^{1-2m} i pi / (m! (m-1)!)``.
     """
-    if flavor not in _FLAVOR_WORDS:
-        raise ValueError(f"flavor must be psi1 or psi2, got {flavor!r}")
+    ratio = _flavor_row(flavor).ratio
     _symbol_order(m)
-    sign_factor = (1 - m) if flavor == "psi1" else (m - 1)
-    value = Fraction(
-        math.factorial(2 * m - 2) * sign_factor,
+    value = ratio * Fraction(
+        math.factorial(2 * m - 2) * (1 - m),
         2 ** (2 * m - 1) * math.factorial(m) * math.factorial(m - 1),
     )
     return SymbolicScalar.unit(GaussianRational(0, value), pi=1)
@@ -335,7 +340,8 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     # the density weight * 2^n c / D against the closed form's per_unit_expected * 2^n t
     report, kappa = _trial_loop(
         "Psi1" if flavor == "psi1" else "Psi2", trials, f"{seed}:boundary:{flavor}:{m}",
-        (_FLAVOR_WORDS[flavor], "normal_c", n), flavor, [("plain", weight * (1 << n), per_unit_expected * (1 << n))],
+        (_flavor_row(flavor).word_flavors, "normal_c", n), flavor,
+        [("plain", weight * (1 << n), per_unit_expected * (1 << n))],
     )
     constant = "nonconstant" if kappa is None else (weight * kappa).render()
     proportionality = (

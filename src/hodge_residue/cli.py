@@ -46,10 +46,12 @@ M_SUITES = ("theorems", "boundary", "all")
 DEFAULT_LEMMA_DIMENSIONS = (4, 6)
 DEFAULT_SYMBOL_ORDERS = (2, 3)
 DEFAULT_COMMUTATOR_DIMENSIONS = (2, 4)
-# a check draws trials only until one decides it, so --suite lemmas --n 14
-# takes about 0.16 s at this many trials on 2 CPUs (cold process); a passing
-# check whose kernel has no ratio to its unit (four_mixed) still draws every
-# one, about 1.5 s at n = 14
+# a check's status is decided before its trials, which only pick the values
+# shown: they stop at the first trial with a nonzero unit, or for a failure
+# the first on which its sides disagree, so --suite lemmas --n 14 takes about
+# 0.13 s at this many trials on 2 CPUs (cold process).  The cap bounds a run
+# whose draws show no such trial, which draws every one, and a four_mixed
+# kernel is contracted on each (about 0.8 ms per trial at n = 14)
 MAX_TRIALS = 1000
 
 
@@ -145,8 +147,8 @@ def cmd_verify(suite: str, n_value: Optional[int], m_value: Optional[int], trial
     except ValueError as exc:  # the library's message, named as the option
         _usage(f"--{exc}")
     if trials > MAX_TRIALS:
-        _usage(f"--trials must be <= {MAX_TRIALS}: a check draws trials until one decides it, and a "
-               f"passing check whose kernel has no ratio to its unit draws every one; got {trials}")
+        _usage(f"--trials must be <= {MAX_TRIALS}: a check draws trials until one shows the values it "
+               f"reports, and one whose draws never do draws every one; got {trials}")
     if n_value is not None and suite not in N_SUITES:
         _usage(f"--n does not apply to --suite {suite}: its checks run at n = 2m; use --m")
     if m_value is not None and suite not in M_SUITES:

@@ -31,19 +31,22 @@ check or a density (:func:`_trace`), is the table expanded at ``n``:
 :meth:`KernelTable.expand` returns the integer contraction of its rows.  No
 form, operator or Clifford word is built on this path.
 
-Each functional carries a closed-form coefficient table entry;
-:func:`verify_theorem` compares the engine's exact density against
-``coefficient * T(args)`` on random trials, and :func:`lemma_check` verifies
-the individual trace identities feeding those densities.  Their trials, and
-those of :func:`~hodge_residue.boundary.verify_boundary`, run in
+:func:`lemma_check` verifies the trace identities of :data:`LEMMA_CHECKS`,
+and each row's ``ratio`` is the one place its expected value is stated.  A
+functional's closed-form coefficient is assembled from those rows
+(:func:`closed_form_coefficient`): each term of its lift is a multiple
+``alpha`` of a one-term lift, and the rows with the functional's word and
+that lift add ``alpha * ratio`` once for ``plain`` and ``m`` times for
+``before`` and ``after``.  :func:`verify_theorem` compares the engine's exact
+density against ``coefficient * T(args)`` on random trials.  Their trials,
+and those of :func:`~hodge_residue.boundary.verify_boundary`, run in
 :func:`_trial_loop`.  Each kernel's tensor is one exact ratio :func:`_ratio`
 times its unit's, decided on the order types of the two tables
-(:func:`_unit_table`), or no multiple of it; with that ratio no kernel is
-expanded or contracted, and a check's trials end at the first one that
-decides it.  Every check is exact:
-when the engine's exact value disagrees with a tabulated closed form, the
-report carries both values verbatim; nothing is softened to a tolerance or
-auto-corrected.
+(:func:`_unit_table`), or no multiple of it; that decides every status before
+any trial is drawn, and the trials only pick the values a report shows.
+Every check is exact: when the engine's exact value disagrees with a
+tabulated closed form, the report carries both values verbatim; nothing is
+softened to a tolerance or auto-corrected.
 """
 
 from __future__ import annotations
@@ -58,20 +61,21 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import forms
-from .exterior import FLAVORS, LinearOp, _check_n, _generator_key, _product_signs
+from .exterior import FLAVORS, MAX_DIMENSION, LinearOp, _check_n, _generator_key, _product_signs
 from .forms import LIFT_TERMS, AntiSymForm, _minor_contract, _orderings, _random_doubled, _reader, _term_blades
 from .scalars import GaussianRational, I, ONE, SymbolicScalar, sphere_volume
 from .symbols import _grade_weight
 
 
 def _symbol_order(m: int) -> int:
-    """``n = 2m``, by the one rule for every symbol order ``m``: an ``int``,
-    ``m >= 2`` and ``n`` within :func:`~hodge_residue.exterior._check_n`."""
+    """``n = 2m``, by the one rule for every symbol order ``m``: an ``int``
+    with ``2 <= m <= MAX_DIMENSION // 2``, so that ``n`` is a dimension."""
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValueError(f"m must be an int, got {m!r}")
     if m < 2:
         raise ValueError("m must be >= 2")
-    _check_n(2 * m)
+    if m > MAX_DIMENSION // 2:
+        raise ValueError(f"m must be <= {MAX_DIMENSION // 2} (n = 2m <= {MAX_DIMENSION}), got {m}")
     return 2 * m
 
 
@@ -428,20 +432,22 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
     bool(degree)`` doubled rows, so the factor ``2^r`` cancels, and only the
     two values the report shows are divided by it.
 
-    ``t`` is ``kappa * base`` when the kernel is :func:`_ratio` ``kappa``
-    times the unit, decided on the table (0, undecided, when every weight is
-    0); only a kernel with no ``kappa`` is expanded at ``n``, once, and
-    contracted, once per trial.  ``kappa`` decides only where the trials
-    stop, never a status or a value: every sign is the expected side's.
+    The status is decided on the table, before any trial.  With ``kappa``
+    (:func:`_ratio`, or 0 when every weight is 0), ``t = kappa * base`` on
+    every input, and a comparison holds exactly when ``p kappa re_left ==
+    re_right`` and ``p kappa im_left == im_right``.  Without it the kernel is
+    no multiple of the unit, and a comparison holds exactly when both its
+    sides are 0 (``p`` or ``value`` is 0, and ``expected`` is).
 
-    The report shows the first failure, else the first pass with a nonzero
-    expected side (``"0"`` for both when there is none); only these values
-    are built as ``SymbolicScalar``.  A failure fixes the report, and with
-    ``kappa`` so does every trial whose ``base`` is not 0: a comparison then
-    reads ``base * (p kappa left - right) = 0``, true on that trial exactly
-    when true on every input.  The loop stops after such a trial (``trials``
-    is the budget).  Returns the report and ``kappa / D``, the plain trace
-    over ``2^n`` per unit (``None`` without ``kappa``).
+    The trials only choose the values the report shows, the only ones built
+    as ``SymbolicScalar``, and stop there (``trials`` is the budget): a
+    failure's first disagreeing comparison, or a pass's first with a nonzero
+    expected side on the first trial whose ``base`` is not 0.  Only a kernel
+    with no ``kappa`` is expanded at ``n``, once, and contracted, once per
+    trial.  With no such trial both values show ``"0"``, and a failure's
+    detail says that no trial separated the sides.  Returns the report and
+    ``kappa / D``, the plain trace over ``2^n`` per unit (``None`` without
+    ``kappa``).
     """
     _check_trials(trials)
     word, lift, n = shape
@@ -450,15 +456,19 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
     # every weight 0 makes the engine side 0, whatever the kernel
     kappa = _ratio(table, unit, n) if any(weights) else 0
     contract = table.expand(n) if kappa is None else None
-    checks = []
+    checks, failed = [], False
     for weight, (placement, value, expected) in zip(weights, comparisons):
         p, denominator = weight.numerator, table.denominator * weight.denominator
-        sides = _sides(value, expected, denominator)
+        re_left, re_right, im_left, im_right = sides = _sides(value, expected, denominator)
+        if kappa is None:  # K is no multiple of U, so only 0 = 0 holds
+            holds = not (p and (re_left or im_left) or re_right or im_right)
+        else:
+            holds = p * kappa * re_left == re_right and p * kappa * im_left == im_right
+        failed = failed or not holds
         checks.append((placement, p, denominator, value, expected, sides))
     r = table.letters + bool(table.degree)
     size = comb(n, table.degree) if table.degree else 0
     rng = random.Random(rng_label)
-    failed = False
     shown: Optional[Tuple[SymbolicScalar, SymbolicScalar, str]] = None
     for trial in range(trials):
         form = _random_doubled(size, rng) if form_first else None
@@ -466,20 +476,22 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
         if not form_first:
             form = _random_doubled(size, rng)
         base = _unit(unit, form, vectors)
+        if not (failed or base):
+            continue
         t = contract([form or (1,), *vectors]) if kappa is None else kappa * base
         for placement, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
             c = p * t
-            if c * re_left != base * re_right or c * im_left != base * im_right:
-                if not failed:
-                    where = f"trial {trial}" + (f", {placement} placement" if len(checks) > 1 else "")
-                    shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r),
-                             f"comparisons disagree; first at {where}")
-                failed = True
-            elif shown is None and base and expected:
-                shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r), "")
-        if failed or kappa is not None and base:
+            disagrees = c * re_left != base * re_right or c * im_left != base * im_right
+            # a failure shows its first disagreeing comparison, a pass its first nonzero one
+            if disagrees if failed else expected:
+                where = f"trial {trial}" + (f", {placement} placement" if len(checks) > 1 else "")
+                shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r),
+                         f"comparisons disagree; first at {where}" if failed else "")
+                break
+        if shown or not failed:
             break
-    engine_side, expected_side, detail = shown or (SymbolicScalar(), SymbolicScalar(), "")
+    engine_side, expected_side, detail = shown or (
+        SymbolicScalar(), SymbolicScalar(), "comparisons disagree; no trial separated the sides" if failed else "")
     report = CheckReport(check_id, n, trials, "fail" if failed else "pass", engine_side.render(),
                          expected_side.render(), detail)
     return report, None if kappa is None else Fraction(kappa, table.denominator)
@@ -525,29 +537,44 @@ def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) 
     return sphere_volume(T.n - 1) * (fspec.prefactor * value)
 
 
+def _assembly(fspec: FunctionalSpec) -> List[Tuple[Fraction, LemmaSpec]]:
+    """``[(alpha, row)]``, the :data:`LEMMA_CHECKS` rows a functional's
+    coefficient is assembled from: each term ``(c, flavors, ordered)`` of its
+    lift, over the denominator ``D``, is ``alpha = (c / D) / (c1 / D1)`` times
+    the one-term lift ``(c1, flavors, ordered)`` over ``D1``, whose rows are
+    those with the functional's word (``torsion_assembly`` is ``3/2``
+    ``three_c`` and ``-1/4`` ``three_mixed``; each other lift is one term)."""
+    denominator, terms = LIFT_TERMS[fspec.lift_kind]
+    one_term = {(flavors, ordered): (lift, c1, d1)
+                for lift, (d1, ((c1, flavors, ordered), *others)) in LIFT_TERMS.items() if not others}
+    rows = []
+    for coefficient, flavors, ordered in terms:
+        lift, c1, d1 = one_term[flavors, ordered]
+        alpha = Fraction(coefficient * d1, denominator * c1)
+        rows += [(alpha, row) for row in LEMMA_CHECKS.values()
+                 if row.word_flavors == fspec.arg_flavors and row.lift == lift]
+    return rows
+
+
 def closed_form_coefficient(functional_id: str, m: int) -> SymbolicScalar:
     """Tabulated closed-form coefficient of the functional at symbol order m.
 
     The density is claimed to equal ``coefficient * T(args)`` with the
-    coefficient a multiple of ``V(S^{2m-1})``:
-
-    * T1: ``(2m-1) 2^{2m} i``
-    * T2: ``(3-18m) 2^{2m-1}``
-    * T3: ``(1-2m) 2^{2m-1}``
-    * T4: ``((-2m-1)/3) 2^{2m-1} i``
-    * T5: ``(-2m+1) 2^{2m} i``
+    coefficient a multiple of ``V(S^{2m-1})``: ``prefactor * 2^{2m}`` times
+    ``alpha * ratio`` summed over the rows of :func:`_assembly`, once for a
+    ``plain`` placement and ``m`` times for a ``before`` or ``after`` one,
+    as the interior weight is ``1 + m (before + after)``.
     """
-    _symbol_order(m)
-    table: Dict[str, GaussianRational] = {
-        "T1": GaussianRational(0, (2 * m - 1) * 2 ** (2 * m)),
-        "T2": GaussianRational((3 - 18 * m) * 2 ** (2 * m - 1)),
-        "T3": GaussianRational((1 - 2 * m) * 2 ** (2 * m - 1)),
-        "T4": GaussianRational(0, Fraction(-2 * m - 1, 3) * 2 ** (2 * m - 1)),
-        "T5": GaussianRational(0, (-2 * m + 1) * 2 ** (2 * m)),
-    }
-    if functional_id not in table:
-        raise ValueError(f"unknown functional id {functional_id!r}")
-    return SymbolicScalar.unit(table[functional_id], spheres=(2 * m - 1,))
+    n = _symbol_order(m)
+    fspec = _resolve_functional(functional_id)
+    # one integer sum over a common denominator: a sum of Fractions costs about
+    # five times as much, on every theorem check
+    num, den = 0, 1
+    for alpha, row in _assembly(fspec):
+        weight = sum(1 if placement == "plain" else m for placement in row.placements)
+        q = alpha.denominator * row.ratio.denominator
+        num, den = num * q + alpha.numerator * row.ratio.numerator * weight * den, den * q
+    return SymbolicScalar.unit(fspec.prefactor * Fraction(num << n, den), spheres=(n - 1,))
 
 
 def density_decomposition(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) -> Dict[str, SymbolicScalar]:
@@ -603,7 +630,8 @@ class LemmaSpec(NamedTuple):
     right; sandwiched variants are integrated over the unit cosphere, so
     their closed forms carry ``V(S^{n-1})``.  ``ratio`` is the closed form's
     signed multiple of ``unit * Tr(Id)``, the same for every placement: each
-    sign is stated here, none is decided by a run.
+    sign is stated here, none is decided by a run, and the theorem and
+    boundary coefficients are assembled from these ratios.
     """
 
     lemma_id: str

@@ -49,6 +49,7 @@ from hodge_residue.oracle import (
 from hodge_residue.residue import (
     FUNCTIONALS,
     LEMMA_CHECKS,
+    _assembly,
     density_decomposition,
     lemma_check,
     spectral_density,
@@ -153,8 +154,13 @@ def test_criterion_3_theorem_coefficients():
             report = verify_theorem(functional_id, m, trials=20, seed=SEED)
             total += 1
             if report.status != "pass":
+                # the coefficient is assembled from lemma rows; name those failing at n = 2m
+                rows = sorted({row.lemma_id for _, row in _assembly(FUNCTIONALS[functional_id])})
+                inherited = [lemma_id for lemma_id in rows
+                             if lemma_check(lemma_id, 2 * m, trials=20, seed=SEED).status != "pass"]
                 mismatches.append(
                     f"{functional_id}@m={m}: engine={report.computed} tabulated={report.expected}"
+                    f" inherits {', '.join(inherited) or 'no failing row'}"
                 )
     elapsed = time.perf_counter() - started
     ok = not mismatches and elapsed < 30.0

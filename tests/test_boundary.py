@@ -6,6 +6,7 @@ Expected values were frozen from hand partial-fraction computations and
 cross-checked against adaptive quadrature (see test_oracle.py).
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from hodge_residue.boundary import (
     resolvent_symbol_channels,
     verify_boundary,
 )
-from hodge_residue.exterior import LinearOp, clifford_generator, clifford_word, trace_product
+from hodge_residue.exterior import MAX_DIMENSION, LinearOp, clifford_generator, clifford_word, trace_product
 from hodge_residue.forms import random_vector
 from hodge_residue.residue import LEMMA_CHECKS, _table, _trace, boundary_contraction
 from hodge_residue.scalars import ZERO, GaussianRational, I, SymbolicScalar, sphere_volume
@@ -356,6 +357,18 @@ class TestClosedFormCoefficient:
         assert closed_form_boundary_coefficient("psi2", m) == SymbolicScalar.unit(
             GaussianRational(0, Fraction(1, 8)), pi=1
         )
+
+    @pytest.mark.parametrize("flavor", ["psi1", "psi2"])
+    @pytest.mark.parametrize("m", range(2, MAX_DIMENSION // 2 + 1))
+    def test_is_the_paper_formula(self, m, flavor):
+        # the paper's two formulas, the reference for the lemma row's ratio
+        # times one formula: psi2 has (m-1) where psi1 has (1-m)
+        sign_factor = (1 - m) if flavor == "psi1" else (m - 1)
+        value = Fraction(
+            math.factorial(2 * m - 2) * sign_factor,
+            2 ** (2 * m - 1) * math.factorial(m) * math.factorial(m - 1),
+        )
+        assert closed_form_boundary_coefficient(flavor, m) == SymbolicScalar.unit(GaussianRational(0, value), pi=1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -342,16 +342,19 @@ class TestConfigurationErrors:
 
     @pytest.mark.parametrize("trials", ["1001", "100000000000000000000"])
     def test_trials_past_the_bound_exit_2_naming_it(self, runner, monkeypatch, trials):
-        # refused before any check runs: a check draws trials until one decides
-        # it, but a passing check whose kernel has no ratio draws every one
+        # refused before any check runs: a check's status needs no trial, but
+        # its trials run until one shows the values it reports
         monkeypatch.setattr(cli_module, "_run_checks", _no_checks_may_run)
         result = runner.invoke(main, ["verify", "--suite", "lemmas", "--trials", trials])
         assert result.exit_code == 2
-        assert "--trials must be <= 1000" in result.output and f"got {trials}" in result.output
+        assert result.stderr == (
+            "Error: --trials must be <= 1000: a check draws trials until one shows the values it reports, "
+            f"and one whose draws never do draws every one; got {trials}\n"
+        )
 
     def test_trials_at_the_bound_run(self, runner):
-        # each check draws trials only until one decides it, so the real run
-        # is short; its bytes were recorded from the route that drew every
+        # each check draws trials only until one shows its values, so the real
+        # run is short; its bytes were recorded from the route that drew every
         # trial of a failing check
         result = runner.invoke(main, ["verify", "--suite", "lemmas", "--n", "14", "--trials", "1000"])
         assert result.exit_code == 1, result.output
@@ -577,7 +580,7 @@ class TestMalformedInput:
 # the message of residue._symbol_order for each out-of-range --m
 LIBRARY_M_MESSAGES = {
     "1": "m must be >= 2",
-    "8": f"dimension n must satisfy 1 <= n <= {MAX_DIMENSION}, got 16",
+    "8": f"m must be <= {MAX_DIMENSION // 2} (n = 2m <= {MAX_DIMENSION}), got 8",
 }
 
 

@@ -303,8 +303,10 @@ def _package_bound_comparisons(name: str) -> list:
 
 
 def test_symbol_order_is_bounded_by_one_rule():
-    # n = 2m's upper bound is _check_n's, which _symbol_order calls
-    assert _package_bound_comparisons("m") == [("residue.py", "_symbol_order", ("2",))]
+    # m's upper bound is the one that keeps n = 2m within MAX_DIMENSION
+    assert _package_bound_comparisons("m") == [
+        ("residue.py", "_symbol_order", ("2",)), ("residue.py", "_symbol_order", ("MAX_DIMENSION // 2",)),
+    ]
 
 
 def test_trial_count_is_bounded_by_one_rule():

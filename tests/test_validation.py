@@ -84,7 +84,7 @@ REFUSED_ARGUMENTS = {
        for name, call in M_ENTRY_POINTS.items()},
     **{f"{name} m = {PAST_MAX_M}": (
         lambda call=call: call(PAST_MAX_M),
-        f"dimension n must satisfy 1 <= n <= {MAX_DIMENSION}, got {2 * PAST_MAX_M}",
+        f"m must be <= {MAX_DIMENSION // 2} (n = 2m <= {MAX_DIMENSION}), got {PAST_MAX_M}",
     ) for name, call in M_ENTRY_POINTS.items()},
     # the residue weight's normal derivative 2(1 - m) vanishes at m = 1
     "boundary_density m = 1": (lambda: boundary_density("psi1", (1, 1), (1, 1), (1, 1), 1), "m must be >= 2"),

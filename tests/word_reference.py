@@ -31,7 +31,7 @@ import itertools
 from math import lcm
 
 from hodge_residue import forms
-from hodge_residue.boundary import _FLAVOR_WORDS, _residue_weight
+from hodge_residue.boundary import _flavor_row, _residue_weight
 from hodge_residue.exterior import (
     LinearOp,
     _accumulate,
@@ -169,7 +169,7 @@ def boundary_density(flavor: str, u, v, w, m: int) -> SymbolicScalar:
     """``tr(W c_n) * K`` with ``K`` the residue weight of order ``m``, the
     one channel whose sphere moment is not zero being the normal one."""
     n = 2 * m
-    word = clifford_word(n, list(zip(_FLAVOR_WORDS[flavor], (u, v, w))))
+    word = clifford_word(n, list(zip(_flavor_row(flavor).word_flavors, (u, v, w))))
     return _residue_weight(m) * trace_product(word, clifford_generator("c", n, n))
 
 
