@@ -1544,11 +1544,8 @@ def test_trials_drawn_are_the_deciding_ones(monkeypatch, check, name, size):
 
 
 # every check id, with the aliases, at the default sizes n = 4, 6 and m = 2, 3
-DEFAULT_SIZE_CASES = (
-    [(lemma_check, lemma_id, n) for lemma_id in sorted(LEMMA_CHECKS) + sorted(_LEMMA_ALIASES) for n in (4, 6)]
-    + [(verify_theorem, functional_id, m) for functional_id in sorted(FUNCTIONALS) for m in (2, 3)]
-    + [(verify_boundary, flavor, m) for flavor in ("psi1", "psi2") for m in (2, 3)]
-)
+DEFAULT_SIZE_CASES = [(check, name, size) for check, name, size in STOP_CASES
+                      if size in ((4, 6) if check is lemma_check else (2, 3))]
 
 
 def test_status_does_not_depend_on_the_draw():
