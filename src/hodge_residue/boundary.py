@@ -50,7 +50,8 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .residue import LEMMA_CHECKS, CheckReport, LemmaSpec, _check_trials, _symbol_order, _trace, _trial_loop
+from .residue import (LEMMA_CHECKS, CheckReport, LemmaSpec, _check_trials, _comparison, _symbol_order, _trace,
+                      _trial_loop)
 from .scalars import (
     GaussianRational,
     I,
@@ -304,7 +305,7 @@ def boundary_density(flavor: str, u: Sequence, v: Sequence, w: Sequence, m: int)
     for vec in (u, v, w):
         if len(vec) != n:
             raise ValueError(f"vectors must have length n = 2m = {n}")
-    trace = _trace((word, "normal_c", n), flavor, None, (u, v, w))
+    trace = _trace((word, "normal_c", n), None, (u, v, w))
     return _residue_weight(m) * trace
 
 
@@ -340,8 +341,8 @@ def verify_boundary(flavor: str, m: int, trials: int = 20, seed: int = 0) -> Che
     # the density weight * 2^n c / D against the closed form's per_unit_expected * 2^n t
     report, kappa = _trial_loop(
         "Psi1" if flavor == "psi1" else "Psi2", trials, f"{seed}:boundary:{flavor}:{m}",
-        (_flavor_row(flavor).word_flavors, "normal_c", n), flavor,
-        [("plain", weight * (1 << n), per_unit_expected * (1 << n))],
+        (_flavor_row(flavor).word_flavors, "normal_c", n),
+        [_comparison("plain", weight.key, weight.coeff * (1 << n), per_unit_expected * (1 << n))],
     )
     constant = "nonconstant" if kappa is None else (weight * kappa).render()
     proportionality = (

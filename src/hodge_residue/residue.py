@@ -14,39 +14,31 @@ identities are the same trace with the ``"before"`` or ``"after"`` weights,
 and the plain ones with the lift itself.
 
 Every such trace ``tr(W(u_1 ... u_k) . P(lift(T)))`` is multilinear in the
-form and in each vector: at each ``n`` a sparse integer tensor ``{(I, j_1,
-..., j_k): c}`` of the plain trace.  An entry's coefficient depends only on
-the order type of its index tuple, so each shape (word, lift) is held once
-per process as the n-free :class:`KernelTable` ``{(r, I ranks, j ranks):
-c}`` (:func:`_table`).  It is compiled from basis inputs at ``n0``, the most
-distinct indices an entry can use (at most 4 for every check shape): the
-lift's integer blades on each basis form ``e_I``, read from its term table
-(:data:`~hodge_residue.forms.LIFT_TERMS`), and the letter paths that fold
-each blade to the empty blade.  The ``"normal_c"`` lift pins its top rank
-to the index ``n``.  Each entry comes from one blade, and every blade a
-kernel traces has one grade class, so a placement ``P`` scales the whole
-trace by one rational weight, :meth:`KernelTable.weight`, with no second
-compile.  Only where a tensor with no ratio to its unit is contracted, by a
-check or a density (:func:`_trace`), is the table expanded at ``n``:
-:meth:`KernelTable.expand` returns the integer contraction of its rows.  No
-form, operator or Clifford word is built on this path.
+form and in each vector: at each ``n`` a sparse integer tensor of the plain
+trace, whose coefficients depend only on the order type of their index
+tuple.  So each shape (word, lift) is compiled once per process
+(:func:`_table`) into the n-free :class:`KernelTable` ``{(r, I ranks, j
+ranks): c}``, from the lift's integer blades on basis forms at ``n0 <= 4``
+(:data:`~hodge_residue.forms.LIFT_TERMS`) and the letter paths that fold
+each blade to the empty blade.  Each blade a kernel traces has one grade
+class, so a placement ``P`` scales the trace by one weight,
+:meth:`KernelTable.weight`.  The compile also decides, once, the kernel's
+exact ratio ``kappa`` to the shape's unit, its tensor against the unit's
+type by type (:func:`_ratio`, :func:`_unit_table`), or that it is no
+multiple of it (``four_mixed``); only such a kernel is expanded at ``n``
+(:func:`_contraction`).  No form, operator or Clifford word is built here.
 
 :func:`lemma_check` verifies the trace identities of :data:`LEMMA_CHECKS`,
 and each row's ``ratio`` is the one place its expected value is stated.  A
 functional's closed-form coefficient is assembled from those rows
-(:func:`closed_form_coefficient`): each term of its lift is a multiple
-``alpha`` of a one-term lift, and the rows with the functional's word and
-that lift add ``alpha * ratio`` once for ``plain`` and ``m`` times for
-``before`` and ``after``.  :func:`verify_theorem` compares the engine's exact
-density against ``coefficient * T(args)`` on random trials.  Their trials,
-and those of :func:`~hodge_residue.boundary.verify_boundary`, run in
-:func:`_trial_loop`.  Each kernel's tensor is one exact ratio :func:`_ratio`
-times its unit's, decided on the order types of the two tables
-(:func:`_unit_table`), or no multiple of it; that decides every status before
-any trial is drawn, and the trials only pick the values a report shows.
-Every check is exact: when the engine's exact value disagrees with a
-tabulated closed form, the report carries both values verbatim; nothing is
-softened to a tolerance or auto-corrected.
+(:func:`closed_form_coefficient`).  :func:`verify_theorem` compares the
+engine's exact density against ``coefficient * T(args)``.  Their trials, and
+those of :func:`~hodge_residue.boundary.verify_boundary`, run in
+:func:`_trial_loop` on integers: ``kappa`` decides every status before any
+trial, and the trials only pick the values a report shows.  Every check is
+exact: when the engine's exact value disagrees with a tabulated closed form,
+the report carries both values verbatim; nothing is softened to a tolerance
+or auto-corrected.
 """
 
 from __future__ import annotations
@@ -63,7 +55,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 from . import forms
 from .exterior import FLAVORS, MAX_DIMENSION, LinearOp, _check_n, _generator_key, _product_signs
 from .forms import LIFT_TERMS, AntiSymForm, _minor_contract, _orderings, _random_doubled, _reader, _term_blades
-from .scalars import GaussianRational, I, ONE, SymbolicScalar, sphere_volume
+from .scalars import GaussianRational, I, ONE, SymbolicScalar, _reduced, sphere_volume
 from .symbols import _grade_weight
 
 
@@ -187,7 +179,9 @@ class KernelTable(NamedTuple):
     ``I`` and of the letters ``j_1 ... j_k`` as its rank among them.  With
     ``pinned`` (the ``"normal_c"`` lift, the blade ``c_n``) the top rank is
     the index ``n`` itself.  ``letters``, ``degree``, ``denominator`` and
-    ``grade`` are the kernel's at every ``n`` where it has an entry.
+    ``grade`` are the kernel's at every ``n`` where it has an entry, and
+    ``kappa`` its ratio to the :func:`_unit` kind ``unit`` at every ``n >= 4``
+    (``None`` for no multiple of it), both fixed by :func:`_table`.
     """
 
     letters: int
@@ -196,17 +190,15 @@ class KernelTable(NamedTuple):
     grade: Optional[Tuple[int, int]]
     pinned: bool
     types: Mapping[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int]
+    unit: str
+    kappa: Optional[int | Fraction]
 
     def weight(self, placement: str, n: int, m: int = 1) -> Fraction:
-        """The factor by which a placement ``P`` scales the trace at ``n``:
-        ``tr(W . P(lift(T)))`` is the weight times ``tr(W . lift(T))``.
-
-        ``"plain"`` has weight 1; ``"before"``, ``"after"`` and
-        ``"interior"`` (at symbol order ``m``) the weight of :attr:`grade`
-        from :func:`~hodge_residue.symbols._grade_weight`, and 0 where the
-        expansion at ``n`` has no entry, that is where no type has ``r <=
-        n``.  Any other placement raises ``ValueError``.
-        """
+        """The factor by which a placement ``P`` scales the trace at ``n``,
+        ``tr(W . P(lift(T))) / tr(W . lift(T))``: 1 for ``"plain"``; for
+        ``"before"``, ``"after"`` and ``"interior"`` (at symbol order ``m``)
+        :func:`~hodge_residue.symbols._grade_weight` of :attr:`grade`, 0 where
+        no type has ``r <= n``.  Any other placement raises ``ValueError``."""
         if placement == "plain":
             return Fraction(1)
         has_entry = any(r <= n for r, _, _ in self.types)
@@ -214,13 +206,11 @@ class KernelTable(NamedTuple):
 
     def expand(self, n: int) -> Callable[[Sequence[Sequence[int]]], int]:
         """The kernel's integer contraction at ``n``, ``rows -> sum c *
-        rows[0][I] * rows[1][j_1] ... rows[k][j_k]``: ``rows[0]`` holds the
-        form's values in basis order (``[1]`` for degree 0) and the other
-        rows the letters' vectors, and the trace is ``2^n / denominator``
-        times the result.  Each type with ``r <= n`` is placed at every
-        increasing ``r``-subset of ``range(n)`` (of ``range(n - 1)``, then
-        ``n - 1``, when pinned), and each column is read from its row by one
-        C-level call."""
+        rows[0][I] * rows[1][j_1] ... rows[k][j_k]`` (the form's values in
+        basis order, ``[1]`` for degree 0, then the letters' vectors), the
+        trace over ``2^n / denominator``.  Each type with ``r <= n`` is placed
+        at every increasing ``r``-subset of ``range(n)`` (of ``range(n - 1)``,
+        then ``n - 1``, when pinned); one C-level call reads each column."""
         slot_of = {idx: slot for slot, idx in enumerate(itertools.combinations(range(n), self.degree))}
         columns: List[List[int]] = [[] for _ in range(self.letters + 1)]
         coeffs: List[int] = []
@@ -257,8 +247,11 @@ def _table(word_flavors: Tuple[str, ...], lift: Optional[str]) -> KernelTable:
     the word can trace (:func:`~hodge_residue.forms._term_blades`), the
     blade ``c_n`` for ``"normal_c"`` or the empty blade for ``None`` (the
     identity).  :func:`_letter_paths` folds each blade to the empty blade
-    (trace = ``2^n`` times the identity coefficient), and each path is kept
-    by its ranks.  Blades of two grade classes raise ``ValueError``."""
+    (trace = ``2^n`` times the identity coefficient); a path is kept by its
+    ranks (its indices, when ``e_I`` uses all ``n0``).  Blades of two grade
+    classes raise ``ValueError``.  ``kappa`` is decided on every type against
+    the unit the shape's :data:`LEMMA_CHECKS` rows state (else ``"form"``):
+    all have ``r <= 4``, so it holds at every ``n >= 4``, where checks run."""
     degree = _lift_degree(lift) or 0
     b = 1 if lift == "normal_c" else degree
     k = len(word_flavors)
@@ -278,29 +271,44 @@ def _table(word_flavors: Tuple[str, ...], lift: Optional[str]) -> KernelTable:
     for idx, blades in inputs:
         base = tuple(i - 1 for i in idx)
         for key, coeff in blades.items():
-            for js, sign in _letter_paths(n, word_flavors, key, signs):
-                rank = {i: p for p, i in enumerate(sorted({*base, *js}))}
-                types[len(rank), tuple(map(rank.get, base)), tuple(map(rank.get, js))] = coeff if sign > 0 else -coeff
+            paths = _letter_paths(n, word_flavors, key, signs)
+            if paths:
                 grades.add(((key & low).bit_count(), key.bit_count() & 1))
+            for js, sign in paths:
+                c = coeff if sign > 0 else -coeff
+                if len(base) == n:
+                    types[n, base, js] = c
+                    continue
+                rank = {i: p for p, i in enumerate(sorted({*base, *js}))}
+                types[len(rank), tuple(map(rank.get, base)), tuple(map(rank.get, js))] = c
     if len(grades) > 1:
         raise ValueError(f"the traced blades span the grade classes {sorted(grades)}, not one")
-    return KernelTable(k, degree, denominator, grades.pop() if grades else None, lift == "normal_c",
-                       MappingProxyType(types))
+    unit = next((row.unit for row in LEMMA_CHECKS.values() if row.word_flavors == word_flavors and row.lift == lift),
+                "form")
+    table = KernelTable(k, degree, denominator, grades.pop() if grades else None, lift == "normal_c",
+                        MappingProxyType(types), unit, None)
+    return table._replace(kappa=_ratio(table, unit, MAX_DIMENSION))
 
 
-def _trace(shape: Tuple[Tuple[str, ...], Optional[str], int], unit: str, form: Optional[AntiSymForm],
+@lru_cache(maxsize=None)
+def _contraction(word_flavors: Tuple[str, ...], lift: Optional[str], n: int) -> Callable:
+    """The :meth:`KernelTable.expand` at ``n`` of a shape with no ``kappa``, once per shape, ``n`` and process."""
+    return _table(word_flavors, lift).expand(n)
+
+
+def _trace(shape: Tuple[Tuple[str, ...], Optional[str], int], form: Optional[AntiSymForm],
            vectors: Sequence[Sequence]) -> Fraction:
     """The plain trace of a shape ``(word, lift, n)`` on a form (``None`` for
-    degree 0) and vectors: ``2^n kappa / D`` times their :func:`_unit` when the
-    :func:`_table` is :func:`_ratio` ``kappa`` times it, else (``four_mixed``)
-    the kernel's, expanded at ``n``.  Its callers have checked ``n``."""
+    degree 0) and vectors: ``2^n kappa / D`` times their :func:`_unit` of the
+    table's unit kind when the :func:`_table` has ``kappa``, else
+    (``four_mixed``) the kernel's :func:`_contraction`.  Its callers have
+    checked ``n``."""
     word, lift, n = shape
     table = _table(word, lift)
-    kappa = _ratio(table, unit, n)
     rows, scale = _scaled_rows(n, form, vectors)
-    if kappa is None:
-        return Fraction(table.expand(n)(rows) << n, table.denominator * scale)
-    return kappa * Fraction(_unit(unit, rows[0], rows[1:]) << n, table.denominator * scale)
+    if table.kappa is None:
+        return Fraction(_contraction(word, lift, n)(rows) << n, table.denominator * scale)
+    return table.kappa * Fraction(_unit(table.unit, rows[0], rows[1:]) << n, table.denominator * scale)
 
 
 def _unit_table(kind: str, degree: int) -> Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int]:
@@ -322,10 +330,9 @@ def _unit_table(kind: str, degree: int) -> Dict[Tuple[int, Tuple[int, ...], Tupl
 
 def _ratio(table: KernelTable, unit: str, n: int) -> Optional[int | Fraction]:
     """The exact ``kappa`` (an ``int`` when integral) with ``K = kappa U`` at
-    ``n``, else ``None``: ``K`` is the kernel's tensor and ``U`` that of the
-    unit kind ``unit``, compared type by type on :func:`_unit_table` over the
-    types with ``r <= n`` (each expands to keys of its own, at least one), so
-    the kernel contracts any rows to ``kappa`` times their :func:`_unit`."""
+    ``n``, else ``None``: the kernel's tensor against the unit kind's, type by
+    type on :func:`_unit_table` over the types with ``r <= n`` (each expands
+    to keys of its own), so the kernel contracts rows to ``kappa`` :func:`_unit`."""
     expected = {key: u for key, u in _unit_table(unit, table.degree).items() if key[0] <= n}
     engine = dict.fromkeys(expected, 0)
     engine.update((key, c) for key, c in table.types.items() if key[0] <= n)
@@ -393,71 +400,70 @@ class CheckReport(NamedTuple):
         }
 
 
-def _sides(value: SymbolicScalar, expected: SymbolicScalar, denominator: int) -> Tuple[int, int, int, int]:
-    """``(re_left, re_right, im_left, im_right)``: ``value * c / denominator``
-    equals ``expected * unit`` exactly when ``c * re_left == unit * re_right``
-    and ``c * im_left == unit * im_right``.
+def _comparison(placement: str, key: tuple, value: GaussianRational, expected: SymbolicScalar) -> tuple:
+    """The :func:`_trial_loop` comparison of ``value`` times the unit ``key`` with a closed form that must be a
+    multiple of that unit (0 is one of any); ``ValueError`` names the unit if it is not."""
+    if value and expected and expected.key != key:
+        raise ValueError(f"the closed form is not a multiple of {SymbolicScalar(1, key).unit_text()}")
+    return placement, key, value.triple, expected.coeff.triple
 
-    ``expected`` must be a multiple of the unit of ``value``.  Their coefficients
-    ``(pa + pb i) / pd`` and ``(qa + qb i) / qd`` give ``p * c / D = q * unit``, cleared
-    of denominators into ``c * (pa qd) = unit * (qa pd D)`` and ``c * (pb qd) = unit * (qb pd D)``.
-    """
-    if not value.shares_unit(expected):
-        raise ValueError(f"the closed form is not a multiple of {value.unit_text()}")
-    (pa, pb, pd), (qa, qb, qd) = value.coeff.triple, expected.coeff.triple
+
+def _sides(value: Tuple[int, int, int], expected: Tuple[int, int, int], denominator: int) -> Tuple[int, int, int, int]:
+    """``(re_left, re_right, im_left, im_right)``: with ``value = (pa + pb i) / pd`` and ``expected = (qa + qb
+    i) / qd``, ``value * c / D == expected * unit`` exactly when ``c * (pa qd) == unit * (qa pd D)`` and ``c *
+    (pb qd) == unit * (qb pd D)``."""
+    (pa, pb, pd), (qa, qb, qd) = value, expected
     return pa * qd, qa * pd * denominator, pb * qd, qb * pd * denominator
 
 
+def _shown(triple: Tuple[int, int, int], scale: int | Fraction, divisor: int, key: tuple) -> SymbolicScalar:
+    """``triple * scale / divisor`` in the unit ``key``, a value a report shows."""
+    (a, b, d), top = triple, scale.numerator
+    return SymbolicScalar(_reduced(a * top, b * top, d * scale.denominator * divisor), key)
+
+
 def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[str, ...], Optional[str], int],
-                unit: str, comparisons: Sequence[Tuple[str, SymbolicScalar, SymbolicScalar]],
-                form_first: bool = False) -> Tuple[CheckReport, Optional[Fraction]]:
+                comparisons: Sequence[tuple], form_first: bool = False) -> Tuple[CheckReport, Optional[Fraction]]:
     """The trials of every randomized check, decided in integers.
 
     ``trials`` that fail :func:`_check_trials` raise ``ValueError`` before
     the :func:`_table` of ``shape`` ``(word, lift, n)`` is looked up; the
-    callers have checked ``n``.  One ``random.Random(rng_label)`` stream feeds every
-    trial, which draws its inputs doubled, as integers, by
-    :func:`~hodge_residue.forms._random_doubled`: one vector of length ``n``
-    per letter and the form's ``C(n, degree)`` values in basis order (none
-    for degree 0), the form first when ``form_first``, else last.  The
-    kernel rows are the form's values (``(1,)`` for degree 0) and then the
-    vectors, and the expected side's unit ``base`` is :func:`_unit` of the
-    kind ``unit`` on them.  A comparison ``(placement, value, expected)`` is
-    the engine side ``value * weight * t / D``, with ``weight`` the
-    placement's :meth:`KernelTable.weight` at symbol order ``n // 2``, ``t``
-    the kernel contracted with the rows and ``D`` its denominator, against
-    ``expected * base``.  With ``weight = p / q`` that is ``value * c / (D
-    q)`` for the integer ``c = p t``, and :func:`_sides` makes it integer
+    callers have checked ``n``.  One ``random.Random(rng_label)`` stream feeds
+    every trial, which draws by :func:`~hodge_residue.forms._random_doubled`
+    one vector per letter and the form's ``C(n, degree)`` values (none for
+    degree 0), the form first when ``form_first``, else last.  These integer
+    rows are the kernel's, and ``base`` is :func:`_unit` of the table's unit
+    kind on them.  A comparison ``(placement, key, value, expected)`` (see
+    :func:`_comparison`) holds two integer triples ``(a, b, d)``, coefficients
+    ``(a + b i) / d`` of the unit keyed ``key``: the engine side ``value *
+    weight * t / D``, with ``weight = p / q`` the placement's
+    :meth:`KernelTable.weight` at symbol order ``n // 2``, ``t`` the
+    contracted kernel and ``D`` its denominator, is ``value * c / (D q)`` for
+    ``c = p t``, against ``expected * base``; :func:`_sides` makes that integer
     identities.  Both sides are linear in each of the ``r = letters +
-    bool(degree)`` doubled rows, so the factor ``2^r`` cancels, and only the
-    two values the report shows are divided by it.
+    bool(degree)`` doubled rows, so ``2^r`` cancels but in the values shown.
 
-    The status is decided on the table, before any trial.  With ``kappa``
-    (:func:`_ratio`, or 0 when every weight is 0), ``t = kappa * base`` on
-    every input, and a comparison holds exactly when ``p kappa re_left ==
-    re_right`` and ``p kappa im_left == im_right``.  Without it the kernel is
-    no multiple of the unit, and a comparison holds exactly when both its
-    sides are 0 (``p`` or ``value`` is 0, and ``expected`` is).
-
-    The trials only choose the values the report shows, the only ones built
-    as ``SymbolicScalar``, and stop there (``trials`` is the budget): a
-    failure's first disagreeing comparison, or a pass's first with a nonzero
-    expected side on the first trial whose ``base`` is not 0.  Only a kernel
-    with no ``kappa`` is expanded at ``n``, once, and contracted, once per
-    trial.  With no such trial both values show ``"0"``, and a failure's
-    detail says that no trial separated the sides.  Returns the report and
-    ``kappa / D``, the plain trace over ``2^n`` per unit (``None`` without
-    ``kappa``).
+    The status is decided before any trial.  With the table's ``kappa`` (or 0
+    when every weight is 0), ``t = kappa * base``, and a comparison holds
+    exactly when ``p kappa re_left == re_right`` and ``p kappa im_left ==
+    im_right``.  Without it (no multiple of the unit), a comparison holds
+    exactly when both its sides are 0.  The trials only choose the values the
+    report shows, the only ``SymbolicScalar``s built, and stop there
+    (``trials`` is the budget): a failure's first disagreeing comparison, or a
+    pass's first with a nonzero expected side on the first trial whose ``base``
+    is not 0; only a kernel with no ``kappa`` is contracted (:func:`_contraction`).
+    With no such trial both values show ``"0"``, and a failure's detail says
+    no trial separated the sides.  Returns the report and ``kappa / D``.
     """
     _check_trials(trials)
     word, lift, n = shape
     table = _table(word, lift)
-    weights = [table.weight(placement, n, n // 2) for placement, _, _ in comparisons]
+    weights = [table.weight(placement, n, n // 2) for placement, _, _, _ in comparisons]
     # every weight 0 makes the engine side 0, whatever the kernel
-    kappa = _ratio(table, unit, n) if any(weights) else 0
-    contract = table.expand(n) if kappa is None else None
+    kappa = table.kappa if any(weights) else 0
+    contract = _contraction(word, lift, n) if kappa is None else None
     checks, failed = [], False
-    for weight, (placement, value, expected) in zip(weights, comparisons):
+    for weight, (placement, key, value, expected) in zip(weights, comparisons):
         p, denominator = weight.numerator, table.denominator * weight.denominator
         re_left, re_right, im_left, im_right = sides = _sides(value, expected, denominator)
         if kappa is None:  # K is no multiple of U, so only 0 = 0 holds
@@ -465,7 +471,7 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
         else:
             holds = p * kappa * re_left == re_right and p * kappa * im_left == im_right
         failed = failed or not holds
-        checks.append((placement, p, denominator, value, expected, sides))
+        checks.append((placement, p, denominator, key, value, expected, sides))
     r = table.letters + bool(table.degree)
     size = comb(n, table.degree) if table.degree else 0
     rng = random.Random(rng_label)
@@ -475,17 +481,17 @@ def _trial_loop(check_id: str, trials: int, rng_label: str, shape: Tuple[Tuple[s
         vectors = [_random_doubled(n, rng) for _ in range(table.letters)]
         if not form_first:
             form = _random_doubled(size, rng)
-        base = _unit(unit, form, vectors)
+        base = _unit(table.unit, form, vectors)
         if not (failed or base):
             continue
         t = contract([form or (1,), *vectors]) if kappa is None else kappa * base
-        for placement, p, denominator, value, expected, (re_left, re_right, im_left, im_right) in checks:
+        for placement, p, denominator, key, value, expected, (re_left, re_right, im_left, im_right) in checks:
             c = p * t
             disagrees = c * re_left != base * re_right or c * im_left != base * im_right
             # a failure shows its first disagreeing comparison, a pass its first nonzero one
-            if disagrees if failed else expected:
+            if disagrees if failed else re_right or im_right:
                 where = f"trial {trial}" + (f", {placement} placement" if len(checks) > 1 else "")
-                shown = (value * Fraction(c, denominator << r), expected * Fraction(base, 1 << r),
+                shown = (_shown(value, c, denominator << r, key), _shown(expected, base, 1 << r, key),
                          f"comparisons disagree; first at {where}" if failed else "")
                 break
         if shown or not failed:
@@ -533,7 +539,7 @@ def spectral_density(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: int) 
     """
     fspec = _density_spec(spec, T, vectors, m)
     shape = (fspec.arg_flavors, fspec.lift_kind)
-    value = _trace((*shape, T.n), "form", T, vectors) * _table(*shape).weight("interior", T.n, m)
+    value = _trace((*shape, T.n), T, vectors) * _table(*shape).weight("interior", T.n, m)
     return sphere_volume(T.n - 1) * (fspec.prefactor * value)
 
 
@@ -587,7 +593,7 @@ def density_decomposition(spec, T: AntiSymForm, vectors: Sequence[Sequence], m: 
     """
     fspec = _density_spec(spec, T, vectors, m)
     shape = (fspec.arg_flavors, fspec.lift_kind)
-    zero = sphere_volume(T.n - 1) * (fspec.prefactor * _trace((*shape, T.n), "form", T, vectors))
+    zero = sphere_volume(T.n - 1) * (fspec.prefactor * _trace((*shape, T.n), T, vectors))
     sandwich = zero * (_table(*shape).weight("before", T.n) + _table(*shape).weight("after", T.n))
     return {
         "zero_order": zero,
@@ -608,12 +614,11 @@ def verify_theorem(functional_id: str, m: int, trials: int = 20, seed: int = 0) 
     """
     fspec = _resolve_functional(functional_id)
     n = _symbol_order(m)
-    # the interior trace is weight * 2^n c / D
-    value = sphere_volume(n - 1) * (fspec.prefactor * (1 << n))
-    expected = closed_form_coefficient(fspec.functional_id, m)
+    # the interior trace is V(S^{n-1}) weight * 2^n c / D
+    comparison = _comparison("interior", sphere_volume(n - 1).key, fspec.prefactor * (1 << n),
+                             closed_form_coefficient(fspec.functional_id, m))
     return _trial_loop(fspec.functional_id, trials, f"{seed}:theorem:{fspec.functional_id}:{m}",
-                       (fspec.arg_flavors, fspec.lift_kind, n), "form", [("interior", value, expected)],
-                       form_first=True)[0]
+                       (fspec.arg_flavors, fspec.lift_kind, n), [comparison], form_first=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -735,14 +740,13 @@ def lemma_check(lemma_id: str, n: int, trials: int = 20, seed: int = 0) -> Check
     if n % 2 or n < 4:
         raise ValueError("n must be even and >= 4")
 
-    # a placement's trace is weight * 2^n c / D, times V(S^{n-1}) for a
-    # sandwiched (cosphere-integrated) one, and its closed form ratio times that
-    comparisons = []
-    for placement in placements:
-        value = SymbolicScalar.unit(1 << n, spheres=() if placement == "plain" else (n - 1,))
-        comparisons.append((placement, value, value * spec.ratio))
+    # a placement's trace is weight * 2^n c / D, times V(S^{n-1}) (keyed (0, ((n - 1, 1),))) for a sandwiched
+    # (cosphere-integrated) one, and its closed form ratio times that
+    value, expected = (1 << n, 0, 1), (spec.ratio.numerator << n, 0, spec.ratio.denominator)
+    comparisons = [(placement, (0, ()) if placement == "plain" else (0, ((n - 1, 1),)), value, expected)
+                   for placement in placements]
     return _trial_loop(lemma_id, trials, f"{seed}:lemma:{lemma_id}:{n}", (spec.word_flavors, spec.lift, n),
-                       spec.unit, comparisons)[0]
+                       comparisons)[0]
 
 
 def lemma_ids() -> List[str]:

@@ -256,10 +256,6 @@ class SymbolicScalar:
         """Coefficient of the monomial ``pi^pi * prod V(S^d)``."""
         return self.coeff if self.key == (pi, _normalize_spheres(spheres)) else ZERO
 
-    def shares_unit(self, other: "SymbolicScalar") -> bool:
-        """Whether both are multiples of one unit; zero is a multiple of any."""
-        return self.is_zero or other.is_zero or self.key == other.key
-
     # -- arithmetic ----------------------------------------------------------
     @staticmethod
     def _coerce(other) -> "SymbolicScalar":
@@ -273,7 +269,7 @@ class SymbolicScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.shares_unit(other):
+        if self and other and self.key != other.key:
             raise ValueError(f"cannot add a multiple of {other.unit_text()} to a multiple of {self.unit_text()}")
         return SymbolicScalar(self.coeff + other.coeff, self.key if self else other.key)
 

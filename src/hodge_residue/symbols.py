@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import _blade_action, _check_n, _generator_key
@@ -127,8 +128,9 @@ def _flat_derivative(key: int, n: int) -> Tuple[Dict[int, int], Dict[int, int]]:
     return plus, minus
 
 
-def _type_mismatches(r: int, t: int, gaps: Tuple[int, ...]) -> List[int]:
-    """``[c, chat]`` disagreeing types among those with ``r`` indices in ``S =
+@lru_cache(maxsize=None)
+def _type_mismatches(r: int, t: int, gaps: Tuple[int, ...]) -> Tuple[int, int]:
+    """``(c, chat)`` disagreeing types among those with ``r`` indices in ``S =
     supp beta + {k}``, ``k`` at rank ``t`` and ``M``'s parity ``gaps[i]`` below
     ``S``'s ``i``-th index: one per ``beta`` and bits of ``M`` on ``S``, each at
     the representative ``n = 2r``, ``S`` on the odd bits, each gap one bit."""
@@ -154,7 +156,7 @@ def _type_mismatches(r: int, t: int, gaps: Tuple[int, ...]) -> List[int]:
                         lhs[term] = coeff
                 sign, row = actions[i][j]
                 bad[i] += lhs != {high | row: sign}
-    return bad
+    return tuple(bad)
 
 
 def check_flat_commutators(n: int) -> List[dict]:
@@ -174,7 +176,7 @@ def check_flat_commutators(n: int) -> List[dict]:
     side is the generator's signed action on ``e_mask`` (``_blade_action``).
 
     A monomial's verdict reads only its order type (README, "Order types"),
-    so each type present at ``n`` is evaluated once per call and counted in
+    so each type is evaluated once per process, at any ``n``, and counted in
     closed form: a gap of length ``L >= 1`` below or between the indices of
     ``S`` holds ``2^(L - 1)`` bit patterns of either parity, an empty one
     only parity 0, and the ``n - 1 - s_r`` bits above ``S`` are free.
@@ -183,7 +185,6 @@ def check_flat_commutators(n: int) -> List[dict]:
     number of monomials checked and the number that disagree.
     """
     _check_n(n)
-    outcomes: Dict[Tuple[int, int, Tuple[int, ...]], List[int]] = {}
     bad = [[0, 0] for _ in range(n)]
     for r in (1, 2, 3):
         for s in itertools.combinations(range(n), r):
@@ -191,9 +192,7 @@ def check_flat_commutators(n: int) -> List[dict]:
             free = n - 1 - s[-1] + sum(length - 1 for length in lengths if length)
             for gaps in itertools.product(*((0, 1) if length else (0,) for length in lengths)):
                 for t, index in enumerate(s):
-                    if (r, t, gaps) not in outcomes:
-                        outcomes[r, t, gaps] = _type_mismatches(r, t, gaps)
-                    for i, mismatches in enumerate(outcomes[r, t, gaps]):
+                    for i, mismatches in enumerate(_type_mismatches(r, t, gaps)):
                         bad[index][i] += mismatches << free
     monomials = (1 << n) * (1 + n + n * (n + 1) // 2)  # |beta| = 0, 1, 2
     return [

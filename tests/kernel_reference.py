@@ -11,8 +11,10 @@ contracts it with integer rows and traces rational inputs.
 table ``hodge_residue.residue._table`` compiles directly, and
 :func:`expand` places a table's types at ``n`` as a :class:`TraceKernel`,
 the tensor whose contraction ``KernelTable.expand`` returns.
+:func:`fresh_memos` gives one test empty table and contraction memos.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -21,7 +23,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from hodge_residue.exterior import _check_n, _generator_key, _product_signs
 from hodge_residue.forms import LIFT_TERMS, AntiSymForm, _reader, _term_blades
-from hodge_residue.residue import KernelTable, _letter_paths, _lift_degree, _scaled_rows, _traceable
+import hodge_residue.residue as residue_module
+from hodge_residue.residue import (
+    KernelTable, _contraction, _letter_paths, _lift_degree, _scaled_rows, _table, _traceable,
+)
 from hodge_residue.symbols import _grade_weight
 
 
@@ -158,7 +163,9 @@ def n0_of(word_flavors: Tuple[str, ...], lift: Optional[str]) -> int:
 
 def table_of(word_flavors: Tuple[str, ...], lift: Optional[str]) -> KernelTable:
     """The order-type table read off the direct compile at :func:`n0_of`:
-    each entry's indices replaced by their ranks among its distinct ones."""
+    each entry's indices replaced by their ranks among its distinct ones.  Its
+    ``unit`` and ``kappa`` are ``None``: the tests hold the package's to the
+    decision on the full tensors instead."""
     kernel = _compile(word_flavors, lift, n0_of(word_flavors, lift))
     types = {}
     for (slot, *js), c in zip(zip(*kernel.columns), kernel.coeffs):
@@ -166,7 +173,7 @@ def table_of(word_flavors: Tuple[str, ...], lift: Optional[str]) -> KernelTable:
         rank = {i: p for p, i in enumerate(sorted({*idx, *js}))}
         types[len(rank), tuple(map(rank.get, idx)), tuple(map(rank.get, js))] = c
     return KernelTable(len(word_flavors), _lift_degree(lift) or 0, kernel.denominator, kernel.grade,
-                       lift == "normal_c", MappingProxyType(types))
+                       lift == "normal_c", MappingProxyType(types), None, None)
 
 
 def expand(table: KernelTable, n: int) -> TraceKernel:
@@ -189,3 +196,11 @@ def expand(table: KernelTable, n: int) -> TraceKernel:
         coeffs.extend([c] * len(subsets))
     return TraceKernel(n, table.degree, table.letters, columns, coeffs, table.denominator,
                        table.grade if coeffs else None)
+
+
+def fresh_memos(monkeypatch) -> None:
+    """Empty ``_table`` and ``_contraction`` memos in ``hodge_residue.residue``
+    for one test, so that a patched ratio, unit table or expansion reaches the
+    tables and contractions it builds; the process's memos are back after it."""
+    for memo in (_table, _contraction):
+        monkeypatch.setattr(residue_module, memo.__name__, functools.lru_cache(maxsize=None)(memo.__wrapped__))

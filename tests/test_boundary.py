@@ -428,10 +428,12 @@ class TestVerifyBoundary:
         assert f"= {(original(flavor, m) * sphere_volume(n - 2)).render()}; tabulated" in report.detail
 
     def test_psi2_against_the_psi1_contraction_is_not_proportional(self, monkeypatch):
-        # the trials' unit and the unit table the ratio is decided on are both psi1's
+        # the trials' unit and the unit table the ratio is decided on, when
+        # the table compiles, are both psi1's
         original, table = residue_module._unit, residue_module._unit_table
         monkeypatch.setattr(residue_module, "_unit", lambda kind, form, vectors: original("psi1", form, vectors))
         monkeypatch.setattr(residue_module, "_unit_table", lambda kind, degree: table("psi1", degree))
+        kernel_reference.fresh_memos(monkeypatch)
         report = verify_boundary("psi2", 2, trials=20, seed=0)
         assert report.status == "fail"
         assert "proportionality to the stated contraction: FAILS" in report.detail
@@ -440,6 +442,7 @@ class TestVerifyBoundary:
     def test_zero_contraction_with_a_nonzero_density_fails(self, monkeypatch):
         monkeypatch.setattr(residue_module, "_unit", lambda kind, form, vectors: 0)
         monkeypatch.setattr(residue_module, "_unit_table", lambda kind, degree: {})
+        kernel_reference.fresh_memos(monkeypatch)
         report = verify_boundary("psi1", 2, trials=5, seed=0)
         rng = random.Random("0:boundary:psi1:2")
         densities = [

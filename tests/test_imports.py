@@ -13,15 +13,17 @@ a file under ``bench/`` reads it.  No package module reads a private
 attribute (``X._name``) of a name it imports from another package module, so
 each class keeps its internals to its own module.  The package builds a ``random.Random`` in one function
 only, ``residue._trial_loop``, so every randomized check draws its inputs
-on one path, and it reads a kernel's ratio ``_ratio`` there and in ``_trace``
-only.  The order-type table is the package's one kernel type: no module
-defines or imports a per-n ``TraceKernel``, ``_compile``, ``_compile_slots``
-or ``_placement_weight``, and only ``residue._table`` folds lift blades into
+on one path.  A kernel's ratio is decided in one place, the table compile
+``residue._table``, the only caller of ``_ratio``, and read from the table's
+``kappa`` there and in ``_trace`` only.  The order-type table is the
+package's one kernel type: no module defines or imports a per-n
+``TraceKernel``, ``_compile``, ``_compile_slots`` or ``_placement_weight``,
+and only ``residue._table`` folds lift blades into
 letter paths (``forms._lift`` also reads the blades, to build the operator).
 Each argument has one rule: only ``residue._symbol_order`` compares a symbol
 order ``m`` with a bound, and only ``residue._check_trials`` a trial count
 (the command line's cap ``MAX_TRIALS`` aside).  ``lru_cache`` decorates
-exactly the four memos the bench keeps, and no module defines the removed
+exactly the memos the bench keeps, and no module defines the removed
 ``BoundaryArgs``, ``_grade_weights`` or ``_identical``.  Every sign is
 tabulated: ``LemmaSpec`` has no ``sign_policy``, ``_trial_loop`` no
 ``magnitude`` and no module names a ``"-psi2"`` unit.
@@ -210,9 +212,22 @@ def test_random_streams_are_built_in_the_trial_loop_only():
     assert _package_call_sites("Random") == [("residue.py", "_trial_loop")]
 
 
+def _attribute_reads(attribute: str, tree: ast.AST, function: str = "<module>"):
+    """The innermost function around each ``x.attribute`` read under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr == attribute and isinstance(node.ctx, ast.Load):
+            yield function
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _attribute_reads(attribute, node, inner)
+
+
 def test_kernel_ratio_is_read_in_the_trial_loop_and_the_trace_only():
-    # checks decide kappa in their trial loop, densities in the one trace
-    assert sorted(_package_call_sites("_ratio")) == [("residue.py", "_trace"), ("residue.py", "_trial_loop")]
+    # each shape's table decides kappa once, as it compiles; checks read it in
+    # their trial loop, densities in the one trace
+    assert _package_call_sites("_ratio") == [("residue.py", "_table")]
+    reads = {(path.name, function) for path in PACKAGE_MODULES
+             for function in _attribute_reads("kappa", ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(reads) == [("residue.py", "_trace"), ("residue.py", "_trial_loop")]
 
 
 PER_N_KERNEL_NAMES = {"TraceKernel", "_compile", "_compile_slots", "_placement_weight"}
@@ -326,9 +341,12 @@ def _memoized(tree: ast.Module):
 
 
 def test_lru_cache_decorates_the_kept_memos_only():
-    # each memo earns its lines on the bench; a new one needs its reason here
+    # each memo earns its lines on the bench; a new one needs its reason here:
+    # _contraction builds a four_mixed contraction once per (shape, n), not per
+    # check, and _type_mismatches evaluates a commutator order type once, at
+    # its representative n, for every n a run checks
     memoized = sorted(name for path in PACKAGE_MODULES for name in _memoized(ast.parse(path.read_text("utf-8"))))
-    assert memoized == ["_minor_plan", "_orderings", "_residue_weight", "_table"]
+    assert memoized == ["_contraction", "_minor_plan", "_orderings", "_residue_weight", "_table", "_type_mismatches"]
 
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=_module_id)

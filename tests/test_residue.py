@@ -98,7 +98,7 @@ def boundary_kernel(flavor: str, n: int) -> TraceKernel:
 
 def trace_of(spec, n: int, form, vectors) -> Fraction:
     """The engine's plain trace of a density's or a trace identity's shape."""
-    return residue_module._trace((*shape_of(spec), n), getattr(spec, "unit", "form"), form, vectors)
+    return residue_module._trace((*shape_of(spec), n), form, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,11 @@ def test_density_kernels_equal_word_route(functional_id, m, draw):
 @pytest.mark.parametrize("m", [2, 3])
 def test_densities_expand_only_the_kernel_with_no_ratio(monkeypatch, m):
     # every density shape but four_mixed's (T4) is kappa times its unit, so
-    # its density is kappa / D times the unit on the inputs: no expansion
+    # its density is kappa / D times the unit on the inputs: no expansion;
+    # T4's one contraction at n serves its two densities and decompositions
     n = 2 * m
-    four_mixed = _table(*shape_of(FUNCTIONALS["T4"]))
+    kernel_reference.fresh_memos(monkeypatch)
+    four_mixed = residue_module._table(*shape_of(FUNCTIONALS["T4"]))
     expanded, expand = [], KernelTable.expand
 
     def guarded(table, size):
@@ -221,7 +223,7 @@ def test_densities_expand_only_the_kernel_with_no_ratio(monkeypatch, m):
         for _ in range(2):
             args = (flavor, *(tuple(mixed_vector(n, rng)) for _ in range(3)), m)
             assert boundary_module.boundary_density(*args) == word_reference.boundary_density(*args), flavor
-    assert expanded == [n] * 4
+    assert expanded == [n]
 
 
 @pytest.mark.parametrize("functional_id,inputs", [("T1", 96), ("T5", 256)])
@@ -468,9 +470,10 @@ def _trials_drawn(report, trials: int) -> int:
 
 def _count_contractions(monkeypatch) -> list:
     """The ``(contraction, n)`` of every call of a contraction that
-    ``KernelTable.expand`` returns from here on."""
+    ``KernelTable.expand`` returns from here on, from empty memos."""
     calls = []
     expand = KernelTable.expand
+    kernel_reference.fresh_memos(monkeypatch)
 
     def expanded(table, n):
         contract = expand(table, n)
@@ -607,8 +610,7 @@ def test_sides_decide_the_comparison_in_integers():
         p, c, unit, denominator = draw(), rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 12)
         q = p * Fraction(c, denominator * unit) if unit and trial % 2 else draw()
         holds = p * Fraction(c, denominator) == q * unit
-        re_left, re_right, im_left, im_right = _sides(
-            SymbolicScalar.unit(p, pi=1), SymbolicScalar.unit(q, pi=1), denominator)
+        re_left, re_right, im_left, im_right = _sides(p.triple, q.triple, denominator)
         assert (c * re_left == unit * re_right and c * im_left == unit * im_right) is holds
         outcomes.add(holds)
     assert outcomes == {False, True}
@@ -1262,7 +1264,7 @@ def test_unit_tensor_contracts_to_the_unit(kind, degree, n):
     size = math.comb(n, degree) if degree else 0
     tensor = unit_tensor(kind, n, degree)
     table = KernelTable(letters, degree, 1, None, kind.startswith("psi"),
-                        residue_module._unit_table(kind, degree))
+                        residue_module._unit_table(kind, degree), kind, 1)
     assert _entries(kernel_reference.expand(table, n)) == tensor
     contract = table.expand(n)
     rng = random.Random(f"unit-tensor:{kind}:{degree}:{n}")
@@ -1338,7 +1340,8 @@ def test_tables_equal_the_tables_read_off_the_direct_compile():
     for word, lift in KERNEL_SHAPES:
         table, reference = _table(word, lift), kernel_reference.table_of(word, lift)
         assert dict(table.types) == dict(reference.types), (word, lift)
-        assert table._replace(types=None) == reference._replace(types=None), (word, lift)
+        # the unit and kappa are held to the full tensors' decision below
+        assert table._replace(types=None, unit=None, kappa=None) == reference._replace(types=None), (word, lift)
 
 
 # each check shape with the one unit it is checked against; B5.8/Psi1 take
@@ -1403,39 +1406,71 @@ def test_table_ratio_is_the_full_tensor_decision_at_every_n():
     assert decided == 12 * 11
 
 
+def test_compiled_kappa_is_the_ratio_at_every_n():
+    """Each check shape's table decides kappa once, against its one unit, as
+    it compiles: the ratio at every n from its n0 to 14, and None for the
+    four_mixed shape alone."""
+    for (word, lift), unit in sorted(CHECK_UNITS.items(), key=repr):
+        table = _table(word, lift)
+        assert table.unit == unit, (word, lift)
+        for n in range(kernel_reference.n0_of(word, lift), MAX_DIMENSION + 1):
+            assert table.kappa == residue_module._ratio(table, unit, n), (word, lift, n)
+        assert (table.kappa is None) == (lift == "four_mixed"), (word, lift)
+    assert len(CHECK_UNITS) == 12
+
+
 def _record_tables(monkeypatch) -> tuple:
     """The ratio decisions ``(types, unit, n)`` and the expansions ``(types,
-    n)`` of the calls that follow."""
+    n)`` of the calls that follow, from empty table and contraction memos."""
     decided, expanded = [], []
     ratio, expand = residue_module._ratio, KernelTable.expand
     monkeypatch.setattr(residue_module, "_ratio", lambda table, unit, n: decided.append(
         (table.types, unit, n)) or ratio(table, unit, n))
     monkeypatch.setattr(KernelTable, "expand", lambda table, n: expanded.append((table.types, n)) or expand(table, n))
+    kernel_reference.fresh_memos(monkeypatch)
     return decided, expanded
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_theorems_decide_and_expand_only_where_weighted(monkeypatch, m):
-    # T3's interior weight is 0, so its check neither decides a ratio nor
-    # expands its table; only T4, with no ratio, expands, once
+    # each theorem's table decides its ratio once, when it is compiled, over
+    # every type (T3's too, though its interior weight is 0), and no check
+    # decides one; only T4, with no ratio, expands, once at n = 2m for all its
+    # checks
     decided, expanded = _record_tables(monkeypatch)
     for functional_id in sorted(FUNCTIONALS):
         decided.clear()
         expanded.clear()
-        verify_theorem(functional_id, m)
-        types = _table(*shape_of(FUNCTIONALS[functional_id])).types
-        assert decided == ([] if functional_id == "T3" else [(types, "form", 2 * m)]), functional_id
+        for seed in (0, 1):
+            verify_theorem(functional_id, m, seed=seed)
+        types = residue_module._table(*shape_of(FUNCTIONALS[functional_id])).types
+        assert decided == [(types, "form", MAX_DIMENSION)], functional_id
         assert expanded == ([(types, 2 * m)] if functional_id == "T4" else []), functional_id
 
 
 def test_theorem_suite_compiles_five_tables_and_expands_only_t4(monkeypatch):
-    calls = _count_compiles(monkeypatch)
     _, expanded = _record_tables(monkeypatch)
+    calls = _count_compiles(monkeypatch)
     list(_run_checks("theorems", (), DEFAULT_SYMBOL_ORDERS, (), 20, 0))
     n0 = {"T1": 2, "T2": 3, "T3": 3, "T4": 4, "T5": 4}
     assert sorted(calls) == sorted((*shape_of(spec), n0[name]) for name, spec in FUNCTIONALS.items())
     t4 = _table(*shape_of(FUNCTIONALS["T4"])).types
     assert expanded == [(t4, 2 * m) for m in DEFAULT_SYMBOL_ORDERS]
+
+
+def test_each_shape_decides_kappa_once_per_process(monkeypatch):
+    """In one process the default lemma suite decides kappa 10 times, once
+    per table, for its 38 checks, and builds 2 four_mixed contractions, one
+    per n, for its 5 weighted four_mixed checks; the default all suite
+    decides 12, once per shape across its suites."""
+    decided, expanded = _record_tables(monkeypatch)
+    list(_run_checks("lemmas", DEFAULT_LEMMA_DIMENSIONS, (), (), 20, 0))
+    four_mixed = residue_module._table(*shape_of(LEMMA_CHECKS["L4.5"])).types
+    assert len(decided) == 10
+    assert expanded == [(four_mixed, 4), (four_mixed, 6)]
+    decided, _ = _record_tables(monkeypatch)
+    list(_run_checks("all", DEFAULT_LEMMA_DIMENSIONS, DEFAULT_SYMBOL_ORDERS, DEFAULT_COMMUTATOR_DIMENSIONS, 20, 0))
+    assert len(decided) == 12
 
 
 STOP_CASES = (
@@ -1560,8 +1595,10 @@ def test_status_does_not_depend_on_the_draw():
 
 
 def _ratio_off(monkeypatch):
-    """No kernel has a ratio, so every trial contracts its kernel."""
+    """No kernel has a ratio, so every trial contracts its kernel: the tables
+    compiled from here on, in empty memos, decide none."""
     monkeypatch.setattr(residue_module, "_ratio", lambda table, unit, n: None)
+    kernel_reference.fresh_memos(monkeypatch)
 
 
 @pytest.mark.parametrize("check, name, size", STOP_CASES,

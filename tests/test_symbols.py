@@ -1,5 +1,6 @@
 """Unit tests for sphere moments, cosphere averages, flat-space operators."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -289,6 +290,7 @@ class TestFlatCommutators:
         # without k and differ on the other half, 12 of the 24 monomials at n = 2
         generator = getattr(module, generator_of)
         monkeypatch.setattr(module, generator_of, lambda flavor, n, k: generator("c", n, k))
+        _fresh_type_memo(monkeypatch)
         records = module.check_flat_commutators(2)
         assert [(r["identity"], r["ok"], r["mismatches"]) for r in records] == [
             ("c", True, 0), ("chat", False, 12), ("c", True, 0), ("chat", False, 12),
@@ -305,6 +307,7 @@ class TestFlatCommutators:
             monkeypatch.setattr(symbols, "_blade_action", _blade_action_without_chat_parity)
         else:
             monkeypatch.setattr(symbols, "_flat_derivative", _mutant_flat_derivative(mutant))
+        _fresh_type_memo(monkeypatch)
         for n in range(1, 8):
             records = check_flat_commutators(n)
             assert records == flat_reference.enumerated_flat_commutators(n), n
@@ -315,6 +318,13 @@ class TestFlatCommutators:
     def test_rejects_empty_or_unsupported_sizes(self, n):
         with pytest.raises(ValueError):
             check_flat_commutators(n)
+
+
+def _fresh_type_memo(monkeypatch):
+    """An empty per-process memo of the order types' verdicts for one test,
+    so that a patched step reaches every type it evaluates."""
+    memo = functools.lru_cache(maxsize=None)(symbols._type_mismatches.__wrapped__)
+    monkeypatch.setattr(symbols, "_type_mismatches", memo)
 
 
 def _mutant_flat_derivative(mutant):
